@@ -17,16 +17,16 @@
 //!   about its numerical stability, whereas the QR smoothers are
 //!   conditionally backward stable.
 //!
-//! Since the backend unification the smoother runs on the plan/execute
-//! engine: [`ScanPlan`] executes a shared symbolic
-//! [`kalman_odd_even::ScanSchedule`] against whitened step data with
-//! plan-owned scratch (zero steady-state allocations), implements
-//! [`kalman_odd_even::SmootherBackend`], and serves through the streaming
-//! stack next to the odd-even plan.  Its fixed Brent–Kung combine tree
-//! makes `Seq ≡ Par` **bitwise** (the one-shot scan helpers in
-//! `kalman-par` only promise rounding-level agreement across grains).
-//! [`associative_smooth`] is a thin one-shot wrapper over a transient
-//! plan.
+//! The smoother runs on a plan/execute split like the odd-even engine's:
+//! [`ScanPlan`] executes a symbolic [`ScanSchedule`] against whitened step
+//! data with plan-owned scratch.  Its fixed Brent–Kung combine tree makes
+//! `Seq ≡ Par` **bitwise** (the one-shot scan helpers in `kalman-par` only
+//! promise rounding-level agreement across grains).  [`associative_smooth`]
+//! is a thin one-shot wrapper over a transient plan.
+//!
+//! This crate is the batch *baseline and oracle* of the reproduction
+//! (fig2/fig3, `tests/backend_differential.rs`); serving runs the odd-even
+//! engine only — see DESIGN.md §"Why serving runs one engine".
 //!
 //! # Example
 //!
@@ -46,8 +46,10 @@
 
 mod elements;
 mod plan;
+mod scan;
 mod smoother;
 
 pub use elements::{FilterElement, SmoothElement};
 pub use plan::{ScanOptions, ScanPlan};
+pub use scan::{ScanLevel, ScanSchedule};
 pub use smoother::{associative_filter, associative_smooth, AssociativeOptions};

@@ -4,9 +4,8 @@
 //! a shared symbolic [`ScanSchedule`] (which element pairs combine at which
 //! sweep level — a function of the window length alone) plus plan-owned
 //! numeric scratch, executing against borrowed [`WhitenedStep`] data so the
-//! same whitened window every other backend consumes drives the scan too.
-//! In steady state (same schedule call after call) `execute`/`solve_into`/
-//! `selinv_into` perform **zero heap allocations**: element and sweep
+//! same whitened window the odd-even plan consumes drives the scan too.
+//! Repeated executes of one schedule reuse that scratch: element and sweep
 //! containers retain capacity, every matrix cycles through the
 //! `kalman-dense` workspace, and batch-scale shapes additionally hold an
 //! arena scope across each phase (the PR 4 budgets).
@@ -26,23 +25,19 @@
 //! form: `J₀ = CᵀC`, `η₀ = Cᵀ·rhs`, and a Cholesky of `J₀` yields the
 //! posterior `(m₀, P₀)` seeding the first element.  A window whose head
 //! rows do not determine state 0 (no prior, rank-deficient observations)
-//! fails with [`KalmanError::RankDeficient`] — dispatchers fall back to the
-//! odd-even backend, which handles the semidefinite case.
+//! fails with [`KalmanError::RankDeficient`]; the odd-even smoother
+//! handles that semidefinite case.
 //!
 //! Both sweeps run the schedule's fixed Brent–Kung tree: each level's
 //! disjoint pairs combine in parallel into pre-assigned slots and write
 //! back serially, so `ExecPolicy::Seq` and `ExecPolicy::par()` perform the
-//! identical floating-point operations — the scan backend is bitwise
-//! deterministic across thread counts and grains.  With
-//! [`ScanOptions::fold`] the plan instead folds the same elements left to
-//! right (the `SequentialRts` backend): a different association order,
-//! agreeing with the tree to rounding (≤ 1e-8), useful as the cheap
-//! sequential reference and for short windows where tree overhead loses.
+//! identical floating-point operations — the scan is bitwise
+//! deterministic across thread counts and grains.
 
 use crate::elements::{FilterElement, SmoothElement};
+use crate::scan::{uniform_dims, ScanSchedule};
 use kalman_dense::{gemm, matmul, matmul_tn, Cholesky, LuFactor, Matrix, Trans};
 use kalman_model::{KalmanError, LinearModel, Result, Smoothed, WhitenedEvo, WhitenedStep};
-use kalman_odd_even::{BackendKind, ScanSchedule};
 use kalman_par::{map_collect_into, ExecPolicy};
 use std::sync::Arc;
 
@@ -51,17 +46,12 @@ use std::sync::Arc;
 pub struct ScanOptions {
     /// Execution policy for element construction and the tree sweeps.
     pub policy: ExecPolicy,
-    /// Fold the elements sequentially instead of sweeping the tree — the
-    /// `SequentialRts` backend.  The fold ignores `policy` for the sweeps
-    /// (element construction still parallelizes).
-    pub fold: bool,
 }
 
 impl Default for ScanOptions {
     fn default() -> Self {
         ScanOptions {
             policy: ExecPolicy::par(),
-            fold: false,
         }
     }
 }
@@ -79,11 +69,10 @@ fn cov_form(i: usize, evo: &WhitenedEvo) -> Result<CovForm> {
     let n = evo.d.cols();
     if evo.d.rows() != n || evo.b.cols() != n {
         return Err(KalmanError::UnsupportedStructure(
-            "the scan backend requires square evolution blocks (uniform dimensions, H = I)".into(),
+            "the scan smoother requires square evolution blocks (uniform dimensions, H = I)".into(),
         ));
     }
-    let lu = LuFactor::new(evo.d.clone()) // lint: allow(alloc, "pooled Matrix clone: buffers come from the thread-local workspace; steady-state scan flushes are heap-alloc-free (tests/alloc_steady_state.rs)")
-        .map_err(|_| KalmanError::RankDeficient { state: i })?;
+    let lu = LuFactor::new(evo.d.clone()).map_err(|_| KalmanError::RankDeficient { state: i })?;
     let f = lu.solve(&evo.b);
     let c = lu.solve(&evo.rhs);
     let dinv = lu.inverse();
@@ -125,9 +114,9 @@ fn filter_element(
     let n = form.f.rows();
     let Some(obs) = obs else {
         return Ok(FilterElement {
-            a: form.f.clone(), // lint: allow(alloc, "pooled Matrix clone: buffers come from the thread-local workspace; steady-state scan flushes are heap-alloc-free (tests/alloc_steady_state.rs)")
-            b: form.c.clone(), // lint: allow(alloc, "pooled Matrix clone, as above")
-            c: form.q.clone(), // lint: allow(alloc, "pooled Matrix clone, as above")
+            a: form.f.clone(),
+            b: form.c.clone(),
+            c: form.q.clone(),
             eta: Matrix::zeros(n, 1),
             j: Matrix::zeros(n, n),
         });
@@ -173,14 +162,14 @@ fn smooth_element(
     let Some(form) = next else {
         return Ok(SmoothElement {
             e: Matrix::zeros(n, n),
-            g: m.clone(), // lint: allow(alloc, "pooled Matrix clone: buffers come from the thread-local workspace; steady-state scan flushes are heap-alloc-free (tests/alloc_steady_state.rs)")
-            l: p.clone(), // lint: allow(alloc, "pooled Matrix clone, as above")
+            g: m.clone(),
+            l: p.clone(),
         });
     };
     let f = &form.f;
     // P⁻ = F P Fᵀ + Q
     let fp = matmul(f, p);
-    let mut pred = form.q.clone(); // lint: allow(alloc, "pooled Matrix clone, as above")
+    let mut pred = form.q.clone();
     gemm(1.0, &fp, Trans::No, f, Trans::Yes, 1.0, &mut pred);
     pred.symmetrize();
     let chol =
@@ -191,7 +180,7 @@ fn smooth_element(
     let fm = &matmul(f, m) + &form.c;
     let g = m - &matmul(&e, &fm);
     // L = P − E F P
-    let mut l = p.clone(); // lint: allow(alloc, "pooled Matrix clone, as above")
+    let mut l = p.clone();
     gemm(-1.0, &e, Trans::No, &fp, Trans::No, 1.0, &mut l);
     l.symmetrize();
     Ok(SmoothElement { e, g, l })
@@ -212,8 +201,8 @@ fn arena_pays_off(schedule: &ScanSchedule) -> bool {
 /// [`ScanSchedule`] plus this consumer's element scratch and
 /// execution-policy decisions.  The scan analogue of
 /// `kalman_odd_even::SmoothPlan` — see the module docs for the numeric
-/// pipeline, and DESIGN.md §"Backend trait + dispatch" for how streams
-/// pick between the two.
+/// pipeline, and DESIGN.md §"Why serving runs one engine" for why only
+/// the batch comparison runs it.
 ///
 /// ```
 /// use kalman_associative::{ScanOptions, ScanPlan};
@@ -275,8 +264,8 @@ impl ScanPlan {
     ///
     /// # Panics
     ///
-    /// Panics on shapes outside the scan's structural domain
-    /// ([`kalman_odd_even::scan_supports_dims`]).
+    /// Panics on shapes outside the scan's structural domain (empty, or
+    /// mixed state dimensions).
     pub fn for_dims(dims: &[usize], options: ScanOptions) -> ScanPlan {
         ScanPlan::new(Arc::new(ScanSchedule::build(dims)), options)
     }
@@ -290,9 +279,9 @@ impl ScanPlan {
     pub fn for_model(model: &LinearModel, options: ScanOptions) -> Result<ScanPlan> {
         model.validate()?;
         let dims: Vec<usize> = model.steps.iter().map(|s| s.state_dim).collect();
-        if !kalman_odd_even::scan_supports_dims(&dims) {
+        if !uniform_dims(&dims) {
             return Err(KalmanError::UnsupportedStructure(
-                "the scan backend requires uniform state dimensions".into(),
+                "the scan smoother requires uniform state dimensions".into(),
             ));
         }
         Ok(ScanPlan::for_dims(&dims, options))
@@ -318,32 +307,13 @@ impl ScanPlan {
         &self.options
     }
 
-    /// The backend this plan serves as: [`BackendKind::SequentialRts`] when
-    /// folding, [`BackendKind::Scan`] when sweeping the tree.
-    pub fn kind(&self) -> BackendKind {
-        if self.options.fold {
-            BackendKind::SequentialRts
-        } else {
-            BackendKind::Scan
-        }
-    }
-
-    /// Swaps in an externally shared schedule (a `PlanCache` hit) and
-    /// invalidates any held posterior.
-    pub fn set_schedule(&mut self, schedule: Arc<ScanSchedule>) {
-        self.schedule = schedule;
-        self.executed = false;
-        self.arena = arena_pays_off(&self.schedule);
-    }
-
     /// Re-plans for `dims` if the shape changed; returns `true` when a
     /// rebuild happened.  An unshared schedule is rebuilt in place; a
     /// shared one is replaced by a fresh `Arc` so sibling plans keep theirs.
     ///
     /// # Panics
     ///
-    /// Panics on shapes outside the scan's structural domain — dispatchers
-    /// resolve those to the odd-even backend before touching a scan plan.
+    /// Panics on shapes outside the scan's structural domain.
     pub fn ensure_shape(&mut self, dims: &[usize]) -> bool {
         if self.schedule.dims() == dims {
             return false;
@@ -387,8 +357,7 @@ impl ScanPlan {
     /// plan-owned scratch for [`ScanPlan::solve_into`] /
     /// [`ScanPlan::selinv_into`].  On success `steps` is drained (capacity
     /// retained for the caller to refill); on **any** error `steps` is left
-    /// intact so the caller can re-execute the same window on another
-    /// backend (the dispatcher's numeric-fallback path).
+    /// intact.
     ///
     /// # Errors
     ///
@@ -400,7 +369,6 @@ impl ScanPlan {
     pub fn execute(&mut self, steps: &mut Vec<WhitenedStep>) -> Result<()> {
         self.executed = false;
         if !self.matches_steps(steps) {
-            // lint: allow(alloc, "error path: allocates only when the caller handed an unplanned shape")
             return Err(KalmanError::InvalidModel(format!(
                 "plan shape mismatch: plan covers {} states but was given {}",
                 self.schedule.len(),
@@ -434,35 +402,27 @@ impl ScanPlan {
             self.felems.clear();
             for slot in self.build_tmp.iter_mut() {
                 let (form, elem) = slot.take().expect("filled above")?;
-                self.forms.push(form); // lint: allow(alloc, "push into cleared scratch that retains capacity across flushes; amortized, steady-state alloc-free")
-                self.felems.push(elem); // lint: allow(alloc, "push into cleared scratch, as above")
+                self.forms.push(form);
+                self.felems.push(elem);
             }
         }
 
         {
             let _span = kalman_obs::span!("scan.fwd");
-            if self.options.fold {
-                for i in 1..k1 {
-                    let (head, tail) = self.felems.split_at_mut(i);
-                    let combined = head[i - 1].combine(&tail[0]);
-                    tail[0] = combined;
-                }
-            } else {
-                for level in schedule.levels() {
-                    let pairs = level.pairs();
-                    let felems = &self.felems;
-                    map_collect_into(
-                        self.options.policy.for_len(pairs.len()),
-                        pairs.len(),
-                        &mut self.pair_f,
-                        |j| {
-                            let (src, dst) = pairs[j];
-                            felems[src as usize].combine(&felems[dst as usize])
-                        },
-                    );
-                    for (j, &(_, dst)) in pairs.iter().enumerate() {
-                        self.felems[dst as usize] = self.pair_f[j].take().expect("filled above");
-                    }
+            for level in schedule.levels() {
+                let pairs = level.pairs();
+                let felems = &self.felems;
+                map_collect_into(
+                    self.options.policy.for_len(pairs.len()),
+                    pairs.len(),
+                    &mut self.pair_f,
+                    |j| {
+                        let (src, dst) = pairs[j];
+                        felems[src as usize].combine(&felems[dst as usize])
+                    },
+                );
+                for (j, &(_, dst)) in pairs.iter().enumerate() {
+                    self.felems[dst as usize] = self.pair_f[j].take().expect("filled above");
                 }
             }
         }
@@ -482,40 +442,32 @@ impl ScanPlan {
             );
             self.selems.clear();
             for slot in self.smooth_tmp.iter_mut() {
-                self.selems.push(slot.take().expect("filled above")?); // lint: allow(alloc, "push into cleared scratch that retains capacity across flushes; amortized, steady-state alloc-free")
+                self.selems.push(slot.take().expect("filled above")?);
             }
         }
 
         {
             let _span = kalman_obs::span!("scan.bwd");
             let last = k1 - 1;
-            if self.options.fold {
-                for i in (0..last).rev() {
-                    let (head, tail) = self.selems.split_at_mut(i + 1);
-                    let combined = head[i].combine(&tail[0]);
-                    head[i] = combined;
-                }
-            } else {
-                // The same pair lists run the suffix sweep mirrored: indices
-                // reflect (`i ↦ last − i`) and the mirrored dst slot is the
-                // *earlier* operand of the combine.
-                for level in schedule.levels() {
-                    let pairs = level.pairs();
-                    let selems = &self.selems;
-                    map_collect_into(
-                        self.options.policy.for_len(pairs.len()),
-                        pairs.len(),
-                        &mut self.pair_s,
-                        |j| {
-                            let (src, dst) = pairs[j];
-                            let (msrc, mdst) = (last - src as usize, last - dst as usize);
-                            selems[mdst].combine(&selems[msrc])
-                        },
-                    );
-                    for (j, &(_, dst)) in pairs.iter().enumerate() {
-                        let mdst = last - dst as usize;
-                        self.selems[mdst] = self.pair_s[j].take().expect("filled above");
-                    }
+            // The same pair lists run the suffix sweep mirrored: indices
+            // reflect (`i ↦ last − i`) and the mirrored dst slot is the
+            // *earlier* operand of the combine.
+            for level in schedule.levels() {
+                let pairs = level.pairs();
+                let selems = &self.selems;
+                map_collect_into(
+                    self.options.policy.for_len(pairs.len()),
+                    pairs.len(),
+                    &mut self.pair_s,
+                    |j| {
+                        let (src, dst) = pairs[j];
+                        let (msrc, mdst) = (last - src as usize, last - dst as usize);
+                        selems[mdst].combine(&selems[msrc])
+                    },
+                );
+                for (j, &(_, dst)) in pairs.iter().enumerate() {
+                    let mdst = last - dst as usize;
+                    self.selems[mdst] = self.pair_s[j].take().expect("filled above");
                 }
             }
         }
@@ -570,7 +522,7 @@ impl ScanPlan {
         let k1 = self.selems.len();
         covs.truncate(k1);
         while covs.len() < k1 {
-            covs.push(Matrix::zeros(1, 1)); // lint: allow(alloc, "grows the reused output to window length once; repeat windows reuse the slots")
+            covs.push(Matrix::zeros(1, 1));
         }
         for (c, e) in covs.iter_mut().zip(&self.selems) {
             c.clone_from(&e.l);
@@ -629,36 +581,6 @@ impl ScanPlan {
     }
 }
 
-impl kalman_odd_even::SmootherBackend for ScanPlan {
-    fn kind(&self) -> BackendKind {
-        ScanPlan::kind(self)
-    }
-
-    fn dims(&self) -> &[usize] {
-        ScanPlan::dims(self)
-    }
-
-    fn signature(&self) -> u64 {
-        ScanPlan::signature(self)
-    }
-
-    fn ensure_shape(&mut self, dims: &[usize]) -> bool {
-        ScanPlan::ensure_shape(self, dims)
-    }
-
-    fn execute(&mut self, steps: &mut Vec<WhitenedStep>) -> Result<()> {
-        ScanPlan::execute(self, steps)
-    }
-
-    fn solve_into(&mut self, means: &mut Vec<Vec<f64>>) -> Result<()> {
-        ScanPlan::solve_into(self, means)
-    }
-
-    fn selinv_into(&mut self, covs: &mut Vec<Matrix>) -> Result<()> {
-        ScanPlan::selinv_into(self, covs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -694,42 +616,13 @@ mod tests {
             ExecPolicy::par_with_grain(1),
             ExecPolicy::par_with_grain(7),
         ] {
-            let mut plan = ScanPlan::for_model(
-                &model,
-                ScanOptions {
-                    policy,
-                    fold: false,
-                },
-            )
-            .unwrap();
+            let mut plan = ScanPlan::for_model(&model, ScanOptions { policy }).unwrap();
             results.push(plan.smooth_model(&model).unwrap());
         }
         for other in &results[1..] {
             assert_eq!(results[0].max_mean_diff(other), 0.0);
             assert_eq!(results[0].max_cov_diff(other), Some(0.0));
         }
-    }
-
-    #[test]
-    fn fold_agrees_with_tree_to_rounding() {
-        let model = generators::paper_benchmark(&mut rng(93), 3, 41, true);
-        let mut tree = ScanPlan::for_model(&model, ScanOptions::default()).unwrap();
-        let mut fold = ScanPlan::for_model(
-            &model,
-            ScanOptions {
-                fold: true,
-                ..ScanOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(fold.kind(), BackendKind::SequentialRts);
-        assert_eq!(tree.kind(), BackendKind::Scan);
-        let t = tree.smooth_model(&model).unwrap();
-        let f = fold.smooth_model(&model).unwrap();
-        assert!(t.max_mean_diff(&f) < 1e-9);
-        assert!(t.max_cov_diff(&f).unwrap() < 1e-9);
-        let dense = solve_dense(&model).unwrap();
-        assert!(f.max_mean_diff(&dense) < 1e-8);
     }
 
     #[test]
@@ -766,7 +659,7 @@ mod tests {
             plan.execute(&mut steps),
             Err(KalmanError::PriorRequired)
         ));
-        // The window survives the failure for a fallback re-execute.
+        // The window survives the failure.
         assert_eq!(steps.len(), 10);
         assert!(plan.solve_into(&mut Vec::new()).is_err());
     }

@@ -1,9 +1,9 @@
-//! Symbolic schedule for the associative-scan backend.
+//! Symbolic schedule for the associative-scan smoother.
 //!
 //! The scan smoother's structure — which element pairs combine at which
 //! sweep level — depends only on the window length, exactly as the
-//! odd-even [`crate::PlanSchedule`]'s even/odd column lists depend only on
-//! the per-step dimensions.  [`ScanSchedule`] precomputes the pairings of
+//! odd-even `PlanSchedule`'s even/odd column lists depend only on the
+//! per-step dimensions.  [`ScanSchedule`] precomputes the pairings of
 //! a work-efficient (Brent–Kung) fixed-tree inclusive scan: an up-sweep
 //! reducing power-of-two blocks followed by a down-sweep distributing the
 //! partial prefixes.  Two properties matter to the executor:
@@ -11,9 +11,9 @@
 //! * **Fixed association order.**  The tree's combine order is a function
 //!   of the length alone — never of thread count, grain, or steal timing —
 //!   so `ExecPolicy::Seq` and `ExecPolicy::par()` perform the *identical*
-//!   floating-point operations and the scan backend stays bitwise
-//!   deterministic across policies (unlike `kalman_par::inclusive_scan_in_place`,
-//!   whose block-and-carry association varies with the grain).
+//!   floating-point operations and the scan stays bitwise deterministic
+//!   across policies (unlike `kalman_par::inclusive_scan_in_place`, whose
+//!   block-and-carry association varies with the grain).
 //! * **Disjoint pairs per level.**  Within one level every `(src, dst)`
 //!   pair touches distinct slots, so a level can combine in parallel into
 //!   pre-assigned output slots and write back serially.
@@ -21,7 +21,13 @@
 //! The same pair lists drive the backward (suffix) sweep by mirroring
 //! indices (`i ↦ len−1−i`) and flipping the combine's operand order.
 
-use std::sync::Arc;
+use kalman_odd_even::signature_of_dims;
+
+/// Structural eligibility for the scan: the associative elements require
+/// one common state dimension across a non-empty window.
+pub(crate) fn uniform_dims(dims: &[usize]) -> bool {
+    !dims.is_empty() && dims.windows(2).all(|w| w[0] == w[1])
+}
 
 /// One sweep level: disjoint `(src, dst)` pairs, each combining
 /// `slot[dst] = slot[src] ⊗ slot[dst]` (with `src < dst` in scan order).
@@ -40,9 +46,7 @@ impl ScanLevel {
 /// The symbolic plan of a fixed-tree associative scan over `len` slots:
 /// up-sweep levels followed by down-sweep levels, in execution order.
 ///
-/// Like [`crate::PlanSchedule`], a schedule is immutable once built,
-/// carries no numeric state, and is shared behind an [`Arc`] by the plan
-/// cache (`kalman-stream` keys its cache entries by `(backend, shape)`).
+/// Like the odd-even `PlanSchedule`, a schedule carries no numeric state.
 #[derive(Debug, Clone, Default)]
 pub struct ScanSchedule {
     dims: Vec<usize>,
@@ -57,9 +61,7 @@ impl ScanSchedule {
     /// # Panics
     ///
     /// Panics if `dims` is empty or mixes state dimensions — the scan
-    /// elements require one uniform dimension
-    /// ([`crate::scan_supports_dims`]); dispatchers resolve ineligible
-    /// shapes to the odd-even backend instead of building a scan plan.
+    /// elements require one uniform dimension.
     pub fn build(dims: &[usize]) -> ScanSchedule {
         let mut schedule = ScanSchedule::default();
         schedule.rebuild(dims);
@@ -74,12 +76,12 @@ impl ScanSchedule {
     /// Same conditions as [`ScanSchedule::build`].
     pub fn rebuild(&mut self, dims: &[usize]) {
         assert!(
-            crate::scan_supports_dims(dims),
+            uniform_dims(dims),
             "ScanSchedule requires a non-empty uniform-dimension window"
         );
         self.dims.clear();
         self.dims.extend_from_slice(dims);
-        self.signature = crate::signature_of_dims(dims.iter().copied());
+        self.signature = signature_of_dims(dims.iter().copied());
         let len = dims.len();
 
         let mut used = 0;
@@ -90,7 +92,7 @@ impl ScanSchedule {
             let level = self.level_slot(&mut used);
             let mut dst = 2 * stride - 1;
             while dst < len {
-                level.pairs.push(((dst - stride) as u32, dst as u32)); // lint: allow(alloc, "cold region: re-planning runs once per window-shape change and is amortized across every subsequent flush of that shape")
+                level.pairs.push(((dst - stride) as u32, dst as u32));
                 dst += 2 * stride;
             }
             if level.pairs.is_empty() {
@@ -105,7 +107,7 @@ impl ScanSchedule {
             let level = self.level_slot(&mut used);
             let mut src = 2 * stride - 1;
             while src + stride < len {
-                level.pairs.push((src as u32, (src + stride) as u32)); // lint: allow(alloc, "cold region: re-planning, as above")
+                level.pairs.push((src as u32, (src + stride) as u32));
                 src += 2 * stride;
             }
             if level.pairs.is_empty() {
@@ -118,7 +120,7 @@ impl ScanSchedule {
 
     fn level_slot(&mut self, used: &mut usize) -> &mut ScanLevel {
         if self.levels.len() == *used {
-            self.levels.push(ScanLevel::default()); // lint: allow(alloc, "cold region: re-planning, as above; rebuilds reuse existing level slots")
+            self.levels.push(ScanLevel::default());
         }
         let level = &mut self.levels[*used];
         level.pairs.clear();
@@ -136,7 +138,7 @@ impl ScanSchedule {
         self.dims[0]
     }
 
-    /// Shape signature ([`crate::signature_of_dims`]).
+    /// Shape signature ([`kalman_odd_even::signature_of_dims`]).
     pub fn signature(&self) -> u64 {
         self.signature
     }
@@ -155,11 +157,6 @@ impl ScanSchedule {
     /// The sweep levels in execution order (up-sweep then down-sweep).
     pub fn levels(&self) -> &[ScanLevel] {
         &self.levels
-    }
-
-    /// Shared-schedule constructor used by the plan cache.
-    pub fn build_shared(dims: &[usize]) -> Arc<ScanSchedule> {
-        Arc::new(ScanSchedule::build(dims))
     }
 }
 
@@ -231,7 +228,7 @@ mod tests {
         let mut s = ScanSchedule::build(&[3; 16]);
         assert_eq!(s.state_dim(), 3);
         assert_eq!(s.len(), 16);
-        assert_eq!(s.signature(), crate::signature_of_dims(vec![3; 16]));
+        assert_eq!(s.signature(), signature_of_dims(vec![3; 16]));
         let sig16 = s.signature();
         s.rebuild(&[3; 9]);
         assert_eq!(s.len(), 9);

@@ -75,7 +75,6 @@ pub fn associative_smooth(model: &LinearModel, options: AssociativeOptions) -> R
         model,
         crate::ScanOptions {
             policy: options.policy,
-            fold: false,
         },
     )?;
     // One-shot execution: workspace retention would never be harvested.

@@ -47,6 +47,7 @@ use std::io::Write as _;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Cluster deployment and recovery policy.
@@ -270,9 +271,13 @@ pub struct Supervisor {
     /// Stream-level errors reported by workers (mirrors the in-process
     /// pool's `last_errors`).
     stream_errors: Vec<(u64, String)>,
-    /// Monotonic per-spawn nonce (socket path uniqueness).
-    spawn_nonce: u64,
 }
+
+/// Per-spawn nonce making socket paths unique.  Process-wide, not
+/// per-supervisor: the path also carries only the pid and slot, so two
+/// supervisors in one process counting from 0 would bind (and on drop
+/// unlink) each other's sockets.
+static SPAWN_NONCE: AtomicU64 = AtomicU64::new(0);
 
 impl Supervisor {
     /// Spawns every worker and waits for all of them to connect.
@@ -302,7 +307,6 @@ impl Supervisor {
             outputs: HashMap::new(),
             finished: HashMap::new(),
             stream_errors: Vec::new(),
-            spawn_nonce: 0,
             cfg,
         };
         for idx in 0..sup.cfg.workers {
@@ -981,8 +985,9 @@ impl Supervisor {
     /// Spawns one worker process and completes the handshake (listen,
     /// exec, accept, `Hello`, config).
     fn spawn_conn(&mut self, slot: usize) -> Result<Conn> {
-        let nonce = self.spawn_nonce;
-        self.spawn_nonce += 1;
+        // Relaxed: only the uniqueness of the fetched value matters; no
+        // other memory is published under the counter.
+        let nonce = SPAWN_NONCE.fetch_add(1, Ordering::Relaxed);
         let path = std::env::temp_dir().join(format!(
             "kalman-cluster-{}-{slot}-{nonce}.sock",
             std::process::id()
@@ -1135,5 +1140,44 @@ mod tests {
             ..ClusterConfig::default()
         };
         assert!(matches!(Supervisor::new(bad), Err(ClusterError::Config(_))));
+    }
+
+    /// Worker entry point for the test below: the supervisors re-exec this
+    /// test binary with this test's name and the socket variable set.
+    #[test]
+    fn worker_entry() {
+        crate::worker_entry_from_env();
+    }
+
+    /// Two supervisors alive in one process (parallel tests) must never
+    /// share a socket path: the later one would unlink and rebind the
+    /// earlier one's listener, and either drop would unlink a live socket.
+    #[test]
+    fn live_supervisors_hold_disjoint_socket_paths() {
+        let cfg = || ClusterConfig {
+            workers: 2,
+            worker_args: vec!["supervisor::tests::worker_entry".into(), "--exact".into()],
+            ..ClusterConfig::default()
+        };
+        let paths = |sup: &Supervisor| -> Vec<PathBuf> {
+            sup.slots
+                .iter()
+                .map(|slot| match &slot.mode {
+                    Mode::Remote(conn) => conn.socket_path.clone(),
+                    _ => panic!("fresh supervisor has a non-remote slot"),
+                })
+                .collect()
+        };
+        let first = Supervisor::new(cfg()).unwrap();
+        let second = Supervisor::new(cfg()).unwrap();
+        let mut all = paths(&first);
+        all.extend(paths(&second));
+        assert_eq!(all.len(), 4);
+        for path in &all {
+            assert!(path.exists(), "{} was unlinked", path.display());
+        }
+        all.sort();
+        all.dedup();
+        assert_eq!(all.len(), 4, "socket paths collide across supervisors");
     }
 }

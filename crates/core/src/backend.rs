@@ -1,478 +1,17 @@
-//! Backend abstraction over the symbolic-plan → numeric-execute lifecycle.
-//!
-//! The odd-even QR smoother (this crate) and the associative-scan smoother
-//! (`kalman-associative`) are two parallelizations of the same posterior;
-//! both follow the same serving lifecycle: build a symbolic plan from the
-//! window's shape signature, execute the numeric pipeline into plan-owned
-//! scratch (zero steady-state allocations), read means and covariance
-//! diagonals out of reused slots.  [`SmootherBackend`] captures that
-//! lifecycle so the streaming/serving layers can dispatch per plan:
-//! `kalman-stream` keys its MRU plan slots and the pool's [`crate::PlanCache`]
-//! by `(backend, shape)` and picks the backend per flush from a
-//! [`BackendPolicy`].
-//!
-//! Selection ([`resolve_backend`]) is a pure function of the window shape
-//! and a [`PhaseProfile`] of measured flush medians, so the `Auto` policy
-//! is unit-testable without timers; the stream layer feeds it real
-//! measurements.  Dispatch decisions are counted process-wide and exported
-//! as `dense.backend.dispatch.*` gauges (see
-//! [`register_backend_dispatch_gauges`]), next to the
-//! `dense.kernel.dispatch.*` ladder.
+//! The (single-valued) serving-engine selector.
 
-use kalman_model::{Result, WhitenedStep};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Which numeric engine executes a planned window.
+/// Which engine executes a stream's window flushes
+/// (`StreamOptions::backend`).
 ///
-/// Unlike [`BackendPolicy`] (what the caller *asked for*), a kind is what a
-/// flush actually ran: policy resolution never yields `Auto`, and a scan
-/// request on an ineligible window resolves (or falls back) to `OddEven`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BackendKind {
-    /// The paper's odd-even orthogonal-transformation smoother.
-    OddEven,
-    /// The associative-scan smoother (TAC-2021), parallel fixed-tree sweeps.
-    Scan,
-    /// The scan executor's sequential fold — a classic forward-filter /
-    /// backward-RTS pass with no tree overhead.
-    SequentialRts,
-}
-
-impl BackendKind {
-    /// Stable label used in gauges, journal events, and test output.
-    pub fn label(self) -> &'static str {
-        match self {
-            BackendKind::OddEven => "odd_even",
-            BackendKind::Scan => "scan",
-            BackendKind::SequentialRts => "rts",
-        }
-    }
-}
-
-/// Per-stream backend selection policy (`StreamOptions::backend`).
+/// Serving runs one engine, the odd-even QR smoother: the associative scan
+/// measured 3.3× slower on the steady window flush and was withdrawn from
+/// dispatch (DESIGN.md §"Why serving runs one engine"); it remains the
+/// batch baseline in `kalman-associative`.  The type survives with its one
+/// value only because `StreamOptions` is built with exhaustive struct
+/// literals outside this workspace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendPolicy {
-    /// Always the odd-even QR smoother (the default: it supports every
-    /// window shape, including mixed dimensions and rank-deficient heads).
+    /// The paper's odd-even orthogonal-transformation smoother.
     #[default]
     OddEven,
-    /// Prefer the associative scan; windows it cannot represent (mixed
-    /// state dimensions, non-square whitened evolutions, underdetermined
-    /// step-0 posterior) fall back to odd-even.
-    Scan,
-    /// Prefer the sequential RTS fold of the scan elements; same fallback
-    /// rules as [`BackendPolicy::Scan`].
-    SequentialRts,
-    /// Choose per flush from the shape signature plus measured
-    /// [`PhaseProfile`] medians (see [`resolve_backend`] for the rules).
-    /// Timing-driven: the chosen backend — and therefore the exact bit
-    /// pattern of the output — can differ run to run.
-    Auto,
-}
-
-impl BackendPolicy {
-    /// Parses the `KALMAN_BACKEND` environment variable (`odd-even`,
-    /// `scan`, `rts`, `auto`; unset or unrecognized → `OddEven`), which is
-    /// how CI runs the whole suite on the scan backend.
-    pub fn from_env() -> BackendPolicy {
-        match std::env::var("KALMAN_BACKEND").as_deref() {
-            Ok("scan") => BackendPolicy::Scan,
-            Ok("rts") | Ok("sequential-rts") => BackendPolicy::SequentialRts,
-            Ok("auto") => BackendPolicy::Auto,
-            _ => BackendPolicy::OddEven,
-        }
-    }
-}
-
-/// Windows at or below this step count resolve `Auto` to the sequential
-/// RTS fold: both parallel backends pay per-level scheduling that a short
-/// chain cannot amortize.
-pub const AUTO_RTS_MAX_WINDOW: usize = 6;
-
-/// Measured flush samples required per backend before `Auto` trusts the
-/// medians instead of probing.
-pub const AUTO_MIN_SAMPLES: usize = 3;
-
-const PROFILE_WINDOW: usize = 8;
-
-/// A sliding window of measured flush durations per backend — the
-/// `phase_profile` data the `Auto` policy consumes.
-///
-/// Only the two parallel backends are profiled (the RTS fold is chosen by
-/// shape alone).  The window is small on purpose: serving workloads drift
-/// (cache warmth, co-tenants), and an 8-sample median adapts within a few
-/// flushes while still rejecting single-flush outliers.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PhaseProfile {
-    samples: [[f64; PROFILE_WINDOW]; 2],
-    len: [usize; 2],
-    next: [usize; 2],
-}
-
-impl PhaseProfile {
-    /// A profile with no measurements.
-    pub fn new() -> PhaseProfile {
-        PhaseProfile::default()
-    }
-
-    fn slot(kind: BackendKind) -> Option<usize> {
-        match kind {
-            BackendKind::OddEven => Some(0),
-            BackendKind::Scan => Some(1),
-            BackendKind::SequentialRts => None,
-        }
-    }
-
-    /// Records one measured flush duration (seconds) for `kind`.
-    /// Measurements for [`BackendKind::SequentialRts`] are ignored.
-    pub fn record(&mut self, kind: BackendKind, seconds: f64) {
-        let Some(s) = Self::slot(kind) else { return };
-        self.samples[s][self.next[s]] = seconds;
-        self.next[s] = (self.next[s] + 1) % PROFILE_WINDOW;
-        self.len[s] = (self.len[s] + 1).min(PROFILE_WINDOW);
-    }
-
-    /// Number of samples recorded for `kind` (capped at the window size).
-    pub fn samples(&self, kind: BackendKind) -> usize {
-        Self::slot(kind).map_or(0, |s| self.len[s])
-    }
-
-    /// Median of the recorded samples for `kind`, if any.
-    pub fn median(&self, kind: BackendKind) -> Option<f64> {
-        let s = Self::slot(kind)?;
-        let n = self.len[s];
-        if n == 0 {
-            return None;
-        }
-        let mut buf = [0.0f64; PROFILE_WINDOW];
-        buf[..n].copy_from_slice(&self.samples[s][..n]);
-        buf[..n].sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
-        Some(buf[n / 2])
-    }
-}
-
-/// Structural eligibility for the scan backends: the associative elements
-/// require one common state dimension across the window.  (Square whitened
-/// evolutions and a well-determined step-0 posterior are *numeric*
-/// conditions checked at execute time; failing them falls back.)
-pub fn scan_supports_dims(dims: &[usize]) -> bool {
-    !dims.is_empty() && dims.windows(2).all(|w| w[0] == w[1])
-}
-
-/// Resolves a [`BackendPolicy`] to the [`BackendKind`] a flush should run,
-/// as a pure function of the window dimensions and the measured profile.
-///
-/// Rules:
-/// * `OddEven` → `OddEven` unconditionally.
-/// * `Scan` / `SequentialRts` → as requested when
-///   [`scan_supports_dims`] holds, `OddEven` otherwise.
-/// * `Auto` on an ineligible shape → `OddEven`.
-/// * `Auto`, eligible, window ≤ [`AUTO_RTS_MAX_WINDOW`] steps →
-///   `SequentialRts` (tree scheduling can't amortize on a short chain).
-/// * `Auto`, both parallel backends carrying ≥ [`AUTO_MIN_SAMPLES`]
-///   measurements → whichever has the smaller median (ties → `OddEven`).
-/// * `Auto`, still under-sampled → probe: the backend with fewer samples
-///   (ties → `OddEven`), so medians fill in alternately.
-pub fn resolve_backend(
-    policy: BackendPolicy,
-    dims: &[usize],
-    profile: &PhaseProfile,
-) -> BackendKind {
-    let eligible = scan_supports_dims(dims);
-    match policy {
-        BackendPolicy::OddEven => BackendKind::OddEven,
-        BackendPolicy::Scan if eligible => BackendKind::Scan,
-        BackendPolicy::SequentialRts if eligible => BackendKind::SequentialRts,
-        BackendPolicy::Scan | BackendPolicy::SequentialRts => BackendKind::OddEven,
-        BackendPolicy::Auto => {
-            if !eligible {
-                return BackendKind::OddEven;
-            }
-            if dims.len() <= AUTO_RTS_MAX_WINDOW {
-                return BackendKind::SequentialRts;
-            }
-            let (oe, scan) = (
-                profile.samples(BackendKind::OddEven),
-                profile.samples(BackendKind::Scan),
-            );
-            if oe >= AUTO_MIN_SAMPLES && scan >= AUTO_MIN_SAMPLES {
-                let oe_med = profile.median(BackendKind::OddEven).expect("sampled");
-                let scan_med = profile.median(BackendKind::Scan).expect("sampled");
-                if scan_med < oe_med {
-                    BackendKind::Scan
-                } else {
-                    BackendKind::OddEven
-                }
-            } else if scan < oe {
-                BackendKind::Scan
-            } else {
-                BackendKind::OddEven
-            }
-        }
-    }
-}
-
-/// The symbolic-plan → numeric-execute lifecycle both smoother engines
-/// implement.
-///
-/// The contract mirrors `SmoothPlan`'s (see DESIGN.md §"Backend trait +
-/// dispatch"):
-///
-/// 1. `ensure_shape(dims)` re-targets the plan's symbolic schedule (true
-///    when it had to rebuild);
-/// 2. `execute(steps)` runs the numeric pipeline against whitened step
-///    data into plan-owned scratch — steady state allocates nothing;
-/// 3. `solve_into` / `selinv_into` read the posterior means and
-///    covariance diagonal blocks out of that scratch into reused buffers.
-///
-/// Implementations report per-phase [`kalman_obs::span!`] spans under
-/// their own prefix (`oe.*`, `scan.*`).
-pub trait SmootherBackend {
-    /// The engine this plan executes on.
-    fn kind(&self) -> BackendKind;
-
-    /// Per-step state dimensions of the planned shape.
-    fn dims(&self) -> &[usize];
-
-    /// Shape signature ([`crate::signature_of_dims`]) of the planned shape.
-    fn signature(&self) -> u64;
-
-    /// Re-targets the plan to `dims`, rebuilding the symbolic schedule if
-    /// the shape changed.  Returns `true` if a rebuild happened.
-    fn ensure_shape(&mut self, dims: &[usize]) -> bool;
-
-    /// Executes the numeric pipeline against `steps`.
-    ///
-    /// On error the implementation must leave `steps` intact (readable by
-    /// another backend), so a dispatcher can fall back — the odd-even
-    /// engine consumes `steps` only on success.
-    ///
-    /// # Errors
-    ///
-    /// Shape mismatches and numeric failures (rank deficiency, non-SPD
-    /// posteriors); scan backends also error on windows outside their
-    /// structural domain.
-    fn execute(&mut self, steps: &mut Vec<WhitenedStep>) -> Result<()>;
-
-    /// Reads the posterior means into `means` (reused per-state buffers).
-    ///
-    /// # Errors
-    ///
-    /// [`kalman_model::KalmanError::PlanNotExecuted`]-style invariant
-    /// errors when called before a successful [`SmootherBackend::execute`].
-    fn solve_into(&mut self, means: &mut Vec<Vec<f64>>) -> Result<()>;
-
-    /// Reads the posterior covariance diagonal blocks into `covs`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SmootherBackend::solve_into`], plus numeric
-    /// failures of the covariance recovery.
-    fn selinv_into(&mut self, covs: &mut Vec<kalman_dense::Matrix>) -> Result<()>;
-}
-
-static DISPATCH_ODD_EVEN: AtomicU64 = AtomicU64::new(0);
-static DISPATCH_SCAN: AtomicU64 = AtomicU64::new(0);
-static DISPATCH_RTS: AtomicU64 = AtomicU64::new(0);
-static DISPATCH_FALLBACK: AtomicU64 = AtomicU64::new(0);
-
-/// Counts one flush dispatched to `kind` (process-wide, all streams).
-pub fn record_backend_dispatch(kind: BackendKind) {
-    let c = match kind {
-        BackendKind::OddEven => &DISPATCH_ODD_EVEN,
-        BackendKind::Scan => &DISPATCH_SCAN,
-        BackendKind::SequentialRts => &DISPATCH_RTS,
-    };
-    c.fetch_add(1, Ordering::Relaxed); // Relaxed: monotonic gauge counters.
-}
-
-/// Counts one scan-family execute that failed numerically and re-ran on
-/// the odd-even engine.
-pub fn record_backend_fallback() {
-    DISPATCH_FALLBACK.fetch_add(1, Ordering::Relaxed); // Relaxed: monotonic gauge counter.
-}
-
-/// Cumulative dispatch counts `(odd_even, scan, rts, fallback)`.
-pub fn backend_dispatch_counts() -> (u64, u64, u64, u64) {
-    (
-        DISPATCH_ODD_EVEN.load(Ordering::Relaxed), // Relaxed: monotonic gauge read, no ordering needed.
-        DISPATCH_SCAN.load(Ordering::Relaxed),     // Relaxed: monotonic gauge read.
-        DISPATCH_RTS.load(Ordering::Relaxed),      // Relaxed: monotonic gauge read.
-        DISPATCH_FALLBACK.load(Ordering::Relaxed), // Relaxed: monotonic gauge read.
-    )
-}
-
-/// Registers the dispatch counters as `dense.backend.dispatch.{odd_even,
-/// scan,rts,fallback}` sampled gauges in the `kalman-obs` registry, next
-/// to the `dense.kernel.dispatch.*` ladder.  Idempotent.
-pub fn register_backend_dispatch_gauges() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        kalman_obs::register_sampler("dense.backend.dispatch.odd_even", || {
-            backend_dispatch_counts().0 as f64
-        });
-        kalman_obs::register_sampler("dense.backend.dispatch.scan", || {
-            backend_dispatch_counts().1 as f64
-        });
-        kalman_obs::register_sampler("dense.backend.dispatch.rts", || {
-            backend_dispatch_counts().2 as f64
-        });
-        kalman_obs::register_sampler("dense.backend.dispatch.fallback", || {
-            backend_dispatch_counts().3 as f64
-        });
-    });
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn uniform(n: usize, k: usize) -> Vec<usize> {
-        vec![n; k]
-    }
-
-    #[test]
-    fn explicit_policies_resolve_directly_on_eligible_shapes() {
-        let dims = uniform(3, 20);
-        let p = PhaseProfile::new();
-        assert_eq!(
-            resolve_backend(BackendPolicy::OddEven, &dims, &p),
-            BackendKind::OddEven
-        );
-        assert_eq!(
-            resolve_backend(BackendPolicy::Scan, &dims, &p),
-            BackendKind::Scan
-        );
-        assert_eq!(
-            resolve_backend(BackendPolicy::SequentialRts, &dims, &p),
-            BackendKind::SequentialRts
-        );
-    }
-
-    #[test]
-    fn scan_policies_fall_back_on_mixed_dimensions() {
-        let dims = vec![3, 3, 2, 3];
-        let p = PhaseProfile::new();
-        for policy in [
-            BackendPolicy::Scan,
-            BackendPolicy::SequentialRts,
-            BackendPolicy::Auto,
-        ] {
-            assert_eq!(resolve_backend(policy, &dims, &p), BackendKind::OddEven);
-        }
-        assert!(!scan_supports_dims(&dims));
-        assert!(!scan_supports_dims(&[]));
-        assert!(scan_supports_dims(&[5]));
-    }
-
-    /// Shape-signature threshold: short windows skip both parallel
-    /// backends regardless of what the profile says.
-    #[test]
-    fn auto_picks_rts_for_short_windows() {
-        let mut p = PhaseProfile::new();
-        for _ in 0..PROFILE_WINDOW {
-            p.record(BackendKind::Scan, 1e-6); // scan looks "fast"
-            p.record(BackendKind::OddEven, 1.0);
-        }
-        assert_eq!(
-            resolve_backend(BackendPolicy::Auto, &uniform(4, AUTO_RTS_MAX_WINDOW), &p),
-            BackendKind::SequentialRts
-        );
-        assert_eq!(
-            resolve_backend(
-                BackendPolicy::Auto,
-                &uniform(4, AUTO_RTS_MAX_WINDOW + 1),
-                &p
-            ),
-            BackendKind::Scan
-        );
-    }
-
-    /// Under-sampled profiles probe: dispatches alternate until both
-    /// backends carry enough samples to trust the medians.
-    #[test]
-    fn auto_probes_alternately_until_sampled() {
-        let dims = uniform(4, 32);
-        let mut p = PhaseProfile::new();
-        let mut seen = Vec::new();
-        for _ in 0..2 * AUTO_MIN_SAMPLES {
-            let kind = resolve_backend(BackendPolicy::Auto, &dims, &p);
-            seen.push(kind);
-            p.record(kind, 1e-3);
-        }
-        assert_eq!(
-            seen,
-            vec![
-                BackendKind::OddEven,
-                BackendKind::Scan,
-                BackendKind::OddEven,
-                BackendKind::Scan,
-                BackendKind::OddEven,
-                BackendKind::Scan,
-            ]
-        );
-    }
-
-    /// Profile-driven flips: once sampled, the decision tracks the medians
-    /// — and flips when fresh measurements change which backend is faster.
-    #[test]
-    fn auto_follows_and_flips_with_the_measured_medians() {
-        let dims = uniform(4, 32);
-        let mut p = PhaseProfile::new();
-        for _ in 0..AUTO_MIN_SAMPLES {
-            p.record(BackendKind::OddEven, 2e-3);
-            p.record(BackendKind::Scan, 1e-3);
-        }
-        assert_eq!(
-            resolve_backend(BackendPolicy::Auto, &dims, &p),
-            BackendKind::Scan
-        );
-        // The scan slows down (e.g. the window shape's constant changed);
-        // the sliding window forgets the old samples and the choice flips.
-        for _ in 0..PROFILE_WINDOW {
-            p.record(BackendKind::Scan, 5e-3);
-        }
-        assert_eq!(
-            resolve_backend(BackendPolicy::Auto, &dims, &p),
-            BackendKind::OddEven
-        );
-    }
-
-    #[test]
-    fn profile_median_is_robust_to_one_outlier() {
-        let mut p = PhaseProfile::new();
-        for _ in 0..5 {
-            p.record(BackendKind::Scan, 1.0);
-        }
-        p.record(BackendKind::Scan, 1000.0);
-        assert_eq!(p.median(BackendKind::Scan), Some(1.0));
-        assert_eq!(p.median(BackendKind::OddEven), None);
-        // RTS measurements are ignored by design.
-        p.record(BackendKind::SequentialRts, 7.0);
-        assert_eq!(p.samples(BackendKind::SequentialRts), 0);
-    }
-
-    #[test]
-    fn dispatch_counters_accumulate() {
-        let before = backend_dispatch_counts();
-        record_backend_dispatch(BackendKind::Scan);
-        record_backend_dispatch(BackendKind::OddEven);
-        record_backend_fallback();
-        let after = backend_dispatch_counts();
-        assert!(after.0 > before.0);
-        assert!(after.1 > before.1);
-        assert!(after.3 > before.3);
-        register_backend_dispatch_gauges();
-        register_backend_dispatch_gauges(); // idempotent
-    }
-
-    #[test]
-    fn env_parse_recognizes_backend_names() {
-        // Can't mutate the process environment safely under the parallel
-        // test harness; pin the mapping via the match arms' inputs instead.
-        assert_eq!(BackendPolicy::default(), BackendPolicy::OddEven);
-        assert_eq!(BackendKind::Scan.label(), "scan");
-        assert_eq!(BackendKind::OddEven.label(), "odd_even");
-        assert_eq!(BackendKind::SequentialRts.label(), "rts");
-    }
 }

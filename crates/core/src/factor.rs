@@ -29,7 +29,6 @@ use crate::rfactor::{OddEvenR, RRow};
 use kalman_dense::{KernelKind, Matrix, QrFactor};
 use kalman_model::{Result, WhitenedStep};
 use kalman_par::{for_each_mut, map_collect, ExecPolicy};
-use std::sync::OnceLock;
 
 /// Evolution-like rows coupling a chain column to its predecessor.
 #[derive(Debug, Clone)]
@@ -401,7 +400,6 @@ fn emit_row(row: &mut RRow, out: &mut EvenOut, level: usize) {
 /// Eliminates all even columns of `scratch.cols` following the symbolic
 /// `plan` for this level, emitting their permanent rows into `out` and
 /// leaving the next level's (odd-column) chain in `scratch.cols`.
-#[allow(clippy::too_many_arguments)]
 fn eliminate_level(
     plan: &PlanLevel,
     scratch: &mut FactorScratch,
@@ -410,9 +408,7 @@ fn eliminate_level(
     compress_odd: bool,
     kind: KernelKind,
     out: &mut OddEvenR,
-    trace: bool,
 ) {
-    let t_start = std::time::Instant::now();
     let FactorScratch {
         cols,
         next_cols,
@@ -459,18 +455,12 @@ fn eliminate_level(
         });
     }
 
-    let t_extract = t_start.elapsed();
-
     // Batch 1+2: eliminate the even columns in parallel, each task
     // consuming its inputs by move and parking its result in place.
-    let t0 = std::time::Instant::now();
     for_each_mut(policy, tasks, |_, task| {
         let result = eliminate_even(task, kind);
         task.out = Some(result);
     });
-    let t_batch = t0.elapsed();
-
-    let t0 = std::time::Instant::now();
 
     // Collect permanent rows and stage the next level's inputs.
     odd_inputs.clear();
@@ -510,11 +500,8 @@ fn eliminate_level(
         task.out = None;
     }
 
-    let t_stage = t0.elapsed();
-
     // Batch 3: compress each odd column's observation stack in parallel,
     // consuming the staged parts by move.
-    let t0 = std::time::Instant::now();
     for_each_mut(policy, odd_inputs, |_, input| {
         if input.parts.iter().all(Option::is_none) {
             input.result = None;
@@ -565,13 +552,6 @@ fn eliminate_level(
         };
     });
 
-    let t_compress = t0.elapsed();
-    if trace {
-        eprintln!(
-            "level {level:>2} (kk={kk:>7}): extract {t_extract:>9.1?} batch {t_batch:>9.1?} stage {t_stage:>9.1?} compress {t_compress:>9.1?}"
-        );
-    }
-
     next_cols.clear();
     for mut input in odd_inputs.drain(..) {
         let (obs, obs_tri) = match input.result.take() {
@@ -589,11 +569,6 @@ fn eliminate_level(
         });
     }
     std::mem::swap(cols, next_cols);
-}
-
-fn trace_enabled() -> bool {
-    static TRACE: OnceLock<bool> = OnceLock::new();
-    *TRACE.get_or_init(|| std::env::var_os("KALMAN_OE_TRACE").is_some())
 }
 
 /// Runs the odd-even QR factorization on borrowed whitened steps.
@@ -750,22 +725,12 @@ pub(crate) fn execute_factor(
         }
     });
 
-    let trace = trace_enabled();
     for (level, plan) in schedule.plan_levels().iter().enumerate() {
         let _span = kalman_obs::span!("oe.factor.level");
         // The plan's per-level execution decision: levels that fit in one
         // grain run sequentially (no scheduler overhead; bitwise equal).
         let level_policy = policy.for_len(plan.evens.len());
-        eliminate_level(
-            plan,
-            scratch,
-            level,
-            level_policy,
-            compress_odd,
-            kind,
-            out,
-            trace,
-        );
+        eliminate_level(plan, scratch, level, level_policy, compress_odd, kind, out);
     }
     // Base case: a single column with observation rows only.
     let root = scratch.cols.pop().expect("non-empty model");

@@ -577,47 +577,13 @@ impl SmoothPlan {
     }
 }
 
-impl crate::SmootherBackend for SmoothPlan {
-    fn kind(&self) -> crate::BackendKind {
-        crate::BackendKind::OddEven
-    }
-
-    fn dims(&self) -> &[usize] {
-        SmoothPlan::dims(self)
-    }
-
-    fn signature(&self) -> u64 {
-        SmoothPlan::signature(self)
-    }
-
-    fn ensure_shape(&mut self, dims: &[usize]) -> bool {
-        SmoothPlan::ensure_shape(self, dims)
-    }
-
-    fn execute(&mut self, steps: &mut Vec<WhitenedStep>) -> Result<()> {
-        SmoothPlan::execute(self, steps)
-    }
-
-    fn solve_into(&mut self, means: &mut Vec<Vec<f64>>) -> Result<()> {
-        SmoothPlan::solve_into(self, means)
-    }
-
-    fn selinv_into(&mut self, covs: &mut Vec<Matrix>) -> Result<()> {
-        SmoothPlan::selinv_into(self, covs)
-    }
-}
-
-/// A small cache of symbolic schedules keyed on the shape signature — how a
+/// A small cache of [`PlanSchedule`]s keyed on the shape signature — how a
 /// `SmootherPool` shares one symbolic plan across every stream with the
-/// same window shape.  Odd-even [`PlanSchedule`]s and scan
-/// [`crate::ScanSchedule`]s are cached independently (the two backends'
-/// symbolic structures differ), so entries are effectively keyed by
-/// `(backend, shape)`.  Lookup is a linear scan (serving pools see a
-/// handful of distinct shapes); hits clone an `Arc` and allocate nothing.
+/// same window shape.  Lookup is a linear scan (serving pools see a handful
+/// of distinct shapes); hits clone an `Arc` and allocate nothing.
 #[derive(Debug, Default)]
 pub struct PlanCache {
     entries: Vec<(u64, Arc<PlanSchedule>)>,
-    scan_entries: Vec<(u64, Arc<crate::ScanSchedule>)>,
     hits: u64,
     misses: u64,
 }
@@ -628,8 +594,7 @@ impl PlanCache {
         PlanCache::default()
     }
 
-    /// The odd-even schedule for `dims`, building and caching it on first
-    /// sight.
+    /// The schedule for `dims`, building and caching it on first sight.
     pub fn get_or_build(&mut self, dims: &[usize]) -> Arc<PlanSchedule> {
         let sig = signature_of_dims(dims.iter().copied());
         for (s, sched) in &self.entries {
@@ -645,41 +610,17 @@ impl PlanCache {
         sched
     }
 
-    /// The scan schedule for `dims`, building and caching it on first
-    /// sight.  Cached separately from the odd-even entries — one window
-    /// shape served on both backends occupies two cache slots.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shapes outside the scan's structural domain
-    /// ([`crate::scan_supports_dims`]); dispatchers resolve those to the
-    /// odd-even backend before reaching the cache.
-    pub fn get_or_build_scan(&mut self, dims: &[usize]) -> Arc<crate::ScanSchedule> {
-        let sig = signature_of_dims(dims.iter().copied());
-        for (s, sched) in &self.scan_entries {
-            if *s == sig && sched.dims() == dims {
-                self.hits += 1;
-                return Arc::clone(sched);
-            }
-        }
-        self.misses += 1;
-        let sched = crate::ScanSchedule::build_shared(dims);
-        kalman_obs::event("scan.plan_build", sig, dims.len() as u64);
-        self.scan_entries.push((sig, Arc::clone(&sched))); // lint: allow(alloc, "cache-miss path: one entry per distinct window shape, never in steady state")
-        sched
-    }
-
-    /// Number of distinct `(backend, shape)` entries cached.
+    /// Number of distinct shapes cached.
     pub fn len(&self) -> usize {
-        self.entries.len() + self.scan_entries.len()
+        self.entries.len()
     }
 
     /// `true` when no shape has been cached yet.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty() && self.scan_entries.is_empty()
+        self.entries.is_empty()
     }
 
-    /// `(hits, misses)` across both backends' lookups.
+    /// `(hits, misses)` of [`PlanCache::get_or_build`] lookups.
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
@@ -687,7 +628,6 @@ impl PlanCache {
     /// Drops every cached schedule (in-flight `Arc`s stay valid).
     pub fn clear(&mut self) {
         self.entries.clear();
-        self.scan_entries.clear();
     }
 }
 
@@ -823,24 +763,6 @@ mod tests {
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(a.dims(), &[2, 2, 2]); // in-flight Arcs stay valid
-    }
-
-    #[test]
-    fn plan_cache_keys_by_backend() {
-        // One window shape served on both backends occupies two entries:
-        // the odd-even and scan symbolic structures are unrelated, so a
-        // scan lookup must never hit an odd-even entry (or vice versa).
-        let mut cache = PlanCache::new();
-        let oe = cache.get_or_build(&[3, 3, 3, 3]);
-        let scan = cache.get_or_build_scan(&[3, 3, 3, 3]);
-        assert_eq!(cache.len(), 2, "same shape, two backends, two entries");
-        assert_eq!(cache.stats(), (0, 2));
-        // Re-lookups hit their own backend's entry.
-        assert!(Arc::ptr_eq(&oe, &cache.get_or_build(&[3, 3, 3, 3])));
-        assert!(Arc::ptr_eq(&scan, &cache.get_or_build_scan(&[3, 3, 3, 3])));
-        assert_eq!(cache.stats(), (2, 2));
-        assert_eq!(cache.len(), 2);
-        assert_eq!(scan.dims(), oe.dims());
     }
 
     #[test]

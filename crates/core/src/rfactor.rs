@@ -77,7 +77,7 @@ impl OddEvenR {
     /// [`KalmanError::RankDeficient`] naming the first state whose diagonal
     /// block is singular.
     pub fn solve(&self, policy: ExecPolicy) -> Result<Vec<Vec<f64>>> {
-        let mut y: Vec<Vec<f64>> = Vec::new(); // lint: allow(alloc, "allocating convenience wrapper; hot paths call solve_into — the scan-element edge is a name-graph artifact of Cholesky::solve sharing the name")
+        let mut y: Vec<Vec<f64>> = Vec::new();
         let mut scratch = SolveScratch::default();
         self.solve_into(policy, &mut y, &mut scratch)?;
         Ok(y)

@@ -69,8 +69,8 @@ impl Cholesky {
     ///
     /// Panics if `b.rows() != self.dim()`.
     pub fn solve(&self, b: &Matrix) -> Matrix {
-        let mut x = b.clone(); // lint: allow(alloc, "pooled Matrix clone: buffers come from the thread-local workspace; the scan's steady-state flushes through here are heap-alloc-free (tests/alloc_steady_state.rs)")
-                               // L is produced with strictly positive diagonal, so these cannot fail.
+        let mut x = b.clone();
+        // L is produced with strictly positive diagonal, so these cannot fail.
         tri::solve_lower_in_place(&self.l, &mut x).expect("positive diagonal");
         tri::solve_lower_transpose_in_place(&self.l, &mut x).expect("positive diagonal");
         x

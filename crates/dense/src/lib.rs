@@ -69,10 +69,7 @@ pub use qr::{
     compress_rows, compress_rows_owned, qr_stacked, qr_trap_stack_applying, qr_tri_stack_applying,
     qr_tri_stack_applying_with, trapezoidalize_applying, ColPivQr, QrFactor,
 };
-pub use simd::{
-    kernel_dispatch_counts, set_portable_kernels, set_simd_kernels, simd_backend, simd_kernels,
-    KernelKind,
-};
+pub use simd::{kernel_dispatch_counts, simd_backend, KernelKind};
 pub use workspace::{
     arena_active, arena_scope, budget_for_len, pooling_enabled, reference_kernels,
     register_workspace_gauges, set_pooling, set_reference_kernels, ArenaScope, Workspace,

@@ -12,9 +12,8 @@ pub struct LuFactor {
     /// Row permutation as an `n × 1` column of exact small integers: row `i`
     /// of the factored matrix is row `perm[i]` of `A`.  Stored in a [`Matrix`]
     /// rather than a `Vec<usize>` so the pivots cycle through the workspace
-    /// pool like every other buffer — the associative-scan backend factors
-    /// two of these per element combine in its steady state, which must stay
-    /// allocation-free.
+    /// pool like every other buffer — the associative-scan smoother factors
+    /// two of these per element combine.
     perm: Matrix,
     /// Sign of the permutation (for determinants).
     sign: f64,
@@ -144,7 +143,7 @@ impl LuFactor {
 ///
 /// Returns [`DenseError::Singular`] if `a` is singular.
 pub fn solve(a: &Matrix, b: &Matrix) -> Result<Matrix> {
-    Ok(LuFactor::new(a.clone())?.solve(b)) // lint: allow(alloc, "allocating convenience wrapper; hot paths hold a LuFactor — the scan-element edge is a name-graph artifact of Cholesky::solve sharing the name")
+    Ok(LuFactor::new(a.clone())?.solve(b))
 }
 
 #[cfg(test)]

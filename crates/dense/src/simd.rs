@@ -12,8 +12,7 @@
 //!   always reachable via `KALMAN_REF_KERNELS` / `set_reference_kernels`,
 //! * **SIMD** — the width-aware tiles in this module, used by the blocked
 //!   GEMM microkernel, the four-column Householder applications and the
-//!   triangular solves whenever [`simd_kernels`] is on and reference mode
-//!   is off,
+//!   triangular solves whenever reference mode is off,
 //! * **monomorphized** — const-generic `n ∈ {4, 8, 16}` kernels
 //!   ([`gemm_mono`], and the tri-stack bodies in `qr.rs`), selected at plan
 //!   time through [`KernelKind`] so a `SmoothPlan` binds the exact kernel
@@ -32,71 +31,22 @@
 //! [`register_workspace_gauges`](crate::workspace::register_workspace_gauges).
 #![allow(unsafe_code)]
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 use crate::workspace;
 
 // ---------------------------------------------------------------------------
-// Switches and runtime dispatch
+// Runtime dispatch
 // ---------------------------------------------------------------------------
 
-/// Process-wide SIMD switch: paired value/init flags, same lazy-env pattern
-/// as `workspace::REFERENCE_KERNELS`.
-static SIMD_KERNELS: AtomicBool = AtomicBool::new(true);
-static SIMD_KERNELS_INIT: AtomicBool = AtomicBool::new(false);
-/// Forces the portable 4-lane fallback even where AVX2 is available — lets
-/// the test suite pin the portable lanes on AVX2 hosts.
-static FORCE_PORTABLE: AtomicBool = AtomicBool::new(false);
 /// Cached CPU verdict: 0 = undetected, 1 = no AVX2/FMA, 2 = AVX2+FMA.
 static AVX2: AtomicU8 = AtomicU8::new(0);
 
-/// Enables or disables the explicit-width SIMD kernels process-wide
-/// (default: enabled unless the `KALMAN_SIMD` environment variable is set
-/// to `0`).  With SIMD off, callers fall back to the tuned scalar loops —
-/// the same paths `KALMAN_REF_KERNELS` exercises wholesale.  The benchmark
-/// harness flips this to isolate the SIMD contribution within one process.
-pub fn set_simd_kernels(on: bool) {
-    // Relaxed on both: callers flip this during single-threaded setup (the
-    // bench harness, or the lazy env-derived init below, which is
-    // idempotent) — thread spawn/join provides the happens-before edge for
-    // any worker that later reads the flags.
-    SIMD_KERNELS.store(on, Ordering::Relaxed);
-    SIMD_KERNELS_INIT.store(true, Ordering::Relaxed); // Relaxed: see the setup/happens-before argument above.
-}
-
-/// `true` when the explicit-width SIMD kernels are enabled.
-pub fn simd_kernels() -> bool {
-    // Relaxed: the lazy init is idempotent (every racer derives the same
-    // value from the environment), so no ordering is needed.
-    if !SIMD_KERNELS_INIT.load(Ordering::Relaxed) {
-        let on = !std::env::var("KALMAN_SIMD").is_ok_and(|v| v == "0" || v == "off");
-        set_simd_kernels(on);
-        return on;
-    }
-    SIMD_KERNELS.load(Ordering::Relaxed) // Relaxed: same idempotent-init argument as above.
-}
-
-/// Forces the portable 4-lane fallback kernels even on AVX2 hardware.
-/// Test-suite hook: lets the proptests pin the portable lanes against the
-/// scalar oracle on machines where AVX2 would normally win dispatch.
-pub fn set_portable_kernels(on: bool) {
-    // Relaxed: independent on/off test hook flipped during single-threaded
-    // setup; either value leaves every kernel correct.
-    FORCE_PORTABLE.store(on, Ordering::Relaxed);
-}
-
-/// `true` while the portable fallback is forced via [`set_portable_kernels`].
-pub fn portable_kernels() -> bool {
-    // Relaxed: see `set_portable_kernels` — an independent flag, no other
-    // memory is published under it.
-    FORCE_PORTABLE.load(Ordering::Relaxed)
-}
-
-/// `true` when SIMD tiles should be used: the SIMD switch is on and the
-/// scalar reference oracle is not forced.
+/// `true` when SIMD tiles should be used: the scalar reference oracle is
+/// not forced.
 #[inline]
 pub(crate) fn simd_active() -> bool {
-    simd_kernels() && !workspace::reference_kernels()
+    !workspace::reference_kernels()
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -105,13 +55,9 @@ fn detect_avx2() -> bool {
 }
 
 /// `true` when the AVX2/FMA implementations should run (CPU support
-/// detected, portable fallback not forced).  The detection verdict is
-/// cached after the first call.
+/// detected).  The detection verdict is cached after the first call.
 #[inline]
 fn use_avx2() -> bool {
-    if portable_kernels() {
-        return false;
-    }
     #[cfg(target_arch = "x86_64")]
     {
         // Relaxed loads/stores throughout: the cached verdict is an
@@ -134,8 +80,8 @@ fn use_avx2() -> bool {
 }
 
 /// Which backend the SIMD layer would run right now: `"avx2"`,
-/// `"portable"`, or `"scalar"` when the SIMD layer is disabled (switch off
-/// or reference oracle forced).  Surfaced by `phase_profile` and useful in
+/// `"portable"`, or `"scalar"` when the reference oracle is forced.
+/// Surfaced by `phase_profile` and useful in
 /// CI logs on runners without AVX2.
 pub fn simd_backend() -> &'static str {
     if !simd_active() {
@@ -373,6 +319,12 @@ unsafe fn axpy_avx2(alpha: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
+fn axpy_portable(alpha: f64, x: &[f64], y: &mut [f64]) {
+    for (yi, xi) in y.iter_mut().zip(x) {
+        *yi += alpha * xi;
+    }
+}
+
 /// SIMD axpy: `y += alpha·x` (lengths must match).  Elementwise, so lane
 /// width changes rounding (FMA) but never ordering.
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
@@ -383,9 +335,7 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
         // confirmed AVX2+FMA on this CPU.
         return unsafe { axpy_avx2(alpha, x, y) };
     }
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
+    axpy_portable(alpha, x, y)
 }
 
 // ---------------------------------------------------------------------------
@@ -899,5 +849,124 @@ mod tests {
                 assert!((got - wanted).abs() <= 1e-12 * (1.0 + wanted.abs()));
             }
         }
+    }
+
+    // The dispatching entry points above run the AVX2 bodies on any AVX2
+    // host, so the portable fallbacks are pinned here by direct calls.
+
+    fn close(got: f64, want: f64) -> bool {
+        (got - want).abs() <= 1e-12 * (1.0 + want.abs())
+    }
+
+    fn wave(len: usize, freq: f64) -> Vec<f64> {
+        (0..len).map(|i| (i as f64 * freq).sin() + 0.25).collect()
+    }
+
+    #[test]
+    fn portable_dot_and_axpy_match_scalar_loops() {
+        for n in [0usize, 1, 3, 4, 5, 8, 9, 33] {
+            let (x, y) = (wave(n, 0.37), wave(n, 0.11));
+            assert!(close(dot_portable(&x, &y), dot_ref(&x, &y)), "dot n={n}");
+            let mut z = y.clone();
+            axpy_portable(-0.6, &x, &mut z);
+            for i in 0..n {
+                assert!(close(z[i], y[i] - 0.6 * x[i]), "axpy n={n} i={i}");
+            }
+        }
+    }
+
+    #[test]
+    fn portable_microtile_matches_scalar_accumulation() {
+        let depth = 6;
+        let (a, b) = (wave(4 * depth, 0.37), wave(4 * depth, 0.11));
+        let mut acc = [[-0.5f64; 4]; 4];
+        let mut want = acc;
+        for p in 0..depth {
+            for (i, row) in want.iter_mut().enumerate() {
+                for (j, cij) in row.iter_mut().enumerate() {
+                    *cij += a[4 * p + i] * b[4 * p + j];
+                }
+            }
+        }
+        gemm_microkernel_4x4_portable(&a, &b, &mut acc);
+        for (row, wrow) in acc.iter().zip(&want) {
+            for (&got, &wanted) in row.iter().zip(wrow) {
+                assert!(close(got, wanted));
+            }
+        }
+    }
+
+    #[test]
+    fn portable_quad_kernels_match_scalar_loops() {
+        for len in [0usize, 1, 4, 7, 16] {
+            let v = wave(len, 0.53);
+            // Columns longer than `v`: only the first `len` entries count.
+            let cols: Vec<Vec<f64>> = (0..4).map(|q| wave(len + 2, 0.2 + q as f64)).collect();
+            let (tau, pivots) = (1.3, [0.4, -0.7, 1.1, 0.0]);
+
+            let mut acc = [1.0, 2.0, 3.0, 4.0];
+            dot_quad_portable(&v, [&cols[0], &cols[1], &cols[2], &cols[3]], &mut acc);
+            for q in 0..4 {
+                let want = (q + 1) as f64 + dot_ref(&v, &cols[q][..len]);
+                assert!(close(acc[q], want), "dot_quad len={len} q={q}");
+            }
+
+            let mut got = cols.clone();
+            let [g0, g1, g2, g3] = &mut got[..] else {
+                unreachable!()
+            };
+            axpy_quad_portable(pivots, &v, [g0, g1, g2, g3]);
+            for q in 0..4 {
+                for i in 0..len + 2 {
+                    let want = cols[q][i] - if i < len { pivots[q] * v[i] } else { 0.0 };
+                    assert!(close(got[q][i], want), "axpy_quad len={len} q={q} i={i}");
+                }
+            }
+
+            let mut got = cols.clone();
+            let mut w = pivots;
+            let [g0, g1, g2, g3] = &mut got[..] else {
+                unreachable!()
+            };
+            reflector_quad_portable(&v, tau, &mut w, [g0, g1, g2, g3]);
+            for q in 0..4 {
+                let wq = tau * (pivots[q] + dot_ref(&v, &cols[q][..len]));
+                assert!(close(w[q], wq), "reflector_quad w len={len} q={q}");
+                for i in 0..len + 2 {
+                    let want = cols[q][i] - if i < len { wq * v[i] } else { 0.0 };
+                    assert!(
+                        close(got[q][i], want),
+                        "reflector_quad len={len} q={q} i={i}"
+                    );
+                }
+            }
+        }
+    }
+
+    fn check_portable_mono<const N: usize>() {
+        let (a, b) = (wave(N * N, 0.37), wave(N * N, 0.11));
+        for (b_trans, alpha, beta) in [(false, 1.0, 0.0), (true, -0.5, 1.0), (false, 2.0, 0.75)] {
+            let c0 = wave(N * N, 0.71);
+            let mut c = c0.clone();
+            gemm_mono_portable::<N>(alpha, &a, &b, b_trans, beta, &mut c);
+            for j in 0..N {
+                for i in 0..N {
+                    let mut sum = 0.0;
+                    for k in 0..N {
+                        let bkj = if b_trans { b[j + k * N] } else { b[k + j * N] };
+                        sum += a[i + k * N] * bkj;
+                    }
+                    let want = beta * c0[i + j * N] + alpha * sum;
+                    assert!(close(c[i + j * N], want), "N={N} trans={b_trans} ({i},{j})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn portable_gemm_mono_matches_scalar_triple_loop() {
+        check_portable_mono::<4>();
+        check_portable_mono::<8>();
+        check_portable_mono::<16>();
     }
 }

@@ -28,12 +28,11 @@
 //!   byte count and [`Workspace::reset`] trims the pool back to it —
 //!   long-lived servers (e.g. a `SmootherPool`) use this to release warmup
 //!   growth after a burst of unusually large windows.
-//! * **Disableable**: [`set_pooling`] (or the `KALMAN_WS_DISABLE`
-//!   environment variable) turns recycling off globally, which the
-//!   benchmark harness uses to measure the allocator's contribution.
+//! * **Disableable**: [`set_pooling`] turns recycling off globally, which
+//!   the benchmark harness uses to measure the allocator's contribution.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Element budget per size class (per thread): class `c` keeps at most
 /// `max(1, MAX_CLASS_ELEMS >> c)` buffers, so tiny-block-heavy workloads
@@ -57,8 +56,8 @@ fn class_capacity(class: usize) -> usize {
     (MAX_CLASS_ELEMS >> class).max(1)
 }
 
-/// Global switch: 0 = unset (read env), 1 = enabled, 2 = disabled.
-static POOLING: AtomicU8 = AtomicU8::new(0);
+/// Global pooling switch (see [`set_pooling`]).
+static POOLING: AtomicBool = AtomicBool::new(true);
 
 thread_local! {
     /// Live [`ArenaScope`] guards on this thread.  Thread-local on purpose:
@@ -72,29 +71,20 @@ thread_local! {
 static REFERENCE_KERNELS: AtomicBool = AtomicBool::new(false);
 static REFERENCE_KERNELS_INIT: AtomicBool = AtomicBool::new(false);
 
-/// Enables or disables buffer pooling process-wide (default: enabled unless
-/// the `KALMAN_WS_DISABLE` environment variable is set).  Used by benchmarks
-/// to isolate the allocator's contribution; flipping it mid-computation is
-/// safe (buffers taken under either setting are correctly dropped).
+/// Enables or disables buffer pooling process-wide (default: enabled).
+/// Used by benchmarks to isolate the allocator's contribution; flipping it
+/// mid-computation is safe (buffers taken under either setting are
+/// correctly dropped).
 pub fn set_pooling(enabled: bool) {
     // Relaxed: an independent on/off flag — no other memory is published
     // under it, and either value leaves takers correct.
-    POOLING.store(if enabled { 1 } else { 2 }, Ordering::Relaxed);
+    POOLING.store(enabled, Ordering::Relaxed);
 }
 
 /// `true` when buffer pooling is active.
 pub fn pooling_enabled() -> bool {
-    // Relaxed: the lazy init is idempotent (every racer derives the same
-    // value from the environment), so no ordering is needed.
-    match POOLING.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let enabled = std::env::var_os("KALMAN_WS_DISABLE").is_none();
-            POOLING.store(if enabled { 1 } else { 2 }, Ordering::Relaxed); // Relaxed: same idempotent-init argument as the load above.
-            enabled
-        }
-    }
+    // Relaxed: see `set_pooling` — an independent flag.
+    POOLING.load(Ordering::Relaxed)
 }
 
 /// RAII guard returned by [`arena_scope`]; dropping it restores the normal
@@ -167,7 +157,7 @@ pub fn reference_kernels() -> bool {
     // value from the environment), so no ordering is needed.
     if !REFERENCE_KERNELS_INIT.load(Ordering::Relaxed) {
         // `""`, `"0"`, and `"off"` count as unset so a CI matrix can pass
-        // the variable through unconditionally (same idiom as KALMAN_SIMD).
+        // the variable through unconditionally.
         let on = std::env::var("KALMAN_REF_KERNELS")
             .is_ok_and(|v| !(v.is_empty() || v == "0" || v == "off"));
         set_reference_kernels(on);

@@ -135,7 +135,7 @@ pub use kalman_wire as wire;
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use kalman_associative::{associative_smooth, AssociativeOptions, ScanOptions, ScanPlan};
+    pub use kalman_associative::{associative_smooth, AssociativeOptions};
     pub use kalman_dense::Matrix;
     pub use kalman_model::{
         solve_dense, CovarianceSpec, Evolution, KalmanError, LinearModel, LinearStep, Observation,
@@ -143,8 +143,7 @@ pub mod prelude {
     };
     pub use kalman_nonlinear::{gauss_newton_smooth, GaussNewtonOptions, NonlinearModel};
     pub use kalman_odd_even::{
-        odd_even_smooth, resolve_backend, BackendKind, BackendPolicy, OddEvenOptions, PhaseProfile,
-        PlanSchedule, ScanSchedule, SmoothPlan, SmootherBackend,
+        odd_even_smooth, BackendPolicy, OddEvenOptions, PlanSchedule, SmoothPlan,
     };
     pub use kalman_par::{run_with_threads, ExecPolicy};
     pub use kalman_seq::{paige_saunders_smooth, rts_smooth, SmootherOptions};

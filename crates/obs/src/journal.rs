@@ -62,7 +62,6 @@ pub(crate) fn record(kind: &'static str, a: u64, b: u64) {
     if ring.slots.len() < CAP {
         // Still filling the pre-allocated buffer; `push` stays within
         // capacity, so no reallocation.
-        // lint: allow(alloc, "push stays within the ring's pre-allocated capacity (CAP slots); never reallocates")
         ring.slots.push(ev);
     } else {
         ring.slots[idx] = ev;
@@ -101,10 +100,15 @@ pub fn journal_dropped() -> u64 {
 mod tests {
     use super::*;
 
-    /// The ring is process-global, so the wraparound accounting test
-    /// works in deltas and tolerates events recorded by other tests.
+    /// The ring is process-global and the harness runs tests in parallel:
+    /// the tests below hold this lock so neither records into the middle
+    /// of the other's exact accounting.
+    static RING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// Works in deltas, so events recorded before it starts do not matter.
     #[test]
     fn wraparound_keeps_newest_and_counts_drops() {
+        let _ring = RING.lock().unwrap_or_else(|p| p.into_inner());
         let base = journal_recorded();
         for i in 0..(CAP as u64 + 40) {
             record("test.journal.wrap", i, 0);
@@ -127,6 +131,7 @@ mod tests {
 
     #[test]
     fn payload_round_trips() {
+        let _ring = RING.lock().unwrap_or_else(|p| p.into_inner());
         record("test.journal.payload", 7, 99);
         let events = journal_events();
         let ev = events

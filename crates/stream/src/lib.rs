@@ -68,8 +68,7 @@ mod pool;
 mod smoother;
 
 pub use checkpoint::{Checkpoint, WindowSnapshot};
-// Re-exported because it is part of `StreamOptions`' public surface: users
-// configuring a stream pick their backend through this type.
+// Re-exported because it is the type of a public `StreamOptions` field.
 pub use kalman_odd_even::BackendPolicy;
 pub use options::{FinalizedStep, LagPolicy, StreamOptions};
 pub use pool::{PollBatch, PollEntry, SmootherPool, StreamId};

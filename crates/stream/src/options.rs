@@ -90,12 +90,12 @@ pub struct StreamOptions {
     /// a full window.  Disabled by pooled streams, whose flushes are
     /// batched by [`crate::SmootherPool::poll`].
     pub auto_flush: bool,
-    /// Which smoothing backend executes each window flush.  The default is
-    /// read from the `KALMAN_BACKEND` environment variable (`odd-even` when
-    /// unset) so a whole test or serving run flips backends without code
-    /// changes.  Windows a requested backend cannot structurally or
-    /// numerically handle fall back to the odd-even plan — see
-    /// DESIGN.md §"Backend trait + dispatch".
+    /// Always [`BackendPolicy::OddEven`]: serving runs one engine (see
+    /// DESIGN.md §"Why serving runs one engine").  The field, its
+    /// one-variant type and its byte in the wire layout stay only because
+    /// `benchmark/src/spec.rs` builds `StreamOptions` with an exhaustive
+    /// struct literal and that directory is frozen; a later
+    /// `benchmark`-archetype change can drop all three.
     pub backend: BackendPolicy,
 }
 
@@ -108,7 +108,7 @@ impl Default for StreamOptions {
             covariances: false,
             policy: ExecPolicy::par(),
             auto_flush: true,
-            backend: BackendPolicy::from_env(),
+            backend: BackendPolicy::OddEven,
         }
     }
 }

@@ -372,16 +372,12 @@ pub fn encode_stream_options(w: &mut Writer, opts: &StreamOptions) {
     w.put_u8(opts.auto_flush as u8);
     w.put_u8(match opts.backend {
         BackendPolicy::OddEven => BACKEND_ODD_EVEN,
-        BackendPolicy::Scan => BACKEND_SCAN,
-        BackendPolicy::SequentialRts => BACKEND_RTS,
-        BackendPolicy::Auto => BACKEND_AUTO,
     });
 }
 
+/// The only backend tag; 1–3 named the scan, RTS-fold and auto policies
+/// before serving went back to one engine and now decode as unknown.
 const BACKEND_ODD_EVEN: u8 = 0;
-const BACKEND_SCAN: u8 = 1;
-const BACKEND_RTS: u8 = 2;
-const BACKEND_AUTO: u8 = 3;
 
 /// Decodes stream options.
 pub fn decode_stream_options(r: &mut Reader<'_>) -> Result<StreamOptions> {
@@ -407,9 +403,6 @@ pub fn decode_stream_options(r: &mut Reader<'_>) -> Result<StreamOptions> {
     let auto_flush = decode_bool(r, "auto-flush flag")?;
     let backend = match r.get_u8()? {
         BACKEND_ODD_EVEN => BackendPolicy::OddEven,
-        BACKEND_SCAN => BackendPolicy::Scan,
-        BACKEND_RTS => BackendPolicy::SequentialRts,
-        BACKEND_AUTO => BackendPolicy::Auto,
         tag => {
             return Err(WireError::UnknownTag {
                 what: "backend policy",
@@ -625,7 +618,7 @@ mod tests {
             covariances: true,
             policy: ExecPolicy::Par { grain: 5 },
             auto_flush: false,
-            backend: BackendPolicy::Scan,
+            backend: BackendPolicy::OddEven,
         };
         let mut w = Writer::new();
         encode_stream_options(&mut w, &opts);
@@ -638,19 +631,38 @@ mod tests {
         assert!(back.covariances);
         assert_eq!(back.policy, ExecPolicy::Par { grain: 5 });
         assert!(!back.auto_flush);
-        assert_eq!(back.backend, BackendPolicy::Scan);
+        assert_eq!(back.backend, BackendPolicy::OddEven);
+    }
 
-        // Every backend tag survives the trip (the options byte is the
-        // protocol-version-2 addition).
-        for backend in [
-            BackendPolicy::OddEven,
-            BackendPolicy::SequentialRts,
-            BackendPolicy::Auto,
-        ] {
-            let mut w = Writer::new();
-            encode_stream_options(&mut w, &StreamOptions { backend, ..opts });
-            let mut r = Reader::new(w.as_slice());
-            assert_eq!(decode_stream_options(&mut r).unwrap().backend, backend);
+    /// The options layout did not move when the scan, RTS and auto backends
+    /// were withdrawn: default options encode to the bytes protocol
+    /// version 2 always produced, and the three retired tags are rejected
+    /// instead of being reinterpreted.
+    #[test]
+    fn retired_backend_tags_are_rejected_and_layout_is_unchanged() {
+        assert_eq!(crate::VERSION, 2);
+        let mut w = Writer::new();
+        encode_stream_options(&mut w, &StreamOptions::default());
+        let mut expected = Vec::new();
+        expected.extend_from_slice(&32u32.to_le_bytes()); // lag
+        expected.push(0); // no lag policy
+        expected.extend_from_slice(&32u32.to_le_bytes()); // flush_every
+        expected.push(0); // covariances off
+        expected.push(1); // ExecPolicy::Par
+        expected.extend_from_slice(&10u32.to_le_bytes()); // default grain
+        expected.push(1); // auto_flush on
+        expected.push(0); // backend: odd-even
+        assert_eq!(w.as_slice(), &expected[..]);
+
+        for tag in [1u8, 2, 3] {
+            let mut bytes = expected.clone();
+            *bytes.last_mut().unwrap() = tag;
+            match decode_stream_options(&mut Reader::new(&bytes)) {
+                Err(WireError::UnknownTag { what, tag: got }) => {
+                    assert_eq!((what, got), ("backend policy", tag));
+                }
+                other => panic!("tag {tag} decoded as {other:?}"),
+            }
         }
     }
 

@@ -2,7 +2,7 @@
 //! the same posterior on models they all support, and the QR smoothers must
 //! agree with the dense least-squares oracle on everything.
 
-use kalman::model::{events_of, generators, solve_dense, LinearModel};
+use kalman::model::{generators, solve_dense};
 use kalman::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -129,210 +129,6 @@ fn thread_count_does_not_change_results() {
             "odd-even must be deterministic across thread counts"
         );
         assert_eq!(est.max_cov_diff(&reference), Some(0.0));
-    }
-}
-
-// ---- streaming-scale backend agreement ---------------------------------
-//
-// The batch agreement above pins the algorithms on whole models; the tests
-// below pin the same property *through the serving layer*: a stream running
-// the associative-scan backend must finalize the same estimates as an
-// identical stream on the odd-even backend, window by window, including the
-// paths where serving differs from batch (missing observations, no prior,
-// checkpoint/resume, multi-stream pools).
-
-fn backend_opts(lag: usize, flush_every: usize, backend: BackendPolicy) -> StreamOptions {
-    StreamOptions {
-        lag,
-        flush_every,
-        covariances: true,
-        policy: ExecPolicy::Seq,
-        backend,
-        ..StreamOptions::default()
-    }
-}
-
-fn backend_stream_for(model: &LinearModel, opts: StreamOptions) -> StreamingSmoother {
-    match &model.prior {
-        Some(p) => StreamingSmoother::with_prior(p.mean.clone(), p.cov.clone(), opts).unwrap(),
-        None => StreamingSmoother::new(model.steps[0].state_dim, opts).unwrap(),
-    }
-}
-
-fn run_backend_stream(model: &LinearModel, opts: StreamOptions) -> Vec<FinalizedStep> {
-    let mut stream = backend_stream_for(model, opts);
-    let mut finalized = Vec::new();
-    for event in events_of(model) {
-        finalized.extend(stream.ingest(event).unwrap());
-    }
-    let (tail, _) = stream.finish().unwrap();
-    finalized.extend(tail);
-    finalized
-}
-
-/// Per-finalized-step agreement between two backend runs of one stream.
-fn assert_finalized_agree(label: &str, a: &[FinalizedStep], b: &[FinalizedStep], tol: f64) {
-    assert_eq!(a.len(), b.len(), "{label}: finalized step count");
-    for (x, y) in a.iter().zip(b) {
-        assert_eq!(x.index, y.index, "{label}: finalization order");
-        let diff = x
-            .mean
-            .iter()
-            .zip(&y.mean)
-            .map(|(p, q)| (p - q).abs())
-            .fold(0.0f64, f64::max);
-        assert!(diff < tol, "{label}: state {} mean diff {diff}", x.index);
-        if let (Some(ca), Some(cb)) = (&x.covariance, &y.covariance) {
-            let cdiff = ca.max_abs_diff(cb);
-            assert!(
-                cdiff < 10.0 * tol,
-                "{label}: state {} cov diff {cdiff}",
-                x.index
-            );
-        } else {
-            assert_eq!(
-                x.covariance.is_some(),
-                y.covariance.is_some(),
-                "{label}: covariance presence"
-            );
-        }
-    }
-}
-
-/// The acceptance case: a stream ≥ 10× the window length served on the scan
-/// backend agrees with the odd-even backend on every finalized step.
-#[test]
-fn scan_and_odd_even_streams_agree_at_scale() {
-    let model = generators::paper_benchmark(&mut rng(20), 4, 640, true);
-    let scan = run_backend_stream(&model, backend_opts(32, 16, BackendPolicy::Scan));
-    let oe = run_backend_stream(&model, backend_opts(32, 16, BackendPolicy::OddEven));
-    assert_finalized_agree("scan vs odd-even", &scan, &oe, 1e-8);
-    // And both match the batch posterior on the whole model.
-    let batch = odd_even_smooth(&model, OddEvenOptions::default()).unwrap();
-    for f in &scan {
-        let i = f.index as usize;
-        let d = f
-            .mean
-            .iter()
-            .zip(batch.mean(i))
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f64, f64::max);
-        assert!(d < 1e-8, "scan stream vs batch at state {i}: {d}");
-    }
-}
-
-/// No prior (the first window is anchored by observations alone) and
-/// missing observations (three of four steps unobserved): the serving
-/// paths where window factorization differs most between backends.
-#[test]
-fn scan_streams_agree_on_no_prior_and_sparse_models() {
-    let no_prior = generators::paper_benchmark(&mut rng(21), 3, 400, false);
-    let sparse = generators::sparse_observations(&mut rng(22), 2, 480, 4);
-    for (name, model, lag) in [("no-prior", &no_prior, 32), ("sparse", &sparse, 64)] {
-        let scan = run_backend_stream(model, backend_opts(lag, 16, BackendPolicy::Scan));
-        let oe = run_backend_stream(model, backend_opts(lag, 16, BackendPolicy::OddEven));
-        assert_finalized_agree(name, &scan, &oe, 1e-8);
-    }
-}
-
-/// A pool of scan-backend streams serves the same finalized estimates as a
-/// pool of odd-even streams over mixed prior/no-prior traffic, with plans
-/// shared through the pool's per-shape cache.
-#[test]
-fn scan_pool_matches_odd_even_pool() {
-    let models: Vec<LinearModel> = (0..6)
-        .map(|k| generators::paper_benchmark(&mut rng(30 + k), 3, 200, k % 2 == 0))
-        .collect();
-    let run_pool = |backend: BackendPolicy| -> Vec<Vec<FinalizedStep>> {
-        let opts = backend_opts(24, 8, backend);
-        let mut pool = SmootherPool::new(ExecPolicy::par_with_grain(1));
-        let ids: Vec<StreamId> = models
-            .iter()
-            .map(|m| pool.insert(backend_stream_for(m, opts)))
-            .collect();
-        let mut collected: Vec<Vec<FinalizedStep>> = vec![Vec::new(); models.len()];
-        for si in 0..models[0].num_states() {
-            for (k, model) in models.iter().enumerate() {
-                let step = &model.steps[si];
-                if si > 0 {
-                    pool.evolve(ids[k], step.evolution.clone().unwrap())
-                        .unwrap();
-                }
-                if let Some(obs) = &step.observation {
-                    pool.observe(ids[k], obs.clone()).unwrap();
-                }
-            }
-            for (id, steps) in pool.poll() {
-                let k = ids.iter().position(|x| *x == id).unwrap();
-                collected[k].extend(steps.unwrap());
-            }
-        }
-        for (k, id) in ids.iter().enumerate() {
-            collected[k].extend(pool.finish(*id).unwrap().0);
-        }
-        collected
-    };
-    let scan = run_pool(BackendPolicy::Scan);
-    let oe = run_pool(BackendPolicy::OddEven);
-    for (k, (s, o)) in scan.iter().zip(&oe).enumerate() {
-        assert_finalized_agree(&format!("pool stream {k}"), s, o, 1e-8);
-    }
-}
-
-/// Checkpointing a scan-backend stream and resuming reproduces the
-/// uninterrupted scan stream, which in turn matches odd-even — the
-/// condensed R-factor head a checkpoint carries is backend-independent.
-#[test]
-fn scan_checkpoint_resume_matches_uninterrupted() {
-    let model = generators::paper_benchmark(&mut rng(40), 3, 240, true);
-    let opts = backend_opts(40, 10, BackendPolicy::Scan);
-    let uninterrupted = run_backend_stream(&model, opts);
-    let odd_even = run_backend_stream(&model, backend_opts(40, 10, BackendPolicy::OddEven));
-    assert_finalized_agree(
-        "uninterrupted scan vs odd-even",
-        &uninterrupted,
-        &odd_even,
-        1e-8,
-    );
-
-    let cut = 120usize;
-    let mut first = backend_stream_for(&model, opts);
-    for (i, step) in model.steps.iter().enumerate().take(cut + 1) {
-        if i > 0 {
-            first.evolve(step.evolution.clone().unwrap()).unwrap();
-        }
-        if let Some(obs) = &step.observation {
-            first.observe(obs.clone()).unwrap();
-        }
-    }
-    let (_, checkpoint) = first.finish().unwrap();
-    assert_eq!(checkpoint.index as usize, cut);
-
-    let mut resumed_stream = StreamingSmoother::resume(checkpoint, opts).unwrap();
-    let mut resumed = Vec::new();
-    for step in model.steps.iter().skip(cut + 1) {
-        resumed.extend(
-            resumed_stream
-                .evolve(step.evolution.clone().unwrap())
-                .unwrap(),
-        );
-        if let Some(obs) = &step.observation {
-            resumed_stream.observe(obs.clone()).unwrap();
-        }
-    }
-    let (tail, _) = resumed_stream.finish().unwrap();
-    resumed.extend(tail);
-
-    assert_eq!(resumed.first().unwrap().index as usize, cut + 1);
-    for f in &resumed {
-        let reference = &uninterrupted[f.index as usize];
-        let diff = f
-            .mean
-            .iter()
-            .zip(&reference.mean)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f64, f64::max);
-        assert!(diff < 1e-8, "resumed state {}: diff {diff}", f.index);
     }
 }
 
