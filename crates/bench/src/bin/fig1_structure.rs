@@ -16,7 +16,7 @@ fn main() {
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
     let model = generators::paper_benchmark(&mut rng, 2, k, false);
     let steps = whiten_model(&model).unwrap();
-    let r = factor_odd_even(&steps, ExecPolicy::par(), true).unwrap();
+    let r = factor_odd_even(&steps, ExecPolicy::par()).unwrap();
 
     let states = r.num_states();
     let blocks = r.structure();

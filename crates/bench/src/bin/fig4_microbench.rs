@@ -12,10 +12,11 @@
 //! `cargo run --release -p kalman-bench --bin fig4_microbench \
 //!     [--n 48] [--k 20000] [--runs 3]`
 //!
-//! `--smoke` runs the CI-sized kernel microbenchmark instead: GEMM and QR
-//! (factor + `Qᵀ` application) across block sizes, blocked kernels versus
-//! the unblocked reference, plus the monomorphized SIMD kernels versus the
-//! scalar oracle at the serving dimensions n ∈ {4, 8, 16}; each pair is
+//! `--smoke` runs the CI-sized kernel microbenchmark instead: blocked GEMM
+//! versus the reference loop nest across block sizes, the fused QR
+//! (`QrFactor::new_applying`) versus factor-then-apply below the
+//! `QR_FUSED_MAX_COLS` crossover, plus the monomorphized SIMD kernels versus
+//! the scalar oracle at the serving dimensions n ∈ {4, 8, 16}; each pair is
 //! measured as interleaved A/B rounds with per-arm minima (the noise-robust
 //! methodology of docs/BENCHMARKS.md), single-threaded; `--json PATH`
 //! records the timings and speedups (`BENCH_kernels.json` in CI).
@@ -71,7 +72,7 @@ fn smoke(args: &mut Args) {
     print_row(&[
         "kernel".into(),
         "reference".into(),
-        "blocked".into(),
+        "tuned".into(),
         "speedup".into(),
     ]);
 
@@ -111,21 +112,20 @@ fn smoke(args: &mut Args) {
     }
 
     // QR: factor a 2n×n stack and apply Qᵀ to a 2n×(n+1) companion — the
-    // odd-even elimination's primitive — blocked (compact-WY above
-    // QR_BLOCK_MIN_COLS, fused or factor-then-apply below per
-    // QR_FUSED_MAX_COLS) vs the unblocked factor + separate sweep.  The
-    // n ∈ {96, 128, 192} points straddle the QR_FUSED_MAX_COLS crossover,
-    // so their gated speedups pin the regime switch.
-    for n in [8usize, 16, 24, 48, 96, 128, 192, 256] {
+    // odd-even elimination's primitive — with the companion update fused
+    // into the factorization vs factor + separate sweep.  Only sizes below
+    // QR_FUSED_MAX_COLS are measured: from there up `new_applying` *is*
+    // factor-then-apply, and both arms would run the same code.
+    for n in [8usize, 16, 24] {
         let a = test_matrix(2 * n, n);
         let b = test_matrix(2 * n, n + 1);
         let reps = (2_000_000 / (n * n * n)).max(1);
-        let (t_ref, t_blk) = ab_min(
+        let (t_ref, t_fused) = ab_min(
             rounds,
             || {
                 time_once(|| {
                     for _ in 0..reps {
-                        let qr = QrFactor::new_unblocked(a.clone());
+                        let qr = QrFactor::new(a.clone());
                         let mut rhs = b.clone();
                         qr.apply_qt(&mut rhs);
                         std::hint::black_box(&rhs);
@@ -147,9 +147,9 @@ fn smoke(args: &mut Args) {
         push_pair(
             &mut entries,
             &format!("qr/n{n}"),
-            ("reference", "blocked"),
+            ("reference", "fused"),
             t_ref,
-            t_blk,
+            t_fused,
         );
     }
 
@@ -253,8 +253,9 @@ fn smoke(args: &mut Args) {
     if !json.is_empty() {
         let config = format!(
             "fig4 --smoke: dense kernels, 1 thread, interleaved A/B mins of {rounds} rounds \
-             per pair; gemm/qr rows: blocked vs unblocked reference (qr n in [96,128,192] \
-             straddles the QR_FUSED_MAX_COLS crossover); gemm/nK/simd + qr/nK/mono rows: \
+             per pair; gemm rows: blocked vs reference loop nest; qr rows: fused \
+             new_applying vs factor-then-apply at n in [8,16,24], all below the \
+             QR_FUSED_MAX_COLS = 32 crossover; gemm/nK/simd + qr/nK/mono rows: \
              monomorphized SIMD kernels vs the scalar oracle at the serving dimensions"
         );
         kalman_bench::write_bench_json(&json, &config, &entries).expect("write json");

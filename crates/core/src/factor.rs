@@ -118,29 +118,17 @@ struct OddInput {
     result: Option<(Matrix, Matrix, bool)>,
 }
 
-/// Reusable containers for [`factor_odd_even_into`]: every `Vec` the
-/// elimination builds per call/level lives here and keeps its capacity, so
-/// repeated factorizations of same-shaped problems allocate nothing.  The
-/// scratch also caches the symbolic [`PlanSchedule`] of the last shape it
-/// factored, so the one-shot entry points re-plan only when the shape
-/// changes (a [`crate::SmoothPlan`] supplies its own, possibly shared,
-/// schedule instead and leaves this one empty).
-///
-/// The scratch carries no results between calls; `Clone` intentionally
-/// produces a fresh (cold) scratch.
+/// Reusable containers for the numeric factorization a
+/// [`crate::SmoothPlan`] runs: every `Vec` the elimination builds per
+/// call/level lives here and keeps its capacity, so repeated factorizations
+/// of same-shaped problems allocate nothing.  The scratch carries no results
+/// between calls.
 #[derive(Debug, Default)]
-pub struct FactorScratch {
+pub(crate) struct FactorScratch {
     cols: Vec<LevelCol>,
     next_cols: Vec<LevelCol>,
     tasks: Vec<EvenTask>,
     odd_inputs: Vec<OddInput>,
-    schedule: PlanSchedule,
-}
-
-impl Clone for FactorScratch {
-    fn clone(&self) -> Self {
-        FactorScratch::default()
-    }
 }
 
 /// Stacks up to three `(rows, rhs)` pairs vertically, zero-padding to at
@@ -405,7 +393,6 @@ fn eliminate_level(
     scratch: &mut FactorScratch,
     level: usize,
     policy: ExecPolicy,
-    compress_odd: bool,
     kind: KernelKind,
     out: &mut OddEvenR,
 ) {
@@ -414,7 +401,6 @@ fn eliminate_level(
         next_cols,
         tasks,
         odd_inputs,
-        ..
     } = scratch;
     let kk = cols.len();
     debug_assert!(kk >= 2, "base case handled by caller");
@@ -507,7 +493,7 @@ fn eliminate_level(
             input.result = None;
             return;
         }
-        if compress_odd && input.obs_tri {
+        if input.obs_tri {
             // The obs block is already a `dim × dim` triangle, so the
             // compression is one triangular-pentagonal elimination of the
             // dense rows (D̃ and any left-only residual) into it — and the
@@ -543,7 +529,7 @@ fn eliminate_level(
         ];
         let (stack, mut rhs) = stack_parts(refs, input.dim, 0);
         input.parts = [None, None, None];
-        input.result = if compress_odd && stack.rows() > input.dim {
+        input.result = if stack.rows() > input.dim {
             let r = kalman_dense::compress_rows_owned(stack, &mut rhs);
             let kept = r.rows();
             Some((r, rhs.sub_matrix(0, 0, kept, 1), true))
@@ -577,61 +563,32 @@ fn eliminate_level(
 /// callers that can give up ownership should prefer
 /// [`factor_odd_even_owned`], which builds the chain with moves only.
 ///
-/// `policy` controls the parallel batches; `compress_odd` enables the
-/// row-count-invariant compression (step 3) — disabling it is an ablation
-/// that lets the surviving columns' row counts grow by `Θ(n)` per level.
-pub fn factor_odd_even(
-    steps: &[WhitenedStep],
-    policy: ExecPolicy,
-    compress_odd: bool,
-) -> Result<OddEvenR> {
+/// `policy` controls the parallel batches.
+pub fn factor_odd_even(steps: &[WhitenedStep], policy: ExecPolicy) -> Result<OddEvenR> {
     let owned: Vec<WhitenedStep> = map_collect(policy, steps.len(), |i| steps[i].clone());
-    factor_odd_even_owned(owned, policy, compress_odd)
+    factor_odd_even_owned(owned, policy)
 }
 
 /// Runs the odd-even QR factorization, consuming the whitened steps (the
 /// level-0 chain is built with pointer moves and an in-place negation of the
 /// `B` blocks — no copies of the problem data).
-pub fn factor_odd_even_owned(
-    steps: Vec<WhitenedStep>,
-    policy: ExecPolicy,
-    compress_odd: bool,
-) -> Result<OddEvenR> {
-    let mut steps = steps;
-    let mut scratch = FactorScratch::default();
+///
+/// This is the one-shot form: it plans, factors once and drops the plan.
+/// Callers that factor the same shape repeatedly hold a
+/// [`crate::SmoothPlan`], which reuses the schedule, the scratch and the
+/// output storage.
+pub fn factor_odd_even_owned(mut steps: Vec<WhitenedStep>, policy: ExecPolicy) -> Result<OddEvenR> {
+    let dims: Vec<usize> = steps.iter().map(|s| s.state_dim).collect();
+    let schedule = PlanSchedule::build(&dims);
     let mut out = OddEvenR::default();
-    factor_odd_even_into(&mut steps, policy, compress_odd, &mut scratch, &mut out)?;
+    execute_factor(
+        &schedule,
+        &mut steps,
+        policy,
+        &mut FactorScratch::default(),
+        &mut out,
+    )?;
     Ok(out)
-}
-
-/// The reusable-everything form of the odd-even factorization: drains
-/// `steps`, reuses `scratch`'s containers and `out`'s rows/levels storage.
-/// In steady state (same window shape call after call — the streaming
-/// smoother's situation) the factorization performs no heap allocations:
-/// matrices cycle through the `kalman-dense` workspace pool and every
-/// container retains its capacity here.
-///
-/// Internally this is plan-then-execute: the symbolic [`PlanSchedule`]
-/// cached in `scratch` is rebuilt only when the shape changed, then the
-/// numeric executor runs against it.  Callers that want to share or manage
-/// plans explicitly use [`crate::SmoothPlan`] instead.
-///
-/// `steps` is left empty (capacity retained) so the caller can refill it.
-pub fn factor_odd_even_into(
-    steps: &mut Vec<WhitenedStep>,
-    policy: ExecPolicy,
-    compress_odd: bool,
-    scratch: &mut FactorScratch,
-    out: &mut OddEvenR,
-) -> Result<()> {
-    scratch.schedule.ensure_steps(steps);
-    // The schedule moves out for the duration of the numeric phase so the
-    // executor can borrow it and the scratch disjointly (a pointer-sized
-    // shuffle, no allocation).
-    let schedule = std::mem::take(&mut scratch.schedule);
-    let result = execute_factor(&schedule, steps, policy, compress_odd, scratch, out);
-    scratch.schedule = schedule;
-    result
 }
 
 /// The numeric phase of the odd-even factorization: runs the elimination
@@ -642,7 +599,6 @@ pub(crate) fn execute_factor(
     schedule: &PlanSchedule,
     steps: &mut Vec<WhitenedStep>,
     policy: ExecPolicy,
-    compress_odd: bool,
     scratch: &mut FactorScratch,
     out: &mut OddEvenR,
 ) -> Result<()> {
@@ -730,7 +686,7 @@ pub(crate) fn execute_factor(
         // The plan's per-level execution decision: levels that fit in one
         // grain run sequentially (no scheduler overhead; bitwise equal).
         let level_policy = policy.for_len(plan.evens.len());
-        eliminate_level(plan, scratch, level, level_policy, compress_odd, kind, out);
+        eliminate_level(plan, scratch, level, level_policy, kind, out);
     }
     // Base case: a single column with observation rows only.
     let root = scratch.cols.pop().expect("non-empty model");
@@ -782,7 +738,7 @@ mod tests {
         ] {
             let model = generators::paper_benchmark(&mut rng(seed), 3, k, false);
             let steps = whiten_model(&model).unwrap();
-            let r = factor_odd_even(&steps, ExecPolicy::Seq, true).unwrap();
+            let r = factor_odd_even(&steps, ExecPolicy::Seq).unwrap();
             let sys = kalman_model::assemble_dense(&model).unwrap();
 
             let dims: Vec<usize> = model.steps.iter().map(|s| s.state_dim).collect();
@@ -812,8 +768,8 @@ mod tests {
     fn parallel_and_sequential_factorizations_agree() {
         let model = generators::paper_benchmark(&mut rng(10), 4, 33, true);
         let steps = whiten_model(&model).unwrap();
-        let rs = factor_odd_even(&steps, ExecPolicy::Seq, true).unwrap();
-        let rp = factor_odd_even(&steps, ExecPolicy::par_with_grain(2), true).unwrap();
+        let rs = factor_odd_even(&steps, ExecPolicy::Seq).unwrap();
+        let rp = factor_odd_even(&steps, ExecPolicy::par_with_grain(2)).unwrap();
         assert_eq!(rs.levels, rp.levels);
         for (a, b) in rs.rows.iter().zip(&rp.rows) {
             assert!(a.diag.approx_eq(&b.diag, 1e-13));
@@ -836,10 +792,18 @@ mod tests {
         for (k, seed) in [(21usize, 61u64), (21, 62), (9, 63), (30, 64)] {
             let model = generators::paper_benchmark(&mut rng(seed), 3, k, true);
             let steps = whiten_model(&model).unwrap();
-            let fresh = factor_odd_even(&steps, ExecPolicy::Seq, true).unwrap();
+            let fresh = factor_odd_even(&steps, ExecPolicy::Seq).unwrap();
             let mut owned = steps.clone();
-            factor_odd_even_into(&mut owned, ExecPolicy::Seq, true, &mut scratch, &mut out)
-                .unwrap();
+            let dims: Vec<usize> = steps.iter().map(|s| s.state_dim).collect();
+            let schedule = PlanSchedule::build(&dims);
+            execute_factor(
+                &schedule,
+                &mut owned,
+                ExecPolicy::Seq,
+                &mut scratch,
+                &mut out,
+            )
+            .unwrap();
             assert!(owned.is_empty());
             assert_eq!(out.levels, fresh.levels);
             assert_eq!(out.rows.len(), fresh.rows.len());
@@ -860,7 +824,7 @@ mod tests {
     fn level_structure_halves() {
         let model = generators::paper_benchmark(&mut rng(11), 2, 15, false); // 16 states
         let steps = whiten_model(&model).unwrap();
-        let r = factor_odd_even(&steps, ExecPolicy::Seq, true).unwrap();
+        let r = factor_odd_even(&steps, ExecPolicy::Seq).unwrap();
         // 16 → evens 8, chain 8 → 4 → 2 → 1 → base 1.
         let sizes: Vec<usize> = r.levels.iter().map(|l| l.len()).collect();
         assert_eq!(sizes, vec![8, 4, 2, 1, 1]);
@@ -873,7 +837,7 @@ mod tests {
     fn off_targets_are_deeper_levels() {
         let model = generators::paper_benchmark(&mut rng(12), 2, 20, false);
         let steps = whiten_model(&model).unwrap();
-        let r = factor_odd_even(&steps, ExecPolicy::Seq, true).unwrap();
+        let r = factor_odd_even(&steps, ExecPolicy::Seq).unwrap();
         let mut level_of = vec![0usize; r.num_states()];
         for (l, states) in r.levels.iter().enumerate() {
             for &s in states {
@@ -898,19 +862,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn no_compression_still_preserves_gram() {
-        let model = generators::paper_benchmark(&mut rng(13), 2, 9, false);
-        let steps = whiten_model(&model).unwrap();
-        let r = factor_odd_even(&steps, ExecPolicy::Seq, false).unwrap();
-        let sys = kalman_model::assemble_dense(&model).unwrap();
-        let dims: Vec<usize> = model.steps.iter().map(|s| s.state_dim).collect();
-        let rd = r.to_dense_original_order(&dims);
-        let gram_r = matmul_tn(&rd, &rd);
-        let gram_a = matmul_tn(&sys.a, &sys.a);
-        assert!(gram_r.approx_eq(&gram_a, 1e-9 * (1.0 + gram_a.max_abs())));
-    }
-
     /// Short (`m < n`) observation blocks take the trapezoidal step-1 path;
     /// it is an orthogonal transformation like the padded general path, so
     /// the Gram matrix is preserved — and the result must agree with the
@@ -924,7 +875,7 @@ mod tests {
         ] {
             let model = generators::short_observations(&mut rng(seed), n, k, m);
             let steps = whiten_model(&model).unwrap();
-            let r = factor_odd_even(&steps, ExecPolicy::Seq, true).unwrap();
+            let r = factor_odd_even(&steps, ExecPolicy::Seq).unwrap();
             let sys = kalman_model::assemble_dense(&model).unwrap();
             let dims: Vec<usize> = model.steps.iter().map(|s| s.state_dim).collect();
             let rd = r.to_dense_original_order(&dims);
@@ -963,7 +914,7 @@ mod tests {
         let mut model = generators::sparse_observations(&mut rng(14), 2, 10, 3);
         model.set_prior(vec![0.0; 2], kalman_model::CovarianceSpec::Identity(2));
         let steps = whiten_model(&model).unwrap();
-        let r = factor_odd_even(&steps, ExecPolicy::Seq, true).unwrap();
+        let r = factor_odd_even(&steps, ExecPolicy::Seq).unwrap();
         let sys = kalman_model::assemble_dense(&model).unwrap();
         let dims: Vec<usize> = model.steps.iter().map(|s| s.state_dim).collect();
         let rd = r.to_dense_original_order(&dims);
@@ -974,7 +925,7 @@ mod tests {
     fn dimension_changes_preserve_gram() {
         let model = generators::dimension_change(&mut rng(15), 2, 11);
         let steps = whiten_model(&model).unwrap();
-        let r = factor_odd_even(&steps, ExecPolicy::Seq, true).unwrap();
+        let r = factor_odd_even(&steps, ExecPolicy::Seq).unwrap();
         let sys = kalman_model::assemble_dense(&model).unwrap();
         let dims: Vec<usize> = model.steps.iter().map(|s| s.state_dim).collect();
         let rd = r.to_dense_original_order(&dims);

@@ -133,24 +133,10 @@ impl PlanSchedule {
     /// # Panics
     ///
     /// Panics on an empty shape.
-    pub fn rebuild(&mut self, dims: &[usize]) {
-        self.rebuild_from(dims.iter().copied());
-    }
-
-    /// Re-plans for the shape of `steps` if it changed; returns `true` when
-    /// a rebuild happened.
-    pub fn ensure_steps(&mut self, steps: &[WhitenedStep]) -> bool {
-        if self.matches_steps(steps) && !self.dims.is_empty() {
-            return false;
-        }
-        self.rebuild_from(steps.iter().map(|s| s.state_dim));
-        true
-    }
-
     // lint: allow(alloc, "cold region: re-planning runs once per window-shape change and is amortized across every subsequent flush of that shape")
-    fn rebuild_from<I: Iterator<Item = usize>>(&mut self, dims: I) {
+    pub fn rebuild(&mut self, dims: &[usize]) {
         self.dims.clear();
-        self.dims.extend(dims);
+        self.dims.extend_from_slice(dims);
         assert!(
             !self.dims.is_empty(),
             "a smoothing plan needs at least one state"
@@ -334,12 +320,6 @@ impl SmoothPlan {
         SmoothPlan::new(Arc::new(PlanSchedule::build(dims)), options)
     }
 
-    /// A plan for the shape of an already-whitened step array.
-    pub fn for_steps(steps: &[WhitenedStep], options: OddEvenOptions) -> SmoothPlan {
-        let dims: Vec<usize> = steps.iter().map(|s| s.state_dim).collect();
-        SmoothPlan::for_dims(&dims, options)
-    }
-
     /// A plan for a model's shape (validates the model first).
     ///
     /// # Errors
@@ -447,7 +427,6 @@ impl SmoothPlan {
             &self.schedule,
             steps,
             self.options.policy,
-            self.options.compress_odd,
             &mut self.factor,
             &mut self.r,
         )?;
@@ -769,11 +748,7 @@ mod tests {
     fn plan_reuse_is_bitwise_across_policies() {
         for policy in [ExecPolicy::Seq, ExecPolicy::par_with_grain(2)] {
             let model = generators::dimension_change(&mut rng(83), 3, 17);
-            let opts = OddEvenOptions {
-                covariances: true,
-                policy,
-                compress_odd: true,
-            };
+            let opts = OddEvenOptions::with_policy(policy);
             let one_shot = crate::odd_even_smooth(&model, opts).unwrap();
             let mut plan = SmoothPlan::for_model(&model, opts).unwrap();
             for _ in 0..2 {

@@ -25,10 +25,11 @@ pub struct RRow {
 /// The complete odd-even `R` factor: one [`RRow`] per state plus the
 /// level structure that drives the parallel solve and SelInv phases.
 ///
-/// An `OddEvenR` is reusable output storage: `factor_odd_even_into`
-/// overwrites the row slots and level lists in place, so a caller that
-/// factors same-shaped problems repeatedly (the streaming smoother) churns
-/// no containers.  `Default` is the empty factor to start from.
+/// An `OddEvenR` is reusable output storage: a [`crate::SmoothPlan`]
+/// overwrites the row slots and level lists of the one it holds in place,
+/// so a caller that factors same-shaped problems repeatedly (the streaming
+/// smoother) churns no containers.  `Default` is the empty factor to start
+/// from.
 #[derive(Debug, Clone, Default)]
 pub struct OddEvenR {
     /// Block rows indexed by original state index.

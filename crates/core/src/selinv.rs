@@ -36,8 +36,8 @@ struct SRow {
     off: [Option<(usize, Matrix)>; 2],
 }
 
-/// Reusable containers for [`selinv_diag_into`]: the selected-inverse row
-/// table and per-level batch results.  Carries no state between calls;
+/// Reusable containers for [`selinv_diag_into_with`]: the selected-inverse
+/// row table and per-level batch results.  Carries no state between calls;
 /// `Clone` yields a fresh one.
 #[derive(Debug, Default)]
 pub struct SelinvScratch {
@@ -80,29 +80,15 @@ fn lookup_cross(s: &[Option<SRow>], a: usize, b: usize) -> (&Matrix, Trans) {
 pub fn selinv_diag(r: &OddEvenR, policy: ExecPolicy) -> Result<Vec<Matrix>> {
     let mut out = Vec::new();
     let mut scratch = SelinvScratch::default();
-    selinv_diag_into(r, policy, &mut out, &mut scratch)?;
+    selinv_diag_into_with(KernelKind::Auto, r, policy, &mut out, &mut scratch)?;
     Ok(out)
 }
 
-/// [`selinv_diag`] into reused storage: `out` receives one covariance block
-/// per state; `scratch` keeps the row table and batch buffers warm, so
-/// repeated runs over same-shaped factors allocate nothing beyond pooled
-/// matrices.
-///
-/// # Errors
-///
-/// [`KalmanError::RankDeficient`] naming the first singular diagonal block.
-pub fn selinv_diag_into(
-    r: &OddEvenR,
-    policy: ExecPolicy,
-    out: &mut Vec<Matrix>,
-    scratch: &mut SelinvScratch,
-) -> Result<()> {
-    selinv_diag_into_with(KernelKind::Auto, r, policy, out, scratch)
-}
-
-/// [`selinv_diag_into`] with plan-time kernel selection: `kind` binds the
-/// GEMM entry once per call (a [`kalman_dense::GemmFn`] pointer), so a
+/// [`selinv_diag`] into reused storage, with plan-time kernel selection:
+/// `out` receives one covariance block per state and `scratch` keeps the
+/// row table and batch buffers warm, so repeated runs over same-shaped
+/// factors allocate nothing beyond pooled matrices.  `kind` binds the GEMM
+/// entry once per call (a [`kalman_dense::GemmFn`] pointer), so a
 /// monomorphized plan's accumulation updates skip per-call shape dispatch.
 ///
 /// # Errors
@@ -220,7 +206,7 @@ mod tests {
         ] {
             let model = generators::paper_benchmark(&mut rng(seed), 3, k, false);
             let steps = whiten_model(&model).unwrap();
-            let r = factor_odd_even(&steps, ExecPolicy::Seq, true).unwrap();
+            let r = factor_odd_even(&steps, ExecPolicy::Seq).unwrap();
             let covs = selinv_diag(&r, ExecPolicy::Seq).unwrap();
             let expect = dense_cov_blocks(&model);
             for (i, (a, b)) in covs.iter().zip(&expect).enumerate() {
@@ -237,7 +223,7 @@ mod tests {
     fn parallel_matches_sequential() {
         let model = generators::paper_benchmark(&mut rng(30), 4, 29, true);
         let steps = whiten_model(&model).unwrap();
-        let r = factor_odd_even(&steps, ExecPolicy::par(), true).unwrap();
+        let r = factor_odd_even(&steps, ExecPolicy::par()).unwrap();
         let seq = selinv_diag(&r, ExecPolicy::Seq).unwrap();
         let par = selinv_diag(&r, ExecPolicy::par_with_grain(1)).unwrap();
         for (a, b) in seq.iter().zip(&par) {
@@ -249,7 +235,7 @@ mod tests {
     fn works_with_dimension_changes() {
         let model = generators::dimension_change(&mut rng(31), 2, 9);
         let steps = whiten_model(&model).unwrap();
-        let r = factor_odd_even(&steps, ExecPolicy::Seq, true).unwrap();
+        let r = factor_odd_even(&steps, ExecPolicy::Seq).unwrap();
         let covs = selinv_diag(&r, ExecPolicy::Seq).unwrap();
         let expect = dense_cov_blocks(&model);
         for (a, b) in covs.iter().zip(&expect) {
@@ -261,7 +247,7 @@ mod tests {
     fn covariances_are_symmetric_positive() {
         let model = generators::paper_benchmark(&mut rng(32), 3, 40, false);
         let steps = whiten_model(&model).unwrap();
-        let r = factor_odd_even(&steps, ExecPolicy::Seq, true).unwrap();
+        let r = factor_odd_even(&steps, ExecPolicy::Seq).unwrap();
         let covs = selinv_diag(&r, ExecPolicy::Seq).unwrap();
         for c in &covs {
             assert!(c.approx_eq(&c.transpose(), 1e-12));
@@ -276,7 +262,7 @@ mod tests {
     fn singular_r_is_reported() {
         let model = generators::paper_benchmark(&mut rng(33), 2, 5, false);
         let steps = whiten_model(&model).unwrap();
-        let mut r = factor_odd_even(&steps, ExecPolicy::Seq, true).unwrap();
+        let mut r = factor_odd_even(&steps, ExecPolicy::Seq).unwrap();
         let root = *r.levels.last().unwrap().first().unwrap();
         r.rows[root].diag.fill(0.0);
         match selinv_diag(&r, ExecPolicy::Seq) {

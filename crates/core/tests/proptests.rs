@@ -88,21 +88,6 @@ proptest! {
     }
 
     #[test]
-    fn compression_ablation_equivalent(
-        seed in 0u64..10_000,
-        k in 0usize..40,
-    ) {
-        let model = random_model(seed, 2, k, 0.6, true);
-        let on = odd_even_smooth(&model, OddEvenOptions::default()).unwrap();
-        let off = odd_even_smooth(
-            &model,
-            OddEvenOptions { compress_odd: false, ..OddEvenOptions::default() },
-        ).unwrap();
-        prop_assert!(on.max_mean_diff(&off) < 1e-8);
-        prop_assert!(on.max_cov_diff(&off).unwrap() < 1e-8);
-    }
-
-    #[test]
     fn sparse_observation_patterns(
         seed in 0u64..10_000,
         k in 1usize..30,

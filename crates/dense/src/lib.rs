@@ -7,8 +7,9 @@
 //!
 //! * [`Matrix`] — a column-major `f64` matrix with block get/set helpers,
 //! * [`gemm`] — general matrix multiply with transpose options,
-//! * [`QrFactor`] — Householder QR with application of `Qᵀ`/`Q` to
-//!   right-hand-side blocks (the workhorse of the odd-even factorization),
+//! * [`QrFactor`] — plain Householder QR (one factorization, one packed
+//!   representation) with application of `Qᵀ`/`Q` to right-hand-side
+//!   blocks (the workhorse of the odd-even factorization),
 //! * [`LuFactor`] — LU with partial pivoting (used by the associative
 //!   smoother's combination formulas),
 //! * [`Cholesky`] — for SPD covariance matrices and inverse factors,
@@ -19,13 +20,12 @@
 //! All matrices are dense and owned; the smoothers operate on many small
 //! blocks (the paper uses n = 6, 48 and 500).  The kernels are tuned for
 //! that regime — a blocked, register-tiled GEMM microkernel, four-column
-//! Householder applications, a compact-WY blocked QR for large blocks, a
-//! triangular-pentagonal stack elimination ([`qr_tri_stack_applying`]),
-//! explicit-width AVX2/FMA SIMD tiles with const-generic monomorphized
-//! small-`n` kernels ([`simd`], selected at plan time via [`KernelKind`]),
-//! and a thread-local buffer-recycling [`workspace`] that makes
-//! steady-state loops allocation-free — while staying dependency-free (see
-//! DESIGN.md §"Dense kernels").
+//! Householder applications, a triangular-pentagonal stack elimination
+//! ([`qr_tri_stack_applying`]), explicit-width AVX2/FMA SIMD tiles with
+//! const-generic monomorphized small-`n` kernels ([`simd`], selected at plan
+//! time via [`KernelKind`]), and a thread-local buffer-recycling
+//! [`workspace`] that makes steady-state loops allocation-free — while
+//! staying dependency-free (see DESIGN.md §"Dense kernels").
 //!
 //! # Example
 //!
@@ -66,7 +66,7 @@ pub use gemm::{
 pub use lu::{solve, LuFactor};
 pub use matrix::Matrix;
 pub use qr::{
-    compress_rows, compress_rows_owned, qr_stacked, qr_trap_stack_applying, qr_tri_stack_applying,
+    compress_rows, compress_rows_owned, qr_trap_stack_applying, qr_tri_stack_applying,
     qr_tri_stack_applying_with, trapezoidalize_applying, ColPivQr, QrFactor,
 };
 pub use simd::{kernel_dispatch_counts, simd_backend, KernelKind};

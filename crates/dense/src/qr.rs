@@ -11,15 +11,10 @@ use crate::{workspace, DenseError, Matrix, Result};
 /// factor a stacked pair of blocks, then apply the same `Qᵀ` to neighbouring
 /// blocks and right-hand-side segments.
 ///
-/// Wide-enough factors (`n >=` `QR_BLOCK_MIN_COLS`) are computed *blocked*
-/// in panels of `QR_NB` columns with the compact-WY representation
-/// (`Q_panel = I − V T Vᵀ`, LAPACK's `dgeqrt`/`dlarfb` scheme): the trailing
-/// matrix and every `Qᵀ`/`Q` application then move whole block right-hand
-/// sides per panel — `2·n/NB` passes over the data instead of `2·n` — with
-/// the `T` factors stored alongside the packed reflectors.  Narrow factors
-/// use the per-reflector path ([`QrFactor::new_unblocked`]), which also
-/// serves as the reference oracle for the blocked kernels and is forced
-/// process-wide by [`crate::set_reference_kernels`].
+/// There is one factorization and one representation: reflectors are applied
+/// one at a time, four right-hand-side columns per pass through the SIMD
+/// tiles of [`crate::simd`] (plain scalar loops under
+/// [`crate::set_reference_kernels`], the oracle the tiles are tested against).
 ///
 /// The factorization itself never fails; rank deficiency surfaces as a zero
 /// diagonal entry of `R` and is reported by the solve routines.
@@ -30,10 +25,6 @@ pub struct QrFactor {
     packed: Matrix,
     /// Householder coefficients, one per reflected column.
     tau: Vec<f64>,
-    /// Compact-WY `T` factors: `QR_NB`` × n`, where the columns of panel
-    /// `j0` hold that panel's upper-triangular `T`.  `None` for unblocked
-    /// factors.
-    t: Option<Matrix>,
 }
 
 impl Drop for QrFactor {
@@ -42,31 +33,19 @@ impl Drop for QrFactor {
     }
 }
 
-/// Compact-WY panel width of the blocked QR.
-pub const QR_NB: usize = 8;
-/// Column count from which [`QrFactor::new`] switches to the blocked
-/// compact-WY factorization.  Measured on the 1-core container
-/// (`fig4 --smoke` crossover sweep, SIMD panel kernels on): the unblocked
-/// path wins below n ≈ 128 — every working set fits in cache, so WY's
-/// traffic savings don't bite and its `T`/`W` overhead does — while from
-/// 128 up the SIMD-ized panel application (`dot_quad`/`axpy_quad` over
-/// four companion columns at a time) pulls ahead (1.06x at 128, 1.17x at
-/// 192) and the trend favors WY for the paper-scale blocks (n = 500).
-pub const QR_BLOCK_MIN_COLS: usize = 128;
 /// Column count from which [`QrFactor::new_applying`] stops applying each
 /// reflector to the companions *during* the factorization and instead
 /// factors first, then sweeps each companion once with
 /// [`QrFactor::apply_qt`].  The two orders are bitwise identical (same
 /// reflectors, same per-column application order — pinned by
 /// `new_applying_is_bitwise_factor_then_apply`); the choice is purely a
-/// locality trade.  Measured on the 1-core container (`fig4 --smoke`
-/// crossover sweep): below ~n = 32 the factor's working set and the
-/// companions fit in cache together, so the fused update is free (1.38x
-/// at n = 8); from n = 48 up, interleaving companion columns into the
+/// locality trade.  Below ~n = 32 the factor's working set and the
+/// companions fit in cache together, so the fused update is free (the
+/// `qr/n8`..`qr/n24` rows of `fig4 --smoke` gate that it stays at least
+/// on par); from n = 48 up, interleaving companion columns into the
 /// factorization loop evicts the trailing-matrix working set and the
-/// fused path loses up to 10% (the `qr/n48`..`qr/n96` regression this
-/// constant fixes) — there, factor-then-apply streams each companion in
-/// one cache-friendly pass.
+/// fused path was measured up to 10% slower — there, factor-then-apply
+/// streams each companion in one cache-friendly pass.
 pub const QR_FUSED_MAX_COLS: usize = 32;
 
 /// Computes the Householder reflector for `x` in place.
@@ -195,9 +174,8 @@ fn apply_reflector_raw(vtail: &[f64], tau: f64, b: &mut [f64], brows: usize, row
     }
 }
 
-/// Applies one reflector to every column of `b` starting at `row0` (the
-/// multi-column hoist of the unblocked fallback: one pass over the packed
-/// factor per reflector, not per column).
+/// Applies one reflector to every column of `b` starting at `row0` (one
+/// pass over the packed factor per reflector, not per column).
 fn apply_householder_panel(vtail: &[f64], tau: f64, b: &mut Matrix, row0: usize) {
     let brows = b.rows();
     apply_reflector_raw(vtail, tau, b.as_mut_slice(), brows, row0);
@@ -206,257 +184,23 @@ fn apply_householder_panel(vtail: &[f64], tau: f64, b: &mut Matrix, row0: usize)
 /// One Householder elimination step shared by [`QrFactor`] and
 /// [`ColPivQr`]: reflects column `j` below the diagonal (packing the
 /// reflector tail in place) and applies the reflector to the trailing
-/// columns up to `col_end`.  Returns `tau`.
-fn eliminate_column_within(a: &mut Matrix, j: usize, col_end: usize) -> f64 {
+/// columns.  Returns `tau`.
+fn eliminate_column(a: &mut Matrix, j: usize) -> f64 {
     let rows = a.rows();
     let tau = {
         let col = &mut a.col_mut(j)[j..];
         make_householder(col)
     };
-    if tau != 0.0 && col_end > j + 1 {
-        let (left, right) = a.split_at_col_mut(j + 1);
+    if tau != 0.0 && a.cols() > j + 1 {
+        let (left, trailing) = a.split_at_col_mut(j + 1);
         let vtail = &left[j * rows + j + 1..(j + 1) * rows];
-        let trailing = &mut right[..(col_end - j - 1) * rows];
         apply_reflector_raw(vtail, tau, trailing, rows, j);
     }
     tau
 }
 
-fn eliminate_column(a: &mut Matrix, j: usize) -> f64 {
-    eliminate_column_within(a, j, a.cols())
-}
-
-/// Applies one compact-WY panel (`I − V T Vᵀ` or its transpose) to the
-/// rows `j0..` of a column-major block `b`.
-///
-/// * `vcols`: column-major storage holding the `V` columns (the packed
-///   factor, or its leading columns during the trailing update), with row
-///   stride `vrows`; `V` column `jj` of the panel lives in storage column
-///   `j0 + jj`, with implicit unit diagonal at row `j0 + jj`.
-/// * `t`: the `T` store; this panel's `jb × jb` upper-triangular block sits
-///   in columns `j0..j0+jb` (rows `0..jb`).
-/// * `forward`: `true` applies `I − V Tᵀ Vᵀ` (that is `Qᵀ_panel`), `false`
-///   applies `I − V T Vᵀ` (`Q_panel`).
-/// * `b`: raw column-major data with `brows` rows per column and `bcols`
-///   columns; rows `j0..brows` of every column are transformed.
-#[allow(clippy::too_many_arguments)]
-fn panel_apply(
-    vcols: &[f64],
-    vrows: usize,
-    j0: usize,
-    jb: usize,
-    t: &Matrix,
-    forward: bool,
-    b: &mut [f64],
-    brows: usize,
-    bcols: usize,
-) {
-    debug_assert!(brows >= j0 + jb);
-    if bcols == 0 || jb == 0 {
-        return;
-    }
-    let seg = brows - j0;
-    // One SIMD-layer check per panel application, not per quad.
-    let use_simd = simd::simd_active();
-    let mut w = workspace::take_f64(jb * bcols);
-
-    // Phase 1: W = V̂ᵀ B̂, four B columns per pass (independent accumulators
-    // vectorize across columns; V stays cache-hot for the whole quad).
-    {
-        let mut quads = b.chunks_exact(4 * brows);
-        let mut k = 0;
-        for quad in quads.by_ref() {
-            let b0 = &quad[j0..brows];
-            let b1 = &quad[brows + j0..2 * brows];
-            let b2 = &quad[2 * brows + j0..3 * brows];
-            let b3 = &quad[3 * brows + j0..4 * brows];
-            for jj in 0..jb {
-                let vcol = &vcols[(j0 + jj) * vrows..(j0 + jj + 1) * vrows];
-                let vtail = &vcol[j0 + jj + 1..];
-                let tail = vtail.len();
-                let mut acc = [b0[jj], b1[jj], b2[jj], b3[jj]];
-                let t0 = &b0[jj + 1..jj + 1 + tail];
-                let t1 = &b1[jj + 1..jj + 1 + tail];
-                let t2 = &b2[jj + 1..jj + 1 + tail];
-                let t3 = &b3[jj + 1..jj + 1 + tail];
-                if use_simd {
-                    simd::dot_quad(vtail, [t0, t1, t2, t3], &mut acc);
-                } else {
-                    for i in 0..tail {
-                        let vi = vtail[i];
-                        acc[0] += vi * t0[i];
-                        acc[1] += vi * t1[i];
-                        acc[2] += vi * t2[i];
-                        acc[3] += vi * t3[i];
-                    }
-                }
-                w[k * jb + jj] = acc[0];
-                w[(k + 1) * jb + jj] = acc[1];
-                w[(k + 2) * jb + jj] = acc[2];
-                w[(k + 3) * jb + jj] = acc[3];
-            }
-            k += 4;
-        }
-        for bk in quads.remainder().chunks_exact(brows) {
-            let bk = &bk[j0..];
-            let wk = &mut w[k * jb..(k + 1) * jb];
-            for (jj, wslot) in wk.iter_mut().enumerate() {
-                let vcol = &vcols[(j0 + jj) * vrows..(j0 + jj + 1) * vrows];
-                let vtail = &vcol[j0 + jj + 1..];
-                let mut acc = bk[jj];
-                if use_simd {
-                    acc += simd::dot(vtail, &bk[jj + 1..seg]);
-                } else {
-                    for (vi, bi) in vtail.iter().zip(&bk[jj + 1..seg]) {
-                        acc += vi * bi;
-                    }
-                }
-                *wslot = acc;
-            }
-            k += 1;
-        }
-    }
-
-    // Phase 2: W ← Tᵀ W (forward) or T W (backward); T is upper triangular.
-    for k in 0..bcols {
-        let wk = &mut w[k * jb..(k + 1) * jb];
-        if forward {
-            // (Tᵀ W)[jj] = Σ_{p ≤ jj} T[p, jj]·W[p]: descending keeps the
-            // needed W[p] (p < jj) unmodified until read.
-            for jj in (0..jb).rev() {
-                let mut acc = t[(jj, j0 + jj)] * wk[jj];
-                for (p, wp) in wk.iter().enumerate().take(jj) {
-                    acc += t[(p, j0 + jj)] * wp;
-                }
-                wk[jj] = acc;
-            }
-        } else {
-            // (T W)[jj] = Σ_{p ≥ jj} T[jj, p]·W[p]: ascending keeps the
-            // needed W[p] (p > jj) unmodified until read.
-            for jj in 0..jb {
-                let mut acc = t[(jj, j0 + jj)] * wk[jj];
-                for p in (jj + 1)..jb {
-                    acc += t[(jj, j0 + p)] * wk[p];
-                }
-                wk[jj] = acc;
-            }
-        }
-    }
-
-    // Phase 3: B̂ −= V̂ W, again four columns per pass.
-    {
-        let mut quads = b.chunks_exact_mut(4 * brows);
-        let mut k = 0;
-        for quad in quads.by_ref() {
-            let (c0, rest) = quad.split_at_mut(brows);
-            let (c1, rest) = rest.split_at_mut(brows);
-            let (c2, c3) = rest.split_at_mut(brows);
-            let b0 = &mut c0[j0..];
-            let b1 = &mut c1[j0..];
-            let b2 = &mut c2[j0..];
-            let b3 = &mut c3[j0..];
-            for jj in 0..jb {
-                let (w0, w1, w2, w3) = (
-                    w[k * jb + jj],
-                    w[(k + 1) * jb + jj],
-                    w[(k + 2) * jb + jj],
-                    w[(k + 3) * jb + jj],
-                );
-                let vcol = &vcols[(j0 + jj) * vrows..(j0 + jj + 1) * vrows];
-                let vtail = &vcol[j0 + jj + 1..];
-                let tail = vtail.len();
-                b0[jj] -= w0;
-                b1[jj] -= w1;
-                b2[jj] -= w2;
-                b3[jj] -= w3;
-                let t0 = &mut b0[jj + 1..jj + 1 + tail];
-                let t1 = &mut b1[jj + 1..jj + 1 + tail];
-                let t2 = &mut b2[jj + 1..jj + 1 + tail];
-                let t3 = &mut b3[jj + 1..jj + 1 + tail];
-                if use_simd {
-                    simd::axpy_quad([w0, w1, w2, w3], vtail, [t0, t1, t2, t3]);
-                } else {
-                    for i in 0..tail {
-                        let vi = vtail[i];
-                        t0[i] -= w0 * vi;
-                        t1[i] -= w1 * vi;
-                        t2[i] -= w2 * vi;
-                        t3[i] -= w3 * vi;
-                    }
-                }
-            }
-            k += 4;
-        }
-        for bk in quads.into_remainder().chunks_exact_mut(brows) {
-            let bk = &mut bk[j0..];
-            let wk = &w[k * jb..(k + 1) * jb];
-            for (jj, &wv) in wk.iter().enumerate() {
-                if wv != 0.0 {
-                    let vcol = &vcols[(j0 + jj) * vrows..(j0 + jj + 1) * vrows];
-                    let vtail = &vcol[j0 + jj + 1..];
-                    bk[jj] -= wv;
-                    if use_simd {
-                        simd::axpy(-wv, vtail, &mut bk[jj + 1..seg]);
-                    } else {
-                        for (vi, bi) in vtail.iter().zip(&mut bk[jj + 1..seg]) {
-                            *bi -= wv * vi;
-                        }
-                    }
-                }
-            }
-            k += 1;
-        }
-    }
-
-    workspace::put_f64(w);
-}
-
-/// Builds the compact-WY `T` block for the panel `j0..j0+jb` of `packed`
-/// into columns `j0..j0+jb` of `t` (forward accumulation, LAPACK `dlarft`):
-/// `T ← [[T_prev, −τ·T_prev·(Vᵀv)], [0, τ]]`.
-fn build_t_block(packed: &Matrix, tau: &[f64], j0: usize, jb: usize, t: &mut Matrix) {
-    let m = packed.rows();
-    let use_simd = simd::simd_active();
-    let mut tmp = workspace::take_f64(jb);
-    for jj in 0..jb {
-        let tj = tau[j0 + jj];
-        // Zero this T column first (the store is reused across panels).
-        for p in 0..t.rows() {
-            t[(p, j0 + jj)] = 0.0;
-        }
-        t[(jj, j0 + jj)] = tj;
-        if jj > 0 && tj != 0.0 {
-            // tmp[p] = v_pᵀ v_jj over the shared rows (unit diagonals
-            // implicit): v_p[j0+jj]·1 + Σ_{r > j0+jj} v_p[r]·v_jj[r].
-            let vjj = &packed.col(j0 + jj)[j0 + jj + 1..];
-            for (p, slot) in tmp.iter_mut().enumerate().take(jj) {
-                let vp = packed.col(j0 + p);
-                let mut acc = vp[j0 + jj];
-                if use_simd {
-                    acc += simd::dot(&vp[j0 + jj + 1..m], vjj);
-                } else {
-                    for (x, y) in vp[j0 + jj + 1..m].iter().zip(vjj) {
-                        acc += x * y;
-                    }
-                }
-                *slot = acc;
-            }
-            // T[0..jj, jj] = −τ · T_prev · tmp (T_prev upper triangular).
-            for p in 0..jj {
-                let mut acc = 0.0;
-                for (q, tq) in tmp.iter().enumerate().take(jj).skip(p) {
-                    acc += t[(p, j0 + q)] * tq;
-                }
-                t[(p, j0 + jj)] = -tj * acc;
-            }
-        }
-    }
-    workspace::put_f64(tmp);
-}
-
 impl QrFactor {
-    /// Factorizes `a` (consumed; `m × n` with `m >= n`), choosing the
-    /// blocked compact-WY path for wide factors.
+    /// Factorizes `a` (consumed; `m × n` with `m >= n`).
     ///
     /// # Panics
     ///
@@ -465,12 +209,12 @@ impl QrFactor {
         Self::new_applying(a, &mut [])
     }
 
-    /// Factorizes `a` and applies `Qᵀ` to each companion block **during**
-    /// the factorization — each reflector (or compact-WY panel) transforms
-    /// the companions while it is still cache-hot, instead of re-walking the
-    /// packed factor in a separate [`QrFactor::apply_qt`] pass.  The result
-    /// is bitwise identical to `QrFactor::new` followed by `apply_qt` on
-    /// each companion.
+    /// Factorizes `a` and applies `Qᵀ` to each companion block as part of
+    /// the same call.  The result is bitwise identical to `QrFactor::new`
+    /// followed by `apply_qt` on each companion; whether the companions are
+    /// updated reflector by reflector during the factorization or swept
+    /// afterwards is a locality choice made by size (see
+    /// `QR_FUSED_MAX_COLS`).
     ///
     /// This is the primitive of the odd-even elimination: factor a stacked
     /// block column, carry the transformation onto the neighbouring block
@@ -486,111 +230,28 @@ impl QrFactor {
         for c in companions.iter() {
             assert_eq!(c.rows(), m, "companion row mismatch");
         }
-        if n >= QR_BLOCK_MIN_COLS && !workspace::reference_kernels() {
-            Self::new_blocked(a, companions)
-        } else {
-            // Mid-size regime choice (see `QR_FUSED_MAX_COLS`): fuse the
-            // companion updates into the factorization for small factors,
-            // factor-then-apply for mid-size ones.  The reference oracle
-            // keeps the original fused order.
-            let fused =
-                companions.is_empty() || n < QR_FUSED_MAX_COLS || workspace::reference_kernels();
-            let mut tau = workspace::take_f64(n);
-            for (j, tj) in tau.iter_mut().enumerate() {
-                *tj = eliminate_column(&mut a, j);
-                if fused && *tj != 0.0 {
-                    let vtail = &a.col(j)[j + 1..];
-                    for comp in companions.iter_mut() {
-                        apply_householder_panel(vtail, *tj, comp, j);
-                    }
-                }
-            }
-            let factor = QrFactor {
-                packed: a,
-                tau,
-                t: None,
-            };
-            if !fused {
-                for comp in companions.iter_mut() {
-                    factor.apply_qt(comp);
-                }
-            }
-            factor
-        }
-    }
-
-    /// The compact-WY blocked factorization unconditionally, regardless of
-    /// the `QR_BLOCK_MIN_COLS` dispatch threshold — for callers that know
-    /// their blocks are large and for property tests pinning the WY path
-    /// against [`QrFactor::new_unblocked`] on every shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a.rows() < a.cols()` or `a.cols() == 0`.
-    pub fn new_compact_wy(a: Matrix) -> Self {
-        let (m, n) = (a.rows(), a.cols());
-        assert!(m >= n, "QrFactor requires rows >= cols, got {m}x{n}");
-        assert!(
-            n > 0,
-            "compact-WY factorization requires at least one column"
-        );
-        Self::new_blocked(a, &mut [])
-    }
-
-    /// The unblocked reference factorization (per-reflector application),
-    /// regardless of size — the oracle the blocked path is tested against.
-    pub fn new_unblocked(mut a: Matrix) -> Self {
-        let (m, n) = (a.rows(), a.cols());
-        assert!(m >= n, "QrFactor requires rows >= cols, got {m}x{n}");
+        // Fuse the companion updates into the factorization for small
+        // factors, factor-then-apply from `QR_FUSED_MAX_COLS` up.  The
+        // reference oracle keeps the original fused order.
+        let fused =
+            companions.is_empty() || n < QR_FUSED_MAX_COLS || workspace::reference_kernels();
         let mut tau = workspace::take_f64(n);
         for (j, tj) in tau.iter_mut().enumerate() {
             *tj = eliminate_column(&mut a, j);
-        }
-        QrFactor {
-            packed: a,
-            tau,
-            t: None,
-        }
-    }
-
-    fn new_blocked(mut a: Matrix, companions: &mut [&mut Matrix]) -> Self {
-        let (m, n) = (a.rows(), a.cols());
-        let mut tau = workspace::take_f64(n);
-        let mut t = Matrix::zeros(QR_NB, n);
-        let mut j0 = 0;
-        while j0 < n {
-            let jb = QR_NB.min(n - j0);
-            // Panel factorization: reflectors applied within the panel only.
-            for (j, tj) in tau.iter_mut().enumerate().take(j0 + jb).skip(j0) {
-                *tj = eliminate_column_within(&mut a, j, j0 + jb);
+            if fused && *tj != 0.0 {
+                let vtail = &a.col(j)[j + 1..];
+                for comp in companions.iter_mut() {
+                    apply_householder_panel(vtail, *tj, comp, j);
+                }
             }
-            build_t_block(&a, &tau, j0, jb, &mut t);
-            // Trailing update: one compact-WY application per panel.
-            if j0 + jb < n {
-                let (vcols, trailing) = a.split_at_col_mut(j0 + jb);
-                panel_apply(vcols, m, j0, jb, &t, true, trailing, m, n - (j0 + jb));
-            }
+        }
+        let factor = QrFactor { packed: a, tau };
+        if !fused {
             for comp in companions.iter_mut() {
-                let bcols = comp.cols();
-                panel_apply(
-                    a.as_slice(),
-                    m,
-                    j0,
-                    jb,
-                    &t,
-                    true,
-                    comp.as_mut_slice(),
-                    m,
-                    bcols,
-                );
+                factor.apply_qt(comp);
             }
-            j0 += jb;
         }
-        QrFactor {
-            packed: a,
-            tau,
-            t: Some(t),
-        }
+        factor
     }
 
     /// Number of rows of the factored matrix.
@@ -616,8 +277,7 @@ impl QrFactor {
     }
 
     /// Applies `Qᵀ` to `b` in place (`b` must have the same row count as the
-    /// factored matrix).  Blocked factors apply whole compact-WY panels
-    /// (level-3); unblocked factors sweep reflectors over the full
+    /// factored matrix), sweeping each reflector over the full
     /// right-hand-side panel.
     ///
     /// After this call, the top `n` rows of `b` are the "kept" part and the
@@ -628,33 +288,12 @@ impl QrFactor {
     /// Panics if `b.rows() != self.rows()`.
     pub fn apply_qt(&self, b: &mut Matrix) {
         assert_eq!(b.rows(), self.rows(), "apply_qt row mismatch");
-        let (m, n) = (self.rows(), self.cols());
-        if let Some(t) = &self.t {
-            let bcols = b.cols();
-            let mut j0 = 0;
-            while j0 < n {
-                let jb = QR_NB.min(n - j0);
-                panel_apply(
-                    self.packed.as_slice(),
-                    m,
-                    j0,
-                    jb,
-                    t,
-                    true,
-                    b.as_mut_slice(),
-                    m,
-                    bcols,
-                );
-                j0 += jb;
+        for j in 0..self.cols() {
+            if self.tau[j] == 0.0 {
+                continue;
             }
-        } else {
-            for j in 0..n {
-                if self.tau[j] == 0.0 {
-                    continue;
-                }
-                let vtail = &self.packed.col(j)[j + 1..];
-                apply_householder_panel(vtail, self.tau[j], b, j);
-            }
+            let vtail = &self.packed.col(j)[j + 1..];
+            apply_householder_panel(vtail, self.tau[j], b, j);
         }
     }
 
@@ -665,39 +304,13 @@ impl QrFactor {
     /// Panics if `b.rows() != self.rows()`.
     pub fn apply_q(&self, b: &mut Matrix) {
         assert_eq!(b.rows(), self.rows(), "apply_q row mismatch");
-        let (m, n) = (self.rows(), self.cols());
-        if let Some(t) = &self.t {
-            let bcols = b.cols();
-            // Panels in reverse order, each applying I − V T Vᵀ.
-            debug_assert!(n > 0);
-            let mut j0 = ((n - 1) / QR_NB) * QR_NB;
-            loop {
-                let jb = QR_NB.min(n - j0);
-                panel_apply(
-                    self.packed.as_slice(),
-                    m,
-                    j0,
-                    jb,
-                    t,
-                    false,
-                    b.as_mut_slice(),
-                    m,
-                    bcols,
-                );
-                if j0 == 0 {
-                    break;
-                }
-                j0 -= QR_NB;
+        for j in (0..self.cols()).rev() {
+            if self.tau[j] == 0.0 {
+                continue;
             }
-        } else {
-            for j in (0..n).rev() {
-                if self.tau[j] == 0.0 {
-                    continue;
-                }
-                let vtail = &self.packed.col(j)[j + 1..];
-                // Householder reflections are symmetric: H = Hᵀ.
-                apply_householder_panel(vtail, self.tau[j], b, j);
-            }
+            let vtail = &self.packed.col(j)[j + 1..];
+            // Householder reflections are symmetric: H = Hᵀ.
+            apply_householder_panel(vtail, self.tau[j], b, j);
         }
     }
 
@@ -759,24 +372,6 @@ impl QrFactor {
             }
         }
         Ok(())
-    }
-
-    /// Residual norm contribution `‖(Qᵀb)[n..]‖₂` of a least-squares solve.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.rows() != self.rows()`.
-    pub fn ls_residual_norm(&self, b: &Matrix) -> f64 {
-        let mut qtb = b.clone();
-        self.apply_qt(&mut qtb);
-        let n = self.cols();
-        let mut acc = 0.0;
-        for k in 0..qtb.cols() {
-            for &v in &qtb.col(k)[n..] {
-                acc += v * v;
-            }
-        }
-        acc.sqrt()
     }
 }
 
@@ -1292,19 +887,6 @@ pub fn qr_trap_stack_applying(
     }
 }
 
-/// Convenience: QR-factor the vertical stack `[a; b]` and transform the
-/// stacked companion blocks with the same `Qᵀ`.
-///
-/// This is the primitive the odd-even elimination uses at every step: factor
-/// a 2×1 block column and carry the transformation onto neighbouring block
-/// columns and right-hand sides.  `companions` are stacked in the same row
-/// order as `[a; b]`.
-///
-/// Returns the factorization of the stack.
-pub fn qr_stacked(blocks: &[&Matrix]) -> QrFactor {
-    QrFactor::new(Matrix::vstack(blocks))
-}
-
 /// Computes a (possibly rectangular) "R compression" of `a`: the
 /// upper-triangular `min(m, n) × n` factor of a QR factorization of `a`,
 /// used to restore the row-count invariant of the odd-even recursion.
@@ -1345,8 +927,6 @@ mod tests {
         ])
     }
 
-    /// A tall matrix wide enough to exercise the blocked compact-WY path
-    /// (several panels, including a partial last one).
     fn wide_sample(m: usize, n: usize) -> Matrix {
         crate::random::deterministic_well_conditioned(m, n)
     }
@@ -1429,16 +1009,6 @@ mod tests {
     }
 
     #[test]
-    fn residual_norm_is_ls_residual() {
-        let a = sample();
-        let b = Matrix::col_from_slice(&[1.0, -1.0, 2.0, 0.0, 1.0]);
-        let qr = QrFactor::new(a.clone());
-        let x = qr.solve_ls(&b).unwrap();
-        let resid = &matmul(&a, &x) - &b;
-        assert!((qr.ls_residual_norm(&b) - resid.frob_norm()).abs() < 1e-12);
-    }
-
-    #[test]
     fn zero_column_gives_zero_tau_not_nan() {
         let a = Matrix::from_rows(&[&[0.0, 1.0], &[0.0, 2.0], &[0.0, 3.0]]);
         let qr = QrFactor::new(a);
@@ -1472,54 +1042,11 @@ mod tests {
         assert_eq!(rhs[(0, 0)], 5.0);
     }
 
-    // ---- Blocked compact-WY vs unblocked reference -------------------------
-
-    /// Blocked and unblocked factors of the same matrix agree to rounding,
-    /// and the blocked Q is orthogonal with Q·R reconstructing A, across
-    /// sizes covering one panel, several panels, and partial panels.
-    #[test]
-    fn blocked_factor_matches_unblocked_reference() {
-        for (m, n) in [(16, 16), (40, 17), (48, 24), (96, 41), (33, 32), (300, 260)] {
-            let a = wide_sample(m, n);
-            // Construct the blocked factor directly (the production
-            // dispatch in `new` only engages it above QR_BLOCK_MIN_COLS).
-            let blocked = QrFactor::new_blocked(a.clone(), &mut []);
-            assert!(blocked.t.is_some(), "expected a compact-WY factor at n={n}");
-            let reference = QrFactor::new_unblocked(a.clone());
-            let scale = 1.0 + reference.r().max_abs();
-            assert!(
-                blocked.r().approx_eq(&reference.r(), 1e-12 * scale),
-                "R mismatch at {m}x{n}: {}",
-                blocked.r().max_abs_diff(&reference.r())
-            );
-
-            // Q orthonormal + reconstruction through the blocked applies.
-            let q = blocked.q_thin();
-            assert!(matmul_tn(&q, &q).approx_eq(&Matrix::identity(n), 1e-12));
-            assert!(matmul(&q, &blocked.r()).approx_eq(&a, 1e-11 * scale));
-
-            // apply_qt agrees with the reference factor's apply_qt.
-            let b = Matrix::from_fn(m, 5, |i, j| ((i * 3 + j * 11) as f64).cos());
-            let mut tb = b.clone();
-            blocked.apply_qt(&mut tb);
-            let mut rb = b.clone();
-            reference.apply_qt(&mut rb);
-            assert!(
-                tb.approx_eq(&rb, 1e-11 * (1.0 + rb.max_abs())),
-                "apply_qt mismatch at {m}x{n}"
-            );
-
-            // Round-trip through the blocked apply_q.
-            blocked.apply_q(&mut tb);
-            assert!(tb.approx_eq(&b, 1e-11 * (1.0 + b.max_abs())));
-        }
-    }
-
-    /// `new_applying` must equal factor-then-apply bitwise, in both the
-    /// unblocked and blocked regimes.
+    /// `new_applying` must equal factor-then-apply bitwise on both sides of
+    /// `QR_FUSED_MAX_COLS`.
     #[test]
     fn new_applying_is_bitwise_factor_then_apply() {
-        for (m, n) in [(7, 3), (40, 20)] {
+        for (m, n) in [(7, 3), (40, 20), (70, 40)] {
             let a = wide_sample(m, n);
             let b1 = Matrix::from_fn(m, 4, |i, j| (i * 5 + j) as f64 * 0.25);
             let b2 = Matrix::from_fn(m, 1, |i, _| (i as f64).sqrt());
@@ -1536,38 +1063,7 @@ mod tests {
             assert!(qr_fused.r().approx_eq(&qr_ref.r(), 0.0), "{m}x{n} R");
             assert!(d1.approx_eq(&c1, 0.0), "{m}x{n} companion 1");
             assert!(d2.approx_eq(&c2, 0.0), "{m}x{n} companion 2");
-
-            // Same contract in the compact-WY regime (forced directly).
-            let wy_ref = QrFactor::new_blocked(a.clone(), &mut []);
-            let mut e1 = b1.clone();
-            let mut e2 = b2.clone();
-            wy_ref.apply_qt(&mut e1);
-            wy_ref.apply_qt(&mut e2);
-            let mut f1 = b1.clone();
-            let mut f2 = b2.clone();
-            let wy_fused = QrFactor::new_blocked(a.clone(), &mut [&mut f1, &mut f2]);
-            assert!(wy_fused.r().approx_eq(&wy_ref.r(), 0.0), "{m}x{n} WY R");
-            assert!(f1.approx_eq(&e1, 0.0), "{m}x{n} WY companion 1");
-            assert!(f2.approx_eq(&e2, 0.0), "{m}x{n} WY companion 2");
         }
-    }
-
-    #[test]
-    fn blocked_handles_rank_deficient_columns() {
-        // Columns 3..6 duplicate 0..3: tau hits 0 inside a panel.
-        let base = wide_sample(40, 8);
-        let mut a = Matrix::zeros(40, 16);
-        for j in 0..8 {
-            a.set_block(0, j, &base.sub_matrix(0, j, 40, 1));
-            a.set_block(0, 8 + j, &base.sub_matrix(0, j, 40, 1));
-        }
-        let qr = QrFactor::new_blocked(a.clone(), &mut []);
-        let q = qr.q_thin();
-        assert!(matmul(&q, &qr.r()).approx_eq(&a, 1e-10 * (1.0 + a.max_abs())));
-        let reference = QrFactor::new_unblocked(a.clone());
-        assert!(qr
-            .r()
-            .approx_eq(&reference.r(), 1e-10 * (1.0 + reference.r().max_abs())));
     }
 
     #[test]
@@ -1811,14 +1307,5 @@ mod tests {
                 "trapstack comp m={m} l={l} n={n}"
             );
         }
-    }
-
-    #[test]
-    fn qr_stacked_equals_qr_of_vstack() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
-        let qr1 = qr_stacked(&[&a, &b]);
-        let qr2 = QrFactor::new(Matrix::vstack(&[&a, &b]));
-        assert!(qr1.r().approx_eq(&qr2.r(), 0.0));
     }
 }

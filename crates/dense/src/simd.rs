@@ -535,163 +535,6 @@ pub fn reflector_one(v: &[f64], tau: f64, w: &mut f64, col: &mut [f64]) {
 }
 
 // ---------------------------------------------------------------------------
-// Kernels: shared-vector quad dot / quad axpy (compact-WY panel phases)
-// ---------------------------------------------------------------------------
-
-/// # Safety
-///
-/// Caller must ensure AVX2 and FMA are available on the executing CPU, and
-/// that each column slice is at least `v.len()` long.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn dot_quad_avx2(v: &[f64], cols: [&[f64]; 4], acc: &mut [f64; 4]) {
-    use core::arch::x86_64::*;
-    let len = v.len();
-    let pv = v.as_ptr();
-    let [c0, c1, c2, c3] = cols;
-    let (p0, p1, p2, p3) = (c0.as_ptr(), c1.as_ptr(), c2.as_ptr(), c3.as_ptr());
-    let mut s0 = _mm256_setzero_pd();
-    let mut s1 = _mm256_setzero_pd();
-    let mut s2 = _mm256_setzero_pd();
-    let mut s3 = _mm256_setzero_pd();
-    let mut i = 0;
-    while i + 4 <= len {
-        let vv = _mm256_loadu_pd(pv.add(i));
-        s0 = _mm256_fmadd_pd(vv, _mm256_loadu_pd(p0.add(i)), s0);
-        s1 = _mm256_fmadd_pd(vv, _mm256_loadu_pd(p1.add(i)), s1);
-        s2 = _mm256_fmadd_pd(vv, _mm256_loadu_pd(p2.add(i)), s2);
-        s3 = _mm256_fmadd_pd(vv, _mm256_loadu_pd(p3.add(i)), s3);
-        i += 4;
-    }
-    let (mut a0, mut a1, mut a2, mut a3) = (hsum4(s0), hsum4(s1), hsum4(s2), hsum4(s3));
-    while i < len {
-        let vi = v[i];
-        a0 += vi * *p0.add(i);
-        a1 += vi * *p1.add(i);
-        a2 += vi * *p2.add(i);
-        a3 += vi * *p3.add(i);
-        i += 1;
-    }
-    acc[0] += a0;
-    acc[1] += a1;
-    acc[2] += a2;
-    acc[3] += a3;
-}
-
-fn dot_quad_portable(v: &[f64], cols: [&[f64]; 4], acc: &mut [f64; 4]) {
-    let [c0, c1, c2, c3] = cols;
-    let (mut a0, mut a1, mut a2, mut a3) = (0.0, 0.0, 0.0, 0.0);
-    for (i, &vi) in v.iter().enumerate() {
-        a0 += vi * c0[i];
-        a1 += vi * c1[i];
-        a2 += vi * c2[i];
-        a3 += vi * c3[i];
-    }
-    acc[0] += a0;
-    acc[1] += a1;
-    acc[2] += a2;
-    acc[3] += a3;
-}
-
-/// Four dot products against one shared vector: `acc[q] += v · cols[q]`,
-/// loading `v` once per lane-quad for all four columns.  The compact-WY
-/// panel's `W = V̂ᵀ B̂` phase is this shape.  Each `cols[q]` must be at least
-/// `v.len()` long; only the first `v.len()` entries are read.
-pub fn dot_quad(v: &[f64], cols: [&[f64]; 4], acc: &mut [f64; 4]) {
-    debug_assert!(cols.iter().all(|c| c.len() >= v.len()));
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2() {
-        // SAFETY: `use_avx2()` is true only after `is_x86_feature_detected!`
-        // confirmed AVX2+FMA on this CPU; the debug assertion above (and the
-        // callers' slice constructions) guarantee each column holds at least
-        // `v.len()` elements.
-        return unsafe { dot_quad_avx2(v, cols, acc) };
-    }
-    dot_quad_portable(v, cols, acc)
-}
-
-/// # Safety
-///
-/// Caller must ensure AVX2 and FMA are available on the executing CPU, and
-/// that each column slice is at least `v.len()` long.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn axpy_quad_avx2(w: [f64; 4], v: &[f64], cols: [&mut [f64]; 4]) {
-    use core::arch::x86_64::*;
-    let len = v.len();
-    let pv = v.as_ptr();
-    let [c0, c1, c2, c3] = cols;
-    let (p0, p1, p2, p3) = (
-        c0.as_mut_ptr(),
-        c1.as_mut_ptr(),
-        c2.as_mut_ptr(),
-        c3.as_mut_ptr(),
-    );
-    let (wv0, wv1, wv2, wv3) = (
-        _mm256_set1_pd(w[0]),
-        _mm256_set1_pd(w[1]),
-        _mm256_set1_pd(w[2]),
-        _mm256_set1_pd(w[3]),
-    );
-    let mut i = 0;
-    while i + 4 <= len {
-        let vv = _mm256_loadu_pd(pv.add(i));
-        _mm256_storeu_pd(
-            p0.add(i),
-            _mm256_fnmadd_pd(wv0, vv, _mm256_loadu_pd(p0.add(i))),
-        );
-        _mm256_storeu_pd(
-            p1.add(i),
-            _mm256_fnmadd_pd(wv1, vv, _mm256_loadu_pd(p1.add(i))),
-        );
-        _mm256_storeu_pd(
-            p2.add(i),
-            _mm256_fnmadd_pd(wv2, vv, _mm256_loadu_pd(p2.add(i))),
-        );
-        _mm256_storeu_pd(
-            p3.add(i),
-            _mm256_fnmadd_pd(wv3, vv, _mm256_loadu_pd(p3.add(i))),
-        );
-        i += 4;
-    }
-    while i < len {
-        let vi = v[i];
-        *p0.add(i) -= w[0] * vi;
-        *p1.add(i) -= w[1] * vi;
-        *p2.add(i) -= w[2] * vi;
-        *p3.add(i) -= w[3] * vi;
-        i += 1;
-    }
-}
-
-fn axpy_quad_portable(w: [f64; 4], v: &[f64], cols: [&mut [f64]; 4]) {
-    let [c0, c1, c2, c3] = cols;
-    for (i, &vi) in v.iter().enumerate() {
-        c0[i] -= w[0] * vi;
-        c1[i] -= w[1] * vi;
-        c2[i] -= w[2] * vi;
-        c3[i] -= w[3] * vi;
-    }
-}
-
-/// Four rank-1 updates against one shared vector: `cols[q] ← cols[q] −
-/// w[q]·v`, loading `v` once per lane-quad for all four columns.  The
-/// compact-WY panel's `B̂ −= V̂ W` phase is this shape.  Each `cols[q]` must
-/// be at least `v.len()` long; only the first `v.len()` entries are touched.
-pub fn axpy_quad(w: [f64; 4], v: &[f64], cols: [&mut [f64]; 4]) {
-    debug_assert!(cols.iter().all(|c| c.len() >= v.len()));
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2() {
-        // SAFETY: `use_avx2()` is true only after `is_x86_feature_detected!`
-        // confirmed AVX2+FMA on this CPU; the debug assertion above (and the
-        // callers' slice constructions) guarantee each column holds at least
-        // `v.len()` elements.
-        return unsafe { axpy_quad_avx2(w, v, cols) };
-    }
-    axpy_quad_portable(w, v, cols)
-}
-
-// ---------------------------------------------------------------------------
 // Kernel: const-generic monomorphized GEMM (n ∈ {4, 8, 16})
 // ---------------------------------------------------------------------------
 
@@ -903,25 +746,6 @@ mod tests {
             // Columns longer than `v`: only the first `len` entries count.
             let cols: Vec<Vec<f64>> = (0..4).map(|q| wave(len + 2, 0.2 + q as f64)).collect();
             let (tau, pivots) = (1.3, [0.4, -0.7, 1.1, 0.0]);
-
-            let mut acc = [1.0, 2.0, 3.0, 4.0];
-            dot_quad_portable(&v, [&cols[0], &cols[1], &cols[2], &cols[3]], &mut acc);
-            for q in 0..4 {
-                let want = (q + 1) as f64 + dot_ref(&v, &cols[q][..len]);
-                assert!(close(acc[q], want), "dot_quad len={len} q={q}");
-            }
-
-            let mut got = cols.clone();
-            let [g0, g1, g2, g3] = &mut got[..] else {
-                unreachable!()
-            };
-            axpy_quad_portable(pivots, &v, [g0, g1, g2, g3]);
-            for q in 0..4 {
-                for i in 0..len + 2 {
-                    let want = cols[q][i] - if i < len { pivots[q] * v[i] } else { 0.0 };
-                    assert!(close(got[q][i], want), "axpy_quad len={len} q={q} i={i}");
-                }
-            }
 
             let mut got = cols.clone();
             let mut w = pivots;

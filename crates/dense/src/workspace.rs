@@ -66,8 +66,8 @@ thread_local! {
     /// without bound.
     static ARENA_SCOPES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
-/// Global switch for the blocked kernels (GEMM microkernel, compact-WY QR).
-/// `true` forces the unblocked/naive reference paths everywhere.
+/// Global switch for the tuned kernels (blocked GEMM, SIMD tiles, mono
+/// rungs).  `true` forces the naive scalar reference paths everywhere.
 static REFERENCE_KERNELS: AtomicBool = AtomicBool::new(false);
 static REFERENCE_KERNELS_INIT: AtomicBool = AtomicBool::new(false);
 
@@ -137,11 +137,12 @@ pub fn budget_for_len(len: usize) -> usize {
     class_of(len).map(class_capacity).unwrap_or(0)
 }
 
-/// Forces the unblocked/naive reference kernels (`gemm_ref`, per-reflector
-/// Householder application) process-wide.  The default (`false`, unless the
+/// Forces the naive scalar reference kernels (`gemm_ref`, scalar Householder
+/// loops) process-wide.  The default (`false`, unless the
 /// `KALMAN_REF_KERNELS` environment variable is set to something other
-/// than `""`/`"0"`/`"off"`) uses the blocked kernels.  The benchmark harness flips this to measure the blocked
-/// kernels' speedup within one process.
+/// than `""`/`"0"`/`"off"`) uses the tuned kernels (blocked GEMM, SIMD
+/// tiles, mono rungs).  The benchmark harness flips this to measure the
+/// tuned kernels' speedup within one process.
 pub fn set_reference_kernels(on: bool) {
     // Relaxed on both: callers flip this during single-threaded setup (the
     // bench harness, or the lazy env-derived init below, which is
@@ -151,7 +152,7 @@ pub fn set_reference_kernels(on: bool) {
     REFERENCE_KERNELS_INIT.store(true, Ordering::Relaxed); // Relaxed: see the setup/happens-before argument above.
 }
 
-/// `true` when the reference (unblocked) kernels are forced.
+/// `true` when the scalar reference kernels are forced.
 pub fn reference_kernels() -> bool {
     // Relaxed: the lazy init is idempotent (every racer derives the same
     // value from the environment), so no ordering is needed.
@@ -234,7 +235,7 @@ pub struct WorkspaceMark {
 ///
 /// Most code never touches this type directly — `Matrix` construction and
 /// `Drop` go through it automatically — but hot loops that need raw scratch
-/// (the blocked GEMM's packing panels, the WY `apply` kernels) check
+/// (the blocked GEMM's packing panels, the QR factors' `tau` vectors) check
 /// buffers out and back in explicitly via [`Workspace::with`].
 #[derive(Debug, Default)]
 pub struct Workspace {

@@ -396,8 +396,8 @@ impl StreamingSmoother {
     /// # Errors
     ///
     /// [`KalmanError::InvalidModel`] on dimension mismatches against the
-    /// newest state, plus any flush error (see
-    /// [`StreamingSmoother::flush`]).
+    /// newest state or a NaN/∞ entry in `F`, `H` or `c` (the stream is left
+    /// unchanged), plus any flush error (see [`StreamingSmoother::flush`]).
     pub fn evolve(&mut self, evolution: Evolution) -> Result<Vec<FinalizedStep>> {
         let prev_dim = self.state_dim();
         let index = self.next_index();
@@ -416,7 +416,8 @@ impl StreamingSmoother {
     ///
     /// # Errors
     ///
-    /// [`KalmanError::InvalidModel`] on dimension mismatches.
+    /// [`KalmanError::InvalidModel`] on dimension mismatches or a NaN/∞
+    /// entry in `G` or `o`; the stream is left unchanged.
     pub fn observe(&mut self, observation: Observation) -> Result<()> {
         let index = self.base_index + (self.buffer.len() - 1) as u64;
         // lint: allow(panic, "infallible: the constructor seeds one step and flush never drains below one")
@@ -443,6 +444,8 @@ impl StreamingSmoother {
             )));
         }
         observation.noise.validate(index as usize)?;
+        check_finite("G", observation.g.as_slice(), index)?;
+        check_finite("o", &observation.o, index)?;
         step.observation = Some(match step.observation.take() {
             None => observation,
             Some(existing) => Observation::stacked(&existing, &observation),
@@ -637,7 +640,7 @@ impl StreamingSmoother {
     /// `smooth_window_scratch` instead.
     fn smooth_window(&self) -> Result<Smoothed> {
         let steps = whiten_window(&self.head, &self.buffer)?;
-        let r = factor_odd_even_owned(steps, self.opts.policy, true)?;
+        let r = factor_odd_even_owned(steps, self.opts.policy)?;
         let means = r.solve(self.opts.policy)?;
         let covariances = if self.opts.covariances {
             Some(selinv_diag(&r, self.opts.policy)?)
@@ -802,7 +805,20 @@ fn whiten_evolution(step: &LinearStep, index: usize) -> Result<WhitenedEvo> {
     })
 }
 
-/// Structural validation of an incoming evolution against the newest state.
+/// Rejects NaN/±∞ in an incoming block before it reaches the window: one
+/// such entry would make the next flush emit NaN means and — because
+/// forgetting is exact — stay in the stream's head forever.
+fn check_finite(what: &str, values: &[f64], index: u64) -> Result<()> {
+    if values.iter().all(|v| v.is_finite()) {
+        return Ok(());
+    }
+    Err(KalmanError::InvalidModel(format!(
+        "step {index}: {what} has a non-finite entry"
+    )))
+}
+
+/// Validation of an incoming evolution against the newest state: shapes,
+/// noise, finite entries.
 fn check_evolution(evo: &Evolution, prev_dim: usize, index: u64) -> Result<()> {
     if evo.f.cols() != prev_dim {
         return Err(KalmanError::InvalidModel(format!(
@@ -836,7 +852,12 @@ fn check_evolution(evo: &Evolution, prev_dim: usize, index: u64) -> Result<()> {
             evo.noise.dim()
         )));
     }
-    evo.noise.validate(index as usize)
+    evo.noise.validate(index as usize)?;
+    check_finite("F", evo.f.as_slice(), index)?;
+    if let Some(h) = &evo.h {
+        check_finite("H", h.as_slice(), index)?;
+    }
+    check_finite("c", &evo.c, index)
 }
 
 #[cfg(test)]

@@ -285,6 +285,59 @@ fn streaming_rank_deficiency_is_detected_and_recoverable() {
     assert!(!finalized.is_empty());
 }
 
+/// Non-finite input is refused at ingest, before the window is touched: a
+/// NaN observation and an ∞ in `F` each return `InvalidModel`, and every
+/// step the stream finalizes afterwards is bitwise equal to a twin that
+/// never saw them (one NaN in the window would otherwise be folded into
+/// the forgotten head and poison the stream for good).
+#[test]
+fn streaming_refuses_non_finite_input_and_stays_exact() {
+    let model = generators::paper_benchmark(&mut rng(601), 2, 30, true);
+    let prior = model.prior.as_ref().unwrap();
+    let opts = StreamOptions {
+        lag: 3,
+        flush_every: 2,
+        covariances: true,
+        ..StreamOptions::default()
+    };
+    let new_stream =
+        || StreamingSmoother::with_prior(prior.mean.clone(), prior.cov.clone(), opts).unwrap();
+    let (mut clean, mut hostile) = (new_stream(), new_stream());
+    let (mut want, mut got) = (Vec::new(), Vec::new());
+    for (j, event) in events_of(&model).into_iter().enumerate() {
+        if j == 9 {
+            let err = hostile
+                .observe(Observation {
+                    g: Matrix::identity(2),
+                    o: vec![f64::NAN, 0.0],
+                    noise: CovarianceSpec::Identity(2),
+                })
+                .unwrap_err();
+            assert!(matches!(err, KalmanError::InvalidModel(_)), "{err:?}");
+        }
+        if j == 20 {
+            let mut evo = Evolution::random_walk(2);
+            evo.f[(1, 0)] = f64::INFINITY;
+            let err = hostile.evolve(evo).unwrap_err();
+            assert!(matches!(err, KalmanError::InvalidModel(_)), "{err:?}");
+        }
+        want.extend(clean.ingest(event.clone()).unwrap());
+        got.extend(hostile.ingest(event).unwrap());
+    }
+    want.extend(clean.finish().unwrap().0);
+    got.extend(hostile.finish().unwrap().0);
+    assert_eq!(got.len(), 31);
+    for (a, b) in got.iter().zip(&want) {
+        assert_eq!(a.index, b.index);
+        assert_eq!(a.mean, b.mean, "step {}", a.index);
+        let (ca, cb) = (
+            a.covariance.as_ref().unwrap(),
+            b.covariance.as_ref().unwrap(),
+        );
+        assert_eq!(ca.max_abs_diff(cb), 0.0, "step {}", a.index);
+    }
+}
+
 #[test]
 fn diagonal_and_dense_covariances_mix() {
     let mut model = generators::paper_benchmark(&mut rng(502), 3, 12, true);
