@@ -29,13 +29,11 @@ use kalman_bench::sweep::{panel_model, run_sweep, Algorithm};
 use kalman_bench::{core_sweep, fmt_secs, median_time, print_row, Args, BenchEntry};
 use std::time::Instant;
 
-/// Plan-reuse amortization on the serving path: the latency of a stream's
-/// *first* flush (symbolic plan build + cold per-stream scratch) versus a
-/// steady-state flush re-executing the cached plan, on a fixed window
-/// shape (n = 4, lag = flush_every = 32).  Returns (median first flush,
-/// median steady flush); the first/steady ratio is the
-/// `speedup/plan_reuse` entry the CI gate watches.
-fn flush_amortization(reps: usize) -> (f64, f64) {
+/// Median steady-state flush of a stream on the serving path, on a fixed
+/// cadence (n = 4, lag = flush_every = 32): each flush eliminates the 32
+/// steps that arrived since the last one and back-substitutes through the
+/// 64-step window.  The subject of the `obs/*` instrumentation A/B.
+fn steady_flush(reps: usize) -> f64 {
     let n = 4usize;
     let opts = StreamOptions {
         lag: 32,
@@ -47,7 +45,6 @@ fn flush_amortization(reps: usize) -> (f64, f64) {
     };
     let model = panel_model(n, 1_000, 99);
     let prior = model.prior.as_ref().expect("panel models carry priors");
-    let mut firsts = Vec::new();
     let mut steadies = Vec::new();
     let mut out = Vec::new();
     for _ in 0..reps {
@@ -69,9 +66,7 @@ fn flush_amortization(reps: usize) -> (f64, f64) {
             }
         };
         feed(&mut stream, 64, &mut next); // fill to window capacity
-        let t = Instant::now();
         stream.flush_into(&mut out).expect("window solvable");
-        firsts.push(t.elapsed().as_secs_f64());
         for cycle in 0..8 {
             feed(&mut stream, 32, &mut next);
             let t = Instant::now();
@@ -82,15 +77,12 @@ fn flush_amortization(reps: usize) -> (f64, f64) {
         }
         assert!(
             stream.plan_builds() <= 1,
-            "steady cadence must reuse its plans ({} builds)",
+            "steady cadence must size its window storage once ({} times)",
             stream.plan_builds()
         );
     }
-    let median = |v: &mut Vec<f64>| {
-        v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        v[v.len() / 2]
-    };
-    (median(&mut firsts), median(&mut steadies))
+    steadies.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    steadies[steadies.len() / 2]
 }
 
 fn smoke(args: &mut Args) {
@@ -149,17 +141,9 @@ fn smoke(args: &mut Args) {
         entries.push(BenchEntry::new(format!("speedup/n{n}"), speedup));
     }
 
-    // Plan-reuse amortization: first (planning) flush vs steady-state
-    // (cached-plan) flush on the streaming serving path.
-    let (first, steady) = flush_amortization(9);
-    let amortization = first / steady;
-    println!(
-        "plan reuse (stream n=4, window 64): first flush {first:.2e} s, steady flush \
-         {steady:.2e} s, amortization {amortization:.2}x"
-    );
-    entries.push(BenchEntry::new("stream/first_flush", first));
+    let steady = steady_flush(9);
+    println!("stream n=4, window 64: steady flush {steady:.2e} s");
     entries.push(BenchEntry::new("stream/steady_flush", steady));
-    entries.push(BenchEntry::new("speedup/plan_reuse", amortization));
 
     // Instrumentation overhead: the same steady-state flush measured with
     // the obs runtime switch off vs on, in interleaved rounds with
@@ -172,9 +156,9 @@ fn smoke(args: &mut Args) {
     let mut min_off = f64::INFINITY;
     for _ in 0..obs_rounds {
         kalman::obs::set_enabled(false);
-        min_off = min_off.min(flush_amortization(3).1);
+        min_off = min_off.min(steady_flush(3));
         kalman::obs::set_enabled(true);
-        min_on = min_on.min(flush_amortization(3).1);
+        min_on = min_on.min(steady_flush(3));
     }
     let obs_speedup = min_off / min_on;
     println!(
@@ -190,10 +174,10 @@ fn smoke(args: &mut Args) {
             "fig2 --smoke: odd-even, 1 thread, k={k}, n in [4,8,16], interleaved \
              A/B mins of {rounds} rounds per pair (reference = unblocked kernels + \
              pooling off, blocked = default dispatch incl. SIMD/mono kernels); \
-             stream/* + speedup/plan_reuse: first vs steady-state flush of a n=4 \
-             lag=32 stream; obs/* + \
-             speedup/obs_on: steady flush with instrumentation off vs on, \
-             interleaved mins of {obs_rounds} rounds; main-baseline/* and \
+             stream/steady_flush: steady-state flush of a n=4 lag=32 \
+             flush_every=32 stream (32 eliminations + a 64-step back \
+             substitution); obs/* + speedup/obs_on: that flush with \
+             instrumentation off vs on, interleaved mins of {obs_rounds} rounds; main-baseline/* and \
              vs-main/* rows (when present) are historical A/B measurements vs \
              pre-optimization main, carried in the baseline"
         );

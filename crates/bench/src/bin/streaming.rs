@@ -152,24 +152,6 @@ fn main() {
         ]);
     }
 
-    // Plan-reuse amortization: a stream's very first flush builds its
-    // window plan (symbolic schedule + cold scratch); every later flush at
-    // the same cadence re-executes the cached plan.  The first recorded
-    // latency vs the steady median is the serving benefit of the
-    // plan/execute split.
-    {
-        let (_, lats) = run_stream(&models[0], stream_opts(32, flush));
-        let first = lats.first().copied().unwrap_or(0.0);
-        let mut sorted = lats.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let steady = sorted.get(sorted.len() / 2).copied().unwrap_or(first);
-        println!(
-            "\nplan reuse (lag 32): first flush {first:.2e} s (plans the window), \
-             steady median {steady:.2e} s (cached plan), amortization {:.2}x",
-            first / steady.max(1e-12)
-        );
-    }
-
     // ---- serving pool vs naive per-stream re-smoothing ------------------
     let opts = stream_opts(32, flush);
     println!(

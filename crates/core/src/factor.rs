@@ -20,9 +20,9 @@
 //! The QRs fuse factorization with the companion transforms
 //! (`QrFactor::new_applying`), and every container the elimination needs
 //! lives in a reusable [`FactorScratch`]; together with the workspace-pooled
-//! matrices of `kalman-dense` this makes a steady-state caller (the
-//! streaming smoother re-factoring a fixed-size window per flush) perform
-//! zero heap allocations after warmup.
+//! matrices of `kalman-dense` this makes a steady-state caller (a
+//! `SmoothPlan` re-executed on same-shaped problems) perform zero heap
+//! allocations after warmup.
 
 use crate::plan::{PlanLevel, PlanSchedule};
 use crate::rfactor::{OddEvenR, RRow};
@@ -783,7 +783,7 @@ mod tests {
     }
 
     /// Re-running the factorization through the same scratch and output
-    /// (the streaming pattern) must give results identical to a fresh run,
+    /// (the plan-reuse pattern) must give results identical to a fresh run,
     /// including when the problem shrinks between calls.
     #[test]
     fn scratch_reuse_is_equivalent_to_fresh_state() {

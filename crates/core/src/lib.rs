@@ -55,7 +55,7 @@ mod smoother;
 
 pub use backend::BackendPolicy;
 pub use factor::{factor_odd_even, factor_odd_even_owned};
-pub use plan::{signature_of_dims, PlanCache, PlanSchedule, SmoothPlan};
+pub use plan::{signature_of_dims, PlanSchedule, SmoothPlan};
 pub use rfactor::{OddEvenR, RRow, SolveScratch};
 pub use selinv::{selinv_diag, selinv_diag_into_with, SelinvScratch};
 pub use smoother::{odd_even_smooth, OddEvenOptions};

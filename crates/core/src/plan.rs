@@ -4,17 +4,16 @@
 //! which level, against which chain neighbours, with which block dimensions
 //! — is determined entirely by the problem shape (step count and per-step
 //! state dimensions), not by the numeric data.  Classic sparse direct
-//! solvers exploit exactly this with a symbolic/numeric split, and the
-//! serving workload here (a streaming smoother re-factoring a same-shaped
-//! window every flush, a pool doing so for thousands of streams) repeats
-//! one shape indefinitely.  This module separates the two phases:
+//! solvers exploit exactly this with a symbolic/numeric split, and a
+//! caller smoothing same-shaped problems again and again (a nonlinear
+//! solver's inner iterations, a benchmark loop) repeats one shape
+//! indefinitely.  This module separates the two phases:
 //!
 //! * [`PlanSchedule`] — the immutable symbolic plan: the odd-even level
 //!   schedule (per level: even columns with their dimensions and chain
 //!   neighbours, surviving odd columns), the elimination-order level lists,
-//!   and a shape signature.  Build once per shape; share freely behind an
-//!   `Arc` (a [`PlanCache`] does this for a pool of streams).
-//! * [`SmoothPlan`] — one consumer's executable plan: a shared schedule
+//!   and a shape signature.  Build once per shape.
+//! * [`SmoothPlan`] — one consumer's executable plan: its schedule
 //!   plus the plan-owned numeric state (factor/solve/SelInv scratch, the
 //!   reusable `R` factor, whitening buffers) and the execution-policy
 //!   decisions.  `execute`/`solve_into`/`selinv_into` run the numeric
@@ -38,7 +37,6 @@ use crate::SelinvScratch;
 use kalman_dense::{KernelKind, Matrix};
 use kalman_model::{KalmanError, LinearModel, Result, Smoothed, WhitenedStep};
 use kalman_par::map_collect_into;
-use std::sync::Arc;
 
 /// One even column scheduled for elimination: its original state index,
 /// dimension, and the chain neighbours it couples to at this level.
@@ -69,8 +67,8 @@ pub(crate) struct PlanLevel {
 }
 
 /// A shape signature: an FNV-1a hash of the per-step state dimensions.
-/// Equal shapes hash equal; a [`PlanCache`] uses it as the lookup key
-/// (always confirming with a full dimension comparison).
+/// Equal shapes hash equal (unequal ones almost always differ; confirm
+/// with a full dimension comparison where it matters).
 pub fn signature_of_dims<I: IntoIterator<Item = usize>>(dims: I) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut len: u64 = 0;
@@ -90,9 +88,8 @@ pub fn signature_of_dims<I: IntoIterator<Item = usize>>(dims: I) -> u64 {
 /// The symbolic phase of the odd-even factorization: everything about the
 /// elimination that depends only on the problem *shape*.
 ///
-/// A schedule is immutable once built and carries no numeric state, so one
-/// schedule can back any number of concurrently executing [`SmoothPlan`]s
-/// (`Arc`-shared across a `SmootherPool`'s streams).
+/// A schedule carries no numeric state; its one holder is the
+/// [`SmoothPlan`] executing it.
 #[derive(Debug, Clone, Default)]
 pub struct PlanSchedule {
     dims: Vec<usize>,
@@ -127,8 +124,8 @@ impl PlanSchedule {
     }
 
     /// Re-derives the schedule for a new shape in place, reusing every
-    /// container's capacity (how a streaming smoother's plan follows a
-    /// window whose shape changes between flushes without churn).
+    /// container's capacity (how a reused plan follows a problem whose
+    /// shape changes between solves without churn).
     ///
     /// # Panics
     ///
@@ -243,7 +240,7 @@ impl PlanSchedule {
     }
 }
 
-/// An executable smoothing plan: a shared [`PlanSchedule`] plus this
+/// An executable smoothing plan: a [`PlanSchedule`] plus this
 /// consumer's numeric state (scratch arenas, the reusable `R` factor,
 /// whitening buffers) and execution-policy decisions.
 ///
@@ -268,7 +265,7 @@ impl PlanSchedule {
 /// use.
 #[derive(Debug)]
 pub struct SmoothPlan {
-    schedule: Arc<PlanSchedule>,
+    schedule: PlanSchedule,
     options: OddEvenOptions,
     factor: FactorScratch,
     r: OddEvenR,
@@ -299,7 +296,7 @@ fn arena_pays_off(schedule: &PlanSchedule) -> bool {
 
 impl SmoothPlan {
     /// A plan executing `schedule` under `options`.
-    pub fn new(schedule: Arc<PlanSchedule>, options: OddEvenOptions) -> SmoothPlan {
+    pub fn new(schedule: PlanSchedule, options: OddEvenOptions) -> SmoothPlan {
         let arena = arena_pays_off(&schedule);
         SmoothPlan {
             schedule,
@@ -315,9 +312,9 @@ impl SmoothPlan {
         }
     }
 
-    /// Builds a fresh (unshared) schedule for `dims` and wraps it in a plan.
+    /// Builds the schedule for `dims` and wraps it in a plan.
     pub fn for_dims(dims: &[usize], options: OddEvenOptions) -> SmoothPlan {
-        SmoothPlan::new(Arc::new(PlanSchedule::build(dims)), options)
+        SmoothPlan::new(PlanSchedule::build(dims), options)
     }
 
     /// A plan for a model's shape (validates the model first).
@@ -331,8 +328,8 @@ impl SmoothPlan {
         Ok(SmoothPlan::for_dims(&dims, options))
     }
 
-    /// The shared schedule backing this plan.
-    pub fn schedule(&self) -> &Arc<PlanSchedule> {
+    /// The schedule backing this plan.
+    pub fn schedule(&self) -> &PlanSchedule {
         &self.schedule
     }
 
@@ -351,26 +348,14 @@ impl SmoothPlan {
         &self.options
     }
 
-    /// Swaps in an externally shared schedule (a [`PlanCache`] hit) and
-    /// invalidates any held factorization.
-    pub fn set_schedule(&mut self, schedule: Arc<PlanSchedule>) {
-        self.schedule = schedule;
-        self.factored = false;
-        self.arena = arena_pays_off(&self.schedule);
-    }
-
     /// Re-plans for `dims` if the shape changed; returns `true` when a
-    /// rebuild happened.  An unshared schedule is rebuilt in place (no
-    /// allocation churn); a shared one is replaced by a fresh `Arc` so
-    /// sibling plans keep theirs.
+    /// rebuild happened.  The schedule is rebuilt in place (no allocation
+    /// churn).
     pub fn ensure_shape(&mut self, dims: &[usize]) -> bool {
         if self.schedule.dims() == dims {
             return false;
         }
-        match Arc::get_mut(&mut self.schedule) {
-            Some(s) => s.rebuild(dims),
-            None => self.schedule = Arc::new(PlanSchedule::build(dims)),
-        }
+        self.schedule.rebuild(dims);
         kalman_obs::event(
             "oe.plan_rebuild",
             signature_of_dims(dims.iter().copied()),
@@ -556,60 +541,6 @@ impl SmoothPlan {
     }
 }
 
-/// A small cache of [`PlanSchedule`]s keyed on the shape signature — how a
-/// `SmootherPool` shares one symbolic plan across every stream with the
-/// same window shape.  Lookup is a linear scan (serving pools see a handful
-/// of distinct shapes); hits clone an `Arc` and allocate nothing.
-#[derive(Debug, Default)]
-pub struct PlanCache {
-    entries: Vec<(u64, Arc<PlanSchedule>)>,
-    hits: u64,
-    misses: u64,
-}
-
-impl PlanCache {
-    /// An empty cache.
-    pub fn new() -> PlanCache {
-        PlanCache::default()
-    }
-
-    /// The schedule for `dims`, building and caching it on first sight.
-    pub fn get_or_build(&mut self, dims: &[usize]) -> Arc<PlanSchedule> {
-        let sig = signature_of_dims(dims.iter().copied());
-        for (s, sched) in &self.entries {
-            if *s == sig && sched.dims() == dims {
-                self.hits += 1;
-                return Arc::clone(sched);
-            }
-        }
-        self.misses += 1;
-        let sched = Arc::new(PlanSchedule::build(dims));
-        kalman_obs::event("oe.plan_build", sig, dims.len() as u64);
-        self.entries.push((sig, Arc::clone(&sched))); // lint: allow(alloc, "cache-miss path: one entry per distinct window shape, never in steady state")
-        sched
-    }
-
-    /// Number of distinct shapes cached.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when no shape has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// `(hits, misses)` of [`PlanCache::get_or_build`] lookups.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Drops every cached schedule (in-flight `Arc`s stay valid).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -726,22 +657,6 @@ mod tests {
         plan.ensure_shape(&[2; 9]);
         plan.execute(&mut steps).unwrap();
         assert!(plan.factor().is_some());
-    }
-
-    #[test]
-    fn plan_cache_shares_and_counts() {
-        let mut cache = PlanCache::new();
-        assert!(cache.is_empty());
-        let a = cache.get_or_build(&[2, 2, 2]);
-        let b = cache.get_or_build(&[2, 2, 2]);
-        assert!(Arc::ptr_eq(&a, &b));
-        let c = cache.get_or_build(&[2, 2]);
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.stats(), (1, 2));
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(a.dims(), &[2, 2, 2]); // in-flight Arcs stay valid
     }
 
     #[test]

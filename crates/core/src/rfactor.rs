@@ -27,8 +27,8 @@ pub struct RRow {
 ///
 /// An `OddEvenR` is reusable output storage: a [`crate::SmoothPlan`]
 /// overwrites the row slots and level lists of the one it holds in place,
-/// so a caller that factors same-shaped problems repeatedly (the streaming
-/// smoother) churns no containers.  `Default` is the empty factor to start
+/// so a caller that factors same-shaped problems repeatedly churns no
+/// containers.  `Default` is the empty factor to start
 /// from.
 #[derive(Debug, Clone, Default)]
 pub struct OddEvenR {

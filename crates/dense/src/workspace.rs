@@ -6,7 +6,7 @@
 //! power-of-two size-class free lists and returned when the matrix is
 //! dropped (see `Drop for Matrix`), so a loop that repeatedly builds and
 //! discards temporaries — the odd-even elimination tasks, SelInv rows,
-//! `InfoHead::advance`, a streaming smoother's per-flush pipeline — performs
+//! `InfoHead::eliminate`, a streaming smoother's per-flush sweep — performs
 //! **zero heap allocations per iteration once the pool has warmed up**.
 //! The same pool recycles the index/coefficient vectors of the QR
 //! factorizations (`tau`, column-pivot permutations).

@@ -64,6 +64,11 @@ impl CovarianceSpec {
                         "covariance at step {step} is not square"
                     )));
                 }
+                // `Cholesky::new` rejects pivots `<= 0.0`, which NaN and +∞
+                // are not.
+                if !m.as_slice().iter().all(|v| v.is_finite()) {
+                    return Err(KalmanError::NotPositiveDefinite { step });
+                }
                 Cholesky::new(m)
                     .map(|_| ())
                     .map_err(|_| KalmanError::NotPositiveDefinite { step })
@@ -85,7 +90,7 @@ impl CovarianceSpec {
     /// # Panics
     ///
     /// Panics if `a.rows() != self.dim()`.
-    // lint: allow(alloc, "by-value whitening API allocates its output by contract; the streaming path whitens each step once on ingest, then reuses the result")
+    // lint: allow(alloc, "by-value whitening API allocates its output by contract; the streaming path whitens each step once, when it is eliminated")
     pub fn whiten(&self, a: &Matrix, step: usize) -> Result<Matrix> {
         assert_eq!(a.rows(), self.dim(), "whiten dimension mismatch");
         match self {

@@ -6,20 +6,20 @@
 //! row `C u_b ≈ d` on the window's first state, obtained as the leading
 //! block of the `R` factor of the forgotten prefix.  This module provides:
 //!
-//! * [`InfoHead`]: the condensed prior and the two orthogonal-transformation
-//!   updates that maintain it ([`InfoHead::absorb`] for observation rows,
-//!   [`InfoHead::advance`] for marginalizing a state out through its
-//!   evolution — one step of a square-root information filter);
-//! * [`whiten_window`]: assembly of `head + buffered steps` into the
-//!   whitened block array the odd-even factorization consumes;
+//! * [`InfoHead`]: the condensed prior and the orthogonal-transformation
+//!   updates that maintain it — [`InfoHead::absorb`] for observation rows
+//!   and [`InfoHead::eliminate`], one forward step of the sequential
+//!   Paige–Saunders sweep (a square-root information filter step), which
+//!   marginalizes a state out through its evolution and hands back both the
+//!   head on the next state and the [`EliminatedRows`] the state leaves in
+//!   the block-bidiagonal `R` factor ([`InfoHead::advance`] is the same step
+//!   for callers that only want the head);
 //! * [`StreamEvent`] and [`events_of`]: a replayable event form of a model,
 //!   used to feed batch problems through streaming ingestion in tests and
 //!   benchmarks.
 
-use crate::{
-    KalmanError, LinearModel, Observation, Prior, Result, WhitenedEvo, WhitenedObs, WhitenedStep,
-};
-use kalman_dense::{compress_rows_owned, ColPivQr, Matrix};
+use crate::{LinearModel, Observation, Prior, Result, WhitenedEvo, WhitenedObs};
+use kalman_dense::{compress_rows_owned, ColPivQr, Matrix, QrFactor};
 
 /// A whitened information block row `C u ≈ d` (noise implicitly `I`) on a
 /// single state: the "R-factor head" summarizing everything a stream has
@@ -38,6 +38,20 @@ pub struct InfoHead {
     d: Matrix,
 }
 
+/// The block row a state leaves in the block-bidiagonal `R` factor when
+/// [`InfoHead::eliminate`] marginalizes it out:
+/// `R_jj u_j + R_{j,j+1} u_{j+1} = rhs_j` recovers `u_j` from its
+/// successor by back substitution.
+#[derive(Debug, Clone)]
+pub struct EliminatedRows {
+    /// `R_jj`: square upper triangular with no negligible diagonal entry.
+    pub diag: Matrix,
+    /// `R_{j,j+1}` (`n_j × n_{j+1}`).
+    pub off: Matrix,
+    /// The transformed right-hand-side segment (`n_j × 1`).
+    pub rhs: Matrix,
+}
+
 impl InfoHead {
     /// The empty head (no information) on a state of dimension `n`.
     pub fn empty(state_dim: usize) -> Self {
@@ -51,7 +65,7 @@ impl InfoHead {
     ///
     /// # Errors
     ///
-    /// [`KalmanError::NotPositiveDefinite`] if the prior covariance is not
+    /// [`crate::KalmanError::NotPositiveDefinite`] if the prior covariance is not
     /// SPD.
     pub fn from_prior(prior: &Prior) -> Result<Self> {
         let n = prior.mean.len();
@@ -112,15 +126,20 @@ impl InfoHead {
         if c.rows() == 0 {
             return;
         }
-        let stacked_c = Matrix::vstack(&[&self.c, c]);
-        let mut stacked_d = Matrix::vstack(&[&self.d, d]);
-        let n = self.state_dim();
-        if stacked_c.rows() > n {
-            self.c = compress_rows_owned(stacked_c, &mut stacked_d);
-            self.d = stacked_d.sub_matrix(0, 0, n, 1);
-        } else {
-            self.c = stacked_c;
-            self.d = stacked_d;
+        *self = InfoHead::condensed(Matrix::vstack(&[&self.c, c]), Matrix::vstack(&[&self.d, d]));
+    }
+
+    /// The head on rows `c·u ≈ d`, QR-compressed when there are more rows
+    /// than columns.
+    fn condensed(c: Matrix, mut d: Matrix) -> InfoHead {
+        let n = c.cols();
+        if c.rows() <= n {
+            return InfoHead { c, d };
+        }
+        let c = compress_rows_owned(c, &mut d);
+        InfoHead {
+            c,
+            d: d.sub_matrix(0, 0, n, 1),
         }
     }
 
@@ -128,134 +147,108 @@ impl InfoHead {
     ///
     /// # Errors
     ///
-    /// [`KalmanError::NotPositiveDefinite`] if the observation noise is not
+    /// [`crate::KalmanError::NotPositiveDefinite`] if the observation noise is not
     /// SPD (`step` names the step for the error message).
     pub fn absorb_observation(&mut self, obs: &Observation, step: usize) -> Result<()> {
-        let wg = obs.noise.whiten(&obs.g, step)?;
-        let wo = obs.noise.whiten_col(&obs.o, step)?;
-        self.absorb(&wg, &wo);
+        let whitened = WhitenedObs::from_observation(obs, step)?;
+        self.absorb(&whitened.c, &whitened.rhs);
         Ok(())
     }
 
     /// Marginalizes the head's state out through the whitened evolution
-    /// connecting it to the next state, returning the head on the next
-    /// state.  One step of a square-root information filter: QR-eliminate
-    /// the current state's columns from
+    /// connecting it to the next state: one forward step of the sequential
+    /// Paige–Saunders sweep (a square-root information filter step).
+    /// QR-eliminates the current state's columns from
     ///
     /// ```text
     /// [ C   0 | d ]      (the head)
     /// [-B   D | r ]      (whitened evolution rows, as in §3 of the paper)
     /// ```
     ///
-    /// and keep the rows below the eliminated block.  The elimination uses
-    /// a *rank-revealing* (column-pivoted) QR: only the top `rank([C; -B])`
-    /// rows of the transformed system are exactly satisfiable by the
-    /// marginalized state (they are used only to *recover* it, which the
-    /// window smoother has already done), so exactly those are dropped and
-    /// everything below survives as the marginal on the next state.
+    /// and returns the top `n_cur` transformed rows — the state's permanent
+    /// block row of `R`, from which back substitution recovers it — together
+    /// with the head on the next state, condensed from the rows below.
     ///
-    /// Dropping a fixed `n_cur` rows instead would be wrong whenever
-    /// `[C; -B]` is rank-deficient — an underdetermined head advanced
+    /// The rows are `None` when `[C; -B]` does not determine the current
+    /// state (fewer rows than columns, or a negligible diagonal entry of
+    /// its triangular factor): no later data can change that, so a solve
+    /// reaching this state reports it as rank deficient.  The head is then
+    /// condensed by a *rank-revealing* (column-pivoted) QR instead: only
+    /// the top `rank([C; -B])` rows of the transformed system involve the
+    /// marginalized state, so exactly those are dropped and everything
+    /// below survives as the marginal on the next state.  Dropping a fixed
+    /// `n_cur` rows would be wrong there — an underdetermined head advanced
     /// through a singular evolution (`F` with a zero row, a stream with no
     /// prior): the evolution rows acting on `ker F` carry information about
     /// the *next* state only, and sit below the eliminated block's rank.
-    pub fn advance(&self, evo: &WhitenedEvo) -> InfoHead {
+    pub fn eliminate(&self, evo: &WhitenedEvo) -> (Option<EliminatedRows>, InfoHead) {
         let n_cur = self.state_dim();
         let n_next = evo.d.cols();
-        debug_assert_eq!(evo.b.cols(), n_cur, "advance dimension mismatch");
-        let a = Matrix::vstack(&[&self.c, &evo.b.scaled(-1.0)]);
-        let rows = a.rows();
-        let qr = ColPivQr::new(a);
+        debug_assert_eq!(evo.b.cols(), n_cur, "eliminate dimension mismatch");
+        let (mut stack, mut companion) = self.stacked_with(evo);
+        let rows = stack.rows();
+        if rows >= n_cur {
+            let diag = QrFactor::new_applying(stack, &mut [&mut companion]).r();
+            if has_full_rank(&diag, rows) {
+                let kept = EliminatedRows {
+                    diag,
+                    off: companion.sub_matrix(0, 0, n_cur, n_next),
+                    rhs: companion.sub_matrix(0, n_next, n_cur, 1),
+                };
+                return (Some(kept), InfoHead::below(&companion, n_cur));
+            }
+            (stack, companion) = self.stacked_with(evo);
+        }
+        let qr = ColPivQr::new(stack);
         let rank = qr.rank();
         if rank >= rows {
             // The eliminated state absorbs every row: no information flows
-            // forward (e.g. a fresh no-prior stream advancing through a
-            // nonsingular evolution).
-            return InfoHead::empty(n_next);
+            // forward.
+            return (None, InfoHead::empty(n_next));
         }
-        let mut companion = Matrix::zeros(rows, n_next + 1);
-        companion.set_block(0, n_next, &self.d);
-        companion.set_block(self.c.rows(), 0, &evo.d);
-        companion.set_block(self.c.rows(), n_next, &evo.rhs);
         // The pivoting permutes only the eliminated state's columns, which
         // are discarded wholesale, so the companion needs no permutation.
         qr.apply_qt(&mut companion);
-        let kept = rows - rank;
-        let c_new = companion.sub_matrix(rank, 0, kept, n_next);
-        let d_new = companion.sub_matrix(rank, n_next, kept, 1);
-        let mut head = InfoHead::empty(n_next);
-        head.absorb(&c_new, &d_new);
-        head
+        (None, InfoHead::below(&companion, rank))
+    }
+
+    /// [`InfoHead::eliminate`] for callers that only carry the head forward.
+    pub fn advance(&self, evo: &WhitenedEvo) -> InfoHead {
+        self.eliminate(evo).1
+    }
+
+    /// The stacked block column `[C; -B]` of [`InfoHead::eliminate`] and
+    /// its companion `[0 d; D r]`.
+    fn stacked_with(&self, evo: &WhitenedEvo) -> (Matrix, Matrix) {
+        let n_next = evo.d.cols();
+        let stack = Matrix::vstack(&[&self.c, &evo.b.scaled(-1.0)]);
+        let mut companion = Matrix::zeros(stack.rows(), n_next + 1);
+        companion.set_block(0, n_next, &self.d);
+        companion.set_block(self.c.rows(), 0, &evo.d);
+        companion.set_block(self.c.rows(), n_next, &evo.rhs);
+        (stack, companion)
+    }
+
+    /// The head on the next state from rows `from..` of a transformed
+    /// companion `[C' | d']`.
+    fn below(companion: &Matrix, from: usize) -> InfoHead {
+        let n = companion.cols() - 1;
+        let kept = companion.rows() - from;
+        InfoHead::condensed(
+            companion.sub_matrix(from, 0, kept, n),
+            companion.sub_matrix(from, n, kept, 1),
+        )
     }
 }
 
-/// Whitens a window of buffered steps and stacks the head's rows onto the
-/// first step's observation block, producing the step array the odd-even
-/// factorization consumes.
-///
-/// `steps[0]` must carry no evolution (its evolution, if any, was absorbed
-/// into `head` when the preceding state was forgotten); later steps must
-/// each carry one, exactly like a standalone [`LinearModel`].
-///
-/// # Errors
-///
-/// [`KalmanError::InvalidModel`] on structural violations, and covariance
-/// whitening failures.
-pub fn whiten_window(head: &InfoHead, steps: &[crate::LinearStep]) -> Result<Vec<WhitenedStep>> {
-    let mut whitened = Vec::with_capacity(steps.len());
-    whiten_window_into(head, steps, &mut whitened)?;
-    Ok(whitened)
-}
-
-/// [`whiten_window`] into a reused vector: `out` is cleared and refilled,
-/// retaining its capacity, so a streaming smoother that re-whitens a
-/// same-sized window every flush allocates nothing here (the whitened
-/// matrices cycle through the `kalman-dense` workspace pool).
-///
-/// # Errors
-///
-/// As [`whiten_window`]; on error `out`'s contents are unspecified.
-pub fn whiten_window_into(
-    head: &InfoHead,
-    steps: &[crate::LinearStep],
-    out: &mut Vec<WhitenedStep>,
-) -> Result<()> {
-    if steps.is_empty() {
-        return Err(KalmanError::InvalidModel("empty window".into()));
-    }
-    if steps[0].evolution.is_some() {
-        return Err(KalmanError::InvalidModel(
-            "window step 0 must not have an evolution equation".into(),
-        ));
-    }
-    if steps[0].state_dim != head.state_dim() {
-        // lint: allow(alloc, "error path: allocates only on a malformed window")
-        return Err(KalmanError::InvalidModel(format!(
-            "window head has dimension {} but step 0 has dimension {}",
-            head.state_dim(),
-            steps[0].state_dim
-        )));
-    }
-    out.clear();
-    for (i, step) in steps.iter().enumerate() {
-        if i > 0 && step.evolution.is_none() {
-            // lint: allow(alloc, "error path: allocates only on a malformed window")
-            return Err(KalmanError::InvalidModel(format!(
-                "window step {i} is missing its evolution equation"
-            )));
-        }
-        out.push(WhitenedStep::from_step(step, i)?); // lint: allow(alloc, "push into cleared output that retains capacity across windows; amortized, steady-state alloc-free")
-    }
-    if !head.is_empty() {
-        let (hc, hd) = head.rows_ref();
-        let first = &mut out[0];
-        first.obs = Some(WhitenedObs::with_rows_above(
-            hc.clone(), // lint: allow(alloc, "one head-row copy per window, bounded by the head dimension")
-            hd.clone(), // lint: allow(alloc, "one head-row copy per window, bounded by the head dimension")
-            first.obs.take(),
-        ));
-    }
-    Ok(())
+/// `true` when no diagonal entry of the triangular factor `r` of an
+/// `rows`-row block is negligible — the effective-rank test of
+/// [`QrFactor::solve_r_in_place`] and [`ColPivQr::rank`].
+fn has_full_rank(r: &Matrix, rows: usize) -> bool {
+    let n = r.rows();
+    let max_diag = (0..n).fold(0.0_f64, |m, j| m.max(r[(j, j)].abs()));
+    let tol = max_diag * (rows.max(n) as f64) * f64::EPSILON;
+    (0..n).all(|j| r[(j, j)].abs() > tol)
 }
 
 /// One ingestion event of a streaming smoother.
@@ -289,7 +282,7 @@ pub fn events_of(model: &LinearModel) -> Vec<StreamEvent> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{assemble_dense, CovarianceSpec, Evolution, LinearStep};
+    use crate::{assemble_dense, CovarianceSpec};
     use kalman_dense::matmul_tn;
 
     fn head_with(c_rows: &[&[f64]], d: &[f64]) -> InfoHead {
@@ -440,75 +433,80 @@ mod tests {
         assert!(next.is_empty());
     }
 
+    /// Sweeping a whole model forward from its prior must leave an `R`
+    /// factor with the normal equations of the batch assembly: the kept
+    /// rows of every eliminated state plus the last head's rows.
     #[test]
-    fn whiten_window_stacks_head_rows_on_first_step() {
-        let head = head_with(&[&[1.0, 0.0], &[0.0, 1.0]], &[5.0, 6.0]);
-        let steps = vec![
-            LinearStep::initial(2).with_observation(Observation {
-                g: Matrix::identity(2),
-                o: vec![0.1, 0.2],
-                noise: CovarianceSpec::Identity(2),
-            }),
-            LinearStep::evolving(Evolution::random_walk(2)),
-        ];
-        let w = whiten_window(&head, &steps).unwrap();
-        assert_eq!(w.len(), 2);
-        assert_eq!(w[0].obs.as_ref().unwrap().c.rows(), 4);
-        assert_eq!(w[0].obs.as_ref().unwrap().rhs[(0, 0)], 5.0);
-        assert!(w[0].evo.is_none());
-        assert!(w[1].evo.is_some());
-    }
-
-    #[test]
-    fn whiten_window_rejects_structural_errors() {
-        let head = InfoHead::empty(2);
-        assert!(whiten_window(&head, &[]).is_err());
-        let bad = vec![LinearStep::evolving(Evolution::random_walk(2))];
-        assert!(whiten_window(&head, &bad).is_err());
-        let wrong_dim = vec![LinearStep::initial(3)];
-        assert!(whiten_window(&head, &wrong_dim).is_err());
-        let gap = vec![LinearStep::initial(2), LinearStep::initial(2)];
-        assert!(whiten_window(&head, &gap).is_err());
-    }
-
-    /// Bridging a full model through (head = prior) + whiten_window must
-    /// reproduce the same normal equations as the batch assembly.
-    #[test]
-    fn window_of_whole_model_matches_batch_assembly() {
+    fn sweep_of_whole_model_matches_batch_assembly() {
         use rand::SeedableRng;
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(11);
         let model = crate::generators::paper_benchmark(&mut rng, 2, 4, true);
         let sys = assemble_dense(&model).unwrap();
 
-        let head = InfoHead::from_prior(model.prior.as_ref().unwrap()).unwrap();
-        let steps = whiten_window(&head, &model.steps).unwrap();
-
-        // Rebuild densely from the whitened blocks.
-        let total: usize = model.total_state_dim();
+        let total = model.total_state_dim();
         let mut col_off = vec![0usize];
         for s in &model.steps {
             col_off.push(col_off.last().unwrap() + s.state_dim);
         }
         let mut rows: Vec<(Matrix, Matrix)> = Vec::new();
-        for (i, ws) in steps.iter().enumerate() {
-            if let Some(evo) = &ws.evo {
-                let mut block = Matrix::zeros(evo.b.rows(), total);
-                block.set_block(0, col_off[i - 1], &evo.b.scaled(-1.0));
-                block.set_block(0, col_off[i], &evo.d);
-                rows.push((block, evo.rhs.clone()));
+        let mut head = InfoHead::from_prior(model.prior.as_ref().unwrap()).unwrap();
+        for (j, step) in model.steps.iter().enumerate() {
+            if let Some(obs) = &step.observation {
+                head.absorb_observation(obs, j).unwrap();
             }
-            if let Some(obs) = &ws.obs {
-                let mut block = Matrix::zeros(obs.c.rows(), total);
-                block.set_block(0, col_off[i], &obs.c);
-                rows.push((block, obs.rhs.clone()));
-            }
+            let Some(next) = model.steps.get(j + 1) else {
+                break;
+            };
+            let evo =
+                WhitenedEvo::from_evolution(next.evolution.as_ref().unwrap(), next.state_dim, j)
+                    .unwrap();
+            let (kept, next_head) = head.eliminate(&evo);
+            let kept = kept.expect("a prior determines every state");
+            let mut block = Matrix::zeros(kept.diag.rows(), total);
+            block.set_block(0, col_off[j], &kept.diag);
+            block.set_block(0, col_off[j + 1], &kept.off);
+            rows.push((block, kept.rhs));
+            head = next_head;
         }
+        let (c, d) = head.into_rows();
+        let mut block = Matrix::zeros(c.rows(), total);
+        block.set_block(0, col_off[model.steps.len() - 1], &c);
+        rows.push((block, d));
+
         let mats: Vec<&Matrix> = rows.iter().map(|(m, _)| m).collect();
         let rhss: Vec<&Matrix> = rows.iter().map(|(_, r)| r).collect();
-        let a2 = Matrix::vstack(&mats);
-        let b2 = Matrix::vstack(&rhss);
-        assert!(matmul_tn(&a2, &a2).approx_eq(&matmul_tn(&sys.a, &sys.a), 1e-10));
-        assert!(matmul_tn(&a2, &b2).approx_eq(&matmul_tn(&sys.a, &sys.b), 1e-10));
+        let r = Matrix::vstack(&mats);
+        let b = Matrix::vstack(&rhss);
+        assert_eq!(r.rows(), total, "R is square");
+        assert!(matmul_tn(&r, &r).approx_eq(&matmul_tn(&sys.a, &sys.a), 1e-10));
+        assert!(matmul_tn(&r, &b).approx_eq(&matmul_tn(&sys.a, &sys.b), 1e-10));
+    }
+
+    /// An underdetermined stack keeps no rows for the eliminated state but
+    /// still hands the exact marginal forward.
+    #[test]
+    fn eliminate_keeps_rows_only_for_determined_states() {
+        let evo = WhitenedEvo {
+            b: Matrix::identity(2),
+            d: Matrix::identity(2),
+            rhs: Matrix::col_from_slice(&[0.5, -0.5]),
+        };
+        let (kept, next) = head_with(&[&[1.0, 0.0]], &[2.0]).eliminate(&evo);
+        let kept = kept.expect("three rows on two columns");
+        assert_eq!(
+            (kept.diag.rows(), kept.off.cols(), kept.rhs.rows()),
+            (2, 2, 2)
+        );
+        assert_eq!(kept.diag[(1, 0)], 0.0, "R_jj is upper triangular");
+        assert_eq!(next.rows(), 1);
+
+        let singular = WhitenedEvo {
+            b: Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 0.0]]),
+            ..evo
+        };
+        let (kept, next) = InfoHead::empty(2).eliminate(&singular);
+        assert!(kept.is_none(), "u0[1] appears in no equation");
+        assert_eq!(next.rows(), 1, "the ker F row still informs the next state");
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub use assemble::{assemble_dense, solve_dense, DenseSystem};
 pub use covariance::CovarianceSpec;
 pub use error::KalmanError;
 pub use estimate::Smoothed;
-pub use incremental::{events_of, whiten_window, whiten_window_into, InfoHead, StreamEvent};
+pub use incremental::{events_of, EliminatedRows, InfoHead, StreamEvent};
 pub use model::{Evolution, LinearModel, LinearStep, Observation, Prior};
 pub use whiten::{whiten_model, WhitenedEvo, WhitenedObs, WhitenedStep};
 

@@ -43,9 +43,20 @@ pub struct WhitenedStep {
 }
 
 impl WhitenedObs {
+    /// Whitens one raw observation; `index` names the step in errors.
+    ///
+    /// # Errors
+    ///
+    /// Covariance whitening failures ([`crate::KalmanError::NotPositiveDefinite`]).
+    pub fn from_observation(obs: &crate::Observation, index: usize) -> Result<WhitenedObs> {
+        Ok(WhitenedObs {
+            c: obs.noise.whiten(&obs.g, index)?,
+            rhs: obs.noise.whiten_col(&obs.o, index)?,
+        })
+    }
+
     /// Stacks already-whitened rows `(c, rhs)` above `below`'s rows — how
-    /// prior rows (batch path) and condensed head rows (streaming path)
-    /// join a state's observation block.
+    /// prior rows join state 0's observation block.
     pub(crate) fn with_rows_above(c: Matrix, rhs: Matrix, below: Option<WhitenedObs>) -> Self {
         match below {
             None => WhitenedObs { c, rhs },
@@ -54,6 +65,29 @@ impl WhitenedObs {
                 rhs: Matrix::vstack(&[&rhs, &obs.rhs]),
             },
         }
+    }
+}
+
+impl WhitenedEvo {
+    /// Whitens one raw evolution into a state of dimension `state_dim`
+    /// (which sizes the implicit `H = I`); `index` names the step in
+    /// errors.
+    ///
+    /// # Errors
+    ///
+    /// Covariance whitening failures ([`crate::KalmanError::NotPositiveDefinite`]).
+    pub fn from_evolution(
+        evo: &crate::Evolution,
+        state_dim: usize,
+        index: usize,
+    ) -> Result<WhitenedEvo> {
+        let b = evo.noise.whiten(&evo.f, index)?;
+        let d = match &evo.h {
+            Some(h) => evo.noise.whiten(h, index)?,
+            None => evo.noise.whiten(&Matrix::identity(state_dim), index)?,
+        };
+        let rhs = evo.noise.whiten_col(&evo.c, index)?;
+        Ok(WhitenedEvo { b, d, rhs })
     }
 }
 
@@ -76,35 +110,23 @@ impl WhitenedStep {
     }
 
     /// Whitens a single free-standing step (no prior handling) — the
-    /// building block for both [`WhitenedStep::from_model_step`] and the
-    /// streaming window assembly ([`crate::incremental::whiten_window`]),
-    /// which injects its condensed head instead of a prior.  `index` is
+    /// building block of [`WhitenedStep::from_model_step`].  `index` is
     /// used only for error reporting.
     ///
     /// # Errors
     ///
     /// Covariance whitening failures ([`crate::KalmanError::NotPositiveDefinite`]).
     pub fn from_step(step: &crate::LinearStep, index: usize) -> Result<WhitenedStep> {
-        let obs = match &step.observation {
-            None => None,
-            Some(obs) => {
-                let c = obs.noise.whiten(&obs.g, index)?;
-                let rhs = obs.noise.whiten_col(&obs.o, index)?;
-                Some(WhitenedObs { c, rhs })
-            }
-        };
-        let evo = match &step.evolution {
-            None => None,
-            Some(evo) => {
-                let b = evo.noise.whiten(&evo.f, index)?;
-                let d = match &evo.h {
-                    Some(h) => evo.noise.whiten(h, index)?,
-                    None => evo.noise.whiten(&Matrix::identity(step.state_dim), index)?,
-                };
-                let rhs = evo.noise.whiten_col(&evo.c, index)?;
-                Some(WhitenedEvo { b, d, rhs })
-            }
-        };
+        let obs = step
+            .observation
+            .as_ref()
+            .map(|obs| WhitenedObs::from_observation(obs, index))
+            .transpose()?;
+        let evo = step
+            .evolution
+            .as_ref()
+            .map(|evo| WhitenedEvo::from_evolution(evo, step.state_dim, index))
+            .transpose()?;
         Ok(WhitenedStep {
             state_dim: step.state_dim,
             obs,

@@ -77,7 +77,7 @@ where
 /// cleared and refilled with `Some(f(i))` in index order, retaining its
 /// capacity across calls.  This is the allocation-free twin of
 /// [`map_collect`] for hot loops that run the same batch shape repeatedly
-/// (a streaming smoother's per-flush factorization levels): after warmup
+/// (a reused odd-even plan's factorization levels): after warmup
 /// the batch produces zero container allocations.
 ///
 /// Results are written to pre-assigned slots, so ordering — and therefore

@@ -8,7 +8,7 @@
 //! users:
 //!
 //! * [`ShardedPool`] — `N` shards, each owning an independent
-//!   `SmootherPool` (streams, plan cache, reused output batch).  Streams
+//!   `SmootherPool` (streams, reused output batch).  Streams
 //!   are placed by a **stable hash** of their key ([`stable_shard`]), so
 //!   any number of producers agree on routing with no coordination, and
 //!   [`ShardedPool::rebalance`] migrates a stream between shards through
@@ -23,7 +23,7 @@
 //!   allocation-free `poll_into` path.  A steady-state drain performs
 //!   **zero heap allocations** end to end.
 //! * [`Stats`] — a per-shard/aggregate metrics snapshot (queue depth and
-//!   throttling, flush latency, plan-cache sharing, flushed steps).
+//!   throttling, flush latency, flushed steps).
 //!
 //! The async machinery is deliberately minimal — a waker-correct executor
 //! and a bounded channel (the vendored `futures` subset) — because the

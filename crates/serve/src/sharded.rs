@@ -35,8 +35,8 @@ pub fn stable_shard(key: u64, shards: usize) -> usize {
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
     /// Number of shards (≥ 1).  Each shard owns an independent
-    /// [`SmootherPool`] with its own plan cache, so shards share nothing
-    /// and scale by replication.
+    /// [`SmootherPool`], so shards share nothing and scale by
+    /// replication.
     pub shards: usize,
     /// Per-shard ingestion queue bound (≥ 1).  Memory under producer
     /// overload is `shards · queue_capacity` queued events — submission
@@ -100,8 +100,8 @@ pub struct DrainSummary {
 
 /// A sharded, backpressured serving layer over [`SmootherPool`]s.
 ///
-/// `N` shards each own an independent pool (streams, plan cache, output
-/// batch) and a bounded ingestion queue.  Producers submit events through
+/// `N` shards each own an independent pool (streams, output batch) and a
+/// bounded ingestion queue.  Producers submit events through
 /// cloneable [`Ingress`] handles, routed by a stable hash of the stream
 /// key; when a queue is full, submission fails fast
 /// ([`crate::SubmitError::WouldBlock`]) or parks the producer task (async
@@ -415,8 +415,8 @@ impl ShardedPool {
     /// unsharded pool and to a standalone stream (pinned by
     /// `tests/serving.rs` and the saturation case of
     /// `tests/alloc_steady_state.rs`).  **Allocation-freedom:** one
-    /// window shape per stream means every flush re-executes a warm plan,
-    /// so a steady-state drain — queue pops, event application, batched
+    /// window shape per stream means every flush reuses the storage the
+    /// first one sized, so a steady-state drain — queue pops, event application, batched
     /// flushes, producer wake-ups — performs **zero heap allocations**
     /// end to end.
     ///
@@ -612,13 +612,7 @@ impl ShardedPool {
                 .shards
                 .iter()
                 .map(|shard| {
-                    let (plan_shapes, plan_hits, plan_misses) = shard.pool.plan_cache_stats();
                     let m = &shard.metrics;
-                    // Publish the plan-cache state (owned by the pool, not
-                    // a registry metric) as gauges so exporters see it.
-                    m.plan_shapes.set(plan_shapes as i64);
-                    m.plan_hits.set(plan_hits as i64);
-                    m.plan_misses.set(plan_misses as i64);
                     let flush_latency = m.flush_latency.snapshot();
                     let submitted = m.submitted.get();
                     let drained = m.drained.get();
@@ -644,9 +638,6 @@ impl ShardedPool {
                         total_flush: std::time::Duration::from_nanos(flush_latency.sum),
                         flush_latency,
                         queue_wait: m.queue_wait.snapshot(),
-                        plan_shapes,
-                        plan_hits,
-                        plan_misses,
                     }
                 })
                 .collect(),

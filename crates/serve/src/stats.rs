@@ -50,12 +50,6 @@ pub(crate) struct ShardMetrics {
     /// from the [`kalman_obs::Stamp`] each op carries.  Empty when
     /// instrumentation is disabled (stamps go inert).
     pub queue_wait: &'static Histogram,
-    /// Window shapes cached by the shard's plan cache (set on snapshot).
-    pub plan_shapes: &'static Gauge,
-    /// Plan-cache lookup hits (set on snapshot).
-    pub plan_hits: &'static Gauge,
-    /// Plan-cache lookup misses (set on snapshot).
-    pub plan_misses: &'static Gauge,
 }
 
 impl ShardMetrics {
@@ -76,9 +70,6 @@ impl ShardMetrics {
             last_flush_ns: kalman_obs::gauge(&name("last_flush_ns")),
             flush_latency: kalman_obs::histogram(&name("flush_latency")),
             queue_wait: kalman_obs::histogram(&name("queue_wait")),
-            plan_shapes: kalman_obs::gauge(&name("plan_shapes")),
-            plan_hits: kalman_obs::gauge(&name("plan_hits")),
-            plan_misses: kalman_obs::gauge(&name("plan_misses")),
         }
     }
 }
@@ -136,12 +127,6 @@ pub struct ShardStats {
     /// Submit-to-drain queue-wait distribution (nanoseconds).  Empty when
     /// instrumentation is disabled (the `Stamp`s go inert).
     pub queue_wait: HistogramSnapshot,
-    /// Window shapes cached by the shard's plan cache.
-    pub plan_shapes: usize,
-    /// Plan-cache lookup hits (a stream re-used a shared schedule).
-    pub plan_hits: u64,
-    /// Plan-cache lookup misses (a schedule had to be built).
-    pub plan_misses: u64,
 }
 
 impl ShardStats {
@@ -177,9 +162,6 @@ impl ShardStats {
         self.total_flush += other.total_flush;
         self.flush_latency.merge(&other.flush_latency);
         self.queue_wait.merge(&other.queue_wait);
-        self.plan_shapes += other.plan_shapes;
-        self.plan_hits += other.plan_hits;
-        self.plan_misses += other.plan_misses;
     }
 }
 
@@ -225,7 +207,7 @@ impl Stats {
 fn row(f: &mut fmt::Formatter<'_>, label: &str, m: &ShardStats) -> fmt::Result {
     writeln!(
         f,
-        "{label:>6}  {:>7}  {:>9}  {:>9}  {:>7}  {:>7}  {:>8.1} ({:>8.1})  {:>11} ({})",
+        "{label:>6}  {:>7}  {:>9}  {:>9}  {:>7}  {:>7}  {:>8.1} ({:>8.1})",
         m.streams,
         m.submitted,
         m.throttled,
@@ -233,8 +215,6 @@ fn row(f: &mut fmt::Formatter<'_>, label: &str, m: &ShardStats) -> fmt::Result {
         m.flushed_steps,
         m.mean_flush().as_secs_f64() * 1e6,
         m.p99_flush().as_secs_f64() * 1e6,
-        m.plan_shapes,
-        m.plan_hits,
     )
 }
 
@@ -245,7 +225,7 @@ impl fmt::Display for Stats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            " shard  streams  submitted  throttled  flushes    steps  flush µs (p99 µs)  plan shapes (hits)"
+            " shard  streams  submitted  throttled  flushes    steps  flush µs (p99 µs)"
         )?;
         for (s, m) in self.shards.iter().enumerate() {
             row(f, &s.to_string(), m)?;

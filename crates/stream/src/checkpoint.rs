@@ -42,8 +42,10 @@ impl Checkpoint {
     ///
     /// [`kalman_model::KalmanError::Stream`] unless `d` is a single
     /// column with the same row count as `c`, the state dimension (`c`'s
-    /// column count) is positive, and `c` has no more rows than columns
-    /// (the head is an upper-trapezoidal R-factor condensation, `r ≤ n`)
+    /// column count) is positive, `c` has no more rows than columns (the
+    /// head is an upper-trapezoidal R-factor condensation, `r ≤ n`), and
+    /// every entry is finite (forgetting is exact, so one NaN/∞ in a head
+    /// would stay in the stream's priors forever)
     /// — this is the trust boundary for checkpoints arriving off the
     /// wire, so malformed parts must surface as a stream-layer error
     /// here, never as a panic or a confusing model error downstream.
@@ -77,6 +79,16 @@ impl Checkpoint {
                 c.rows(),
                 c.cols()
             )));
+        }
+        if !c
+            .as_slice()
+            .iter()
+            .chain(d.as_slice())
+            .all(|v| v.is_finite())
+        {
+            return Err(kalman_model::KalmanError::Stream(
+                "checkpoint head has a non-finite entry".into(),
+            ));
         }
         Ok(Checkpoint {
             index,

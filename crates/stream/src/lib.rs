@@ -1,25 +1,32 @@
-//! Streaming fixed-lag smoothing on top of the odd-even machinery.
+//! Streaming fixed-lag smoothing by orthogonal transformations.
 //!
 //! The batch smoothers of this workspace consume a complete
 //! [`kalman_model::LinearModel`].  Production serving is different:
 //! measurements arrive *incrementally*, per user, and estimates must come
 //! back with bounded latency and bounded memory.  This crate provides that
-//! online layer (in the spirit of Toledo's UltimateKalman rolling
-//! evolve/observe/forget API, reformulated around the paper's orthogonal
-//! transformations):
+//! online layer (Toledo's UltimateKalman rolling
+//! evolve/observe/forget/smooth shape, arXiv 2207.13526, built on the
+//! sequential Paige–Saunders sweep):
 //!
 //! * [`StreamingSmoother`] — ingests steps through
 //!   [`StreamingSmoother::evolve`] / [`StreamingSmoother::observe`] (with
 //!   missing observations, multiple observations per step, streams with no
 //!   prior, and [`StreamingSmoother::drop_last`] rollback), buffers them in
-//!   a window, re-smooths the window with the odd-even factorization, and
-//!   emits **finalized** estimates for steps falling a fixed lag `L` behind
-//!   the newest data;
-//! * **forgetting** — the finalized prefix is condensed into a single
-//!   whitened block row (the R-factor head, [`kalman_model::InfoHead`]) by
-//!   orthogonal transformations, so memory stays `O(L·n²)` no matter how
-//!   long the stream runs, and [`Checkpoint`]s make streams suspendable and
-//!   resumable ([`StreamingSmoother::finish`] /
+//!   a window, and emits **finalized** estimates for steps falling a fixed
+//!   lag `L` behind the newest data.  A flush is an *incremental* sweep:
+//!   each step is whitened and QR-eliminated once, when it stops being the
+//!   newest, and its block row of the window's bidiagonal `R` factor is
+//!   kept; every flush back-substitutes through the kept rows (and runs
+//!   the paper's Algorithm 1 for covariances).  The odd-even factorization
+//!   — the paper's parallel-in-time result — stays the batch engine
+//!   (`kalman-odd-even`); an 18- or 40-step window on one core is where it
+//!   "performs more arithmetic than sequential smoothers" without the
+//!   cores to earn it back;
+//! * **forgetting** — a finalized step's row is dropped and the prior it
+//!   was eliminated against (the R-factor head,
+//!   [`kalman_model::InfoHead`]) becomes the window's head, so memory stays
+//!   `O(L·n²)` no matter how long the stream runs, and [`Checkpoint`]s make
+//!   streams suspendable and resumable ([`StreamingSmoother::finish`] /
 //!   [`StreamingSmoother::resume`]);
 //! * [`SmootherPool`] — multiplexes many independent streams over the
 //!   workspace scheduler, batching every ready window per
@@ -65,6 +72,7 @@
 mod checkpoint;
 mod options;
 mod pool;
+mod ring;
 mod smoother;
 
 pub use checkpoint::{Checkpoint, WindowSnapshot};

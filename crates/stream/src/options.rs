@@ -76,23 +76,28 @@ pub struct StreamOptions {
     /// Flush hysteresis (≥ 1): how many finalizable steps accumulate before
     /// the window is re-smoothed.  The window holds at most
     /// `lag + flush_every` steps; each flush finalizes `flush_every` of
-    /// them, so re-smoothing cost is amortized `(lag / flush_every + 1)`
-    /// window-steps per stream step.
+    /// them.  A step is eliminated once whatever the cadence; what a
+    /// smaller `flush_every` buys in latency it pays in back substitution
+    /// (and SelInv): `lag / flush_every + 1` passes over each step.
     pub flush_every: usize,
     /// Emit `cov(û_i)` with every finalized step (runs the SelInv phase on
     /// each window).
     pub covariances: bool,
-    /// Execution policy for the per-window factorization/solve.  Use
-    /// [`ExecPolicy::Seq`] for streams served through a
-    /// [`crate::SmootherPool`], which parallelizes *across* streams.
+    /// Not consulted by a stream: its flush is a sequential sweep, and
+    /// parallelism lives *across* streams, under the policy of the
+    /// [`crate::SmootherPool`] that flushes them.  (It selected
+    /// within-window parallelism when a flush re-factored the whole window
+    /// with the odd-even engine; the field stays because
+    /// `benchmark/src/spec.rs` pins `StreamOptions` with an exhaustive
+    /// struct literal.)
     pub policy: ExecPolicy,
     /// Flush automatically when [`crate::StreamingSmoother::evolve`] finds
     /// a full window.  Disabled by pooled streams, whose flushes are
     /// batched by [`crate::SmootherPool::poll`].
     pub auto_flush: bool,
-    /// Always [`BackendPolicy::OddEven`]: serving runs one engine (see
-    /// DESIGN.md §"Why serving runs one engine").  The field, its
-    /// one-variant type and its byte in the wire layout stay only because
+    /// Not consulted: every flush is the incremental sweep (see DESIGN.md
+    /// §"Why serving runs one engine").  The field, its one-variant type
+    /// and its byte in the wire layout stay only because
     /// `benchmark/src/spec.rs` builds `StreamOptions` with an exhaustive
     /// struct literal and that directory is frozen; a later
     /// `benchmark`-archetype change can drop all three.

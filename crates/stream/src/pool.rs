@@ -2,7 +2,6 @@
 
 use crate::{Checkpoint, FinalizedStep, StreamingSmoother};
 use kalman_model::{Evolution, KalmanError, Observation, Result, StreamEvent};
-use kalman_odd_even::PlanCache;
 use kalman_par::{for_each_mut, ExecPolicy};
 
 /// Handle to one stream inside a [`SmootherPool`].
@@ -100,20 +99,12 @@ impl PollBatch {
 /// every stream with a full window and re-smooths *all of them in one
 /// parallel batch* under the pool's [`ExecPolicy`] — cross-stream
 /// parallelism, which scales with the number of ready streams and needs no
-/// coordination, instead of the deeper-but-narrower within-window
-/// parallelism.  Pooled streams are therefore switched to manual flushing
-/// and should use [`ExecPolicy::Seq`] internally.
-///
-/// The pool also owns a [`PlanCache`]: before each batched flush, every
-/// ready stream is handed the shared symbolic [`kalman_odd_even::PlanSchedule`]
-/// for its window shape, so a thousand same-shaped streams plan once and
-/// execute a thousand times ([`SmootherPool::plan_cache_stats`] reports how
-/// well this works).
+/// coordination (a stream's own flush is a sequential sweep).  Pooled
+/// streams are switched to manual flushing.
 pub struct SmootherPool {
     entries: Vec<Option<StreamingSmoother>>,
     policy: ExecPolicy,
     live: usize,
-    plan_cache: PlanCache,
 }
 
 impl SmootherPool {
@@ -123,17 +114,7 @@ impl SmootherPool {
             entries: Vec::new(),
             policy,
             live: 0,
-            plan_cache: PlanCache::new(),
         }
-    }
-
-    /// `(cached shapes, lookup hits, lookup misses)` of the shared plan
-    /// cache.  Steady-state serving of shape-stable streams stops touching
-    /// the cache entirely, so the counters stop moving once every stream
-    /// carries its schedule.
-    pub fn plan_cache_stats(&self) -> (usize, u64, u64) {
-        let (hits, misses) = self.plan_cache.stats();
-        (self.plan_cache.len(), hits, misses)
     }
 
     /// Adds a stream (its auto-flush is disabled: the pool owns flushing).
@@ -269,10 +250,8 @@ impl SmootherPool {
     /// performs **zero heap allocations** end to end.
     ///
     /// Mechanics: ready streams are *moved* into their output slots (a
-    /// pointer-sized shuffle, no staging vector), handed the shared
-    /// symbolic plan for their window shape from the pool's [`PlanCache`],
-    /// flushed in one parallel batch under the pool's [`ExecPolicy`], and
-    /// moved back.  Per-stream errors land in the corresponding
+    /// pointer-sized shuffle, no staging vector), flushed in one parallel
+    /// batch under the pool's [`ExecPolicy`], and moved back.  Per-stream errors land in the corresponding
     /// [`PollEntry`] exactly like [`SmootherPool::poll`].
     pub fn poll_into(&mut self, out: &mut PollBatch) {
         self.poll_into_where(out, |_| true);
@@ -286,8 +265,7 @@ impl SmootherPool {
     pub fn poll_into_where(&mut self, out: &mut PollBatch, mut pred: impl FnMut(StreamId) -> bool) {
         let _span = kalman_obs::span!("stream.pool.poll");
         let policy = self.policy;
-        // Stage: move each ready stream into an output slot, installing the
-        // pool-shared schedule for its current window shape on the way.
+        // Stage: move each ready stream into an output slot.
         let mut count = 0;
         for (i, slot) in self.entries.iter_mut().enumerate() {
             let ready = matches!(slot, Some(s) if s.ready());
@@ -295,8 +273,7 @@ impl SmootherPool {
                 continue;
             }
             // lint: allow(panic, "infallible: `ready` above matched Some, and nothing takes the slot in between")
-            let mut stream = slot.take().expect("readiness checked above");
-            stream.prepare_pooled_plan(&mut self.plan_cache);
+            let stream = slot.take().expect("readiness checked above");
             if out.entries.len() == count {
                 out.entries.push(PollEntry::empty()); // lint: allow(alloc, "grows the reused poll batch to high-water mark once; later polls reuse parked slots")
             }

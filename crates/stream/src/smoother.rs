@@ -1,119 +1,51 @@
 //! The streaming fixed-lag smoother.
 
+use crate::ring::{Estimates, Ring};
 use crate::{Checkpoint, FinalizedStep, LagPolicy, StreamOptions, WindowSnapshot};
-use kalman_dense::Matrix;
 use kalman_model::{
-    whiten_window, whiten_window_into, Evolution, InfoHead, KalmanError, LinearStep, Observation,
-    Prior, Result, Smoothed, StreamEvent, WhitenedEvo, WhitenedStep,
+    Evolution, InfoHead, KalmanError, LinearStep, Observation, Prior, Result, Smoothed, StreamEvent,
 };
-use kalman_odd_even::{factor_odd_even_owned, selinv_diag, OddEvenOptions, PlanCache, SmoothPlan};
-
-/// Upper bound on the window plans one stream keeps warm (see
-/// [`FlushScratch::plans`]).  Sized for serving regimes whose window
-/// length oscillates within a small band (a backpressured pool applies a
-/// varying number of steps between flushes); past the bound, the
-/// least-recently-used plan is repurposed in place.
-const MAX_STREAM_PLANS: usize = 8;
-
-/// Per-stream reusable storage for the flush pipeline: the whitened window,
-/// the cached [`SmoothPlan`]s (symbolic schedule + numeric scratch + the
-/// odd-even factor), and the solved estimates all live here between
-/// flushes.  A plan is built only for a window *shape* the stream does not
-/// have warm — up to [`MAX_STREAM_PLANS`] shapes stay cached, most
-/// recently used first — so a steady-state flush, including serving
-/// regimes where the window length oscillates among a few values,
-/// re-executes a ready-made plan and performs **zero heap allocations**:
-/// containers keep their capacity and matrices cycle through the
-/// `kalman-dense` workspace pool.  Verified by the `alloc_steady_state`
-/// integration test (standalone, pooled, and saturated-sharded cases).
-///
-/// The scratch carries no results between flushes; `Clone` intentionally
-/// yields a fresh (cold) scratch, so cloned streams re-warm independently.
-#[derive(Debug, Default)]
-struct FlushScratch {
-    steps: Vec<WhitenedStep>,
-    /// Window shape of the pending flush (per-step state dimensions).
-    dims: Vec<usize>,
-    /// Warm window plans, most recently used first (`plans[0]` is the
-    /// plan of the latest flush); empty until the first flush.
-    plans: Vec<SmoothPlan>,
-    means: Vec<Vec<f64>>,
-    covs: Vec<Matrix>,
-    /// Previous flush's estimates (`LagPolicy::Auto` only): the revisions
-    /// the next re-smooth applies to these measure the information-decay
-    /// rate.
-    prev_means: Vec<Vec<f64>>,
-    /// Global index of `prev_means[0]`.
-    prev_base: u64,
-}
-
-impl Clone for FlushScratch {
-    fn clone(&self) -> Self {
-        FlushScratch::default()
-    }
-}
-
-/// Returns the warm plan for `dims`, moved to the front of the MRU list —
-/// building one on miss (through the shared `cache` when pooled, from
-/// scratch otherwise) and, at capacity, repurposing the least-recently-used
-/// plan *in place* so its containers keep their capacity.  Increments
-/// `plan_builds` exactly when a plan had to be (re)built.
-fn select_plan<'a>(
-    plans: &'a mut Vec<SmoothPlan>,
-    dims: &[usize],
-    opts: OddEvenOptions,
-    plan_builds: &mut u64,
-    mut cache: Option<&mut PlanCache>,
-) -> &'a mut SmoothPlan {
-    if let Some(i) = plans.iter().position(|p| p.dims() == dims) {
-        plans[..=i].rotate_right(1);
-        return &mut plans[0];
-    }
-    *plan_builds += 1;
-    kalman_obs::event("stream.plan_build", dims.len() as u64, *plan_builds);
-    if plans.len() >= MAX_STREAM_PLANS {
-        // lint: allow(panic, "infallible: len >= MAX_STREAM_PLANS >= 1, so last_mut() is Some")
-        let evictee = plans.last_mut().expect("at capacity, non-empty");
-        match cache.as_deref_mut() {
-            Some(c) => evictee.set_schedule(c.get_or_build(dims)),
-            None => {
-                evictee.ensure_shape(dims);
-            }
-        }
-        plans.rotate_right(1);
-    } else {
-        let plan = match cache {
-            Some(c) => SmoothPlan::new(c.get_or_build(dims), opts),
-            None => SmoothPlan::for_dims(dims, opts),
-        };
-        plans.insert(0, plan);
-    }
-    &mut plans[0]
-}
 
 /// An online smoother over one stream of steps.
 ///
 /// The smoother holds a bounded buffer of recent steps plus an
-/// [`InfoHead`] condensing everything older.  Ingestion is cheap
-/// (validation and buffering only); the odd-even re-smooth runs when the
-/// window fills ([`StreamOptions::auto_flush`]) or when
-/// [`StreamingSmoother::flush`] is called (e.g. by a
-/// [`crate::SmootherPool`]).
+/// [`InfoHead`] condensing everything older, and keeps the window's
+/// block-bidiagonal `R` factor between flushes.  Ingestion is cheap
+/// (validation and buffering only); the work runs when the window fills
+/// ([`StreamOptions::auto_flush`]) or when [`StreamingSmoother::flush`] is
+/// called (e.g. by a [`crate::SmootherPool`]).  A flush is an incremental
+/// Paige–Saunders sweep: the forward elimination runs only over the steps
+/// that arrived since the last flush (all but the newest, which can still
+/// be observed), so every step is whitened and eliminated exactly once in
+/// its life; back substitution through the kept `R` blocks gives the means,
+/// the bidiagonal SelInv recursion the covariances, and forgetting a
+/// finalized step drops its block — there is no second factorization.  The
+/// sweep is sequential; [`StreamOptions::policy`] is not consulted, and
+/// parallelism lives *across* streams in [`crate::SmootherPool`].
+///
+/// In steady state — auto-flush cadence or a fixed manual cadence — a
+/// flush performs **zero heap allocations**: every container keeps its
+/// capacity and all matrices cycle through the `kalman-dense` workspace
+/// pool.  Verified by the `alloc_steady_state` integration test
+/// (standalone, pooled, and saturated-sharded cases).
 ///
 /// Invariants maintained between calls:
 ///
 /// * the buffer is never empty, `buffer[0]` carries no evolution (its
 ///   incoming evolution, if any, lives in the head), and every later step
 ///   carries exactly one;
-/// * the head constrains `buffer[0]`'s state and summarizes every forgotten
-///   step *plus* the evolution into `buffer[0]`, but not `buffer[0]`'s own
-///   observations;
+/// * the head (the ring's prior on the base) constrains `buffer[0]`'s
+///   state and summarizes every forgotten step *plus* the evolution into
+///   `buffer[0]`, but not `buffer[0]`'s own observations;
+/// * the ring holds at most `buffer.len() - 1` eliminated steps: the newest
+///   step is never eliminated;
 /// * `buffer.len() ≤ current_lag + flush_every` whenever auto-flush is on
 ///   (and `current_lag ≤` the lag policy's maximum).
 #[derive(Debug, Clone)]
 pub struct StreamingSmoother {
     opts: StreamOptions,
-    head: InfoHead,
+    /// The head and the `R` blocks of the eliminated prefix of `buffer`.
+    ring: Ring,
     buffer: Vec<LinearStep>,
     /// Global index of `buffer[0]`.
     base_index: u64,
@@ -123,11 +55,13 @@ pub struct StreamingSmoother {
     /// The lag currently in effect ([`LagPolicy::Auto`] adapts it between
     /// flushes; fixed policies never change it).
     cur_lag: usize,
-    /// Times the window plan's schedule was (re)built or swapped — stays at
-    /// 1 for a shape-stable stream, counting how well plan caching works.
-    plan_builds: u64,
-    /// Reused flush-pipeline storage (see `FlushScratch`).
-    scratch: FlushScratch,
+    /// Estimates of the latest window smooth.
+    estimates: Estimates,
+    /// Previous flush's means (`LagPolicy::Auto` only): the revisions the
+    /// next re-smooth applies to these measure the information-decay rate.
+    prev_means: Vec<Vec<f64>>,
+    /// Global index of `prev_means[0]`.
+    prev_base: u64,
 }
 
 fn check_options(opts: &StreamOptions) -> Result<()> {
@@ -161,24 +95,37 @@ impl StreamingSmoother {
                 "state dimension must be positive".into(),
             ));
         }
-        Ok(StreamingSmoother {
+        Ok(StreamingSmoother::with_head(
+            InfoHead::empty(n),
+            0,
+            false,
+            opts,
+        ))
+    }
+
+    /// A stream whose window is the single step `index` with prior `head`.
+    fn with_head(head: InfoHead, index: u64, base_emitted: bool, opts: StreamOptions) -> Self {
+        StreamingSmoother {
             cur_lag: opts.effective_lag_policy().initial_lag(),
             opts,
-            head: InfoHead::empty(n),
-            buffer: vec![LinearStep::initial(n)],
-            base_index: 0,
-            base_emitted: false,
-            plan_builds: 0,
-            scratch: FlushScratch::default(),
-        })
+            buffer: vec![LinearStep::initial(head.state_dim())],
+            ring: Ring::new(head),
+            base_index: index,
+            base_emitted,
+            estimates: Estimates::default(),
+            prev_means: Vec::new(),
+            prev_base: 0,
+        }
     }
 
     /// A fresh stream whose initial state has a Gaussian prior.
     ///
     /// # Errors
     ///
-    /// [`KalmanError::Stream`] on degenerate options, and covariance
-    /// failures whitening the prior.
+    /// [`KalmanError::Stream`] on degenerate options,
+    /// [`KalmanError::InvalidModel`] on a dimension mismatch or a NaN/∞ in
+    /// the mean, and [`KalmanError::NotPositiveDefinite`] on a covariance
+    /// that is not SPD (NaN/∞ entries included).
     pub fn with_prior(
         mean: Vec<f64>,
         cov: kalman_model::CovarianceSpec,
@@ -195,18 +142,10 @@ impl StreamingSmoother {
                 "prior covariance dimension does not match prior mean".into(),
             ));
         }
-        let n = mean.len();
+        check_finite("prior mean", &mean, 0)?;
+        cov.validate(0)?;
         let head = InfoHead::from_prior(&Prior { mean, cov })?;
-        Ok(StreamingSmoother {
-            cur_lag: opts.effective_lag_policy().initial_lag(),
-            opts,
-            head,
-            buffer: vec![LinearStep::initial(n)],
-            base_index: 0,
-            base_emitted: false,
-            plan_builds: 0,
-            scratch: FlushScratch::default(),
-        })
+        Ok(StreamingSmoother::with_head(head, 0, false, opts))
     }
 
     /// Continues a stream from a [`Checkpoint`] produced by
@@ -219,17 +158,12 @@ impl StreamingSmoother {
     /// [`KalmanError::Stream`] on degenerate options.
     pub fn resume(checkpoint: Checkpoint, opts: StreamOptions) -> Result<Self> {
         check_options(&opts)?;
-        let n = checkpoint.state_dim();
-        Ok(StreamingSmoother {
-            cur_lag: opts.effective_lag_policy().initial_lag(),
+        Ok(StreamingSmoother::with_head(
+            checkpoint.head,
+            checkpoint.index,
+            true,
             opts,
-            head: checkpoint.head,
-            buffer: vec![LinearStep::initial(n)],
-            base_index: checkpoint.index,
-            base_emitted: true,
-            plan_builds: 0,
-            scratch: FlushScratch::default(),
-        })
+        ))
     }
 
     /// Captures the stream's complete live state *without* disturbing it:
@@ -276,7 +210,7 @@ impl StreamingSmoother {
         }
         Ok(WindowSnapshot {
             index: self.base_index,
-            head: self.head.clone(),
+            head: self.ring.head().clone(),
             base_emitted: self.base_emitted,
             events,
         })
@@ -303,26 +237,21 @@ impl StreamingSmoother {
                 "auto-lag streams cannot be restored from a snapshot; use a fixed lag".into(),
             ));
         }
-        let n = snapshot.head.state_dim();
-        if n == 0 {
+        if snapshot.head.state_dim() == 0 {
             return Err(KalmanError::Stream(
                 "snapshot head has zero state dimension".into(),
             ));
         }
         let auto_flush = opts.auto_flush;
-        let mut stream = StreamingSmoother {
-            cur_lag: opts.effective_lag_policy().initial_lag(),
-            opts: StreamOptions {
+        let mut stream = StreamingSmoother::with_head(
+            snapshot.head,
+            snapshot.index,
+            snapshot.base_emitted,
+            StreamOptions {
                 auto_flush: false,
                 ..opts
             },
-            head: snapshot.head,
-            buffer: vec![LinearStep::initial(n)],
-            base_index: snapshot.index,
-            base_emitted: snapshot.base_emitted,
-            plan_builds: 0,
-            scratch: FlushScratch::default(),
-        };
+        );
         // Replay with auto-flush off: the window must be rebuilt as-is,
         // not re-finalized (the original already emitted its prefix).
         for event in snapshot.events {
@@ -348,6 +277,12 @@ impl StreamingSmoother {
         self.buffer.len()
     }
 
+    /// Number of buffered steps whose forward elimination is done (at most
+    /// `buffered_len() - 1`: the newest step is never eliminated).
+    pub fn eliminated_len(&self) -> usize {
+        self.ring.len()
+    }
+
     /// Index the next [`StreamingSmoother::evolve`] will assign.
     pub fn next_index(&self) -> u64 {
         self.base_index + self.buffer.len() as u64
@@ -371,22 +306,14 @@ impl StreamingSmoother {
         self.cur_lag
     }
 
-    /// How many times a window plan's schedule has been (re)built or
-    /// swapped.  A shape-stable stream reports `1` after its first flush no
-    /// matter how many flushes ran — the cached-plan serving pattern — and
-    /// a stream whose window length merely *oscillates* among a few values
-    /// (a backpressured serving pool) stops counting once every recurring
-    /// shape has a warm plan; a growing count means genuinely novel window
-    /// shapes keep appearing (plan-cache invalidation).
+    /// How many times the storage of the window's `R` blocks was (re)sized:
+    /// a flush counts when its window is longer than any this stream
+    /// flushed before.  A stream on a steady cadence reports `1` after its
+    /// first flush no matter how many flushes ran; a growing count means
+    /// ever longer windows keep appearing.  (The name dates from when each
+    /// window shape had an odd-even plan built for it.)
     pub fn plan_builds(&self) -> u64 {
-        self.plan_builds
-    }
-
-    /// Shape signature of the current (most recently used) window plan
-    /// (`None` before the first flush); pooled streams with equal
-    /// signatures share one symbolic schedule.
-    pub fn plan_signature(&self) -> Option<u64> {
-        self.scratch.plans.first().map(|p| p.signature())
+        self.ring.resizes()
     }
 
     /// Appends a new state evolving from the newest one.  Returns the steps
@@ -483,7 +410,11 @@ impl StreamingSmoother {
             ));
         }
         // lint: allow(panic, "infallible: the len > 1 guard above means pop() is Some")
-        Ok(self.buffer.pop().expect("length checked"))
+        let dropped = self.buffer.pop().expect("length checked");
+        // The step before it may already be eliminated through the dropped
+        // step's evolution: undo that, so it can evolve and be observed anew.
+        self.ring.rollback_to(self.buffer.len() - 1);
+        Ok(dropped)
     }
 
     /// Smooths the current window *without* finalizing anything: estimates
@@ -497,18 +428,41 @@ impl StreamingSmoother {
     /// determine the window (e.g. a no-prior stream before its first
     /// observations), plus covariance failures.
     pub fn smoothed(&self) -> Result<Smoothed> {
-        self.smooth_window()
+        // The sweep eliminates in place; a read-only smooth works on a copy.
+        let mut ring = self.ring.clone();
+        let mut estimates = Estimates::default();
+        ring.smooth(
+            &self.buffer,
+            self.base_index,
+            self.opts.covariances,
+            &mut estimates,
+        )?;
+        let Estimates {
+            mut means,
+            mut covs,
+            len,
+        } = estimates;
+        means.truncate(len);
+        covs.truncate(len);
+        Ok(Smoothed {
+            means,
+            covariances: self.opts.covariances.then_some(covs),
+        })
     }
 
-    /// Re-smooths the window and finalizes every step more than `lag`
-    /// behind the newest, condensing them into the head.  No-op (empty
-    /// result) when nothing is finalizable.
+    /// Smooths the window and finalizes every step more than `lag` behind
+    /// the newest, forgetting their `R` blocks: the prior stored with the
+    /// oldest remaining step becomes the head.  No-op (empty result) when
+    /// nothing is finalizable.
     ///
     /// # Errors
     ///
-    /// [`KalmanError::RankDeficient`] when the data seen so far does not
-    /// determine the window — enlarge the lag, provide a prior, or observe
-    /// more states.  The stream is left unchanged on error.
+    /// [`KalmanError::RankDeficient`] (naming the step's global index) when
+    /// the data seen so far does not determine the window — enlarge the
+    /// lag, provide a prior, or observe more states.  On error the stream
+    /// emits nothing and every later estimate is what it would have been:
+    /// the steps the failed flush eliminated stay eliminated, which is an
+    /// orthogonal change of basis of the same least-squares problem.
     pub fn flush(&mut self) -> Result<Vec<FinalizedStep>> {
         let mut out = Vec::new();
         self.flush_into(&mut out)?;
@@ -520,17 +474,15 @@ impl StreamingSmoother {
     /// mean/covariance storage) and truncated to the number of finalized
     /// steps, which is returned.
     ///
-    /// In steady state — auto-flush cadence or a fixed manual cadence, so
-    /// every flush finalizes the same number of steps from a same-shaped
-    /// window — a flush performs **zero heap allocations** after the first
-    /// few warmup flushes: every container involved retains capacity (here
-    /// and in `FlushScratch`) and all matrix temporaries cycle through
-    /// the `kalman-dense` workspace pool.
+    /// In steady state — auto-flush cadence or a fixed manual cadence — a
+    /// flush performs **zero heap allocations** after the first few warmup
+    /// flushes: every container involved retains capacity and all matrices
+    /// cycle through the `kalman-dense` workspace pool.
     ///
     /// # Errors
     ///
-    /// As [`StreamingSmoother::flush`]; on error the stream is unchanged
-    /// and `out`'s contents are unspecified.
+    /// As [`StreamingSmoother::flush`]; on error `out`'s contents are
+    /// unspecified.
     pub fn flush_into(&mut self, out: &mut Vec<FinalizedStep>) -> Result<usize> {
         let count = self.buffer.len().saturating_sub(self.cur_lag);
         if count == 0 {
@@ -538,45 +490,53 @@ impl StreamingSmoother {
             return Ok(0);
         }
         let _span = kalman_obs::span!("stream.flush");
-        self.smooth_window_scratch()?;
+        self.smooth_window()?;
         self.adapt_lag();
         let emitted = self.emit_into(count, out);
-        self.forget(count)?;
+        self.ring.forget(count);
+        self.buffer.drain(0..count);
+        self.buffer[0].evolution = None;
+        self.base_index += count as u64;
+        self.base_emitted = false;
         Ok(emitted)
     }
 
     /// Ends the stream: smooths the window once more, finalizes **all**
     /// buffered steps (the lag does not apply to a closing stream), and
-    /// condenses the stream into a resumable [`Checkpoint`].
+    /// condenses the stream into a resumable [`Checkpoint`]: the head on
+    /// the final state, its own observations included.
     ///
     /// # Errors
     ///
     /// As [`StreamingSmoother::flush`].
     pub fn finish(mut self) -> Result<(Vec<FinalizedStep>, Checkpoint)> {
-        self.smooth_window_scratch()?;
+        let head = self.smooth_window()?;
         let mut finalized = Vec::new();
         self.emit_into(self.buffer.len(), &mut finalized);
-        // Condense every remaining step, then the final state's own
-        // observations, leaving the head on the final state.
-        let last = self.buffer.len() - 1;
-        self.forget(last)?;
-        let final_index = self.base_index;
-        if let Some(obs) = &self.buffer[0].observation {
-            self.head.absorb_observation(obs, final_index as usize)?;
-        }
         Ok((
             finalized,
             Checkpoint {
-                index: final_index,
-                head: self.head,
+                index: self.base_index + (self.buffer.len() - 1) as u64,
+                head,
             },
         ))
+    }
+
+    /// Smooths the window in place (see `Ring::smooth`), leaving the
+    /// estimates in `self.estimates`.
+    fn smooth_window(&mut self) -> Result<InfoHead> {
+        self.ring.smooth(
+            &self.buffer,
+            self.base_index,
+            self.opts.covariances,
+            &mut self.estimates,
+        )
     }
 
     /// Writes estimates for the first `count` buffered steps into `out`
     /// (reusing its slots; truncated to the emitted count), skipping a
     /// resumed base step that was already emitted.  Reads the estimates
-    /// from the scratch filled by `smooth_window_scratch`.
+    /// `smooth_window` left behind.
     fn emit_into(&self, count: usize, out: &mut Vec<FinalizedStep>) -> usize {
         let mut emitted = 0;
         for j in 0..count {
@@ -584,9 +544,9 @@ impl StreamingSmoother {
                 continue;
             }
             let index = self.base_index + j as u64;
-            let mean = &self.scratch.means[j];
+            let mean = &self.estimates.means[j];
             let cov = if self.opts.covariances {
-                Some(&self.scratch.covs[j])
+                Some(&self.estimates.covs[j])
             } else {
                 None
             };
@@ -613,109 +573,6 @@ impl StreamingSmoother {
         emitted
     }
 
-    /// Condenses the first `count` buffered steps into the head: absorb
-    /// each step's observations, then marginalize it out through the
-    /// whitened evolution into its successor.
-    fn forget(&mut self, count: usize) -> Result<()> {
-        debug_assert!(count < self.buffer.len(), "must keep the boundary step");
-        for j in 0..count {
-            let index = (self.base_index + j as u64) as usize;
-            if let Some(obs) = &self.buffer[j].observation {
-                self.head.absorb_observation(obs, index)?;
-            }
-            let evo = whiten_evolution(&self.buffer[j + 1], index + 1)?;
-            self.head = self.head.advance(&evo);
-        }
-        if count > 0 {
-            self.buffer.drain(0..count);
-            self.buffer[0].evolution = None;
-            self.base_index += count as u64;
-            self.base_emitted = false;
-        }
-        Ok(())
-    }
-
-    /// Allocating window smooth for `&self` callers
-    /// ([`StreamingSmoother::smoothed`]); the flush path uses
-    /// `smooth_window_scratch` instead.
-    fn smooth_window(&self) -> Result<Smoothed> {
-        let steps = whiten_window(&self.head, &self.buffer)?;
-        let r = factor_odd_even_owned(steps, self.opts.policy)?;
-        let means = r.solve(self.opts.policy)?;
-        let covariances = if self.opts.covariances {
-            Some(selinv_diag(&r, self.opts.policy)?)
-        } else {
-            None
-        };
-        Ok(Smoothed { means, covariances })
-    }
-
-    /// The [`OddEvenOptions`] this stream's window plans execute under.
-    fn plan_options(&self) -> OddEvenOptions {
-        OddEvenOptions {
-            covariances: self.opts.covariances,
-            policy: self.opts.policy,
-            compress_odd: true,
-        }
-    }
-
-    /// Re-smooths the window through the cached plan: whiten → (re-plan if
-    /// the window shape changed) → execute → solve → (optionally) SelInv,
-    /// leaving the estimates in `self.scratch.means` / `self.scratch.covs`.
-    fn smooth_window_scratch(&mut self) -> Result<()> {
-        let plan_opts = self.plan_options();
-        let Self {
-            opts,
-            head,
-            buffer,
-            scratch,
-            plan_builds,
-            ..
-        } = self;
-        whiten_window_into(head, buffer, &mut scratch.steps)?;
-        scratch.dims.clear();
-        scratch
-            .dims
-            .extend(scratch.steps.iter().map(|s| s.state_dim)); // lint: allow(alloc, "extend into cleared scratch that retains capacity across flushes; amortized, steady-state alloc-free")
-        let plan = select_plan(
-            &mut scratch.plans,
-            &scratch.dims,
-            plan_opts,
-            plan_builds,
-            None,
-        );
-        plan.execute(&mut scratch.steps)?;
-        plan.solve_into(&mut scratch.means)?;
-        if opts.covariances {
-            plan.selinv_into(&mut scratch.covs)?;
-        }
-        Ok(())
-    }
-
-    /// Installs a pool-shared symbolic schedule for the *current* window
-    /// shape before a batched flush, so every same-shaped stream in a
-    /// [`crate::SmootherPool`] executes one schedule instead of planning
-    /// its own.  No-op (beyond an MRU bump) when a warm plan already
-    /// covers the shape.
-    pub(crate) fn prepare_pooled_plan(&mut self, cache: &mut PlanCache) {
-        let plan_opts = self.plan_options();
-        let Self {
-            buffer,
-            scratch,
-            plan_builds,
-            ..
-        } = self;
-        scratch.dims.clear();
-        scratch.dims.extend(buffer.iter().map(|s| s.state_dim)); // lint: allow(alloc, "extend into cleared scratch that retains capacity across flushes; amortized, steady-state alloc-free")
-        select_plan(
-            &mut scratch.plans,
-            &scratch.dims,
-            plan_opts,
-            plan_builds,
-            Some(cache),
-        );
-    }
-
     /// Measures the information-decay rate and re-sizes the lag
     /// ([`LagPolicy::Auto`] only).  Runs right after a window re-smooth:
     /// the revisions this smooth applied to states it shares with the
@@ -726,55 +583,62 @@ impl StreamingSmoother {
         let LagPolicy::Auto { min, max, tol } = self.opts.effective_lag_policy() else {
             return;
         };
-        let scratch = &mut self.scratch;
+        let means = &self.estimates.means[..self.estimates.len];
+        let (prev_means, prev_base) = (&mut self.prev_means, self.prev_base);
         let cur_base = self.base_index;
-        let cur_len = scratch.means.len();
-        let prev_len = scratch.prev_means.len();
+        let cur_len = means.len();
+        let prev_len = prev_means.len();
         'fit: {
             if prev_len == 0 {
                 break 'fit; // first smooth: nothing to compare against yet
             }
-            let start = cur_base.max(scratch.prev_base);
-            let end = (cur_base + cur_len as u64).min(scratch.prev_base + prev_len as u64);
+            let start = cur_base.max(prev_base);
+            let end = (cur_base + cur_len as u64).min(prev_base + prev_len as u64);
             if end <= start + 1 {
                 break 'fit;
             }
             // Max-abs revision of the state at global index g.
             let rev = |g: u64| -> f64 {
-                let a = &scratch.means[(g - cur_base) as usize];
-                let b = &scratch.prev_means[(g - scratch.prev_base) as usize];
+                let a = &means[(g - cur_base) as usize];
+                let b = &prev_means[(g - prev_base) as usize];
                 a.iter()
                     .zip(b)
                     .map(|(x, y)| (x - y).abs())
                     .fold(0.0, f64::max)
             };
             let newest = cur_base + cur_len as u64 - 1;
-            // Shallowest and deepest shared states; depths are distances
-            // from the current window's newest state (the reference the
-            // finalization lag is measured against).
+            // The shallowest shared state, and the deepest one that still
+            // moved: back substitution reproduces a state bitwise once its
+            // successor stops changing, so revisions decay geometrically
+            // with depth until they drop below one ulp and read exactly
+            // zero from there down.  Depths are distances from the current
+            // window's newest state (the reference the finalization lag is
+            // measured against).
             let d_shallow = (newest - (end - 1)) as usize;
             let shallow = rev(end - 1);
-            let deep = rev(start);
-            let gap = (end - 1 - start) as usize;
+            let moved = (start..end - 1).find(|&g| rev(g) > 0.0);
             let target = if shallow <= tol {
                 // Even the freshest shared state no longer moves.  The
                 // measurement proves a lag of `d_shallow` suffices —
                 // shallower depths are unmeasured, so do not shrink past
                 // what the evidence covers.
                 d_shallow.clamp(min, max)
-            } else if deep >= shallow {
-                // No measurable decay across the window — stay maximal.
-                max
-            } else if deep <= 0.0 {
-                // Revisions vanish somewhere inside the window: the depth
-                // of the oldest shared state is certainly lag enough.
-                ((newest - start) as usize).clamp(min, max)
+            } else if let Some(deep_at) = moved {
+                let deep = rev(deep_at);
+                if deep >= shallow {
+                    // No measurable decay across the window — stay maximal.
+                    max
+                } else {
+                    // rev(d) ≈ shallow · ρ^(d − d_shallow) with
+                    // ρ = (deep/shallow)^(1/gap); solve rev(L) = tol for L.
+                    let gap = (end - 1 - deep_at) as f64;
+                    let ln_rho = (deep / shallow).ln() / gap;
+                    let need = d_shallow as f64 + (tol / shallow).ln() / ln_rho;
+                    need.ceil().clamp(min as f64, max as f64) as usize
+                }
             } else {
-                // rev(d) ≈ shallow · ρ^(d − d_shallow) with
-                // ρ = (deep/shallow)^(1/gap); solve rev(L) = tol for L.
-                let ln_rho = (deep / shallow).ln() / gap as f64;
-                let need = d_shallow as f64 + (tol / shallow).ln() / ln_rho;
-                need.ceil().clamp(min as f64, max as f64) as usize
+                // Nothing below the freshest shared state moved at all.
+                (d_shallow + 1).clamp(min, max)
             };
             // Rate-limit to one halving/doubling per flush so a noisy fit
             // cannot whipsaw the window size.
@@ -783,26 +647,16 @@ impl StreamingSmoother {
             self.cur_lag = target.clamp(floor, ceil);
         }
         // Record this smooth as the next comparison baseline.
-        scratch.prev_base = cur_base;
-        scratch.prev_means.truncate(cur_len);
-        while scratch.prev_means.len() < cur_len {
-            scratch.prev_means.push(Vec::new()); // lint: allow(alloc, "grows the reused lag buffer to window length once; repeat windows reuse the slots")
+        self.prev_base = cur_base;
+        prev_means.truncate(cur_len);
+        while prev_means.len() < cur_len {
+            prev_means.push(Vec::new()); // lint: allow(alloc, "grows the reused lag buffer to window length once; repeat windows reuse the slots")
         }
-        for (dst, src) in scratch.prev_means.iter_mut().zip(&scratch.means) {
+        for (dst, src) in prev_means.iter_mut().zip(means) {
             dst.clear();
             dst.extend_from_slice(src);
         }
     }
-}
-
-/// Whitens the evolution of a buffered step (which is guaranteed present
-/// for every non-base step).
-fn whiten_evolution(step: &LinearStep, index: usize) -> Result<WhitenedEvo> {
-    let whitened = WhitenedStep::from_step(step, index)?;
-    whitened.evo.ok_or_else(|| {
-        // lint: allow(alloc, "error path: allocates only on a malformed step")
-        KalmanError::InvalidModel(format!("step {index} is missing its evolution equation"))
-    })
 }
 
 /// Rejects NaN/±∞ in an incoming block before it reaches the window: one
@@ -1094,11 +948,27 @@ mod tests {
         }
     }
 
+    /// The second observation some steps of the snapshot test receive.
+    fn second_sensor(i: usize) -> Option<Observation> {
+        (i % 7 == 3).then(|| Observation {
+            g: Matrix::from_rows(&[&[1.0, -1.0]]),
+            o: vec![0.1 * i as f64],
+            noise: CovarianceSpec::ScaledIdentity(1, 2.0),
+        })
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|f| f.to_bits()).collect()
+    }
+
     /// A snapshot taken mid-stream must be transparent: the restored
     /// stream's future outputs are bitwise identical to the original's —
-    /// the property crash recovery is built on.  Exercised at several cut
-    /// points so the snapshot lands on different flush phases (window
-    /// lengths, pending observations, multi-observation steps).
+    /// the property crash recovery is built on.  The restored stream
+    /// re-eliminates the whole buffered window at its next flush where the
+    /// original had eliminated most of it already, so this also pins that
+    /// the kept `R` blocks are a pure function of the head and the raw
+    /// steps.  Cut at *every* index, so snapshots land right after a flush,
+    /// mid-window, and on steps observed twice.
     #[test]
     fn snapshot_restore_is_bitwise_transparent() {
         let mut rng = ChaCha8Rng::seed_from_u64(31);
@@ -1109,45 +979,47 @@ mod tests {
             covariances: true,
             ..StreamOptions::default()
         };
-        for cut in [1usize, 13, 27, 40] {
+        let feed = |stream: &mut StreamingSmoother, i: usize, out: &mut Vec<FinalizedStep>| {
+            let step = &model.steps[i];
+            if i > 0 {
+                out.extend(stream.evolve(step.evolution.clone().unwrap()).unwrap());
+            }
+            stream.observe(step.observation.clone().unwrap()).unwrap();
+            if let Some(obs) = second_sensor(i) {
+                stream.observe(obs).unwrap();
+            }
+        };
+        for cut in 0..80usize {
             let p = model.prior.as_ref().unwrap();
             let mut original =
                 StreamingSmoother::with_prior(p.mean.clone(), p.cov.clone(), opts).unwrap();
             let mut before = Vec::new();
-            for (i, step) in model.steps.iter().enumerate().take(cut + 1) {
-                if i > 0 {
-                    before.extend(original.evolve(step.evolution.clone().unwrap()).unwrap());
-                }
-                if let Some(obs) = &step.observation {
-                    original.observe(obs.clone()).unwrap();
-                }
+            for i in 0..=cut {
+                feed(&mut original, i, &mut before);
             }
 
             let snap = original.snapshot().unwrap();
             let mut restored = StreamingSmoother::restore(snap, opts).unwrap();
             assert_eq!(restored.next_index(), original.next_index());
             assert_eq!(restored.buffered_len(), original.buffered_len());
+            assert_eq!(restored.eliminated_len(), 0);
 
             // Drive both over the remaining steps and demand bitwise
             // equality of every finalized estimate.
             let mut a = Vec::new();
             let mut b = Vec::new();
-            for step in model.steps.iter().skip(cut + 1) {
-                a.extend(original.evolve(step.evolution.clone().unwrap()).unwrap());
-                b.extend(restored.evolve(step.evolution.clone().unwrap()).unwrap());
-                if let Some(obs) = &step.observation {
-                    original.observe(obs.clone()).unwrap();
-                    restored.observe(obs.clone()).unwrap();
-                }
+            for i in cut + 1..=80 {
+                feed(&mut original, i, &mut a);
+                feed(&mut restored, i, &mut b);
             }
             let (ta, _) = original.finish().unwrap();
             let (tb, _) = restored.finish().unwrap();
             a.extend(ta);
             b.extend(tb);
+            assert_eq!(before.len() + a.len(), 81, "cut {cut}");
             assert_eq!(a.len(), b.len(), "cut {cut}");
             for (x, y) in a.iter().zip(&b) {
                 assert_eq!(x.index, y.index, "cut {cut}");
-                let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&x.mean), bits(&y.mean), "cut {cut} state {}", x.index);
                 match (&x.covariance, &y.covariance) {
                     (Some(cx), Some(cy)) => {
@@ -1157,6 +1029,75 @@ mod tests {
                     _ => panic!("cut {cut}: covariance presence diverged"),
                 }
             }
+        }
+    }
+
+    /// `drop_last` right after a flush rolls back a step that flush already
+    /// eliminated (through the dropped step's evolution).  Everything the
+    /// stream finalizes from then on must be bitwise what a stream that
+    /// never saw the dropped step finalizes: priors depend on the past
+    /// only, and the re-ingested step re-eliminates its predecessor.
+    #[test]
+    fn drop_last_after_flush_rolls_back_an_eliminated_step() {
+        let mut rng = ChaCha8Rng::seed_from_u64(32);
+        let model = generators::paper_benchmark(&mut rng, 2, 20, true);
+        let opts = StreamOptions {
+            lag: 4,
+            flush_every: 3,
+            covariances: true,
+            auto_flush: false,
+            ..StreamOptions::default()
+        };
+        let p = model.prior.as_ref().unwrap();
+        let new_stream =
+            || StreamingSmoother::with_prior(p.mean.clone(), p.cov.clone(), opts).unwrap();
+        let feed = |stream: &mut StreamingSmoother, range: std::ops::RangeInclusive<usize>| {
+            for i in range {
+                let step = &model.steps[i];
+                if i > 0 {
+                    stream.evolve(step.evolution.clone().unwrap()).unwrap();
+                }
+                stream.observe(step.observation.clone().unwrap()).unwrap();
+            }
+        };
+
+        let mut clean = new_stream();
+        feed(&mut clean, 0..=20);
+        let mut want = clean.flush().unwrap();
+        want.extend(clean.finish().unwrap().0);
+
+        let mut rolled = new_stream();
+        feed(&mut rolled, 0..=12);
+        // A bogus step 13 arrives and a flush runs before anyone notices.
+        let mut bogus = Evolution::random_walk(2);
+        bogus.c = vec![50.0, -50.0];
+        rolled.evolve(bogus).unwrap();
+        rolled.observe(identity_obs(2, vec![99.0, 99.0])).unwrap();
+        let tainted = rolled.flush().unwrap();
+        assert_eq!(tainted.last().unwrap().index, 9);
+        assert_eq!(rolled.eliminated_len(), rolled.buffered_len() - 1);
+        rolled.drop_last().unwrap();
+        assert_eq!(
+            rolled.eliminated_len(),
+            rolled.buffered_len() - 1,
+            "step 12 is the newest again and must not stay eliminated"
+        );
+        feed(&mut rolled, 13..=20);
+        let mut got = rolled.flush().unwrap();
+        got.extend(rolled.finish().unwrap().0);
+
+        assert_eq!(got.first().unwrap().index, 10);
+        assert_eq!(got.last().unwrap().index, 20);
+        for f in &got {
+            let w = &want[f.index as usize];
+            assert_eq!(w.index, f.index);
+            assert_eq!(bits(&w.mean), bits(&f.mean), "state {}", f.index);
+            assert_eq!(
+                bits(w.covariance.as_ref().unwrap().as_slice()),
+                bits(f.covariance.as_ref().unwrap().as_slice()),
+                "state {}",
+                f.index
+            );
         }
     }
 
@@ -1340,11 +1281,11 @@ mod tests {
         assert!(StreamingSmoother::new(1, bad(LagPolicy::auto())).is_ok());
     }
 
-    /// A shape-stable stream plans its window once and re-executes it for
-    /// every subsequent flush; the wind-down at `finish()` (a shorter
-    /// window) re-plans once more.
+    /// A stream on a steady cadence sizes its ring at the first flush and
+    /// never again; every later flush eliminates exactly the steps that
+    /// arrived since.
     #[test]
-    fn steady_stream_builds_its_window_plan_once() {
+    fn steady_stream_sizes_its_ring_once() {
         let opts = StreamOptions {
             lag: 6,
             flush_every: 3,
@@ -1355,27 +1296,22 @@ mod tests {
         let mut stream =
             StreamingSmoother::with_prior(vec![0.0], CovarianceSpec::Identity(1), opts).unwrap();
         assert_eq!(stream.plan_builds(), 0);
-        assert!(stream.plan_signature().is_none());
+        assert_eq!(stream.eliminated_len(), 0);
         for i in 0..40 {
             if i > 0 {
                 stream.evolve(Evolution::random_walk(1)).unwrap();
             }
             stream.observe(identity_obs(1, vec![i as f64])).unwrap();
+            assert!(stream.eliminated_len() < stream.buffered_len());
         }
         assert_eq!(
             stream.plan_builds(),
             1,
-            "steady flush cadence must reuse one plan"
+            "steady flush cadence must reuse the ring's storage"
         );
-        let sig = stream.plan_signature().unwrap();
-        assert_eq!(
-            sig,
-            kalman_odd_even::signature_of_dims(vec![1; 9]),
-            "window plan covers the full lag+flush window"
-        );
-        let builds_before_finish = stream.plan_builds();
-        let (_, _) = stream.finish().unwrap();
-        let _ = builds_before_finish;
+        // The last flush saw a 9-step window, eliminated all but its
+        // newest step and forgot the 3 it finalized.
+        assert_eq!(stream.eliminated_len(), 9 - 1 - 3);
     }
 
     #[test]

@@ -229,7 +229,7 @@ pub fn encode_checkpoint(w: &mut Writer, ckpt: &Checkpoint) {
 /// Decodes a checkpoint, reassembling through the fallible
 /// [`Checkpoint::from_parts`] — the trust boundary for condensed stream
 /// state arriving off the wire.  Shape inconsistencies between the parts
-/// surface as [`WireError::Malformed`].
+/// and non-finite entries surface as [`WireError::Malformed`].
 pub fn decode_checkpoint(r: &mut Reader<'_>) -> Result<Checkpoint> {
     let index = r.get_u64()?;
     let c = decode_matrix(r)?;
@@ -588,6 +588,37 @@ mod tests {
             decode_window_snapshot(&mut Reader::new(w.as_slice())),
             Err(WireError::Truncated { .. })
         ));
+    }
+
+    /// Forgetting is exact, so a NaN/∞ in a head arriving off the wire would
+    /// stay in the restored stream's priors forever: both head-carrying
+    /// decoders refuse it with a typed error.
+    #[test]
+    fn non_finite_head_is_malformed() {
+        for (c10, d1) in [(f64::NAN, -7.5), (0.0, f64::INFINITY)] {
+            let c = Matrix::from_rows(&[&[1.0, 0.5], &[c10, 2.0]]);
+            let d = Matrix::col_from_slice(&[0.125, d1]);
+            let snap = WindowSnapshot {
+                index: 3,
+                head: InfoHead::from_rows(c.clone(), d.clone()),
+                base_emitted: false,
+                events: Vec::new(),
+            };
+            let mut w = Writer::new();
+            encode_window_snapshot(&mut w, &snap);
+            assert!(matches!(
+                decode_window_snapshot(&mut Reader::new(w.as_slice())),
+                Err(WireError::Malformed(_))
+            ));
+            let mut w = Writer::new();
+            w.put_u64(3);
+            encode_matrix(&mut w, &c);
+            encode_matrix(&mut w, &d);
+            assert!(matches!(
+                decode_checkpoint(&mut Reader::new(w.as_slice())),
+                Err(WireError::Malformed(_))
+            ));
+        }
     }
 
     #[test]

@@ -285,11 +285,14 @@ fn streaming_rank_deficiency_is_detected_and_recoverable() {
     assert!(!finalized.is_empty());
 }
 
-/// Non-finite input is refused at ingest, before the window is touched: a
-/// NaN observation and an ∞ in `F` each return `InvalidModel`, and every
-/// step the stream finalizes afterwards is bitwise equal to a twin that
-/// never saw them (one NaN in the window would otherwise be folded into
-/// the forgotten head and poison the stream for good).
+/// Non-finite input is refused where it enters, before any state is
+/// touched: a NaN observation, an ∞ in `F`, a dense noise block with NaN
+/// or ∞ on or below its diagonal (on `observe` and on `evolve`), an ∞ prior
+/// mean, a NaN prior covariance and a NaN in `Checkpoint::from_parts` each
+/// return the layer's typed error, and every step the stream finalizes
+/// afterwards is bitwise equal to a twin that never saw them (forgetting is
+/// exact, so one NaN in the window would otherwise stay in the stream's
+/// priors for good).
 #[test]
 fn streaming_refuses_non_finite_input_and_stays_exact() {
     let model = generators::paper_benchmark(&mut rng(601), 2, 30, true);
@@ -300,6 +303,25 @@ fn streaming_refuses_non_finite_input_and_stays_exact() {
         covariances: true,
         ..StreamOptions::default()
     };
+    let dense = |rows: &[&[f64]]| CovarianceSpec::Dense(Matrix::from_rows(rows));
+
+    let err = StreamingSmoother::with_prior(vec![f64::INFINITY, 0.0], prior.cov.clone(), opts)
+        .unwrap_err();
+    assert!(matches!(err, KalmanError::InvalidModel(_)), "{err:?}");
+    let nan_cov = dense(&[&[1.0, 0.0], &[f64::NAN, 1.0]]);
+    let err = StreamingSmoother::with_prior(prior.mean.clone(), nan_cov, opts).unwrap_err();
+    assert!(
+        matches!(err, KalmanError::NotPositiveDefinite { .. }),
+        "{err:?}"
+    );
+    let err = Checkpoint::from_parts(
+        4,
+        Matrix::from_rows(&[&[1.0, f64::NAN], &[0.0, 1.0]]),
+        Matrix::col_from_slice(&[0.0, 0.0]),
+    )
+    .unwrap_err();
+    assert!(matches!(err, KalmanError::Stream(_)), "{err:?}");
+
     let new_stream =
         || StreamingSmoother::with_prior(prior.mean.clone(), prior.cov.clone(), opts).unwrap();
     let (mut clean, mut hostile) = (new_stream(), new_stream());
@@ -314,12 +336,40 @@ fn streaming_refuses_non_finite_input_and_stays_exact() {
                 })
                 .unwrap_err();
             assert!(matches!(err, KalmanError::InvalidModel(_)), "{err:?}");
+            for noise in [
+                dense(&[&[f64::NAN, 0.0], &[0.0, 1.0]]),
+                dense(&[&[1.0, 0.0], &[f64::NAN, 1.0]]),
+            ] {
+                let err = hostile
+                    .observe(Observation {
+                        g: Matrix::identity(2),
+                        o: vec![0.0, 0.0],
+                        noise,
+                    })
+                    .unwrap_err();
+                assert!(
+                    matches!(err, KalmanError::NotPositiveDefinite { .. }),
+                    "{err:?}"
+                );
+            }
         }
         if j == 20 {
             let mut evo = Evolution::random_walk(2);
             evo.f[(1, 0)] = f64::INFINITY;
             let err = hostile.evolve(evo).unwrap_err();
             assert!(matches!(err, KalmanError::InvalidModel(_)), "{err:?}");
+            for noise in [
+                dense(&[&[f64::NAN, 0.0], &[0.0, 1.0]]),
+                dense(&[&[1.0, 0.0], &[0.0, f64::INFINITY]]),
+            ] {
+                let mut evo = Evolution::random_walk(2);
+                evo.noise = noise;
+                let err = hostile.evolve(evo).unwrap_err();
+                assert!(
+                    matches!(err, KalmanError::NotPositiveDefinite { .. }),
+                    "{err:?}"
+                );
+            }
         }
         want.extend(clean.ingest(event.clone()).unwrap());
         got.extend(hostile.ingest(event).unwrap());

@@ -6,9 +6,20 @@
 //! assertion here works in deltas or searches by this pool's unique
 //! metric prefix — never by absolute global state.
 
+use kalman::model::{events_of, generators};
 use kalman::obs;
 use kalman::prelude::*;
 use kalman::serve::{ServeConfig, ShardedPool};
+use rand::SeedableRng;
+use std::sync::{Mutex, MutexGuard};
+
+/// `stream.eliminations` is one process-wide counter and every test here
+/// drives streams, so the tests take turns: the exact-count test reads
+/// deltas nobody else moves.
+fn serial() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(|p| p.into_inner())
+}
 
 /// Drives a small sharded workload to completion: `streams` streams of
 /// `steps` steps each, drained on a fixed cadence.  Returns the pool
@@ -63,6 +74,7 @@ fn run_workload(streams: u64, steps: usize) -> ShardedPool {
 
 #[test]
 fn json_snapshot_round_trips_through_the_bench_reader() {
+    let _turn = serial();
     let pool = run_workload(6, 40);
     let stats = pool.stats();
     let agg = stats.aggregate();
@@ -106,6 +118,7 @@ fn json_snapshot_round_trips_through_the_bench_reader() {
 
 #[test]
 fn prometheus_text_exposes_the_live_pool() {
+    let _turn = serial();
     let pool = run_workload(4, 30);
     let agg = pool.stats().aggregate();
     let text = obs::prometheus_text();
@@ -141,6 +154,7 @@ fn prometheus_text_exposes_the_live_pool() {
 
 #[test]
 fn journal_records_pool_lifecycle_and_rebalance() {
+    let _turn = serial();
     let recorded_before = obs::journal_recorded();
     let mut pool = run_workload(4, 30);
     let from = pool.shard_of(2).expect("registered");
@@ -175,6 +189,7 @@ fn journal_records_pool_lifecycle_and_rebalance() {
 
 #[test]
 fn stats_snapshot_is_consistent_with_registry_counters() {
+    let _turn = serial();
     let pool = run_workload(5, 40);
     let stats = pool.stats();
     let prefix = pool.metrics_prefix();
@@ -211,12 +226,13 @@ fn stats_snapshot_is_consistent_with_registry_counters() {
 
 #[test]
 fn stats_display_renders_per_shard_and_aggregate_rows() {
+    let _turn = serial();
     let pool = run_workload(3, 30);
     let stats = pool.stats();
     let table = stats.to_string();
     let mut lines = table.lines();
     let header = lines.next().expect("header line");
-    for col in ["shard", "streams", "flushes", "plan shapes"] {
+    for col in ["shard", "streams", "flushes", "flush µs"] {
         assert!(header.contains(col), "header missing {col:?}: {header}");
     }
     // One row per shard, then the aggregate row, then the drain line.
@@ -230,6 +246,7 @@ fn stats_display_renders_per_shard_and_aggregate_rows() {
 
 #[test]
 fn queue_wait_histogram_fills_exactly_when_instrumentation_is_live() {
+    let _turn = serial();
     let pool = run_workload(4, 30);
     let agg = pool.stats().aggregate();
     if obs::enabled() {
@@ -238,5 +255,55 @@ fn queue_wait_histogram_fills_exactly_when_instrumentation_is_live() {
     } else {
         // obs-off: stamps are inert, the histogram never fills.
         assert_eq!(agg.queue_wait.count, 0);
+    }
+}
+
+/// The count that states the incremental flush's claim: every step is
+/// eliminated exactly once in its life, whatever the cadence — `N − 1`
+/// forward steps for a stream of `N` steps up to `finish` (the last step is
+/// never eliminated), where re-factoring the window every flush cost
+/// `(lag + flush_every) / flush_every + 1` per step.  A restored stream
+/// re-eliminates its buffered window, once.
+#[test]
+fn every_step_is_eliminated_exactly_once() {
+    let _turn = serial();
+    if !obs::enabled() {
+        return; // obs-off: the counter is compiled out with the other instruments
+    }
+    let eliminations = obs::counter("stream.eliminations");
+    let model =
+        generators::paper_benchmark(&mut rand_chacha::ChaCha8Rng::seed_from_u64(77), 2, 59, true);
+    let prior = model.prior.as_ref().expect("generated with a prior");
+    for (lag, flush_every) in [(8usize, 1usize), (5, 3), (3, 7)] {
+        let opts = StreamOptions {
+            lag,
+            flush_every,
+            covariances: true,
+            ..StreamOptions::default()
+        };
+        let before = eliminations.get();
+        let mut stream = StreamingSmoother::with_prior(prior.mean.clone(), prior.cov.clone(), opts)
+            .expect("valid options");
+        let mut restored = None;
+        for (e, event) in events_of(&model).into_iter().enumerate() {
+            stream.ingest(event).expect("valid event");
+            if e == 61 {
+                let snapshot = stream.snapshot().expect("fixed lag");
+                restored = Some(StreamingSmoother::restore(snapshot, opts).expect("own snapshot"));
+            }
+        }
+        stream.finish().expect("solvable window");
+        assert_eq!(
+            eliminations.get() - before,
+            60 - 1,
+            "lag {lag}, flush_every {flush_every}"
+        );
+
+        let restored = restored.expect("snapshot taken");
+        let buffered = restored.buffered_len() as u64;
+        assert_eq!(restored.eliminated_len(), 0);
+        let before = eliminations.get();
+        restored.finish().expect("solvable window");
+        assert_eq!(eliminations.get() - before, buffered - 1);
     }
 }

@@ -1,9 +1,8 @@
 //! The plan/execute contract: executing through a reused `SmoothPlan` is
-//! bitwise identical to one-shot smoothing, plans follow shape changes
-//! (cache invalidation), and pooled streams share one symbolic schedule
-//! per window shape.
+//! bitwise identical to one-shot smoothing and plans follow shape changes.
+//! A stream holds no plan; its counterpart here is that the storage of its
+//! window's `R` blocks is sized only by windows longer than any before.
 
-use kalman::model::LinearModel;
 use kalman::odd_even::SmoothPlan;
 use kalman::prelude::*;
 use rand::SeedableRng;
@@ -88,13 +87,14 @@ fn plan_follows_shape_changes() {
     assert_ne!(signatures[1], signatures[2]);
 }
 
-/// Mid-stream window-shape changes (an irregular manual flush cadence, so
-/// the window length differs from flush to flush) must invalidate the
-/// cached window plan — and *only* then: a flush at an already-planned
-/// shape reuses the plan.  Estimates stay within the fixed-lag equivalence
-/// bound of the hindsight batch solution throughout.
+/// Under an irregular manual flush cadence the window length differs from
+/// flush to flush.  `plan_builds` counts the flushes that had to size the
+/// stream's `R`-block storage — those whose window was longer than any
+/// before — and *only* those: a flush at or below the high-water length
+/// reuses it.  Estimates stay within the fixed-lag equivalence bound of the
+/// hindsight batch solution throughout.
 #[test]
-fn stream_plan_cache_invalidates_on_window_shape_change() {
+fn stream_storage_is_resized_only_by_longer_windows() {
     let model = kalman::model::generators::paper_benchmark(&mut rng(920), 3, 60, true);
     let opts = StreamOptions {
         lag: 16,
@@ -121,23 +121,23 @@ fn stream_plan_cache_invalidates_on_window_shape_change() {
         }
     };
 
-    // Window fills to 21 steps → first flush plans shape #1.
+    // Window fills to 21 steps → the first flush sizes the storage.
     feed(&mut stream, 0..=20);
     finalized.extend(stream.flush().unwrap());
     assert_eq!(stream.plan_builds(), 1);
-    // Refill to exactly 21 again → same shape, plan reused.
+    // Refill to exactly 21 again → same length, storage reused.
     feed(&mut stream, 21..=25);
     finalized.extend(stream.flush().unwrap());
     assert_eq!(
         stream.plan_builds(),
         1,
-        "same window shape must not re-plan"
+        "same window length must not resize"
     );
-    // A different fill level (24 steps) → invalidation, shape #2.
+    // A longer window (24 steps) → resized.
     feed(&mut stream, 26..=33);
     finalized.extend(stream.flush().unwrap());
-    assert_eq!(stream.plan_builds(), 2, "changed window shape must re-plan");
-    // And another (43 steps) → shape #3.
+    assert_eq!(stream.plan_builds(), 2, "a longer window must resize");
+    // And a longer one still (43 steps).
     feed(&mut stream, 34..=60);
     finalized.extend(stream.flush().unwrap());
     assert_eq!(stream.plan_builds(), 3);
@@ -159,103 +159,4 @@ fn stream_plan_cache_invalidates_on_window_shape_change() {
             .fold(0.0f64, f64::max);
         assert!(diff < 1e-4, "state {i}: diff {diff}");
     }
-}
-
-fn drive_pool_collect(
-    pool: &mut SmootherPool,
-    ids: &[StreamId],
-    models: &[LinearModel],
-    use_poll_into: bool,
-) -> Vec<Vec<FinalizedStep>> {
-    let mut collected: Vec<Vec<FinalizedStep>> = vec![Vec::new(); models.len()];
-    let mut batch = PollBatch::new();
-    let rounds = models.iter().map(|m| m.num_states()).max().unwrap();
-    for si in 0..rounds {
-        for (k, model) in models.iter().enumerate() {
-            let Some(step) = model.steps.get(si) else {
-                continue;
-            };
-            if si > 0 {
-                pool.evolve(ids[k], step.evolution.clone().unwrap())
-                    .unwrap();
-            }
-            if let Some(obs) = &step.observation {
-                pool.observe(ids[k], obs.clone()).unwrap();
-            }
-        }
-        if use_poll_into {
-            pool.poll_into(&mut batch);
-            for entry in batch.entries() {
-                let k = ids.iter().position(|x| *x == entry.id()).unwrap();
-                collected[k].extend(entry.result().unwrap().iter().cloned());
-            }
-        } else {
-            for (id, steps) in pool.poll() {
-                let k = ids.iter().position(|x| *x == id).unwrap();
-                collected[k].extend(steps.unwrap());
-            }
-        }
-    }
-    collected
-}
-
-/// Pooled streams with equal window shapes must share one symbolic
-/// schedule (one plan-cache entry), `poll_into` must agree with `poll`,
-/// and a stream whose shape differs gets its own entry.
-#[test]
-fn pool_shares_plans_per_window_signature() {
-    let opts = || StreamOptions {
-        lag: 8,
-        flush_every: 4,
-        covariances: false,
-        policy: ExecPolicy::Seq,
-        auto_flush: false,
-        ..StreamOptions::default()
-    };
-    // Three dim-2 streams and one dim-3 stream.
-    let models: Vec<LinearModel> = vec![
-        kalman::model::generators::paper_benchmark(&mut rng(930), 2, 50, true),
-        kalman::model::generators::paper_benchmark(&mut rng(931), 2, 50, true),
-        kalman::model::generators::paper_benchmark(&mut rng(932), 2, 50, true),
-        kalman::model::generators::paper_benchmark(&mut rng(933), 3, 50, true),
-    ];
-    let build_pool = |policy: ExecPolicy| {
-        let mut pool = SmootherPool::new(policy);
-        let ids: Vec<StreamId> = models
-            .iter()
-            .map(|m| {
-                let p = m.prior.as_ref().unwrap();
-                pool.insert(
-                    StreamingSmoother::with_prior(p.mean.clone(), p.cov.clone(), opts()).unwrap(),
-                )
-            })
-            .collect();
-        (pool, ids)
-    };
-
-    let (mut pool_a, ids_a) = build_pool(ExecPolicy::Seq);
-    let via_poll = drive_pool_collect(&mut pool_a, &ids_a, &models, false);
-    let (mut pool_b, ids_b) = build_pool(ExecPolicy::par_with_grain(1));
-    let via_poll_into = drive_pool_collect(&mut pool_b, &ids_b, &models, true);
-
-    for (k, (a, b)) in via_poll.iter().zip(&via_poll_into).enumerate() {
-        assert_eq!(a.len(), b.len(), "stream {k}");
-        for (x, y) in a.iter().zip(b) {
-            assert_eq!(x.index, y.index);
-            assert_eq!(x.mean, y.mean, "stream {k} state {}", x.index);
-        }
-    }
-
-    // Steady serving of two window shapes (dim-2 and dim-3, same length):
-    // exactly two symbolic schedules, ever.
-    let (entries, hits, misses) = pool_b.plan_cache_stats();
-    assert_eq!(entries, 2, "one schedule per distinct window shape");
-    assert_eq!(misses, 2);
-    // The three dim-2 streams shared one schedule: at least two cache hits.
-    assert!(hits >= 2, "expected shared-schedule hits, saw {hits}");
-    // Same signature for the dim-2 streams, different for the dim-3 one.
-    let sig = |pool: &SmootherPool, id: StreamId| pool.stream(id).unwrap().plan_signature();
-    assert_eq!(sig(&pool_b, ids_b[0]), sig(&pool_b, ids_b[1]));
-    assert_eq!(sig(&pool_b, ids_b[0]), sig(&pool_b, ids_b[2]));
-    assert_ne!(sig(&pool_b, ids_b[0]), sig(&pool_b, ids_b[3]));
 }

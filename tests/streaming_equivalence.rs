@@ -214,10 +214,20 @@ fn truncated(model: &LinearModel, horizon: usize) -> LinearModel {
 /// Streams `model`, recording for every finalized step the *horizon* (the
 /// newest ingested state) at emission time.
 fn stream_with_horizons(model: &LinearModel, opts: StreamOptions) -> Vec<(FinalizedStep, usize)> {
+    stream_events_with_horizons(model, events_of(model), opts)
+}
+
+/// [`stream_with_horizons`] over an explicit event list (`model` still
+/// supplies the prior and the initial dimension).
+fn stream_events_with_horizons(
+    model: &LinearModel,
+    events: Vec<StreamEvent>,
+    opts: StreamOptions,
+) -> Vec<(FinalizedStep, usize)> {
     let mut stream = stream_for(model, opts);
     let mut finalized = Vec::new();
     let mut newest = 0usize;
-    for event in events_of(model) {
+    for event in events {
         if matches!(event, StreamEvent::Evolve(_)) {
             newest += 1;
         }
@@ -289,6 +299,128 @@ fn singular_f_no_prior_stream_matches_batch() {
                 .map(|(a, b)| (a - b).abs())
                 .fold(0.0f64, f64::max);
             assert!(diff < 1e-8, "tail state {i}: diff {diff}");
+        }
+    }
+}
+
+/// A paper-benchmark model some of whose steps are observed twice: the
+/// model carries the stacked observation, the event list the two parts.
+fn twice_observed_case(seed: u64, k: usize) -> (LinearModel, Vec<StreamEvent>) {
+    let mut model = generators::paper_benchmark(&mut rng(seed), 3, k, true);
+    let mut events = Vec::new();
+    for (i, step) in model.steps.iter_mut().enumerate() {
+        if let Some(evo) = &step.evolution {
+            events.push(StreamEvent::Evolve(evo.clone()));
+        }
+        let first = step.observation.clone().unwrap();
+        events.push(StreamEvent::Observe(first.clone()));
+        if i % 3 == 1 {
+            let second = Observation {
+                g: Matrix::from_rows(&[&[1.0, 1.0, 0.0]]),
+                o: vec![0.3 * i as f64],
+                noise: CovarianceSpec::ScaledIdentity(1, 2.0),
+            };
+            events.push(StreamEvent::Observe(second.clone()));
+            step.observation = Some(Observation::stacked(&first, &second));
+        }
+    }
+    (model, events)
+}
+
+/// The oracle of the incremental flush: it no longer runs the batch
+/// pipeline, so "stream ≡ batch" is tested, not assumed.  Every finalized
+/// step — means and covariances — must agree to 1e-8 with *both* batch
+/// smoothers run on exactly the data the step had seen at emission, across
+/// model families (with and without prior, changing dimensions, missing
+/// and stacked observations, ill-conditioned noise), cadences (including
+/// `flush_every = 1` and `flush_every > lag`) and lag policies.
+#[test]
+fn every_finalized_step_matches_both_batch_smoothers_at_its_horizon() {
+    let k = 36;
+    let (stacked_model, stacked_events) = twice_observed_case(935, k);
+    let cases: Vec<(&str, LinearModel, Vec<StreamEvent>)> = [
+        (
+            "prior",
+            generators::paper_benchmark(&mut rng(930), 3, k, true),
+        ),
+        (
+            "no prior",
+            generators::paper_benchmark(&mut rng(931), 3, k, false),
+        ),
+        (
+            "dimension change",
+            generators::dimension_change(&mut rng(932), 3, k),
+        ),
+        (
+            "sparse",
+            generators::sparse_observations(&mut rng(933), 2, k, 2),
+        ),
+        (
+            "cond 1e4",
+            generators::ill_conditioned(&mut rng(934), 3, k, 1e4),
+        ),
+    ]
+    .into_iter()
+    .map(|(name, model)| {
+        let events = events_of(&model);
+        (name, model, events)
+    })
+    .chain([("stacked", stacked_model, stacked_events)])
+    .collect();
+
+    let max_diff = |a: &[f64], b: &[f64]| {
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| (x - y).abs())
+            .fold(0.0f64, f64::max)
+    };
+    for (name, model, events) in &cases {
+        for (lag, flush_every) in [(6usize, 1usize), (4, 3), (3, 5)] {
+            for lag_policy in [
+                None,
+                Some(LagPolicy::Auto {
+                    min: 2,
+                    max: lag,
+                    tol: 1e-6,
+                }),
+            ] {
+                let opts = StreamOptions {
+                    lag,
+                    lag_policy,
+                    flush_every,
+                    covariances: true,
+                    ..StreamOptions::default()
+                };
+                let what = format!("{name}, lag {lag}, flush_every {flush_every}, {lag_policy:?}");
+                let finalized = stream_events_with_horizons(model, events.clone(), opts);
+                assert_eq!(finalized.len(), k + 1, "{what}: every step finalized once");
+                // One pair of batch solves per distinct horizon.
+                let mut batches: Option<(usize, [Smoothed; 2])> = None;
+                for (f, horizon) in &finalized {
+                    if batches.as_ref().map(|(h, _)| *h) != Some(*horizon) {
+                        let seen = truncated(model, *horizon);
+                        batches = Some((
+                            *horizon,
+                            [
+                                odd_even_smooth(&seen, OddEvenOptions::default()).unwrap(),
+                                paige_saunders_smooth(&seen, SmootherOptions::default()).unwrap(),
+                            ],
+                        ));
+                    }
+                    let i = f.index as usize;
+                    assert!(i <= *horizon);
+                    for batch in &batches.as_ref().unwrap().1 {
+                        let diff = max_diff(&f.mean, batch.mean(i));
+                        assert!(diff < 1e-8, "{what}: state {i}@{horizon} mean diff {diff}");
+                        let cdiff = f
+                            .covariance
+                            .as_ref()
+                            .unwrap()
+                            .max_abs_diff(batch.covariance(i).unwrap());
+                        assert!(cdiff < 1e-8, "{what}: state {i}@{horizon} cov diff {cdiff}");
+                    }
+                }
+            }
         }
     }
 }
