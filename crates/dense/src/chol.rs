@@ -19,8 +19,9 @@ impl Cholesky {
     ///
     /// # Errors
     ///
-    /// Returns [`DenseError::NotPositiveDefinite`] if a non-positive pivot
-    /// appears.
+    /// Returns [`DenseError::NotPositiveDefinite`] if a pivot is not finite
+    /// and positive — a NaN or `+∞` anywhere in the lower triangle reaches
+    /// a pivot and is refused, never factored into a NaN-filled `L`.
     ///
     /// # Panics
     ///
@@ -36,7 +37,7 @@ impl Cholesky {
                 let v = l[(j, k)];
                 d -= v * v;
             }
-            if d <= 0.0 {
+            if d <= 0.0 || !d.is_finite() {
                 return Err(DenseError::NotPositiveDefinite { index: j });
             }
             let dj = d.sqrt();
@@ -157,6 +158,30 @@ mod tests {
         match Cholesky::new(&a) {
             Err(DenseError::NotPositiveDefinite { .. }) => {}
             other => panic!("expected not-SPD, got {other:?}"),
+        }
+    }
+
+    /// `d <= 0.0` is false for NaN and `+∞`: each of these used to come
+    /// back `Ok` with a factor full of NaN (or a zeroed column).
+    #[test]
+    fn non_finite_pivots_are_rejected() {
+        let mut nan_on_diag = spd();
+        nan_on_diag[(1, 1)] = f64::NAN;
+        let mut nan_below_diag = spd();
+        nan_below_diag[(2, 0)] = f64::NAN;
+        let mut inf_on_diag = spd();
+        inf_on_diag[(0, 0)] = f64::INFINITY;
+        for (what, a, index) in [
+            ("NaN on the diagonal", nan_on_diag, 1),
+            ("NaN below the diagonal", nan_below_diag, 2),
+            ("+inf on the diagonal", inf_on_diag, 0),
+        ] {
+            match Cholesky::new(&a) {
+                Err(DenseError::NotPositiveDefinite { index: got }) => {
+                    assert_eq!(got, index, "{what}")
+                }
+                other => panic!("{what}: expected not-SPD, got {other:?}"),
+            }
         }
     }
 

@@ -66,8 +66,8 @@ pub use gemm::{
 pub use lu::{solve, LuFactor};
 pub use matrix::Matrix;
 pub use qr::{
-    compress_rows, compress_rows_owned, qr_trap_stack_applying, qr_tri_stack_applying,
-    qr_tri_stack_applying_with, trapezoidalize_applying, ColPivQr, QrFactor,
+    compress_rows, compress_rows_owned, effective_rank_tol, qr_trap_stack_applying,
+    qr_tri_stack_applying, qr_tri_stack_applying_with, trapezoidalize_applying, ColPivQr, QrFactor,
 };
 pub use simd::{kernel_dispatch_counts, simd_backend, KernelKind};
 pub use workspace::{

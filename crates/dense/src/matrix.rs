@@ -13,8 +13,9 @@ use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 ///
 /// Storage is checked out of the thread-local [`crate::workspace`] pool and
 /// returned on drop, so matrix-heavy loops stop allocating once the pool
-/// has warmed up.  `Clone` goes through the same pool.
-#[derive(PartialEq)]
+/// has warmed up.  `Clone` goes through the same pool.  The default matrix
+/// is the empty `0 × 0` one (a placeholder for `clone_from` to fill).
+#[derive(PartialEq, Default)]
 pub struct Matrix {
     data: Vec<f64>,
     rows: usize,
@@ -464,6 +465,11 @@ impl Matrix {
         }
     }
 
+    /// `true` when every entry below the main diagonal is zero (any shape).
+    pub fn is_upper_triangular(&self) -> bool {
+        (0..self.cols).all(|j| self.col(j).iter().skip(j + 1).all(|&v| v == 0.0))
+    }
+
     /// Returns the main diagonal as a vector.
     pub fn diag(&self) -> Vec<f64> {
         let n = self.rows.min(self.cols);
@@ -754,6 +760,8 @@ mod tests {
         let u = m.upper_triangular_part();
         assert_eq!(u[(1, 0)], 0.0);
         assert_eq!(u[(0, 1)], 2.0);
+        assert!(u.is_upper_triangular() && !m.is_upper_triangular());
+        assert!(Matrix::zeros(1, 3).is_upper_triangular());
     }
 
     #[test]

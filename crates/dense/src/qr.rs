@@ -181,6 +181,19 @@ fn apply_householder_panel(vtail: &[f64], tau: f64, b: &mut Matrix, row0: usize)
     apply_reflector_raw(vtail, tau, b.as_mut_slice(), brows, row0);
 }
 
+/// The effective-rank tolerance `max|R_jj| · max(rows, n) · ε` of a
+/// triangular factor `r` (`n` columns; only its diagonal is read) obtained
+/// from a block of `rows` rows: a diagonal entry at or below it is
+/// negligible relative to the largest one (the test LAPACK's `xTRTRS`
+/// callers apply to least-squares problems).  Every rank decision in the
+/// workspace — [`QrFactor::solve_r_in_place`], [`ColPivQr::rank`], the
+/// forward step of the streaming sweep — uses this one tolerance.
+pub fn effective_rank_tol(r: &Matrix, rows: usize) -> f64 {
+    let steps = r.rows().min(r.cols());
+    let max_diag = (0..steps).fold(0.0_f64, |m, j| m.max(r[(j, j)].abs()));
+    max_diag * (rows.max(r.cols()) as f64) * f64::EPSILON
+}
+
 /// One Householder elimination step shared by [`QrFactor`] and
 /// [`ColPivQr`]: reflects column `j` below the diagonal (packing the
 /// reflector tail in place) and applies the reflector to the trailing
@@ -354,8 +367,7 @@ impl QrFactor {
     pub fn solve_r_in_place(&self, y: &mut Matrix) -> Result<()> {
         let n = self.cols();
         assert_eq!(y.rows(), n, "solve_r row mismatch");
-        let max_diag = (0..n).fold(0.0_f64, |m, j| m.max(self.packed[(j, j)].abs()));
-        let tol = max_diag * (self.rows().max(n) as f64) * f64::EPSILON;
+        let tol = effective_rank_tol(&self.packed, self.rows());
         for j in 0..n {
             if self.packed[(j, j)].abs() <= tol {
                 return Err(DenseError::RankDeficient { column: j });
@@ -475,12 +487,11 @@ impl ColPivQr {
     }
 
     /// Numerical rank: the number of leading diagonal entries of `R` above
-    /// `max|R_jj| · max(m, n) · ε` (the pivoting makes the diagonal
-    /// magnitudes non-increasing, so this is a prefix count).
+    /// [`effective_rank_tol`] (the pivoting makes the diagonal magnitudes
+    /// non-increasing, so this is a prefix count).
     pub fn rank(&self) -> usize {
         let steps = self.tau.len();
-        let max_diag = (0..steps).fold(0.0_f64, |acc, j| acc.max(self.packed[(j, j)].abs()));
-        let tol = max_diag * (self.rows().max(self.cols()) as f64) * f64::EPSILON;
+        let tol = effective_rank_tol(&self.packed, self.rows());
         (0..steps)
             .take_while(|&j| self.packed[(j, j)].abs() > tol)
             .count()

@@ -64,8 +64,9 @@ impl CovarianceSpec {
                         "covariance at step {step} is not square"
                     )));
                 }
-                // `Cholesky::new` rejects pivots `<= 0.0`, which NaN and +∞
-                // are not.
+                // `Cholesky::new` refuses a non-finite pivot but reads the
+                // lower triangle only: a NaN/∞ above the diagonal would get
+                // past it.
                 if !m.as_slice().iter().all(|v| v.is_finite()) {
                     return Err(KalmanError::NotPositiveDefinite { step });
                 }
@@ -92,36 +93,55 @@ impl CovarianceSpec {
     /// Panics if `a.rows() != self.dim()`.
     // lint: allow(alloc, "by-value whitening API allocates its output by contract; the streaming path whitens each step once, when it is eliminated")
     pub fn whiten(&self, a: &Matrix, step: usize) -> Result<Matrix> {
-        assert_eq!(a.rows(), self.dim(), "whiten dimension mismatch");
+        let mut out = a.clone();
+        self.whiten_in_place(&mut [&mut out], step)?;
+        Ok(out)
+    }
+
+    /// [`CovarianceSpec::whiten`] of every block in `blocks`, in place and
+    /// against one factorization: a dense covariance is Cholesky-factored
+    /// once however many blocks of a step it whitens.  Each block comes out
+    /// bitwise what a separate `whiten` call returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a block's row count is not `self.dim()`.
+    pub(crate) fn whiten_in_place(&self, blocks: &mut [&mut Matrix], step: usize) -> Result<()> {
+        let not_spd = || KalmanError::NotPositiveDefinite { step };
+        for a in blocks.iter() {
+            assert_eq!(a.rows(), self.dim(), "whiten dimension mismatch");
+        }
         match self {
-            CovarianceSpec::Identity(_) => Ok(a.clone()),
+            CovarianceSpec::Identity(_) => {}
             CovarianceSpec::ScaledIdentity(_, s) => {
                 if *s <= 0.0 || !s.is_finite() {
-                    return Err(KalmanError::NotPositiveDefinite { step });
+                    return Err(not_spd());
                 }
-                Ok(a.scaled(1.0 / s.sqrt()))
+                let factor = 1.0 / s.sqrt();
+                for a in blocks.iter_mut() {
+                    a.scale(factor);
+                }
             }
             CovarianceSpec::Diagonal(v) => {
-                let mut out = a.clone();
-                for j in 0..out.cols() {
-                    let col = out.col_mut(j);
-                    for (x, d) in col.iter_mut().zip(v.iter()) {
-                        if *d <= 0.0 || !d.is_finite() {
-                            return Err(KalmanError::NotPositiveDefinite { step });
+                if !v.iter().all(|&d| d > 0.0 && d.is_finite()) {
+                    return Err(not_spd());
+                }
+                for a in blocks.iter_mut() {
+                    for j in 0..a.cols() {
+                        for (x, d) in a.col_mut(j).iter_mut().zip(v) {
+                            *x /= d.sqrt();
                         }
-                        *x /= d.sqrt();
                     }
                 }
-                Ok(out)
             }
             CovarianceSpec::Dense(m) => {
-                let ch = Cholesky::new(m).map_err(|_| KalmanError::NotPositiveDefinite { step })?;
-                let mut out = a.clone();
-                tri::solve_lower_in_place(ch.l(), &mut out)
-                    .map_err(|_| KalmanError::NotPositiveDefinite { step })?;
-                Ok(out)
+                let ch = Cholesky::new(m).map_err(|_| not_spd())?;
+                for a in blocks.iter_mut() {
+                    tri::solve_lower_in_place(ch.l(), a).map_err(|_| not_spd())?;
+                }
             }
         }
+        Ok(())
     }
 
     /// Applies the inverse factor to a vector: `W·x`.

@@ -19,7 +19,10 @@
 //!   benchmarks.
 
 use crate::{LinearModel, Observation, Prior, Result, WhitenedEvo, WhitenedObs};
-use kalman_dense::{compress_rows_owned, ColPivQr, Matrix, QrFactor};
+use kalman_dense::{
+    compress_rows_owned, effective_rank_tol, qr_tri_stack_applying_with, ColPivQr, KernelKind,
+    Matrix, QrFactor,
+};
 
 /// A whitened information block row `C u ≈ d` (noise implicitly `I`) on a
 /// single state: the "R-factor head" summarizing everything a stream has
@@ -68,9 +71,9 @@ impl InfoHead {
     /// [`crate::KalmanError::NotPositiveDefinite`] if the prior covariance is not
     /// SPD.
     pub fn from_prior(prior: &Prior) -> Result<Self> {
-        let n = prior.mean.len();
-        let c = prior.cov.whiten(&Matrix::identity(n), 0)?;
-        let d = prior.cov.whiten_col(&prior.mean, 0)?;
+        let mut c = Matrix::identity(prior.mean.len());
+        let mut d = Matrix::col_from_slice(&prior.mean);
+        prior.cov.whiten_in_place(&mut [&mut c, &mut d], 0)?;
         Ok(InfoHead { c, d })
     }
 
@@ -126,7 +129,12 @@ impl InfoHead {
         if c.rows() == 0 {
             return;
         }
-        *self = InfoHead::condensed(Matrix::vstack(&[&self.c, c]), Matrix::vstack(&[&self.d, d]));
+        *self = self.with_rows(c, d);
+    }
+
+    /// The head on `self`'s rows with `c·u ≈ d` stacked under them.
+    fn with_rows(&self, c: &Matrix, d: &Matrix) -> InfoHead {
+        InfoHead::condensed(Matrix::vstack(&[&self.c, c]), Matrix::vstack(&[&self.d, d]))
     }
 
     /// The head on rows `c·u ≈ d`, QR-compressed when there are more rows
@@ -150,9 +158,24 @@ impl InfoHead {
     /// [`crate::KalmanError::NotPositiveDefinite`] if the observation noise is not
     /// SPD (`step` names the step for the error message).
     pub fn absorb_observation(&mut self, obs: &Observation, step: usize) -> Result<()> {
-        let whitened = WhitenedObs::from_observation(obs, step)?;
-        self.absorb(&whitened.c, &whitened.rhs);
+        *self = self.with_observation(obs, step)?;
         Ok(())
+    }
+
+    /// [`InfoHead::absorb_observation`] into a new head: `self` stays the
+    /// prior, the result is the posterior, and no copy of the prior is made
+    /// on the way (the streaming sweep keeps both).
+    ///
+    /// # Errors
+    ///
+    /// As [`InfoHead::absorb_observation`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the observation is not of the head's state.
+    pub fn with_observation(&self, obs: &Observation, step: usize) -> Result<InfoHead> {
+        let whitened = WhitenedObs::from_observation(obs, step)?;
+        Ok(self.with_rows(&whitened.c, &whitened.rhs))
     }
 
     /// Marginalizes the head's state out through the whitened evolution
@@ -181,10 +204,28 @@ impl InfoHead {
     /// through a singular evolution (`F` with a zero row, a stream with no
     /// prior): the evolution rows acting on `ker F` carry information about
     /// the *next* state only, and sit below the eliminated block's rank.
+    ///
+    /// Which arithmetic runs is read off the head's own entries, so it is a
+    /// function of the inputs alone (a head restored from a snapshot takes
+    /// the path the original took).  When `C` is a square upper triangle —
+    /// what [`InfoHead::absorb`] leaves on every observed step — and the
+    /// evolution has rows, the stack `[C; -B]` has the triangular-pentagonal
+    /// shape and is eliminated in place by [`qr_tri_stack_applying_with`]:
+    /// reflectors of length `1 + ℓ` instead of `n + ℓ − j`, nothing stacked
+    /// and nothing cut out — the transformed tops *are* `R_jj`,
+    /// `R_{j,j+1}` and the rhs segment, the bottoms *are* the next head.
+    /// Every other head (fewer than `n` rows while a no-prior stream warms
+    /// up, the dense square head an unobserved step leaves, a triangular
+    /// one whose factor fails the rank test) goes through the stacked
+    /// general QR and, rank deficient, the column-pivoted one: those bodies
+    /// stay because they are the only ones that run on such inputs.
     pub fn eliminate(&self, evo: &WhitenedEvo) -> (Option<EliminatedRows>, InfoHead) {
         let n_cur = self.state_dim();
         let n_next = evo.d.cols();
         debug_assert_eq!(evo.b.cols(), n_cur, "eliminate dimension mismatch");
+        if let Some((kept, next)) = self.eliminate_triangular(evo) {
+            return (Some(kept), next);
+        }
         let (mut stack, mut companion) = self.stacked_with(evo);
         let rows = stack.rows();
         if rows >= n_cur {
@@ -210,6 +251,33 @@ impl InfoHead {
         // are discarded wholesale, so the companion needs no permutation.
         qr.apply_qt(&mut companion);
         (None, InfoHead::below(&companion, rank))
+    }
+
+    /// The structured body of [`InfoHead::eliminate`]; `None` when the head
+    /// is not a square upper triangle, the evolution has no rows, or the
+    /// triangular factor fails the rank test.
+    fn eliminate_triangular(&self, evo: &WhitenedEvo) -> Option<(EliminatedRows, InfoHead)> {
+        let n = self.state_dim();
+        if self.c.rows() != n || evo.b.rows() == 0 || !self.c.is_upper_triangular() {
+            return None;
+        }
+        // The kernel works in place: its six blocks are pooled copies.
+        let mut diag = self.c.clone(); // lint: allow(alloc, "pooled matrix of one state's size")
+        let mut below = -&evo.b;
+        let mut off = Matrix::zeros(n, evo.d.cols());
+        let mut rhs = self.d.clone(); // lint: allow(alloc, "pooled column of one state's size")
+        let mut next_c = evo.d.clone(); // lint: allow(alloc, "pooled matrix of one state's size")
+        let mut next_d = evo.rhs.clone(); // lint: allow(alloc, "pooled column of one state's size")
+        qr_tri_stack_applying_with(
+            KernelKind::for_dim(n),
+            &mut diag,
+            &mut below,
+            &mut [(&mut off, &mut next_c), (&mut rhs, &mut next_d)],
+        );
+        has_full_rank(&diag, n + below.rows()).then(|| {
+            let next = InfoHead::condensed(next_c, next_d);
+            (EliminatedRows { diag, off, rhs }, next)
+        })
     }
 
     /// [`InfoHead::eliminate`] for callers that only carry the head forward.
@@ -245,10 +313,8 @@ impl InfoHead {
 /// `rows`-row block is negligible — the effective-rank test of
 /// [`QrFactor::solve_r_in_place`] and [`ColPivQr::rank`].
 fn has_full_rank(r: &Matrix, rows: usize) -> bool {
-    let n = r.rows();
-    let max_diag = (0..n).fold(0.0_f64, |m, j| m.max(r[(j, j)].abs()));
-    let tol = max_diag * (rows.max(n) as f64) * f64::EPSILON;
-    (0..n).all(|j| r[(j, j)].abs() > tol)
+    let tol = effective_rank_tol(r, rows);
+    (0..r.rows()).all(|j| r[(j, j)].abs() > tol)
 }
 
 /// One ingestion event of a streaming smoother.

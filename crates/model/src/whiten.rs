@@ -48,11 +48,12 @@ impl WhitenedObs {
     /// # Errors
     ///
     /// Covariance whitening failures ([`crate::KalmanError::NotPositiveDefinite`]).
+    // lint: allow(alloc, "by-value whitening API allocates its output by contract; the streaming path whitens each step once, when it is eliminated")
     pub fn from_observation(obs: &crate::Observation, index: usize) -> Result<WhitenedObs> {
-        Ok(WhitenedObs {
-            c: obs.noise.whiten(&obs.g, index)?,
-            rhs: obs.noise.whiten_col(&obs.o, index)?,
-        })
+        let mut c = obs.g.clone();
+        let mut rhs = Matrix::col_from_slice(&obs.o);
+        obs.noise.whiten_in_place(&mut [&mut c, &mut rhs], index)?;
+        Ok(WhitenedObs { c, rhs })
     }
 
     /// Stacks already-whitened rows `(c, rhs)` above `below`'s rows — how
@@ -76,17 +77,20 @@ impl WhitenedEvo {
     /// # Errors
     ///
     /// Covariance whitening failures ([`crate::KalmanError::NotPositiveDefinite`]).
+    // lint: allow(alloc, "by-value whitening API allocates its output by contract; the streaming path whitens each step once, when it is eliminated")
     pub fn from_evolution(
         evo: &crate::Evolution,
         state_dim: usize,
         index: usize,
     ) -> Result<WhitenedEvo> {
-        let b = evo.noise.whiten(&evo.f, index)?;
-        let d = match &evo.h {
-            Some(h) => evo.noise.whiten(h, index)?,
-            None => evo.noise.whiten(&Matrix::identity(state_dim), index)?,
+        let mut b = evo.f.clone();
+        let mut d = match &evo.h {
+            Some(h) => h.clone(),
+            None => Matrix::identity(state_dim),
         };
-        let rhs = evo.noise.whiten_col(&evo.c, index)?;
+        let mut rhs = Matrix::col_from_slice(&evo.c);
+        evo.noise
+            .whiten_in_place(&mut [&mut b, &mut d, &mut rhs], index)?;
         Ok(WhitenedEvo { b, d, rhs })
     }
 }
@@ -196,6 +200,75 @@ mod tests {
         let atb1 = matmul_tn(&sys.a, &sys.b);
         let atb2 = matmul_tn(&a2, &b2);
         assert!(atb1.approx_eq(&atb2, 1e-10));
+    }
+
+    /// `W·a` block by block, spelled as `CovarianceSpec::whiten` was before
+    /// a step's blocks shared one factorization.
+    fn whiten_one_block(spec: &crate::CovarianceSpec, a: &Matrix) -> Matrix {
+        use crate::CovarianceSpec::*;
+        match spec {
+            Identity(_) => a.clone(),
+            ScaledIdentity(_, s) => a.scaled(1.0 / s.sqrt()),
+            Diagonal(v) => Matrix::from_fn(a.rows(), a.cols(), |i, j| a[(i, j)] / v[i].sqrt()),
+            Dense(m) => {
+                let ch = kalman_dense::Cholesky::new(m).unwrap();
+                let mut out = a.clone();
+                kalman_dense::tri::solve_lower_in_place(ch.l(), &mut out).unwrap();
+                out
+            }
+        }
+    }
+
+    /// One factorization per whitened step must not change a bit: every
+    /// block equals the separate per-block whitening it replaced, for all
+    /// four covariance variants (and both `H` forms).
+    #[test]
+    fn step_blocks_are_bitwise_the_per_block_whitening() {
+        use crate::{CovarianceSpec, Evolution, Observation};
+        use kalman_dense::random;
+        let bits = |m: &Matrix| -> (usize, Vec<u64>) {
+            (m.rows(), m.as_slice().iter().map(|v| v.to_bits()).collect())
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let n = 3;
+        for noise in [
+            CovarianceSpec::Identity(n),
+            CovarianceSpec::ScaledIdentity(n, 2.5),
+            CovarianceSpec::Diagonal(vec![0.5, 2.0, 4.0]),
+            CovarianceSpec::Dense(random::spd(&mut rng, n)),
+        ] {
+            let want = |a: &Matrix| bits(&whiten_one_block(&noise, a));
+            for h in [None, Some(random::gaussian(&mut rng, n, n))] {
+                let evo = Evolution {
+                    f: random::gaussian(&mut rng, n, n),
+                    h,
+                    c: vec![0.3, -1.0, 2.0],
+                    noise: noise.clone(),
+                };
+                let got = WhitenedEvo::from_evolution(&evo, n, 1).unwrap();
+                let h = evo.h.clone().unwrap_or_else(|| Matrix::identity(n));
+                assert_eq!(bits(&got.b), want(&evo.f), "{noise:?}");
+                assert_eq!(bits(&got.d), want(&h), "{noise:?}");
+                assert_eq!(
+                    bits(&got.rhs),
+                    want(&Matrix::col_from_slice(&evo.c)),
+                    "{noise:?}"
+                );
+                assert_eq!(bits(&noise.whiten(&evo.f, 1).unwrap()), want(&evo.f));
+            }
+            let obs = Observation {
+                g: random::gaussian(&mut rng, n, 2),
+                o: vec![1.0, -2.0, 0.5],
+                noise: noise.clone(),
+            };
+            let got = WhitenedObs::from_observation(&obs, 0).unwrap();
+            assert_eq!(bits(&got.c), want(&obs.g), "{noise:?}");
+            assert_eq!(
+                bits(&got.rhs),
+                want(&Matrix::col_from_slice(&obs.o)),
+                "{noise:?}"
+            );
+        }
     }
 
     #[test]

@@ -115,7 +115,7 @@ pub fn factor_bidiagonal(steps: &[WhitenedStep]) -> BidiagonalR {
         .take()
         .unwrap_or_else(|| (Matrix::zeros(0, n_last), Matrix::zeros(0, 1)));
     let (c, crhs) = pad_rows(c, crhs, n_last);
-    if c.rows() == n_last && is_upper_triangular(&c) {
+    if c.rows() == n_last && c.is_upper_triangular() {
         diag.push(c);
         rhs_out.push(crhs);
     } else {
@@ -131,17 +131,6 @@ pub fn factor_bidiagonal(steps: &[WhitenedStep]) -> BidiagonalR {
         offdiag,
         rhs: rhs_out,
     }
-}
-
-fn is_upper_triangular(m: &Matrix) -> bool {
-    for j in 0..m.cols() {
-        for i in (j + 1)..m.rows() {
-            if m[(i, j)] != 0.0 {
-                return false;
-            }
-        }
-    }
-    true
 }
 
 /// Smooths `model` with the sequential Paige–Saunders algorithm.

@@ -17,7 +17,8 @@
 //!   each step is whitened and QR-eliminated once, when it stops being the
 //!   newest, and its block row of the window's bidiagonal `R` factor is
 //!   kept; every flush back-substitutes through the kept rows (and runs
-//!   the paper's Algorithm 1 for covariances).  The odd-even factorization
+//!   the paper's Algorithm 1 for covariances, on per-row terms that were
+//!   inverted once, with the row).  The odd-even factorization
 //!   — the paper's parallel-in-time result — stays the batch engine
 //!   (`kalman-odd-even`); an 18- or 40-step window on one core is where it
 //!   "performs more arithmetic than sequential smoothers" without the

@@ -81,7 +81,8 @@ pub struct StreamOptions {
     /// (and SelInv): `lag / flush_every + 1` passes over each step.
     pub flush_every: usize,
     /// Emit `cov(û_i)` with every finalized step (runs the SelInv phase on
-    /// each window).
+    /// each window; every eliminated step then also keeps the two `n × n`
+    /// terms of that recursion, so each `R` block is inverted once).
     pub covariances: bool,
     /// Not consulted by a stream: its flush is a sequential sweep, and
     /// parallelism lives *across* streams, under the policy of the

@@ -5,13 +5,20 @@
 //! stops being the newest, and leaves the step's block row of `R` in a
 //! [`Ring`] slot; every flush then back-substitutes through the ring for
 //! the means and runs the bidiagonal SelInv recursion (the paper's
-//! Algorithm 1) for the covariances.  Forgetting a step drops its slot.
+//! Algorithm 1) for the covariances.  The two factors of that recursion
+//! that depend on a block row alone are computed with the row and kept in
+//! its slot, so a flush inverts nothing it inverted before.  Forgetting a
+//! step drops its slot.
 
-use kalman_dense::{gemm, matmul, tri, Matrix, QrFactor, Trans};
+use kalman_dense::{tri, KernelKind, Matrix, QrFactor, Trans};
 use kalman_model::{EliminatedRows, InfoHead, KalmanError, LinearStep, Result, WhitenedEvo};
 use std::collections::VecDeque;
 
 /// One eliminated step of the window.
+///
+/// With covariances a slot holds `5n² + 2n` doubles (the prior's `C`, the
+/// row's `R_jj` and `R_{j,j+1}`, the two SelInv terms, and the two
+/// right-hand sides), `3n² + 2n` without.
 #[derive(Debug, Clone)]
 struct Slot {
     /// The prior the step was eliminated against: everything older than
@@ -21,6 +28,38 @@ struct Slot {
     /// The step's block row of `R`; `None` when the data cannot determine
     /// the step (see [`InfoHead::eliminate`]).
     rows: Option<EliminatedRows>,
+    /// The row's SelInv terms: present exactly when `rows` is and the ring
+    /// computes covariances.
+    terms: Option<SelinvTerms>,
+}
+
+/// What the bidiagonal SelInv recursion
+/// `S_jj = R_jj⁻¹R_jj⁻ᵀ + X_j S_{j+1,j+1} X_jᵀ` needs of block row `j`.
+/// Both are functions of the row alone, and the row never changes once its
+/// step is eliminated, so they are computed then — once in the step's life,
+/// where recomputing them in every flush that covers the step did it
+/// `(lag + flush_every) / flush_every` times — and live in the slot: a ring
+/// rebuilt from a snapshot, or re-eliminated after a rollback, recomputes
+/// them bitwise with the rows.
+#[derive(Debug, Clone)]
+struct SelinvTerms {
+    /// `X_j = R_jj⁻¹ R_{j,j+1}`.
+    x: Matrix,
+    /// `A_j = R_jj⁻¹ R_jj⁻ᵀ`.
+    a: Matrix,
+}
+
+impl SelinvTerms {
+    /// The terms of `rows`.  The rows' diagonal has passed the
+    /// effective-rank test, so neither inversion can meet a zero pivot;
+    /// `None` would surface as the same `RankDeficient` a missing row does.
+    fn of(rows: &EliminatedRows) -> Option<SelinvTerms> {
+        let mut x = rows.off.clone(); // lint: allow(alloc, "pooled matrix of one state's size, kept for the slot's life")
+        tri::solve_upper_in_place(&rows.diag, &mut x).ok()?;
+        let a = tri::inv_gram_upper(&rows.diag).ok()?;
+        count(&SLOT_INVERSIONS, "stream.slot_inversions");
+        Some(SelinvTerms { x, a })
+    }
 }
 
 /// The persistent part of a stream's window factorization: one [`Slot`]
@@ -35,6 +74,9 @@ pub(crate) struct Ring {
     slots: VecDeque<Slot>,
     /// Prior on buffered step `slots.len()`.
     running: InfoHead,
+    /// Whether smooths estimate covariances (a constant of the stream):
+    /// decides at elimination whether a slot gets its [`SelinvTerms`].
+    covariances: bool,
     /// Longest run of slots the storage has been sized for.
     high_water: usize,
     /// Times `high_water` grew.
@@ -47,10 +89,14 @@ pub(crate) struct Ring {
 pub(crate) struct Estimates {
     /// `means[j]` estimates buffered step `j < len`.
     pub(crate) means: Vec<Vec<f64>>,
-    /// `covs[j]` is `cov(û_j)` for `j < len` (when requested).
+    /// `covs[j]` is `cov(û_j)` for `j < len` (covariance rings only).
     pub(crate) covs: Vec<Matrix>,
     /// Steps the last smooth covered.
     pub(crate) len: usize,
+    /// The back substitution's working column.
+    column: Matrix,
+    /// The SelInv recursion's working block `X_j S_{j+1,j+1}`.
+    block: Matrix,
 }
 
 fn rank_deficient(state: u64) -> KalmanError {
@@ -60,11 +106,13 @@ fn rank_deficient(state: u64) -> KalmanError {
 }
 
 impl Ring {
-    /// An empty ring in front of a window whose base has prior `head`.
-    pub(crate) fn new(head: InfoHead) -> Ring {
+    /// An empty ring in front of a window whose base has prior `head`;
+    /// `covariances` says whether its smooths estimate them.
+    pub(crate) fn new(head: InfoHead, covariances: bool) -> Ring {
         Ring {
             slots: VecDeque::new(),
             running: head,
+            covariances,
             high_water: 0,
             resizes: 0,
         }
@@ -98,27 +146,26 @@ impl Ring {
         &mut self,
         buffer: &[LinearStep],
         base_index: u64,
-        covariances: bool,
         out: &mut Estimates,
     ) -> Result<InfoHead> {
         self.eliminate_pending(buffer, base_index)?;
         let last = self.slots.len();
         let newest = self.posterior(&buffer[last], (base_index + last as u64) as usize)?;
-        self.solve_into(&newest, base_index, covariances, out)?;
+        self.solve_into(&newest, base_index, out)?;
         Ok(newest)
     }
 
     /// The running prior with `step`'s own observations absorbed.
     fn posterior(&self, step: &LinearStep, index: usize) -> Result<InfoHead> {
-        let mut head = self.running.clone(); // lint: allow(alloc, "two pooled matrices of one state's size")
-        if let Some(obs) = &step.observation {
-            head.absorb_observation(obs, index)?;
+        match &step.observation {
+            Some(obs) => self.running.with_observation(obs, index),
+            None => Ok(self.running.clone()), // lint: allow(alloc, "two pooled matrices of one state's size")
         }
-        Ok(head)
     }
 
     /// The forward sweep over `buffer[slots.len()..buffer.len() - 1]`: each
-    /// step is whitened and eliminated exactly once in its life.
+    /// step is whitened, eliminated and (for covariances) inverted exactly
+    /// once in its life.
     fn eliminate_pending(&mut self, buffer: &[LinearStep], base_index: u64) -> Result<()> {
         let target = buffer.len() - 1;
         if target > self.high_water {
@@ -139,22 +186,21 @@ impl Ring {
             })?;
             let evo = WhitenedEvo::from_evolution(evolution, next.state_dim, index + 1)?;
             let (rows, running) = posterior.eliminate(&evo);
+            count(&ELIMINATIONS, "stream.eliminations");
+            let terms = if self.covariances {
+                rows.as_ref().and_then(SelinvTerms::of)
+            } else {
+                None
+            };
             let prior = std::mem::replace(&mut self.running, running);
-            self.slots.push_back(Slot { prior, rows });
-            count_elimination();
+            self.slots.push_back(Slot { prior, rows, terms });
         }
         Ok(())
     }
 
-    /// Back substitution from `newest` through the ring, then (with
-    /// `covariances`) the bidiagonal SelInv recursion.
-    fn solve_into(
-        &self,
-        newest: &InfoHead,
-        base_index: u64,
-        covariances: bool,
-        out: &mut Estimates,
-    ) -> Result<()> {
+    /// Back substitution from `newest` through the ring, then (in a
+    /// covariance ring) the bidiagonal SelInv recursion.
+    fn solve_into(&self, newest: &InfoHead, base_index: u64, out: &mut Estimates) -> Result<()> {
         let last = self.slots.len();
         out.len = last + 1;
         if out.means.len() < out.len {
@@ -166,38 +212,42 @@ impl Ring {
         if c.rows() < c.cols() {
             return Err(rank_deficient(state));
         }
-        let mut y = d.clone(); // lint: allow(alloc, "pooled column of one state's size")
-        let qr = QrFactor::new_applying(c.clone(), &mut [&mut y]); // lint: allow(alloc, "pooled matrix of one state's size")
-        qr.solve_r_in_place(&mut y)
-            .map_err(|_| rank_deficient(state))?;
-        set_mean(&mut out.means[last], &y);
+        let y = &mut out.column;
+        y.clone_from(d);
+        let qr = QrFactor::new_applying(c.clone(), &mut [&mut *y]); // lint: allow(alloc, "pooled matrix of one state's size")
+        qr.solve_r_in_place(y).map_err(|_| rank_deficient(state))?;
+        set_mean(&mut out.means[last], y);
         for j in (0..last).rev() {
             let state = base_index + j as u64;
             let rows = self.slots[j].rows.as_ref().ok_or(rank_deficient(state))?;
-            let mut y = rows.rhs.clone(); // lint: allow(alloc, "pooled column of one state's size")
+            y.clone_from(&rows.rhs);
             rows.off.sub_mul_vec_into(&out.means[j + 1], y.col_mut(0));
-            tri::solve_upper_in_place(&rows.diag, &mut y).map_err(|_| rank_deficient(state))?;
-            set_mean(&mut out.means[j], &y);
+            tri::solve_upper_in_place(&rows.diag, y).map_err(|_| rank_deficient(state))?;
+            set_mean(&mut out.means[j], y);
         }
-        if !covariances {
+        if !self.covariances {
             return Ok(());
         }
         if out.covs.len() < out.len {
-            out.covs.resize_with(out.len, || Matrix::zeros(0, 0));
+            out.covs.resize_with(out.len, Matrix::default);
         }
-        // S_kk = R_kk⁻¹ R_kk⁻ᵀ, then for j = k−1 … 0 with
-        // X = R_jj⁻¹ R_{j,j+1}:  S_jj = R_jj⁻¹ R_jj⁻ᵀ + X S_{j+1,j+1} Xᵀ.
+        // S_kk = R_kk⁻¹ R_kk⁻ᵀ, then for j = k−1 … 0, from the slot's terms
+        // X_j = R_jj⁻¹ R_{j,j+1} and A_j = R_jj⁻¹ R_jj⁻ᵀ:
+        // S_jj = A_j + X_j S_{j+1,j+1} X_jᵀ — two products per step on the
+        // kernel bound here once (it falls through to the general `gemm` on
+        // a block of another shape).
         out.covs[last] = tri::inv_gram_upper(&qr.r()).map_err(|_| rank_deficient(state))?;
+        let gemm = KernelKind::for_dim(c.cols()).gemm();
+        let xs = &mut out.block;
         for j in (0..last).rev() {
             let state = base_index + j as u64;
-            let rows = self.slots[j].rows.as_ref().ok_or(rank_deficient(state))?;
-            let mut x = rows.off.clone(); // lint: allow(alloc, "pooled matrix of one state's size")
-            tri::solve_upper_in_place(&rows.diag, &mut x).map_err(|_| rank_deficient(state))?;
-            let xs = matmul(&x, &out.covs[j + 1]);
-            let mut s = tri::inv_gram_upper(&rows.diag).map_err(|_| rank_deficient(state))?;
-            gemm(1.0, &xs, Trans::No, &x, Trans::Yes, 1.0, &mut s);
-            s.symmetrize();
-            out.covs[j] = s;
+            let terms = self.slots[j].terms.as_ref().ok_or(rank_deficient(state))?;
+            let (s, next) = out.covs[j..].split_at_mut(1);
+            xs.clone_from(&terms.x); // shapes the block; β = 0 overwrites it
+            gemm(1.0, &terms.x, Trans::No, &next[0], Trans::No, 0.0, xs);
+            s[0].clone_from(&terms.a);
+            gemm(1.0, xs, Trans::No, &terms.x, Trans::Yes, 1.0, &mut s[0]);
+            s[0].symmetrize();
         }
         Ok(())
     }
@@ -224,12 +274,16 @@ fn set_mean(dst: &mut Vec<f64>, y: &Matrix) {
     dst.extend_from_slice(y.col(0));
 }
 
+type CounterCell = std::sync::OnceLock<&'static kalman_obs::Counter>;
 /// `stream.eliminations`: one per forward step.
-fn count_elimination() {
-    static COUNTER: std::sync::OnceLock<&'static kalman_obs::Counter> = std::sync::OnceLock::new();
+static ELIMINATIONS: CounterCell = CounterCell::new();
+/// `stream.slot_inversions`: one per computed [`SelinvTerms`].
+static SLOT_INVERSIONS: CounterCell = CounterCell::new();
+
+/// Bumps the process-wide counter `name` (registered on first use) while
+/// the instrumentation is live.
+fn count(cell: &CounterCell, name: &str) {
     if kalman_obs::enabled() {
-        COUNTER
-            .get_or_init(|| kalman_obs::counter("stream.eliminations"))
-            .inc();
+        cell.get_or_init(|| kalman_obs::counter(name)).inc();
     }
 }

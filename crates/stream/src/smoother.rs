@@ -18,10 +18,12 @@ use kalman_model::{
 /// that arrived since the last flush (all but the newest, which can still
 /// be observed), so every step is whitened and eliminated exactly once in
 /// its life; back substitution through the kept `R` blocks gives the means,
-/// the bidiagonal SelInv recursion the covariances, and forgetting a
-/// finalized step drops its block — there is no second factorization.  The
-/// sweep is sequential; [`StreamOptions::policy`] is not consulted, and
-/// parallelism lives *across* streams in [`crate::SmootherPool`].
+/// the bidiagonal SelInv recursion the covariances (from terms of each
+/// block that are computed once, with it, and kept beside it), and
+/// forgetting a finalized step drops its block — there is no second
+/// factorization.  The sweep is sequential; [`StreamOptions::policy`] is
+/// not consulted, and parallelism lives *across* streams in
+/// [`crate::SmootherPool`].
 ///
 /// In steady state — auto-flush cadence or a fixed manual cadence — a
 /// flush performs **zero heap allocations**: every container keeps its
@@ -109,7 +111,7 @@ impl StreamingSmoother {
             cur_lag: opts.effective_lag_policy().initial_lag(),
             opts,
             buffer: vec![LinearStep::initial(head.state_dim())],
-            ring: Ring::new(head),
+            ring: Ring::new(head, opts.covariances),
             base_index: index,
             base_emitted,
             estimates: Estimates::default(),
@@ -431,16 +433,12 @@ impl StreamingSmoother {
         // The sweep eliminates in place; a read-only smooth works on a copy.
         let mut ring = self.ring.clone();
         let mut estimates = Estimates::default();
-        ring.smooth(
-            &self.buffer,
-            self.base_index,
-            self.opts.covariances,
-            &mut estimates,
-        )?;
+        ring.smooth(&self.buffer, self.base_index, &mut estimates)?;
         let Estimates {
             mut means,
             mut covs,
             len,
+            ..
         } = estimates;
         means.truncate(len);
         covs.truncate(len);
@@ -525,12 +523,8 @@ impl StreamingSmoother {
     /// Smooths the window in place (see `Ring::smooth`), leaving the
     /// estimates in `self.estimates`.
     fn smooth_window(&mut self) -> Result<InfoHead> {
-        self.ring.smooth(
-            &self.buffer,
-            self.base_index,
-            self.opts.covariances,
-            &mut self.estimates,
-        )
+        self.ring
+            .smooth(&self.buffer, self.base_index, &mut self.estimates)
     }
 
     /// Writes estimates for the first `count` buffered steps into `out`

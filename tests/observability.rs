@@ -13,9 +13,9 @@ use kalman::serve::{ServeConfig, ShardedPool};
 use rand::SeedableRng;
 use std::sync::{Mutex, MutexGuard};
 
-/// `stream.eliminations` is one process-wide counter and every test here
-/// drives streams, so the tests take turns: the exact-count test reads
-/// deltas nobody else moves.
+/// `stream.eliminations` and `stream.slot_inversions` are process-wide
+/// counters and every test here drives streams, so the tests take turns:
+/// the exact-count test reads deltas nobody else moves.
 fn serial() -> MutexGuard<'static, ()> {
     static TURN: Mutex<()> = Mutex::new(());
     TURN.lock().unwrap_or_else(|p| p.into_inner())
@@ -263,14 +263,20 @@ fn queue_wait_histogram_fills_exactly_when_instrumentation_is_live() {
 /// forward steps for a stream of `N` steps up to `finish` (the last step is
 /// never eliminated), where re-factoring the window every flush cost
 /// `(lag + flush_every) / flush_every + 1` per step.  A restored stream
-/// re-eliminates its buffered window, once.
+/// re-eliminates its buffered window, once.  The same count holds for the
+/// SelInv terms of a covariance stream — each `R_jj` is inverted once, with
+/// its elimination, where every flush covering the step used to invert it
+/// again — and a stream without covariances computes none.
 #[test]
 fn every_step_is_eliminated_exactly_once() {
     let _turn = serial();
     if !obs::enabled() {
-        return; // obs-off: the counter is compiled out with the other instruments
+        return; // obs-off: the counters are compiled out with the other instruments
     }
     let eliminations = obs::counter("stream.eliminations");
+    let inversions = obs::counter("stream.slot_inversions");
+    let counts = || (eliminations.get(), inversions.get());
+    let since = |before: (u64, u64)| (eliminations.get() - before.0, inversions.get() - before.1);
     let model =
         generators::paper_benchmark(&mut rand_chacha::ChaCha8Rng::seed_from_u64(77), 2, 59, true);
     let prior = model.prior.as_ref().expect("generated with a prior");
@@ -281,7 +287,7 @@ fn every_step_is_eliminated_exactly_once() {
             covariances: true,
             ..StreamOptions::default()
         };
-        let before = eliminations.get();
+        let before = counts();
         let mut stream = StreamingSmoother::with_prior(prior.mean.clone(), prior.cov.clone(), opts)
             .expect("valid options");
         let mut restored = None;
@@ -294,16 +300,32 @@ fn every_step_is_eliminated_exactly_once() {
         }
         stream.finish().expect("solvable window");
         assert_eq!(
-            eliminations.get() - before,
-            60 - 1,
+            since(before),
+            (60 - 1, 60 - 1),
             "lag {lag}, flush_every {flush_every}"
         );
 
         let restored = restored.expect("snapshot taken");
         let buffered = restored.buffered_len() as u64;
         assert_eq!(restored.eliminated_len(), 0);
-        let before = eliminations.get();
+        let before = counts();
         restored.finish().expect("solvable window");
-        assert_eq!(eliminations.get() - before, buffered - 1);
+        assert_eq!(since(before), (buffered - 1, buffered - 1));
+
+        let before = counts();
+        let mut means_only = StreamingSmoother::with_prior(
+            prior.mean.clone(),
+            prior.cov.clone(),
+            StreamOptions {
+                covariances: false,
+                ..opts
+            },
+        )
+        .expect("valid options");
+        for event in events_of(&model) {
+            means_only.ingest(event).expect("valid event");
+        }
+        means_only.finish().expect("solvable window");
+        assert_eq!(since(before), (60 - 1, 0));
     }
 }

@@ -333,7 +333,11 @@ fn twice_observed_case(seed: u64, k: usize) -> (LinearModel, Vec<StreamEvent>) {
 /// smoothers run on exactly the data the step had seen at emission, across
 /// model families (with and without prior, changing dimensions, missing
 /// and stacked observations, ill-conditioned noise), cadences (including
-/// `flush_every = 1` and `flush_every > lag`) and lag policies.
+/// `flush_every = 1` and `flush_every > lag`) and lag policies.  The
+/// `n = 4` and `n = 8` cases are the serving dimensions: only there do the
+/// monomorphized kernels the sweep binds (the tri-stack forward step, the
+/// SelInv products) run, and the `KALMAN_REF_KERNELS=1` CI leg takes the
+/// same cases through the reference kernels.
 #[test]
 fn every_finalized_step_matches_both_batch_smoothers_at_its_horizon() {
     let k = 36;
@@ -358,6 +362,14 @@ fn every_finalized_step_matches_both_batch_smoothers_at_its_horizon() {
         (
             "cond 1e4",
             generators::ill_conditioned(&mut rng(934), 3, k, 1e4),
+        ),
+        (
+            "n = 4",
+            generators::paper_benchmark(&mut rng(936), 4, k, true),
+        ),
+        (
+            "n = 8",
+            generators::paper_benchmark(&mut rng(937), 8, k, true),
         ),
     ]
     .into_iter()
