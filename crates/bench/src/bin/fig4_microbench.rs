@@ -15,15 +15,17 @@
 //! `--smoke` runs the CI-sized kernel microbenchmark instead: blocked GEMM
 //! versus the reference loop nest across block sizes, the fused QR
 //! (`QrFactor::new_applying`) versus factor-then-apply below the
-//! `QR_FUSED_MAX_COLS` crossover, plus the monomorphized SIMD kernels versus
+//! `QR_FUSED_MAX_COLS` crossover, the level-3 bodies (compact-WY tri-stack,
+//! blocked back substitution, blocked inverse-Gram) versus the unblocked
+//! ones at batch dimensions, plus the monomorphized SIMD kernels versus
 //! the scalar oracle at the serving dimensions n ∈ {4, 8, 16}; each pair is
 //! measured as interleaved A/B rounds with per-arm minima (the noise-robust
 //! methodology of docs/BENCHMARKS.md), single-threaded; `--json PATH`
 //! records the timings and speedups (`BENCH_kernels.json` in CI).
 
 use kalman::dense::{
-    gemm, gemm_ref, qr_tri_stack_applying, qr_tri_stack_applying_with, KernelKind, Matrix,
-    QrFactor, Trans,
+    gemm, gemm_ref, qr_trap_stack_applying, qr_tri_stack_applying, qr_tri_stack_applying_with, tri,
+    KernelKind, Matrix, QrFactor, Trans,
 };
 use kalman::par::{for_each_mut, run_with_threads, ExecPolicy};
 use kalman_bench::{core_sweep, median_time, print_row, time_once, Args, BenchEntry};
@@ -153,6 +155,81 @@ fn smoke(args: &mut Args) {
         );
     }
 
+    // Level-3 bodies vs the unblocked ones at batch dimensions.  Tri-stack:
+    // the triangle-on-square elimination with one (n+1)-wide companion
+    // pair; the unblocked arm is `qr_trap_stack_applying` on the same
+    // square stack, which runs the unblocked SIMD body at every size (its
+    // staircase phase has nothing to do when the "trapezoid" is square).
+    for n in [32usize, 48, 96] {
+        let r0 = QrFactor::new(test_matrix(n, n)).r();
+        let d0 = test_matrix(n, n);
+        let top0 = test_matrix(n, n + 1);
+        let reps = (2_000_000 / (n * n * n)).max(1);
+        type Eliminate = fn(&mut Matrix, &mut Matrix, &mut [(&mut Matrix, &mut Matrix)]);
+        let run = |eliminate: Eliminate| {
+            time_once(|| {
+                for _ in 0..reps {
+                    let (mut r, mut d) = (r0.clone(), d0.clone());
+                    let (mut top, mut bot) = (top0.clone(), top0.clone());
+                    eliminate(&mut r, &mut d, &mut [(&mut top, &mut bot)]);
+                    std::hint::black_box(&r);
+                }
+            })
+            .0 / reps as f64
+        };
+        let (t_unblocked, t_blocked) = ab_min(
+            rounds,
+            || run(qr_trap_stack_applying),
+            || run(qr_tri_stack_applying),
+        );
+        push_pair(
+            &mut entries,
+            &format!("tri_stack/n{n}"),
+            ("unblocked", "blocked"),
+            t_unblocked,
+            t_blocked,
+        );
+    }
+    // Triangular solve on n right-hand sides and the inverse-Gram, the two
+    // triangular kernels of a SelInv block row; the unblocked arm is the
+    // same call on the scalar oracle (`set_reference_kernels(true)`).
+    {
+        let n = 48;
+        let u = QrFactor::new(test_matrix(n, n)).r();
+        let b0 = test_matrix(n, n);
+        let reps = 40;
+        let solve = || {
+            time_once(|| {
+                for _ in 0..reps {
+                    let mut x = b0.clone();
+                    tri::solve_upper_in_place(&u, &mut x).expect("nonsingular");
+                    std::hint::black_box(&x);
+                }
+            })
+            .0 / reps as f64
+        };
+        let inv_gram = || {
+            time_once(|| {
+                for _ in 0..reps {
+                    std::hint::black_box(tri::inv_gram_upper(&u).expect("nonsingular"));
+                }
+            })
+            .0 / reps as f64
+        };
+        let on_oracle = |f: &dyn Fn() -> f64| {
+            kalman::dense::set_reference_kernels(true);
+            let t = f();
+            kalman::dense::set_reference_kernels(false);
+            t
+        };
+        let kernels: [(&str, &dyn Fn() -> f64); 2] =
+            [("trsm/n48", &solve), ("inv_gram/n48", &inv_gram)];
+        for (name, kernel) in kernels {
+            let (t_ref, t_blk) = ab_min(rounds, || on_oracle(kernel), kernel);
+            push_pair(&mut entries, name, ("unblocked", "blocked"), t_ref, t_blk);
+        }
+    }
+
     // Monomorphized SIMD kernels vs the scalar oracle at the serving
     // dimensions.  GEMM compares the `KernelKind`-bound monomorphic entry
     // (the pointer a uniform-n plan binds at plan time) against the scalar
@@ -253,9 +330,11 @@ fn smoke(args: &mut Args) {
     if !json.is_empty() {
         let config = format!(
             "fig4 --smoke: dense kernels, 1 thread, interleaved A/B mins of {rounds} rounds \
-             per pair; gemm rows: blocked vs reference loop nest; qr rows: fused \
+             per pair; gemm rows: register-tile GEMM vs reference loop nest; qr rows: fused \
              new_applying vs factor-then-apply at n in [8,16,24], all below the \
-             QR_FUSED_MAX_COLS = 32 crossover; gemm/nK/simd + qr/nK/mono rows: \
+             QR_FUSED_MAX_COLS = 32 crossover; tri_stack rows: compact-WY vs unblocked \
+             SIMD body, one (n+1)-wide companion pair; trsm/inv_gram rows: blocked vs the \
+             scalar oracle at n = 48; gemm/nK/simd + qr/nK/mono rows: \
              monomorphized SIMD kernels vs the scalar oracle at the serving dimensions"
         );
         kalman_bench::write_bench_json(&json, &config, &entries).expect("write json");

@@ -1,10 +1,8 @@
-//! General matrix multiply: a cache-blocked, register-tiled microkernel
-//! path plus the original loop-nest kernel, retained as `gemm_ref` — the
-//! reference oracle the property tests compare against.  The register tile
-//! itself dispatches once more: an explicit-width AVX2/FMA SIMD microtile
-//! ([`crate::simd`]) when active, the original scalar accumulators
-//! otherwise, and const-generic monomorphized whole-GEMM kernels for
-//! `n ∈ {4, 8, 16}` bound at plan time through [`KernelKind::gemm`].
+//! General matrix multiply: the 8×6 register-tile path ([`simd::gemm_tile`])
+//! plus the original loop-nest kernel, retained as `gemm_ref` — the
+//! reference oracle the property tests compare against, and what tiny
+//! products still run — and const-generic monomorphized whole-GEMM kernels
+//! for `n ∈ {4, 8, 16}` bound at plan time through [`KernelKind::gemm`].
 
 use crate::simd::{self, KernelKind};
 use crate::{workspace, Matrix};
@@ -26,29 +24,14 @@ impl Trans {
             Trans::Yes => (m.cols(), m.rows()),
         }
     }
-
-    /// Reads `op(m)[i, j]`.
-    #[inline]
-    fn at(self, m: &Matrix, i: usize, j: usize) -> f64 {
-        match self {
-            Trans::No => m[(i, j)],
-            Trans::Yes => m[(j, i)],
-        }
-    }
 }
 
-/// Microkernel tile height (rows of `C` per register tile).
-const MR: usize = 4;
-/// Microkernel tile width (columns of `C` per register tile).
-const NR: usize = 4;
-/// Rows of `op(A)` packed per cache block.
-const MC: usize = 128;
-/// Inner (`k`) depth packed per cache block.
-const KC: usize = 256;
-/// Problems below this `m·k·n` volume skip packing and use the reference
-/// loops (packing overhead dominates for tiny blocks; threshold picked from
-/// the `fig4 --smoke` kernel sweep on the 1-core container).
-const BLOCK_MIN_VOLUME: usize = 2048;
+/// Problems below this `m·k·n` volume use the reference loops: the tile's
+/// fixed cost per call (extent checks, masks, one zeroed accumulator set per
+/// tile) only pays from about 4×4×4 up.  Read off a sweep of cubes and
+/// rectangles on the 2-core container: 2³ 0.84×, 3³ 1.2×, 4³ 1.8×, 6³ 2.0×,
+/// 8³ 5×, a 6×1×6 outer product 0.5–0.7×, 8×8×1 1.6×.
+const BLOCK_MIN_VOLUME: usize = 64;
 
 fn check_dims(a: &Matrix, ta: Trans, b: &Matrix, tb: Trans, c: &Matrix) -> (usize, usize, usize) {
     let (am, ak) = ta.dims(a);
@@ -70,15 +53,12 @@ fn scale_c(beta: f64, c: &mut Matrix) {
 
 /// General matrix multiply: `c = alpha * op(a) * op(b) + beta * c`.
 ///
-/// `op(x)` is `x` or `xᵀ` according to the [`Trans`] flags.  Large-enough
-/// products run through a cache-blocked path: `op(A)` panels are packed
-/// column-major in `MR`-row strips (with `alpha` folded in), `op(B)`
-/// panels in `NR`-column strips — the packing buffers double as the
-/// small-transpose staging area, so every transpose combination (including
-/// the formerly strided `Tᵀ·Bᵀ` case) feeds the same unrolled
-/// `MR``×``NR` register-tile microkernel with contiguous reads.  Small
-/// products use [`gemm_ref`].  Both paths are deterministic: results are
-/// bitwise identical run-to-run and across `ExecPolicy` choices.
+/// `op(x)` is `x` or `xᵀ` according to the [`Trans`] flags.  All but tiny
+/// products run on the register tile ([`simd::gemm_tile`]): `A` is read in
+/// place, `op(B)` through a stride pair, so only `op(A) = Aᵀ` copies
+/// anything (one transpose into a pooled buffer).  Tiny products use
+/// [`gemm_ref`].  Both paths are deterministic: results are bitwise
+/// identical run-to-run and across `ExecPolicy` choices.
 ///
 /// # Panics
 ///
@@ -93,11 +73,7 @@ pub fn gemm(alpha: f64, a: &Matrix, ta: Trans, b: &Matrix, tb: Trans, beta: f64,
         simd::note_scalar();
         accumulate_ref(alpha, a, ta, b, tb, c);
     } else {
-        if simd::simd_active() {
-            simd::note_simd();
-        } else {
-            simd::note_scalar();
-        }
+        simd::note_simd();
         accumulate_blocked(alpha, a, ta, b, tb, c);
     }
 }
@@ -160,9 +136,9 @@ impl KernelKind {
     }
 }
 
-/// The blocked GEMM path unconditionally (packed panels + microkernel),
-/// regardless of problem volume — for callers that know their sizes and
-/// for property tests pinning the blocked path against [`gemm_ref`] on
+/// The register-tile GEMM path unconditionally, regardless of problem
+/// volume and of the reference-kernel switch — for callers that know their
+/// sizes and for property tests pinning the tile against [`gemm_ref`] on
 /// every shape, including ones below the dispatch threshold.
 ///
 /// # Panics
@@ -277,98 +253,43 @@ fn accumulate_ref(alpha: f64, a: &Matrix, ta: Trans, b: &Matrix, tb: Trans, c: &
     }
 }
 
-/// `c += alpha * op(a) * op(b)` through packed panels and the MR×NR
-/// microkernel.
+/// `c += alpha * op(a) * op(b)` through the 8×6 register tile
+/// ([`simd::gemm_tile`]).  `A` columns are read where they are and `op(B)`
+/// through a stride pair, so `op(A) = A` needs no packing at all; `op(A) =
+/// Aᵀ` takes one transposing copy into a pooled buffer.
 fn accumulate_blocked(alpha: f64, a: &Matrix, ta: Trans, b: &Matrix, tb: Trans, c: &mut Matrix) {
     let (am, ak) = ta.dims(a);
     let bn = tb.dims(b).1;
-    // Hoisted: one SIMD-layer check per GEMM call, not per microtile.
-    let use_simd = simd::simd_active();
-
-    let b_panels = bn.div_ceil(NR);
-    let a_panels_max = am.min(MC).div_ceil(MR);
-    let mut bpack = workspace::take_f64(b_panels * NR * KC.min(ak));
-    let mut apack = workspace::take_f64(a_panels_max * MR * KC.min(ak));
-
-    let mut pc = 0;
-    while pc < ak {
-        let kc = KC.min(ak - pc);
-        // Pack op(B)[pc..pc+kc, :] into NR-column strips (zero-padded), so
-        // the microkernel reads NR consecutive values per k step no matter
-        // how op(B) is strided in the original storage.
-        for jp in 0..b_panels {
-            let j0 = jp * NR;
-            let panel = &mut bpack[jp * NR * kc..(jp + 1) * NR * kc];
-            for (p, row) in panel.chunks_exact_mut(NR).enumerate() {
-                for (jr, slot) in row.iter_mut().enumerate() {
-                    let j = j0 + jr;
-                    *slot = if j < bn { tb.at(b, pc + p, j) } else { 0.0 };
-                }
+    let (bks, bjs) = match tb {
+        Trans::No => (1, b.rows()),
+        Trans::Yes => (b.rows(), 1),
+    };
+    let at = (ta == Trans::Yes).then(|| {
+        let mut at = workspace::take_f64(am * ak);
+        for (i, col) in a.as_slice().chunks_exact(ak).enumerate() {
+            for (slot, &v) in at[i..].iter_mut().step_by(am).zip(col) {
+                *slot = v;
             }
         }
-
-        let mut ic = 0;
-        while ic < am {
-            let mc = MC.min(am - ic);
-            let a_panels = mc.div_ceil(MR);
-            // Pack alpha·op(A)[ic..ic+mc, pc..pc+kc] into MR-row strips.
-            for ip in 0..a_panels {
-                let i0 = ic + ip * MR;
-                let panel = &mut apack[ip * MR * kc..(ip + 1) * MR * kc];
-                for (p, row) in panel.chunks_exact_mut(MR).enumerate() {
-                    for (ir, slot) in row.iter_mut().enumerate() {
-                        let i = i0 + ir;
-                        *slot = if i < ic + mc {
-                            alpha * ta.at(a, i, pc + p)
-                        } else {
-                            0.0
-                        };
-                    }
-                }
-            }
-
-            // Register-tiled sweep over the packed block.
-            for jp in 0..b_panels {
-                let j0 = jp * NR;
-                let nr = NR.min(bn - j0);
-                let b_panel = &bpack[jp * NR * kc..(jp + 1) * NR * kc];
-                for ip in 0..a_panels {
-                    let i0 = ic + ip * MR;
-                    let mr = MR.min(ic + mc - i0);
-                    let a_panel = &apack[ip * MR * kc..(ip + 1) * MR * kc];
-
-                    // Unrolled 4×4 inner kernel: an explicit-width AVX2/FMA
-                    // tile when the SIMD layer is active, otherwise the
-                    // original 16 scalar accumulators with contiguous MR/NR
-                    // loads per k step.
-                    let mut acc = [[0.0f64; NR]; MR];
-                    if use_simd {
-                        simd::gemm_microkernel_4x4(a_panel, b_panel, &mut acc);
-                    } else {
-                        for (ap, bp) in a_panel.chunks_exact(MR).zip(b_panel.chunks_exact(NR)) {
-                            for ir in 0..MR {
-                                let av = ap[ir];
-                                for jr in 0..NR {
-                                    acc[ir][jr] += av * bp[jr];
-                                }
-                            }
-                        }
-                    }
-                    for jr in 0..nr {
-                        let cj = &mut c.col_mut(j0 + jr)[i0..i0 + mr];
-                        for (ci, acc_row) in cj.iter_mut().zip(&acc) {
-                            *ci += acc_row[jr];
-                        }
-                    }
-                }
-            }
-            ic += mc;
-        }
-        pc += kc;
+        at
+    });
+    let a_cols = at.as_deref().unwrap_or(a.as_slice());
+    simd::gemm_tile(
+        am,
+        bn,
+        ak,
+        alpha,
+        a_cols,
+        am,
+        b.as_slice(),
+        bks,
+        bjs,
+        c.as_mut_slice(),
+        am,
+    );
+    if let Some(at) = at {
+        workspace::put_f64(at);
     }
-
-    workspace::put_f64(apack);
-    workspace::put_f64(bpack);
 }
 
 /// `a * b` as a new matrix.
@@ -528,9 +449,9 @@ mod tests {
         check(16, gemm_mono_entry::<16>);
     }
 
-    /// The blocked path must agree with the reference loops on every
-    /// transpose combination and on shapes that exercise every packing edge
-    /// (non-multiples of MR/NR/KC, tall, wide, deep).
+    /// The tile path must agree with the reference loops on every
+    /// transpose combination and on shapes that exercise every tile edge
+    /// (non-multiples of 8 rows and 6 columns, tall, wide, deep).
     #[test]
     fn blocked_path_matches_reference_all_transposes() {
         let shapes = [(17, 13, 19), (33, 5, 64), (4, 100, 4), (65, 65, 1)];

@@ -19,13 +19,17 @@
 //!
 //! All matrices are dense and owned; the smoothers operate on many small
 //! blocks (the paper uses n = 6, 48 and 500).  The kernels are tuned for
-//! that regime — a blocked, register-tiled GEMM microkernel, four-column
+//! that regime, from both ends: at serving dimensions, four-column
 //! Householder applications, a triangular-pentagonal stack elimination
-//! ([`qr_tri_stack_applying`]), explicit-width AVX2/FMA SIMD tiles with
-//! const-generic monomorphized small-`n` kernels ([`simd`], selected at plan
-//! time via [`KernelKind`]), and a thread-local buffer-recycling
-//! [`workspace`] that makes steady-state loops allocation-free — while
-//! staying dependency-free (see DESIGN.md §"Dense kernels").
+//! ([`qr_tri_stack_applying`]) and const-generic monomorphized `n ∈ {4, 8,
+//! 16}` kernels selected at plan time via [`KernelKind`]; at batch
+//! dimensions, level-3 bodies on one AVX2/FMA 8×6 register-tile GEMM
+//! ([`simd::gemm_tile`]) — the product itself, a compact-WY body for the
+//! stack elimination, a blocked back substitution and inverse-Gram
+//! ([`tri`]) — chosen from the operands' shapes alone; and under all of it
+//! a thread-local buffer-recycling [`workspace`] that makes steady-state
+//! loops allocation-free — while staying dependency-free (see DESIGN.md
+//! §"Dense kernels").
 //!
 //! # Example
 //!

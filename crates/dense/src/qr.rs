@@ -530,6 +530,13 @@ impl ColPivQr {
 /// skipping the stack/extract copies entirely.  `Qᵀ` is applied during the
 /// factorization, so no reflector bookkeeping survives the call.
 ///
+/// Two bodies, chosen from the blocks' shapes alone: reflector by reflector
+/// (four target columns per pass) for small stacks, and a compact-WY body
+/// that applies eight reflectors at a time as register-tile GEMMs
+/// (`tri_stack_blocked`) once `R` and the companions are wide enough
+/// (`TRI_BLOCKED_MIN_N`, `TRI_BLOCKED_MIN_COLS`).  They agree to rounding,
+/// not bitwise; each is a pure function of its operands.
+///
 /// # Panics
 ///
 /// Panics on block dimension mismatches.
@@ -539,12 +546,117 @@ pub fn qr_tri_stack_applying(
     companions: &mut [(&mut Matrix, &mut Matrix)],
 ) {
     tri_stack_check(r, d, companions);
-    if simd::simd_active() {
-        simd::note_simd();
-    } else {
+    if !simd::simd_active() {
         simd::note_scalar();
+        tri_stack_body::<0>(r, d, companions);
+        return;
     }
-    tri_stack_body::<0>(r, d, companions);
+    simd::note_simd();
+    let width: usize = companions.iter().map(|(top, _)| top.cols()).sum();
+    let n = r.rows();
+    if n >= TRI_BLOCKED_MIN_N && n + width >= TRI_BLOCKED_MIN_COLS && d.rows() > 0 {
+        tri_stack_blocked(r, d, companions);
+    } else {
+        tri_stack_body::<0>(r, d, companions);
+    }
+}
+
+/// Reflectors per compact-WY panel of [`tri_stack_blocked`]: one tile height
+/// of [`simd::gemm_tile`] (16 was measured slower at every size).
+const TRI_PANEL: usize = 8;
+/// [`qr_tri_stack_applying`] runs the compact-WY body from this order up …
+const TRI_BLOCKED_MIN_N: usize = 24;
+/// … when the columns a panel is applied to — the triangle's own plus every
+/// companion's — number at least this many at the first panel.  Read off
+/// the `fig4 --smoke` sweep: with only a right-hand side riding along the
+/// blocked body wins from n = 40 and ties at 32; with 16 companion columns
+/// it wins from n = 24.  The `D` row count does not enter: at n = 48 the
+/// blocked body won from 2 rows to 96.
+const TRI_BLOCKED_MIN_COLS: usize = 40;
+
+/// The compact-WY tri-stack elimination.  Panels of [`TRI_PANEL`] pivots
+/// are eliminated by [`tri_stack_pivot`] inside the panel only; the panel's
+/// reflectors `H_j = I − τ_j v_j v_jᵀ`, `v_j = [e_j; d_j]`, are then applied
+/// to everything right of the panel and to every companion at once as
+/// `Qᵀ = I − V Tᵀ Vᵀ`:
+///
+/// ```text
+/// W = Tᵀ·C_p + (V_D·T)ᵀ·C_D,   C_p −= W,   C_D −= V_D·W
+/// ```
+///
+/// where `V_D` is the panel's columns of `D`, `C_p` the panel's rows of the
+/// top block and `C_D` the bottom block — three tile GEMMs and one
+/// subtraction per target, `Tᵀ` folded into the packed `(V_D·T)ᵀ` so no
+/// triangular multiply remains.  `T` comes from `V_DᵀV_D` (the unit parts of
+/// distinct `v_j` are orthogonal); a zero column (`τ = 0`) leaves a zero
+/// column and row of `T`.
+fn tri_stack_blocked(
+    r: &mut Matrix,
+    d: &mut Matrix,
+    companions: &mut [(&mut Matrix, &mut Matrix)],
+) {
+    let (n, l) = (r.rows(), d.rows());
+    let widest = companions
+        .iter()
+        .map(|(top, _)| top.cols())
+        .fold(n, usize::max);
+    // Tᵀ (lower triangular; the zero upper half is never written), the
+    // packed Yᵀ = (V_D·T)ᵀ, and W — all column-major, TRI_PANEL rows.
+    let mut tt = workspace::take_f64(TRI_PANEL * TRI_PANEL);
+    let mut yt = workspace::take_f64(TRI_PANEL * l);
+    let mut w = workspace::take_f64(TRI_PANEL * widest);
+    let mut z = [0.0f64; TRI_PANEL];
+
+    for j0 in (0..n).step_by(TRI_PANEL) {
+        let nb = TRI_PANEL.min(n - j0);
+        let j1 = j0 + nb;
+        for j in j0..j1 {
+            let tau = tri_stack_pivot::<0>(r, d, &mut [], j, j1, true);
+            // Column i of T: T[i,i] = τ_i, T[..i,i] = −τ_i·T[..i,..i]·z with
+            // z = V_D[:,..i]ᵀ d_i.  Column q of `tt` is row q of T.
+            let i = j - j0;
+            for (q, zq) in z[..i].iter_mut().enumerate() {
+                *zq = simd::dot(d.col(j0 + q), d.col(j));
+            }
+            for q in 0..i {
+                let row = &tt[q * TRI_PANEL..][q..i];
+                let acc: f64 = row.iter().zip(&z[q..i]).map(|(t, zs)| t * zs).sum();
+                tt[q * TRI_PANEL + i] = -tau * acc;
+            }
+            tt[i * TRI_PANEL + i] = tau;
+        }
+
+        let (vd, d_right) = d.split_at_col_mut(j1);
+        let vd = &vd[j0 * l..];
+        yt.fill(0.0);
+        simd::gemm_tile(nb, l, nb, 1.0, &tt, TRI_PANEL, vd, l, 1, &mut yt, TRI_PANEL);
+
+        // `top` starts at row j0 of an n-row block, `bottom` is l × cols.
+        let mut apply = |top: &mut [f64], bottom: &mut [f64], cols: usize| {
+            let w = &mut w[..TRI_PANEL * cols];
+            w.fill(0.0);
+            simd::gemm_tile(nb, cols, nb, 1.0, &tt, TRI_PANEL, top, 1, n, w, TRI_PANEL);
+            simd::gemm_tile(nb, cols, l, 1.0, &yt, TRI_PANEL, bottom, 1, l, w, TRI_PANEL);
+            for (tc, wc) in top.chunks_mut(n).zip(w.chunks_exact(TRI_PANEL)) {
+                for (t, wv) in tc[..nb].iter_mut().zip(wc) {
+                    *t -= wv;
+                }
+            }
+            simd::gemm_tile(l, cols, nb, -1.0, vd, l, w, 1, TRI_PANEL, bottom, l);
+        };
+        if j1 < n {
+            apply(&mut r.as_mut_slice()[j0 + j1 * n..], d_right, n - j1);
+        }
+        for (top, bottom) in companions.iter_mut() {
+            let cols = top.cols();
+            if cols > 0 {
+                apply(&mut top.as_mut_slice()[j0..], bottom.as_mut_slice(), cols);
+            }
+        }
+    }
+    workspace::put_f64(w);
+    workspace::put_f64(yt);
+    workspace::put_f64(tt);
 }
 
 /// [`qr_tri_stack_applying`] with plan-time kernel selection: when `kind`
@@ -608,187 +720,206 @@ fn tri_stack_body<const N: usize>(
 ) {
     let m = if N == 0 { r.rows() } else { N };
     let n = if N == 0 { r.cols() } else { N };
-    let l = if N == 0 { d.rows() } else { N };
     // One SIMD-layer check per elimination, not per reflector.
     let use_simd = simd::simd_active();
-
     for j in 0..m {
-        // Reflector from the virtual column [R[j,j]; D[:,j]] (length 1+l).
-        let alpha = r[(j, j)];
-        let norm2: f64 = alpha * alpha + d.col(j).iter().map(|v| v * v).sum::<f64>();
-        if norm2 == 0.0 {
-            continue;
-        }
-        let norm = norm2.sqrt();
-        let beta = if alpha >= 0.0 { -norm } else { norm };
-        let tau = (beta - alpha) / beta;
-        let scale = 1.0 / (alpha - beta);
-        r[(j, j)] = beta;
-        {
-            let dj = d.col_mut(j);
-            for v in dj.iter_mut() {
-                *v *= scale;
-            }
-        }
+        tri_stack_pivot::<N>(r, d, companions, j, n, use_simd);
+    }
+}
 
-        // Trailing columns of [R; D]: w = R[j,k] + vᵀD[:,k], quads of four
-        // columns per pass (independent accumulators, shared v loads).
-        if l == 0 {
-            // Empty D: the reflector is the scalar flip H = −1.
-            for k in (j + 1)..n {
-                let w = r[(j, k)] * tau;
-                r[(j, k)] -= w;
-            }
-            for (top, _) in companions.iter_mut() {
-                for c in 0..top.cols() {
-                    let w = top[(j, c)] * tau;
-                    top[(j, c)] -= w;
-                }
-            }
-            continue;
+/// One pivot of the tri-stack elimination: builds reflector `j` from the
+/// virtual column `[R[j,j]; D[:,j]]`, applies it to columns `j+1..kend` of
+/// `[R; D]` and to every companion, and returns its `τ` (zero when the
+/// column was already zero and nothing was touched).  `kend` is `n` for the
+/// unblocked body and the panel end for [`tri_stack_blocked`]; `N` as in
+/// [`tri_stack_body`] (`N > 0` implies `kend == N`).
+#[inline(always)]
+fn tri_stack_pivot<const N: usize>(
+    r: &mut Matrix,
+    d: &mut Matrix,
+    companions: &mut [(&mut Matrix, &mut Matrix)],
+    j: usize,
+    kend: usize,
+    use_simd: bool,
+) -> f64 {
+    let kend = if N == 0 { kend } else { N };
+    let l = if N == 0 { d.rows() } else { N };
+    // Reflector from the virtual column [R[j,j]; D[:,j]] (length 1+l).
+    let alpha = r[(j, j)];
+    let norm2: f64 = alpha * alpha + d.col(j).iter().map(|v| v * v).sum::<f64>();
+    if norm2 == 0.0 {
+        return 0.0;
+    }
+    let norm = norm2.sqrt();
+    let beta = if alpha >= 0.0 { -norm } else { norm };
+    let tau = (beta - alpha) / beta;
+    let scale = 1.0 / (alpha - beta);
+    r[(j, j)] = beta;
+    {
+        let dj = d.col_mut(j);
+        for v in dj.iter_mut() {
+            *v *= scale;
         }
-        {
-            let (dleft, dright) = d.split_at_col_mut(j + 1);
-            let vtail = &dleft[j * l..(j + 1) * l];
-            let mut quads = dright.chunks_exact_mut(4 * l);
-            let mut k = j + 1;
-            for quad in quads.by_ref() {
-                let (c0, rest) = quad.split_at_mut(l);
-                let (c1, rest) = rest.split_at_mut(l);
-                let (c2, c3) = rest.split_at_mut(l);
-                if use_simd {
-                    let mut w = [r[(j, k)], r[(j, k + 1)], r[(j, k + 2)], r[(j, k + 3)]];
-                    simd::reflector_quad(vtail, tau, &mut w, [c0, c1, c2, c3]);
-                    r[(j, k)] -= w[0];
-                    r[(j, k + 1)] -= w[1];
-                    r[(j, k + 2)] -= w[2];
-                    r[(j, k + 3)] -= w[3];
-                    k += 4;
-                    continue;
-                }
-                let (mut w0, mut w1, mut w2, mut w3) =
-                    (r[(j, k)], r[(j, k + 1)], r[(j, k + 2)], r[(j, k + 3)]);
-                for i in 0..l {
-                    let vi = vtail[i];
-                    w0 += vi * c0[i];
-                    w1 += vi * c1[i];
-                    w2 += vi * c2[i];
-                    w3 += vi * c3[i];
-                }
-                w0 *= tau;
-                w1 *= tau;
-                w2 *= tau;
-                w3 *= tau;
-                r[(j, k)] -= w0;
-                r[(j, k + 1)] -= w1;
-                r[(j, k + 2)] -= w2;
-                r[(j, k + 3)] -= w3;
-                for i in 0..l {
-                    let vi = vtail[i];
-                    c0[i] -= w0 * vi;
-                    c1[i] -= w1 * vi;
-                    c2[i] -= w2 * vi;
-                    c3[i] -= w3 * vi;
-                }
+    }
+
+    // Trailing columns of [R; D]: w = R[j,k] + vᵀD[:,k], quads of four
+    // columns per pass (independent accumulators, shared v loads).
+    if l == 0 {
+        // Empty D: the reflector is the scalar flip H = −1.
+        for k in (j + 1)..kend {
+            let w = r[(j, k)] * tau;
+            r[(j, k)] -= w;
+        }
+        for (top, _) in companions.iter_mut() {
+            for c in 0..top.cols() {
+                let w = top[(j, c)] * tau;
+                top[(j, c)] -= w;
+            }
+        }
+        return tau;
+    }
+    {
+        let (dleft, dright) = d.split_at_col_mut(j + 1);
+        let vtail = &dleft[j * l..(j + 1) * l];
+        let mut quads = dright[..(kend - j - 1) * l].chunks_exact_mut(4 * l);
+        let mut k = j + 1;
+        for quad in quads.by_ref() {
+            let (c0, rest) = quad.split_at_mut(l);
+            let (c1, rest) = rest.split_at_mut(l);
+            let (c2, c3) = rest.split_at_mut(l);
+            if use_simd {
+                let mut w = [r[(j, k)], r[(j, k + 1)], r[(j, k + 2)], r[(j, k + 3)]];
+                simd::reflector_quad(vtail, tau, &mut w, [c0, c1, c2, c3]);
+                r[(j, k)] -= w[0];
+                r[(j, k + 1)] -= w[1];
+                r[(j, k + 2)] -= w[2];
+                r[(j, k + 3)] -= w[3];
                 k += 4;
+                continue;
             }
-            for ck in quads.into_remainder().chunks_exact_mut(l) {
-                if use_simd {
-                    let mut w = r[(j, k)];
-                    simd::reflector_one(vtail, tau, &mut w, ck);
-                    r[(j, k)] -= w;
-                    k += 1;
-                    continue;
-                }
-                let mut w = 0.0;
-                for (vi, xi) in vtail.iter().zip(ck.iter()) {
-                    w += vi * xi;
-                }
-                w = (w + r[(j, k)]) * tau;
-                r[(j, k)] -= w;
-                for (vi, xi) in vtail.iter().zip(ck.iter_mut()) {
-                    *xi -= w * vi;
-                }
-                k += 1;
+            let (mut w0, mut w1, mut w2, mut w3) =
+                (r[(j, k)], r[(j, k + 1)], r[(j, k + 2)], r[(j, k + 3)]);
+            for i in 0..l {
+                let vi = vtail[i];
+                w0 += vi * c0[i];
+                w1 += vi * c1[i];
+                w2 += vi * c2[i];
+                w3 += vi * c3[i];
             }
+            w0 *= tau;
+            w1 *= tau;
+            w2 *= tau;
+            w3 *= tau;
+            r[(j, k)] -= w0;
+            r[(j, k + 1)] -= w1;
+            r[(j, k + 2)] -= w2;
+            r[(j, k + 3)] -= w3;
+            for i in 0..l {
+                let vi = vtail[i];
+                c0[i] -= w0 * vi;
+                c1[i] -= w1 * vi;
+                c2[i] -= w2 * vi;
+                c3[i] -= w3 * vi;
+            }
+            k += 4;
         }
+        for ck in quads.into_remainder().chunks_exact_mut(l) {
+            if use_simd {
+                let mut w = r[(j, k)];
+                simd::reflector_one(vtail, tau, &mut w, ck);
+                r[(j, k)] -= w;
+                k += 1;
+                continue;
+            }
+            let mut w = 0.0;
+            for (vi, xi) in vtail.iter().zip(ck.iter()) {
+                w += vi * xi;
+            }
+            w = (w + r[(j, k)]) * tau;
+            r[(j, k)] -= w;
+            for (vi, xi) in vtail.iter().zip(ck.iter_mut()) {
+                *xi -= w * vi;
+            }
+            k += 1;
+        }
+    }
 
-        // Companions: same update on (top row j, bottom block), quaded.
-        for (top, bottom) in companions.iter_mut() {
-            let vtail = d.col(j);
-            let bot = bottom.as_mut_slice();
-            let mut quads = bot.chunks_exact_mut(4 * l);
-            let mut c = 0;
-            for quad in quads.by_ref() {
-                let (c0, rest) = quad.split_at_mut(l);
-                let (c1, rest) = rest.split_at_mut(l);
-                let (c2, c3) = rest.split_at_mut(l);
-                if use_simd {
-                    let mut w = [
-                        top[(j, c)],
-                        top[(j, c + 1)],
-                        top[(j, c + 2)],
-                        top[(j, c + 3)],
-                    ];
-                    simd::reflector_quad(vtail, tau, &mut w, [c0, c1, c2, c3]);
-                    top[(j, c)] -= w[0];
-                    top[(j, c + 1)] -= w[1];
-                    top[(j, c + 2)] -= w[2];
-                    top[(j, c + 3)] -= w[3];
-                    c += 4;
-                    continue;
-                }
-                let (mut w0, mut w1, mut w2, mut w3) = (
+    // Companions: same update on (top row j, bottom block), quaded.
+    for (top, bottom) in companions.iter_mut() {
+        let vtail = d.col(j);
+        let bot = bottom.as_mut_slice();
+        let mut quads = bot.chunks_exact_mut(4 * l);
+        let mut c = 0;
+        for quad in quads.by_ref() {
+            let (c0, rest) = quad.split_at_mut(l);
+            let (c1, rest) = rest.split_at_mut(l);
+            let (c2, c3) = rest.split_at_mut(l);
+            if use_simd {
+                let mut w = [
                     top[(j, c)],
                     top[(j, c + 1)],
                     top[(j, c + 2)],
                     top[(j, c + 3)],
-                );
-                for i in 0..l {
-                    let vi = vtail[i];
-                    w0 += vi * c0[i];
-                    w1 += vi * c1[i];
-                    w2 += vi * c2[i];
-                    w3 += vi * c3[i];
-                }
-                w0 *= tau;
-                w1 *= tau;
-                w2 *= tau;
-                w3 *= tau;
-                top[(j, c)] -= w0;
-                top[(j, c + 1)] -= w1;
-                top[(j, c + 2)] -= w2;
-                top[(j, c + 3)] -= w3;
-                for i in 0..l {
-                    let vi = vtail[i];
-                    c0[i] -= w0 * vi;
-                    c1[i] -= w1 * vi;
-                    c2[i] -= w2 * vi;
-                    c3[i] -= w3 * vi;
-                }
+                ];
+                simd::reflector_quad(vtail, tau, &mut w, [c0, c1, c2, c3]);
+                top[(j, c)] -= w[0];
+                top[(j, c + 1)] -= w[1];
+                top[(j, c + 2)] -= w[2];
+                top[(j, c + 3)] -= w[3];
                 c += 4;
+                continue;
             }
-            for bc in quads.into_remainder().chunks_exact_mut(l) {
-                if use_simd {
-                    let mut w = top[(j, c)];
-                    simd::reflector_one(vtail, tau, &mut w, bc);
-                    top[(j, c)] -= w;
-                    c += 1;
-                    continue;
-                }
-                let mut w = 0.0;
-                for (vi, xi) in vtail.iter().zip(bc.iter()) {
-                    w += vi * xi;
-                }
-                w = (w + top[(j, c)]) * tau;
+            let (mut w0, mut w1, mut w2, mut w3) = (
+                top[(j, c)],
+                top[(j, c + 1)],
+                top[(j, c + 2)],
+                top[(j, c + 3)],
+            );
+            for i in 0..l {
+                let vi = vtail[i];
+                w0 += vi * c0[i];
+                w1 += vi * c1[i];
+                w2 += vi * c2[i];
+                w3 += vi * c3[i];
+            }
+            w0 *= tau;
+            w1 *= tau;
+            w2 *= tau;
+            w3 *= tau;
+            top[(j, c)] -= w0;
+            top[(j, c + 1)] -= w1;
+            top[(j, c + 2)] -= w2;
+            top[(j, c + 3)] -= w3;
+            for i in 0..l {
+                let vi = vtail[i];
+                c0[i] -= w0 * vi;
+                c1[i] -= w1 * vi;
+                c2[i] -= w2 * vi;
+                c3[i] -= w3 * vi;
+            }
+            c += 4;
+        }
+        for bc in quads.into_remainder().chunks_exact_mut(l) {
+            if use_simd {
+                let mut w = top[(j, c)];
+                simd::reflector_one(vtail, tau, &mut w, bc);
                 top[(j, c)] -= w;
-                for (vi, xi) in vtail.iter().zip(bc.iter_mut()) {
-                    *xi -= w * vi;
-                }
                 c += 1;
+                continue;
             }
+            let mut w = 0.0;
+            for (vi, xi) in vtail.iter().zip(bc.iter()) {
+                w += vi * xi;
+            }
+            w = (w + top[(j, c)]) * tau;
+            top[(j, c)] -= w;
+            for (vi, xi) in vtail.iter().zip(bc.iter_mut()) {
+                *xi -= w * vi;
+            }
+            c += 1;
         }
     }
+    tau
 }
 
 /// Reduces a general `m × n` block to upper-trapezoidal form in place,

@@ -1,7 +1,7 @@
 //! Explicit-width SIMD microkernels and plan-time kernel selection.
 //!
 //! This module is the crate's one island of `unsafe`: f64×4 tiles written
-//! against `core::arch` x86_64 AVX2/FMA intrinsics, with a portable 4-lane
+//! against `core::arch` x86_64 AVX2/FMA intrinsics, with a portable
 //! fallback in plain Rust for every kernel.  The backend is runtime-dispatched
 //! once (the first caller runs `is_x86_feature_detected!` and the verdict is
 //! cached), so steady-state calls pay a single relaxed atomic load.
@@ -9,10 +9,15 @@
 //! Three layers of kernels coexist, and the scalar layer is the oracle:
 //!
 //! * **scalar** — the original loop nests in `gemm.rs` / `qr.rs` / `tri.rs`,
-//!   always reachable via `KALMAN_REF_KERNELS` / `set_reference_kernels`,
-//! * **SIMD** — the width-aware tiles in this module, used by the blocked
-//!   GEMM microkernel, the four-column Householder applications and the
-//!   triangular solves whenever reference mode is off,
+//!   always reachable via `KALMAN_REF_KERNELS` / `set_reference_kernels`;
+//!   they also serve the shapes too small for a tile to pay,
+//! * **SIMD** — the width-aware kernels in this module: the level-1/2 ones
+//!   ([`dot`], [`axpy`], the one- and four-column Householder applications)
+//!   under the unblocked eliminations and solves of small blocks, and one
+//!   level-3 kernel, the 8×6 register-tile GEMM [`gemm_tile`], under every
+//!   product `gemm` dispatches and under the batch-scale bodies built on it
+//!   (compact-WY tri-stack in `qr.rs`, blocked back substitution and
+//!   inverse-Gram in `tri.rs`) — whenever reference mode is off,
 //! * **monomorphized** — const-generic `n ∈ {4, 8, 16}` kernels
 //!   ([`gemm_mono`], and the tri-stack bodies in `qr.rs`), selected at plan
 //!   time through [`KernelKind`] so a `SmoothPlan` binds the exact kernel
@@ -339,60 +344,277 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel: blocked-GEMM 4×4 microtile
+// Kernel: the 8×6 GEMM register tile
 // ---------------------------------------------------------------------------
 
+/// Tile height: rows of `C` per register tile (two 4-lane vectors).
+const TILE_MR: usize = 8;
+/// Tile width: columns of `C` per register tile.  8×6 keeps twelve
+/// independent FMA accumulators live — enough to cover the FMA latency at
+/// two issues per cycle — and still leaves registers for the two `A`
+/// vectors and the broadcast of `op(B)`.
+const TILE_NR: usize = 6;
+
+/// Lane masks for a partial 8-row tile: lane `i` of the pair is all-ones
+/// iff `i < rows`.
+///
 /// # Safety
 ///
-/// Caller must ensure AVX2 and FMA are available on the executing CPU.
+/// Caller must ensure AVX2 is available on the executing CPU.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn gemm_microkernel_4x4_avx2(a_panel: &[f64], b_panel: &[f64], acc: &mut [[f64; 4]; 4]) {
+#[target_feature(enable = "avx2")]
+unsafe fn row_masks(rows: usize) -> (core::arch::x86_64::__m256i, core::arch::x86_64::__m256i) {
     use core::arch::x86_64::*;
-    let mut r0 = _mm256_loadu_pd(acc[0].as_ptr());
-    let mut r1 = _mm256_loadu_pd(acc[1].as_ptr());
-    let mut r2 = _mm256_loadu_pd(acc[2].as_ptr());
-    let mut r3 = _mm256_loadu_pd(acc[3].as_ptr());
-    let depth = a_panel.len() / 4;
-    let (pa, pb) = (a_panel.as_ptr(), b_panel.as_ptr());
-    for p in 0..depth {
-        let ap = pa.add(4 * p);
-        let bv = _mm256_loadu_pd(pb.add(4 * p));
-        r0 = _mm256_fmadd_pd(_mm256_set1_pd(*ap), bv, r0);
-        r1 = _mm256_fmadd_pd(_mm256_set1_pd(*ap.add(1)), bv, r1);
-        r2 = _mm256_fmadd_pd(_mm256_set1_pd(*ap.add(2)), bv, r2);
-        r3 = _mm256_fmadd_pd(_mm256_set1_pd(*ap.add(3)), bv, r3);
-    }
-    _mm256_storeu_pd(acc[0].as_mut_ptr(), r0);
-    _mm256_storeu_pd(acc[1].as_mut_ptr(), r1);
-    _mm256_storeu_pd(acc[2].as_mut_ptr(), r2);
-    _mm256_storeu_pd(acc[3].as_mut_ptr(), r3);
+    let r = _mm256_set1_epi64x(rows as i64);
+    (
+        _mm256_cmpgt_epi64(r, _mm256_setr_epi64x(0, 1, 2, 3)),
+        _mm256_cmpgt_epi64(r, _mm256_setr_epi64x(4, 5, 6, 7)),
+    )
 }
 
-fn gemm_microkernel_4x4_portable(a_panel: &[f64], b_panel: &[f64], acc: &mut [[f64; 4]; 4]) {
-    for (ap, bp) in a_panel.chunks_exact(4).zip(b_panel.chunks_exact(4)) {
-        for (acc_row, &av) in acc.iter_mut().zip(ap) {
-            for (cij, &bv) in acc_row.iter_mut().zip(bp) {
-                *cij += av * bv;
+/// One register tile: `C[0..rows, 0..NR] += alpha · A[0..rows, 0..k] ·
+/// op(B)[0..k, 0..NR]` with `rows = 8`, or `rows < 8` when `MASKED` (the
+/// partial rows are loaded and stored through lane masks, so memory past
+/// `rows` is never touched).
+///
+/// # Safety
+///
+/// Caller must ensure AVX2 and FMA are available on the executing CPU and
+/// that, for every `p < k`, `jr < NR`: `a + p·lda` is readable for `rows`
+/// elements, `b + p·bks + jr·bjs` is readable, and `c + jr·ldc` is readable
+/// and writable for `rows` elements, with `c` not overlapping `a` or `b`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn gemm_tile_kernel<const NR: usize, const MASKED: bool>(
+    rows: usize,
+    k: usize,
+    alpha: f64,
+    a: *const f64,
+    lda: usize,
+    b: *const f64,
+    bks: usize,
+    bjs: usize,
+    c: *mut f64,
+    ldc: usize,
+) {
+    use core::arch::x86_64::*;
+    let (m0, m1) = row_masks(rows);
+    let mut acc = [[_mm256_setzero_pd(); 2]; NR];
+    let (mut ap, mut bp) = (a, b);
+    for _ in 0..k {
+        let (a0, a1) = if MASKED {
+            (
+                _mm256_maskload_pd(ap, m0),
+                _mm256_maskload_pd(ap.add(4), m1),
+            )
+        } else {
+            (_mm256_loadu_pd(ap), _mm256_loadu_pd(ap.add(4)))
+        };
+        for (jr, lanes) in acc.iter_mut().enumerate() {
+            let bv = _mm256_set1_pd(*bp.add(jr * bjs));
+            lanes[0] = _mm256_fmadd_pd(a0, bv, lanes[0]);
+            lanes[1] = _mm256_fmadd_pd(a1, bv, lanes[1]);
+        }
+        ap = ap.add(lda);
+        bp = bp.add(bks);
+    }
+    let av = _mm256_set1_pd(alpha);
+    for (jr, lanes) in acc.iter().enumerate() {
+        let cj = c.add(jr * ldc);
+        if MASKED {
+            let c0 = _mm256_maskload_pd(cj, m0);
+            let c1 = _mm256_maskload_pd(cj.add(4), m1);
+            _mm256_maskstore_pd(cj, m0, _mm256_fmadd_pd(av, lanes[0], c0));
+            _mm256_maskstore_pd(cj.add(4), m1, _mm256_fmadd_pd(av, lanes[1], c1));
+        } else {
+            let c0 = _mm256_loadu_pd(cj);
+            let c1 = _mm256_loadu_pd(cj.add(4));
+            _mm256_storeu_pd(cj, _mm256_fmadd_pd(av, lanes[0], c0));
+            _mm256_storeu_pd(cj.add(4), _mm256_fmadd_pd(av, lanes[1], c1));
+        }
+    }
+}
+
+/// The tile sweep behind [`gemm_tile`]: 8-row strips of `A` outermost (a
+/// strip stays in L1 while `op(B)` streams past it), `NR`-column tiles
+/// inside, the ragged last strip through the masked tile.
+///
+/// # Safety
+///
+/// Caller must ensure AVX2 and FMA are available on the executing CPU and
+/// that the three operands satisfy the extents [`gemm_tile`] asserts.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn gemm_tile_avx2(
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f64,
+    a: *const f64,
+    lda: usize,
+    b: *const f64,
+    bks: usize,
+    bjs: usize,
+    c: *mut f64,
+    ldc: usize,
+) {
+    let mut i = 0;
+    while i < m {
+        let rows = TILE_MR.min(m - i);
+        let mut j = 0;
+        while j < n {
+            let nr = TILE_NR.min(n - j);
+            let (ai, bj, cij) = (a.add(i), b.add(j * bjs), c.add(i + j * ldc));
+            macro_rules! tile {
+                ($nr:literal) => {
+                    if rows == TILE_MR {
+                        gemm_tile_kernel::<$nr, false>(
+                            rows, k, alpha, ai, lda, bj, bks, bjs, cij, ldc,
+                        )
+                    } else {
+                        gemm_tile_kernel::<$nr, true>(
+                            rows, k, alpha, ai, lda, bj, bks, bjs, cij, ldc,
+                        )
+                    }
+                };
+            }
+            match nr {
+                6 => tile!(6),
+                5 => tile!(5),
+                4 => tile!(4),
+                3 => tile!(3),
+                2 => tile!(2),
+                _ => tile!(1),
+            }
+            j += nr;
+        }
+        i += rows;
+    }
+}
+
+#[allow(clippy::too_many_arguments)]
+fn gemm_tile_portable(
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f64,
+    a: &[f64],
+    lda: usize,
+    b: &[f64],
+    bks: usize,
+    bjs: usize,
+    c: &mut [f64],
+    ldc: usize,
+) {
+    for i in (0..m).step_by(TILE_MR) {
+        let rows = TILE_MR.min(m - i);
+        for j in (0..n).step_by(TILE_NR) {
+            let nr = TILE_NR.min(n - j);
+            let mut acc = [[0.0f64; TILE_MR]; TILE_NR];
+            for p in 0..k {
+                let ap = &a[p * lda + i..][..rows];
+                for (jr, lanes) in acc.iter_mut().enumerate().take(nr) {
+                    let bv = b[p * bks + (j + jr) * bjs];
+                    for (x, &av) in lanes.iter_mut().zip(ap) {
+                        *x += av * bv;
+                    }
+                }
+            }
+            for (jr, lanes) in acc.iter().enumerate().take(nr) {
+                let cj = &mut c[(j + jr) * ldc + i..][..rows];
+                for (ci, &x) in cj.iter_mut().zip(lanes) {
+                    *ci += alpha * x;
+                }
             }
         }
     }
 }
 
-/// The blocked GEMM's register microtile: `acc[i][j] += Σ_p a[p·4+i]·b[p·4+j]`
-/// over packed `MR = NR = 4` panels (`a_panel` row-strips of `A`, `b_panel`
-/// column-strips of `op(B)`, both zero-padded by the packer).  Panel lengths
-/// must match; any non-multiple-of-4 remainder is ignored (the packer never
-/// produces one).
-pub fn gemm_microkernel_4x4(a_panel: &[f64], b_panel: &[f64], acc: &mut [[f64; 4]; 4]) {
-    debug_assert_eq!(a_panel.len(), b_panel.len());
+/// One past the largest offset reached by nested walks of `(count, stride)`
+/// followed by a contiguous run of `run` elements; `None` on overflow or an
+/// empty walk.
+fn extent(walks: &[(usize, usize)], run: usize) -> Option<usize> {
+    walks.iter().try_fold(run, |end, &(count, stride)| {
+        end.checked_add(count.checked_sub(1)?.checked_mul(stride)?)
+    })
+}
+
+/// The register-tiled GEMM every level-3 kernel of this crate sits on:
+/// `C += alpha · A · op(B)` for an `m×k` column-major `A` (leading dimension
+/// `lda`, read in place), a `k×n` operand `op(B)[p, j] = b[p·bks + j·bjs]`
+/// — `(1, ldb)` reads `B` as stored, `(ldb, 1)` reads `Bᵀ`, so neither case
+/// is packed — and an `m×n` column-major `C` (leading dimension `ldc`).
+/// Sub-blocks are addressed by slicing the operand at the block's first
+/// element and keeping the parent's leading dimension.
+///
+/// The sweep is 8×6 register tiles (twelve independent accumulators); rows
+/// past a multiple of 8 run through lane-masked loads and stores, columns
+/// past a multiple of 6 through a narrower tile.  Each `C` entry is a pure
+/// function of its `A` row and `op(B)` column, so results do not depend on
+/// how a caller splits a product into calls along `m` or `n`.
+///
+/// # Panics
+///
+/// Panics if an operand slice is too short for the shape it is given.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_tile(
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f64,
+    a: &[f64],
+    lda: usize,
+    b: &[f64],
+    bks: usize,
+    bjs: usize,
+    c: &mut [f64],
+    ldc: usize,
+) {
+    if m == 0 || n == 0 || k == 0 {
+        return;
+    }
+    let fits = |len: usize, walks: &[(usize, usize)], run: usize| {
+        extent(walks, run).is_some_and(|end| end <= len)
+    };
+    assert!(
+        lda >= m && fits(a.len(), &[(k, lda)], m),
+        "gemm_tile: A extent"
+    );
+    assert!(
+        fits(b.len(), &[(k, bks), (n, bjs)], 1),
+        "gemm_tile: op(B) extent"
+    );
+    assert!(
+        ldc >= m && fits(c.len(), &[(n, ldc)], m),
+        "gemm_tile: C extent"
+    );
     #[cfg(target_arch = "x86_64")]
     if use_avx2() {
         // SAFETY: `use_avx2()` is true only after `is_x86_feature_detected!`
-        // confirmed AVX2+FMA on this CPU.
-        return unsafe { gemm_microkernel_4x4_avx2(a_panel, b_panel, acc) };
+        // confirmed AVX2+FMA on this CPU.  The assertions above bound every
+        // address the sweep forms: column `p < k` of `A` and column `j < n`
+        // of `C` hold `m` elements from `p·lda` / `j·ldc`, and
+        // `p·bks + j·bjs` is inside `b`; `c` is a `&mut` slice, so it cannot
+        // overlap `a` or `b`.
+        return unsafe {
+            gemm_tile_avx2(
+                m,
+                n,
+                k,
+                alpha,
+                a.as_ptr(),
+                lda,
+                b.as_ptr(),
+                bks,
+                bjs,
+                c.as_mut_ptr(),
+                ldc,
+            )
+        };
     }
-    gemm_microkernel_4x4_portable(a_panel, b_panel, acc)
+    gemm_tile_portable(m, n, k, alpha, a, lda, b, bks, bjs, c, ldc)
 }
 
 // ---------------------------------------------------------------------------
@@ -672,26 +894,78 @@ mod tests {
         }
     }
 
-    #[test]
-    fn microtile_matches_scalar_accumulation() {
-        let depth = 5;
-        let a: Vec<f64> = (0..4 * depth).map(|i| (i as f64 * 0.37).sin()).collect();
-        let b: Vec<f64> = (0..4 * depth).map(|i| (i as f64 * 0.11).cos()).collect();
-        let mut acc = [[0.25f64; 4]; 4];
-        let mut want = acc;
-        for p in 0..depth {
-            for (ir, row) in want.iter_mut().enumerate() {
-                for (jr, cij) in row.iter_mut().enumerate() {
-                    *cij += a[4 * p + ir] * b[4 * p + jr];
+    /// Strided triple loop: the oracle both tile bodies are pinned to.
+    #[allow(clippy::too_many_arguments)]
+    fn tile_oracle(
+        m: usize,
+        n: usize,
+        k: usize,
+        alpha: f64,
+        a: &[f64],
+        lda: usize,
+        b: &[f64],
+        bks: usize,
+        bjs: usize,
+        c: &mut [f64],
+        ldc: usize,
+    ) {
+        for j in 0..n {
+            for i in 0..m {
+                let sum: f64 = (0..k).map(|p| a[i + p * lda] * b[p * bks + j * bjs]).sum();
+                c[i + j * ldc] += alpha * sum;
+            }
+        }
+    }
+
+    /// Runs `tile` against the oracle on shapes that hit every edge (m mod
+    /// 8, n mod 6, k = 1, one column, padded leading dimensions, both
+    /// `op(B)` stride pairs) and checks nothing outside the block moved.
+    fn check_tile(
+        tile: impl Fn(usize, usize, usize, f64, &[f64], usize, &[f64], usize, usize, &mut [f64], usize),
+    ) {
+        for (m, n, k) in [
+            (8usize, 6usize, 5usize),
+            (1, 1, 1),
+            (7, 5, 3),
+            (9, 7, 1),
+            (16, 12, 8),
+            (13, 1, 9),
+            (3, 20, 4),
+            (65, 65, 1),
+            (48, 49, 8),
+        ] {
+            for pad in [0usize, 3] {
+                let (lda, ldc) = (m + pad, m + 2 * pad);
+                let a = wave(lda * k, 0.37);
+                for b_trans in [false, true] {
+                    // `op(B)` is k×n: stored k×n (ld k+pad) or n×k (ld n+pad).
+                    let (bks, bjs, blen) = if b_trans {
+                        (n + pad, 1, (n + pad) * k)
+                    } else {
+                        (1, k + pad, (k + pad) * n)
+                    };
+                    let b = wave(blen, 0.11);
+                    let c0 = wave(ldc * n, 0.71);
+                    let (mut got, mut want) = (c0.clone(), c0.clone());
+                    tile(m, n, k, -0.75, &a, lda, &b, bks, bjs, &mut got, ldc);
+                    tile_oracle(m, n, k, -0.75, &a, lda, &b, bks, bjs, &mut want, ldc);
+                    for (idx, (g, w)) in got.iter().zip(&want).enumerate() {
+                        assert!(
+                            (g - w).abs() <= 1e-12 * (1.0 + w.abs() + k as f64),
+                            "({m},{n},{k}) pad={pad} trans={b_trans} at {idx}: {g} vs {w}"
+                        );
+                        if idx % ldc >= m {
+                            assert_eq!(*g, c0[idx], "padding row touched at {idx}");
+                        }
+                    }
                 }
             }
         }
-        gemm_microkernel_4x4(&a, &b, &mut acc);
-        for (row, wrow) in acc.iter().zip(&want) {
-            for (got, wanted) in row.iter().zip(wrow) {
-                assert!((got - wanted).abs() <= 1e-12 * (1.0 + wanted.abs()));
-            }
-        }
+    }
+
+    #[test]
+    fn microtile_matches_scalar_accumulation() {
+        check_tile(gemm_tile);
     }
 
     // The dispatching entry points above run the AVX2 bodies on any AVX2
@@ -720,23 +994,7 @@ mod tests {
 
     #[test]
     fn portable_microtile_matches_scalar_accumulation() {
-        let depth = 6;
-        let (a, b) = (wave(4 * depth, 0.37), wave(4 * depth, 0.11));
-        let mut acc = [[-0.5f64; 4]; 4];
-        let mut want = acc;
-        for p in 0..depth {
-            for (i, row) in want.iter_mut().enumerate() {
-                for (j, cij) in row.iter_mut().enumerate() {
-                    *cij += a[4 * p + i] * b[4 * p + j];
-                }
-            }
-        }
-        gemm_microkernel_4x4_portable(&a, &b, &mut acc);
-        for (row, wrow) in acc.iter().zip(&want) {
-            for (&got, &wanted) in row.iter().zip(wrow) {
-                assert!(close(got, wanted));
-            }
-        }
+        check_tile(gemm_tile_portable);
     }
 
     #[test]

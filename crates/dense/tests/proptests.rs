@@ -5,10 +5,29 @@
 //! comparing against golden values.
 
 use kalman_dense::{
-    gemm, gemm_blocked, gemm_ref, matmul, matmul_nt, matmul_tn, random, simd, tri, Cholesky,
-    KernelKind, LuFactor, Matrix, QrFactor, Trans,
+    gemm, gemm_blocked, gemm_ref, matmul, matmul_nt, matmul_tn, qr_tri_stack_applying, random,
+    set_reference_kernels, simd, tri, Cholesky, DenseError, KernelKind, LuFactor, Matrix, QrFactor,
+    Trans,
 };
 use proptest::prelude::*;
+
+/// Runs `f` on the unblocked scalar oracle (`set_reference_kernels(true)`),
+/// restoring the switch afterwards.  The switch is process-global and the
+/// test harness is multi-threaded: the lock keeps the blocked-vs-oracle
+/// comparisons below from flipping it under each other (every other test
+/// holds in either mode — the `KALMAN_REF_KERNELS=1` CI leg runs them all
+/// that way — so they need no part in it).
+fn on_reference_kernels<R>(f: impl FnOnce() -> R) -> R {
+    static SWITCH: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let _guard = SWITCH
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    let before = kalman_dense::reference_kernels();
+    set_reference_kernels(true);
+    let out = f();
+    set_reference_kernels(before);
+    out
+}
 
 /// A strategy producing an `m × n` matrix with entries in [-10, 10].
 fn matrix_strategy(m: usize, n: usize) -> impl Strategy<Value = Matrix> {
@@ -24,17 +43,17 @@ fn tall_dims() -> impl Strategy<Value = (usize, usize)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The packed/microkernel GEMM must agree with the reference loop nest
-    /// on every shape — zero/unit dimensions, non-multiples of the 4×4
-    /// register tile and packing blocks, tall and wide operands — for all
-    /// four transpose combinations, to 1e-12.
+    /// The tile GEMM must agree with the reference loop nest on every
+    /// shape — zero/unit dimensions, every remainder of the 8×6 register
+    /// tile (m mod 8, n mod 6), k = 1, one-column right-hand sides, tall
+    /// and wide operands — for all four transpose combinations, to 1e-12.
     #[test]
     fn blocked_gemm_matches_reference_all_shapes(
-        mi in 0usize..9, ki in 0usize..9, ni in 0usize..9,
+        mi in 0usize..14, ki in 0usize..14, ni in 0usize..14,
         ta_flag: bool, tb_flag: bool,
         seed in 0u64..1000,
     ) {
-        let sizes = [0usize, 1, 3, 4, 5, 8, 13, 17, 33];
+        let sizes = [0usize, 1, 3, 4, 5, 6, 7, 8, 9, 13, 17, 33, 49, 65];
         let (m, k, n) = (sizes[mi], sizes[ki], sizes[ni]);
         let mut rng: rand_chacha::ChaCha8Rng = rand::SeedableRng::seed_from_u64(seed);
         let ta = if ta_flag { Trans::Yes } else { Trans::No };
@@ -308,43 +327,53 @@ proptest! {
         }
     }
 
-    /// The 4×4 register microtile matches scalar accumulation over packed
-    /// panels at every depth, including depth 0.
+    /// The 8×6 register tile, called directly on sub-blocks of larger
+    /// buffers (padded leading dimensions, both `op(B)` stride pairs),
+    /// matches a strided triple loop on every tile remainder and depth —
+    /// including k = 0 and 65×65×1 — and leaves the padding untouched.
     #[test]
     fn simd_microkernel_matches_scalar_accumulation(
-        depth in 0usize..9,
+        mi in 0usize..10, ni in 0usize..10, ki in 0usize..6,
+        pad in 0usize..3,
+        b_trans: bool,
+        alpha in -2.0..2.0f64,
         seed in 0u64..1000,
     ) {
+        let m = [1usize, 3, 4, 7, 8, 9, 15, 16, 48, 65][mi];
+        let n = [1usize, 2, 5, 6, 7, 11, 12, 13, 49, 65][ni];
+        let k = [0usize, 1, 2, 8, 9, 48][ki];
+        let (m, n, k) = if m * n * k > 65 * 65 { (65, 65, 1) } else { (m, n, k) };
         let mut rng: rand_chacha::ChaCha8Rng = rand::SeedableRng::seed_from_u64(seed);
-        let a_panel: Vec<f64> =
-            random::gaussian(&mut rng, (4 * depth).max(1), 1).col(0)[..4 * depth].to_vec();
-        let b_panel: Vec<f64> =
-            random::gaussian(&mut rng, (4 * depth).max(1), 1).col(0)[..4 * depth].to_vec();
-        let acc0 = {
-            let m = random::gaussian(&mut rng, 4, 4);
-            let mut rows = [[0.0f64; 4]; 4];
-            for (i, row) in rows.iter_mut().enumerate() {
-                for (j, cell) in row.iter_mut().enumerate() {
-                    *cell = m[(i, j)];
-                }
-            }
-            rows
+        let (lda, ldc) = (m + pad, m + 2 * pad);
+        let a = random::gaussian(&mut rng, lda, k.max(1));
+        // `op(B)` is k×n: stored k×n (ld k+pad) or n×k (ld n+pad).
+        let (bks, bjs, b) = if b_trans {
+            (n + pad, 1, random::gaussian(&mut rng, n + pad, k.max(1)))
+        } else {
+            (1, k + pad, random::gaussian(&mut rng, k + pad, n))
         };
+        let c0 = random::gaussian(&mut rng, ldc, n);
 
-        let mut want = acc0;
-        for p in 0..depth {
-            for i in 0..4 {
-                for j in 0..4 {
-                    want[i][j] += a_panel[4 * p + i] * b_panel[4 * p + j];
-                }
+        let mut want = c0.clone();
+        for j in 0..n {
+            for i in 0..m {
+                let sum: f64 = (0..k)
+                    .map(|p| a.as_slice()[i + p * lda] * b.as_slice()[p * bks + j * bjs])
+                    .sum();
+                want[(i, j)] += alpha * sum;
             }
         }
-        let mut got = acc0;
-        simd::gemm_microkernel_4x4(&a_panel, &b_panel, &mut got);
-        for i in 0..4 {
-            for j in 0..4 {
-                prop_assert!((got[i][j] - want[i][j]).abs() <= 1e-12 * (1.0 + want[i][j].abs()),
-                    "depth {depth} microtile ({i},{j})");
+        let mut got = c0.clone();
+        simd::gemm_tile(
+            m, n, k, alpha, a.as_slice(), lda, b.as_slice(), bks, bjs, got.as_mut_slice(), ldc,
+        );
+        prop_assert!(
+            got.approx_eq(&want, 1e-12 * (1.0 + want.max_abs())),
+            "tile ({m},{n},{k}) pad={pad} trans={b_trans}: {}", got.max_abs_diff(&want)
+        );
+        for j in 0..n {
+            for i in m..ldc {
+                prop_assert_eq!(got[(i, j)], c0[(i, j)], "padding row {} col {} touched", i, j);
             }
         }
     }
@@ -474,5 +503,156 @@ proptest! {
         (kind.gemm())(1.3, &a, ta, &b, tb, 0.7, &mut got);
         prop_assert!(got.approx_eq(&want, 1e-12 * (1.0 + want.max_abs())),
             "{kind:?} n={n} {ta:?}/{tb:?}: {}", got.max_abs_diff(&want));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Level-3 bodies vs. the unblocked oracle.
+//
+// The compact-WY tri-stack, the blocked back substitution and the blocked
+// inverse-Gram are chosen from the operands' shapes alone; the same calls
+// under `set_reference_kernels(true)` run the unblocked scalar bodies.  The
+// two orders of arithmetic agree to rounding, never bitwise.
+// ---------------------------------------------------------------------------
+
+/// A well-conditioned `n×n` upper triangular matrix.
+fn upper_triangular(rng: &mut rand_chacha::ChaCha8Rng, n: usize) -> Matrix {
+    let mut u = QrFactor::new(random::gaussian(rng, n, n)).r();
+    for i in 0..n {
+        u[(i, i)] += u[(i, i)].signum();
+    }
+    u
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Blocked tri-stack vs the unblocked body to 1e-12·scale, plus the
+    /// three Gram invariants of the elimination, on shapes that leave a
+    /// ragged last panel, `D` taller and shorter than `R`, companion widths
+    /// {0, 1, n, 2n+1}, and a structurally zero column inside a panel
+    /// (τ = 0 must give a zero column of T, not a NaN).
+    #[test]
+    fn blocked_tri_stack_matches_unblocked(
+        ni in 0usize..4, li in 0usize..4, wi in 0usize..5,
+        zero_col in 0usize..24, with_zero_col: bool,
+        seed in 0u64..1000,
+    ) {
+        let n = [24usize, 33, 40, 48][ni];
+        let l = [n, 5, n + 7, 2 * n][li];
+        let widths: &[usize] = match wi {
+            0 => &[2 * n + 1],
+            1 => &[n, 1],
+            2 => &[0, n, 0],
+            3 => &[n, n, 1],
+            _ => &[16],
+        };
+        let mut rng: rand_chacha::ChaCha8Rng = rand::SeedableRng::seed_from_u64(seed);
+        let mut r0 = upper_triangular(&mut rng, n);
+        let mut d0 = random::gaussian(&mut rng, l, n);
+        if with_zero_col {
+            r0.col_mut(zero_col).fill(0.0);
+            d0.col_mut(zero_col).fill(0.0);
+        }
+        let tops0: Vec<Matrix> = widths.iter().map(|&w| random::gaussian(&mut rng, n, w)).collect();
+        let bots0: Vec<Matrix> = widths.iter().map(|&w| random::gaussian(&mut rng, l, w)).collect();
+
+        let run = || {
+            let (mut r, mut d) = (r0.clone(), d0.clone());
+            let (mut tops, mut bots) = (tops0.clone(), bots0.clone());
+            let mut pairs: Vec<_> = tops.iter_mut().zip(bots.iter_mut()).collect();
+            qr_tri_stack_applying(&mut r, &mut d, &mut pairs);
+            (r, tops, bots)
+        };
+        let (r, tops, bots) = run();
+        let (r_ref, tops_ref, bots_ref) = on_reference_kernels(run);
+
+        let scale = 1.0 + r0.max_abs() + d0.max_abs()
+            + tops0.iter().chain(&bots0).map(Matrix::max_abs).fold(0.0, f64::max);
+        prop_assert!(r.as_slice().iter().all(|v| v.is_finite()), "non-finite R");
+        prop_assert!(r.approx_eq(&r_ref, 1e-12 * scale * n as f64),
+            "R n={n} l={l}: {}", r.max_abs_diff(&r_ref));
+        for j in 0..n {
+            for i in (j + 1)..n {
+                prop_assert_eq!(r[(i, j)], 0.0, "({}, {}) filled", i, j);
+            }
+        }
+        // R'ᵀR' == RᵀR + DᵀD.
+        let gram = &matmul_tn(&r0, &r0) + &matmul_tn(&d0, &d0);
+        prop_assert!(matmul_tn(&r, &r).approx_eq(&gram, 1e-11 * scale * scale * n as f64));
+        for c in 0..widths.len() {
+            let (top, bot) = (&tops[c], &bots[c]);
+            prop_assert!(top.approx_eq(&tops_ref[c], 1e-12 * scale * n as f64),
+                "top {c} n={n} l={l}: {}", top.max_abs_diff(&tops_ref[c]));
+            prop_assert!(bot.approx_eq(&bots_ref[c], 1e-12 * scale * n as f64),
+                "bottom {c} n={n} l={l}: {}", bot.max_abs_diff(&bots_ref[c]));
+            // R'ᵀ·top' == RᵀT + DᵀB, and Qᵀ preserves the companion's Gram.
+            let cross = &matmul_tn(&r0, &tops0[c]) + &matmul_tn(&d0, &bots0[c]);
+            prop_assert!(matmul_tn(&r, top).approx_eq(&cross, 1e-11 * scale * scale * n as f64));
+            let before = &matmul_tn(&tops0[c], &tops0[c]) + &matmul_tn(&bots0[c], &bots0[c]);
+            let after = &matmul_tn(top, top) + &matmul_tn(bot, bot);
+            prop_assert!(after.approx_eq(&before, 1e-11 * scale * scale * n as f64));
+        }
+    }
+
+    /// Blocked back substitution and inverse-Gram vs the unblocked ones, on
+    /// orders with a ragged bottom block and right-hand-side counts on both
+    /// sides of the tile width.
+    #[test]
+    fn blocked_triangular_solves_match_unblocked(
+        ni in 0usize..5, ri in 0usize..5,
+        seed in 0u64..1000,
+    ) {
+        let n = [12usize, 17, 24, 48, 50][ni];
+        let nrhs = [4usize, 6, 7, 48, 97][ri];
+        let mut rng: rand_chacha::ChaCha8Rng = rand::SeedableRng::seed_from_u64(seed);
+        let u = upper_triangular(&mut rng, n);
+        let b = random::gaussian(&mut rng, n, nrhs);
+
+        let solve = || {
+            let mut x = b.clone();
+            tri::solve_upper_in_place(&u, &mut x).unwrap();
+            x
+        };
+        let (x, x_ref) = (solve(), on_reference_kernels(solve));
+        prop_assert!(x.approx_eq(&x_ref, 1e-11 * (1.0 + x_ref.max_abs())),
+            "solve n={n} nrhs={nrhs}: {}", x.max_abs_diff(&x_ref));
+        prop_assert!(matmul(&u, &x).approx_eq(&b, 1e-10 * (1.0 + b.max_abs())));
+
+        let gram = || tri::inv_gram_upper(&u).unwrap();
+        let (s, s_ref) = (gram(), on_reference_kernels(gram));
+        prop_assert!(s.approx_eq(&s_ref, 1e-11 * (1.0 + s_ref.max_abs())),
+            "inv_gram n={n}: {}", s.max_abs_diff(&s_ref));
+        prop_assert!(s.approx_eq(&s.transpose(), 0.0), "inv_gram not symmetric");
+    }
+
+    /// A zero diagonal entry is reported with the same index by the blocked
+    /// and unblocked solves, and leaves no partial update behind.
+    #[test]
+    fn blocked_solves_report_the_same_singular_index(
+        index in 0usize..48,
+        second in 0usize..96,
+        seed in 0u64..1000,
+    ) {
+        let n = 48;
+        let mut rng: rand_chacha::ChaCha8Rng = rand::SeedableRng::seed_from_u64(seed);
+        let mut u = upper_triangular(&mut rng, n);
+        u[(index, index)] = 0.0;
+        // Half the cases carry a second zero, before or after the first.
+        if second < n {
+            u[(second, second)] = 0.0;
+        }
+        let first = if second < n { index.min(second) } else { index };
+        let b = random::gaussian(&mut rng, n, n);
+        let attempt = || {
+            let mut x = b.clone();
+            let solved = tri::solve_upper_in_place(&u, &mut x);
+            (solved, x, tri::inv_gram_upper(&u).map(|_| ()))
+        };
+        for (solved, x, gram) in [attempt(), on_reference_kernels(attempt)] {
+            prop_assert_eq!(solved, Err(DenseError::Singular { index: first }));
+            prop_assert_eq!(gram, Err(DenseError::Singular { index: first }));
+            prop_assert!(x.approx_eq(&b, 0.0), "right-hand side modified before the error");
+        }
     }
 }

@@ -197,6 +197,49 @@ fn batch_plan_reuse_is_allocation_free_after_warmup() {
     assert!(out.covariances.as_ref().unwrap().len() == k + 1);
 }
 
+/// The same contract above the level-3 thresholds: at n = 48 every
+/// elimination runs the compact-WY tri-stack and SelInv the tile GEMM, the
+/// blocked solves and the blocked inverse-Gram, whose panels, packed
+/// operands and block copies are pooled scratch
+/// (`workspace::take_f64` / `put_f64`) — a re-solve must still allocate
+/// nothing once warm.
+#[test]
+fn large_block_plan_reuse_is_allocation_free_after_warmup() {
+    use kalman::odd_even::SmoothPlan;
+    use rand::SeedableRng;
+
+    let _guard = EXCLUSIVE.lock().unwrap_or_else(|p| p.into_inner());
+    let (n, k) = (48, 60);
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(4301);
+    let model = kalman::model::generators::paper_benchmark(&mut rng, n, k, true);
+    let opts = OddEvenOptions {
+        covariances: true,
+        policy: ExecPolicy::Seq,
+        compress_odd: true,
+    };
+    let mut plan = SmoothPlan::for_model(&model, opts).unwrap();
+    assert_eq!(plan.schedule().kernels(), kalman::dense::KernelKind::Auto);
+    let mut out = Smoothed {
+        means: Vec::new(),
+        covariances: None,
+    };
+    for _ in 0..2 {
+        plan.smooth_model_into(&model, &mut out).unwrap();
+    }
+    for round in 0..2 {
+        let before = thread_alloc_count();
+        plan.smooth_model_into(&model, &mut out).unwrap();
+        let allocs = thread_alloc_count() - before;
+        assert_eq!(
+            allocs,
+            0,
+            "round {round}: {allocs} heap allocations in a plan-reused n={n} solve, sizes {:?}",
+            kalman::alloc_stats::thread_recent_alloc_sizes()
+        );
+    }
+    assert_eq!(out.means.len(), k + 1);
+}
+
 /// Steady-state pool serving: ingestion plus a `poll_into` batch flush
 /// across several streams must allocate nothing once warm — the pool moves
 /// streams into reused output slots and every stream's flush reuses the

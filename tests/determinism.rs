@@ -69,42 +69,51 @@ fn odd_even_and_selinv_are_bitwise_equal_to_sequential() {
     }
 }
 
-/// The blocked dense kernels (packed GEMM microkernel, short-reflector
-/// triangular-pentagonal eliminations) must not disturb the bitwise
-/// Seq-vs-Par contract: at n = 16 the SelInv products run through the
-/// blocked GEMM path, so this pins that the blocked kernels perform
-/// identical arithmetic regardless of scheduling.
+/// The level-3 dense kernels must not disturb the bitwise Seq-vs-Par
+/// contract.  Both sizes plan `KernelKind::Auto` (n = 16 would bind
+/// `Mono16` and never reach them): at n = 24 every SelInv product runs on
+/// the register-tile GEMM and the inverse-Gram and multi-column solves are
+/// blocked; at n = 48 the eliminations additionally run the compact-WY
+/// tri-stack.  Each kernel is a pure function of its operands, so the
+/// arithmetic is identical regardless of scheduling.
 #[test]
 fn blocked_kernels_stay_bitwise_equal_across_policies() {
-    let mut rng = ChaCha8Rng::seed_from_u64(4101);
-    let model = generators::paper_benchmark(&mut rng, 16, 60, true);
-    let seq = odd_even_smooth(
-        &model,
-        OddEvenOptions {
-            covariances: true,
-            policy: ExecPolicy::Seq,
-            ..OddEvenOptions::default()
-        },
-    )
-    .unwrap();
-    for threads in THREADS {
-        for grain in [1usize, 10] {
-            let par = run_with_threads(threads, || {
-                odd_even_smooth(
-                    &model,
-                    OddEvenOptions {
-                        covariances: true,
-                        policy: ExecPolicy::par_with_grain(grain),
-                        ..OddEvenOptions::default()
-                    },
-                )
-                .unwrap()
-            });
-            assert_bitwise(
-                &par,
-                &seq,
-                &format!("blocked kernels, threads={threads} grain={grain}"),
-            );
+    for (n, k, seed) in [(24usize, 60usize, 4101u64), (48, 40, 4102)] {
+        assert_eq!(
+            PlanSchedule::build(&vec![n; k + 1]).kernels(),
+            kalman::dense::KernelKind::Auto,
+            "n={n} must run the runtime-dispatched ladder"
+        );
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let model = generators::paper_benchmark(&mut rng, n, k, true);
+        let seq = odd_even_smooth(
+            &model,
+            OddEvenOptions {
+                covariances: true,
+                policy: ExecPolicy::Seq,
+                ..OddEvenOptions::default()
+            },
+        )
+        .unwrap();
+        for threads in THREADS {
+            for grain in [1usize, 10] {
+                let par = run_with_threads(threads, || {
+                    odd_even_smooth(
+                        &model,
+                        OddEvenOptions {
+                            covariances: true,
+                            policy: ExecPolicy::par_with_grain(grain),
+                            ..OddEvenOptions::default()
+                        },
+                    )
+                    .unwrap()
+                });
+                assert_bitwise(
+                    &par,
+                    &seq,
+                    &format!("blocked kernels, n={n} threads={threads} grain={grain}"),
+                );
+            }
         }
     }
 }
