@@ -17,8 +17,9 @@
 //! (`QrFactor::new_applying`) versus factor-then-apply below the
 //! `QR_FUSED_MAX_COLS` crossover, the level-3 bodies (compact-WY tri-stack,
 //! blocked back substitution, blocked inverse-Gram) versus the unblocked
-//! ones at batch dimensions, plus the monomorphized SIMD kernels versus
-//! the scalar oracle at the serving dimensions n ∈ {4, 8, 16}; each pair is
+//! ones at batch dimensions, the monomorphized SIMD kernels versus the
+//! scalar oracle at n ∈ {4, 8, 16}, plus the serving flush's forward step
+//! through the general bodies versus the fixed-size one; each pair is
 //! measured as interleaved A/B rounds with per-arm minima (the noise-robust
 //! methodology of docs/BENCHMARKS.md), single-threaded; `--json PATH`
 //! records the timings and speedups (`BENCH_kernels.json` in CI).
@@ -278,7 +279,9 @@ fn smoke(args: &mut Args) {
             t_simd,
         );
     }
-    for n in [4usize, 8, 16] {
+    // (No n = 4 row: `qr_tri_stack_applying_with` has no specialized body
+    // there — the hint falls through to the dynamic one.)
+    for n in [8usize, 16] {
         let kind = KernelKind::for_dim(n);
         let r0 = QrFactor::new(test_matrix(n, n)).r();
         let d0 = test_matrix(n, n);
@@ -327,6 +330,34 @@ fn smoke(args: &mut Args) {
         );
     }
 
+    // The serving flush's forward step at the harness's shapes (a full
+    // head, `G`, `F` n × n, `H = I`, identity noises): absorb → eliminate →
+    // SelInv terms through the three general calls vs the fixed-size body
+    // behind `InfoHead::step_into`, each over one chain of steps.  n = 4
+    // without the terms and n = 8 with them, as `serve_light` and
+    // `serve_heavy` run it.
+    println!("forward step, general bodies vs fixed-size columns:");
+    print_row(&[
+        "kernel".into(),
+        "general".into(),
+        "fused".into(),
+        "speedup".into(),
+    ]);
+    for (n, terms) in [(4usize, false), (8, true)] {
+        let (t_general, t_fused) = ab_min(
+            rounds,
+            || forward_chain(n, terms, false),
+            || forward_chain(n, terms, true),
+        );
+        push_pair(
+            &mut entries,
+            &format!("fwd_step/n{n}"),
+            ("general", "fused"),
+            t_general,
+            t_fused,
+        );
+    }
+
     if !json.is_empty() {
         let config = format!(
             "fig4 --smoke: dense kernels, 1 thread, interleaved A/B mins of {rounds} rounds \
@@ -335,11 +366,64 @@ fn smoke(args: &mut Args) {
              QR_FUSED_MAX_COLS = 32 crossover; tri_stack rows: compact-WY vs unblocked \
              SIMD body, one (n+1)-wide companion pair; trsm/inv_gram rows: blocked vs the \
              scalar oracle at n = 48; gemm/nK/simd + qr/nK/mono rows: \
-             monomorphized SIMD kernels vs the scalar oracle at the serving dimensions"
+             monomorphized SIMD kernels vs the scalar oracle at the serving dimensions; \
+             fwd_step rows: with_observation + eliminate (+ SelInv terms at n = 8) vs \
+             InfoHead::step_into on fixed-size columns, {FORWARD_CHAIN} chained steps"
         );
         kalman_bench::write_bench_json(&json, &config, &entries).expect("write json");
         println!("wrote {json}");
     }
+}
+
+/// Steps per timed chain of [`forward_chain`].
+const FORWARD_CHAIN: usize = 20_000;
+
+/// Seconds per forward step over a chain of [`FORWARD_CHAIN`] steps of the
+/// paper's §5.2 problem at dimension `n` (random orthonormal `F` and `G`,
+/// unit covariances): each step absorbs the observation, eliminates the
+/// state and — with `terms` — forms the row's two SelInv factors, and the
+/// head it leaves feeds the next.  `fused` runs `InfoHead::step_into`
+/// into storage kept across steps, as a stream's ring does; otherwise the
+/// three general calls run one after the other.
+fn forward_chain(n: usize, terms: bool, fused: bool) -> f64 {
+    use kalman::model::{generators::paper_benchmark, InfoHead, WhitenedEvo, WhitenedObs};
+    use rand::SeedableRng;
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(23);
+    let model = paper_benchmark(&mut rng, n, 1, true);
+    let prior = model.prior.as_ref().expect("generated with a prior");
+    let step = &model.steps[1];
+    let obs = step.observation.as_ref().expect("every step observed");
+    let evolution = step.evolution.as_ref().expect("step 1 evolves");
+    let evo = WhitenedEvo::from_evolution(evolution, n, 1).expect("unit covariance");
+    let mut head = InfoHead::from_prior(prior).expect("unit covariance");
+    let mut next = InfoHead::empty(n);
+    let mut whitened = WhitenedObs::default();
+    let mut rows = None;
+    let (mut x, mut a) = (Matrix::default(), Matrix::default());
+    let t = time_once(|| {
+        for i in 0..FORWARD_CHAIN {
+            if fused {
+                whitened.assign(obs, i).expect("unit covariance");
+                let terms = terms.then_some((&mut x, &mut a));
+                head.step_into(Some(&whitened), &evo, &mut rows, terms, &mut next);
+                std::mem::swap(&mut head, &mut next);
+            } else {
+                let posterior = head.with_observation(obs, i).expect("unit covariance");
+                let (kept, advanced) = posterior.eliminate(&evo);
+                if terms {
+                    let kept = kept.as_ref().expect("a prior determines every state");
+                    x.clone_from(&kept.off);
+                    tri::solve_upper_in_place(&kept.diag, &mut x).expect("full rank");
+                    a = tri::inv_gram_upper(&kept.diag).expect("full rank");
+                }
+                rows = kept;
+                head = advanced;
+            }
+        }
+        std::hint::black_box((&head, &rows, &x, &a));
+    })
+    .0;
+    t / FORWARD_CHAIN as f64
 }
 
 /// A step structure, heap-allocated like the paper's array-of-pointers.

@@ -26,7 +26,9 @@
 //! dimensions, level-3 bodies on one AVX2/FMA 8×6 register-tile GEMM
 //! ([`simd::gemm_tile`]) — the product itself, a compact-WY body for the
 //! stack elimination, a blocked back substitution and inverse-Gram
-//! ([`tri`]) — chosen from the operands' shapes alone; and under all of it
+//! ([`tri`]) — chosen from the operands' shapes alone; for a stream's
+//! flush at `n ∈ {4, 8}`, whole steps on fixed-size stack-resident columns
+//! ([`fixed`]); and under all of it
 //! a thread-local buffer-recycling [`workspace`] that makes steady-state
 //! loops allocation-free — while staying dependency-free (see DESIGN.md
 //! §"Dense kernels").
@@ -53,6 +55,7 @@
 
 mod chol;
 mod error;
+pub mod fixed;
 mod gemm;
 mod lu;
 mod matrix;

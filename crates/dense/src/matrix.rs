@@ -24,10 +24,8 @@ pub struct Matrix {
 
 impl Clone for Matrix {
     fn clone(&self) -> Self {
-        let mut data = crate::workspace::take_f64(self.data.len());
-        data.copy_from_slice(&self.data);
         Matrix {
-            data,
+            data: crate::workspace::take_f64_copy(&self.data),
             rows: self.rows,
             cols: self.cols,
         }
@@ -103,10 +101,8 @@ impl Matrix {
 
     /// Creates a column vector (an `n × 1` matrix) from a slice.
     pub fn col_from_slice(v: &[f64]) -> Self {
-        let mut data = crate::workspace::take_f64(v.len());
-        data.copy_from_slice(v);
         Matrix {
-            data,
+            data: crate::workspace::take_f64_copy(v),
             rows: v.len(),
             cols: 1,
         }
@@ -125,6 +121,44 @@ impl Matrix {
             data.len()
         );
         Matrix { data, rows, cols }
+    }
+
+    /// Makes `self` the column vector `v`, reusing its storage (the
+    /// in-place [`Matrix::col_from_slice`]).
+    pub fn assign_col(&mut self, v: &[f64]) {
+        self.data.clear();
+        self.data.extend_from_slice(v);
+        self.rows = v.len();
+        self.cols = 1;
+    }
+
+    /// Makes `self` the `n × n` identity, reusing its storage.
+    pub fn assign_identity(&mut self, n: usize) {
+        self.data.clear();
+        self.data.resize(n * n, 0.0);
+        self.rows = n;
+        self.cols = n;
+        for i in 0..n {
+            self.data[i + i * n] = 1.0;
+        }
+    }
+
+    /// Reshapes `self` to `rows × cols` for a caller that overwrites every
+    /// entry, and hands out the storage: entries that were there keep
+    /// whatever values they had, a longer matrix is zero-extended.  A matrix
+    /// already of that length keeps its buffer untouched; one whose buffer
+    /// is too small trades it for a pooled one.
+    pub(crate) fn resize_for_overwrite(&mut self, rows: usize, cols: usize) -> &mut [f64] {
+        let len = rows * cols;
+        if self.data.capacity() < len {
+            let old = std::mem::replace(&mut self.data, crate::workspace::take_f64(len));
+            crate::workspace::put_f64(old);
+        } else {
+            self.data.resize(len, 0.0);
+        }
+        self.rows = rows;
+        self.cols = cols;
+        &mut self.data
     }
 
     /// Number of rows.
@@ -241,12 +275,15 @@ impl Matrix {
             self.rows,
             self.cols
         );
-        let mut s = Matrix::zeros(nrows, ncols);
+        let mut data = crate::workspace::take_f64_empty(nrows * ncols);
         for j in 0..ncols {
-            let src = &self.col(c0 + j)[r0..r0 + nrows];
-            s.col_mut(j).copy_from_slice(src);
+            data.extend_from_slice(&self.col(c0 + j)[r0..r0 + nrows]);
         }
-        s
+        Matrix {
+            data,
+            rows: nrows,
+            cols: ncols,
+        }
     }
 
     /// Copies `block` into `self` with top-left corner at `(r0, c0)`.
@@ -278,14 +315,16 @@ impl Matrix {
         assert!(!blocks.is_empty(), "vstack of zero blocks");
         let cols = blocks[0].cols;
         let rows: usize = blocks.iter().map(|b| b.rows).sum();
-        let mut out = Matrix::zeros(rows, cols);
-        let mut r0 = 0;
         for b in blocks {
             assert_eq!(b.cols, cols, "vstack blocks must have equal column counts");
-            out.set_block(r0, 0, b);
-            r0 += b.rows;
         }
-        out
+        let mut data = crate::workspace::take_f64_empty(rows * cols);
+        for j in 0..cols {
+            for b in blocks {
+                data.extend_from_slice(b.col(j));
+            }
+        }
+        Matrix { data, rows, cols }
     }
 
     /// Stacks `blocks` horizontally.  All blocks must have the same row count.

@@ -191,7 +191,14 @@ fn apply_householder_panel(vtail: &[f64], tau: f64, b: &mut Matrix, row0: usize)
 pub fn effective_rank_tol(r: &Matrix, rows: usize) -> f64 {
     let steps = r.rows().min(r.cols());
     let max_diag = (0..steps).fold(0.0_f64, |m, j| m.max(r[(j, j)].abs()));
-    max_diag * (rows.max(r.cols()) as f64) * f64::EPSILON
+    rank_tol(max_diag, rows, r.cols())
+}
+
+/// [`effective_rank_tol`] from the largest diagonal magnitude of an
+/// `n`-column factor of a `rows`-row block.
+#[inline(always)]
+pub(crate) fn rank_tol(max_diag: f64, rows: usize, n: usize) -> f64 {
+    max_diag * (rows.max(n) as f64) * f64::EPSILON
 }
 
 /// One Householder elimination step shared by [`QrFactor`] and
@@ -661,12 +668,15 @@ fn tri_stack_blocked(
 
 /// [`qr_tri_stack_applying`] with plan-time kernel selection: when `kind`
 /// names a monomorphized dimension matching the actual blocks
-/// (`n = l = 4, 8 or 16` — the serving hot path's square evolution stacks),
+/// (`n = l = 8 or 16` — square evolution stacks of a uniform batch plan),
 /// the elimination runs the const-generic body, whose fixed trip counts the
 /// compiler unrolls and bounds-check-eliminates.  Anything else (including
-/// `KernelKind::Auto`, mismatched shapes, or reference mode) falls through
-/// to the runtime-dispatched path — the call is always correct, the kind is
-/// only a specialization hint bound once at plan time.
+/// `KernelKind::Auto`, mismatched shapes, reference mode, and `n = 4`,
+/// where the specialized body never measured faster than the dynamic one)
+/// falls through to the runtime-dispatched path — the call is always
+/// correct, the kind is only a specialization hint bound once at plan time.
+/// The two bodies run the identical arithmetic sequence, so which one ran
+/// never shows in the result.
 pub fn qr_tri_stack_applying_with(
     kind: KernelKind,
     r: &mut Matrix,
@@ -674,14 +684,15 @@ pub fn qr_tri_stack_applying_with(
     companions: &mut [(&mut Matrix, &mut Matrix)],
 ) {
     let n = r.rows();
+    let body = match n {
+        8 => tri_stack_body::<8>,
+        16 => tri_stack_body::<16>,
+        _ => return qr_tri_stack_applying(r, d, companions),
+    };
     if kind.active().dim() == Some(n) && d.rows() == n {
         tri_stack_check(r, d, companions);
         simd::note_mono();
-        match n {
-            4 => tri_stack_body::<4>(r, d, companions),
-            8 => tri_stack_body::<8>(r, d, companions),
-            _ => tri_stack_body::<16>(r, d, companions),
-        }
+        body(r, d, companions);
         return;
     }
     qr_tri_stack_applying(r, d, companions);

@@ -19,9 +19,16 @@
 //!   (compact-WY tri-stack in `qr.rs`, blocked back substitution and
 //!   inverse-Gram in `tri.rs`) — whenever reference mode is off,
 //! * **monomorphized** — const-generic `n ∈ {4, 8, 16}` kernels
-//!   ([`gemm_mono`], and the tri-stack bodies in `qr.rs`), selected at plan
-//!   time through [`KernelKind`] so a `SmoothPlan` binds the exact kernel
-//!   once instead of re-dispatching per call.
+//!   ([`gemm_mono`], and the `n ∈ {8, 16}` tri-stack bodies in `qr.rs`),
+//!   selected at plan time through [`KernelKind`] so a `SmoothPlan` binds
+//!   the exact kernel once instead of re-dispatching per call.
+//!
+//! Beside the ladder sit the **fixed-size** kernels of [`crate::fixed`] — a
+//! stream's whole forward step and the two steps of its back half at
+//! `n ∈ {4, 8}`, on stack-resident columns.  They are chosen by operand
+//! shape, not by a plan, and written without intrinsics: this module only
+//! instantiates each body under `avx2,fma` and portably and dispatches
+//! between the two, which compute the same bits.
 //!
 //! **Accuracy contract**: the FMA tiles fuse multiply and add into a single
 //! rounding, so SIMD results are *not* bitwise-equal to the scalar oracle —
@@ -38,7 +45,7 @@
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
-use crate::workspace;
+use crate::{fixed, workspace};
 
 // ---------------------------------------------------------------------------
 // Runtime dispatch
@@ -858,6 +865,70 @@ pub fn gemm_mono<const N: usize>(
     gemm_mono_portable::<N>(alpha, a, b, b_trans, beta, c)
 }
 
+// ---------------------------------------------------------------------------
+// Kernels: the fixed-size serving flush (bodies in `fixed.rs`)
+// ---------------------------------------------------------------------------
+
+/// Instantiates one plain-Rust body of [`crate::fixed`] twice — inside an
+/// `avx2,fma` `#[target_feature]` wrapper, where the compiler may keep its
+/// fixed-size columns in 256-bit registers, and as is — behind one
+/// dispatcher.  The body fixes its own operation order and Rust never fuses
+/// a multiply with an add on its own, so the two instantiations are bitwise
+/// equal (pinned by `fixed_bodies_are_bitwise_equal_across_instantiations`).
+macro_rules! fixed_kernel {
+    ($(#[$doc:meta])* $name:ident / $avx2:ident = $body:path;
+     <$(const $g:ident),+>($($arg:ident: $ty:ty),*) $(-> $ret:ty)?) => {
+        /// # Safety
+        ///
+        /// Caller must ensure AVX2 and FMA are available on the executing
+        /// CPU.
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx2", enable = "fma")]
+        unsafe fn $avx2<$(const $g: usize),+>($($arg: $ty),*) $(-> $ret)? {
+            $body($($arg),*)
+        }
+
+        $(#[$doc])*
+        #[inline]
+        pub(crate) fn $name<$(const $g: usize),+>($($arg: $ty),*) $(-> $ret)? {
+            #[cfg(target_arch = "x86_64")]
+            if use_avx2() {
+                // SAFETY: `use_avx2()` is true only after
+                // `is_x86_feature_detected!` confirmed AVX2+FMA on this CPU;
+                // the body itself is safe code.
+                return unsafe { $avx2::<$($g),+>($($arg),*) };
+            }
+            $body($($arg),*)
+        }
+    };
+}
+
+fixed_kernel! {
+    /// [`fixed::forward_step`](crate::fixed::forward_step) at order `N`
+    /// (`N2 = 2N`).
+    forward_step / forward_step_avx2 = fixed::forward_step_body::<N, N2>;
+    <const N, const N2>(input: &fixed::StepIn<'_>, out: &mut fixed::StepOut<'_>) -> bool
+}
+
+fixed_kernel! {
+    /// [`fixed::absorb_step`](crate::fixed::absorb_step) at order `N` (`N2 = 2N`).
+    absorb / absorb_avx2 = fixed::absorb_body::<N, N2>;
+    <const N, const N2>(c: &[f64], d: &[f64], g: &[f64], o: &[f64], out_c: &mut [f64], out_d: &mut [f64])
+}
+
+fixed_kernel! {
+    /// [`fixed::back_substitute`](crate::fixed::back_substitute) at order
+    /// `N`.
+    back_substitute / back_substitute_avx2 = fixed::back_substitute_body::<N>;
+    <const N>(diag: &[f64], off: &[f64], rhs: &[f64], next: &[f64], mean: &mut [f64]) -> bool
+}
+
+fixed_kernel! {
+    /// [`fixed::selinv_step`](crate::fixed::selinv_step) at order `N`.
+    selinv_step / selinv_step_avx2 = fixed::selinv_step_body::<N>;
+    <const N>(x: &[f64], a: &[f64], s_next: &[f64], s: &mut [f64])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1043,6 +1114,85 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Both instantiations of every fixed-size body, by direct call, on the
+    /// same operands: the outputs must agree to the bit.  (On a host
+    /// without AVX2 there is only one instantiation to run.)
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn fixed_bodies_are_bitwise_equal_across_instantiations() {
+        if !use_avx2() {
+            return;
+        }
+        fn check<const N: usize, const N2: usize>() {
+            // Distinct full-rank blocks: row windows of one tall sample.
+            let tall = crate::random::deterministic_well_conditioned(N + 8, N);
+            let sq = |at: usize| tall.sub_matrix(at, 0, N, N).into_vec();
+            let col = |at: usize| tall.col(at % N)[at / N..][..N].to_vec();
+            let (c, d, g, o) = (sq(0), col(1), sq(2), col(3));
+            let (b, dd, r) = (sq(4), sq(6), col(5));
+            let run = |avx2: bool| {
+                let mut out = vec![vec![0.0; N * N]; 5];
+                let mut cols = vec![vec![0.0; N]; 3];
+                let [diag, off, next_c, x, a] = &mut out[..] else {
+                    unreachable!()
+                };
+                let [rhs, next_d, mean] = &mut cols[..] else {
+                    unreachable!()
+                };
+                let input = fixed::StepIn {
+                    head_c: &c,
+                    head_d: &d,
+                    obs_c: &g,
+                    obs_rhs: &o,
+                    evo_b: &b,
+                    evo_d: &dd,
+                    evo_rhs: &r,
+                };
+                let mut output = fixed::StepOut {
+                    diag,
+                    off,
+                    rhs,
+                    next_c,
+                    next_d,
+                    terms: Some((x, a)),
+                };
+                let ok = if avx2 {
+                    // SAFETY: `use_avx2()` held above, so AVX2+FMA are
+                    // available on this CPU.
+                    unsafe { forward_step_avx2::<N, N2>(&input, &mut output) }
+                } else {
+                    fixed::forward_step_body::<N, N2>(&input, &mut output)
+                };
+                assert!(ok, "well-conditioned stack");
+                let (mut head_c, mut head_d) = (vec![0.0; N * N], vec![0.0; N]);
+                let mut s = vec![0.0; N * N];
+                let next = col(7);
+                if avx2 {
+                    // SAFETY: as above.
+                    unsafe {
+                        absorb_avx2::<N, N2>(&c, &d, &g, &o, &mut head_c, &mut head_d);
+                        assert!(back_substitute_avx2::<N>(diag, off, rhs, &next, mean));
+                        selinv_step_avx2::<N>(x, a, a, &mut s);
+                    }
+                } else {
+                    fixed::absorb_body::<N, N2>(&c, &d, &g, &o, &mut head_c, &mut head_d);
+                    assert!(fixed::back_substitute_body::<N>(
+                        diag, off, rhs, &next, mean
+                    ));
+                    fixed::selinv_step_body::<N>(x, a, a, &mut s);
+                }
+                out.extend(cols);
+                out.extend([head_c, head_d, s]);
+                out.iter()
+                    .map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(run(true), run(false), "N = {N}");
+        }
+        check::<4, 8>();
+        check::<8, 16>();
     }
 
     #[test]

@@ -274,23 +274,32 @@ impl Workspace {
     /// is part of the contract: `Matrix::zeros` (and through it nearly
     /// every matrix constructor) relies on it.
     pub fn take_f64(&mut self, len: usize) -> Vec<f64> {
-        if pooling_enabled() {
-            if let Some(class) = class_of(len) {
-                if let Some(mut buf) = self.f64_pool.get_mut(class).and_then(Vec::pop) {
-                    self.hits += 1;
-                    self.pooled_elems -= buf.capacity();
-                    buf.clear();
-                    buf.resize(len, 0.0);
-                    return buf;
-                }
-                self.misses += 1;
-                let mut buf = Vec::with_capacity(1usize << class);
-                buf.resize(len, 0.0);
-                return buf;
-            }
+        if !pooling_enabled() || class_of(len).is_none() {
+            // Straight from the allocator, which hands out zeroed pages.
+            self.misses += 1;
+            return vec![0.0; len];
+        }
+        let mut buf = self.take_f64_empty(len);
+        buf.resize(len, 0.0);
+        buf
+    }
+
+    /// Checks out an *empty* `f64` buffer with room for `len` elements, for
+    /// callers that append every element themselves (`extend_from_slice`)
+    /// and so would overwrite all of [`Workspace::take_f64`]'s zeros.
+    pub(crate) fn take_f64_empty(&mut self, len: usize) -> Vec<f64> {
+        let Some(class) = class_of(len).filter(|_| pooling_enabled()) else {
+            self.misses += 1;
+            return Vec::with_capacity(len);
+        };
+        if let Some(mut buf) = self.f64_pool.get_mut(class).and_then(Vec::pop) {
+            self.hits += 1;
+            self.pooled_elems -= buf.capacity();
+            buf.clear();
+            return buf;
         }
         self.misses += 1;
-        vec![0.0; len]
+        Vec::with_capacity(1usize << class)
     }
 
     /// Returns an `f64` buffer to the pool (drops it if the pool is full,
@@ -434,6 +443,26 @@ pub(crate) fn take_f64(len: usize) -> Vec<f64> {
             Err(_) => vec![0.0; len],
         })
         .unwrap_or_else(|_| vec![0.0; len])
+}
+
+/// [`take_f64`] without the zero-fill: an empty buffer with room for `len`
+/// elements (see [`Workspace::take_f64_empty`]).
+#[inline]
+pub(crate) fn take_f64_empty(len: usize) -> Vec<f64> {
+    WORKSPACE
+        .try_with(|cell| match cell.try_borrow_mut() {
+            Ok(mut ws) => ws.take_f64_empty(len),
+            Err(_) => Vec::with_capacity(len),
+        })
+        .unwrap_or_else(|_| Vec::with_capacity(len))
+}
+
+/// A pooled copy of `src`, each element written once.
+#[inline]
+pub(crate) fn take_f64_copy(src: &[f64]) -> Vec<f64> {
+    let mut buf = take_f64_empty(src.len());
+    buf.extend_from_slice(src);
+    buf
 }
 
 /// Returns an `f64` buffer to the calling thread's workspace.

@@ -13,15 +13,17 @@
 //!   marginalizes a state out through its evolution and hands back both the
 //!   head on the next state and the [`EliminatedRows`] the state leaves in
 //!   the block-bidiagonal `R` factor ([`InfoHead::advance`] is the same step
-//!   for callers that only want the head);
+//!   for callers that only want the head), and [`InfoHead::step_into`], the
+//!   two chained — with the SelInv terms of the row, if wanted — into
+//!   storage the caller keeps, which is what a streaming flush runs;
 //! * [`StreamEvent`] and [`events_of`]: a replayable event form of a model,
 //!   used to feed batch problems through streaming ingestion in tests and
 //!   benchmarks.
 
 use crate::{LinearModel, Observation, Prior, Result, WhitenedEvo, WhitenedObs};
 use kalman_dense::{
-    compress_rows_owned, effective_rank_tol, qr_tri_stack_applying_with, ColPivQr, KernelKind,
-    Matrix, QrFactor,
+    compress_rows_owned, effective_rank_tol, fixed, qr_tri_stack_applying, tri, ColPivQr, Matrix,
+    QrFactor,
 };
 
 /// A whitened information block row `C u ≈ d` (noise implicitly `I`) on a
@@ -33,7 +35,7 @@ use kalman_dense::{
 /// much history it summarizes.  A head may have *fewer* rows than columns —
 /// a stream with no prior starts from the 0-row head and stays
 /// under-determined until enough observations arrive.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct InfoHead {
     /// Whitened coefficient rows (`r × n`, `r ≤ n`).
     c: Matrix,
@@ -41,11 +43,26 @@ pub struct InfoHead {
     d: Matrix,
 }
 
+impl Clone for InfoHead {
+    fn clone(&self) -> Self {
+        InfoHead {
+            c: self.c.clone(),
+            d: self.d.clone(),
+        }
+    }
+
+    /// Copies into `self`'s storage instead of replacing it.
+    fn clone_from(&mut self, source: &Self) {
+        self.c.clone_from(&source.c);
+        self.d.clone_from(&source.d);
+    }
+}
+
 /// The block row a state leaves in the block-bidiagonal `R` factor when
 /// [`InfoHead::eliminate`] marginalizes it out:
 /// `R_jj u_j + R_{j,j+1} u_{j+1} = rhs_j` recovers `u_j` from its
 /// successor by back substitution.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct EliminatedRows {
     /// `R_jj`: square upper triangular with no negligible diagonal entry.
     pub diag: Matrix,
@@ -178,6 +195,90 @@ impl InfoHead {
         Ok(self.with_rows(&whitened.c, &whitened.rhs))
     }
 
+    /// [`InfoHead::with_observation`] on already whitened rows, into a head
+    /// the caller keeps: `out` becomes the posterior and its storage is
+    /// reused.  Takes the fixed-size body of [`kalman_dense::fixed`] when
+    /// the blocks have its shape — a full square head absorbing `n` rows at
+    /// `n ∈ {4, 8}` — and the stacked QR compression otherwise; which one is
+    /// a function of the shapes alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the observation is not of the head's state.
+    pub fn absorb_into(&self, obs: &WhitenedObs, out: &mut InfoHead) {
+        assert_eq!(obs.c.cols(), self.state_dim(), "absorb dimension mismatch");
+        let head = (&self.c, &self.d);
+        if !fixed::absorb_step(head, (&obs.c, &obs.rhs), (&mut out.c, &mut out.d)) {
+            *out = self.with_rows(&obs.c, &obs.rhs);
+        }
+    }
+
+    /// One whole forward step of the streaming sweep, into storage the
+    /// caller keeps: absorb `obs` (when the state is observed), eliminate
+    /// through `evo`, and — when `terms` is given — form the two factors of
+    /// the bidiagonal SelInv recursion that depend on the block row alone,
+    /// `X = R_jj⁻¹ R_{j,j+1}` and `A = R_jj⁻¹ R_jj⁻ᵀ`.  On return `rows` is
+    /// what [`InfoHead::eliminate`] on the posterior returns first, `next`
+    /// what it returns second; `terms` is meaningful exactly when `rows` is
+    /// `Some`.  Matrices already in `rows`, `terms` and `next` donate their
+    /// storage.
+    ///
+    /// Which arithmetic runs is a function of the inputs alone, as in
+    /// [`InfoHead::eliminate`].  A full square head that absorbs `n`
+    /// observation rows and evolves through `n` rows, `n ∈ {4, 8}` — the
+    /// steady state of a stream observed through a square `G` — takes
+    /// [`kalman_dense::fixed::forward_step`]: the same Householder
+    /// eliminations as the general bodies, with `R_jj` inverted once for
+    /// both terms, on stack-resident columns and in one call.  That body
+    /// applies the rank test of [`InfoHead::eliminate`] to the same `R_jj`
+    /// and declines a factor that fails it; every such step, and every other
+    /// shape, runs [`InfoHead::with_observation`]'s compression,
+    /// [`InfoHead::eliminate`] and the triangular solves, from the same
+    /// untouched inputs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the observation is not of the head's state.
+    pub fn step_into(
+        &self,
+        obs: Option<&WhitenedObs>,
+        evo: &WhitenedEvo,
+        rows: &mut Option<EliminatedRows>,
+        mut terms: Option<(&mut Matrix, &mut Matrix)>,
+        next: &mut InfoHead,
+    ) {
+        if let Some(obs) = obs {
+            assert_eq!(obs.c.cols(), self.state_dim(), "absorb dimension mismatch");
+            let kept = rows.get_or_insert_with(EliminatedRows::default);
+            if fixed::forward_step(
+                (&self.c, &self.d),
+                (&obs.c, &obs.rhs),
+                (&evo.b, &evo.d, &evo.rhs),
+                (&mut kept.diag, &mut kept.off, &mut kept.rhs),
+                (&mut next.c, &mut next.d),
+                terms.as_mut().map(|(x, a)| (&mut **x, &mut **a)),
+            ) {
+                return;
+            }
+        }
+        let posterior = obs.map(|obs| self.with_rows(&obs.c, &obs.rhs));
+        let (mut kept, head) = posterior.as_ref().unwrap_or(self).eliminate(evo);
+        *next = head;
+        if let (Some((x, a)), Some(row)) = (terms, &kept) {
+            // The diagonal has passed the effective-rank test, so neither
+            // inversion meets a zero pivot; if one did, the state would
+            // surface as rank deficient like any state without a row.
+            x.clone_from(&row.off);
+            let inverted = tri::solve_upper_in_place(&row.diag, x)
+                .and_then(|()| tri::inv_gram_upper(&row.diag));
+            match inverted {
+                Ok(gram) => *a = gram,
+                Err(_) => kept = None,
+            }
+        }
+        *rows = kept;
+    }
+
     /// Marginalizes the head's state out through the whitened evolution
     /// connecting it to the next state: one forward step of the sequential
     /// Paige–Saunders sweep (a square-root information filter step).
@@ -210,7 +311,7 @@ impl InfoHead {
     /// the path the original took).  When `C` is a square upper triangle —
     /// what [`InfoHead::absorb`] leaves on every observed step — and the
     /// evolution has rows, the stack `[C; -B]` has the triangular-pentagonal
-    /// shape and is eliminated in place by [`qr_tri_stack_applying_with`]:
+    /// shape and is eliminated in place by [`qr_tri_stack_applying`]:
     /// reflectors of length `1 + ℓ` instead of `n + ℓ − j`, nothing stacked
     /// and nothing cut out — the transformed tops *are* `R_jj`,
     /// `R_{j,j+1}` and the rhs segment, the bottoms *are* the next head.
@@ -268,8 +369,7 @@ impl InfoHead {
         let mut rhs = self.d.clone(); // lint: allow(alloc, "pooled column of one state's size")
         let mut next_c = evo.d.clone(); // lint: allow(alloc, "pooled matrix of one state's size")
         let mut next_d = evo.rhs.clone(); // lint: allow(alloc, "pooled column of one state's size")
-        qr_tri_stack_applying_with(
-            KernelKind::for_dim(n),
+        qr_tri_stack_applying(
             &mut diag,
             &mut below,
             &mut [(&mut off, &mut next_c), (&mut rhs, &mut next_d)],

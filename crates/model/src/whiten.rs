@@ -12,7 +12,7 @@ use crate::{LinearModel, Result};
 use kalman_dense::Matrix;
 
 /// Whitened observation rows for one state: `C_i` and its right-hand side.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct WhitenedObs {
     /// `C_i = W_i G_i` (`m_i × n_i`); includes prior rows for state 0.
     pub c: Matrix,
@@ -21,7 +21,7 @@ pub struct WhitenedObs {
 }
 
 /// Whitened evolution rows coupling states `i−1` and `i`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct WhitenedEvo {
     /// `B_i = V_i F_i` (`ℓ_i × n_{i-1}`); enters the matrix negated.
     pub b: Matrix,
@@ -54,6 +54,20 @@ impl WhitenedObs {
         let mut rhs = Matrix::col_from_slice(&obs.o);
         obs.noise.whiten_in_place(&mut [&mut c, &mut rhs], index)?;
         Ok(WhitenedObs { c, rhs })
+    }
+
+    /// [`WhitenedObs::from_observation`] into `self`, reusing its storage
+    /// (a streaming flush whitens every step through one such scratch).
+    ///
+    /// # Errors
+    ///
+    /// As [`WhitenedObs::from_observation`]; `self` then holds nothing
+    /// meaningful.
+    pub fn assign(&mut self, obs: &crate::Observation, index: usize) -> Result<()> {
+        self.c.clone_from(&obs.g);
+        self.rhs.assign_col(&obs.o);
+        obs.noise
+            .whiten_in_place(&mut [&mut self.c, &mut self.rhs], index)
     }
 
     /// Stacks already-whitened rows `(c, rhs)` above `below`'s rows — how
@@ -92,6 +106,25 @@ impl WhitenedEvo {
         evo.noise
             .whiten_in_place(&mut [&mut b, &mut d, &mut rhs], index)?;
         Ok(WhitenedEvo { b, d, rhs })
+    }
+}
+
+impl WhitenedEvo {
+    /// [`WhitenedEvo::from_evolution`] into `self`, reusing its storage.
+    ///
+    /// # Errors
+    ///
+    /// As [`WhitenedEvo::from_evolution`]; `self` then holds nothing
+    /// meaningful.
+    pub fn assign(&mut self, evo: &crate::Evolution, state_dim: usize, index: usize) -> Result<()> {
+        self.b.clone_from(&evo.f);
+        match &evo.h {
+            Some(h) => self.d.clone_from(h),
+            None => self.d.assign_identity(state_dim),
+        }
+        self.rhs.assign_col(&evo.c);
+        evo.noise
+            .whiten_in_place(&mut [&mut self.b, &mut self.d, &mut self.rhs], index)
     }
 }
 

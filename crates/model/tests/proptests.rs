@@ -115,3 +115,279 @@ proptest! {
         prop_assert!(solve_dense(&model).is_err());
     }
 }
+
+// ---------------------------------------------------------------------------
+// The fused forward step (`InfoHead::step_into`) against the three general
+// calls it replaces on the fixed-size shapes.  Under `KALMAN_REF_KERNELS=1`
+// the fused call *is* the general chain, and every comparison below holds
+// bit for bit.
+// ---------------------------------------------------------------------------
+
+use kalman_dense::{fixed, reference_kernels, tri};
+use kalman_model::{EliminatedRows, InfoHead, WhitenedEvo, WhitenedObs};
+
+/// One step's worth of random blocks: an `n × n` head (dense, or the upper
+/// triangle of one), an `m`-row observation and a square evolution.
+struct StepCase {
+    head: InfoHead,
+    obs: Observation,
+    evolution: Evolution,
+}
+
+fn step_case(
+    seed: u64,
+    n: usize,
+    m: usize,
+    triangular_head: bool,
+    square_h: bool,
+    noises: (CovarianceSpec, CovarianceSpec),
+) -> StepCase {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut c = random::gaussian(&mut rng, n, n);
+    if triangular_head {
+        c = c.upper_triangular_part();
+        for j in 0..n {
+            c[(j, j)] += 2.0; // keep the triangle well away from singular
+        }
+    }
+    let column = |rng: &mut ChaCha8Rng, len: usize| random::gaussian(rng, len, 1).col(0).to_vec();
+    let d = Matrix::col_from_slice(&column(&mut rng, n));
+    StepCase {
+        head: InfoHead::from_rows(c, d),
+        obs: Observation {
+            g: random::gaussian(&mut rng, m, n),
+            o: column(&mut rng, m),
+            noise: noises.0,
+        },
+        evolution: Evolution {
+            f: random::gaussian(&mut rng, n, n),
+            h: square_h.then(|| random::gaussian(&mut rng, n, n)),
+            c: column(&mut rng, n),
+            noise: noises.1,
+        },
+    }
+}
+
+/// What one forward step leaves: the block row, its SelInv terms, the next
+/// head.
+struct StepResult {
+    rows: Option<EliminatedRows>,
+    x: Matrix,
+    a: Matrix,
+    next: InfoHead,
+}
+
+/// The step through `with_observation` → `eliminate` → the two triangular
+/// kernels.
+fn general_step(case: &StepCase, evo: &WhitenedEvo) -> StepResult {
+    let posterior = case.head.with_observation(&case.obs, 0).unwrap();
+    let (rows, next) = posterior.eliminate(evo);
+    let (mut x, mut a) = (Matrix::default(), Matrix::default());
+    if let Some(rows) = &rows {
+        x = rows.off.clone();
+        tri::solve_upper_in_place(&rows.diag, &mut x).unwrap();
+        a = tri::inv_gram_upper(&rows.diag).unwrap();
+    }
+    StepResult { rows, x, a, next }
+}
+
+fn fused_step(case: &StepCase, evo: &WhitenedEvo) -> StepResult {
+    let mut obs = WhitenedObs::default();
+    obs.assign(&case.obs, 0).unwrap();
+    let mut out = StepResult {
+        rows: None,
+        x: Matrix::default(),
+        a: Matrix::default(),
+        next: InfoHead::empty(0),
+    };
+    case.head.step_into(
+        Some(&obs),
+        evo,
+        &mut out.rows,
+        Some((&mut out.x, &mut out.a)),
+        &mut out.next,
+    );
+    out
+}
+
+/// Whether the fixed-size body accepts the whitened blocks of `case`.
+fn fixed_body_runs(case: &StepCase, evo: &WhitenedEvo) -> bool {
+    let obs = WhitenedObs::from_observation(&case.obs, 0).unwrap();
+    let (c, d) = case.head.rows_ref();
+    let mut out: [Matrix; 5] = Default::default();
+    let [diag, off, rhs, next_c, next_d] = &mut out;
+    fixed::forward_step(
+        (c, d),
+        (&obs.c, &obs.rhs),
+        (&evo.b, &evo.d, &evo.rhs),
+        (diag, off, rhs),
+        (next_c, next_d),
+        None,
+    )
+}
+
+fn bits(m: &Matrix) -> (usize, usize, Vec<u64>) {
+    (
+        m.rows(),
+        m.cols(),
+        m.as_slice().iter().map(|v| v.to_bits()).collect(),
+    )
+}
+
+/// The blocks of a result, named, in a fixed order.
+fn blocks(r: &StepResult) -> Vec<(&'static str, &Matrix)> {
+    let (next_c, next_d) = r.next.rows_ref();
+    let mut all = vec![("next C", next_c), ("next d", next_d)];
+    if let Some(rows) = &r.rows {
+        all.extend([
+            ("R_jj", &rows.diag),
+            ("R_j,j+1", &rows.off),
+            ("rhs", &rows.rhs),
+            ("X", &r.x),
+            ("A", &r.a),
+        ]);
+    }
+    all
+}
+
+fn assert_same_bits(got: &StepResult, want: &StepResult) {
+    assert_eq!(got.rows.is_some(), want.rows.is_some());
+    for ((name, g), (_, w)) in blocks(got).into_iter().zip(blocks(want)) {
+        assert_eq!(bits(g), bits(w), "{name}");
+    }
+}
+
+/// `[C 0 d; G 0 o; −B D r]` before the step and `[R_jj R_j,j+1 rhs; 0 C' d']`
+/// after it have the same Gram matrix, up to the squared norm of the
+/// right-hand side (the absorb drops pure residual rows).
+fn assert_augmented_gram(case: &StepCase, evo: &WhitenedEvo, got: &StepResult) {
+    let obs = WhitenedObs::from_observation(&case.obs, 0).unwrap();
+    let (c, d) = case.head.rows_ref();
+    let n = c.cols();
+    let width = 2 * n + 1;
+    let stack = |blocks: &[(&Matrix, usize)]| {
+        let rows = blocks[0].0.rows();
+        let mut m = Matrix::zeros(rows, width);
+        for (b, col) in blocks {
+            m.set_block(0, *col, b);
+        }
+        m
+    };
+    let before = Matrix::vstack(&[
+        &stack(&[(c, 0), (d, 2 * n)]),
+        &stack(&[(&obs.c, 0), (&obs.rhs, 2 * n)]),
+        &stack(&[(&evo.b.scaled(-1.0), 0), (&evo.d, n), (&evo.rhs, 2 * n)]),
+    ]);
+    let rows = got.rows.as_ref().unwrap();
+    let (next_c, next_d) = got.next.rows_ref();
+    let after = Matrix::vstack(&[
+        &stack(&[(&rows.diag, 0), (&rows.off, n), (&rows.rhs, 2 * n)]),
+        &stack(&[(next_c, n), (next_d, 2 * n)]),
+    ]);
+    let (mut want, mut have) = (matmul_tn(&before, &before), matmul_tn(&after, &after));
+    want[(2 * n, 2 * n)] = 0.0;
+    have[(2 * n, 2 * n)] = 0.0;
+    assert!(
+        have.approx_eq(&want, 1e-11 * (1.0 + want.max_abs())),
+        "augmented Gram off by {}",
+        have.max_abs_diff(&want)
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// On the static shape (n rows observed, square evolution) the fused
+    /// step runs the fixed-size body and agrees with the general chain to
+    /// rounding on all five blocks and both terms, signs included.
+    #[test]
+    fn fused_step_matches_the_general_chain_on_the_static_shape(
+        seed in 0u64..100_000,
+        wide in any::<bool>(),
+        triangular_head in any::<bool>(),
+        square_h in any::<bool>(),
+        obs_noise in 0usize..4,
+        evo_noise in 0usize..4,
+    ) {
+        let n = if wide { 8 } else { 4 };
+        let noise = |kind: usize, salt: u64| {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ salt);
+            match kind {
+                0 => CovarianceSpec::Identity(n),
+                1 => CovarianceSpec::ScaledIdentity(n, 0.3 + (seed % 7) as f64),
+                2 => CovarianceSpec::Diagonal((0..n).map(|i| 0.5 + (i % 3) as f64).collect()),
+                _ => CovarianceSpec::Dense(random::spd(&mut rng, n)),
+            }
+        };
+        let case = step_case(
+            seed, n, n, triangular_head, square_h, (noise(obs_noise, 1), noise(evo_noise, 2)),
+        );
+        let evo = WhitenedEvo::from_evolution(&case.evolution, n, 1).unwrap();
+        prop_assert_eq!(fixed_body_runs(&case, &evo), !reference_kernels());
+        let (got, want) = (fused_step(&case, &evo), general_step(&case, &evo));
+        prop_assert!(got.rows.is_some() && want.rows.is_some());
+        for ((name, g), (_, w)) in blocks(&got).into_iter().zip(blocks(&want)) {
+            let scale = 1.0 + w.max_abs();
+            prop_assert!(
+                g.approx_eq(w, 1e-12 * scale),
+                "n={} {}: off by {} (scale {})", n, name, g.max_abs_diff(w), scale
+            );
+        }
+        prop_assert!(got.rows.as_ref().unwrap().diag.is_upper_triangular());
+        assert_augmented_gram(&case, &evo, &got);
+    }
+
+    /// Fewer or more observation rows than states, and any other dimension,
+    /// are not the static shape: the fused call is the general chain there,
+    /// bit for bit.
+    #[test]
+    fn fused_step_falls_back_off_the_static_shape(
+        seed in 0u64..100_000,
+        n in prop_oneof![Just(3usize), Just(4), Just(6), Just(8)],
+        rows in 1usize..13,
+        triangular_head in any::<bool>(),
+    ) {
+        // `rows == n` is the static shape at n = 4 and 8: stack one more.
+        let m = if rows == n && matches!(n, 4 | 8) { rows + 1 } else { rows };
+        let noises = (CovarianceSpec::Identity(m), CovarianceSpec::ScaledIdentity(n, 0.5));
+        let case = step_case(seed, n, m, triangular_head, false, noises);
+        let evo = WhitenedEvo::from_evolution(&case.evolution, n, 1).unwrap();
+        prop_assert!(!fixed_body_runs(&case, &evo));
+        assert_same_bits(&fused_step(&case, &evo), &general_step(&case, &evo));
+    }
+
+    /// A stack that does not determine the state (column `dead` appears in
+    /// no equation) fails the rank test inside the fixed-size body, which
+    /// then must have written nothing: the result is the general chain's,
+    /// bit for bit.  With the column zero in the head and the observation
+    /// only (τ = 0 in the absorb, filled in by the evolution) the body runs
+    /// and no NaN appears.
+    #[test]
+    fn rank_failures_fall_back_and_zero_columns_stay_finite(
+        seed in 0u64..100_000,
+        wide in any::<bool>(),
+        dead in 0usize..4,
+    ) {
+        let n = if wide { 8 } else { 4 };
+        let noises = (CovarianceSpec::Identity(n), CovarianceSpec::Identity(n));
+        let mut case = step_case(seed, n, n, false, false, noises);
+        let (mut c, d) = case.head.clone().into_rows();
+        c.col_mut(dead).fill(0.0);
+        case.head = InfoHead::from_rows(c, d);
+        case.obs.g.col_mut(dead).fill(0.0);
+        let evo = WhitenedEvo::from_evolution(&case.evolution, n, 1).unwrap();
+        prop_assert_eq!(fixed_body_runs(&case, &evo), !reference_kernels());
+        let (got, want) = (fused_step(&case, &evo), general_step(&case, &evo));
+        for ((name, g), (_, w)) in blocks(&got).into_iter().zip(blocks(&want)) {
+            prop_assert!(g.as_slice().iter().all(|v| v.is_finite()), "{}", name);
+            prop_assert!(g.approx_eq(w, 1e-12 * (1.0 + w.max_abs())), "{}", name);
+        }
+
+        case.evolution.f.col_mut(dead).fill(0.0);
+        let evo = WhitenedEvo::from_evolution(&case.evolution, n, 1).unwrap();
+        prop_assert!(!fixed_body_runs(&case, &evo));
+        let (got, want) = (fused_step(&case, &evo), general_step(&case, &evo));
+        prop_assert!(want.rows.is_none());
+        assert_same_bits(&got, &want);
+    }
+}

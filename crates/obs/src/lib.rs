@@ -203,6 +203,14 @@ impl Stamp {
     pub fn elapsed_ns(&self) -> Option<u64> {
         self.0.map(|t| t.elapsed().as_nanos() as u64)
     }
+
+    /// Nanoseconds from this stamp to `later` (zero if `later` is in fact
+    /// earlier), or `None` when either is inert: one clock read serves any
+    /// number of stamps.
+    pub fn ns_until(&self, later: &Stamp) -> Option<u64> {
+        let elapsed = later.0?.saturating_duration_since(self.0?);
+        Some(elapsed.as_nanos() as u64)
+    }
 }
 
 /// A creation timestamp carried through queues — a zero-sized no-op in
@@ -220,6 +228,11 @@ impl Stamp {
 
     /// Always `None` in this build.
     pub fn elapsed_ns(&self) -> Option<u64> {
+        None
+    }
+
+    /// Always `None` in this build.
+    pub fn ns_until(&self, _later: &Stamp) -> Option<u64> {
         None
     }
 }

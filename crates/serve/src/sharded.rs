@@ -10,7 +10,7 @@ use kalman_par::ExecPolicy;
 use kalman_stream::{
     Checkpoint, FinalizedStep, PollBatch, PollEntry, SmootherPool, StreamId, StreamingSmoother,
 };
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -64,9 +64,54 @@ struct Location {
     id: StreamId,
 }
 
+/// A set of one shard's streams for the duration of a drain: a flag per
+/// pool slot ([`StreamId::index`]) plus the list of slots that are set,
+/// which is what `clear` walks.  Probed twice per event, so it is a vector
+/// lookup, not a hash.
+#[derive(Default)]
+struct StreamFlags {
+    flags: Vec<bool>,
+    set: Vec<usize>,
+}
+
+impl StreamFlags {
+    fn contains(&self, id: StreamId) -> bool {
+        self.flags.get(id.index()).is_some_and(|&f| f)
+    }
+
+    fn insert(&mut self, id: StreamId) {
+        let slot = id.index();
+        if slot >= self.flags.len() {
+            self.flags.resize(slot + 1, false);
+        }
+        if !self.flags[slot] {
+            self.flags[slot] = true;
+            self.set.push(slot);
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.set.is_empty()
+    }
+
+    fn clear(&mut self) {
+        for slot in self.set.drain(..) {
+            self.flags[slot] = false;
+        }
+    }
+}
+
 /// One shard: an independent pool plus its queue and metric handles.
 struct Shard {
     pool: SmootherPool,
+    /// Streams with gated events — exactly the streams the next flush
+    /// pass may flush.
+    blocked: StreamFlags,
+    /// Streams whose flush failed during the current drain: gating is
+    /// disabled for them (their windows grow until solvable) and the
+    /// failure is counted exactly once.  Cleared at the end of each
+    /// drain, so recovered streams rejoin the canonical cadence.
+    failed: StreamFlags,
     rx: mpsc::Receiver<Op>,
     /// Output batches of the current drain, one per flush pass (reused
     /// across drains at their high-water mark).
@@ -163,14 +208,6 @@ pub struct ShardedPool {
     deferred: VecDeque<(Location, u64, StreamEvent)>,
     /// Ping-pong twin of `deferred` for the pass loop.
     redeferred: VecDeque<(Location, u64, StreamEvent)>,
-    /// Streams with gated events — exactly the streams the next flush
-    /// pass may flush.
-    blocked: HashSet<(usize, StreamId)>,
-    /// Streams whose flush failed during the current drain: gating is
-    /// disabled for them (their windows grow until solvable) and the
-    /// failure is counted exactly once.  Cleared at the end of each
-    /// drain, so recovered streams rejoin the canonical cadence.
-    failed: HashSet<(usize, StreamId)>,
     /// This pool's metric-name prefix (`serve.pool{N}`).
     metrics_prefix: String,
     /// Whole-drain latency histogram (`{prefix}.drain_latency`).
@@ -203,6 +240,8 @@ impl ShardedPool {
             let handles = ShardMetrics::register(&metrics_prefix, s);
             shards.push(Shard {
                 pool: SmootherPool::new(cfg.policy),
+                blocked: StreamFlags::default(),
+                failed: StreamFlags::default(),
                 rx,
                 batches: Vec::new(),
                 passes_used: 0,
@@ -223,8 +262,6 @@ impl ShardedPool {
                 route: HashMap::new(),
                 deferred: VecDeque::new(),
                 redeferred: VecDeque::new(),
-                blocked: HashSet::new(),
-                failed: HashSet::new(),
                 metrics_prefix,
                 drain_hist,
             },
@@ -341,36 +378,36 @@ impl ShardedPool {
         // A stream whose flush already failed this drain stops gating (its
         // window grows until solvable; see the `drain` docs), so its
         // deferred backlog can never wedge or re-run the failing flush.
-        let gated = !self.failed.contains(&(loc.shard, loc.id))
-            && (self.blocked.contains(&(loc.shard, loc.id))
+        let shard = &mut self.shards[loc.shard];
+        let gated = !shard.failed.contains(loc.id)
+            && (shard.blocked.contains(loc.id)
                 || (matches!(event, StreamEvent::Evolve(_))
-                    && matches!(self.shards[loc.shard].pool.stream(loc.id), Some(s) if s.ready())));
+                    && matches!(shard.pool.stream(loc.id), Some(s) if s.ready())));
         if gated {
-            self.shards[loc.shard].metrics.gated.inc();
-            self.blocked.insert((loc.shard, loc.id));
+            shard.metrics.gated.inc();
+            shard.blocked.insert(loc.id);
             self.deferred.push_back((loc, key, event));
         } else {
-            Self::apply(&mut self.shards[loc.shard], loc.id, key, event, tap);
+            Self::apply(shard, loc.id, key, event, tap);
         }
     }
 
     /// One flush pass over shard `s`: batch-flushes exactly the streams
     /// the canonical cadence has gated, into the next reused batch slot.
     fn flush_pass(&mut self, s: usize, summary: &mut DrainSummary) {
-        if !self.blocked.iter().any(|b| b.0 == s) {
+        let shard = &mut self.shards[s];
+        if shard.blocked.is_empty() {
             return;
         }
-        let failed = &mut self.failed;
-        let shard = &mut self.shards[s];
         let pass = shard.passes_used;
         if shard.batches.len() == pass {
             shard.batches.push(PollBatch::new());
         }
-        let blocked = &self.blocked;
+        let blocked = &shard.blocked;
         let start = Instant::now();
         shard
             .pool
-            .poll_into_where(&mut shard.batches[pass], |id| blocked.contains(&(s, id)));
+            .poll_into_where(&mut shard.batches[pass], |id| blocked.contains(id));
         let ns = start.elapsed().as_nanos() as u64;
         shard.passes_used += 1;
         // `flush_latency.count` doubles as the flush counter.
@@ -392,7 +429,7 @@ impl ShardedPool {
                     let key = shard.keys.get(&entry.id()).copied().unwrap_or(u64::MAX);
                     kalman_obs::event("serve.flush_error", key, s as u64);
                     summary.errors += 1;
-                    failed.insert((s, entry.id()));
+                    shard.failed.insert(entry.id());
                 }
             }
         }
@@ -447,8 +484,15 @@ impl ShardedPool {
             self.shards[s].passes_used = 0;
         }
         debug_assert!(
-            self.deferred.is_empty() && self.blocked.is_empty() && self.failed.is_empty()
+            self.deferred.is_empty()
+                && self
+                    .shards
+                    .iter()
+                    .all(|shard| shard.blocked.is_empty() && shard.failed.is_empty())
         );
+        // One clock read dates every op of this drain: an op's queue wait
+        // runs to the moment the drain that pops it began.
+        let popped_at = kalman_obs::Stamp::now();
         // Pop every queue, routing each op to the shard its stream lives
         // on (post-rebalance this can differ from the queue's shard) and
         // applying it unless the canonical cadence gates it.
@@ -462,7 +506,7 @@ impl ShardedPool {
                 };
                 summary.ops += 1;
                 self.shards[s].metrics.drained.inc();
-                if let Some(ns) = stamp.elapsed_ns() {
+                if let Some(ns) = stamp.ns_until(&popped_at) {
                     self.shards[s].metrics.queue_wait.record(ns);
                 }
                 match self.route.get(&key).copied() {
@@ -490,14 +534,18 @@ impl ShardedPool {
             for s in 0..self.shards.len() {
                 self.flush_pass(s, &mut summary);
             }
-            self.blocked.clear();
+            for shard in &mut self.shards {
+                shard.blocked.clear();
+            }
             std::mem::swap(&mut self.deferred, &mut self.redeferred);
             while let Some((loc, key, event)) = self.redeferred.pop_front() {
                 self.gate_or_apply(loc, key, event, &mut tap);
             }
         }
-        self.blocked.clear();
-        self.failed.clear();
+        for shard in &mut self.shards {
+            shard.blocked.clear();
+            shard.failed.clear();
+        }
         for shard in &self.shards {
             summary.errors += shard.errors.len();
         }

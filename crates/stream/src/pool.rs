@@ -8,6 +8,15 @@ use kalman_par::{for_each_mut, ExecPolicy};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StreamId(usize);
 
+impl StreamId {
+    /// The pool slot the id names: ids of one pool are small dense
+    /// integers (freed slots are reused), so per-stream side tables can be
+    /// vectors indexed by this.
+    pub fn index(self) -> usize {
+        self.0
+    }
+}
+
 /// One stream's outcome inside a [`PollBatch`].  The slot owns its
 /// finalized-step storage, which [`SmootherPool::poll_into`] reuses across
 /// polls, so steady-state serving churns no containers.

@@ -508,7 +508,8 @@ impl StreamingSmoother {
     ///
     /// As [`StreamingSmoother::flush`].
     pub fn finish(mut self) -> Result<(Vec<FinalizedStep>, Checkpoint)> {
-        let head = self.smooth_window()?;
+        self.smooth_window()?;
+        let head = self.ring.newest().clone();
         let mut finalized = Vec::new();
         self.emit_into(self.buffer.len(), &mut finalized);
         Ok((
@@ -522,7 +523,7 @@ impl StreamingSmoother {
 
     /// Smooths the window in place (see `Ring::smooth`), leaving the
     /// estimates in `self.estimates`.
-    fn smooth_window(&mut self) -> Result<InfoHead> {
+    fn smooth_window(&mut self) -> Result<()> {
         self.ring
             .smooth(&self.buffer, self.base_index, &mut self.estimates)
     }
@@ -773,32 +774,37 @@ mod tests {
     #[test]
     fn matches_batch_exactly_when_lag_covers_stream() {
         // With the lag beyond the stream length, everything finalizes at
-        // finish() and must match the batch solution to rounding.
-        let mut rng = ChaCha8Rng::seed_from_u64(22);
-        let model = generators::paper_benchmark(&mut rng, 3, 40, false);
-        let opts = StreamOptions {
-            lag: 64,
-            flush_every: 8,
-            covariances: true,
-            ..StreamOptions::default()
-        };
-        let (finalized, _) = stream_model(&model, opts);
-        let batch = odd_even_smooth(&model, OddEvenOptions::default()).unwrap();
-        for f in &finalized {
-            let i = f.index as usize;
-            let diff = f
-                .mean
-                .iter()
-                .zip(batch.mean(i))
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0f64, f64::max);
-            assert!(diff < 1e-9, "state {i}: diff {diff}");
-            let cdiff = f
-                .covariance
-                .as_ref()
-                .unwrap()
-                .max_abs_diff(batch.covariance(i).unwrap());
-            assert!(cdiff < 1e-9, "state {i}: cov diff {cdiff}");
+        // finish() and must match the batch solution to rounding — through
+        // the general bodies (n = 3), and through the fixed-size forward
+        // step and back half (n = 4 and 8; without a prior the head is
+        // short, and the general bodies run, until it fills up).
+        for (n, prior) in [(3, false), (4, true), (4, false), (8, true), (8, false)] {
+            let mut rng = ChaCha8Rng::seed_from_u64(22);
+            let model = generators::paper_benchmark(&mut rng, n, 40, prior);
+            let opts = StreamOptions {
+                lag: 64,
+                flush_every: 8,
+                covariances: true,
+                ..StreamOptions::default()
+            };
+            let (finalized, _) = stream_model(&model, opts);
+            let batch = odd_even_smooth(&model, OddEvenOptions::default()).unwrap();
+            for f in &finalized {
+                let i = f.index as usize;
+                let diff = f
+                    .mean
+                    .iter()
+                    .zip(batch.mean(i))
+                    .map(|(a, b)| (a - b).abs())
+                    .fold(0.0f64, f64::max);
+                assert!(diff < 1e-9, "n={n} state {i}: diff {diff}");
+                let cdiff = f
+                    .covariance
+                    .as_ref()
+                    .unwrap()
+                    .max_abs_diff(batch.covariance(i).unwrap());
+                assert!(cdiff < 1e-9, "n={n} state {i}: cov diff {cdiff}");
+            }
         }
     }
 
