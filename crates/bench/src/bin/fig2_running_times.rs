@@ -12,9 +12,10 @@
 //! `--smoke` runs the CI-sized single-thread benchmark instead: the batch
 //! odd-even smoother at n ∈ {4, 8, 16} (k = `--ksmoke`, default 20 000),
 //! measured twice — once with the blocked kernels + workspace pooling and
-//! once with the unblocked reference kernels + pooling disabled — and
-//! records both timings plus the speedups to `--json PATH`
-//! (`BENCH_smoother.json` in CI).
+//! once with the unblocked reference kernels + pooling disabled — plus a
+//! warm n = 48 plan's time per step at k = 63 against k = 2000 (memory
+//! locality of the walk), and records the timings plus the speedups to
+//! `--json PATH` (`BENCH_smoother.json` in CI).
 //!
 //! The in-process "reference" toggles only the kernel/pooling choices, not
 //! the structural rewrites (fused factor-and-apply, triangular-pentagonal
@@ -141,6 +142,48 @@ fn smoke(args: &mut Args) {
         entries.push(BenchEntry::new(format!("speedup/n{n}"), speedup));
     }
 
+    // Memory locality of the batch walk at the benchmark's large-state
+    // shape: a warm plan's seconds per step on a chain that fits in cache
+    // (k = 63) over one that does not (k = 2000, `batch_n48`'s).  Same
+    // kernels, same arithmetic per step up to the chain ends, so what
+    // separates the two is what the long chain spends waiting for memory.
+    let per_step = {
+        let mut arms = [63usize, 2000].map(|k| {
+            let model = panel_model(48, k, 13);
+            let mut plan = SmoothPlan::for_model(&model, opts).expect("valid model");
+            let mut out = Smoothed {
+                means: Vec::new(),
+                covariances: None,
+            };
+            plan.smooth_model_into(&model, &mut out)
+                .expect("well-posed");
+            (model, plan, out, f64::INFINITY)
+        });
+        for _ in 0..rounds {
+            for (model, plan, out, best) in arms.iter_mut() {
+                // The short chain repeats so that both arms sample a
+                // comparable stretch of the machine's weather.
+                let reps = (2000 / model.num_states()).max(1);
+                for _ in 0..reps {
+                    let t = median_time(1, || {
+                        plan.smooth_model_into(model, out).expect("well-posed");
+                    });
+                    *best = best.min(t / model.num_states() as f64);
+                }
+            }
+        }
+        arms.map(|(.., best)| best)
+    };
+    let locality = per_step[0] / per_step[1];
+    println!(
+        "n=48 warm plan, seconds per step: k=63 {:.3e}, k=2000 {:.3e}, \
+         speedup/n48_locality {locality:.2}x",
+        per_step[0], per_step[1]
+    );
+    entries.push(BenchEntry::new("smoother/n48/k63", per_step[0]));
+    entries.push(BenchEntry::new("smoother/n48/k2000", per_step[1]));
+    entries.push(BenchEntry::new("speedup/n48_locality", locality));
+
     let steady = steady_flush(9);
     println!("stream n=4, window 64: steady flush {steady:.2e} s");
     entries.push(BenchEntry::new("stream/steady_flush", steady));
@@ -174,6 +217,10 @@ fn smoke(args: &mut Args) {
             "fig2 --smoke: odd-even, 1 thread, k={k}, n in [4,8,16], interleaved \
              A/B mins of {rounds} rounds per pair (reference = unblocked kernels + \
              pooling off, blocked = default dispatch incl. SIMD/mono kernels); \
+             smoother/n48/k63 + k2000: seconds per step of a warm \
+             SmoothPlan::smooth_model_into at n=48 (covariances on), interleaved \
+             mins of {rounds} rounds, speedup/n48_locality = k63 / k2000 (1.0 = the \
+             long chain waits for memory no more than the one that fits in cache); \
              stream/steady_flush: steady-state flush of a n=4 lag=32 \
              flush_every=32 stream (32 eliminations + a 64-step back \
              substitution); obs/* + speedup/obs_on: that flush with \

@@ -1,10 +1,11 @@
-//! The recursive odd-even elimination (§3 of the paper).
+//! The recursive odd-even elimination (§3 of the paper), walked depth
+//! first.
 //!
 //! Each level of the recursion maintains a *chain* of block columns with the
 //! invariant structure of `U·A`: every column `t` carries observation-like
 //! rows `C_t` (support in column `t` only) and, for `t > 0`, evolution-like
 //! rows `(E_t | D_t)` coupling columns `t−1` and `t`.  One level eliminates
-//! all even columns concurrently:
+//! all even columns:
 //!
 //! 1. QR-factor `[C_t; E_{t+1}]` against column `t`; applying `Qᵀ` to
 //!    `[0; D_{t+1}]` creates the fill `X_t` and the remainder `D̃_{t+1}`.
@@ -14,24 +15,33 @@
 //! 3. Compress each odd column's `[D̃; C]` stack back to at most `n` rows by
 //!    one more QR (restoring the row-count invariant).
 //!
-//! All three batches are embarrassingly parallel across columns; the chain
-//! halves each level, so the critical path is `Θ(log k)` batches.
+//! The odd column `2s + 1` of one level, as column `s` of the next, is a
+//! function of its pair `(2s, 2s + 1)` alone (plus the partnerless last
+//! column `2s + 2` of an odd-length chain), so the factorization is a
+//! reduction over the schedule's pair tree ([`crate::PlanSchedule`]) and
+//! any order that finishes a node's children before the node computes the
+//! same bits.  [`factor_tree`] walks it depth first: a leaf whitens (or
+//! takes) its step and triangularizes its observation block, a node runs
+//! steps 1–3 on what its children just returned — while all of it is still
+//! in cache — and emits the eliminated columns' `R` rows.  Under
+//! `ExecPolicy::Par { grain }` a node above `grain` leaves forks its
+//! children with `join`; each arm writes only the `R` rows of its own
+//! states.
 //!
 //! The QRs fuse factorization with the companion transforms
-//! (`QrFactor::new_applying`), and every container the elimination needs
-//! lives in a reusable [`FactorScratch`]; together with the workspace-pooled
-//! matrices of `kalman-dense` this makes a steady-state caller (a
-//! `SmoothPlan` re-executed on same-shaped problems) perform zero heap
-//! allocations after warmup.
+//! (`QrFactor::new_applying`) and every matrix cycles through the
+//! `kalman-dense` workspace, so a steady-state caller (a `SmoothPlan`
+//! re-executed on same-shaped problems) performs zero heap allocations
+//! after warmup.
 
-use crate::plan::{PlanLevel, PlanSchedule};
+use crate::plan::PlanSchedule;
 use crate::rfactor::{OddEvenR, RRow};
 use kalman_dense::{KernelKind, Matrix, QrFactor};
-use kalman_model::{Result, WhitenedStep};
-use kalman_par::{for_each_mut, map_collect, ExecPolicy};
+use kalman_model::{KalmanError, LinearModel, Result, WhitenedStep};
+use kalman_par::{join, map_collect, ExecPolicy};
 
 /// Evolution-like rows coupling a chain column to its predecessor.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct EvoRows {
     /// Block in the *previous* chain column (sign already absorbed: at level
     /// 0 this is `−B_i`).
@@ -42,19 +52,17 @@ struct EvoRows {
     rhs: Matrix,
 }
 
-/// One column of the current level's chain.
+/// One chain column, as the tree node that produced it hands it up (the
+/// node knows which state it is).
 #[derive(Debug)]
-struct LevelCol {
-    /// Original state index.
-    orig: usize,
-    /// State dimension `n`.
-    dim: usize,
+struct ChainCol {
     /// Observation-like rows `(C, rhs)` with support only in this column.
     obs: Option<(Matrix, Matrix)>,
-    /// `obs` is the `n × n` upper-triangular block produced by the previous
-    /// level's compression (enables the triangular-pentagonal fast path).
+    /// `obs` is an `n × n` upper-triangular block (a leaf's
+    /// pre-triangularization or a compression); enables the
+    /// triangular-pentagonal fast path.
     obs_tri: bool,
-    /// `obs` is a *short* (`m < n`) block the level-0 pre-pass reduced to
+    /// `obs` is a *short* (`m < n`) block the leaf reduced to
     /// upper-trapezoidal form (enables the trapezoidal-pentagonal step-1
     /// fast path).  Mutually exclusive with `obs_tri`.
     obs_trap: bool,
@@ -62,32 +70,7 @@ struct LevelCol {
     evo: Option<EvoRows>,
 }
 
-/// Everything one even-column elimination needs, borrowed out of the chain.
-#[derive(Debug)]
-struct EvenTask {
-    orig: usize,
-    dim: usize,
-    obs: Option<(Matrix, Matrix)>,
-    /// See [`LevelCol::obs_tri`].
-    obs_tri: bool,
-    /// See [`LevelCol::obs_trap`].
-    obs_trap: bool,
-    /// This column's evolution rows (couple to chain neighbour `t−1`).
-    evo: Option<EvoRows>,
-    /// The next column's evolution rows (couple `t` and `t+1`).
-    next_evo: Option<EvoRows>,
-    left_orig: Option<usize>,
-    left_dim: Option<usize>,
-    right_orig: Option<usize>,
-    /// Filled by the parallel batch (`for_each_mut` writes each task's
-    /// result next to its inputs, so the inputs are consumed by move —
-    /// the batch clones nothing).
-    out: Option<EvenOut>,
-}
-
-/// The products of eliminating one even column.  The permanent row is kept
-/// as loose fields (not an [`RRow`]) so the sequential merge can move them
-/// into the reused `OddEvenR` slots without creating per-row containers.
+/// The products of eliminating one even column.
 #[derive(Debug)]
 struct EvenOut {
     diag: Matrix,
@@ -102,33 +85,6 @@ struct EvenOut {
     /// Residual rows with support only in `t−1` (when `t` is the last column
     /// of the chain); appended to that odd column's observation stack.
     resid_left_only: Option<(Matrix, Matrix)>,
-}
-
-/// One odd column staged for the compression batch: the surviving column
-/// plus up to three observation-like row stacks (inline — no heap).
-#[derive(Debug)]
-struct OddInput {
-    orig: usize,
-    dim: usize,
-    evo: Option<EvoRows>,
-    /// `parts[1]` (the surviving obs block) is a `dim × dim` triangle.
-    obs_tri: bool,
-    parts: [Option<(Matrix, Matrix)>; 3],
-    /// Filled by the parallel compression batch (consumes `parts`).
-    result: Option<(Matrix, Matrix, bool)>,
-}
-
-/// Reusable containers for the numeric factorization a
-/// [`crate::SmoothPlan`] runs: every `Vec` the elimination builds per
-/// call/level lives here and keeps its capacity, so repeated factorizations
-/// of same-shaped problems allocate nothing.  The scratch carries no results
-/// between calls.
-#[derive(Debug, Default)]
-pub(crate) struct FactorScratch {
-    cols: Vec<LevelCol>,
-    next_cols: Vec<LevelCol>,
-    tasks: Vec<EvenTask>,
-    odd_inputs: Vec<OddInput>,
 }
 
 /// Stacks up to three `(rows, rhs)` pairs vertically, zero-padding to at
@@ -153,17 +109,30 @@ fn stack_parts(
     (stack, rhs)
 }
 
-fn eliminate_even(task: &mut EvenTask, kind: KernelKind) -> EvenOut {
-    let n = task.dim;
-    let obs = task.obs.take();
-    let next_evo = task.next_evo.take();
-    let evo = task.evo.take();
+/// Eliminates one even chain column of dimension `n`: `col` with the
+/// evolution rows `next_evo` of its right neighbour (absent for the lone
+/// last column of an odd-length chain).  `left` is the left chain
+/// neighbour's `(state, dimension)`, `right` the right neighbour's state.
+fn eliminate_even(
+    n: usize,
+    col: ChainCol,
+    next_evo: Option<EvoRows>,
+    left: Option<(usize, usize)>,
+    right: Option<usize>,
+    kind: KernelKind,
+) -> EvenOut {
+    let ChainCol {
+        obs,
+        obs_tri,
+        obs_trap,
+        evo,
+    } = col;
 
     // ---- Step 1: eliminate column t from [C_t; E_{t+1}]; carry the
     // transform onto [0; D_{t+1}] and the right-hand sides.  Outputs: the
     // triangular R̂ (n×n), its rhs ρ (n×1), the fill X (n×w) and the
     // leftover D̃ rows.
-    let (rhat, rho, x_fill, dtilde) = if task.obs_tri {
+    let (rhat, rho, x_fill, dtilde) = if obs_tri {
         // The obs block is already a `n × n` triangle (level-0
         // pre-triangularization or a previous level's compression), so the
         // stack [C_tri; E] has the triangular-pentagonal shape: no
@@ -188,7 +157,7 @@ fn eliminate_even(task: &mut EvenTask, kind: KernelKind) -> EvenOut {
                 (r, rho, Some(x_top), dtilde)
             }
         }
-    } else if task.obs_trap {
+    } else if obs_trap {
         // Short observation block already reduced to an `m × n` upper
         // trapezoid (m < n) by the level-0 pre-pass: eliminate the
         // trapezoidal-pentagonal stack [C_trap; E] without padding C back
@@ -295,7 +264,7 @@ fn eliminate_even(task: &mut EvenTask, kind: KernelKind) -> EvenOut {
     match evo {
         None => {
             // First chain column: R̂ is final.
-            let off_right = match (x_fill, task.right_orig) {
+            let off_right = match (x_fill, right) {
                 (Some(x), Some(ro)) => Some((ro, x)),
                 _ => None,
             };
@@ -311,8 +280,7 @@ fn eliminate_even(task: &mut EvenTask, kind: KernelKind) -> EvenOut {
         }
         Some(evo) => {
             let l = evo.right.rows();
-            let left_dim = task.left_dim.expect("evo implies a left neighbour");
-            let left_orig = task.left_orig.expect("evo implies a left neighbour");
+            let (left_orig, left_dim) = left.expect("evolution rows imply a left neighbour");
             let mut diag = rhat;
             let mut d = evo.right;
             let mut cl_top = Matrix::zeros(n, left_dim);
@@ -332,7 +300,11 @@ fn eliminate_even(task: &mut EvenTask, kind: KernelKind) -> EvenOut {
                             (&mut rhs_top, &mut rhs_bot),
                         ],
                     );
-                    let resid = (l > 0).then_some(EvoRows {
+                    // Kept even with no rows (an evolution without
+                    // equations): the survivor stays coupled, by zero
+                    // blocks, to its chain neighbour, so every `S` block the
+                    // top-down pass asks for exists.
+                    let resid = Some(EvoRows {
                         left: cl_bot,
                         right: cr_bot,
                         rhs: rhs_bot,
@@ -340,7 +312,7 @@ fn eliminate_even(task: &mut EvenTask, kind: KernelKind) -> EvenOut {
                     EvenOut {
                         diag,
                         off_left: Some((left_orig, cl_top)),
-                        off_right: task.right_orig.map(|ro| (ro, x_top)),
+                        off_right: right.map(|ro| (ro, x_top)),
                         rhs: rhs_top,
                         dtilde,
                         resid,
@@ -385,328 +357,312 @@ fn emit_row(row: &mut RRow, out: &mut EvenOut, level: usize) {
     }
 }
 
-/// Eliminates all even columns of `scratch.cols` following the symbolic
-/// `plan` for this level, emitting their permanent rows into `out` and
-/// leaving the next level's (odd-column) chain in `scratch.cols`.
-fn eliminate_level(
-    plan: &PlanLevel,
-    scratch: &mut FactorScratch,
-    level: usize,
-    policy: ExecPolicy,
+/// Step 3: compresses an odd column's observation-like row stacks —
+/// `[D̃, own block, left-only residual of a lone last column]` — back to at
+/// most `dim` rows.  `obs_tri`: the own block is a `dim × dim` triangle.
+/// Returns the block and whether it is triangular.
+fn compress(
+    dim: usize,
+    mut parts: [Option<(Matrix, Matrix)>; 3],
+    obs_tri: bool,
     kind: KernelKind,
-    out: &mut OddEvenR,
-) {
-    let FactorScratch {
-        cols,
-        next_cols,
-        tasks,
-        odd_inputs,
-    } = scratch;
-    let kk = cols.len();
-    debug_assert!(kk >= 2, "base case handled by caller");
-    debug_assert_eq!(kk, plan.evens.len() + plan.odds.len(), "plan mismatch");
-    let n_even = plan.evens.len();
-    let n_odd = plan.odds.len();
-
-    // Extract each even task's inputs (pointer moves, no matrix copies);
-    // the chain positions, dimensions and neighbour links come from the
-    // symbolic plan instead of being re-derived from the chain.
-    tasks.clear();
-    for (s, slot) in plan.evens.iter().enumerate() {
-        let t = 2 * s;
-        debug_assert_eq!(cols[t].orig, slot.orig, "plan/chain divergence");
-        debug_assert_eq!(cols[t].dim, slot.dim, "plan/chain divergence");
-        let obs = cols[t].obs.take();
-        let obs_tri = cols[t].obs_tri && obs.is_some();
-        let obs_trap = cols[t].obs_trap && obs.is_some();
-        let evo = cols[t].evo.take();
-        let next_evo = if t + 1 < kk {
-            cols[t + 1].evo.take()
-        } else {
-            None
+) -> (Option<(Matrix, Matrix)>, bool) {
+    if parts.iter().all(Option::is_none) {
+        return (None, false);
+    }
+    if obs_tri {
+        // The obs block is already a `dim × dim` triangle, so the
+        // compression is one triangular-pentagonal elimination of the
+        // dense rows (D̃ and any left-only residual) into it — and the
+        // single-dense-part common case moves its block straight in.
+        let (mut r, mut rhs_top) = parts[1].take().expect("obs_tri implies obs");
+        debug_assert_eq!(r.rows(), dim);
+        let dstack = match (parts[0].take(), parts[2].take()) {
+            (Some(p), None) | (None, Some(p)) => Some(p),
+            (Some(a), Some(b)) => Some(stack_parts(
+                [Some((&a.0, &a.1)), Some((&b.0, &b.1)), None],
+                dim,
+                0,
+            )),
+            (None, None) => None,
         };
-        // lint: allow(alloc, "push into cleared scratch that retains capacity across levels; amortized, steady-state alloc-free")
-        tasks.push(EvenTask {
-            orig: slot.orig,
-            dim: slot.dim,
-            obs,
-            obs_tri,
-            obs_trap,
-            evo,
-            next_evo,
-            left_orig: slot.left_orig,
-            left_dim: slot.left_orig.map(|_| slot.left_dim),
-            right_orig: slot.right_orig,
-            out: None,
-        });
-    }
-
-    // Batch 1+2: eliminate the even columns in parallel, each task
-    // consuming its inputs by move and parking its result in place.
-    for_each_mut(policy, tasks, |_, task| {
-        let result = eliminate_even(task, kind);
-        task.out = Some(result);
-    });
-
-    // Collect permanent rows and stage the next level's inputs.
-    odd_inputs.clear();
-    for s in 0..n_odd {
-        let odd = &mut cols[2 * s + 1];
-        debug_assert_eq!(odd.orig, plan.odds[s].orig, "plan/chain divergence");
-        let mut parts: [Option<(Matrix, Matrix)>; 3] = [None, None, None];
-        let (dtilde, evo) = {
-            let out_s = tasks[s].out.as_mut().expect("filled above");
-            (out_s.dtilde.take(), out_s.resid.take())
-        };
-        parts[0] = dtilde;
-        parts[1] = odd.obs.take();
-        let odd_obs_tri = odd.obs_tri && parts[1].is_some();
-        // Left-only residual from the *next* even column (the chain's last).
-        if s + 1 < n_even {
-            parts[2] = tasks[s + 1]
-                .out
-                .as_mut()
-                .expect("filled above")
-                .resid_left_only
-                .take();
+        if let Some((mut dstack, mut drhs)) = dstack {
+            kalman_dense::qr_tri_stack_applying_with(
+                kind,
+                &mut r,
+                &mut dstack,
+                &mut [(&mut rhs_top, &mut drhs)],
+            );
         }
-        // lint: allow(alloc, "push into cleared scratch that retains capacity across levels; amortized, steady-state alloc-free")
-        odd_inputs.push(OddInput {
-            orig: odd.orig,
-            dim: odd.dim,
-            evo,
-            obs_tri: odd_obs_tri,
-            parts,
-            result: None,
-        });
+        return (Some((r, rhs_top)), true);
     }
-    for task in tasks.iter_mut() {
-        let out_s = task.out.as_mut().expect("filled above");
-        emit_row(&mut out.rows[task.orig], out_s, level);
-        task.out = None;
+    let (stack, mut rhs) = {
+        // The parts go back to the pool before the compression takes its
+        // scratch.
+        let parts = parts;
+        stack_parts(
+            parts.each_ref().map(|p| p.as_ref().map(|(m, r)| (m, r))),
+            dim,
+            0,
+        )
+    };
+    if stack.rows() > dim {
+        let r = kalman_dense::compress_rows_owned(stack, &mut rhs);
+        let kept = r.rows();
+        (Some((r, rhs.sub_matrix(0, 0, kept, 1))), true)
+    } else {
+        (Some((stack, rhs)), false)
     }
+}
 
-    // Batch 3: compress each odd column's observation stack in parallel,
-    // consuming the staged parts by move.
-    for_each_mut(policy, odd_inputs, |_, input| {
-        if input.parts.iter().all(Option::is_none) {
-            input.result = None;
-            return;
-        }
-        if input.obs_tri {
-            // The obs block is already a `dim × dim` triangle, so the
-            // compression is one triangular-pentagonal elimination of the
-            // dense rows (D̃ and any left-only residual) into it — and the
-            // single-dense-part common case moves its block straight in.
-            let (mut r, mut rhs_top) = input.parts[1].take().expect("obs_tri implies obs");
-            debug_assert_eq!(r.rows(), input.dim);
-            let dense0 = input.parts[0].take();
-            let dense2 = input.parts[2].take();
-            let dstack = match (dense0, dense2) {
-                (Some(p), None) | (None, Some(p)) => Some(p),
-                (Some(a), Some(b)) => Some(stack_parts(
-                    [Some((&a.0, &a.1)), Some((&b.0, &b.1)), None],
-                    input.dim,
-                    0,
-                )),
-                (None, None) => None,
-            };
-            if let Some((mut dstack, mut drhs)) = dstack {
-                kalman_dense::qr_tri_stack_applying_with(
-                    kind,
-                    &mut r,
-                    &mut dstack,
-                    &mut [(&mut rhs_top, &mut drhs)],
-                );
+/// A leaf: the level-0 chain column of one whitened step (`B` negated in
+/// place — no copies of the problem data), its observation block
+/// pre-triangularized.  A QR of `C` alone costs a fraction of the stacked
+/// QR it replaces, and afterwards *every* elimination step — not just
+/// those behind a compression — runs the triangular-pentagonal fast path
+/// with short reflectors and no stack/extract copies.  Short blocks
+/// (`m < n`) get the trapezoidal reduction instead, so step 1 runs the
+/// structured [`kalman_dense::qr_trap_stack_applying`] rather than a
+/// zero-padded full-height QR (skipped in reference mode, which keeps the
+/// padded general path as the oracle).
+fn leaf_col(ws: WhitenedStep, reference: bool) -> ChainCol {
+    let dim = ws.state_dim;
+    let mut col = ChainCol {
+        obs: None,
+        obs_tri: false,
+        obs_trap: false,
+        evo: ws.evo.map(|e| {
+            let mut left = e.b;
+            left.scale(-1.0);
+            EvoRows {
+                left,
+                right: e.d,
+                rhs: e.rhs,
             }
-            input.result = Some((r, rhs_top, true));
-            return;
-        }
-        let refs = [
-            input.parts[0].as_ref().map(|(m, r)| (m, r)),
-            input.parts[1].as_ref().map(|(m, r)| (m, r)),
-            input.parts[2].as_ref().map(|(m, r)| (m, r)),
-        ];
-        let (stack, mut rhs) = stack_parts(refs, input.dim, 0);
-        input.parts = [None, None, None];
-        input.result = if stack.rows() > input.dim {
-            let r = kalman_dense::compress_rows_owned(stack, &mut rhs);
-            let kept = r.rows();
-            Some((r, rhs.sub_matrix(0, 0, kept, 1), true))
+        }),
+    };
+    if let Some(obs) = ws.obs {
+        let (mut c, mut rhs) = (obs.c, obs.rhs);
+        if c.rows() >= dim && dim > 0 {
+            let qr = QrFactor::new_applying(c, &mut [&mut rhs]);
+            col.obs = Some((qr.r(), rhs.sub_matrix(0, 0, dim, 1)));
+            col.obs_tri = true;
         } else {
-            Some((stack, rhs, false))
-        };
-    });
+            if !reference && c.rows() > 0 && c.rows() < dim {
+                kalman_dense::trapezoidalize_applying(&mut c, &mut [&mut rhs]);
+                col.obs_trap = true;
+            }
+            col.obs = Some((c, rhs));
+        }
+    }
+    col
+}
 
-    next_cols.clear();
-    for mut input in odd_inputs.drain(..) {
-        let (obs, obs_tri) = match input.result.take() {
-            Some((c, rhs, tri)) => (Some((c, rhs)), tri),
-            None => (None, false),
+/// Where the leaves' whitened steps come from.
+pub(crate) enum Leaves<'a> {
+    /// Pre-whitened steps, taken out of their slots (one slot per state of
+    /// the subtree being walked).
+    Whitened(&'a mut [WhitenedStep]),
+    /// Each leaf whitens its own step of the model.
+    Model(&'a LinearModel),
+}
+
+impl<'a> Leaves<'a> {
+    /// The leaves of the first `mid` states of this subtree, and the rest.
+    fn split_at(self, mid: usize) -> (Leaves<'a>, Leaves<'a>) {
+        match self {
+            Leaves::Whitened(steps) => {
+                let (a, b) = steps.split_at_mut(mid);
+                (Leaves::Whitened(a), Leaves::Whitened(b))
+            }
+            Leaves::Model(model) => (Leaves::Model(model), Leaves::Model(model)),
+        }
+    }
+
+    /// The whitened step of state `i`, the one leaf this subtree is.
+    fn step(self, i: usize) -> Result<WhitenedStep> {
+        match self {
+            Leaves::Whitened(steps) => Ok(WhitenedStep {
+                state_dim: steps[0].state_dim,
+                obs: steps[0].obs.take(),
+                evo: steps[0].evo.take(),
+            }),
+            Leaves::Model(model) => WhitenedStep::from_model_step(model, i),
+        }
+    }
+}
+
+/// One bottom-up walk of a schedule's pair tree.
+struct Walk<'a> {
+    schedule: &'a PlanSchedule,
+    policy: ExecPolicy,
+    /// Plan-time kernel selection, resolved once per walk (demoted to
+    /// `Auto` under `KALMAN_REF_KERNELS`): every tri-stack binds the
+    /// monomorphized body without per-call dispatch.
+    kind: KernelKind,
+    reference: bool,
+}
+
+impl Walk<'_> {
+    /// Factors the subtree of node `idx` — `leaves` and `rows` are the
+    /// slices of its states — and returns the chain column it produces,
+    /// having written the `R` row of every state eliminated on the way.
+    fn column(&self, idx: usize, leaves: Leaves<'_>, rows: &mut [RRow]) -> Result<ChainCol> {
+        let nodes = self.schedule.nodes();
+        let node = nodes[idx];
+        let Some(ch) = node.children else {
+            return Ok(leaf_col(leaves.step(node.col)?, self.reference));
         };
-        // lint: allow(alloc, "push into cleared scratch that retains capacity across levels; amortized, steady-state alloc-free")
-        next_cols.push(LevelCol {
-            orig: input.orig,
-            dim: input.dim,
+        let (l, r) = (nodes[ch.left], nodes[ch.right]);
+        let (left, mut right, lone) = {
+            let (leaves_l, rest) = leaves.split_at(l.leaves);
+            let (leaves_r, leaves_t) = rest.split_at(r.leaves);
+            let (rows_l, rest) = rows.split_at_mut(l.leaves);
+            let (rows_r, rows_t) = rest.split_at_mut(r.leaves);
+            // Subtrees that fit in one grain stay off the scheduler.
+            let policy = self.policy.for_len(node.leaves);
+            let (left, (right, lone)) = join(
+                policy,
+                || self.column(ch.left, leaves_l, rows_l),
+                || {
+                    join(
+                        policy,
+                        || self.column(ch.right, leaves_r, rows_r),
+                        || {
+                            ch.lone
+                                .map(|t| self.column(t, leaves_t, rows_t))
+                                .transpose()
+                        },
+                    )
+                },
+            );
+            // The lowest state's error, whichever arm finished first.
+            (left?, right?, lone?)
+        };
+
+        let dims = self.schedule.dims();
+        let left_nbr = node.lo.checked_sub(1).map(|b| (b, dims[b]));
+        let mut out = eliminate_even(
+            dims[l.col],
+            left,
+            right.evo.take(),
+            left_nbr,
+            Some(node.col),
+            self.kind,
+        );
+        let mut parts = [out.dtilde.take(), right.obs.take(), None];
+        let obs_tri = right.obs_tri && parts[1].is_some();
+        emit_row(&mut rows[l.col - node.lo], &mut out, node.level - 1);
+        if let (Some(t), Some(col)) = (ch.lone, lone) {
+            // The chain's partnerless last column: its only neighbour is
+            // this node's survivor, which absorbs its residual.
+            let t = nodes[t].col;
+            let own = Some((node.col, dims[node.col]));
+            let mut out = eliminate_even(dims[t], col, None, own, None, self.kind);
+            parts[2] = out.resid_left_only.take();
+            emit_row(&mut rows[t - node.lo], &mut out, node.level - 1);
+        }
+        let (obs, obs_tri) = compress(dims[node.col], parts, obs_tri, self.kind);
+        Ok(ChainCol {
             obs,
             obs_tri,
             obs_trap: false,
-            evo: input.evo,
-        });
+            evo: out.resid.take(),
+        })
     }
-    std::mem::swap(cols, next_cols);
 }
 
 /// Runs the odd-even QR factorization on borrowed whitened steps.
 ///
-/// The level-0 chain is a copy of the whitened blocks (made in parallel);
-/// callers that can give up ownership should prefer
-/// [`factor_odd_even_owned`], which builds the chain with moves only.
+/// The steps are copied first (in parallel); callers that can give up
+/// ownership should prefer [`factor_odd_even_owned`], which moves the
+/// blocks into the elimination.
 ///
-/// `policy` controls the parallel batches.
+/// `policy` controls the forking of the walk.
 pub fn factor_odd_even(steps: &[WhitenedStep], policy: ExecPolicy) -> Result<OddEvenR> {
     let owned: Vec<WhitenedStep> = map_collect(policy, steps.len(), |i| steps[i].clone());
     factor_odd_even_owned(owned, policy)
 }
 
 /// Runs the odd-even QR factorization, consuming the whitened steps (the
-/// level-0 chain is built with pointer moves and an in-place negation of the
-/// `B` blocks — no copies of the problem data).
+/// leaves take the blocks by pointer moves and negate `B` in place — no
+/// copies of the problem data).
 ///
 /// This is the one-shot form: it plans, factors once and drops the plan.
 /// Callers that factor the same shape repeatedly hold a
-/// [`crate::SmoothPlan`], which reuses the schedule, the scratch and the
-/// output storage.
+/// [`crate::SmoothPlan`], which reuses the schedule and the output storage.
 pub fn factor_odd_even_owned(mut steps: Vec<WhitenedStep>, policy: ExecPolicy) -> Result<OddEvenR> {
     let dims: Vec<usize> = steps.iter().map(|s| s.state_dim).collect();
     let schedule = PlanSchedule::build(&dims);
     let mut out = OddEvenR::default();
-    execute_factor(
-        &schedule,
-        &mut steps,
-        policy,
-        &mut FactorScratch::default(),
-        &mut out,
-    )?;
+    factor_tree(&schedule, Leaves::Whitened(&mut steps), policy, &mut out)?;
     Ok(out)
 }
 
-/// The numeric phase of the odd-even factorization: runs the elimination
-/// recursion dictated by `schedule` over `steps` (which must match the
+/// The numeric phase of the odd-even factorization: one depth-first walk
+/// of `schedule`'s pair tree over `leaves` (which must match the
 /// schedule's shape — callers have already re-planned if needed), reusing
-/// `scratch`'s containers and `out`'s storage.
-pub(crate) fn execute_factor(
+/// `out`'s storage.  On error `out` holds no usable factor.
+pub(crate) fn factor_tree(
     schedule: &PlanSchedule,
-    steps: &mut Vec<WhitenedStep>,
+    leaves: Leaves<'_>,
     policy: ExecPolicy,
-    scratch: &mut FactorScratch,
     out: &mut OddEvenR,
 ) -> Result<()> {
-    let k1 = steps.len();
-    debug_assert!(schedule.matches_steps(steps), "unplanned shape");
+    // The tree is closed under elimination only for a chain: every step
+    // but the first coupled to its predecessor (a model guarantees it;
+    // hand-whitened steps are checked).
+    if let Leaves::Whitened(steps) = &leaves {
+        if let Some(i) = (0..steps.len()).find(|&i| steps[i].evo.is_some() != (i > 0)) {
+            // lint: allow(alloc, "error path: allocates only for hand-built steps that are not a chain")
+            return Err(KalmanError::InvalidModel(format!(
+                "whitened step {i}: evolution rows must be present from step 1 on and absent at step 0"
+            )));
+        }
+    }
     // Size the output: reuse existing row slots, add/remove as needed, and
     // copy the elimination-order level lists straight from the plan.
+    let k1 = schedule.num_states();
     out.rows.truncate(k1);
-    while out.rows.len() < k1 {
-        // lint: allow(alloc, "grows the reused output to window length once; repeat windows of the same length reuse the row slots")
-        out.rows.push(RRow {
-            diag: Matrix::zeros(0, 0),
-            off: Vec::new(),
-            rhs: Matrix::zeros(0, 0),
-            level: 0,
-        });
-    }
+    out.rows.resize_with(k1, || RRow {
+        diag: Matrix::zeros(0, 0),
+        off: Vec::new(),
+        rhs: Matrix::zeros(0, 0),
+        level: 0,
+    });
     let elim = schedule.elim_levels();
     out.levels.truncate(elim.len());
-    while out.levels.len() < elim.len() {
-        out.levels.push(Vec::new()); // lint: allow(alloc, "grows the reused output once per new window depth; steady-state windows hit the truncate path")
-    }
+    out.levels.resize_with(elim.len(), Vec::new);
     for (dst, src) in out.levels.iter_mut().zip(elim) {
         dst.clear();
         dst.extend_from_slice(src);
     }
 
-    // Level-0 chain straight from the whitened model.
-    scratch.cols.clear();
-    for (i, ws) in steps.drain(..).enumerate() {
-        // lint: allow(alloc, "push into cleared scratch that retains capacity across windows; amortized, steady-state alloc-free")
-        scratch.cols.push(LevelCol {
-            orig: i,
-            dim: ws.state_dim,
-            obs: ws.obs.map(|o| (o.c, o.rhs)),
-            obs_tri: false,
-            obs_trap: false,
-            evo: ws.evo.map(|e| {
-                let mut left = e.b;
-                left.scale(-1.0);
-                EvoRows {
-                    left,
-                    right: e.d,
-                    rhs: e.rhs,
-                }
-            }),
-        });
-    }
-
-    // Plan-time kernel selection, resolved once per execute (demoted to
-    // `Auto` under `KALMAN_REF_KERNELS`): every tri-stack below binds the
-    // monomorphized body without per-call dispatch.
-    let kind = schedule.kernels().active();
-    let reference = kalman_dense::reference_kernels();
-
-    // Pre-triangularize every tall-enough observation block (one parallel
-    // batch): a QR of `C` alone costs a fraction of the stacked QR it
-    // replaces, and afterwards *every* elimination step — not just levels
-    // that went through a compression — runs the triangular-pentagonal
-    // fast path with short reflectors and no stack/extract copies.  Short
-    // blocks (`m < n`) get the trapezoidal reduction instead, so step 1
-    // runs the structured [`kalman_dense::qr_trap_stack_applying`] rather
-    // than a zero-padded full-height QR (skipped in reference mode, which
-    // keeps the padded general path as the oracle).
-    for_each_mut(policy.for_len(k1), &mut scratch.cols, |_, col| {
-        if let Some((mut c, mut rhs)) = col.obs.take() {
-            if c.rows() >= col.dim && col.dim > 0 {
-                let qr = QrFactor::new_applying(c, &mut [&mut rhs]);
-                let r = qr.r();
-                let rhs_top = rhs.sub_matrix(0, 0, col.dim, 1);
-                col.obs = Some((r, rhs_top));
-                col.obs_tri = true;
-            } else if !reference && c.rows() > 0 && c.rows() < col.dim {
-                kalman_dense::trapezoidalize_applying(&mut c, &mut [&mut rhs]);
-                col.obs = Some((c, rhs));
-                col.obs_trap = true;
-            } else {
-                col.obs = Some((c, rhs));
-            }
-        }
-    });
-
-    for (level, plan) in schedule.plan_levels().iter().enumerate() {
-        let _span = kalman_obs::span!("oe.factor.level");
-        // The plan's per-level execution decision: levels that fit in one
-        // grain run sequentially (no scheduler overhead; bitwise equal).
-        let level_policy = policy.for_len(plan.evens.len());
-        eliminate_level(plan, scratch, level, level_policy, kind, out);
-    }
-    // Base case: a single column with observation rows only.
-    let root = scratch.cols.pop().expect("non-empty model");
-    debug_assert_eq!((root.orig, root.dim), schedule.root(), "plan divergence");
+    let walk = Walk {
+        schedule,
+        policy,
+        kind: schedule.kernels().active(),
+        reference: kalman_dense::reference_kernels(),
+    };
+    let root = schedule.root();
+    let top = walk.column(schedule.nodes().len() - 1, leaves, &mut out.rows)?;
     debug_assert!(
-        root.evo.is_none(),
-        "first chain column cannot carry evolution rows"
+        top.evo.is_none(),
+        "the first chain column carries no evolution rows"
     );
+    // Base case: a single column with observation rows only.
+    let dim = schedule.dims()[root.col];
     let (stack, mut rhs) = stack_parts(
-        [root.obs.as_ref().map(|(m, r)| (m, r)), None, None],
-        root.dim,
-        root.dim,
+        [top.obs.as_ref().map(|(m, r)| (m, r)), None, None],
+        dim,
+        dim,
     );
     let qr = QrFactor::new_applying(stack, &mut [&mut rhs]);
-    let row = &mut out.rows[root.orig];
+    let row = &mut out.rows[root.col];
     row.diag = qr.r();
     row.off.clear();
-    row.rhs = rhs.sub_matrix(0, 0, root.dim, 1);
-    row.level = schedule.plan_levels().len();
-
+    row.rhs = rhs.sub_matrix(0, 0, dim, 1);
+    row.level = root.level;
     Ok(())
 }
 
@@ -782,12 +738,11 @@ mod tests {
         }
     }
 
-    /// Re-running the factorization through the same scratch and output
-    /// (the plan-reuse pattern) must give results identical to a fresh run,
-    /// including when the problem shrinks between calls.
+    /// Re-running the factorization into the same output (the plan-reuse
+    /// pattern) must give results identical to a fresh run, including when
+    /// the problem shrinks between calls.
     #[test]
     fn scratch_reuse_is_equivalent_to_fresh_state() {
-        let mut scratch = FactorScratch::default();
         let mut out = OddEvenR::default();
         for (k, seed) in [(21usize, 61u64), (21, 62), (9, 63), (30, 64)] {
             let model = generators::paper_benchmark(&mut rng(seed), 3, k, true);
@@ -796,15 +751,14 @@ mod tests {
             let mut owned = steps.clone();
             let dims: Vec<usize> = steps.iter().map(|s| s.state_dim).collect();
             let schedule = PlanSchedule::build(&dims);
-            execute_factor(
+            factor_tree(
                 &schedule,
-                &mut owned,
+                Leaves::Whitened(&mut owned),
                 ExecPolicy::Seq,
-                &mut scratch,
                 &mut out,
             )
             .unwrap();
-            assert!(owned.is_empty());
+            assert!(owned.iter().all(|s| s.obs.is_none() && s.evo.is_none()));
             assert_eq!(out.levels, fresh.levels);
             assert_eq!(out.rows.len(), fresh.rows.len());
             for (a, b) in out.rows.iter().zip(&fresh.rows) {
@@ -817,6 +771,25 @@ mod tests {
                     assert!(ma.approx_eq(mb, 0.0));
                 }
             }
+        }
+    }
+
+    /// Hand-whitened steps that are not a chain are refused: a missing
+    /// evolution would leave a residual the pair tree has no place for, a
+    /// stray one on step 0 has no left neighbour.
+    #[test]
+    fn steps_that_are_not_a_chain_are_refused() {
+        let model = generators::paper_benchmark(&mut rng(65), 2, 6, true);
+        let steps = whiten_model(&model).unwrap();
+        let mut missing = steps.clone();
+        missing[4].evo = None;
+        let mut stray = steps.clone();
+        stray[0].evo = steps[1].evo.clone();
+        for bad in [missing, stray] {
+            assert!(matches!(
+                factor_odd_even_owned(bad, ExecPolicy::Seq),
+                Err(KalmanError::InvalidModel(_))
+            ));
         }
     }
 

@@ -4,9 +4,13 @@
 //! `û = argmin ‖U(Au − b)‖₂` via a specialized sparse QR factorization of a
 //! *column permutation* of `U·A` (§3 of the paper).  A recursive odd-even
 //! permutation of block columns — inspired by block cyclic reduction —
-//! exposes parallelism: at every level all even block columns are eliminated
-//! concurrently by small Householder QR factorizations, the odd columns form
-//! the next level's chain, and the recursion bottoms out at a single column.
+//! exposes parallelism: at every level all even block columns can be
+//! eliminated concurrently by small Householder QR factorizations, the odd
+//! columns form the next level's chain, and the recursion bottoms out at a
+//! single column.  A column of one level depends only on its aligned pair one
+//! level down, so the recursion is a binary-tree reduction; this crate walks
+//! that tree depth first (forking sibling subtrees under a parallel policy)
+//! rather than level by level, which computes the same bits out of cache.
 //!
 //! * Work: `Θ(k n³)` — same asymptotic work as the sequential
 //!   Paige–Saunders algorithm, with a small constant-factor overhead
@@ -22,12 +26,12 @@
 //!
 //! The engine is built as a plan/execute split in the style of sparse
 //! direct solvers: a symbolic [`PlanSchedule`] captures everything that
-//! depends only on the problem *shape* (the odd-even level schedule, block
-//! dimensions, chain neighbours), and a [`SmoothPlan`] executes the numeric
-//! pipeline against it through plan-owned scratch — build once, execute
-//! many, bitwise identical to the one-shot entry points below (which are
-//! thin wrappers building a transient plan).  See DESIGN.md §"Plan/execute
-//! lifecycle".
+//! depends only on the problem *shape* (the odd-even pair tree and the
+//! block dimensions), and a [`SmoothPlan`] walks it — bottom-up to factor,
+//! top-down for means and covariances — into a reused `R` factor: build
+//! once, execute many, bitwise identical to the one-shot entry points below
+//! (which are thin wrappers building a transient plan).  See DESIGN.md
+//! §"Odd-even / SelInv layering" and §"Plan/execute lifecycle".
 //!
 //! # Example
 //!
@@ -56,6 +60,6 @@ mod smoother;
 pub use backend::BackendPolicy;
 pub use factor::{factor_odd_even, factor_odd_even_owned};
 pub use plan::{signature_of_dims, PlanSchedule, SmoothPlan};
-pub use rfactor::{OddEvenR, RRow, SolveScratch};
-pub use selinv::{selinv_diag, selinv_diag_into_with, SelinvScratch};
+pub use rfactor::{OddEvenR, RRow};
+pub use selinv::selinv_diag;
 pub use smoother::{odd_even_smooth, OddEvenOptions};

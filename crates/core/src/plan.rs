@@ -1,69 +1,73 @@
 //! Plan/execute split for the odd-even smoother.
 //!
-//! The odd-even elimination's *structure* — which columns are eliminated at
-//! which level, against which chain neighbours, with which block dimensions
-//! — is determined entirely by the problem shape (step count and per-step
+//! The odd-even elimination's *structure* — which column is eliminated
+//! against which chain neighbours, and what has to be finished before it —
+//! is determined entirely by the problem shape (step count and per-step
 //! state dimensions), not by the numeric data.  Classic sparse direct
 //! solvers exploit exactly this with a symbolic/numeric split, and a
 //! caller smoothing same-shaped problems again and again (a nonlinear
 //! solver's inner iterations, a benchmark loop) repeats one shape
 //! indefinitely.  This module separates the two phases:
 //!
-//! * [`PlanSchedule`] — the immutable symbolic plan: the odd-even level
-//!   schedule (per level: even columns with their dimensions and chain
-//!   neighbours, surviving odd columns), the elimination-order level lists,
-//!   and a shape signature.  Build once per shape.
-//! * [`SmoothPlan`] — one consumer's executable plan: its schedule
-//!   plus the plan-owned numeric state (factor/solve/SelInv scratch, the
-//!   reusable `R` factor, whitening buffers) and the execution-policy
-//!   decisions.  `execute`/`solve_into`/`selinv_into` run the numeric
-//!   pipeline against borrowed step data; in steady state (same schedule
-//!   call after call) they perform **zero heap allocations** — containers
-//!   retain capacity here and every matrix cycles through the
-//!   `kalman-dense` workspace.  For batch-scale shapes whose working set
-//!   exceeds the workspace's per-class retention budgets, the plan
-//!   additionally holds an arena scope ([`kalman_dense::arena_scope`])
-//!   across each numeric phase, so even `k = 20 000` recursions keep their
-//!   working set pooled (see [`SmoothPlan::set_arena`]).
+//! * [`PlanSchedule`] — the immutable symbolic plan: the *pair tree* of the
+//!   odd-even recursion (a chain column of one level is a function of its
+//!   aligned pair of columns one level down, so the whole factorization is
+//!   a binary-tree reduction), the elimination-order level lists, and a
+//!   shape signature.  Build once per shape.
+//! * [`SmoothPlan`] — one consumer's executable plan: its schedule plus the
+//!   reusable `R` factor and the execution-policy decisions.
+//!   `execute`/`solve_into`/`selinv_into` and the fused
+//!   `smooth_model_into` walk the tree against borrowed step data; in
+//!   steady state (same schedule call after call) they perform **zero heap
+//!   allocations** — containers retain capacity here and every matrix
+//!   cycles through the `kalman-dense` workspace.  For batch-scale shapes
+//!   whose working set exceeds the workspace's per-class retention budgets,
+//!   the plan additionally holds an arena scope
+//!   ([`kalman_dense::arena_scope`]) across each walk, so even
+//!   `k = 20 000` recursions keep their working set pooled (see
+//!   [`SmoothPlan::set_arena`]).
 //!
 //! The one-shot entry points ([`crate::odd_even_smooth`],
 //! [`crate::factor_odd_even`]) are thin wrappers that build a transient
 //! plan and execute it once.
 
-use crate::factor::{execute_factor, FactorScratch};
-use crate::rfactor::{OddEvenR, SolveScratch};
+use crate::factor::{factor_tree, Leaves};
+use crate::rfactor::OddEvenR;
+use crate::selinv::top_down;
 use crate::smoother::OddEvenOptions;
-use crate::SelinvScratch;
 use kalman_dense::{KernelKind, Matrix};
 use kalman_model::{KalmanError, LinearModel, Result, Smoothed, WhitenedStep};
-use kalman_par::map_collect_into;
 
-/// One even column scheduled for elimination: its original state index,
-/// dimension, and the chain neighbours it couples to at this level.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct EvenSlot {
-    pub orig: usize,
-    pub dim: usize,
-    /// Chain neighbour `t−1` (absent for the first chain column).
-    pub left_orig: Option<usize>,
-    /// Dimension of the left neighbour (0 when there is none).
-    pub left_dim: usize,
-    /// Chain neighbour `t+1` (absent for the last chain column).
-    pub right_orig: Option<usize>,
+/// The children of an inner [`TreeNode`], as indices into
+/// [`PlanSchedule::nodes`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Children {
+    /// The even column of the pair: eliminated by this node.
+    pub left: usize,
+    /// The odd column of the pair: survives as this node's column.
+    pub right: usize,
+    /// The last column of an odd-length chain, which has no partner: the
+    /// last node one level up eliminates it too, and its left-only
+    /// residual joins that node's compression.
+    pub lone: Option<usize>,
 }
 
-/// One odd column surviving into the next level.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct OddSlot {
-    pub orig: usize,
-    pub dim: usize,
-}
-
-/// The symbolic plan of one elimination level.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct PlanLevel {
-    pub evens: Vec<EvenSlot>,
-    pub odds: Vec<OddSlot>,
+/// One node of the pair tree: one chain column of one elimination level,
+/// and with it the subtree of everything that must be factored before that
+/// column exists.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct TreeNode {
+    /// Original state index of the chain column this node produces.
+    pub col: usize,
+    /// Chain level of that column (0 = a leaf, one whitened step); the
+    /// columns this node eliminates are eliminated at `level − 1`.
+    pub level: usize,
+    /// The subtree covers exactly the states `lo..lo + leaves`; its chain
+    /// neighbour to the left, if any, is state `lo − 1`.
+    pub lo: usize,
+    pub leaves: usize,
+    /// `None` for a leaf.
+    pub children: Option<Children>,
 }
 
 /// A shape signature: an FNV-1a hash of the per-step state dimensions.
@@ -97,17 +101,12 @@ pub struct PlanSchedule {
     /// Plan-time kernel selection: the monomorphized small-`n` kernel family
     /// when every block dimension is one supported size, `Auto` otherwise.
     kernels: KernelKind,
-    /// One entry per elimination level (chain length > 1).
-    levels: Vec<PlanLevel>,
-    /// `(orig, dim)` of the base-case root column.
-    root: (usize, usize),
+    /// The pair tree in post-order (children before their parent, a
+    /// subtree contiguous); the last node is the root.
+    nodes: Vec<TreeNode>,
     /// The elimination-order level lists [`OddEvenR::levels`] will hold
     /// (including the final root level).
     elim_levels: Vec<Vec<usize>>,
-    /// Scratch for `rebuild`'s chain simulation (kept so rebuilding a
-    /// same-length schedule allocates nothing).
-    chain: Vec<(usize, usize)>,
-    next_chain: Vec<(usize, usize)>,
 }
 
 impl PlanSchedule {
@@ -130,7 +129,7 @@ impl PlanSchedule {
     /// # Panics
     ///
     /// Panics on an empty shape.
-    // lint: allow(alloc, "cold region: re-planning runs once per window-shape change and is amortized across every subsequent flush of that shape")
+    // lint: allow(alloc, "cold region: re-planning runs once per shape change and is amortized across every subsequent execute of that shape")
     pub fn rebuild(&mut self, dims: &[usize]) {
         self.dims.clear();
         self.dims.extend_from_slice(dims);
@@ -141,55 +140,28 @@ impl PlanSchedule {
         self.signature = signature_of_dims(self.dims.iter().copied());
         self.kernels = KernelKind::for_dims(self.dims.iter().copied());
 
-        // Simulate the odd-even chain: each level eliminates the even
-        // columns and keeps the odd ones, halving the chain.
-        self.chain.clear();
-        self.chain.extend(self.dims.iter().copied().enumerate());
-        let mut used = 0usize;
-        while self.chain.len() > 1 {
-            if self.levels.len() == used {
-                self.levels.push(PlanLevel::default());
-            }
-            let level = &mut self.levels[used];
-            level.evens.clear();
-            level.odds.clear();
-            let kk = self.chain.len();
-            for (t, &(orig, dim)) in self.chain.iter().enumerate() {
-                if t % 2 == 0 {
-                    let left = t.checked_sub(1).map(|p| self.chain[p]);
-                    level.evens.push(EvenSlot {
-                        orig,
-                        dim,
-                        left_orig: left.map(|(o, _)| o),
-                        left_dim: left.map(|(_, d)| d).unwrap_or(0),
-                        right_orig: (t + 1 < kk).then(|| self.chain[t + 1].0),
-                    });
-                } else {
-                    level.odds.push(OddSlot { orig, dim });
-                }
-            }
-            self.next_chain.clear();
-            self.next_chain
-                .extend(level.odds.iter().map(|o| (o.orig, o.dim)));
-            std::mem::swap(&mut self.chain, &mut self.next_chain);
-            used += 1;
-        }
-        self.levels.truncate(used);
-        self.root = self.chain[0];
+        // The chain halves per level (`k1 >> level` columns, the odd ones
+        // of the level below), so the root is the one column of level
+        // ⌊log₂ k1⌋.
+        let k1 = self.dims.len();
+        let root_level = k1.ilog2() as usize;
+        self.nodes.clear();
+        push_subtree(&mut self.nodes, k1, root_level, 0);
 
-        // Elimination-order level lists: each level's evens, then the root.
-        let n_lists = self.levels.len() + 1;
-        self.elim_levels.truncate(n_lists);
-        while self.elim_levels.len() < n_lists {
-            self.elim_levels.push(Vec::new());
+        // Elimination-order level lists.  Post-order visits the nodes of
+        // one level left to right, so each list comes out in chain order.
+        self.elim_levels.truncate(root_level + 1);
+        self.elim_levels.resize_with(root_level + 1, Vec::new);
+        self.elim_levels.iter_mut().for_each(Vec::clear);
+        for node in &self.nodes {
+            if let Some(ch) = node.children {
+                let list = &mut self.elim_levels[node.level - 1];
+                list.push(self.nodes[ch.left].col);
+                list.extend(ch.lone.map(|t| self.nodes[t].col));
+            }
         }
-        for (list, level) in self.elim_levels.iter_mut().zip(&self.levels) {
-            list.clear();
-            list.extend(level.evens.iter().map(|e| e.orig));
-        }
-        let root_list = self.elim_levels.last_mut().expect("root level exists");
-        root_list.clear();
-        root_list.push(self.root.0);
+        let root = self.root().col;
+        self.elim_levels[root_level].push(root);
     }
 
     /// The per-step state dimensions this schedule plans for.
@@ -205,7 +177,7 @@ impl PlanSchedule {
     /// The plan-time kernel selection for this shape: a const-generic
     /// monomorphized kernel family ([`KernelKind::Mono4`]/`Mono8`/`Mono16`)
     /// when every block is that dimension, [`KernelKind::Auto`] (runtime
-    /// dispatch) otherwise.  Executors resolve it once per numeric phase via
+    /// dispatch) otherwise.  Executors resolve it once per walk via
     /// [`KernelKind::active`], which demotes to `Auto` in reference mode.
     pub fn kernels(&self) -> KernelKind {
         self.kernels
@@ -218,21 +190,26 @@ impl PlanSchedule {
 
     /// Number of elimination levels, including the base-case root level.
     pub fn num_levels(&self) -> usize {
-        self.levels.len() + 1
+        self.elim_levels.len()
     }
 
     /// `true` when `steps` has exactly the planned shape.
     pub fn matches_steps(&self, steps: &[WhitenedStep]) -> bool {
-        steps.len() == self.dims.len()
-            && steps.iter().zip(&self.dims).all(|(s, &d)| s.state_dim == d)
+        self.has_dims(steps.iter().map(|s| s.state_dim))
     }
 
-    pub(crate) fn plan_levels(&self) -> &[PlanLevel] {
-        &self.levels
+    fn has_dims(&self, dims: impl Iterator<Item = usize>) -> bool {
+        self.dims.iter().copied().eq(dims)
     }
 
-    pub(crate) fn root(&self) -> (usize, usize) {
-        self.root
+    /// The pair tree, post-order.
+    pub(crate) fn nodes(&self) -> &[TreeNode] {
+        &self.nodes
+    }
+
+    /// The root: the one column that is never eliminated.
+    pub(crate) fn root(&self) -> &TreeNode {
+        self.nodes.last().expect("a built schedule has a root")
     }
 
     pub(crate) fn elim_levels(&self) -> &[Vec<usize>] {
@@ -240,9 +217,37 @@ impl PlanSchedule {
     }
 }
 
+/// Appends the subtree of chain column `pos` of `level` (for a chain of
+/// `k1` states) in post-order; returns the index of its root.
+fn push_subtree(nodes: &mut Vec<TreeNode>, k1: usize, level: usize, pos: usize) -> usize {
+    let lo = pos << level;
+    let children = (level > 0).then(|| {
+        // Level `level − 1` holds `k1 >> (level − 1)` columns; `2·pos + 2`
+        // is the partnerless last one exactly when that count is odd and
+        // this is the last pair.
+        let below = k1 >> (level - 1);
+        Children {
+            left: push_subtree(nodes, k1, level - 1, 2 * pos),
+            right: push_subtree(nodes, k1, level - 1, 2 * pos + 1),
+            lone: (2 * pos + 3 == below).then(|| push_subtree(nodes, k1, level - 1, 2 * pos + 2)),
+        }
+    });
+    let hi = children.map_or(lo + 1, |ch| {
+        let last = &nodes[ch.lone.unwrap_or(ch.right)];
+        last.lo + last.leaves
+    });
+    nodes.push(TreeNode {
+        col: ((pos + 1) << level) - 1,
+        level,
+        lo,
+        leaves: hi - lo,
+        children,
+    });
+    nodes.len() - 1
+}
+
 /// An executable smoothing plan: a [`PlanSchedule`] plus this
-/// consumer's numeric state (scratch arenas, the reusable `R` factor,
-/// whitening buffers) and execution-policy decisions.
+/// consumer's reusable `R` factor and execution-policy decisions.
 ///
 /// Typical lifecycle:
 ///
@@ -261,24 +266,30 @@ impl PlanSchedule {
 ///
 /// Executing through a reused plan is **bitwise identical** to a fresh
 /// one-shot call: the schedule only pre-computes structure the numeric
-/// phase would otherwise re-derive, and all scratch is overwritten before
-/// use.
+/// phase would otherwise re-derive, and every `R` row is overwritten
+/// before it is read.
 #[derive(Debug)]
 pub struct SmoothPlan {
     schedule: PlanSchedule,
     options: OddEvenOptions,
-    factor: FactorScratch,
     r: OddEvenR,
-    solve: SolveScratch,
-    selinv: SelinvScratch,
-    /// Whitening buffers for the model-level entry points.
-    steps: Vec<WhitenedStep>,
-    whiten_tmp: Vec<Option<Result<WhitenedStep>>>,
     /// `r` holds the factorization of the most recent `execute`.
     factored: bool,
-    /// Hold a workspace [`kalman_dense::arena_scope`] across the numeric
-    /// phases (see [`SmoothPlan::set_arena`]).
+    /// Hold a workspace [`kalman_dense::arena_scope`] across the walks
+    /// (see [`SmoothPlan::set_arena`]).
     arena: bool,
+}
+
+/// A plan that ran under the arena returns its factor to the workspace
+/// under the same scope: the `R` rows are the one part of its working set
+/// that is not already pooled, and parked there they are what the next
+/// plan of this shape (a caller that re-plans per problem) factors into,
+/// instead of a second copy of the factor from the allocator.
+impl Drop for SmoothPlan {
+    fn drop(&mut self) {
+        let _arena = self.arena_guard();
+        self.r.rows.clear();
+    }
 }
 
 /// `true` when repeated executes of `schedule` would overflow the
@@ -301,12 +312,7 @@ impl SmoothPlan {
         SmoothPlan {
             schedule,
             options,
-            factor: FactorScratch::default(),
             r: OddEvenR::default(),
-            solve: SolveScratch::default(),
-            selinv: SelinvScratch::default(),
-            steps: Vec::new(),
-            whiten_tmp: Vec::new(),
             factored: false,
             arena,
         }
@@ -367,8 +373,8 @@ impl SmoothPlan {
     }
 
     /// Overrides the plan-owned arena decision.  By default the plan holds
-    /// a workspace [`kalman_dense::arena_scope`] across its numeric phases
-    /// exactly when its steady-state working set exceeds the thread-local
+    /// a workspace [`kalman_dense::arena_scope`] across its walks exactly
+    /// when its steady-state working set exceeds the thread-local
     /// workspace budgets (batch-scale shapes, `k ≳ 10³` at small `n`) —
     /// that retention is what makes *repeated* executes allocation-free.
     /// Callers that will execute a batch-scale plan only once (the one-shot
@@ -387,10 +393,19 @@ impl SmoothPlan {
         self.arena.then(kalman_dense::arena_scope)
     }
 
-    /// Numeric factorization: runs the odd-even elimination for the plan's
-    /// schedule over `steps` (drained; capacity retained for the caller to
-    /// refill).  The resulting factor is held by the plan ([`SmoothPlan::factor`])
-    /// for the solve/SelInv phases.
+    /// The bottom-up walk over `leaves` into the held factor.
+    fn factor_from(&mut self, leaves: Leaves<'_>) -> Result<()> {
+        let _span = kalman_obs::span!("oe.factor");
+        self.factored = false;
+        factor_tree(&self.schedule, leaves, self.options.policy, &mut self.r)?;
+        self.factored = true;
+        Ok(())
+    }
+
+    /// Numeric factorization: walks the plan's pair tree over `steps`
+    /// (drained; capacity retained for the caller to refill).  The
+    /// resulting factor is held by the plan ([`SmoothPlan::factor`]) for
+    /// the solve/SelInv phases.
     ///
     /// # Errors
     ///
@@ -398,25 +413,12 @@ impl SmoothPlan {
     /// shape (callers re-plan via [`SmoothPlan::ensure_shape`]).
     pub fn execute(&mut self, steps: &mut Vec<WhitenedStep>) -> Result<()> {
         if !self.schedule.matches_steps(steps) {
-            // lint: allow(alloc, "error path: allocates only when the caller handed an unplanned shape")
-            return Err(KalmanError::InvalidModel(format!(
-                "plan shape mismatch: plan covers {} states but was given {}",
-                self.schedule.num_states(),
-                steps.len()
-            )));
+            return Err(shape_mismatch(&self.schedule, steps.len()));
         }
         let _arena = self.arena_guard();
-        let _span = kalman_obs::span!("oe.factor");
-        self.factored = false;
-        execute_factor(
-            &self.schedule,
-            steps,
-            self.options.policy,
-            &mut self.factor,
-            &mut self.r,
-        )?;
-        self.factored = true;
-        Ok(())
+        let result = self.factor_from(Leaves::Whitened(steps));
+        steps.clear();
+        result
     }
 
     /// The `R` factor produced by the most recent [`SmoothPlan::execute`].
@@ -424,14 +426,19 @@ impl SmoothPlan {
         self.factored.then_some(&self.r)
     }
 
-    fn require_factor(&self) -> Result<&OddEvenR> {
-        if self.factored {
-            Ok(&self.r)
-        } else {
-            Err(KalmanError::InvalidModel(
+    /// The top-down walk against the held factor.
+    fn top_down(
+        &self,
+        means: Option<&mut Vec<Vec<f64>>>,
+        covs: Option<&mut Vec<Matrix>>,
+    ) -> Result<()> {
+        if !self.factored {
+            return Err(KalmanError::InvalidModel(
                 "plan has no factorization: call execute() first".into(),
-            ))
+            ));
         }
+        let _arena = self.arena_guard();
+        top_down(&self.schedule, &self.r, self.options.policy, means, covs)
     }
 
     /// Back substitution against the held factor, into reused storage.
@@ -441,11 +448,8 @@ impl SmoothPlan {
     /// No prior [`SmoothPlan::execute`], or
     /// [`KalmanError::RankDeficient`] naming the first singular state.
     pub fn solve_into(&mut self, means: &mut Vec<Vec<f64>>) -> Result<()> {
-        self.require_factor()?;
-        let _arena = self.arena_guard();
         let _span = kalman_obs::span!("oe.solve");
-        self.r
-            .solve_into(self.options.policy, means, &mut self.solve)
+        self.top_down(Some(means), None)
     }
 
     /// SelInv covariance phase against the held factor, into reused storage.
@@ -455,24 +459,28 @@ impl SmoothPlan {
     /// No prior [`SmoothPlan::execute`], or
     /// [`KalmanError::RankDeficient`] naming the first singular state.
     pub fn selinv_into(&mut self, covs: &mut Vec<Matrix>) -> Result<()> {
-        self.require_factor()?;
-        let _arena = self.arena_guard();
         let _span = kalman_obs::span!("oe.selinv");
-        // The schedule's plan-time kernel selection binds SelInv's GEMM
-        // entry once for the whole phase.
-        crate::selinv::selinv_diag_into_with(
-            self.schedule.kernels(),
-            &self.r,
-            self.options.policy,
-            covs,
-            &mut self.selinv,
-        )
+        self.top_down(None, Some(covs))
     }
 
-    /// Full pipeline over pre-whitened steps: execute → solve →
-    /// (optionally, per [`OddEvenOptions::covariances`]) SelInv, writing the
-    /// estimates into `out` (reused storage; zero allocations in steady
-    /// state).
+    /// The one top-down pass a smooth ends with: means and (per
+    /// [`OddEvenOptions::covariances`]) covariances together, each `R` row
+    /// read once.
+    fn estimates_into(&self, out: &mut Smoothed) -> Result<()> {
+        let covs = if self.options.covariances {
+            Some(out.covariances.get_or_insert_with(Vec::new))
+        } else {
+            out.covariances = None;
+            None
+        };
+        let _span = kalman_obs::span!("oe.topdown");
+        self.top_down(Some(&mut out.means), covs)
+    }
+
+    /// Full pipeline over pre-whitened steps: execute, then one top-down
+    /// pass for the means and (optionally, per
+    /// [`OddEvenOptions::covariances`]) the covariances, written into `out`
+    /// (reused storage; zero allocations in steady state).
     ///
     /// # Errors
     ///
@@ -484,46 +492,31 @@ impl SmoothPlan {
         out: &mut Smoothed,
     ) -> Result<()> {
         self.execute(steps)?;
-        self.solve_into(&mut out.means)?;
-        if self.options.covariances {
-            let covs = out.covariances.get_or_insert_with(Vec::new);
-            self.selinv_into(covs)?;
-        } else {
-            out.covariances = None;
-        }
-        Ok(())
+        self.estimates_into(out)
     }
 
-    /// Whitens `model` (in parallel, through plan-owned buffers) and runs
-    /// [`SmoothPlan::smooth_steps_into`].  The model must have the planned
-    /// shape; its numeric content is free to change between calls — this is
-    /// the "plan once, execute many" entry point for repeated batch solves.
+    /// Smooths `model`: the same two walks as
+    /// [`SmoothPlan::smooth_steps_into`], with every leaf whitening its own
+    /// step on the way up (so a step's blocks are still in cache when its
+    /// pair is eliminated).  The model must have the planned shape; its
+    /// numeric content is free to change between calls — this is the "plan
+    /// once, execute many" entry point for repeated batch solves.
     ///
     /// # Errors
     ///
-    /// Model validation/whitening errors, plus everything
-    /// [`SmoothPlan::smooth_steps_into`] can raise.
+    /// Model validation/whitening errors (the plan then holds no factor),
+    /// plus everything [`SmoothPlan::smooth_steps_into`] can raise.
     pub fn smooth_model_into(&mut self, model: &LinearModel, out: &mut Smoothed) -> Result<()> {
         model.validate()?;
-        let _arena = self.arena_guard();
-        let k1 = model.num_states();
+        if !self
+            .schedule
+            .has_dims(model.steps.iter().map(|s| s.state_dim))
         {
-            let _span = kalman_obs::span!("oe.whiten");
-            map_collect_into(
-                self.options.policy.for_len(k1),
-                k1,
-                &mut self.whiten_tmp,
-                |i| WhitenedStep::from_model_step(model, i),
-            );
-            self.steps.clear();
-            for slot in self.whiten_tmp.iter_mut() {
-                self.steps.push(slot.take().expect("filled above")?);
-            }
+            return Err(shape_mismatch(&self.schedule, model.num_states()));
         }
-        let mut steps = std::mem::take(&mut self.steps);
-        let result = self.smooth_steps_into(&mut steps, out);
-        self.steps = steps;
-        result
+        let _arena = self.arena_guard();
+        self.factor_from(Leaves::Model(model))?;
+        self.estimates_into(out)
     }
 
     /// Allocating convenience form of [`SmoothPlan::smooth_model_into`].
@@ -541,6 +534,15 @@ impl SmoothPlan {
     }
 }
 
+// lint: allow(alloc, "error path: allocates only when the caller handed an unplanned shape")
+fn shape_mismatch(schedule: &PlanSchedule, given: usize) -> KalmanError {
+    KalmanError::InvalidModel(format!(
+        "plan shape mismatch: plan covers {} states but was given {}",
+        schedule.num_states(),
+        given
+    ))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -553,6 +555,13 @@ mod tests {
         ChaCha8Rng::seed_from_u64(seed)
     }
 
+    /// The children of node `i`, as nodes.
+    fn kids(s: &PlanSchedule, i: usize) -> (TreeNode, TreeNode, Option<TreeNode>) {
+        let ch = s.nodes()[i].children.expect("inner node");
+        let at = |c: usize| s.nodes()[c];
+        (at(ch.left), at(ch.right), ch.lone.map(at))
+    }
+
     #[test]
     fn schedule_matches_chain_halving() {
         let s = PlanSchedule::build(&[2; 16]);
@@ -561,40 +570,115 @@ mod tests {
         assert_eq!(s.elim_levels()[0], vec![0, 2, 4, 6, 8, 10, 12, 14]);
         assert_eq!(s.elim_levels()[1], vec![1, 5, 9, 13]);
         assert_eq!(s.elim_levels()[4], vec![15]);
-        assert_eq!(s.root(), (15, 2));
         assert_eq!(s.num_levels(), 5);
+        // A power of two is a perfect binary tree: 16 leaves, 15 pairs, no
+        // lone child, and the root is the last column, never eliminated.
+        assert_eq!(s.nodes().len(), 31);
+        assert!(s
+            .nodes()
+            .iter()
+            .all(|n| n.children.and_then(|c| c.lone).is_none()));
+        let root = *s.root();
+        assert_eq!((root.col, root.level, root.lo, root.leaves), (15, 4, 0, 16));
+        let (left, right, _) = kids(&s, s.nodes().len() - 1);
+        assert_eq!((left.col, left.lo, left.leaves), (7, 0, 8));
+        assert_eq!((right.col, right.lo, right.leaves), (15, 8, 8));
     }
 
+    /// A node eliminates its left child's column against that subtree's
+    /// left boundary (state `lo − 1`) and its own column — the chain
+    /// neighbours the level-by-level picture gives.
     #[test]
     fn schedule_neighbours_are_chain_neighbours() {
         let dims = [3usize, 4, 3, 4, 3, 4, 3];
         let s = PlanSchedule::build(&dims);
-        let l0 = &s.plan_levels()[0];
-        assert_eq!(l0.evens.len(), 4);
-        assert_eq!(l0.odds.len(), 3);
-        let e1 = l0.evens[1]; // state 2
-        assert_eq!(e1.orig, 2);
-        assert_eq!(e1.dim, 3);
-        assert_eq!(e1.left_orig, Some(1));
-        assert_eq!(e1.left_dim, 4);
-        assert_eq!(e1.right_orig, Some(3));
-        // Level 1 chain is [1, 3, 5]: its evens are states 1 and 5, and
-        // state 5's left neighbour in that chain is state 3.
-        let l1 = &s.plan_levels()[1];
-        assert_eq!(l1.evens.len(), 2);
-        let e = l1.evens[1];
-        assert_eq!(e.orig, 5);
-        assert_eq!(e.dim, 4);
-        assert_eq!(e.left_orig, Some(3));
-        assert_eq!(e.left_dim, 4);
-        assert_eq!(e.right_orig, None);
+        // The level-1 chain is [1, 3, 5] with the partnerless state 6 at
+        // level 0; the root pairs 1 with 3 and takes 5 as its lone child.
+        let root_at = s.nodes().len() - 1;
+        let root = *s.root();
+        assert_eq!((root.col, root.level, root.lo, root.leaves), (3, 2, 0, 7));
+        let (left, right, lone) = kids(&s, root_at);
+        assert_eq!((left.col, left.lo, left.leaves), (1, 0, 2));
+        assert_eq!((right.col, right.lo, right.leaves), (3, 2, 2));
+        let lone = lone.expect("three level-1 columns");
+        assert_eq!((lone.col, lone.level, lone.lo, lone.leaves), (5, 1, 4, 3));
+        // State 2 is eliminated by the node of column 3, whose subtree
+        // starts at state 2: neighbours 1 (= lo − 1) and 3.
+        let at = s
+            .nodes()
+            .iter()
+            .position(|n| n.col == 3 && n.level == 1)
+            .unwrap();
+        let (even, odd, none) = kids(&s, at);
+        assert_eq!((even.col, s.nodes()[at].lo), (2, 2));
+        assert_eq!((odd.col, none), (3, None));
+        // State 6 has no partner at level 0: the node of column 5 (the last
+        // of level 1) eliminates it after its pair (4, 5).
+        let at = s
+            .nodes()
+            .iter()
+            .position(|n| n.col == 5 && n.level == 1)
+            .unwrap();
+        let (even, odd, tail) = kids(&s, at);
+        assert_eq!((even.col, odd.col, tail.map(|t| t.col)), (4, 5, Some(6)));
+        assert_eq!(s.elim_levels(), &[vec![0, 2, 4, 6], vec![1, 5], vec![3]]);
+    }
+
+    /// Post-order, contiguous subtrees, every state a leaf exactly once and
+    /// eliminated exactly once (or the root) — at every chain length,
+    /// which covers lone children at every depth.
+    #[test]
+    fn tree_is_a_post_order_partition_at_every_length() {
+        for k1 in 1..=70usize {
+            let s = PlanSchedule::build(&vec![2; k1]);
+            let nodes = s.nodes();
+            let mut eliminated = vec![0usize; k1];
+            for (i, node) in nodes.iter().enumerate() {
+                let Some(ch) = node.children else {
+                    assert_eq!((node.level, node.col, node.leaves), (0, node.lo, 1));
+                    continue;
+                };
+                let kids: Vec<usize> = [Some(ch.left), Some(ch.right), ch.lone]
+                    .into_iter()
+                    .flatten()
+                    .collect();
+                assert_eq!(*kids.last().unwrap(), i - 1, "k1={k1}: post-order");
+                let mut lo = node.lo;
+                for &c in &kids {
+                    assert!(c < i);
+                    assert_eq!((nodes[c].lo, nodes[c].level), (lo, node.level - 1));
+                    lo += nodes[c].leaves;
+                }
+                assert_eq!(
+                    lo,
+                    node.lo + node.leaves,
+                    "k1={k1}: children tile the range"
+                );
+                assert_eq!(
+                    node.col, nodes[ch.right].col,
+                    "k1={k1}: the odd column survives"
+                );
+                eliminated[nodes[ch.left].col] += 1;
+                if let Some(t) = ch.lone {
+                    eliminated[nodes[t].col] += 1;
+                }
+            }
+            let root = s.root();
+            assert_eq!((root.lo, root.leaves), (0, k1));
+            eliminated[root.col] += 1;
+            assert_eq!(eliminated, vec![1; k1], "k1={k1}");
+            assert_eq!(nodes.iter().filter(|n| n.children.is_none()).count(), k1);
+            let listed: usize = s.elim_levels().iter().map(Vec::len).sum();
+            assert_eq!(listed, k1);
+        }
     }
 
     #[test]
     fn single_state_schedule_is_root_only() {
         let s = PlanSchedule::build(&[5]);
-        assert!(s.plan_levels().is_empty());
-        assert_eq!(s.root(), (0, 5));
+        assert_eq!(s.nodes().len(), 1);
+        let root = *s.root();
+        assert_eq!((root.col, root.level, root.children), (0, 0, None));
         assert_eq!(s.elim_levels(), &[vec![0]]);
     }
 
@@ -606,7 +690,7 @@ mod tests {
         assert_eq!(s.dims(), fresh.dims());
         assert_eq!(s.signature(), fresh.signature());
         assert_eq!(s.elim_levels(), fresh.elim_levels());
-        assert_eq!(s.root(), fresh.root());
+        assert_eq!(s.nodes(), fresh.nodes());
     }
 
     #[test]

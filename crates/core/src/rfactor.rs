@@ -1,8 +1,9 @@
 //! The sparse `R` factor produced by the odd-even QR factorization.
 
-use kalman_dense::{tri, Matrix};
-use kalman_model::{KalmanError, Result};
-use kalman_par::{map_collect_into, ExecPolicy};
+use crate::plan::PlanSchedule;
+use kalman_dense::Matrix;
+use kalman_model::Result;
+use kalman_par::ExecPolicy;
 
 /// One permanent block row of `R`, belonging to the state that was
 /// eliminated when the row was produced.
@@ -23,7 +24,7 @@ pub struct RRow {
 }
 
 /// The complete odd-even `R` factor: one [`RRow`] per state plus the
-/// level structure that drives the parallel solve and SelInv phases.
+/// elimination-order level structure.
 ///
 /// An `OddEvenR` is reusable output storage: a [`crate::SmoothPlan`]
 /// overwrites the row slots and level lists of the one it holds in place,
@@ -36,19 +37,6 @@ pub struct OddEvenR {
     pub rows: Vec<RRow>,
     /// `levels[l]` lists the states eliminated at level `l`, in chain order.
     pub levels: Vec<Vec<usize>>,
-}
-
-/// Reusable containers for [`OddEvenR::solve_into`] (per-level batch
-/// results).  Carries no state between calls; `Clone` yields a fresh one.
-#[derive(Debug, Default)]
-pub struct SolveScratch {
-    solved: Vec<Option<Result<Matrix>>>,
-}
-
-impl Clone for SolveScratch {
-    fn clone(&self) -> Self {
-        SolveScratch::default()
-    }
 }
 
 impl OddEvenR {
@@ -69,74 +57,29 @@ impl OddEvenR {
         order
     }
 
-    /// Back substitution: solves `R Pᵀ û = QᵀUb` level by level, starting at
-    /// the root (eliminated last) and moving toward level 0, with all
-    /// columns inside a level solved in parallel.
-    ///
-    /// # Errors
-    ///
-    /// [`KalmanError::RankDeficient`] naming the first state whose diagonal
-    /// block is singular.
-    pub fn solve(&self, policy: ExecPolicy) -> Result<Vec<Vec<f64>>> {
-        let mut y: Vec<Vec<f64>> = Vec::new();
-        let mut scratch = SolveScratch::default();
-        self.solve_into(policy, &mut y, &mut scratch)?;
-        Ok(y)
+    /// The schedule this factor was produced under, re-derived from its
+    /// block dimensions (the pair tree is a function of the shape alone).
+    pub(crate) fn schedule(&self) -> PlanSchedule {
+        let dims: Vec<usize> = self.rows.iter().map(|row| row.diag.cols()).collect();
+        PlanSchedule::build(&dims)
     }
 
-    /// [`OddEvenR::solve`] into reused storage: `y` (one vector per state)
-    /// and `scratch` retain their capacity across calls, so repeated solves
-    /// of same-shaped systems allocate nothing.  On error `y`'s contents
-    /// are unspecified.
+    /// Back substitution: solves `R Pᵀ û = QᵀUb` down the pair tree — the
+    /// root (eliminated last) first, every other column after the two chain
+    /// neighbours its row couples to, sibling subtrees in parallel.
     ///
     /// # Errors
     ///
     /// [`KalmanError::RankDeficient`] naming the first state whose diagonal
-    /// block is singular.
-    pub fn solve_into(
-        &self,
-        policy: ExecPolicy,
-        y: &mut Vec<Vec<f64>>,
-        scratch: &mut SolveScratch,
-    ) -> Result<()> {
-        y.truncate(self.num_states());
-        while y.len() < self.num_states() {
-            y.push(Vec::new()); // lint: allow(alloc, "grows the reused output to window length once; repeat windows reuse the slots")
-        }
-        for v in y.iter_mut() {
-            v.clear();
-        }
-        for level in self.levels.iter().rev() {
-            // Columns in this level only reference deeper-level solutions,
-            // which are already present in `y`.  Deep levels are tiny (the
-            // chain halves per level), so batches that fit in one grain run
-            // sequentially — the same per-level decision the factorization
-            // executor makes (bitwise identical either way).
-            let level_policy = policy.for_len(level.len());
-            {
-                let y_ref = &*y;
-                map_collect_into(level_policy, level.len(), &mut scratch.solved, |idx| {
-                    let j = level[idx];
-                    let row = &self.rows[j];
-                    // lint: allow(alloc, "the parallel map must produce an owned per-column solution; bounded by one state's rhs (n_j x 1)")
-                    let mut b = row.rhs.clone();
-                    for (target, block) in &row.off {
-                        let yt = &y_ref[*target];
-                        debug_assert!(!yt.is_empty(), "solve order violated");
-                        block.sub_mul_vec_into(yt, b.col_mut(0));
-                    }
-                    tri::solve_upper_in_place(&row.diag, &mut b)
-                        .map_err(|_| KalmanError::RankDeficient { state: j })?;
-                    Ok(b)
-                });
-            }
-            for (idx, slot) in scratch.solved.iter_mut().enumerate() {
-                let b = slot.take().expect("filled above")?;
-                let yj = &mut y[level[idx]];
-                yj.extend_from_slice(b.col(0));
-            }
-        }
-        Ok(())
+    /// block is singular; [`KalmanError::InvalidModel`] when the rows are
+    /// not those of an odd-even factorization.
+    ///
+    /// [`KalmanError::RankDeficient`]: kalman_model::KalmanError::RankDeficient
+    /// [`KalmanError::InvalidModel`]: kalman_model::KalmanError::InvalidModel
+    pub fn solve(&self, policy: ExecPolicy) -> Result<Vec<Vec<f64>>> {
+        let mut y: Vec<Vec<f64>> = Vec::new();
+        crate::selinv::top_down(&self.schedule(), self, policy, Some(&mut y), None)?;
+        Ok(y)
     }
 
     /// The block sparsity structure of `R` in permuted order, for
@@ -191,6 +134,7 @@ impl OddEvenR {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kalman_model::KalmanError;
 
     fn tiny() -> OddEvenR {
         // Two states; state 0 eliminated at level 0 with coupling to state 1.

@@ -11,8 +11,9 @@ pub struct OddEvenOptions {
     /// paper's "Odd-Even NC" variant (§5.4), the right choice inside
     /// Levenberg–Marquardt nonlinear smoothers.
     pub covariances: bool,
-    /// Execution policy for every parallel batch (factorization levels,
-    /// back substitution, SelInv).  [`ExecPolicy::Seq`] gives the compiled
+    /// Execution policy of both tree walks (factorization; back
+    /// substitution + SelInv): `Par { grain }` forks sibling subtrees of
+    /// more than `grain` states.  [`ExecPolicy::Seq`] gives the compiled
     /// sequential twin the paper benchmarks as the 1-core reference.
     pub policy: ExecPolicy,
     /// Ignored: the odd-column compression (step 3 of each level) always
@@ -53,12 +54,13 @@ impl OddEvenOptions {
 
 /// Smooths `model` with the odd-even parallel-in-time algorithm.
 ///
-/// Phases (all respecting `options.policy`):
+/// Two walks of the odd-even pair tree, both respecting `options.policy`:
 ///
-/// 1. whiten the model into the blocks of `U·A` (parallel over steps),
-/// 2. odd-even QR factorization (`Θ(log k)` parallel level batches),
-/// 3. back substitution (parallel within levels, root to level 0),
-/// 4. SelInv covariance phase (skipped for the NC variant).
+/// 1. bottom-up — each leaf whitens its step into the blocks of `U·A`,
+///    each node eliminates its pair's even column (critical path
+///    `Θ(log k)` eliminations) — leaving the `R` factor;
+/// 2. top-down — back substitution and, unless this is the NC variant, the
+///    SelInv covariance recurrences, one column after its two neighbours.
 ///
 /// This is the one-shot wrapper around the plan/execute split: it builds a
 /// transient [`SmoothPlan`] for the model's shape and executes it once.
@@ -212,5 +214,30 @@ mod tests {
         let oe = odd_even_smooth(&model, OddEvenOptions::default()).unwrap();
         let dense = solve_dense(&model).unwrap();
         assert!(oe.max_mean_diff(&dense) < 1e-9);
+    }
+
+    /// An evolution with no equations (`F`, `H` with zero rows) decouples
+    /// the chain there.  Wherever it falls — an even or an odd column of
+    /// any level, a lone tail — the survivor stays coupled to its chain
+    /// neighbour by zero blocks, so means and covariances come out (the
+    /// level-major SelInv panicked on the even positions).
+    #[test]
+    fn an_evolution_without_equations_decouples_the_chain() {
+        for k in [3usize, 4, 7, 8, 12, 16] {
+            for cut in 1..=k {
+                let mut model = generators::paper_benchmark(&mut rng(60), 2, k, true);
+                let evo = model.steps[cut].evolution.as_mut().unwrap();
+                evo.f = kalman_dense::Matrix::zeros(0, 2);
+                evo.h = Some(kalman_dense::Matrix::zeros(0, 2));
+                evo.c = Vec::new();
+                evo.noise = CovarianceSpec::Identity(0);
+                let dense = solve_dense(&model).unwrap();
+                for policy in [ExecPolicy::Seq, ExecPolicy::par_with_grain(1)] {
+                    let oe = odd_even_smooth(&model, OddEvenOptions::with_policy(policy)).unwrap();
+                    assert!(oe.max_mean_diff(&dense) < 1e-9, "k={k} cut={cut}");
+                    assert!(oe.max_cov_diff(&dense).unwrap() < 1e-9, "k={k} cut={cut}");
+                }
+            }
+        }
     }
 }

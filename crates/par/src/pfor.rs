@@ -28,6 +28,25 @@ where
     }
 }
 
+/// Runs `a` and `b` and returns both results: forked on the current pool
+/// (`rayon::join`, so either closure may be stolen) under a parallel
+/// policy, one after the other under [`ExecPolicy::Seq`].  This is the
+/// primitive of divide-and-conquer walks; callers pass
+/// `policy.for_len(size)` so that subproblems that fit in one grain stay
+/// off the scheduler.
+pub fn join<A, B, RA, RB>(policy: ExecPolicy, a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA + Send,
+    B: FnOnce() -> RB + Send,
+    RA: Send,
+    RB: Send,
+{
+    match policy {
+        ExecPolicy::Seq => (a(), b()),
+        ExecPolicy::Par { .. } => rayon::join(a, b),
+    }
+}
+
 /// Applies `f(i, &mut item)` to every element of `items`.
 ///
 /// This is the primitive the smoothers use to initialize and transform the
@@ -139,6 +158,15 @@ mod tests {
             *x = *x * 3 + i
         });
         assert_eq!(seq, par);
+    }
+
+    #[test]
+    fn join_returns_both_results_under_either_policy() {
+        for policy in [ExecPolicy::Seq, ExecPolicy::par()] {
+            let mut left = 0;
+            let (a, b) = join(policy, || left += 21, || 2);
+            assert_eq!((a, b, left), ((), 2, 21));
+        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Bitwise determinism of the parallel paths under the real work-stealing
 //! pool.
 //!
-//! The odd-even pipeline's parallel primitives are index-stable: every
-//! per-step computation depends only on its inputs, and ordered collects
-//! write pre-assigned slots.  So `ExecPolicy::par()` must produce results
+//! The odd-even walks fork a fixed tree: every node's computation depends
+//! only on its children's results and writes slots assigned before it ran
+//! (as the other parallel primitives' ordered collects do).  So
+//! `ExecPolicy::par()` must produce results
 //! **bitwise identical** to `ExecPolicy::Seq` — for any thread count, any
 //! grain, and any steal interleaving.  These tests pin that contract now
 //! that scheduling is genuinely concurrent; a data race or a
@@ -65,6 +66,42 @@ fn odd_even_and_selinv_are_bitwise_equal_to_sequential() {
                 .unwrap()
             });
             assert_bitwise(&seq, &par, &format!("threads={threads} grain={grain}"));
+        }
+    }
+}
+
+/// The walk forks wherever a subtree outgrows the grain, so which nodes
+/// fork — and whether a lone tail child rides along — depends on the chain
+/// length.  Both sides of every small power of two, lengths whose halvings
+/// leave an odd chain at several depths, and a dimension-changing model
+/// (every second state one wider) must all come out bitwise equal to the
+/// sequential recursion at every pool size and grain.
+#[test]
+fn every_tree_shape_is_bitwise_equal_to_sequential() {
+    let lengths = (2..=6)
+        .flat_map(|m| [(1usize << m) - 1, 1 << m, (1 << m) + 1])
+        .chain([11, 23, 45, 91, 107]);
+    for k1 in lengths {
+        let mut rng = ChaCha8Rng::seed_from_u64(4600 + k1 as u64);
+        let models = [
+            generators::paper_benchmark(&mut rng, 3, k1 - 1, true),
+            generators::dimension_change(&mut rng, 2, k1 - 1),
+        ];
+        for (which, model) in models.iter().enumerate() {
+            let smooth = |policy| odd_even_smooth(model, OddEvenOptions::with_policy(policy));
+            let seq = smooth(ExecPolicy::Seq).unwrap();
+            for threads in [1usize, 2, 8] {
+                for grain in [1usize, 3, 10, 1000] {
+                    let par = run_with_threads(threads, || {
+                        smooth(ExecPolicy::par_with_grain(grain)).unwrap()
+                    });
+                    assert_bitwise(
+                        &seq,
+                        &par,
+                        &format!("model {which} k+1={k1} threads={threads} grain={grain}"),
+                    );
+                }
+            }
         }
     }
 }

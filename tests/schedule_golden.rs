@@ -1,0 +1,350 @@
+//! Golden bits of the odd-even smoother: the executor may be re-ordered,
+//! fused and re-parallelised freely, but every mean and covariance bit it
+//! returns is pinned here.
+//!
+//! Each entry is an FNV-1a hash over every mean and covariance bit of
+//! `odd_even_smooth` on one generated model; the same hash must come out
+//! under `Seq`, `par_with_grain(1)` and `par_with_grain(10)`.  Two tables:
+//! [`REFERENCE`] under `set_reference_kernels(true)` (scalar oracles only,
+//! so the bits do not depend on the host's ISA) and [`AVX2`] under the
+//! default kernels, asserted only where `simd_backend()` reports `avx2`.
+//! The kernel switch is process-global, which is why this file is its own
+//! test binary with a single test.
+//!
+//! Both tables were captured on commit 133c1a7 (PR 23, the level-major
+//! executor).  To re-capture after a change that is *meant* to move bits
+//! (a kernel's summation order, a generator): copy this file and its
+//! `[[test]]` entry onto the commit whose output is the new truth, run
+//! `cargo test -p kalman --test schedule_golden -- --nocapture`, and paste
+//! the two tables the failing run prints.
+
+use kalman::dense::{set_reference_kernels, simd_backend};
+use kalman::model::{generators, LinearModel};
+use kalman::prelude::*;
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
+
+/// Chain lengths `k + 1`: the degenerate ones, both sides of each small
+/// power of two (lone-tail children at every depth) and one long chain.
+const LENGTHS: [usize; 11] = [1, 2, 3, 4, 5, 7, 8, 9, 31, 33, 1000];
+
+/// The model families, by row of the tables.  The n = 48 row runs the
+/// level-3 kernels (tile GEMM, compact-WY tri-stack, blocked solves) and
+/// stops at 33 states to keep the debug-build suite short.
+const FAMILIES: [&str; 7] = [
+    "paper_benchmark/prior",
+    "paper_benchmark/no_prior",
+    "dimension_change",
+    "sparse_observations",
+    "short_observations",
+    "tracking_2d",
+    "paper_benchmark/n48",
+];
+
+fn model(family: usize, k1: usize) -> Option<LinearModel> {
+    let k = k1 - 1;
+    let mut rng = ChaCha8Rng::seed_from_u64(0x601d + 1000 * family as u64 + k1 as u64);
+    Some(match family {
+        0 => generators::paper_benchmark(&mut rng, 4, k, true),
+        1 => generators::paper_benchmark(&mut rng, 6, k, false),
+        2 => generators::dimension_change(&mut rng, 3, k),
+        3 => generators::sparse_observations(&mut rng, 3, k, 3),
+        4 => generators::short_observations(&mut rng, 5, k, 2),
+        5 => generators::tracking_2d(&mut rng, k, 0.1, 0.5, 0.25).model,
+        6 if k1 <= 33 => generators::paper_benchmark(&mut rng, 48, k, true),
+        _ => return None,
+    })
+}
+
+fn fnv1a(smoothed: &Smoothed) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |v: f64| {
+        for byte in v.to_bits().to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for mean in &smoothed.means {
+        mean.iter().copied().for_each(&mut eat);
+    }
+    for cov in smoothed
+        .covariances
+        .as_ref()
+        .expect("covariances requested")
+    {
+        cov.as_slice().iter().copied().for_each(&mut eat);
+    }
+    h
+}
+
+/// One table under the current kernel mode; `0` marks a skipped cell.
+fn measure() -> [[u64; LENGTHS.len()]; FAMILIES.len()] {
+    let mut table = [[0u64; LENGTHS.len()]; FAMILIES.len()];
+    for (f, row) in table.iter_mut().enumerate() {
+        for (cell, &k1) in row.iter_mut().zip(&LENGTHS) {
+            let Some(model) = model(f, k1) else { continue };
+            let hash = |policy| {
+                fnv1a(&odd_even_smooth(&model, OddEvenOptions::with_policy(policy)).unwrap())
+            };
+            *cell = hash(ExecPolicy::Seq);
+            for grain in [1, 10] {
+                assert_eq!(
+                    hash(ExecPolicy::par_with_grain(grain)),
+                    *cell,
+                    "{} k+1={k1}: Par(grain {grain}) differs from Seq",
+                    FAMILIES[f]
+                );
+            }
+        }
+    }
+    table
+}
+
+fn print_table(name: &str, table: &[[u64; LENGTHS.len()]; FAMILIES.len()]) {
+    println!("const {name}: [[u64; LENGTHS.len()]; FAMILIES.len()] = [");
+    for (row, family) in table.iter().zip(FAMILIES) {
+        println!("    // {family}");
+        println!("    [");
+        for h in row {
+            println!("        {h:#018x},");
+        }
+        println!("    ],");
+    }
+    println!("];");
+}
+
+/// Measures under the current kernel mode; on any difference prints the
+/// measured table in paste-ready form and returns the cells that moved.
+fn moved(name: &str, want: &[[u64; LENGTHS.len()]; FAMILIES.len()]) -> Vec<String> {
+    let got = measure();
+    if got == *want {
+        return Vec::new();
+    }
+    print_table(name, &got);
+    let mut cells = Vec::new();
+    for (f, family) in FAMILIES.iter().enumerate() {
+        for (i, k1) in LENGTHS.iter().enumerate() {
+            if got[f][i] != want[f][i] {
+                cells.push(format!("{name}: {family} k+1={k1}"));
+            }
+        }
+    }
+    cells
+}
+
+#[test]
+fn every_mean_and_covariance_bit_is_the_level_major_executors() {
+    set_reference_kernels(true);
+    let mut cells = moved("REFERENCE", &REFERENCE);
+    set_reference_kernels(false);
+    if simd_backend() == "avx2" {
+        cells.extend(moved("AVX2", &AVX2));
+    } else {
+        println!("simd backend {}: AVX2 table not asserted", simd_backend());
+    }
+    assert!(
+        cells.is_empty(),
+        "bits moved (measured tables printed above): {cells:#?}"
+    );
+}
+
+const REFERENCE: [[u64; LENGTHS.len()]; FAMILIES.len()] = [
+    // paper_benchmark/prior
+    [
+        0x54f07a1710e98e23,
+        0x64d7a39356921163,
+        0xb7dbc2e13dc742c4,
+        0xaeabf30fdf21f1d0,
+        0xcec46c2b01975883,
+        0xe9d87aa3403cbfa8,
+        0x5c8d0bc96ee6be4b,
+        0x94a3088c34b1d13c,
+        0x67b501b936e0513c,
+        0x8ed69e8869ff6a50,
+        0xf1ec38bf071fda78,
+    ],
+    // paper_benchmark/no_prior
+    [
+        0x9d0ceecb03cd7c47,
+        0x1912e9d6d0aa20b4,
+        0xf61da8b5672a7dd2,
+        0xd6494f921be2f7a0,
+        0xd6c32a5ac6f0a043,
+        0x85922389efb0dda6,
+        0x5376952eecb5c977,
+        0x7fa014b8b5f61fd9,
+        0x7094ecce379ab6d1,
+        0xe76ca25312770b71,
+        0xcbdbdbb1b25cde7f,
+    ],
+    // dimension_change
+    [
+        0x94fb2b9342add6a0,
+        0x083ca17684ce094f,
+        0xc16525ea38f7fbe2,
+        0x5b483dcbfc243ebb,
+        0x90ac1d63f1b8bb34,
+        0xcb4ee572a2e2d4bf,
+        0xedcda43c41f9f080,
+        0x83711a950c87833d,
+        0xb806e67f8d637322,
+        0xe5133aee6a89e962,
+        0x4c379a90f184f03a,
+    ],
+    // sparse_observations
+    [
+        0xa9f5c4d888bc17e5,
+        0x9a469bbdf329720e,
+        0x5f7b11a6d3c270d3,
+        0x93dda0aa413649da,
+        0x9abdc49a5f93aa76,
+        0x2faafe4f6f8b3450,
+        0xf3710273ed02b418,
+        0x887d12000e097340,
+        0x50820c5928815f33,
+        0xc08100377f868034,
+        0x0ff421290e1cf0ab,
+    ],
+    // short_observations
+    [
+        0xc3071a785401b6f5,
+        0x82c53d9471b1cf6f,
+        0xd112de9a2e70b860,
+        0xfdbdd3efab543577,
+        0x3c263097ba7328e2,
+        0xcd04a59d76a5a2e9,
+        0x18a0be20b5727d5f,
+        0x11f858ca7ef08471,
+        0x1e029c26b6db31b9,
+        0xc6b04a83b21c2a0f,
+        0xbdac6a7774fc48b6,
+    ],
+    // tracking_2d
+    [
+        0x74164ed2421b06a5,
+        0x673669c75e88c003,
+        0xa283fdc97b6eeb09,
+        0x50d683ee911b7157,
+        0xf004b1631a2eeeda,
+        0xb059e9e3999705bc,
+        0x4d6ea5aca226ed46,
+        0x95f1a5d0ab6fbb8c,
+        0xf9ebbae0c9965a63,
+        0x490bd7894c86b7e9,
+        0x572589a6182ce5e3,
+    ],
+    // paper_benchmark/n48
+    [
+        0x75db6fc559dbc9e5,
+        0x2e918b406821039b,
+        0xada3d4fe63ba845d,
+        0xca331ed582f82264,
+        0x89366d3ac780016b,
+        0xbe3a23a70e9f78c7,
+        0x087b7ba45b87e590,
+        0xf5c8fb575545b93e,
+        0x5337db30dc806237,
+        0x1f02985961bb6ca4,
+        0x0000000000000000,
+    ],
+];
+const AVX2: [[u64; LENGTHS.len()]; FAMILIES.len()] = [
+    // paper_benchmark/prior
+    [
+        0x54f07a1710e98e23,
+        0x64c61240833a44e4,
+        0x3bc528b5eea82d6b,
+        0x4331d57540bd6ed8,
+        0x955cb97abac4a297,
+        0x7a98cb086d278033,
+        0x4bd8fdf63096678a,
+        0xaab6a182276a7851,
+        0x9cde4b6c5701937e,
+        0xd177315a0781d233,
+        0x7645ccdcd2bf8d6a,
+    ],
+    // paper_benchmark/no_prior
+    [
+        0x500a8f23befcb20d,
+        0x0f4ac8cf825687d0,
+        0xab778863622bb42f,
+        0x47248652bf894c00,
+        0x815ede7f6b873209,
+        0xc677ca44a0b1052b,
+        0x226f8936796f828f,
+        0x9f13530f4bf9ce95,
+        0x168c8db9dd9af423,
+        0xbea14eb5239e93b9,
+        0xdf573f814ad1ae09,
+    ],
+    // dimension_change
+    [
+        0x1d38e498f13f416b,
+        0x2e5c610579323d1a,
+        0x80a2c4ac092b6037,
+        0x13cfd61452bd2977,
+        0x7b45f383899f951c,
+        0x12c0d6565e920f9c,
+        0xd7f605d96ed2e11d,
+        0x2c1085d0a06b2c2a,
+        0x7430c2b84eb69061,
+        0x0cd2ee6697649aaa,
+        0xe0cd4f7c77d9681a,
+    ],
+    // sparse_observations
+    [
+        0x08c849dec8653a1b,
+        0x8db710db7b4bd6b9,
+        0xe11c14dc08f61a8a,
+        0x15ae61a58b14c9b8,
+        0xa9430eff5580e31f,
+        0x21c748a1291b8ff7,
+        0x41262ad8809a64ce,
+        0x353dd441c7b2d20f,
+        0xe604b82f3c8b19c0,
+        0x0f47312491c6e8a4,
+        0x4048bafe8e7eca34,
+    ],
+    // short_observations
+    [
+        0xff0b1ef86eec745a,
+        0x2598f1716f60d1d3,
+        0xb01ecfa0b8d63239,
+        0xe3b747fa75a18251,
+        0x00e7230903639248,
+        0x4c721096f02e61ce,
+        0x51935e80f433c650,
+        0x9ede98c582a8c336,
+        0xd90dda8aa2fe15e2,
+        0xf177ca677e837d87,
+        0xf3b7e7bde0f23d53,
+    ],
+    // tracking_2d
+    [
+        0x74164ed2421b06a5,
+        0xc1947fc319cae7f6,
+        0x14fa9fa9a1542059,
+        0x4c2d3b83632eb12e,
+        0x9f4fa201b176b026,
+        0x53a385a250cecbc5,
+        0x5ceff250b260dd4a,
+        0x74905110ea407f33,
+        0xe8f8931a05fc6b35,
+        0x1e6044e64780d657,
+        0x18884edc16fcee83,
+    ],
+    // paper_benchmark/n48
+    [
+        0x84af7cefc9917690,
+        0x2384b39a55ae37a7,
+        0xfd249b0ebc5bd332,
+        0xe11d71fb9cfdebe0,
+        0xeb5d470c8f96edea,
+        0x544fb269a5b17604,
+        0x40b13669cbdf69c0,
+        0xf59446a997460679,
+        0x8924499bae6da704,
+        0xc0de4be7fb4a96e9,
+        0x0000000000000000,
+    ],
+];
