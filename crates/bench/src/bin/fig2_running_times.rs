@@ -15,7 +15,8 @@
 //! once with the unblocked reference kernels + pooling disabled — plus a
 //! warm n = 48 plan's time per step at k = 63 against k = 2000 (memory
 //! locality of the walk), and records the timings plus the speedups to
-//! `--json PATH` (`BENCH_smoother.json` in CI).
+//! `--json PATH` (`BENCH_smoother.json` in CI) with the SIMD backend they
+//! ran on.
 //!
 //! The in-process "reference" toggles only the kernel/pooling choices, not
 //! the structural rewrites (fused factor-and-apply, triangular-pentagonal
@@ -100,7 +101,8 @@ fn smoke(args: &mut Args) {
     let mut entries = Vec::new();
     println!(
         "fig2 --smoke: single-thread batch odd-even smoother, k={k}, \
-         interleaved mins of {rounds}"
+         interleaved mins of {rounds}, simd backend {}",
+        kalman::dense::simd_backend()
     );
     print_row(&[
         "n".into(),
@@ -214,7 +216,7 @@ fn smoke(args: &mut Args) {
 
     if !json.is_empty() {
         let config = format!(
-            "fig2 --smoke: odd-even, 1 thread, k={k}, n in [4,8,16], interleaved \
+            "fig2 --smoke: odd-even, 1 thread, simd backend {}, k={k}, n in [4,8,16], interleaved \
              A/B mins of {rounds} rounds per pair (reference = unblocked kernels + \
              pooling off, blocked = default dispatch incl. SIMD/mono kernels); \
              smoother/n48/k63 + k2000: seconds per step of a warm \
@@ -226,7 +228,8 @@ fn smoke(args: &mut Args) {
              substitution); obs/* + speedup/obs_on: that flush with \
              instrumentation off vs on, interleaved mins of {obs_rounds} rounds; main-baseline/* and \
              vs-main/* rows (when present) are historical A/B measurements vs \
-             pre-optimization main, carried in the baseline"
+             pre-optimization main, carried in the baseline",
+            kalman::dense::simd_backend()
         );
         kalman_bench::write_bench_json(&json, &config, &entries).expect("write json");
         println!("wrote {json}");

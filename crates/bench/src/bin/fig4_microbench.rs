@@ -18,15 +18,17 @@
 //! `QR_FUSED_MAX_COLS` crossover, the level-3 bodies (compact-WY tri-stack,
 //! blocked back substitution, blocked inverse-Gram) versus the unblocked
 //! ones at batch dimensions, the monomorphized SIMD kernels versus the
-//! scalar oracle at n ∈ {4, 8, 16}, plus the serving flush's forward step
-//! through the general bodies versus the fixed-size one; each pair is
+//! scalar oracle (GEMM at n ∈ {4, 8}, tri-stack at n ∈ {8, 16}), plus the
+//! serving flush's forward step through the general bodies versus the
+//! fixed-size one; each pair is
 //! measured as interleaved A/B rounds with per-arm minima (the noise-robust
 //! methodology of docs/BENCHMARKS.md), single-threaded; `--json PATH`
-//! records the timings and speedups (`BENCH_kernels.json` in CI).
+//! records the timings and speedups (`BENCH_kernels.json` in CI) with the
+//! SIMD backend they ran on.
 
 use kalman::dense::{
-    gemm, gemm_ref, qr_trap_stack_applying, qr_tri_stack_applying, qr_tri_stack_applying_with, tri,
-    KernelKind, Matrix, QrFactor, Trans,
+    gemm, gemm_ref, qr_trap_stack_applying, qr_tri_stack_applying, qr_tri_stack_applying_with,
+    simd_backend, tri, KernelKind, Matrix, QrFactor, Trans,
 };
 use kalman::par::{for_each_mut, run_with_threads, ExecPolicy};
 use kalman_bench::{core_sweep, median_time, print_row, time_once, Args, BenchEntry};
@@ -70,7 +72,9 @@ fn smoke(args: &mut Args) {
     let mut entries = Vec::new();
 
     println!(
-        "fig4 --smoke: dense kernel microbenchmark (single thread, interleaved mins of {rounds})"
+        "fig4 --smoke: dense kernel microbenchmark (single thread, interleaved mins of {rounds}, \
+         simd backend {})",
+        simd_backend()
     );
     print_row(&[
         "kernel".into(),
@@ -234,9 +238,10 @@ fn smoke(args: &mut Args) {
     // Monomorphized SIMD kernels vs the scalar oracle at the serving
     // dimensions.  GEMM compares the `KernelKind`-bound monomorphic entry
     // (the pointer a uniform-n plan binds at plan time) against the scalar
-    // reference loop nest; QR compares the monomorphized triangular-stack
-    // elimination against the same routine with the runtime kernel switch
-    // forced to the scalar reference path.
+    // reference loop nest (at n = 16 that pointer is the tile `gemm`, which
+    // the `gemm/n16` row above already times); QR compares the monomorphized
+    // triangular-stack elimination against the same routine with the runtime
+    // kernel switch forced to the scalar reference path.
     println!("monomorphized SIMD kernels vs scalar oracle:");
     print_row(&[
         "kernel".into(),
@@ -244,7 +249,7 @@ fn smoke(args: &mut Args) {
         "simd/mono".into(),
         "speedup".into(),
     ]);
-    for n in [4usize, 8, 16] {
+    for n in [4usize, 8] {
         let kind = KernelKind::for_dim(n);
         let mono = kind.gemm();
         let a = test_matrix(n, n);
@@ -360,15 +365,16 @@ fn smoke(args: &mut Args) {
 
     if !json.is_empty() {
         let config = format!(
-            "fig4 --smoke: dense kernels, 1 thread, interleaved A/B mins of {rounds} rounds \
-             per pair; gemm rows: register-tile GEMM vs reference loop nest; qr rows: fused \
+            "fig4 --smoke: dense kernels, 1 thread, simd backend {}, interleaved A/B mins of \
+             {rounds} rounds per pair; gemm rows: register-tile GEMM vs reference loop nest; qr rows: fused \
              new_applying vs factor-then-apply at n in [8,16,24], all below the \
              QR_FUSED_MAX_COLS = 32 crossover; tri_stack rows: compact-WY vs unblocked \
              SIMD body, one (n+1)-wide companion pair; trsm/inv_gram rows: blocked vs the \
              scalar oracle at n = 48; gemm/nK/simd + qr/nK/mono rows: \
              monomorphized SIMD kernels vs the scalar oracle at the serving dimensions; \
              fwd_step rows: with_observation + eliminate (+ SelInv terms at n = 8) vs \
-             InfoHead::step_into on fixed-size columns, {FORWARD_CHAIN} chained steps"
+             InfoHead::step_into on fixed-size columns, {FORWARD_CHAIN} chained steps",
+            simd_backend()
         );
         kalman_bench::write_bench_json(&json, &config, &entries).expect("write json");
         println!("wrote {json}");

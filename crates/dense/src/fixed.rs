@@ -28,7 +28,7 @@
 //! the general bodies on the same, untouched inputs.  They agree with those
 //! bodies to rounding, not bitwise; each is a pure function of its operands.
 
-use crate::qr::rank_tol;
+use crate::qr::{householder_scaled, in_range, rank_tol, reflect};
 use crate::{simd, workspace, Matrix};
 
 /// A square block as `N` columns of `N` entries.
@@ -257,14 +257,24 @@ fn sub_scaled<const R: usize>(c: &mut [f64; R], w: f64, v: &[f64; R], q0: usize)
     }
 }
 
-/// `(β, τ, 1/(α − β))` of the Householder reflector that maps a column with
-/// leading entry `alpha` and squared norm `norm2 > 0` onto `β·e₁`, sign
-/// chosen against cancellation (the convention of `qr.rs`).
+/// The reflector of `qr.rs` (`householder`) for the column `alpha` over
+/// `v[from..]`, overwriting `v[from..]` with the reflector tail.  The
+/// out-of-range path runs on a copy of `v`, so `v`'s address never reaches
+/// an out-of-line call and the column can stay in registers.
 #[inline(always)]
-fn reflector(alpha: f64, norm2: f64) -> (f64, f64, f64) {
-    let norm = norm2.sqrt();
-    let beta = if alpha >= 0.0 { -norm } else { norm };
-    (beta, (beta - alpha) / beta, 1.0 / (alpha - beta))
+fn reflector<const R: usize>(
+    alpha: f64,
+    norm2: f64,
+    v: &mut [f64; R],
+    from: usize,
+) -> Option<(f64, f64)> {
+    if in_range(norm2) {
+        return Some(reflect(alpha, norm2.sqrt(), &mut v[from..]));
+    }
+    let mut copy = *v;
+    let out = householder_scaled(alpha, &mut copy[from..]);
+    *v = copy;
+    out
 }
 
 /// Calls `$f::<.., J>($args)` for `J = 0..8`, in order.  The pivot index of
@@ -303,13 +313,9 @@ fn absorb_pivot<const N: usize, const N2: usize, const J: usize>(
     for vi in &v[J..4 * q1] {
         norm2 += vi * vi;
     }
-    if norm2 == 0.0 {
+    let Some((beta, tau)) = reflector(v[J], norm2, &mut v, J + 1) else {
         return; // zero column: τ = 0, nothing to reflect
-    }
-    let (beta, tau, scale) = reflector(v[J], norm2);
-    for vi in v[J + 1..].iter_mut() {
-        *vi *= scale;
-    }
+    };
     s[J][J] = beta;
     // Lane sums of every column first, reductions second, updates third:
     // three passes over independent columns instead of one dependent chain
@@ -373,13 +379,9 @@ fn stack_pivot<const N: usize, const J: usize>(
     let alpha = r[J][J];
     let mut v = below[J];
     let norm2 = alpha * alpha + dot(&v, &v, 0);
-    if norm2 == 0.0 {
+    let Some((beta, tau)) = reflector(alpha, norm2, &mut v, 0) else {
         return;
-    }
-    let (beta, tau, scale) = reflector(alpha, norm2);
-    for vi in v.iter_mut() {
-        *vi *= scale;
-    }
+    };
     r[J][J] = beta;
     for k in J + 1..N {
         let w = tau * (r[k][J] + dot(&v, &below[k], 0));
@@ -733,6 +735,53 @@ mod tests {
             assert!(matmul_tn(&hc, &hc).approx_eq(&gram, 1e-12 * (1.0 + gram.max_abs())));
             let moment = &matmul_tn(&c, &d) + &matmul_tn(&g, &o);
             assert!(matmul_tn(&hc, &hd).approx_eq(&moment, 1e-12 * (1.0 + moment.max_abs())));
+        }
+    }
+
+    /// Operands scaled by `s` give rows and head scaled by `s`, also where
+    /// a plain sum of squares would overflow (1e160), lose bits in
+    /// subnormals (1e−160), underflow to zero (1e−170) or leave a norm too
+    /// small to invert (1e−300).
+    #[test]
+    fn extreme_scales_step_to_the_scaled_rows() {
+        if oracle_forced() {
+            return;
+        }
+        for n in [4usize, 8] {
+            let c = sample(n, n);
+            let g = sample(n + 1, n).sub_matrix(1, 0, n, n);
+            let b = sample(n + 2, n).sub_matrix(2, 0, n, n);
+            let dd = sample(n + 3, n).sub_matrix(3, 0, n, n);
+            let (d, o, r) = (sample(n, 1), sample(n + 1, 1), sample(n + 2, 1));
+            let (o, r) = (o.sub_matrix(1, 0, n, 1), r.sub_matrix(2, 0, n, 1));
+            let run = |s: f64| {
+                let mut out: [Matrix; 5] = Default::default();
+                let [diag, off, rhs, next_c, next_d] = &mut out;
+                assert!(
+                    forward_step(
+                        (&c.scaled(s), &d.scaled(s)),
+                        (&g.scaled(s), &o.scaled(s)),
+                        (&b.scaled(s), &dd.scaled(s), &r.scaled(s)),
+                        (diag, off, rhs),
+                        (next_c, next_d),
+                        None,
+                    ),
+                    "n={n} at {s:e}"
+                );
+                out
+            };
+            let want = run(1.0);
+            for s in [1e160, 1e-160, 1e-170, 1e-300] {
+                for (block, (got, want)) in run(s).iter().zip(&want).enumerate() {
+                    let tol = 1e-12 * (1.0 + want.max_abs());
+                    for (g, w) in got.as_slice().iter().zip(want.as_slice()) {
+                        assert!(
+                            (g / s - w).abs() <= tol,
+                            "n={n} at {s:e}, block {block}: {g:e}"
+                        );
+                    }
+                }
+            }
         }
     }
 

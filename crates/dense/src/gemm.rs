@@ -1,8 +1,8 @@
-//! General matrix multiply: the 8×6 register-tile path ([`simd::gemm_tile`])
+//! General matrix multiply: the register-tile path ([`simd::gemm_tile`])
 //! plus the original loop-nest kernel, retained as `gemm_ref` — the
 //! reference oracle the property tests compare against, and what tiny
 //! products still run — and const-generic monomorphized whole-GEMM kernels
-//! for `n ∈ {4, 8, 16}` bound at plan time through [`KernelKind::gemm`].
+//! for `n ∈ {4, 8}` bound at plan time through [`KernelKind::gemm`].
 
 use crate::simd::{self, KernelKind};
 use crate::{workspace, Matrix};
@@ -122,16 +122,16 @@ fn gemm_mono_entry<const N: usize>(
 
 impl KernelKind {
     /// Binds the GEMM entry for this plan-time selection: the monomorphized
-    /// `N×N` kernel for `Mono4/8/16`, the runtime-dispatched [`gemm`] for
+    /// `N×N` kernel for `Mono4/8`, the runtime-dispatched [`gemm`] for
+    /// `Mono16` (the register tile beats a monomorphized kernel there) and
     /// `Auto`.  Resolved against the process-wide switches once, at bind
     /// time ([`KernelKind::active`]) — execution then calls one fn pointer
     /// with no further dispatch.
     pub fn gemm(self) -> GemmFn {
         match self.active() {
-            KernelKind::Auto => gemm,
+            KernelKind::Auto | KernelKind::Mono16 => gemm,
             KernelKind::Mono4 => gemm_mono_entry::<4>,
             KernelKind::Mono8 => gemm_mono_entry::<8>,
-            KernelKind::Mono16 => gemm_mono_entry::<16>,
         }
     }
 }
@@ -253,7 +253,7 @@ fn accumulate_ref(alpha: f64, a: &Matrix, ta: Trans, b: &Matrix, tb: Trans, c: &
     }
 }
 
-/// `c += alpha * op(a) * op(b)` through the 8×6 register tile
+/// `c += alpha * op(a) * op(b)` through the register tile
 /// ([`simd::gemm_tile`]).  `A` columns are read where they are and `op(B)`
 /// through a stride pair, so `op(A) = A` needs no packing at all; `op(A) =
 /// Aᵀ` takes one transposing copy into a pooled buffer.
@@ -446,7 +446,6 @@ mod tests {
         // switch state.
         check(4, gemm_mono_entry::<4>);
         check(8, gemm_mono_entry::<8>);
-        check(16, gemm_mono_entry::<16>);
     }
 
     /// The tile path must agree with the reference loops on every

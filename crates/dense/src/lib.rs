@@ -23,8 +23,9 @@
 //! Householder applications, a triangular-pentagonal stack elimination
 //! ([`qr_tri_stack_applying`]) and const-generic monomorphized `n ∈ {4, 8,
 //! 16}` kernels selected at plan time via [`KernelKind`]; at batch
-//! dimensions, level-3 bodies on one AVX2/FMA 8×6 register-tile GEMM
-//! ([`simd::gemm_tile`]) — the product itself, a compact-WY body for the
+//! dimensions, level-3 bodies on one register-tile GEMM
+//! ([`simd::gemm_tile`]: 8×6 on AVX2/FMA, 16×8 where AVX-512F is present,
+//! the same bits either way) — the product itself, a compact-WY body for the
 //! stack elimination, a blocked back substitution and inverse-Gram
 //! ([`tri`]) — chosen from the operands' shapes alone; for a stream's
 //! flush at `n ∈ {4, 8}`, whole steps on fixed-size stack-resident columns

@@ -48,25 +48,90 @@ impl Drop for QrFactor {
 /// streams each companion in one cache-friendly pass.
 pub const QR_FUSED_MAX_COLS: usize = 32;
 
+/// LAPACK's safe minimum `MIN_POSITIVE / ε` (2⁻⁹⁷⁰, a power of two): its
+/// reciprocal does not overflow, and a sum of squares below it has lost
+/// bits to underflow.
+const SAFE_MIN: f64 = f64::MIN_POSITIVE / f64::EPSILON;
+
+/// The Householder reflector that maps the column `[alpha; tail]` onto
+/// `β·e₁`, the sign of `β` chosen against cancellation: overwrites `tail`
+/// with the reflector tail `v[1..]` (`v[0] = 1` implicit) and returns
+/// `(β, τ)`, or `None` — nothing touched — for a zero column.
+///
+/// `norm2` is the caller's plain sum of squares of the column, so a column
+/// in the normal range takes exactly that arithmetic.  As in LAPACK
+/// `dlarfg`, a column whose sum of squares overflowed or underflowed
+/// (non-finite, or below [`SAFE_MIN`]) has its norm recomputed from the
+/// entries scaled by the largest one, and a column whose norm is itself
+/// below [`SAFE_MIN`] is scaled up by `1 / SAFE_MIN` — exactly — before `τ`
+/// and `v` are formed.
+#[inline(always)]
+pub(crate) fn householder(alpha: f64, norm2: f64, tail: &mut [f64]) -> Option<(f64, f64)> {
+    if in_range(norm2) {
+        return Some(reflect(alpha, norm2.sqrt(), tail));
+    }
+    householder_scaled(alpha, tail)
+}
+
+/// `true` when a column's plain sum of squares `norm2` neither overflowed
+/// nor lost bits to underflow: [`householder`]'s fast path.
+#[inline(always)]
+pub(crate) fn in_range(norm2: f64) -> bool {
+    norm2.is_finite() && norm2 >= SAFE_MIN
+}
+
+/// `(β, τ)` from the column's leading entry and its norm; scales `tail`
+/// into the reflector tail.
+#[inline(always)]
+pub(crate) fn reflect(alpha: f64, norm: f64, tail: &mut [f64]) -> (f64, f64) {
+    let beta = if alpha >= 0.0 { -norm } else { norm };
+    let tau = (beta - alpha) / beta;
+    let scale = 1.0 / (alpha - beta);
+    for v in tail {
+        *v *= scale;
+    }
+    (beta, tau)
+}
+
+/// [`householder`] for a column outside the normal range.
+#[cold]
+#[inline(never)]
+pub(crate) fn householder_scaled(alpha: f64, tail: &mut [f64]) -> Option<(f64, f64)> {
+    let big = tail.iter().fold(alpha.abs(), |m, v| m.max(v.abs()));
+    if big == 0.0 {
+        return None;
+    }
+    let ratios: f64 = std::iter::once(&alpha)
+        .chain(tail.iter())
+        .map(|v| (v / big) * (v / big))
+        .sum();
+    let norm = big * ratios.sqrt();
+    if norm >= SAFE_MIN {
+        return Some(reflect(alpha, norm, tail));
+    }
+    // Scaling by a power of two is exact, and leaves the ratios as they are.
+    let up = 1.0 / SAFE_MIN;
+    for v in tail.iter_mut() {
+        *v *= up;
+    }
+    let (beta, tau) = reflect(alpha * up, big * up * ratios.sqrt(), tail);
+    Some((beta * SAFE_MIN, tau))
+}
+
 /// Computes the Householder reflector for `x` in place.
 ///
 /// On return `x[0]` holds `beta` (the new leading entry, `Hx = beta·e₁`) and
 /// `x[1..]` holds the reflector tail `v[1..]` (with `v[0] = 1` implicit).
 /// Returns the scalar `tau`; `tau == 0` means "no reflection needed".
 fn make_householder(x: &mut [f64]) -> f64 {
-    let norm: f64 = x.iter().map(|v| v * v).sum::<f64>().sqrt();
-    if norm == 0.0 {
+    let norm2: f64 = x.iter().map(|v| v * v).sum();
+    let Some((alpha, tail)) = x.split_first_mut() else {
         return 0.0;
-    }
-    let alpha = x[0];
-    // Choose the sign that avoids cancellation.
-    let beta = if alpha >= 0.0 { -norm } else { norm };
-    let tau = (beta - alpha) / beta;
-    let scale = 1.0 / (alpha - beta);
-    for v in &mut x[1..] {
-        *v *= scale;
-    }
-    x[0] = beta;
+    };
+    let Some((beta, tau)) = householder(*alpha, norm2, tail) else {
+        return 0.0;
+    };
+    *alpha = beta;
     tau
 }
 
@@ -758,20 +823,10 @@ fn tri_stack_pivot<const N: usize>(
     // Reflector from the virtual column [R[j,j]; D[:,j]] (length 1+l).
     let alpha = r[(j, j)];
     let norm2: f64 = alpha * alpha + d.col(j).iter().map(|v| v * v).sum::<f64>();
-    if norm2 == 0.0 {
+    let Some((beta, tau)) = householder(alpha, norm2, d.col_mut(j)) else {
         return 0.0;
-    }
-    let norm = norm2.sqrt();
-    let beta = if alpha >= 0.0 { -norm } else { norm };
-    let tau = (beta - alpha) / beta;
-    let scale = 1.0 / (alpha - beta);
+    };
     r[(j, j)] = beta;
-    {
-        let dj = d.col_mut(j);
-        for v in dj.iter_mut() {
-            *v *= scale;
-        }
-    }
 
     // Trailing columns of [R; D]: w = R[j,k] + vᵀD[:,k], quads of four
     // columns per pass (independent accumulators, shared v loads).
@@ -1168,6 +1223,65 @@ mod tests {
         let r = qr.r();
         assert_eq!(r[(0, 0)], 0.0);
         assert!(r.as_slice().iter().all(|v| v.is_finite()));
+    }
+
+    /// Scales at which a column's plain sum of squares overflows, loses
+    /// bits in subnormals, underflows to zero, and leaves a norm below
+    /// `SAFE_MIN`.
+    const EXTREME_SCALES: [f64; 4] = [1e160, 1e-160, 1e-170, 1e-300];
+
+    /// `got` is `s·want` to rounding, entry by entry.
+    fn assert_scaled(got: &Matrix, want: &Matrix, s: f64, what: &str) {
+        let tol = 1e-12 * (1.0 + want.max_abs());
+        for (idx, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert!(
+                (g / s - w).abs() <= tol,
+                "{what} at {s:e}, entry {idx}: {g:e} vs {w:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn extreme_scales_factor_to_the_scaled_triangle() {
+        let a = sample().sub_matrix(0, 0, 5, 3);
+        let a = Matrix::vstack(&[&a, &Matrix::from_rows(&[&[0.5, -3.0, 1.5]])]);
+        let want = QrFactor::new(a.clone()).r();
+        for s in EXTREME_SCALES {
+            assert_scaled(&QrFactor::new(a.scaled(s)).r(), &want, s, "QrFactor 6x3");
+        }
+    }
+
+    /// Both tri-stack bodies, called directly so the reference-kernel
+    /// switch cannot route around either.
+    #[test]
+    fn extreme_scales_tri_stack_to_the_scaled_triangle() {
+        type Body = fn(&mut Matrix, &mut Matrix, &mut [(&mut Matrix, &mut Matrix)]);
+        let bodies: [(&str, usize, Body); 2] = [
+            ("unblocked", 6, tri_stack_body::<0>),
+            ("compact-WY", 48, tri_stack_blocked),
+        ];
+        for (name, n, body) in bodies {
+            let r0 = wide_sample(n, n).upper_triangular_part();
+            let d0 = wide_sample(n + 1, n).sub_matrix(1, 0, n, n);
+            let (top0, bot0) = (
+                wide_sample(n, 2),
+                wide_sample(n + 2, 2).sub_matrix(2, 0, n, 2),
+            );
+            let run = |s: f64| {
+                let (mut r, mut d) = (r0.scaled(s), d0.scaled(s));
+                let (mut top, mut bot) = (top0.scaled(s), bot0.scaled(s));
+                body(&mut r, &mut d, &mut [(&mut top, &mut bot)]);
+                [r, top, bot]
+            };
+            let want = run(1.0);
+            for s in EXTREME_SCALES {
+                for (got, (want, block)) in
+                    run(s).iter().zip(want.iter().zip(["R", "top", "bottom"]))
+                {
+                    assert_scaled(got, want, s, &format!("{name} {block}"));
+                }
+            }
+        }
     }
 
     #[test]

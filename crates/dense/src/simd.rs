@@ -1,10 +1,11 @@
 //! Explicit-width SIMD microkernels and plan-time kernel selection.
 //!
 //! This module is the crate's one island of `unsafe`: f64×4 tiles written
-//! against `core::arch` x86_64 AVX2/FMA intrinsics, with a portable
-//! fallback in plain Rust for every kernel.  The backend is runtime-dispatched
-//! once (the first caller runs `is_x86_feature_detected!` and the verdict is
-//! cached), so steady-state calls pay a single relaxed atomic load.
+//! against `core::arch` x86_64 AVX2/FMA intrinsics (and one f64×8 GEMM tile
+//! on AVX-512F), with a portable fallback in plain Rust for every kernel.
+//! The backend is runtime-dispatched once (the first caller runs
+//! `is_x86_feature_detected!` and the verdict is cached), so steady-state
+//! calls pay a single relaxed atomic load.
 //!
 //! Three layers of kernels coexist, and the scalar layer is the oracle:
 //!
@@ -14,12 +15,13 @@
 //! * **SIMD** — the width-aware kernels in this module: the level-1/2 ones
 //!   ([`dot`], [`axpy`], the one- and four-column Householder applications)
 //!   under the unblocked eliminations and solves of small blocks, and one
-//!   level-3 kernel, the 8×6 register-tile GEMM [`gemm_tile`], under every
-//!   product `gemm` dispatches and under the batch-scale bodies built on it
-//!   (compact-WY tri-stack in `qr.rs`, blocked back substitution and
-//!   inverse-Gram in `tri.rs`) — whenever reference mode is off,
-//! * **monomorphized** — const-generic `n ∈ {4, 8, 16}` kernels
-//!   ([`gemm_mono`], and the `n ∈ {8, 16}` tri-stack bodies in `qr.rs`),
+//!   level-3 kernel, the register-tile GEMM [`gemm_tile`] (an 8×6 ymm tile,
+//!   and on AVX-512F hosts a 16×8 zmm tile that computes the same bits),
+//!   under every product `gemm` dispatches and under the batch-scale bodies
+//!   built on it (compact-WY tri-stack in `qr.rs`, blocked back substitution
+//!   and inverse-Gram in `tri.rs`) — whenever reference mode is off,
+//! * **monomorphized** — const-generic kernels ([`gemm_mono`] at
+//!   `n ∈ {4, 8}`, the tri-stack bodies in `qr.rs` at `n ∈ {8, 16}`),
 //!   selected at plan time through [`KernelKind`] so a `SmoothPlan` binds
 //!   the exact kernel once instead of re-dispatching per call.
 //!
@@ -51,8 +53,14 @@ use crate::{fixed, workspace};
 // Runtime dispatch
 // ---------------------------------------------------------------------------
 
-/// Cached CPU verdict: 0 = undetected, 1 = no AVX2/FMA, 2 = AVX2+FMA.
-static AVX2: AtomicU8 = AtomicU8::new(0);
+/// Cached CPU verdict: 0 = undetected, else one of the `ISA_*` levels.
+static ISA: AtomicU8 = AtomicU8::new(0);
+/// No AVX2/FMA: the portable kernels.
+const ISA_PORTABLE: u8 = 1;
+/// AVX2+FMA: every intrinsic kernel on 256-bit registers.
+const ISA_AVX2: u8 = 2;
+/// AVX2+FMA and AVX-512F: as [`ISA_AVX2`], plus the zmm GEMM tile.
+const ISA_AVX512: u8 = 3;
 
 /// `true` when SIMD tiles should be used: the scalar reference oracle is
 /// not forced.
@@ -62,42 +70,62 @@ pub(crate) fn simd_active() -> bool {
 }
 
 #[cfg(target_arch = "x86_64")]
-fn detect_avx2() -> bool {
-    std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+fn detect_isa() -> u8 {
+    use std::arch::is_x86_feature_detected as has;
+    if !(has!("avx2") && has!("fma")) {
+        ISA_PORTABLE
+    } else if has!("avx512f") {
+        ISA_AVX512
+    } else {
+        ISA_AVX2
+    }
 }
 
-/// `true` when the AVX2/FMA implementations should run (CPU support
-/// detected).  The detection verdict is cached after the first call.
+/// The CPU verdict, detected on the first call and cached.
 #[inline]
-fn use_avx2() -> bool {
+fn isa() -> u8 {
     #[cfg(target_arch = "x86_64")]
     {
         // Relaxed loads/stores throughout: the cached verdict is an
         // idempotent pure function of the CPU, so racing initializers all
         // store the same value and no ordering is needed.
-        match AVX2.load(Ordering::Relaxed) {
-            2 => true,
-            1 => false,
-            _ => {
-                let on = detect_avx2();
-                AVX2.store(if on { 2 } else { 1 }, Ordering::Relaxed); // Relaxed: same idempotent-detection argument.
-                on
+        match ISA.load(Ordering::Relaxed) {
+            0 => {
+                let level = detect_isa();
+                ISA.store(level, Ordering::Relaxed); // Relaxed: same idempotent-detection argument.
+                level
             }
+            level => level,
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        false
+        ISA_PORTABLE
     }
 }
 
-/// Which backend the SIMD layer would run right now: `"avx2"`,
+/// `true` when the AVX2/FMA implementations should run (CPU support
+/// detected).
+#[inline]
+fn use_avx2() -> bool {
+    isa() >= ISA_AVX2
+}
+
+/// `true` when the zmm GEMM tile may run: AVX2/FMA and AVX-512F detected.
+#[inline]
+fn use_avx512() -> bool {
+    isa() == ISA_AVX512
+}
+
+/// Which backend the SIMD layer would run right now: `"avx512"` (the
+/// AVX2/FMA kernels with the zmm GEMM tile under [`gemm_tile`]), `"avx2"`,
 /// `"portable"`, or `"scalar"` when the reference oracle is forced.
-/// Surfaced by `phase_profile` and useful in
-/// CI logs on runners without AVX2.
+/// `fig2 --smoke` and `fig4 --smoke` record it with every gate reading.
 pub fn simd_backend() -> &'static str {
     if !simd_active() {
         "scalar"
+    } else if use_avx512() {
+        "avx512"
     } else if use_avx2() {
         "avx2"
     } else {
@@ -157,8 +185,9 @@ pub fn kernel_dispatch_counts() -> (u64, u64, u64) {
 /// A `PlanSchedule`'s shape signature fixes every block dimension of the
 /// smoothing recursion, so the plan can pick the kernel family **once**:
 /// uniform state dimension `n ∈ {4, 8, 16}` selects the const-generic
-/// monomorphized GEMM / tri-stack kernels, anything else runs the
-/// runtime-dispatched ladder.  Execution then binds the monomorphic kernel
+/// monomorphized kernels that exist at that size (GEMM at 4 and 8,
+/// tri-stack at 8 and 16), anything else runs the runtime-dispatched
+/// ladder.  Execution then binds the monomorphic kernel
 /// without per-call dispatch.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum KernelKind {
@@ -351,7 +380,7 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel: the 8×6 GEMM register tile
+// Kernel: the GEMM register tiles (8×6 on ymm, 16×8 on zmm)
 // ---------------------------------------------------------------------------
 
 /// Tile height: rows of `C` per register tile (two 4-lane vectors).
@@ -501,6 +530,202 @@ unsafe fn gemm_tile_avx2(
     }
 }
 
+/// zmm tile height: two 8-lane vectors per column.
+#[cfg(target_arch = "x86_64")]
+const ZMM_MR: usize = 16;
+/// zmm tile width: 16 accumulators, two `A` vectors and the broadcast use
+/// 19 of the 32 zmm registers.  The tile is two vectors tall rather than
+/// one vector tall and wider because every column costs one broadcast load
+/// of `op(B)` per `p`: 16×8 issues 8 of them per 16 FMAs, an 8×12 tile 12
+/// per 12, and the 8×12 tile read 9–29 % slower (48³ 3.07 vs 2.81 µs, 96³
+/// 25.6 vs 21.7, 48 × 48 × 2000 184 vs 142 on a Sapphire Rapids core).
+#[cfg(target_arch = "x86_64")]
+const ZMM_NR: usize = 8;
+/// A ragged strip of 9–15 rows runs the lane-masked zmm tile only from this
+/// depth up: its masked loads and stores cost a fixed ≈ 60 ns per tile,
+/// which the ymm sweep's two strips undercut at `k ≤ 12`.
+#[cfg(target_arch = "x86_64")]
+const ZMM_MASKED_MIN_K: usize = 16;
+
+/// One zmm register tile: [`gemm_tile_kernel`]'s contract with 16 rows, or
+/// `8 < rows < 16` when `MASKED` (the low vector is then whole and only the
+/// high one goes through a lane mask).  Every `C` entry takes the ymm
+/// tile's FMA chain — a zero accumulator, one `fmadd(a, b, acc)` per `p` in
+/// order, then `fmadd(α, acc, c)` — so the two tiles are bitwise equal.
+///
+/// # Safety
+///
+/// Caller must ensure AVX-512F and FMA are available on the executing CPU,
+/// that `rows` is as above, and that, for every `p < k`, `jr < NR`:
+/// `a + p·lda` is readable for `rows` elements, `b + p·bks + jr·bjs` is
+/// readable, and `c + jr·ldc` is readable and writable for `rows` elements,
+/// with `c` not overlapping `a` or `b`.  Masked-off lanes are never
+/// accessed.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn gemm_tile_kernel_zmm<const NR: usize, const MASKED: bool>(
+    rows: usize,
+    k: usize,
+    alpha: f64,
+    a: *const f64,
+    lda: usize,
+    b: *const f64,
+    bks: usize,
+    bjs: usize,
+    c: *mut f64,
+    ldc: usize,
+) {
+    use core::arch::x86_64::*;
+    debug_assert!(if MASKED {
+        rows > 8 && rows < ZMM_MR
+    } else {
+        rows == ZMM_MR
+    });
+    // Lane `i` of the high vector is live iff `8 + i < rows`.
+    let hi_mask = ((1u32 << (rows - 8)) - 1) as u8;
+    let mut acc = [[_mm512_setzero_pd(); 2]; NR];
+    for p in 0..k {
+        let (ap, bp) = (a.add(p * lda), b.add(p * bks));
+        let a0 = _mm512_loadu_pd(ap);
+        let a1 = if MASKED {
+            _mm512_maskz_loadu_pd(hi_mask, ap.wrapping_add(8))
+        } else {
+            _mm512_loadu_pd(ap.add(8))
+        };
+        for (jr, lanes) in acc.iter_mut().enumerate() {
+            let bv = _mm512_set1_pd(*bp.add(jr * bjs));
+            lanes[0] = _mm512_fmadd_pd(a0, bv, lanes[0]);
+            lanes[1] = _mm512_fmadd_pd(a1, bv, lanes[1]);
+        }
+    }
+    let av = _mm512_set1_pd(alpha);
+    for (jr, lanes) in acc.iter().enumerate() {
+        let cj = c.add(jr * ldc);
+        _mm512_storeu_pd(cj, _mm512_fmadd_pd(av, lanes[0], _mm512_loadu_pd(cj)));
+        let hi = cj.wrapping_add(8);
+        if MASKED {
+            let c1 = _mm512_maskz_loadu_pd(hi_mask, hi);
+            _mm512_mask_storeu_pd(hi, hi_mask, _mm512_fmadd_pd(av, lanes[1], c1));
+        } else {
+            _mm512_storeu_pd(hi, _mm512_fmadd_pd(av, lanes[1], _mm512_loadu_pd(hi)));
+        }
+    }
+}
+
+/// Rows of an `m`-row product the zmm tiles take: every full 16-row strip,
+/// and a ragged last strip of more than 8 rows when `k ≥ ZMM_MASKED_MIN_K`.
+/// The ymm sweep takes the rest.  Measured on a Sapphire Rapids core at
+/// `n = 48` (masked zmm vs ymm): 9–15 rows 1.27–1.29 vs 2.01–2.05 µs at
+/// `k = 48`, 0.66–0.68 vs 0.75–0.77 at `k = 16`, 0.49–0.50 vs 0.41–0.43 at
+/// `k = 8`; at most 8 rows the ymm sweep is faster at every `k` (8 rows,
+/// `k = 48`: 0.90 vs 1.03 µs).
+#[cfg(target_arch = "x86_64")]
+fn zmm_rows(m: usize, k: usize) -> usize {
+    let tail = m % ZMM_MR;
+    if tail > 8 && k >= ZMM_MASKED_MIN_K {
+        m
+    } else {
+        m - tail
+    }
+}
+
+/// The AVX-512 rung of [`gemm_tile`]: the first [`zmm_rows`] rows on zmm
+/// tiles, the rest on the ymm sweep.  Every entry takes the same FMA chain
+/// either way.
+///
+/// # Safety
+///
+/// Caller must ensure AVX-512F, AVX2 and FMA are available on the executing
+/// CPU and that the three operands satisfy the extents [`gemm_tile`]
+/// asserts.
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn gemm_tile_zmm_ymm(
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f64,
+    a: *const f64,
+    lda: usize,
+    b: *const f64,
+    bks: usize,
+    bjs: usize,
+    c: *mut f64,
+    ldc: usize,
+) {
+    let zmm = zmm_rows(m, k);
+    if zmm > 0 {
+        gemm_tile_avx512(zmm, n, k, alpha, a, lda, b, bks, bjs, c, ldc);
+    }
+    if zmm < m {
+        let (a, c) = (a.add(zmm), c.add(zmm));
+        gemm_tile_avx2(m - zmm, n, k, alpha, a, lda, b, bks, bjs, c, ldc);
+    }
+}
+
+/// The zmm sweep: 16-row strips of `A` outermost, `ZMM_NR`-column tiles
+/// inside, a ragged last strip through the masked tile.
+///
+/// # Safety
+///
+/// Caller must ensure AVX-512F, AVX2 and FMA are available on the executing
+/// CPU, that `m` is a multiple of 16 plus, at most, one strip of more than
+/// 8 rows, and that the three operands satisfy the extents [`gemm_tile`]
+/// asserts.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn gemm_tile_avx512(
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f64,
+    a: *const f64,
+    lda: usize,
+    b: *const f64,
+    bks: usize,
+    bjs: usize,
+    c: *mut f64,
+    ldc: usize,
+) {
+    let mut i = 0;
+    while i < m {
+        let rows = ZMM_MR.min(m - i);
+        let (ai, ci) = (a.add(i), c.add(i));
+        let mut j = 0;
+        while j < n {
+            let nr = ZMM_NR.min(n - j);
+            let (bj, cij) = (b.add(j * bjs), ci.add(j * ldc));
+            macro_rules! tile {
+                ($nr:literal) => {
+                    if rows == ZMM_MR {
+                        gemm_tile_kernel_zmm::<$nr, false>(
+                            rows, k, alpha, ai, lda, bj, bks, bjs, cij, ldc,
+                        )
+                    } else {
+                        gemm_tile_kernel_zmm::<$nr, true>(
+                            rows, k, alpha, ai, lda, bj, bks, bjs, cij, ldc,
+                        )
+                    }
+                };
+            }
+            match nr {
+                8 => tile!(8),
+                7 => tile!(7),
+                6 => tile!(6),
+                5 => tile!(5),
+                4 => tile!(4),
+                3 => tile!(3),
+                2 => tile!(2),
+                _ => tile!(1),
+            }
+            j += nr;
+        }
+        i += rows;
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn gemm_tile_portable(
     m: usize,
@@ -556,11 +781,16 @@ fn extent(walks: &[(usize, usize)], run: usize) -> Option<usize> {
 /// Sub-blocks are addressed by slicing the operand at the block's first
 /// element and keeping the parent's leading dimension.
 ///
-/// The sweep is 8×6 register tiles (twelve independent accumulators); rows
-/// past a multiple of 8 run through lane-masked loads and stores, columns
-/// past a multiple of 6 through a narrower tile.  Each `C` entry is a pure
-/// function of its `A` row and `op(B)` column, so results do not depend on
-/// how a caller splits a product into calls along `m` or `n`.
+/// On AVX2/FMA the sweep is 8×6 ymm register tiles (twelve independent
+/// accumulators); rows past a multiple of 8 run through lane-masked loads
+/// and stores, columns past a multiple of 6 through a narrower tile.  Where
+/// AVX-512F is present too, full 16-row strips run 16×8 zmm tiles (sixteen
+/// accumulators) and the ragged last strip whichever tile is faster for its
+/// row count and depth.  Every tile forms each entry by the same FMA chain
+/// — zero, one `fmadd` per `p` in order, then `fmadd(α, ·, c)` — so the
+/// result does not depend on which tile ran: each `C` entry is a pure
+/// function of its `A` row and `op(B)` column, and results do not depend
+/// on how a caller splits a product into calls along `m` or `n`.
 ///
 /// # Panics
 ///
@@ -597,6 +827,27 @@ pub fn gemm_tile(
         ldc >= m && fits(c.len(), &[(n, ldc)], m),
         "gemm_tile: C extent"
     );
+    #[cfg(target_arch = "x86_64")]
+    if use_avx512() {
+        // SAFETY: `use_avx512()` is true only after `is_x86_feature_detected!`
+        // confirmed AVX2, FMA and AVX-512F on this CPU; the operand extents
+        // are the ones asserted above, as for the AVX2 sweep below.
+        return unsafe {
+            gemm_tile_zmm_ymm(
+                m,
+                n,
+                k,
+                alpha,
+                a.as_ptr(),
+                lda,
+                b.as_ptr(),
+                bks,
+                bjs,
+                c.as_mut_ptr(),
+                ldc,
+            )
+        };
+    }
     #[cfg(target_arch = "x86_64")]
     if use_avx2() {
         // SAFETY: `use_avx2()` is true only after `is_x86_feature_detected!`
@@ -764,13 +1015,14 @@ pub fn reflector_one(v: &[f64], tau: f64, w: &mut f64, col: &mut [f64]) {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel: const-generic monomorphized GEMM (n ∈ {4, 8, 16})
+// Kernel: const-generic monomorphized GEMM (n ∈ {4, 8})
 // ---------------------------------------------------------------------------
 
 /// # Safety
 ///
 /// Caller must ensure AVX2 and FMA are available on the executing CPU, and
-/// that `a`, `b`, `c` each hold exactly `N·N` elements with `N % 4 == 0`.
+/// that `a`, `b`, `c` each hold exactly `N·N` elements with `N % 4 == 0`,
+/// `N ≤ 8`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn gemm_mono_avx2<const N: usize>(
@@ -786,9 +1038,9 @@ unsafe fn gemm_mono_avx2<const N: usize>(
     let pa = a.as_ptr();
     for j in 0..N {
         let cj = c.as_mut_ptr().add(j * N);
-        // N ≤ 16 so at most four 4-lane accumulators per column — the whole
+        // N ≤ 8 so at most two 4-lane accumulators per column — the whole
         // C column stays in registers across the k loop.
-        let mut acc = [_mm256_setzero_pd(); 4];
+        let mut acc = [_mm256_setzero_pd(); 2];
         if beta != 0.0 {
             let bv = _mm256_set1_pd(beta);
             for (q, lane) in acc.iter_mut().enumerate().take(nq) {
@@ -836,7 +1088,7 @@ fn gemm_mono_portable<const N: usize>(
 }
 
 /// Monomorphized `C ← β·C + α·A·op(B)` for `N×N` column-major blocks,
-/// `N ∈ {4, 8, 16}` (any `N` with `N % 4 == 0`, `N ≤ 16`).  `b_trans`
+/// `N ∈ {4, 8}`.  From `N = 16` up [`gemm_tile`] is faster.  `b_trans`
 /// selects `op(B) = Bᵀ`; `A` is never transposed (the smoother's SelInv and
 /// combination formulas only need the `Trans::No × {No, Yes}` cases at
 /// these sizes).  The whole operation is register-resident on AVX2.
@@ -849,7 +1101,7 @@ pub fn gemm_mono<const N: usize>(
     c: &mut [f64],
 ) {
     assert!(
-        N.is_multiple_of(4) && N <= 16,
+        N.is_multiple_of(4) && N <= 8,
         "gemm_mono: unsupported width"
     );
     assert_eq!(a.len(), N * N, "gemm_mono: A must be N×N");
@@ -1039,6 +1291,91 @@ mod tests {
         check_tile(gemm_tile);
     }
 
+    /// The zmm and ymm sweeps, called directly on the same operands, write
+    /// the same bits — on sub-blocks of larger parents, every ragged row
+    /// and column count, both `op(B)` stride pairs — and touch nothing
+    /// outside the block.
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn zmm_and_ymm_tiles_are_bitwise_equal() {
+        if !use_avx512() {
+            println!("no AVX-512F on this host: the zmm tile has nothing to compare");
+            return;
+        }
+        // SAFETY: a `Sweep` is only called in `run` below, whose unsafe
+        // block states why each of the two sweeps' requirements hold.
+        type Sweep = unsafe fn(
+            usize,
+            usize,
+            usize,
+            f64,
+            *const f64,
+            usize,
+            *const f64,
+            usize,
+            usize,
+            *mut f64,
+            usize,
+        );
+        let bits = |c: &[f64]| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for k in [1usize, 7, 8, 48] {
+            for m in 1usize..=40 {
+                for n in 1usize..=30 {
+                    // Each block starts one row and one column into a parent
+                    // whose leading dimension is longer than the block.
+                    let (lda, ldc) = (m + 3, m + 2);
+                    let a = wave(lda * (k + 1), 0.37);
+                    let c0 = wave(ldc * (n + 1), 0.71);
+                    for b_trans in [false, true] {
+                        let (bks, bjs, ldb, bcols) = if b_trans {
+                            (n + 2, 1, n + 2, k)
+                        } else {
+                            (1, k + 2, k + 2, n)
+                        };
+                        let b = wave(ldb * (bcols + 1), 0.11);
+                        for alpha in [1.0, -1.0, 0.37] {
+                            let run = |sweep: Sweep| {
+                                let mut c = c0.clone();
+                                let (ai, bi, ci) =
+                                    (&a[1 + lda..], &b[1 + ldb..], &mut c[1 + ldc..]);
+                                // SAFETY: `use_avx512()` held above, so AVX2,
+                                // FMA and AVX-512F are available; each block
+                                // fits its parent (`1 + m ≤ ld` rows, one
+                                // spare column), which is the extent
+                                // `gemm_tile` asserts.
+                                unsafe {
+                                    sweep(
+                                        m,
+                                        n,
+                                        k,
+                                        alpha,
+                                        ai.as_ptr(),
+                                        lda,
+                                        bi.as_ptr(),
+                                        bks,
+                                        bjs,
+                                        ci.as_mut_ptr(),
+                                        ldc,
+                                    )
+                                };
+                                c
+                            };
+                            let (ymm, zmm) = (run(gemm_tile_avx2), run(gemm_tile_zmm_ymm));
+                            let at = format!("m={m} n={n} k={k} trans={b_trans} alpha={alpha}");
+                            assert_eq!(bits(&zmm), bits(&ymm), "{at}");
+                            for (idx, (z, c)) in zmm.iter().zip(&c0).enumerate() {
+                                let (i, j) = (idx % ldc, idx / ldc);
+                                if !(1..=m).contains(&i) || !(1..=n).contains(&j) {
+                                    assert_eq!(z.to_bits(), c.to_bits(), "{at}: ({i},{j}) touched");
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     // The dispatching entry points above run the AVX2 bodies on any AVX2
     // host, so the portable fallbacks are pinned here by direct calls.
 
@@ -1199,6 +1536,5 @@ mod tests {
     fn portable_gemm_mono_matches_scalar_triple_loop() {
         check_portable_mono::<4>();
         check_portable_mono::<8>();
-        check_portable_mono::<16>();
     }
 }

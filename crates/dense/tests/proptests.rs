@@ -446,16 +446,16 @@ proptest! {
     }
 
     /// The monomorphized N×N GEMM matches the reference loop nest for
-    /// N ∈ {4, 8, 16}, both `op(B)` settings, and β ∈ {0, 1, fractional}.
+    /// N ∈ {4, 8}, both `op(B)` settings, and β ∈ {0, 1, fractional}.
     #[test]
     fn simd_gemm_mono_matches_reference(
-        ni in 0usize..3,
+        ni in 0usize..2,
         b_trans: bool,
         bi in 0usize..3,
         alpha in -2.0..2.0f64,
         seed in 0u64..1000,
     ) {
-        let n = [4usize, 8, 16][ni];
+        let n = [4usize, 8][ni];
         let beta = [0.0f64, 1.0, 0.5][bi];
         let mut rng: rand_chacha::ChaCha8Rng = rand::SeedableRng::seed_from_u64(seed);
         let a = random::gaussian(&mut rng, n, n);
@@ -469,8 +469,7 @@ proptest! {
         let mut got = c0.as_slice().to_vec();
         match n {
             4 => simd::gemm_mono::<4>(alpha, a.as_slice(), b.as_slice(), b_trans, beta, &mut got),
-            8 => simd::gemm_mono::<8>(alpha, a.as_slice(), b.as_slice(), b_trans, beta, &mut got),
-            _ => simd::gemm_mono::<16>(alpha, a.as_slice(), b.as_slice(), b_trans, beta, &mut got),
+            _ => simd::gemm_mono::<8>(alpha, a.as_slice(), b.as_slice(), b_trans, beta, &mut got),
         }
         let got = Matrix::from_col_major(n, n, got);
         prop_assert!(got.approx_eq(&want, 1e-12 * (1.0 + want.max_abs())),

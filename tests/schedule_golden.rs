@@ -7,7 +7,8 @@
 //! under `Seq`, `par_with_grain(1)` and `par_with_grain(10)`.  Two tables:
 //! [`REFERENCE`] under `set_reference_kernels(true)` (scalar oracles only,
 //! so the bits do not depend on the host's ISA) and [`AVX2`] under the
-//! default kernels, asserted only where `simd_backend()` reports `avx2`.
+//! default kernels, asserted only where `simd_backend()` reports `avx2` or
+//! `avx512`.
 //! The kernel switch is process-global, which is why this file is its own
 //! test binary with a single test.
 //!
@@ -137,7 +138,9 @@ fn every_mean_and_covariance_bit_is_the_level_major_executors() {
     set_reference_kernels(true);
     let mut cells = moved("REFERENCE", &REFERENCE);
     set_reference_kernels(false);
-    if simd_backend() == "avx2" {
+    // The zmm GEMM tile computes every entry with the ymm tile's FMA chain,
+    // so one table pins both rungs.
+    if matches!(simd_backend(), "avx2" | "avx512") {
         cells.extend(moved("AVX2", &AVX2));
     } else {
         println!("simd backend {}: AVX2 table not asserted", simd_backend());
