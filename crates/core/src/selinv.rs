@@ -186,12 +186,23 @@ impl Walk<'_> {
         let mut cov = None;
         let mut cross: [Option<(usize, Matrix)>; 2] = [None, None];
         if self.covs {
-            // X_a = R_jj⁻¹ R_{j,a} for each target a.
+            // R_jj⁻¹R_jj⁻ᵀ, and R_jj⁻¹ itself where the blocked kernel forms
+            // it on the way.
+            let (mut diag, inverse) =
+                tri::inv_gram_upper_with_inverse(&row.diag).map_err(singular)?;
+            // X_a = R_jj⁻¹ R_{j,a} for each target a: one product with the
+            // inverse, else a triangular solve.
             let mut xs: [Option<Matrix>; 2] = [None, None];
             for (slot, (_, block)) in xs.iter_mut().zip(&row.off) {
-                // lint: allow(alloc, "owned input to the in-place triangular solve; bounded by one off-diagonal block (n_j x n_a), pooled")
-                let mut x = block.clone();
-                tri::solve_upper_in_place(&row.diag, &mut x).map_err(singular)?;
+                let x = match &inverse {
+                    Some(w) => tri::upper_mul(w, block),
+                    None => {
+                        // lint: allow(alloc, "owned input to the in-place triangular solve; bounded by one off-diagonal block (n_j x n_a), pooled")
+                        let mut x = block.clone();
+                        tri::solve_upper_in_place(&row.diag, &mut x).map_err(singular)?;
+                        x
+                    }
+                };
                 *slot = Some(x);
             }
             // S_{j,a} = −Σ_b X_b S_{b,a}, accumulated in place through
@@ -206,7 +217,6 @@ impl Walk<'_> {
                 *slot = Some((a.col, acc));
             }
             // S_jj = R_jj⁻¹R_jj⁻ᵀ − Σ_a S_{j,a} X_aᵀ.
-            let mut diag = tri::inv_gram_upper(&row.diag).map_err(singular)?;
             for ((_, s_ja), xa) in cross.iter().flatten().zip(xs.iter().flatten()) {
                 (self.gemm)(-1.0, s_ja, Trans::No, xa, Trans::Yes, 1.0, &mut diag);
             }

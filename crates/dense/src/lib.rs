@@ -26,7 +26,8 @@
 //! dimensions, level-3 bodies on one register-tile GEMM
 //! ([`simd::gemm_tile`]: 8×6 on AVX2/FMA, 16×8 where AVX-512F is present,
 //! the same bits either way) — the product itself, a compact-WY body for the
-//! stack elimination, a blocked back substitution and inverse-Gram
+//! stack elimination (one tile height of pivots per panel), a blocked back
+//! substitution and inverse-Gram
 //! ([`tri`]) — chosen from the operands' shapes alone; for a stream's
 //! flush at `n ∈ {4, 8}`, whole steps on fixed-size stack-resident columns
 //! ([`fixed`]); and under all of it
@@ -75,7 +76,8 @@ pub use lu::{solve, LuFactor};
 pub use matrix::Matrix;
 pub use qr::{
     compress_rows, compress_rows_owned, effective_rank_tol, qr_trap_stack_applying,
-    qr_tri_stack_applying, qr_tri_stack_applying_with, trapezoidalize_applying, ColPivQr, QrFactor,
+    qr_tri_stack_applying, qr_tri_stack_applying_with, trapezoidalize_applying,
+    tri_stack_panel_depth, ColPivQr, QrFactor,
 };
 pub use simd::{kernel_dispatch_counts, simd_backend, KernelKind};
 pub use workspace::{

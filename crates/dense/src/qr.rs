@@ -604,10 +604,12 @@ impl ColPivQr {
 ///
 /// Two bodies, chosen from the blocks' shapes alone: reflector by reflector
 /// (four target columns per pass) for small stacks, and a compact-WY body
-/// that applies eight reflectors at a time as register-tile GEMMs
+/// that applies a panel of reflectors at a time as register-tile GEMMs
 /// (`tri_stack_blocked`) once `R` and the companions are wide enough
-/// (`TRI_BLOCKED_MIN_N`, `TRI_BLOCKED_MIN_COLS`).  They agree to rounding,
-/// not bitwise; each is a pure function of its operands.
+/// (`TRI_BLOCKED_MIN_N`, `TRI_BLOCKED_MIN_COLS`).  The panel is 8 pivots
+/// deep, or 16 on the zmm rung for wide shapes ([`tri_stack_panel_depth`]).
+/// The bodies and depths agree to rounding, not bitwise; each is a pure
+/// function of its operands and the CPU verdict.
 ///
 /// # Panics
 ///
@@ -625,17 +627,58 @@ pub fn qr_tri_stack_applying(
     }
     simd::note_simd();
     let width: usize = companions.iter().map(|(top, _)| top.cols()).sum();
-    let n = r.rows();
-    if n >= TRI_BLOCKED_MIN_N && n + width >= TRI_BLOCKED_MIN_COLS && d.rows() > 0 {
-        tri_stack_blocked(r, d, companions);
-    } else {
-        tri_stack_body::<0>(r, d, companions);
+    match tri_stack_panel_depth(r.rows(), d.rows(), width) {
+        Some(depth) => tri_stack_blocked(r, d, companions, depth),
+        None => tri_stack_body::<0>(r, d, companions),
     }
 }
 
-/// Reflectors per compact-WY panel of [`tri_stack_blocked`]: one tile height
-/// of [`simd::gemm_tile`] (16 was measured slower at every size).
+/// The compact-WY panel depth [`qr_tri_stack_applying`] runs for an
+/// order-`n` stack over `l` rows of `D` whose companions total `width`
+/// columns, or `None` where it runs the unblocked body (small shapes, and
+/// everything under the reference kernels).  The depth is one tile height
+/// of the active rung — 16 on zmm, where an 8-row `W = Yᵀ·C_D` would
+/// half-fill the tile — for shapes past the `TRI_DEEP_*` thresholds, and 8
+/// otherwise: the ymm tile is 8 rows tall, so depth buys it nothing.
+/// Benchmarks record it beside their readings.
+pub fn tri_stack_panel_depth(n: usize, l: usize, width: usize) -> Option<usize> {
+    let blocked = n >= TRI_BLOCKED_MIN_N && n + width >= TRI_BLOCKED_MIN_COLS && l > 0;
+    if !(blocked && simd::simd_active()) {
+        return None;
+    }
+    let rows = simd::tile_rows();
+    let wide = width >= TRI_DEEP_MIN_WIDTH && n + width >= TRI_DEEP_MIN_COLS;
+    Some(if rows > TRI_PANEL && wide && l >= TRI_DEEP_MIN_ROWS {
+        rows.min(TRI_MAX_DEPTH)
+    } else {
+        TRI_PANEL
+    })
+}
+
+/// Reflectors per compact-WY sub-panel of [`tri_stack_blocked`]: one ymm
+/// tile height of [`simd::gemm_tile`], and the whole panel off the zmm rung.
+/// On zmm a 16-deep panel pays (see [`TRI_DEEP_MIN_ROWS`]), built from two
+/// of these: against a single-level 16-pivot panel, whose pivots update all
+/// 16 columns one reflector at a time, the two-level one read 0–8 % faster
+/// in 11 of 12 readings (four sweeps of n = 48 with companions 49 and 97
+/// columns and n = 96 with 97, `D` n rows).
 const TRI_PANEL: usize = 8;
+/// The deepest panel [`tri_stack_blocked`] builds: one zmm tile height.
+const TRI_MAX_DEPTH: usize = 2 * TRI_PANEL;
+/// [`tri_stack_panel_depth`] deepens the panel when the companions total at
+/// least this many columns …
+const TRI_DEEP_MIN_WIDTH: usize = 16;
+/// … the columns a panel is applied to — the triangle's own plus every
+/// companion's — number at least this many …
+const TRI_DEEP_MIN_COLS: usize = 64;
+/// … and `D` has at least this many rows.  Below any of the three the
+/// panel's products are too small to repay the sub-panel step (sweep on a
+/// Sapphire Rapids core, min of 31–41 interleaved rounds, 8-deep time over
+/// 16-deep: n = 48, `D` 48 rows, companions 48 + 48 + 1 1.26×, 49 1.16×, 16
+/// 1.05×; n = 24, 24 rows, 25 columns 0.98×; n = 32, 32 rows, 16 columns
+/// 0.95×; n = 48, 8 rows, 49 columns 0.94×; n = 56, 16 rows, 16 columns
+/// 0.93×).
+const TRI_DEEP_MIN_ROWS: usize = 32;
 /// [`qr_tri_stack_applying`] runs the compact-WY body from this order up …
 const TRI_BLOCKED_MIN_N: usize = 24;
 /// … when the columns a panel is applied to — the triangle's own plus every
@@ -646,10 +689,10 @@ const TRI_BLOCKED_MIN_N: usize = 24;
 /// blocked body won from 2 rows to 96.
 const TRI_BLOCKED_MIN_COLS: usize = 40;
 
-/// The compact-WY tri-stack elimination.  Panels of [`TRI_PANEL`] pivots
-/// are eliminated by [`tri_stack_pivot`] inside the panel only; the panel's
-/// reflectors `H_j = I − τ_j v_j v_jᵀ`, `v_j = [e_j; d_j]`, are then applied
-/// to everything right of the panel and to every companion at once as
+/// The compact-WY tri-stack elimination, `depth` pivots per panel (a
+/// multiple of [`TRI_PANEL`], at most [`TRI_MAX_DEPTH`]).  A panel's
+/// reflectors `H_j = I − τ_j v_j v_jᵀ`, `v_j = [e_j; d_j]`, are applied to
+/// everything right of the panel and to every companion at once as
 /// `Qᵀ = I − V Tᵀ Vᵀ`:
 ///
 /// ```text
@@ -662,73 +705,140 @@ const TRI_BLOCKED_MIN_COLS: usize = 40;
 /// triangular multiply remains.  `T` comes from `V_DᵀV_D` (the unit parts of
 /// distinct `v_j` are orthogonal); a zero column (`τ = 0`) leaves a zero
 /// column and row of `T`.
+///
+/// Inside a panel, [`TRI_PANEL`]-pivot sub-panels are eliminated by
+/// [`tri_stack_pivot`] within the sub-panel only; before each one, the
+/// panel's reflectors so far reach its columns by the same three GEMMs, and
+/// `T` grows column by column over the whole panel.  An 8-deep panel is one
+/// sub-panel and sums its reflector norms serially, as the unblocked body
+/// does; deeper ones take them through [`simd::dot`].
 fn tri_stack_blocked(
     r: &mut Matrix,
     d: &mut Matrix,
     companions: &mut [(&mut Matrix, &mut Matrix)],
+    depth: usize,
 ) {
+    assert!(
+        depth.is_multiple_of(TRI_PANEL) && (TRI_PANEL..=TRI_MAX_DEPTH).contains(&depth),
+        "tri_stack_blocked: panel depth {depth}"
+    );
     let (n, l) = (r.rows(), d.rows());
     let widest = companions
         .iter()
         .map(|(top, _)| top.cols())
         .fold(n, usize::max);
+    let dot_norms = depth > TRI_PANEL;
     // Tᵀ (lower triangular; the zero upper half is never written), the
-    // packed Yᵀ = (V_D·T)ᵀ, and W — all column-major, TRI_PANEL rows.
-    let mut tt = workspace::take_f64(TRI_PANEL * TRI_PANEL);
-    let mut yt = workspace::take_f64(TRI_PANEL * l);
-    let mut w = workspace::take_f64(TRI_PANEL * widest);
-    let mut z = [0.0f64; TRI_PANEL];
+    // packed Yᵀ = (V_D·T)ᵀ, and W — all column-major, `depth` rows.
+    let mut tt = workspace::take_f64(depth * depth);
+    let mut yt = workspace::take_f64(depth * l);
+    let mut w = workspace::take_f64(depth * widest);
+    let mut z = [0.0f64; TRI_MAX_DEPTH];
 
-    for j0 in (0..n).step_by(TRI_PANEL) {
-        let nb = TRI_PANEL.min(n - j0);
-        let j1 = j0 + nb;
-        for j in j0..j1 {
-            let tau = tri_stack_pivot::<0>(r, d, &mut [], j, j1, true);
-            // Column i of T: T[i,i] = τ_i, T[..i,i] = −τ_i·T[..i,..i]·z with
-            // z = V_D[:,..i]ᵀ d_i.  Column q of `tt` is row q of T.
-            let i = j - j0;
-            for (q, zq) in z[..i].iter_mut().enumerate() {
-                *zq = simd::dot(d.col(j0 + q), d.col(j));
+    for j0 in (0..n).step_by(depth) {
+        let j1 = (j0 + depth).min(n);
+        yt.fill(0.0);
+        for s0 in (j0..j1).step_by(TRI_PANEL) {
+            let s1 = (s0 + TRI_PANEL).min(j1);
+            if s0 > j0 {
+                let (vd, d_sub) = d.split_at_col_mut(s0);
+                let wy = Wy::new(&tt, &yt, &vd[j0 * l..], s0 - j0, depth, l);
+                let top = &mut r.as_mut_slice()[j0 + s0 * n..];
+                wy.apply(top, n, &mut d_sub[..(s1 - s0) * l], s1 - s0, &mut w);
             }
-            for q in 0..i {
-                let row = &tt[q * TRI_PANEL..][q..i];
-                let acc: f64 = row.iter().zip(&z[q..i]).map(|(t, zs)| t * zs).sum();
-                tt[q * TRI_PANEL + i] = -tau * acc;
+            for j in s0..s1 {
+                let tau = tri_stack_pivot::<0>(r, d, &mut [], j, s1, true, dot_norms);
+                // Column i of T: T[i,i] = τ_i, T[..i,i] = −τ_i·T[..i,..i]·z
+                // with z = V_D[:,..i]ᵀ d_i.  Column q of `tt` is row q of T.
+                let i = j - j0;
+                for (q, zq) in z[..i].iter_mut().enumerate() {
+                    *zq = simd::dot(d.col(j0 + q), d.col(j));
+                }
+                for q in 0..i {
+                    let row = &tt[q * depth..][q..i];
+                    let acc: f64 = row.iter().zip(&z[q..i]).map(|(t, zs)| t * zs).sum();
+                    tt[q * depth + i] = -tau * acc;
+                }
+                tt[i * depth + i] = tau;
             }
-            tt[i * TRI_PANEL + i] = tau;
+            // Rows s0..s1 of Yᵀ: `Tᵀ` is lower triangular, so they need the
+            // panel's reflectors up to s1 only.
+            let (i0, i1) = (s0 - j0, s1 - j0);
+            let vd = &d.as_slice()[j0 * l..];
+            simd::gemm_tile(
+                i1 - i0,
+                l,
+                i1,
+                1.0,
+                &tt[i0..],
+                depth,
+                vd,
+                l,
+                1,
+                &mut yt[i0..],
+                depth,
+            );
         }
 
         let (vd, d_right) = d.split_at_col_mut(j1);
-        let vd = &vd[j0 * l..];
-        yt.fill(0.0);
-        simd::gemm_tile(nb, l, nb, 1.0, &tt, TRI_PANEL, vd, l, 1, &mut yt, TRI_PANEL);
-
-        // `top` starts at row j0 of an n-row block, `bottom` is l × cols.
-        let mut apply = |top: &mut [f64], bottom: &mut [f64], cols: usize| {
-            let w = &mut w[..TRI_PANEL * cols];
-            w.fill(0.0);
-            simd::gemm_tile(nb, cols, nb, 1.0, &tt, TRI_PANEL, top, 1, n, w, TRI_PANEL);
-            simd::gemm_tile(nb, cols, l, 1.0, &yt, TRI_PANEL, bottom, 1, l, w, TRI_PANEL);
-            for (tc, wc) in top.chunks_mut(n).zip(w.chunks_exact(TRI_PANEL)) {
-                for (t, wv) in tc[..nb].iter_mut().zip(wc) {
-                    *t -= wv;
-                }
-            }
-            simd::gemm_tile(l, cols, nb, -1.0, vd, l, w, 1, TRI_PANEL, bottom, l);
-        };
+        let wy = Wy::new(&tt, &yt, &vd[j0 * l..], j1 - j0, depth, l);
         if j1 < n {
-            apply(&mut r.as_mut_slice()[j0 + j1 * n..], d_right, n - j1);
+            let top = &mut r.as_mut_slice()[j0 + j1 * n..];
+            wy.apply(top, n, d_right, n - j1, &mut w);
         }
         for (top, bottom) in companions.iter_mut() {
             let cols = top.cols();
             if cols > 0 {
-                apply(&mut top.as_mut_slice()[j0..], bottom.as_mut_slice(), cols);
+                let top = &mut top.as_mut_slice()[j0..];
+                wy.apply(top, n, bottom.as_mut_slice(), cols, &mut w);
             }
         }
     }
     workspace::put_f64(w);
     workspace::put_f64(yt);
     workspace::put_f64(tt);
+}
+
+/// The compact-WY form `Qᵀ = I − V Tᵀ Vᵀ` of a panel's first `rows`
+/// reflectors: `Tᵀ` and `Yᵀ = (V_D·T)ᵀ` column-major with leading dimension
+/// `ld`, and the reflector tails `V_D` (`l` rows each).
+struct Wy<'a> {
+    tt: &'a [f64],
+    yt: &'a [f64],
+    vd: &'a [f64],
+    rows: usize,
+    ld: usize,
+    l: usize,
+}
+
+impl<'a> Wy<'a> {
+    fn new(tt: &'a [f64], yt: &'a [f64], vd: &'a [f64], rows: usize, ld: usize, l: usize) -> Self {
+        Wy {
+            tt,
+            yt,
+            vd,
+            rows,
+            ld,
+            l,
+        }
+    }
+
+    /// Applies `Qᵀ` to one target of `cols` columns: `top` starts at the
+    /// panel's first row of a block with leading dimension `ldt`, `bottom`
+    /// is `l × cols`, and `w` holds `W`.
+    fn apply(&self, top: &mut [f64], ldt: usize, bottom: &mut [f64], cols: usize, w: &mut [f64]) {
+        let (nb, ld, l) = (self.rows, self.ld, self.l);
+        let w = &mut w[..ld * cols];
+        w.fill(0.0);
+        simd::gemm_tile(nb, cols, nb, 1.0, self.tt, ld, top, 1, ldt, w, ld);
+        simd::gemm_tile(nb, cols, l, 1.0, self.yt, ld, bottom, 1, l, w, ld);
+        for (tc, wc) in top.chunks_mut(ldt).zip(w.chunks_exact(ld)) {
+            for (t, wv) in tc[..nb].iter_mut().zip(wc) {
+                *t -= wv;
+            }
+        }
+        simd::gemm_tile(l, cols, nb, -1.0, self.vd, l, w, 1, ld, bottom, l);
+    }
 }
 
 /// [`qr_tri_stack_applying`] with plan-time kernel selection: when `kind`
@@ -799,7 +909,7 @@ fn tri_stack_body<const N: usize>(
     // One SIMD-layer check per elimination, not per reflector.
     let use_simd = simd::simd_active();
     for j in 0..m {
-        tri_stack_pivot::<N>(r, d, companions, j, n, use_simd);
+        tri_stack_pivot::<N>(r, d, companions, j, n, use_simd, false);
     }
 }
 
@@ -807,8 +917,9 @@ fn tri_stack_body<const N: usize>(
 /// virtual column `[R[j,j]; D[:,j]]`, applies it to columns `j+1..kend` of
 /// `[R; D]` and to every companion, and returns its `τ` (zero when the
 /// column was already zero and nothing was touched).  `kend` is `n` for the
-/// unblocked body and the panel end for [`tri_stack_blocked`]; `N` as in
-/// [`tri_stack_body`] (`N > 0` implies `kend == N`).
+/// unblocked body and the sub-panel end for [`tri_stack_blocked`]; `N` as
+/// in [`tri_stack_body`] (`N > 0` implies `kend == N`).  `dot_norm` sums
+/// `D[:,j]`'s squares with [`simd::dot`] instead of serially.
 #[inline(always)]
 fn tri_stack_pivot<const N: usize>(
     r: &mut Matrix,
@@ -817,12 +928,19 @@ fn tri_stack_pivot<const N: usize>(
     j: usize,
     kend: usize,
     use_simd: bool,
+    dot_norm: bool,
 ) -> f64 {
     let kend = if N == 0 { kend } else { N };
     let l = if N == 0 { d.rows() } else { N };
     // Reflector from the virtual column [R[j,j]; D[:,j]] (length 1+l).
     let alpha = r[(j, j)];
-    let norm2: f64 = alpha * alpha + d.col(j).iter().map(|v| v * v).sum::<f64>();
+    let dj = d.col(j);
+    let squares = if dot_norm {
+        simd::dot(dj, dj)
+    } else {
+        dj.iter().map(|v| v * v).sum::<f64>()
+    };
+    let norm2: f64 = alpha * alpha + squares;
     let Some((beta, tau)) = householder(alpha, norm2, d.col_mut(j)) else {
         return 0.0;
     };
@@ -1251,15 +1369,25 @@ mod tests {
         }
     }
 
-    /// Both tri-stack bodies, called directly so the reference-kernel
-    /// switch cannot route around either.
+    type TriStackBody = fn(&mut Matrix, &mut Matrix, &mut [(&mut Matrix, &mut Matrix)]);
+
+    /// The compact-WY body at each panel depth, whatever the active rung
+    /// would pick.
+    const WY_DEPTHS: [(&str, TriStackBody); 2] = [
+        ("compact-WY 8", |r, d, c| {
+            tri_stack_blocked(r, d, c, TRI_PANEL)
+        }),
+        ("compact-WY 16", |r, d, c| {
+            tri_stack_blocked(r, d, c, TRI_MAX_DEPTH)
+        }),
+    ];
+
+    /// Every tri-stack body, called directly so the reference-kernel
+    /// switch cannot route around any.
     #[test]
     fn extreme_scales_tri_stack_to_the_scaled_triangle() {
-        type Body = fn(&mut Matrix, &mut Matrix, &mut [(&mut Matrix, &mut Matrix)]);
-        let bodies: [(&str, usize, Body); 2] = [
-            ("unblocked", 6, tri_stack_body::<0>),
-            ("compact-WY", 48, tri_stack_blocked),
-        ];
+        let mut bodies = vec![("unblocked", 6, tri_stack_body::<0> as TriStackBody)];
+        bodies.extend(WY_DEPTHS.map(|(name, body)| (name, 48, body)));
         for (name, n, body) in bodies {
             let r0 = wide_sample(n, n).upper_triangular_part();
             let d0 = wide_sample(n + 1, n).sub_matrix(1, 0, n, n);
@@ -1279,6 +1407,68 @@ mod tests {
                     run(s).iter().zip(want.iter().zip(["R", "top", "bottom"]))
                 {
                     assert_scaled(got, want, s, &format!("{name} {block}"));
+                }
+            }
+        }
+    }
+
+    /// Both panel depths against the unblocked body, past every edge of the
+    /// blocking: orders with ragged last panels and sub-panels, `D` from one
+    /// row to 96, companions from a lone right-hand side to step 2's
+    /// 48 + 48 + 1.  Column 11 of the stack is zero — in the second
+    /// sub-panel of a 16-deep panel, where τ = 0 leaves a zero row and
+    /// column of `T` — and column 12 is scaled by 1e160, so its sum of
+    /// squares overflows into the rescaling generator inside a sub-panel.
+    /// Each column is compared at its own scale.
+    #[test]
+    fn compact_wy_depths_match_the_unblocked_body() {
+        let sample = |rows: usize, cols: usize, at: usize| {
+            wide_sample(rows + at, cols).sub_matrix(at, 0, rows, cols)
+        };
+        for n in [24usize, 25, 31, 32, 33, 40, 47, 48, 56, 96] {
+            let mut r0 = sample(n, n, 0).upper_triangular_part();
+            for i in 0..n {
+                r0[(i, 11)] = 0.0;
+                r0[(i, 12)] *= 1e160;
+            }
+            for l in [1usize, 3, 8, 48, 96] {
+                let mut d0 = sample(l, n, n);
+                for i in 0..l {
+                    d0[(i, 11)] = 0.0;
+                    d0[(i, 12)] *= 1e160;
+                }
+                for width in [1usize, 15, 16, 49, 97] {
+                    let comps0: Vec<(Matrix, Matrix)> = (0..width)
+                        .step_by(48)
+                        .map(|c0| {
+                            let cols = 48.min(width - c0);
+                            (sample(n, cols, c0), sample(l, cols, n + c0))
+                        })
+                        .collect();
+                    let run = |body: TriStackBody| {
+                        let (mut r, mut d) = (r0.clone(), d0.clone());
+                        let mut comps = comps0.clone();
+                        let mut pairs: Vec<_> = comps.iter_mut().map(|(t, b)| (t, b)).collect();
+                        body(&mut r, &mut d, &mut pairs);
+                        let mut blocks = vec![r, d];
+                        blocks.extend(comps.into_iter().flat_map(|(t, b)| [t, b]));
+                        blocks
+                    };
+                    let want = run(tri_stack_body::<0>);
+                    for (name, body) in WY_DEPTHS {
+                        for (b, (got, want)) in run(body).iter().zip(&want).enumerate() {
+                            for c in 0..want.cols() {
+                                let scale = want.col(c).iter().fold(1.0_f64, |m, v| m.max(v.abs()));
+                                for (i, (g, w)) in got.col(c).iter().zip(want.col(c)).enumerate() {
+                                    assert!(
+                                        (g - w).abs() <= 1e-12 * scale,
+                                        "{name} n={n} l={l} width={width} block {b} ({i},{c}): \
+                                         {g:e} vs {w:e}"
+                                    );
+                                }
+                            }
+                        }
+                    }
                 }
             }
         }

@@ -117,6 +117,17 @@ fn use_avx512() -> bool {
     isa() == ISA_AVX512
 }
 
+/// Rows of one register tile of [`gemm_tile`] on the active rung: 16 on
+/// zmm, 8 on ymm and portably.  Level-3 bodies size their panels by it.
+#[inline]
+pub(crate) fn tile_rows() -> usize {
+    #[cfg(target_arch = "x86_64")]
+    if use_avx512() {
+        return ZMM_MR;
+    }
+    TILE_MR
+}
+
 /// Which backend the SIMD layer would run right now: `"avx512"` (the
 /// AVX2/FMA kernels with the zmm GEMM tile under [`gemm_tile`]), `"avx2"`,
 /// `"portable"`, or `"scalar"` when the reference oracle is forced.

@@ -286,13 +286,27 @@ pub fn invert_lower(l: &Matrix) -> Result<Matrix> {
 ///
 /// [`DenseError::Singular`] if `U` has a zero diagonal entry.
 pub fn inv_gram_upper(u: &Matrix) -> Result<Matrix> {
+    inv_gram_upper_with_inverse(u).map(|(s, _)| s)
+}
+
+/// [`inv_gram_upper`], handing back as well the inverse `W = U⁻¹` the
+/// blocked path forms on the way (from n = 12 with the SIMD layer on), so a
+/// caller that also needs `U⁻¹B` can take it as one product `W·B`.  `None`
+/// below that order and under the reference kernels, where `W` is built a
+/// column at a time and the caller's triangular solve stays the method.
+///
+/// # Errors
+///
+/// [`DenseError::Singular`] if `U` has a zero diagonal entry.
+pub fn inv_gram_upper_with_inverse(u: &Matrix) -> Result<(Matrix, Option<Matrix>)> {
     check_diag(u)?;
     let n = u.rows();
     // W = U⁻¹ (upper triangular): column j solves U x = e_j over rows 0..=j
     // by column-oriented back substitution (contiguous axpy updates).
     let use_simd = simd::simd_active();
     if use_simd && n >= BLOCKED_SOLVE_MIN_N {
-        return Ok(inv_gram_blocked(u));
+        let (s, w) = inv_gram_blocked(u);
+        return Ok((s, Some(w)));
     }
     let mut w = Matrix::zeros(n, n);
     for j in 0..n {
@@ -338,7 +352,48 @@ pub fn inv_gram_upper(u: &Matrix) -> Result<Matrix> {
             s[(j, i)] = s[(i, j)];
         }
     }
-    Ok(s)
+    Ok((s, None))
+}
+
+/// `U·B` for an upper triangular `U` whose strictly lower part is zero — as
+/// in the inverse [`inv_gram_upper_with_inverse`] hands back.  On the SIMD
+/// layer the product runs one tile height of rows at a time and skips the
+/// zero blocks left of the diagonal, which only ever added exact zeros: the
+/// bits are those of the full product on the tile, in about two thirds of
+/// its time at n = 48.  Under the reference kernels it is [`gemm`](crate::gemm).
+///
+/// # Panics
+///
+/// Panics if `U` is not square or `B` has a different row count.
+pub fn upper_mul(u: &Matrix, b: &Matrix) -> Matrix {
+    let n = u.rows();
+    assert!(u.is_square(), "upper_mul: U must be square");
+    assert_eq!(b.rows(), n, "upper_mul: B row mismatch");
+    let mut x = Matrix::zeros(n, b.cols());
+    if !simd::simd_active() {
+        crate::gemm(1.0, u, crate::Trans::No, b, crate::Trans::No, 0.0, &mut x);
+        return x;
+    }
+    let (us, bs, cols) = (u.as_slice(), b.as_slice(), b.cols());
+    let xs = x.as_mut_slice();
+    let strip = simd::tile_rows();
+    for i0 in (0..n).step_by(strip) {
+        let rows = strip.min(n - i0);
+        simd::gemm_tile(
+            rows,
+            cols,
+            n - i0,
+            1.0,
+            &us[i0 + i0 * n..],
+            n,
+            &bs[i0..],
+            1,
+            n,
+            &mut xs[i0..],
+            n,
+        );
+    }
+    x
 }
 
 /// Column-strip width of the `W·Wᵀ` product: one tile width, which wastes
@@ -349,8 +404,8 @@ const GRAM_STRIP: usize = 6;
 /// [`inv_gram_upper`] on the tile: `W = U⁻¹` by the blocked solve on the
 /// identity, then the upper triangle of `S = W·Wᵀ` strip by strip — strip
 /// `j0..j1` needs rows `0..j1` and, `W` being upper triangular, only
-/// `k ≥ j0` of the inner sum.
-fn inv_gram_blocked(u: &Matrix) -> Matrix {
+/// `k ≥ j0` of the inner sum.  Returns `S` and `W`.
+fn inv_gram_blocked(u: &Matrix) -> (Matrix, Matrix) {
     let n = u.rows();
     let mut w = Matrix::identity(n);
     solve_upper_blocked(u, &mut w, true);
@@ -378,7 +433,7 @@ fn inv_gram_blocked(u: &Matrix) -> Matrix {
             s[(j, i)] = s[(i, j)];
         }
     }
-    s
+    (s, w)
 }
 
 #[cfg(test)]
@@ -463,6 +518,57 @@ mod tests {
         // s * (UᵀU) == I
         let gram = matmul_tn(&u, &u);
         assert!(matmul(&s, &gram).approx_eq(&Matrix::identity(3), 1e-12));
+    }
+
+    /// The inverse handed back beside `S` is `U⁻¹`, wherever the blocked
+    /// path formed one.
+    #[test]
+    fn inv_gram_hands_back_the_inverse_it_formed() {
+        for n in [3usize, 12, 48] {
+            let u = crate::QrFactor::new(crate::random::deterministic_well_conditioned(n, n)).r();
+            let (s, w) = inv_gram_upper_with_inverse(&u).unwrap();
+            assert!(s.approx_eq(&inv_gram_upper(&u).unwrap(), 0.0), "n={n}");
+            match w {
+                Some(w) => {
+                    assert!(n >= BLOCKED_SOLVE_MIN_N && simd::simd_active(), "n={n}");
+                    assert!(
+                        matmul(&u, &w).approx_eq(&Matrix::identity(n), 1e-12),
+                        "n={n}"
+                    );
+                }
+                None => assert!(n < BLOCKED_SOLVE_MIN_N || !simd::simd_active(), "n={n}"),
+            }
+        }
+    }
+
+    /// `upper_mul` skips `U`'s zero blocks and still forms every entry as
+    /// the full product does, bit for bit, ragged strips included.
+    #[test]
+    fn upper_mul_is_the_full_product_bitwise() {
+        use crate::gemm::{gemm, gemm_blocked};
+        use crate::random::deterministic_well_conditioned as sample;
+        for (n, cols) in [(3usize, 2usize), (12, 5), (17, 17), (48, 49)] {
+            let u = crate::QrFactor::new(sample(n, n)).r();
+            let b = sample(2 * n, cols).sub_matrix(n, 0, n, cols);
+            let full = if simd::simd_active() {
+                gemm_blocked
+            } else {
+                gemm
+            };
+            let mut want = Matrix::zeros(n, cols);
+            full(
+                1.0,
+                &u,
+                crate::Trans::No,
+                &b,
+                crate::Trans::No,
+                0.0,
+                &mut want,
+            );
+            let got = upper_mul(&u, &b);
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "n={n} cols={cols}");
+        }
     }
 
     #[test]

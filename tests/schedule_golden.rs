@@ -8,22 +8,51 @@
 //! [`REFERENCE`] under `set_reference_kernels(true)` (scalar oracles only,
 //! so the bits do not depend on the host's ISA) and [`AVX2`] under the
 //! default kernels, asserted only where `simd_backend()` reports `avx2` or
-//! `avx512`.
-//! The kernel switch is process-global, which is why this file is its own
-//! test binary with a single test.
+//! `avx512`.  The default kernels of the n = 48 row differ by rung (the
+//! compact-WY tri-stack builds 16-pivot panels on zmm), so that row is
+//! [`AVX2`]'s on `avx2` and [`N48_AVX512`] on `avx512`; the six n ≤ 8
+//! families run none of the level-3 bodies and share one row on both.
+//! The kernel switch is process-global, so the two tests of this binary
+//! take one lock each.
 //!
-//! Both tables were captured on commit 133c1a7 (PR 23, the level-major
-//! executor).  To re-capture after a change that is *meant* to move bits
-//! (a kernel's summation order, a generator): copy this file and its
-//! `[[test]]` entry onto the commit whose output is the new truth, run
-//! `cargo test -p kalman --test schedule_golden -- --nocapture`, and paste
-//! the two tables the failing run prints.
+//! [`REFERENCE`] and the six n ≤ 8 rows of [`AVX2`] were captured on commit
+//! 133c1a7 (the level-major executor); the two n = 48 default rows
+//! after the 16-deep panels and SelInv's product with `R_jj⁻¹` moved them.
+//!
+//! **Re-capture protocol**, for a change that is *meant* to move bits (a
+//! kernel's summation order, a generator):
+//! - a change that runs no new code under the reference kernels leaves
+//!   [`REFERENCE`] unedited, and a default row whose family never reaches
+//!   the changed code stays unedited too;
+//! - re-capture each moved default row on the commit whose output is the
+//!   new truth: copy this file and its `[[test]]` entry there, run
+//!   `cargo test -p kalman --test schedule_golden -- --nocapture`, and paste
+//!   the rows the failing run prints;
+//! - a row that differs by rung is captured once per rung, each asserted
+//!   only on its rung.  On an AVX-512 host the `avx2` row comes from a local
+//!   build whose `detect_isa` is forced to AVX2 — a build that is never
+//!   committed;
+//! - [`default_kernels_agree_with_reference`] must pass on every rung, so
+//!   the new bits are proven close to the oracle, not only
+//!   self-consistent; `tests/stability.rs` and `tests/determinism.rs` pass
+//!   unedited.
 
 use kalman::dense::{set_reference_kernels, simd_backend};
 use kalman::model::{generators, LinearModel};
 use kalman::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::sync::{Mutex, MutexGuard};
+
+/// Held by each test for as long as it sets the process-global kernel
+/// switch.
+static KERNEL_SWITCH: Mutex<()> = Mutex::new(());
+
+fn kernel_switch() -> MutexGuard<'static, ()> {
+    // A test that panicked while holding it left the switch in some state;
+    // the next one sets it before every measurement anyway.
+    KERNEL_SWITCH.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Chain lengths `k + 1`: the degenerate ones, both sides of each small
 /// power of two (lone-tail children at every depth) and one long chain.
@@ -78,8 +107,28 @@ fn fnv1a(smoothed: &Smoothed) -> u64 {
     h
 }
 
+/// One hash per family (row) and chain length (column).
+type Table = [[u64; LENGTHS.len()]; FAMILIES.len()];
+
+/// The row of `paper_benchmark/n48`.
+const N48: usize = 6;
+
+/// The default-kernel table of the active rung, by name, or `None` on a
+/// rung without one.
+fn default_table() -> Option<(&'static str, Table)> {
+    match simd_backend() {
+        "avx2" => Some(("AVX2", AVX2)),
+        "avx512" => {
+            let mut table = AVX2;
+            table[N48] = N48_AVX512;
+            Some(("AVX2 with the N48_AVX512 row", table))
+        }
+        _ => None,
+    }
+}
+
 /// One table under the current kernel mode; `0` marks a skipped cell.
-fn measure() -> [[u64; LENGTHS.len()]; FAMILIES.len()] {
+fn measure() -> Table {
     let mut table = [[0u64; LENGTHS.len()]; FAMILIES.len()];
     for (f, row) in table.iter_mut().enumerate() {
         for (cell, &k1) in row.iter_mut().zip(&LENGTHS) {
@@ -101,8 +150,9 @@ fn measure() -> [[u64; LENGTHS.len()]; FAMILIES.len()] {
     table
 }
 
-fn print_table(name: &str, table: &[[u64; LENGTHS.len()]; FAMILIES.len()]) {
-    println!("const {name}: [[u64; LENGTHS.len()]; FAMILIES.len()] = [");
+fn print_table(name: &str, table: &Table) {
+    println!("// {name}, measured:");
+    println!("[");
     for (row, family) in table.iter().zip(FAMILIES) {
         println!("    // {family}");
         println!("    [");
@@ -116,7 +166,7 @@ fn print_table(name: &str, table: &[[u64; LENGTHS.len()]; FAMILIES.len()]) {
 
 /// Measures under the current kernel mode; on any difference prints the
 /// measured table in paste-ready form and returns the cells that moved.
-fn moved(name: &str, want: &[[u64; LENGTHS.len()]; FAMILIES.len()]) -> Vec<String> {
+fn moved(name: &str, want: &Table) -> Vec<String> {
     let got = measure();
     if got == *want {
         return Vec::new();
@@ -135,15 +185,13 @@ fn moved(name: &str, want: &[[u64; LENGTHS.len()]; FAMILIES.len()]) -> Vec<Strin
 
 #[test]
 fn every_mean_and_covariance_bit_is_the_level_major_executors() {
+    let _switch = kernel_switch();
     set_reference_kernels(true);
     let mut cells = moved("REFERENCE", &REFERENCE);
     set_reference_kernels(false);
-    // The zmm GEMM tile computes every entry with the ymm tile's FMA chain,
-    // so one table pins both rungs.
-    if matches!(simd_backend(), "avx2" | "avx512") {
-        cells.extend(moved("AVX2", &AVX2));
-    } else {
-        println!("simd backend {}: AVX2 table not asserted", simd_backend());
+    match default_table() {
+        Some((name, table)) => cells.extend(moved(name, &table)),
+        None => println!("simd backend {}: no default table asserted", simd_backend()),
     }
     assert!(
         cells.is_empty(),
@@ -151,7 +199,50 @@ fn every_mean_and_covariance_bit_is_the_level_major_executors() {
     );
 }
 
-const REFERENCE: [[u64; LENGTHS.len()]; FAMILIES.len()] = [
+/// Every golden case under the default kernels of whichever rung runs
+/// against the same case under the reference kernels: means and
+/// covariances each within 1e-12·(1 + max|·|) of the oracle's.  The bits the
+/// default rows pin are therefore close to the oracle, not only
+/// self-consistent.
+#[test]
+fn default_kernels_agree_with_reference() {
+    let _switch = kernel_switch();
+    let mut far = Vec::new();
+    for (f, family) in FAMILIES.iter().enumerate() {
+        for &k1 in &LENGTHS {
+            let Some(model) = model(f, k1) else { continue };
+            let smooth = |reference: bool| {
+                set_reference_kernels(reference);
+                let opts = OddEvenOptions::with_policy(ExecPolicy::Seq);
+                let smoothed = odd_even_smooth(&model, opts).unwrap();
+                let means: Vec<f64> = smoothed.means.iter().flatten().copied().collect();
+                let covs = smoothed.covariances.expect("covariances requested");
+                let covs: Vec<f64> = covs.iter().flat_map(|c| c.as_slice().to_vec()).collect();
+                [means, covs]
+            };
+            let want = smooth(true);
+            for ((got, want), what) in smooth(false).iter().zip(&want).zip(["means", "covs"]) {
+                let scale = 1.0 + want.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+                let err = got
+                    .iter()
+                    .zip(want)
+                    .fold(0.0_f64, |m, (g, w)| m.max((g - w).abs()));
+                if err > 1e-12 * scale {
+                    far.push(format!(
+                        "{family} k+1={k1} {what}: {err:e} at scale {scale:e}"
+                    ));
+                }
+            }
+        }
+    }
+    set_reference_kernels(false);
+    assert!(
+        far.is_empty(),
+        "default kernels far from the oracle: {far:#?}"
+    );
+}
+
+const REFERENCE: Table = [
     // paper_benchmark/prior
     [
         0x54f07a1710e98e23,
@@ -251,7 +342,7 @@ const REFERENCE: [[u64; LENGTHS.len()]; FAMILIES.len()] = [
         0x0000000000000000,
     ],
 ];
-const AVX2: [[u64; LENGTHS.len()]; FAMILIES.len()] = [
+const AVX2: Table = [
     // paper_benchmark/prior
     [
         0x54f07a1710e98e23,
@@ -336,18 +427,32 @@ const AVX2: [[u64; LENGTHS.len()]; FAMILIES.len()] = [
         0x1e6044e64780d657,
         0x18884edc16fcee83,
     ],
-    // paper_benchmark/n48
+    // paper_benchmark/n48, asserted on `avx2` only
     [
         0x84af7cefc9917690,
-        0x2384b39a55ae37a7,
-        0xfd249b0ebc5bd332,
-        0xe11d71fb9cfdebe0,
-        0xeb5d470c8f96edea,
-        0x544fb269a5b17604,
-        0x40b13669cbdf69c0,
-        0xf59446a997460679,
-        0x8924499bae6da704,
-        0xc0de4be7fb4a96e9,
+        0x2e61c8e86cf5d786,
+        0xc3313ca6989a43fe,
+        0x66ee6e106fe5e970,
+        0xb705b333bbee8b15,
+        0x37a00c5b37107a64,
+        0xae1c31fc500bc710,
+        0x5cb72a94ad6645a9,
+        0xecc34404b71147f0,
+        0x07d09841e0d20be9,
         0x0000000000000000,
     ],
+];
+/// The `paper_benchmark/n48` row of the default kernels on `avx512`.
+const N48_AVX512: [u64; LENGTHS.len()] = [
+    0x84af7cefc9917690,
+    0xccbe2b0dff5c22cb,
+    0x267cee9a4c1501c3,
+    0x267c92ec374c5fab,
+    0x03b99ef32c7f63cc,
+    0x021133bc242badd6,
+    0xe97685c38eb00be6,
+    0x28b3203c4aa5c2ee,
+    0xadffa545f1e24439,
+    0x434bf61dab95f821,
+    0x0000000000000000,
 ];

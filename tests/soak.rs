@@ -3,7 +3,9 @@
 //! all the eliminations before it — so rounding could, in principle,
 //! accumulate with stream length.  This test runs one stream for a long
 //! time and periodically re-derives its latest finalized batch from
-//! scratch.
+//! scratch.  Nor may it grow: it allocates nothing in steady state, and
+//! its resident set may not grow by more than [`RSS_GROWTH_KIB`] after
+//! warm-up.
 
 use kalman::alloc_stats::thread_alloc_count;
 use kalman::dense::random;
@@ -12,6 +14,7 @@ use kalman::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::VecDeque;
+use std::sync::Mutex;
 
 const N: usize = 3;
 const LAG: usize = 16;
@@ -21,11 +24,28 @@ const FLUSH_EVERY: usize = 4;
 /// irrelevant far below 1e-12 and the reference needs no prior — it is
 /// independent of the stream's head, the thing under test.
 const RUN_UP: usize = 120;
+/// How far the process's resident set may grow from the first check
+/// against the batch re-solve (the warm-up: every buffer a check or a flush
+/// needs has been taken once) to the end of the run.
+const RSS_GROWTH_KIB: u64 = 2048;
+
+/// One soak at a time, so neither reads the other's memory in its RSS.
+static ONE_SOAK: Mutex<()> = Mutex::new(());
+
+/// The process's resident set (`VmRSS`) in KiB, or `None` where
+/// `/proc/self/status` does not exist.
+fn rss_kib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmRSS:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
+}
 
 /// Streams `steps` steps generated on the fly (no long model in memory) and
 /// checks every `check_every`-th flush against a batch re-solve of the
 /// trailing `RUN_UP + LAG` steps.
 fn soak(steps: usize, check_every: usize) {
+    // A soak that panicked left nothing behind that the next one reads.
+    let _alone = ONE_SOAK.lock().unwrap_or_else(|e| e.into_inner());
     let mut rng = ChaCha8Rng::seed_from_u64(2024);
     let f = random::orthonormal(&mut rng, N);
     let g = random::orthonormal(&mut rng, N);
@@ -41,8 +61,9 @@ fn soak(steps: usize, check_every: usize) {
     let mut stream = StreamingSmoother::new(N, opts).unwrap();
     let mut trailing: VecDeque<LinearStep> = VecDeque::with_capacity(RUN_UP + LAG + 1);
     let mut finalized: Vec<FinalizedStep> = Vec::new();
-    let mut errors = Vec::new();
+    let mut errors = Vec::with_capacity(steps / check_every + 1);
     let mut stream_allocs_second_half = 0u64;
+    let mut rss_warm = None;
 
     for i in 0..steps {
         let evolution = (i > 0).then(|| Evolution {
@@ -82,6 +103,9 @@ fn soak(steps: usize, check_every: usize) {
         // The flush above saw steps up to `i − 1`: exactly `trailing`.
         if flushed && i % check_every < FLUSH_EVERY && i > RUN_UP + LAG {
             errors.push(max_error_against_batch(&finalized, &trailing, i - 1));
+            if errors.len() == 1 {
+                rss_warm = rss_kib();
+            }
         }
 
         if trailing.len() == RUN_UP + LAG {
@@ -105,6 +129,17 @@ fn soak(steps: usize, check_every: usize) {
         stream_allocs_second_half, 0,
         "the stream allocated in steady state"
     );
+    match (rss_warm, rss_kib()) {
+        (Some(warm), Some(end)) => {
+            let growth = end.saturating_sub(warm);
+            println!("VmRSS {warm} KiB after warm-up, {end} KiB after {steps} steps");
+            assert!(
+                growth <= RSS_GROWTH_KIB,
+                "resident set grew {growth} KiB ({warm} → {end}) over {steps} steps"
+            );
+        }
+        _ => println!("no /proc/self/status here: RSS growth not checked"),
+    }
 }
 
 /// Largest deviation (means and covariances) of `finalized` from the batch
