@@ -17,12 +17,12 @@
 //!   about its numerical stability, whereas the QR smoothers are
 //!   conditionally backward stable.
 //!
-//! The smoother runs on a plan/execute split like the odd-even engine's:
-//! [`ScanPlan`] executes a symbolic [`ScanSchedule`] against whitened step
-//! data with plan-owned scratch.  Its fixed Brent–Kung combine tree makes
-//! `Seq ≡ Par` **bitwise** (the one-shot scan helpers in `kalman-par` only
-//! promise rounding-level agreement across grains).  [`associative_smooth`]
-//! is a thin one-shot wrapper over a transient plan.
+//! [`associative_smooth`] builds every filtering element straight from the
+//! model ([`FilterElement::for_state`]), runs the forward scan, builds the
+//! smoothing elements from the filtered results
+//! ([`SmoothElement::for_state`]) and runs the backward (suffix) scan.
+//! Both scans run `kalman-par`'s fixed Brent–Kung combine tree under every
+//! policy, so `Seq ≡ Par` holds **bitwise**.
 //!
 //! This crate is the batch *baseline and oracle* of the reproduction
 //! (fig2/fig3, `tests/backend_differential.rs`); serving runs the odd-even
@@ -45,11 +45,7 @@
 #![forbid(unsafe_code)]
 
 mod elements;
-mod plan;
-mod scan;
 mod smoother;
 
 pub use elements::{FilterElement, SmoothElement};
-pub use plan::{ScanOptions, ScanPlan};
-pub use scan::{ScanLevel, ScanSchedule};
 pub use smoother::{associative_filter, associative_smooth, AssociativeOptions};

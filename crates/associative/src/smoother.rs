@@ -1,9 +1,9 @@
 //! The two-scan smoother driver.
 
-use crate::elements::FilterElement;
+use crate::elements::{FilterElement, SmoothElement};
 use kalman_dense::Matrix;
 use kalman_model::{KalmanError, LinearModel, Result, Smoothed};
-use kalman_par::{inclusive_scan_in_place, map_collect, ExecPolicy};
+use kalman_par::{inclusive_scan_in_place, map_collect, suffix_scan_in_place, ExecPolicy};
 
 /// Options for the associative smoother.
 #[derive(Debug, Clone, Copy)]
@@ -34,6 +34,21 @@ fn check_supported(model: &LinearModel) -> Result<()> {
     Ok(())
 }
 
+/// The filtering elements of every state, combined by the forward scan:
+/// entry `i` carries the filtered mean in `b` and covariance in `c`.
+fn filter_scan(model: &LinearModel, policy: ExecPolicy) -> Result<Vec<FilterElement>> {
+    let elems = {
+        let _span = kalman_obs::span!("scan.elements");
+        map_collect(policy, model.num_states(), |i| {
+            FilterElement::for_state(model, i)
+        })
+    };
+    let mut elems = elems.into_iter().collect::<Result<Vec<_>>>()?;
+    let _span = kalman_obs::span!("scan.fwd");
+    inclusive_scan_in_place(policy, &mut elems, FilterElement::combine);
+    Ok(elems)
+}
+
 /// Runs only the filtering scan, returning filtered means and covariances.
 ///
 /// # Errors
@@ -45,11 +60,7 @@ pub fn associative_filter(
     options: AssociativeOptions,
 ) -> Result<(Vec<Vec<f64>>, Vec<Matrix>)> {
     check_supported(model)?;
-    let k1 = model.num_states();
-    let elems: Vec<Result<FilterElement>> =
-        map_collect(options.policy, k1, |i| FilterElement::for_state(model, i));
-    let mut elems: Vec<FilterElement> = elems.into_iter().collect::<Result<_>>()?;
-    inclusive_scan_in_place(options.policy, &mut elems, |a, b| a.combine(b));
+    let elems = filter_scan(model, options.policy)?;
     let means = elems.iter().map(|e| e.b.col(0).to_vec()).collect();
     let covs = elems.into_iter().map(|e| e.c).collect();
     Ok((means, covs))
@@ -57,29 +68,35 @@ pub fn associative_filter(
 
 /// Smooths `model` with the associative parallel-scan algorithm.
 ///
-/// A thin wrapper over the planned path: builds a transient
-/// [`crate::ScanPlan`] for the model's shape and executes it once — phase 1
-/// builds the filtering elements (parallel per step) and runs the forward
-/// sweep, phase 2 builds the smoothing elements from the filtered results
-/// and runs the backward (suffix) sweep, both over the schedule's fixed
-/// Brent–Kung tree (so results are bitwise identical across execution
-/// policies).  Unlike the QR smoothers, covariances are inherent to the
-/// computation and always returned.
+/// Phase 1 builds the filtering elements (parallel per step) and runs the
+/// forward scan; phase 2 builds the smoothing elements from the filtered
+/// results and runs the backward (suffix) scan.  Both scans run
+/// `kalman-par`'s fixed combine tree, so results are bitwise identical
+/// across execution policies.  Unlike the QR smoothers, covariances are
+/// inherent to the computation and always returned.
 ///
 /// # Errors
 ///
 /// Same as [`associative_filter`].
 pub fn associative_smooth(model: &LinearModel, options: AssociativeOptions) -> Result<Smoothed> {
     check_supported(model)?;
-    let mut plan = crate::ScanPlan::for_model(
-        model,
-        crate::ScanOptions {
-            policy: options.policy,
-        },
-    )?;
-    // One-shot execution: workspace retention would never be harvested.
-    plan.set_arena(false);
-    plan.smooth_model(model)
+    let policy = options.policy;
+    let filtered = filter_scan(model, policy)?;
+    let elems = {
+        let _span = kalman_obs::span!("scan.smooth");
+        map_collect(policy, filtered.len(), |i| {
+            SmoothElement::for_state(model, i, filtered[i].b.col(0), &filtered[i].c)
+        })
+    };
+    let mut elems = elems.into_iter().collect::<Result<Vec<_>>>()?;
+    {
+        let _span = kalman_obs::span!("scan.bwd");
+        suffix_scan_in_place(policy, &mut elems, SmoothElement::combine);
+    }
+    Ok(Smoothed {
+        means: elems.iter().map(|e| e.g.col(0).to_vec()).collect(),
+        covariances: Some(elems.into_iter().map(|e| e.l).collect()),
+    })
 }
 
 #[cfg(test)]
@@ -140,10 +157,8 @@ mod tests {
             },
         )
         .unwrap();
-        // The parallel scan applies the operator in a different association
-        // order, so results differ by rounding only.
-        assert!(seq.max_mean_diff(&par) < 1e-9);
-        assert!(seq.max_cov_diff(&par).unwrap() < 1e-9);
+        assert_eq!(seq.max_mean_diff(&par), 0.0);
+        assert_eq!(seq.max_cov_diff(&par), Some(0.0));
     }
 
     #[test]

@@ -574,34 +574,22 @@ impl Walk<'_> {
 
 /// Runs the odd-even QR factorization on borrowed whitened steps.
 ///
-/// The steps are copied first (in parallel); callers that can give up
-/// ownership should prefer [`factor_odd_even_owned`], which moves the
-/// blocks into the elimination.
-///
-/// `policy` controls the forking of the walk.
-pub fn factor_odd_even(steps: &[WhitenedStep], policy: ExecPolicy) -> Result<OddEvenR> {
-    let owned: Vec<WhitenedStep> = map_collect(policy, steps.len(), |i| steps[i].clone());
-    factor_odd_even_owned(owned, policy)
-}
-
-/// Runs the odd-even QR factorization, consuming the whitened steps (the
-/// leaves take the blocks by pointer moves and negate `B` in place — no
-/// copies of the problem data).
-///
-/// This is the one-shot form: it plans, factors once and drops the plan.
-/// Callers that factor the same shape repeatedly hold a
+/// This is the one-shot form: it copies the steps (in parallel), plans,
+/// factors once and drops the plan.  `policy` controls the forking of the
+/// walk.  Callers that factor the same shape repeatedly hold a
 /// [`crate::SmoothPlan`], which reuses the schedule and the output storage.
-pub fn factor_odd_even_owned(mut steps: Vec<WhitenedStep>, policy: ExecPolicy) -> Result<OddEvenR> {
+pub fn factor_odd_even(steps: &[WhitenedStep], policy: ExecPolicy) -> Result<OddEvenR> {
+    let mut owned: Vec<WhitenedStep> = map_collect(policy, steps.len(), |i| steps[i].clone());
     let dims: Vec<usize> = steps.iter().map(|s| s.state_dim).collect();
     let schedule = PlanSchedule::build(&dims);
     let mut out = OddEvenR::default();
-    factor_tree(&schedule, Leaves::Whitened(&mut steps), policy, &mut out)?;
+    factor_tree(&schedule, Leaves::Whitened(&mut owned), policy, &mut out)?;
     Ok(out)
 }
 
 /// The numeric phase of the odd-even factorization: one depth-first walk
 /// of `schedule`'s pair tree over `leaves` (which must match the
-/// schedule's shape — callers have already re-planned if needed), reusing
+/// schedule's shape — callers have checked), reusing
 /// `out`'s storage.  On error `out` holds no usable factor.
 pub(crate) fn factor_tree(
     schedule: &PlanSchedule,
@@ -787,7 +775,7 @@ mod tests {
         stray[0].evo = steps[1].evo.clone();
         for bad in [missing, stray] {
             assert!(matches!(
-                factor_odd_even_owned(bad, ExecPolicy::Seq),
+                factor_odd_even(&bad, ExecPolicy::Seq),
                 Err(KalmanError::InvalidModel(_))
             ));
         }

@@ -29,8 +29,9 @@
 //! depends only on the problem *shape* (the odd-even pair tree and the
 //! block dimensions), and a [`SmoothPlan`] walks it — bottom-up to factor,
 //! top-down for means and covariances — into a reused `R` factor: build
-//! once, execute many, bitwise identical to the one-shot entry points below
-//! (which are thin wrappers building a transient plan).  See DESIGN.md
+//! once per shape, execute many, bitwise identical to the one-shot entry
+//! points below (which build a transient plan).  A plan refuses any other
+//! shape; a caller with a new shape builds a new plan.  See DESIGN.md
 //! §"Odd-even / SelInv layering" and §"Plan/execute lifecycle".
 //!
 //! # Example
@@ -58,8 +59,8 @@ mod selinv;
 mod smoother;
 
 pub use backend::BackendPolicy;
-pub use factor::{factor_odd_even, factor_odd_even_owned};
-pub use plan::{signature_of_dims, PlanSchedule, SmoothPlan};
+pub use factor::factor_odd_even;
+pub use plan::{PlanSchedule, SmoothPlan};
 pub use rfactor::{OddEvenR, RRow};
 pub use selinv::selinv_diag;
 pub use smoother::{odd_even_smooth, OddEvenOptions};

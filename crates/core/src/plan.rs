@@ -12,24 +12,22 @@
 //! * [`PlanSchedule`] — the immutable symbolic plan: the *pair tree* of the
 //!   odd-even recursion (a chain column of one level is a function of its
 //!   aligned pair of columns one level down, so the whole factorization is
-//!   a binary-tree reduction), the elimination-order level lists, and a
-//!   shape signature.  Build once per shape.
-//! * [`SmoothPlan`] — one consumer's executable plan: its schedule plus the
-//!   reusable `R` factor and the execution-policy decisions.
-//!   `execute`/`solve_into`/`selinv_into` and the fused
-//!   `smooth_model_into` walk the tree against borrowed step data; in
-//!   steady state (same schedule call after call) they perform **zero heap
+//!   a binary-tree reduction) and the elimination-order level lists.
+//! * [`SmoothPlan`] — one consumer's executable plan for one shape: its
+//!   schedule plus the reusable `R` factor.  `execute`/`solve_into`/
+//!   `selinv_into` and the fused `smooth_model_into` walk the tree against
+//!   borrowed step data; executed again and again they perform **zero heap
 //!   allocations** — containers retain capacity here and every matrix
 //!   cycles through the `kalman-dense` workspace.  For batch-scale shapes
 //!   whose working set exceeds the workspace's per-class retention budgets,
 //!   the plan additionally holds an arena scope
 //!   ([`kalman_dense::arena_scope`]) across each walk, so even
-//!   `k = 20 000` recursions keep their working set pooled (see
-//!   [`SmoothPlan::set_arena`]).
+//!   `k = 20 000` recursions keep their working set pooled.
 //!
-//! The one-shot entry points ([`crate::odd_even_smooth`],
-//! [`crate::factor_odd_even`]) are thin wrappers that build a transient
-//! plan and execute it once.
+//! A plan covers one shape: handed another, it refuses with
+//! [`KalmanError::InvalidModel`] and the caller builds a plan for the new
+//! shape.  The one-shot entry points ([`crate::odd_even_smooth`],
+//! [`crate::factor_odd_even`]) build a transient plan and execute it once.
 
 use crate::factor::{factor_tree, Leaves};
 use crate::rfactor::OddEvenR;
@@ -70,34 +68,14 @@ pub(crate) struct TreeNode {
     pub children: Option<Children>,
 }
 
-/// A shape signature: an FNV-1a hash of the per-step state dimensions.
-/// Equal shapes hash equal (unequal ones almost always differ; confirm
-/// with a full dimension comparison where it matters).
-pub fn signature_of_dims<I: IntoIterator<Item = usize>>(dims: I) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut len: u64 = 0;
-    for d in dims {
-        let mut v = d as u64;
-        for _ in 0..8 {
-            h ^= v & 0xff;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            v >>= 8;
-        }
-        len += 1;
-    }
-    h ^= len;
-    h.wrapping_mul(0x0000_0100_0000_01b3)
-}
-
 /// The symbolic phase of the odd-even factorization: everything about the
 /// elimination that depends only on the problem *shape*.
 ///
 /// A schedule carries no numeric state; its one holder is the
 /// [`SmoothPlan`] executing it.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct PlanSchedule {
     dims: Vec<usize>,
-    signature: u64,
     /// Plan-time kernel selection: the monomorphized small-`n` kernel family
     /// when every block dimension is one supported size, `Auto` otherwise.
     kernels: KernelKind,
@@ -117,61 +95,41 @@ impl PlanSchedule {
     ///
     /// Panics on an empty shape (a model always has at least one state).
     pub fn build(dims: &[usize]) -> PlanSchedule {
-        let mut s = PlanSchedule::default();
-        s.rebuild(dims);
-        s
-    }
-
-    /// Re-derives the schedule for a new shape in place, reusing every
-    /// container's capacity (how a reused plan follows a problem whose
-    /// shape changes between solves without churn).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty shape.
-    // lint: allow(alloc, "cold region: re-planning runs once per shape change and is amortized across every subsequent execute of that shape")
-    pub fn rebuild(&mut self, dims: &[usize]) {
-        self.dims.clear();
-        self.dims.extend_from_slice(dims);
         assert!(
-            !self.dims.is_empty(),
+            !dims.is_empty(),
             "a smoothing plan needs at least one state"
         );
-        self.signature = signature_of_dims(self.dims.iter().copied());
-        self.kernels = KernelKind::for_dims(self.dims.iter().copied());
-
         // The chain halves per level (`k1 >> level` columns, the odd ones
         // of the level below), so the root is the one column of level
         // ⌊log₂ k1⌋.
-        let k1 = self.dims.len();
+        let k1 = dims.len();
         let root_level = k1.ilog2() as usize;
-        self.nodes.clear();
-        push_subtree(&mut self.nodes, k1, root_level, 0);
+        let mut nodes = Vec::new();
+        push_subtree(&mut nodes, k1, root_level, 0);
 
         // Elimination-order level lists.  Post-order visits the nodes of
         // one level left to right, so each list comes out in chain order.
-        self.elim_levels.truncate(root_level + 1);
-        self.elim_levels.resize_with(root_level + 1, Vec::new);
-        self.elim_levels.iter_mut().for_each(Vec::clear);
-        for node in &self.nodes {
+        let mut elim_levels = vec![Vec::new(); root_level + 1];
+        for node in &nodes {
             if let Some(ch) = node.children {
-                let list = &mut self.elim_levels[node.level - 1];
-                list.push(self.nodes[ch.left].col);
-                list.extend(ch.lone.map(|t| self.nodes[t].col));
+                let list = &mut elim_levels[node.level - 1];
+                list.push(nodes[ch.left].col);
+                list.extend(ch.lone.map(|t| nodes[t].col));
             }
         }
-        let root = self.root().col;
-        self.elim_levels[root_level].push(root);
+        let root = nodes.last().expect("a chain has a root").col;
+        elim_levels[root_level].push(root);
+        PlanSchedule {
+            dims: dims.to_vec(),
+            kernels: KernelKind::for_dims(dims.iter().copied()),
+            nodes,
+            elim_levels,
+        }
     }
 
     /// The per-step state dimensions this schedule plans for.
-    pub fn dims(&self) -> &[usize] {
+    pub(crate) fn dims(&self) -> &[usize] {
         &self.dims
-    }
-
-    /// The shape signature ([`signature_of_dims`] of [`PlanSchedule::dims`]).
-    pub fn signature(&self) -> u64 {
-        self.signature
     }
 
     /// The plan-time kernel selection for this shape: a const-generic
@@ -184,18 +142,8 @@ impl PlanSchedule {
     }
 
     /// Number of states (block columns) in the planned problem.
-    pub fn num_states(&self) -> usize {
+    pub(crate) fn num_states(&self) -> usize {
         self.dims.len()
-    }
-
-    /// Number of elimination levels, including the base-case root level.
-    pub fn num_levels(&self) -> usize {
-        self.elim_levels.len()
-    }
-
-    /// `true` when `steps` has exactly the planned shape.
-    pub fn matches_steps(&self, steps: &[WhitenedStep]) -> bool {
-        self.has_dims(steps.iter().map(|s| s.state_dim))
     }
 
     fn has_dims(&self, dims: impl Iterator<Item = usize>) -> bool {
@@ -246,8 +194,8 @@ fn push_subtree(nodes: &mut Vec<TreeNode>, k1: usize, level: usize, pos: usize) 
     nodes.len() - 1
 }
 
-/// An executable smoothing plan: a [`PlanSchedule`] plus this
-/// consumer's reusable `R` factor and execution-policy decisions.
+/// An executable smoothing plan for one shape: a [`PlanSchedule`] plus
+/// this consumer's reusable `R` factor.
 ///
 /// Typical lifecycle:
 ///
@@ -267,16 +215,20 @@ fn push_subtree(nodes: &mut Vec<TreeNode>, k1: usize, level: usize, pos: usize) 
 /// Executing through a reused plan is **bitwise identical** to a fresh
 /// one-shot call: the schedule only pre-computes structure the numeric
 /// phase would otherwise re-derive, and every `R` row is overwritten
-/// before it is read.
+/// before it is read.  A model or step list of another shape is refused
+/// with [`KalmanError::InvalidModel`]; smooth it through a plan of its own.
 #[derive(Debug)]
 pub struct SmoothPlan {
     schedule: PlanSchedule,
     options: OddEvenOptions,
     r: OddEvenR,
-    /// `r` holds the factorization of the most recent `execute`.
+    /// `r` holds the factorization of the most recent successful execute;
+    /// cleared on entry to every execute, so a refused one leaves nothing
+    /// to read.
     factored: bool,
-    /// Hold a workspace [`kalman_dense::arena_scope`] across the walks
-    /// (see [`SmoothPlan::set_arena`]).
+    /// Hold a workspace [`kalman_dense::arena_scope`] across the walks:
+    /// what keeps *repeated* executes of a batch-scale shape
+    /// allocation-free (see [`arena_pays_off`]).
     arena: bool,
 }
 
@@ -306,87 +258,38 @@ fn arena_pays_off(schedule: &PlanSchedule) -> bool {
 }
 
 impl SmoothPlan {
-    /// A plan executing `schedule` under `options`.
-    pub fn new(schedule: PlanSchedule, options: OddEvenOptions) -> SmoothPlan {
-        let arena = arena_pays_off(&schedule);
-        SmoothPlan {
-            schedule,
-            options,
-            r: OddEvenR::default(),
-            factored: false,
-            arena,
-        }
-    }
-
-    /// Builds the schedule for `dims` and wraps it in a plan.
-    pub fn for_dims(dims: &[usize], options: OddEvenOptions) -> SmoothPlan {
-        SmoothPlan::new(PlanSchedule::build(dims), options)
-    }
-
-    /// A plan for a model's shape (validates the model first).
+    /// A plan for a model's shape (validates the model first).  It holds
+    /// the workspace arena across its walks exactly when its steady-state
+    /// working set exceeds the thread-local workspace budgets
+    /// (batch-scale shapes, `k ≳ 10³` at small `n`).
     ///
     /// # Errors
     ///
     /// Model validation errors.
     pub fn for_model(model: &LinearModel, options: OddEvenOptions) -> Result<SmoothPlan> {
+        let mut plan = SmoothPlan::for_one_shot(model, options)?;
+        plan.arena = arena_pays_off(&plan.schedule);
+        Ok(plan)
+    }
+
+    /// [`SmoothPlan::for_model`] for a caller that executes the plan once
+    /// ([`crate::odd_even_smooth`]): never the arena, since retention it
+    /// would not harvest costs later, unrelated work memory locality.
+    pub(crate) fn for_one_shot(model: &LinearModel, options: OddEvenOptions) -> Result<SmoothPlan> {
         model.validate()?;
         let dims: Vec<usize> = model.steps.iter().map(|s| s.state_dim).collect();
-        Ok(SmoothPlan::for_dims(&dims, options))
+        Ok(SmoothPlan {
+            schedule: PlanSchedule::build(&dims),
+            options,
+            r: OddEvenR::default(),
+            factored: false,
+            arena: false,
+        })
     }
 
     /// The schedule backing this plan.
     pub fn schedule(&self) -> &PlanSchedule {
         &self.schedule
-    }
-
-    /// Shorthand for `self.schedule().dims()`.
-    pub fn dims(&self) -> &[usize] {
-        self.schedule.dims()
-    }
-
-    /// Shorthand for `self.schedule().signature()`.
-    pub fn signature(&self) -> u64 {
-        self.schedule.signature()
-    }
-
-    /// The options the plan executes under.
-    pub fn options(&self) -> &OddEvenOptions {
-        &self.options
-    }
-
-    /// Re-plans for `dims` if the shape changed; returns `true` when a
-    /// rebuild happened.  The schedule is rebuilt in place (no allocation
-    /// churn).
-    pub fn ensure_shape(&mut self, dims: &[usize]) -> bool {
-        if self.schedule.dims() == dims {
-            return false;
-        }
-        self.schedule.rebuild(dims);
-        kalman_obs::event(
-            "oe.plan_rebuild",
-            signature_of_dims(dims.iter().copied()),
-            dims.len() as u64,
-        );
-        self.factored = false;
-        self.arena = arena_pays_off(&self.schedule);
-        true
-    }
-
-    /// Overrides the plan-owned arena decision.  By default the plan holds
-    /// a workspace [`kalman_dense::arena_scope`] across its walks exactly
-    /// when its steady-state working set exceeds the thread-local
-    /// workspace budgets (batch-scale shapes, `k ≳ 10³` at small `n`) —
-    /// that retention is what makes *repeated* executes allocation-free.
-    /// Callers that will execute a batch-scale plan only once (the one-shot
-    /// [`crate::odd_even_smooth`] wrapper) turn it off: retention they never
-    /// harvest costs memory-locality on later, unrelated work.
-    pub fn set_arena(&mut self, on: bool) {
-        self.arena = on;
-    }
-
-    /// `true` when the plan holds the workspace arena during executes.
-    pub fn arena(&self) -> bool {
-        self.arena
     }
 
     fn arena_guard(&self) -> Option<kalman_dense::ArenaScope> {
@@ -396,7 +299,6 @@ impl SmoothPlan {
     /// The bottom-up walk over `leaves` into the held factor.
     fn factor_from(&mut self, leaves: Leaves<'_>) -> Result<()> {
         let _span = kalman_obs::span!("oe.factor");
-        self.factored = false;
         factor_tree(&self.schedule, leaves, self.options.policy, &mut self.r)?;
         self.factored = true;
         Ok(())
@@ -404,26 +306,22 @@ impl SmoothPlan {
 
     /// Numeric factorization: walks the plan's pair tree over `steps`
     /// (drained; capacity retained for the caller to refill).  The
-    /// resulting factor is held by the plan ([`SmoothPlan::factor`]) for
-    /// the solve/SelInv phases.
+    /// resulting factor is held by the plan for the solve/SelInv phases.
     ///
     /// # Errors
     ///
     /// [`KalmanError::InvalidModel`] when `steps` does not have the planned
-    /// shape (callers re-plan via [`SmoothPlan::ensure_shape`]).
+    /// shape (build a plan for theirs).  After any error the plan holds no
+    /// factor.
     pub fn execute(&mut self, steps: &mut Vec<WhitenedStep>) -> Result<()> {
-        if !self.schedule.matches_steps(steps) {
+        self.factored = false;
+        if !self.schedule.has_dims(steps.iter().map(|s| s.state_dim)) {
             return Err(shape_mismatch(&self.schedule, steps.len()));
         }
         let _arena = self.arena_guard();
         let result = self.factor_from(Leaves::Whitened(steps));
         steps.clear();
         result
-    }
-
-    /// The `R` factor produced by the most recent [`SmoothPlan::execute`].
-    pub fn factor(&self) -> Option<&OddEvenR> {
-        self.factored.then_some(&self.r)
     }
 
     /// The top-down walk against the held factor.
@@ -477,36 +375,23 @@ impl SmoothPlan {
         self.top_down(Some(&mut out.means), covs)
     }
 
-    /// Full pipeline over pre-whitened steps: execute, then one top-down
-    /// pass for the means and (optionally, per
-    /// [`OddEvenOptions::covariances`]) the covariances, written into `out`
-    /// (reused storage; zero allocations in steady state).
-    ///
-    /// # Errors
-    ///
-    /// As [`SmoothPlan::execute`] / [`SmoothPlan::solve_into`] /
-    /// [`SmoothPlan::selinv_into`].
-    pub fn smooth_steps_into(
-        &mut self,
-        steps: &mut Vec<WhitenedStep>,
-        out: &mut Smoothed,
-    ) -> Result<()> {
-        self.execute(steps)?;
-        self.estimates_into(out)
-    }
-
-    /// Smooths `model`: the same two walks as
-    /// [`SmoothPlan::smooth_steps_into`], with every leaf whitening its own
+    /// Smooths `model` into `out` (reused storage; zero allocations in
+    /// steady state): the bottom-up walk, with every leaf whitening its own
     /// step on the way up (so a step's blocks are still in cache when its
-    /// pair is eliminated).  The model must have the planned shape; its
-    /// numeric content is free to change between calls — this is the "plan
-    /// once, execute many" entry point for repeated batch solves.
+    /// pair is eliminated), then one top-down pass for the means and
+    /// (optionally, per [`OddEvenOptions::covariances`]) the covariances.
+    /// The model must have the planned shape; its numeric content is free
+    /// to change between calls — this is the "plan once, execute many"
+    /// entry point for repeated batch solves.
     ///
     /// # Errors
     ///
-    /// Model validation/whitening errors (the plan then holds no factor),
-    /// plus everything [`SmoothPlan::smooth_steps_into`] can raise.
+    /// Model validation/whitening errors, plus everything
+    /// [`SmoothPlan::execute`] / [`SmoothPlan::solve_into`] /
+    /// [`SmoothPlan::selinv_into`] can raise.  After any error the plan
+    /// holds no factor.
     pub fn smooth_model_into(&mut self, model: &LinearModel, out: &mut Smoothed) -> Result<()> {
+        self.factored = false;
         model.validate()?;
         if !self
             .schedule
@@ -570,7 +455,6 @@ mod tests {
         assert_eq!(s.elim_levels()[0], vec![0, 2, 4, 6, 8, 10, 12, 14]);
         assert_eq!(s.elim_levels()[1], vec![1, 5, 9, 13]);
         assert_eq!(s.elim_levels()[4], vec![15]);
-        assert_eq!(s.num_levels(), 5);
         // A power of two is a perfect binary tree: 16 leaves, 15 pairs, no
         // lone child, and the root is the last column, never eliminated.
         assert_eq!(s.nodes().len(), 31);
@@ -683,27 +567,6 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_reaches_the_same_schedule_as_fresh() {
-        let mut s = PlanSchedule::build(&[2; 31]);
-        s.rebuild(&[3, 4, 3, 4, 3]);
-        let fresh = PlanSchedule::build(&[3, 4, 3, 4, 3]);
-        assert_eq!(s.dims(), fresh.dims());
-        assert_eq!(s.signature(), fresh.signature());
-        assert_eq!(s.elim_levels(), fresh.elim_levels());
-        assert_eq!(s.nodes(), fresh.nodes());
-    }
-
-    #[test]
-    fn signatures_distinguish_shapes() {
-        let a = signature_of_dims([2usize, 2, 2]);
-        let b = signature_of_dims([2usize, 2]);
-        let c = signature_of_dims([2usize, 3, 2]);
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(a, signature_of_dims([2usize, 2, 2]));
-    }
-
-    #[test]
     fn plan_smooth_matches_dense_oracle_and_reuses() {
         let model = generators::paper_benchmark(&mut rng(81), 3, 21, true);
         let dense = solve_dense(&model).unwrap();
@@ -718,29 +581,54 @@ mod tests {
         }
     }
 
-    #[test]
-    fn ensure_shape_rebuilds_only_on_change() {
-        let mut plan = SmoothPlan::for_dims(&[2, 2, 2], OddEvenOptions::default());
-        assert!(!plan.ensure_shape(&[2, 2, 2]));
-        assert!(plan.ensure_shape(&[2, 2, 2, 2]));
-        assert_eq!(plan.dims(), &[2, 2, 2, 2]);
-    }
-
+    /// A plan covers one shape: steps of another are refused untouched,
+    /// and a plan of their own shape takes them.
     #[test]
     fn execute_rejects_mismatched_steps() {
         let model = generators::paper_benchmark(&mut rng(82), 2, 8, false);
+        let shorter = generators::paper_benchmark(&mut rng(84), 2, 3, false);
         let mut steps = whiten_model(&model).unwrap();
-        let mut plan = SmoothPlan::for_dims(&[2; 4], OddEvenOptions::default());
+        let mut plan = SmoothPlan::for_model(&shorter, OddEvenOptions::default()).unwrap();
         assert!(matches!(
             plan.execute(&mut steps),
             Err(KalmanError::InvalidModel(_))
         ));
-        assert!(plan.factor().is_none());
+        assert_eq!(steps.len(), 9);
         assert!(plan.solve_into(&mut Vec::new()).is_err());
-        // Re-planning for the right shape fixes it.
-        plan.ensure_shape(&[2; 9]);
+        let mut plan = SmoothPlan::for_model(&model, OddEvenOptions::default()).unwrap();
         plan.execute(&mut steps).unwrap();
-        assert!(plan.factor().is_some());
+        assert!(steps.is_empty());
+        plan.solve_into(&mut Vec::new()).unwrap();
+    }
+
+    /// A refused execute leaves nothing to read: after a good smooth, a
+    /// mismatched `execute`, a mismatched `smooth_model_into` and an
+    /// invalid model of the planned shape each get `Err`, and so do the
+    /// `solve_into` / `selinv_into` after them — not the previous model's
+    /// estimates.
+    #[test]
+    fn a_refused_execute_leaves_no_factor_behind() {
+        let model = generators::paper_benchmark(&mut rng(85), 2, 8, true);
+        let longer = generators::paper_benchmark(&mut rng(86), 2, 11, true);
+        let mut invalid = model.clone();
+        invalid.steps[3].evolution = None;
+        let mut plan = SmoothPlan::for_model(&model, OddEvenOptions::default()).unwrap();
+        let mut out = Smoothed {
+            means: Vec::new(),
+            covariances: None,
+        };
+        for case in 0..3 {
+            plan.smooth_model_into(&model, &mut out).unwrap();
+            plan.solve_into(&mut Vec::new()).unwrap();
+            let refused = match case {
+                0 => plan.execute(&mut whiten_model(&longer).unwrap()),
+                1 => plan.smooth_model_into(&longer, &mut out),
+                _ => plan.smooth_model_into(&invalid, &mut out),
+            };
+            assert!(matches!(refused, Err(KalmanError::InvalidModel(_))));
+            assert!(plan.solve_into(&mut Vec::new()).is_err(), "case {case}");
+            assert!(plan.selinv_into(&mut Vec::new()).is_err(), "case {case}");
+        }
     }
 
     #[test]

@@ -74,11 +74,7 @@ impl OddEvenOptions {
 /// Model validation errors, covariance failures, and
 /// [`kalman_model::KalmanError::RankDeficient`] for underdetermined data.
 pub fn odd_even_smooth(model: &LinearModel, options: OddEvenOptions) -> Result<Smoothed> {
-    let mut plan = SmoothPlan::for_model(model, options)?;
-    // One-shot: this plan is never re-executed, so arena retention would
-    // only cost later callers locality without ever being harvested.
-    plan.set_arena(false);
-    plan.smooth_model(model)
+    SmoothPlan::for_one_shot(model, options)?.smooth_model(model)
 }
 
 #[cfg(test)]

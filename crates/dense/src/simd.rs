@@ -193,12 +193,12 @@ pub fn kernel_dispatch_counts() -> (u64, u64, u64) {
 
 /// Plan-time kernel selection for the monomorphized small-`n` kernels.
 ///
-/// A `PlanSchedule`'s shape signature fixes every block dimension of the
-/// smoothing recursion, so the plan can pick the kernel family **once**:
-/// uniform state dimension `n ∈ {4, 8, 16}` selects the const-generic
-/// monomorphized kernels that exist at that size (GEMM at 4 and 8,
-/// tri-stack at 8 and 16), anything else runs the runtime-dispatched
-/// ladder.  Execution then binds the monomorphic kernel
+/// A `PlanSchedule` covers one shape, which fixes every block dimension
+/// of the smoothing recursion, so the plan can pick the kernel family
+/// **once**: uniform state dimension `n ∈ {4, 8, 16}` selects the
+/// const-generic monomorphized kernels that exist at that size (GEMM at 4
+/// and 8, tri-stack at 8 and 16), anything else runs the
+/// runtime-dispatched ladder.  Execution then binds the monomorphic kernel
 /// without per-call dispatch.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum KernelKind {

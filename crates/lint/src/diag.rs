@@ -134,7 +134,7 @@ impl Finding {
 }
 
 /// FNV-1a 64-bit — matches the repo's stable-hash convention
-/// (`kalman-serve`'s shard placement, `kalman-core`'s plan signatures).
+/// (`kalman-serve`'s shard placement).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

@@ -97,7 +97,7 @@ pub fn enabled() -> bool {
 
 /// Appends a journal event (see [`journal_events`]) when instrumentation
 /// is enabled.  `a` and `b` are free-form payload words (a stream key, a
-/// shard index, a shape signature — whatever identifies the event).
+/// shard index, a slot — whatever identifies the event).
 /// Allocation-free after the journal's one-time initialization.
 #[cfg(not(feature = "off"))]
 pub fn event(kind: &'static str, a: u64, b: u64) {

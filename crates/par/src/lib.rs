@@ -3,14 +3,19 @@
 //! The paper's C implementation uses Intel Threading Building Blocks: a
 //! work-stealing scheduler plus `tbb::parallel_for` (with an explicit *block
 //! size* — the number of iterations executed sequentially per task) and
-//! `tbb::parallel_scan` (a generic two-pass parallel prefix scan).  This
-//! crate reproduces that layer on top of [rayon], whose Cilk-lineage
+//! `tbb::parallel_scan` (a generic parallel prefix scan).  This crate
+//! reproduces that layer on top of [rayon], whose Cilk-lineage
 //! work-stealing scheduler offers the same theoretical guarantees the paper
 //! cites, and adds the *compiled sequential twin* the paper benchmarks
 //! against: every primitive takes an [`ExecPolicy`], and
 //! [`ExecPolicy::Seq`] replaces the parallel template with a plain loop that
 //! never touches the scheduler (mirroring the paper's separately compiled
 //! sequential builds, §5.1).
+//!
+//! The scans run one fixed Brent–Kung combine tree under every policy —
+//! `Seq` walks the same levels in plain loops — so unlike
+//! `tbb::parallel_scan`, whose association follows the grain, a scan is
+//! bitwise equal under `Seq` and any `Par` grain or thread count.
 //!
 //! # Example
 //!
@@ -30,7 +35,7 @@ mod pfor;
 mod policy;
 mod scan;
 
-pub use pfor::{for_each_index, for_each_mut, join, map_collect, map_collect_into};
+pub use pfor::{for_each_index, for_each_mut, join, map_collect};
 pub use policy::{
     available_parallelism, current_pool_threads, run_with_threads, ExecPolicy, DEFAULT_GRAIN,
 };

@@ -92,43 +92,6 @@ where
     }
 }
 
-/// Evaluates `f(i)` for `i` in `0..n` into a reused output vector: `out` is
-/// cleared and refilled with `Some(f(i))` in index order, retaining its
-/// capacity across calls.  This is the allocation-free twin of
-/// [`map_collect`] for hot loops that run the same batch shape repeatedly
-/// (a reused odd-even plan's factorization levels): after warmup
-/// the batch produces zero container allocations.
-///
-/// Results are written to pre-assigned slots, so ordering — and therefore
-/// bitwise determinism versus [`ExecPolicy::Seq`] — is independent of steal
-/// timing, exactly like [`map_collect`].
-pub fn map_collect_into<T, F>(policy: ExecPolicy, n: usize, out: &mut Vec<Option<T>>, f: F)
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync + Send,
-{
-    out.clear();
-    out.resize_with(n, || None);
-    match policy {
-        ExecPolicy::Seq => {
-            for (i, slot) in out.iter_mut().enumerate() {
-                *slot = Some(f(i));
-            }
-        }
-        ExecPolicy::Par { grain } => {
-            let grain = grain.max(1);
-            out.par_chunks_mut(grain)
-                .enumerate()
-                .for_each(|(c, chunk)| {
-                    let base = c * grain;
-                    for (off, slot) in chunk.iter_mut().enumerate() {
-                        *slot = Some(f(base + off));
-                    }
-                });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,24 +137,6 @@ mod tests {
         let seq = map_collect(ExecPolicy::Seq, 500, |i| i * i);
         let par = map_collect(ExecPolicy::par_with_grain(3), 500, |i| i * i);
         assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn map_collect_into_matches_and_reuses_capacity() {
-        let mut out: Vec<Option<usize>> = Vec::new();
-        for policy in [ExecPolicy::Seq, ExecPolicy::par_with_grain(7)] {
-            map_collect_into(policy, 300, &mut out, |i| i * 2);
-            assert_eq!(out.len(), 300);
-            assert!(out.iter().enumerate().all(|(i, v)| *v == Some(i * 2)));
-            let cap = out.capacity();
-            // A smaller refill keeps the capacity (no churn).
-            map_collect_into(policy, 10, &mut out, |i| i);
-            assert_eq!(out.len(), 10);
-            assert_eq!(out.capacity(), cap);
-            // Empty batches are fine.
-            map_collect_into(policy, 0, &mut out, |i| i);
-            assert!(out.is_empty());
-        }
     }
 
     #[test]

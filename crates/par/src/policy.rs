@@ -53,9 +53,9 @@ impl ExecPolicy {
     /// The policy a batch of `len` items should actually run under: a
     /// parallel policy degrades to [`ExecPolicy::Seq`] when the batch fits
     /// in a single grain — such a batch cannot split, so going through the
-    /// scheduler only adds task overhead.  This is the per-level execution
-    /// decision a `SmoothPlan` records for the deep (tiny) levels of the
-    /// odd-even recursion.  Arithmetic is unaffected: the parallel
+    /// scheduler only adds task overhead.  The odd-even walks ask it for
+    /// every subtree they might fork, and the scans for every level of
+    /// their combine tree.  Arithmetic is unaffected: the parallel
     /// primitives are index-stable, so `Seq` and `Par` are bitwise equal.
     pub fn for_len(self, len: usize) -> ExecPolicy {
         match self {

@@ -1,136 +1,72 @@
-//! Generic parallel prefix scan (`tbb::parallel_scan` equivalent).
+//! Generic parallel prefix scan on a fixed combine tree.
 //!
 //! The Särkkä & García-Fernández smoother is a pair of prefix sums under
 //! custom associative operations (§2.3 of the paper); this module provides
-//! the scan primitive they run on.  The parallel implementation is the
-//! classic two-pass (Blelloch-style) algorithm on an implicit binary tree:
+//! the scan primitive they run on.  It is a work-efficient (Brent–Kung)
+//! scan: an up-sweep reducing power-of-two blocks, then a down-sweep
+//! distributing their prefixes.  Two properties matter:
 //!
-//! 1. **Up-sweep** — compute the combined value of every subrange (parallel
-//!    via fork-join),
-//! 2. **Down-sweep** — propagate carry-in prefixes to the leaves, where each
-//!    leaf of `grain` elements is scanned sequentially.
+//! * **Fixed association order.**  Which slots combine at which level is a
+//!   function of the length alone — never of the policy, grain, thread
+//!   count or steal timing — and [`ExecPolicy::Seq`] runs the same tree, so
+//!   a scan of floating-point elements is bitwise equal under every policy.
+//! * **Disjoint pairs per level.**  Within one level every `(src, dst)` pair
+//!   touches distinct slots, so a level combines in one parallel map into
+//!   pre-assigned slots and writes back serially.
 //!
 //! Work is `Θ(k)` combine operations and the critical path is `Θ(log k)`
-//! combines, matching the analysis the paper relies on.  No identity element
-//! is required (carries are `Option<T>`), which matters because the
-//! smoother's elements have no cheap identity.
+//! levels, matching the analysis the paper relies on.  No identity element
+//! is required, which matters because the smoother's elements have no cheap
+//! identity.
 
-use crate::ExecPolicy;
+use crate::{map_collect, ExecPolicy};
 
-/// A subrange's combined value plus its children (for the down-sweep).
-enum Node<T> {
-    Leaf {
-        sum: T,
-    },
-    Inner {
-        sum: T,
-        left: Box<Node<T>>,
-        right: Box<Node<T>>,
-        mid: usize,
-    },
-}
-
-impl<T> Node<T> {
-    fn sum(&self) -> &T {
-        match self {
-            Node::Leaf { sum } => sum,
-            Node::Inner { sum, .. } => sum,
-        }
+/// The combine pairs of a Brent–Kung scan over `len` slots, level by level
+/// in execution order.  A pair `(src, dst)` has `src < dst` and means
+/// `slot[dst] ← slot[src] ⊗ slot[dst]`; no slot appears twice in a level.
+fn levels(len: usize) -> Vec<Vec<(usize, usize)>> {
+    let mut levels: Vec<Vec<(usize, usize)>> = Vec::new();
+    // Up-sweep: stride doubles; combine (i − stride) into i for
+    // i = 2·stride − 1, step 2·stride.
+    let mut stride = 1;
+    while stride < len {
+        let pairs = (2 * stride - 1..len).step_by(2 * stride);
+        levels.push(pairs.map(|dst| (dst - stride, dst)).collect());
+        stride *= 2;
     }
-}
-
-fn fold_leaf<T: Clone, F: Fn(&T, &T) -> T>(items: &[T], op: &F) -> T {
-    let mut acc = items[0].clone();
-    for x in &items[1..] {
-        acc = op(&acc, x);
+    // Down-sweep: stride halves; combine i into (i + stride) for
+    // i = 2·stride − 1, step 2·stride.
+    while stride > 1 {
+        stride /= 2;
+        let pairs = (2 * stride - 1..len.saturating_sub(stride)).step_by(2 * stride);
+        levels.push(pairs.map(|src| (src, src + stride)).collect());
     }
-    acc
+    levels.retain(|level| !level.is_empty());
+    levels
 }
 
-fn upsweep<T, F>(items: &[T], grain: usize, op: &F) -> Node<T>
+/// Runs the tree over `items`; `mirrored` reflects every index
+/// (`i ↦ len − 1 − i`) and flips the operand order, which turns the prefix
+/// scan into the suffix scan.
+fn sweep<T, F>(policy: ExecPolicy, items: &mut [T], op: F, mirrored: bool)
 where
-    T: Clone + Send + Sync,
+    T: Send + Sync,
     F: Fn(&T, &T) -> T + Sync,
 {
-    if items.len() <= grain {
-        Node::Leaf {
-            sum: fold_leaf(items, op),
-        }
-    } else {
-        let mid = items.len() / 2;
-        let (l, r) = items.split_at(mid);
-        let (left, right) = rayon::join(|| upsweep(l, grain, op), || upsweep(r, grain, op));
-        let sum = op(left.sum(), right.sum());
-        Node::Inner {
-            sum,
-            left: Box::new(left),
-            right: Box::new(right),
-            mid,
-        }
-    }
-}
-
-/// Down-sweep for the *forward* (prefix) scan: `items[i] ← carry ⊗ a_0 ⊗ … ⊗ a_i`.
-fn downsweep_fwd<T, F>(items: &mut [T], node: &Node<T>, carry: Option<&T>, op: &F)
-where
-    T: Clone + Send + Sync,
-    F: Fn(&T, &T) -> T + Sync,
-{
-    match node {
-        Node::Leaf { .. } => {
-            if let Some(c) = carry {
-                items[0] = op(c, &items[0]);
+    let last = items.len().saturating_sub(1);
+    let at = |i: usize| if mirrored { last - i } else { i };
+    for level in levels(items.len()) {
+        let slots: &[T] = items;
+        let combined = map_collect(policy.for_len(level.len()), level.len(), |j| {
+            let (src, dst) = (at(level[j].0), at(level[j].1));
+            if mirrored {
+                op(&slots[dst], &slots[src])
+            } else {
+                op(&slots[src], &slots[dst])
             }
-            for i in 1..items.len() {
-                let (done, rest) = items.split_at_mut(i);
-                rest[0] = op(&done[i - 1], &rest[0]);
-            }
-        }
-        Node::Inner {
-            left, right, mid, ..
-        } => {
-            let right_carry = match carry {
-                None => left.sum().clone(),
-                Some(c) => op(c, left.sum()),
-            };
-            let (l, r) = items.split_at_mut(*mid);
-            rayon::join(
-                || downsweep_fwd(l, left, carry, op),
-                || downsweep_fwd(r, right, Some(&right_carry), op),
-            );
-        }
-    }
-}
-
-/// Down-sweep for the *suffix* scan: `items[i] ← a_i ⊗ … ⊗ a_{k-1} ⊗ carry`.
-fn downsweep_suffix<T, F>(items: &mut [T], node: &Node<T>, carry: Option<&T>, op: &F)
-where
-    T: Clone + Send + Sync,
-    F: Fn(&T, &T) -> T + Sync,
-{
-    match node {
-        Node::Leaf { .. } => {
-            let last = items.len() - 1;
-            if let Some(c) = carry {
-                items[last] = op(&items[last], c);
-            }
-            for i in (0..last).rev() {
-                let (rest, done) = items.split_at_mut(i + 1);
-                rest[i] = op(&rest[i], &done[0]);
-            }
-        }
-        Node::Inner {
-            left, right, mid, ..
-        } => {
-            let left_carry = match carry {
-                None => right.sum().clone(),
-                Some(c) => op(right.sum(), c),
-            };
-            let (l, r) = items.split_at_mut(*mid);
-            rayon::join(
-                || downsweep_suffix(l, left, Some(&left_carry), op),
-                || downsweep_suffix(r, right, carry, op),
-            );
+        });
+        for (&(_, dst), value) in level.iter().zip(combined) {
+            items[at(dst)] = value;
         }
     }
 }
@@ -138,56 +74,27 @@ where
 /// In-place inclusive prefix scan: `items[i] ← a_0 ⊗ a_1 ⊗ … ⊗ a_i`.
 ///
 /// `op` must be associative (it need not be commutative, and no identity is
-/// required).  With [`ExecPolicy::Seq`] this is a single plain loop.
+/// required).  Every policy runs the same combine tree, so the result does
+/// not depend on it, bit for bit.
 pub fn inclusive_scan_in_place<T, F>(policy: ExecPolicy, items: &mut [T], op: F)
 where
     T: Clone + Send + Sync,
     F: Fn(&T, &T) -> T + Sync,
 {
-    if items.len() <= 1 {
-        return;
-    }
-    match policy {
-        ExecPolicy::Seq => {
-            for i in 1..items.len() {
-                let (done, rest) = items.split_at_mut(i);
-                rest[0] = op(&done[i - 1], &rest[0]);
-            }
-        }
-        ExecPolicy::Par { grain } => {
-            let grain = grain.max(1);
-            let tree = upsweep(items, grain, &op);
-            downsweep_fwd(items, &tree, None, &op);
-        }
-    }
+    sweep(policy, items, op, false);
 }
 
 /// In-place inclusive suffix scan: `items[i] ← a_i ⊗ a_{i+1} ⊗ … ⊗ a_{k-1}`.
 ///
 /// Operands are combined in increasing index order (matching the backward
 /// pass of the associative smoother, which runs its scan from the last step
-/// toward the first).
+/// toward the first), on the prefix scan's tree mirrored.
 pub fn suffix_scan_in_place<T, F>(policy: ExecPolicy, items: &mut [T], op: F)
 where
     T: Clone + Send + Sync,
     F: Fn(&T, &T) -> T + Sync,
 {
-    if items.len() <= 1 {
-        return;
-    }
-    match policy {
-        ExecPolicy::Seq => {
-            for i in (0..items.len() - 1).rev() {
-                let (rest, done) = items.split_at_mut(i + 1);
-                rest[i] = op(&rest[i], &done[0]);
-            }
-        }
-        ExecPolicy::Par { grain } => {
-            let grain = grain.max(1);
-            let tree = upsweep(items, grain, &op);
-            downsweep_suffix(items, &tree, None, &op);
-        }
-    }
+    sweep(policy, items, op, true);
 }
 
 #[cfg(test)]
@@ -260,6 +167,7 @@ mod tests {
     fn tiny_inputs() {
         let mut empty: Vec<u64> = vec![];
         inclusive_scan_in_place(ExecPolicy::par(), &mut empty, |a, b| a + b);
+        suffix_scan_in_place(ExecPolicy::Seq, &mut empty, |a, b| a + b);
         let mut one = vec![5u64];
         inclusive_scan_in_place(ExecPolicy::par(), &mut one, |a, b| a + b);
         assert_eq!(one, vec![5]);
@@ -278,5 +186,65 @@ mod tests {
         });
         assert_eq!(v[9], "abcdefghij");
         assert_eq!(v[3], "abcd");
+    }
+
+    /// List concatenation is associative and non-commutative, so a slot
+    /// holds the exact list of the indices it combined, in order.
+    fn concat(a: &[usize], b: &[usize]) -> Vec<usize> {
+        a.iter().chain(b).copied().collect()
+    }
+
+    const POLICIES: [ExecPolicy; 3] = [
+        ExecPolicy::Seq,
+        ExecPolicy::Par { grain: 1 },
+        ExecPolicy::Par { grain: 7 },
+    ];
+
+    /// Every slot ends up holding the exact prefix, under every policy, and
+    /// the pairs of each level are disjoint (what makes a level one
+    /// parallel map).
+    #[test]
+    fn prefix_scan_is_exact_for_all_small_lengths() {
+        for len in (1..=65).chain([100, 128, 1000]) {
+            for level in levels(len) {
+                let mut touched = std::collections::HashSet::new();
+                for (src, dst) in level {
+                    assert!(src < dst && dst < len, "len={len}: ({src}, {dst})");
+                    assert!(touched.insert(src), "len={len}: src {src} reused");
+                    assert!(touched.insert(dst), "len={len}: dst {dst} reused");
+                }
+            }
+            for policy in POLICIES {
+                let mut slots: Vec<Vec<usize>> = (0..len).map(|i| vec![i]).collect();
+                inclusive_scan_in_place(policy, &mut slots, |a, b| concat(a, b));
+                for (i, slot) in slots.iter().enumerate() {
+                    let expect: Vec<usize> = (0..=i).collect();
+                    assert_eq!(slot, &expect, "len={len} {policy:?}, slot {i}");
+                }
+            }
+        }
+    }
+
+    /// The suffix scan runs the same pairs mirrored and must produce exact
+    /// suffixes.
+    #[test]
+    fn mirrored_pairs_form_an_exact_suffix_scan() {
+        for len in (1..=65).chain([100, 128, 1000]) {
+            for policy in POLICIES {
+                let mut slots: Vec<Vec<usize>> = (0..len).map(|i| vec![i]).collect();
+                suffix_scan_in_place(policy, &mut slots, |a, b| concat(a, b));
+                for (i, slot) in slots.iter().enumerate() {
+                    let expect: Vec<usize> = (i..len).collect();
+                    assert_eq!(slot, &expect, "len={len} {policy:?}, slot {i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn single_slot_schedule_has_no_levels() {
+        assert!(levels(0).is_empty());
+        assert!(levels(1).is_empty());
+        assert_eq!(levels(2), vec![vec![(0, 1)]]);
     }
 }

@@ -10,6 +10,7 @@
 //! that scheduling is genuinely concurrent; a data race or a
 //! reduction-order change regresses loudly here.
 
+use kalman::associative::associative_filter;
 use kalman::model::{generators, LinearModel};
 use kalman::par::{run_with_threads, ExecPolicy};
 use kalman::prelude::*;
@@ -207,33 +208,32 @@ fn simd_and_mono_kernels_stay_bitwise_equal_across_policies() {
     }
 }
 
-/// The associative scan's combine tree is fixed by its `ScanSchedule`,
-/// and parallel execution writes pre-assigned slots — so the scan must
-/// satisfy the same bitwise Seq≡Par contract the odd-even smoother does,
-/// across the full thread × grain matrix.
+/// Both associative scans run `kalman-par`'s fixed combine tree under every
+/// policy, and parallel execution writes pre-assigned slots — so the
+/// smoother and the filter alone must satisfy the same bitwise Seq≡Par
+/// contract the odd-even smoother does, across the full thread × grain
+/// matrix.
 #[test]
 fn associative_scan_is_bitwise_equal_to_sequential() {
     let mut rng = ChaCha8Rng::seed_from_u64(4500);
     let model = generators::paper_benchmark(&mut rng, 3, 400, true);
-    let seq = associative_smooth(
-        &model,
-        AssociativeOptions {
-            policy: ExecPolicy::Seq,
-        },
-    )
-    .unwrap();
+    let smooth = |policy| associative_smooth(&model, AssociativeOptions { policy }).unwrap();
+    let filter = |policy| {
+        let (means, covs) = associative_filter(&model, AssociativeOptions { policy }).unwrap();
+        Smoothed {
+            means,
+            covariances: Some(covs),
+        }
+    };
+    let (seq_smooth, seq_filter) = (smooth(ExecPolicy::Seq), filter(ExecPolicy::Seq));
     for threads in THREADS {
         for grain in GRAINS {
-            let par = run_with_threads(threads, || {
-                associative_smooth(
-                    &model,
-                    AssociativeOptions {
-                        policy: ExecPolicy::par_with_grain(grain),
-                    },
-                )
-                .unwrap()
-            });
-            assert_bitwise(&seq, &par, &format!("scan threads={threads} grain={grain}"));
+            let policy = ExecPolicy::par_with_grain(grain);
+            let (par_smooth, par_filter) =
+                run_with_threads(threads, || (smooth(policy), filter(policy)));
+            let what = format!("threads={threads} grain={grain}");
+            assert_bitwise(&seq_smooth, &par_smooth, &format!("scan smoother {what}"));
+            assert_bitwise(&seq_filter, &par_filter, &format!("scan filter {what}"));
         }
     }
 }

@@ -1,5 +1,5 @@
 //! The plan/execute contract: executing through a reused `SmoothPlan` is
-//! bitwise identical to one-shot smoothing and plans follow shape changes.
+//! bitwise identical to one-shot smoothing, and a plan covers one shape.
 //! A stream holds no plan; its counterpart here is that the storage of its
 //! window's `R` blocks is sized only by windows longer than any before.
 
@@ -59,9 +59,10 @@ fn plan_reuse_is_bitwise_equal_to_one_shot() {
     }
 }
 
-/// A plan asked to smooth a different shape re-plans (in place) and keeps
-/// producing answers identical to one-shot calls — including non-uniform
-/// dimension sequences.
+/// A plan covers one shape: handed a model of another it refuses with
+/// `InvalidModel` (and keeps serving its own), while a fresh plan per
+/// shape — non-uniform dimension sequences included — matches one-shot
+/// smoothing bitwise.
 #[test]
 fn plan_follows_shape_changes() {
     let opts = OddEvenOptions::default();
@@ -71,20 +72,27 @@ fn plan_follows_shape_changes() {
         kalman::model::generators::dimension_change(&mut rng(912), 3, 21),
         kalman::model::generators::paper_benchmark(&mut rng(913), 3, 17, true),
     ];
-    let mut plan = SmoothPlan::for_model(&models[0], opts).unwrap();
-    let mut signatures = Vec::new();
+    let mut first = SmoothPlan::for_model(&models[0], opts).unwrap();
     for (i, model) in models.iter().enumerate() {
-        let dims: Vec<usize> = model.steps.iter().map(|s| s.state_dim).collect();
-        plan.ensure_shape(&dims);
-        let planned = plan.smooth_model(model).unwrap();
         let fresh = odd_even_smooth(model, opts).unwrap();
-        assert_bitwise(&fresh, &planned, &format!("model {i}"));
-        signatures.push(plan.signature());
+        let mut plan = SmoothPlan::for_model(model, opts).unwrap();
+        assert_bitwise(
+            &fresh,
+            &plan.smooth_model(model).unwrap(),
+            &format!("model {i}"),
+        );
+        // Models 0 and 3 share a shape; 1 and 2 do not.
+        let through_first = first.smooth_model(model);
+        if i == 1 || i == 2 {
+            assert!(
+                matches!(through_first, Err(KalmanError::InvalidModel(_))),
+                "model {i} through model 0's plan"
+            );
+        } else {
+            let what = format!("model {i} through model 0's plan");
+            assert_bitwise(&fresh, &through_first.unwrap(), &what);
+        }
     }
-    // Same shape hashes the same; different shapes differ.
-    assert_eq!(signatures[0], signatures[3]);
-    assert_ne!(signatures[0], signatures[1]);
-    assert_ne!(signatures[1], signatures[2]);
 }
 
 /// Under an irregular manual flush cadence the window length differs from
