@@ -14,7 +14,9 @@
 //! measured twice — once with the blocked kernels + workspace pooling and
 //! once with the unblocked reference kernels + pooling disabled — plus a
 //! warm n = 48 plan's time per step at k = 63 against k = 2000 (memory
-//! locality of the walk), and records the timings plus the speedups to
+//! locality of the walk) and sixteen `serve_heavy`-shaped covariance
+//! streams fed stream-major against round-robin (memory locality of the
+//! serving flush), and records the timings plus the speedups to
 //! `--json PATH` (`BENCH_smoother.json` in CI) with the SIMD backend they
 //! ran on.
 //!
@@ -85,6 +87,72 @@ fn steady_flush(reps: usize) -> f64 {
     }
     steadies.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     steadies[steadies.len() / 2]
+}
+
+/// Streams, steps per stream and the stream shape of [`serve_locality`]:
+/// `serve_heavy`'s (n = 8 observed through a square `G`, lag 32, flush
+/// every 8, covariances).
+const LOCALITY_STREAMS: usize = 16;
+const LOCALITY_STEPS: usize = 400;
+
+/// Seconds per step of [`LOCALITY_STREAMS`] covariance streams of
+/// `serve_heavy`'s shape, fed `[stream-major, round-robin]`: each stream's
+/// events back to back (its window stays in cache from one flush to the
+/// next), or one event per stream in turn (the other fifteen windows pass
+/// through the cache between two flushes of a stream, as they do under
+/// the serving pool).  Same streams, same events, same arithmetic; min of
+/// `rounds` interleaved rounds per arm, fresh streams every round.
+fn serve_locality(rounds: usize) -> [f64; 2] {
+    use kalman::model::{events_of, StreamEvent};
+    let opts = StreamOptions {
+        lag: 32,
+        flush_every: 8,
+        covariances: true,
+        policy: ExecPolicy::Seq,
+        auto_flush: true,
+        ..StreamOptions::default()
+    };
+    let models: Vec<_> = (0..LOCALITY_STREAMS as u64)
+        .map(|s| panel_model(8, LOCALITY_STEPS - 1, 100 + s))
+        .collect();
+    let steps = (LOCALITY_STREAMS * LOCALITY_STEPS) as f64;
+    let mut best = [f64::INFINITY; 2];
+    for _ in 0..rounds {
+        for (arm, best) in best.iter_mut().enumerate() {
+            let mut streams: Vec<_> = models
+                .iter()
+                .map(|m| {
+                    let p = m.prior.as_ref().expect("panel models carry priors");
+                    StreamingSmoother::with_prior(p.mean.clone(), p.cov.clone(), opts)
+                        .expect("valid options")
+                })
+                .collect();
+            let mut events: Vec<std::vec::IntoIter<StreamEvent>> =
+                models.iter().map(|m| events_of(m).into_iter()).collect();
+            let t = Instant::now();
+            if arm == 0 {
+                for (stream, events) in streams.iter_mut().zip(&mut events) {
+                    for event in events {
+                        stream.ingest(event).expect("well-formed event");
+                    }
+                }
+            } else {
+                let mut live = true;
+                while live {
+                    live = false;
+                    for (stream, events) in streams.iter_mut().zip(&mut events) {
+                        if let Some(event) = events.next() {
+                            stream.ingest(event).expect("well-formed event");
+                            live = true;
+                        }
+                    }
+                }
+            }
+            *best = best.min(t.elapsed().as_secs_f64() / steps);
+            std::hint::black_box(&streams);
+        }
+    }
+    best
 }
 
 fn smoke(args: &mut Args) {
@@ -186,6 +254,19 @@ fn smoke(args: &mut Args) {
     entries.push(BenchEntry::new("smoother/n48/k2000", per_step[1]));
     entries.push(BenchEntry::new("speedup/n48_locality", locality));
 
+    // Memory locality of the serving flush: stream-major over round-robin
+    // per-step time of sixteen serve_heavy-shaped streams.
+    let per_step = serve_locality(rounds);
+    let serve_locality = per_step[0] / per_step[1];
+    println!(
+        "{LOCALITY_STREAMS} n=8 covariance streams, lag 32, flush 8, seconds per step: \
+         stream-major {:.3e}, round-robin {:.3e}, speedup/serve_locality {serve_locality:.2}x",
+        per_step[0], per_step[1]
+    );
+    entries.push(BenchEntry::new("stream/serve/stream_major", per_step[0]));
+    entries.push(BenchEntry::new("stream/serve/round_robin", per_step[1]));
+    entries.push(BenchEntry::new("speedup/serve_locality", serve_locality));
+
     let steady = steady_flush(9);
     println!("stream n=4, window 64: steady flush {steady:.2e} s");
     entries.push(BenchEntry::new("stream/steady_flush", steady));
@@ -223,6 +304,11 @@ fn smoke(args: &mut Args) {
              SmoothPlan::smooth_model_into at n=48 (covariances on), interleaved \
              mins of {rounds} rounds, speedup/n48_locality = k63 / k2000 (1.0 = the \
              long chain waits for memory no more than the one that fits in cache); \
+             stream/serve/*: seconds per step of {LOCALITY_STREAMS} covariance streams \
+             (n=8 observed through a square G, lag 32, flush_every 8, auto flush, \
+             {LOCALITY_STEPS} steps each) fed stream-major vs round-robin, interleaved \
+             mins of {rounds} rounds, speedup/serve_locality = stream-major / \
+             round-robin (1.0 = sixteen windows cost no more than one kept in cache); \
              stream/steady_flush: steady-state flush of a n=4 lag=32 \
              flush_every=32 stream (32 eliminations + a 64-step back \
              substitution); obs/* + speedup/obs_on: that flush with \

@@ -419,7 +419,7 @@ fn smoke(args: &mut Args) {
 
     // The serving flush's forward step at the harness's shapes (a full
     // head, `G`, `F` n × n, `H = I`, identity noises): absorb → eliminate →
-    // SelInv terms through the three general calls vs the fixed-size body
+    // sweep terms through the general calls vs the fixed-size body
     // behind `InfoHead::step_into`, each over one chain of steps.  n = 4
     // without the terms and n = 8 with them, as `serve_light` and
     // `serve_heavy` run it.
@@ -463,7 +463,7 @@ fn smoke(args: &mut Args) {
              X = R_jj^-1 B blocks + inv_gram_upper by solves vs by upper_mul with the \
              inverse inv_gram_upper_with_inverse returns; gemm/nK/simd + qr/nK/mono rows: \
              monomorphized SIMD kernels vs the scalar oracle at the serving dimensions; \
-             fwd_step rows: with_observation + eliminate (+ SelInv terms at n = 8) vs \
+             fwd_step rows: with_observation + eliminate (+ sweep terms X, A, b at n = 8) vs \
              InfoHead::step_into on fixed-size columns, {FORWARD_CHAIN} chained steps",
             simd_backend(),
             square_depths.join(", "),
@@ -480,12 +480,14 @@ const FORWARD_CHAIN: usize = 20_000;
 /// Seconds per forward step over a chain of [`FORWARD_CHAIN`] steps of the
 /// paper's §5.2 problem at dimension `n` (random orthonormal `F` and `G`,
 /// unit covariances): each step absorbs the observation, eliminates the
-/// state and — with `terms` — forms the row's two SelInv factors, and the
+/// state and — with `terms` — forms the row's sweep terms `X`, `A`, `b`, and the
 /// head it leaves feeds the next.  `fused` runs `InfoHead::step_into`
 /// into storage kept across steps, as a stream's ring does; otherwise the
-/// three general calls run one after the other.
+/// general calls run one after the other.
 fn forward_chain(n: usize, terms: bool, fused: bool) -> f64 {
-    use kalman::model::{generators::paper_benchmark, InfoHead, WhitenedEvo, WhitenedObs};
+    use kalman::model::{
+        generators::paper_benchmark, EliminatedRows, InfoHead, WhitenedEvo, WhitenedObs,
+    };
     use rand::SeedableRng;
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(23);
     let model = paper_benchmark(&mut rng, n, 1, true);
@@ -497,13 +499,13 @@ fn forward_chain(n: usize, terms: bool, fused: bool) -> f64 {
     let mut head = InfoHead::from_prior(prior).expect("unit covariance");
     let mut next = InfoHead::empty(n);
     let mut whitened = WhitenedObs::default();
-    let mut rows = None;
-    let (mut x, mut a) = (Matrix::default(), Matrix::default());
+    let mut rows = EliminatedRows::default();
+    let (mut x, mut a, mut b) = (Matrix::default(), Matrix::default(), Matrix::default());
     let t = time_once(|| {
         for i in 0..FORWARD_CHAIN {
             if fused {
                 whitened.assign(obs, i).expect("unit covariance");
-                let terms = terms.then_some((&mut x, &mut a));
+                let terms = terms.then_some((&mut x, &mut a, &mut b));
                 head.step_into(Some(&whitened), &evo, &mut rows, terms, &mut next);
                 std::mem::swap(&mut head, &mut next);
             } else {
@@ -514,12 +516,14 @@ fn forward_chain(n: usize, terms: bool, fused: bool) -> f64 {
                     x.clone_from(&kept.off);
                     tri::solve_upper_in_place(&kept.diag, &mut x).expect("full rank");
                     a = tri::inv_gram_upper(&kept.diag).expect("full rank");
+                    b.clone_from(&kept.rhs);
+                    tri::solve_upper_in_place(&kept.diag, &mut b).expect("full rank");
                 }
-                rows = kept;
+                rows = kept.unwrap_or_default();
                 head = advanced;
             }
         }
-        std::hint::black_box((&head, &rows, &x, &a));
+        std::hint::black_box((&head, &rows, &x, &a, &b));
     })
     .0;
     t / FORWARD_CHAIN as f64

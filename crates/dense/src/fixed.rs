@@ -65,8 +65,8 @@ pub(crate) struct StepOut<'a> {
     pub(crate) rhs: &'a mut [f64],
     pub(crate) next_c: &'a mut [f64],
     pub(crate) next_d: &'a mut [f64],
-    /// `(X, A)`, when the caller wants the SelInv terms.
-    pub(crate) terms: Option<(&'a mut [f64], &'a mut [f64])>,
+    /// `(X, A, b)`, when the caller wants the downward sweep's terms.
+    pub(crate) terms: Option<(&'a mut [f64], &'a mut [f64], &'a mut [f64])>,
 }
 
 /// One forward step of the streaming sweep on a state of dimension
@@ -74,12 +74,13 @@ pub(crate) struct StepOut<'a> {
 /// `obs = (G, o)` into `head = (C, d)` by a Householder QR of
 /// `[C; G | d; o]`; *eliminate* the state through the whitened evolution
 /// `evo = (B, D, r)` — the triangular-on-square stack `[R; −B]` with
-/// companions `[0 d; D r]`; and, when `terms` is given, form `R_jj⁻¹` once
-/// and finish `X = R_jj⁻¹R_{j,j+1}` and `A = R_jj⁻¹R_jj⁻ᵀ` from it.
+/// companions `[0 d; D r]`; and, when `terms` is given, form `W = R_jj⁻¹`
+/// once and finish `X = W·R_{j,j+1}`, `A = W·Wᵀ` and `b = W·rhs` from it.
 ///
 /// On `true`, `rows = (R_jj, R_{j,j+1}, rhs)` is the state's block row of
-/// `R`, `next` the head on the next state and `terms` the two SelInv
-/// factors.  On `false` — some block is not `n × n` (`n × 1` for the
+/// `R`, `next` the head on the next state and `terms = (X, A, b)` what the
+/// downward sweep reads of the row: `m_j = b − X·m_{j+1}` and
+/// `S_jj = A + X·S_{j+1,j+1}·Xᵀ`.  On `false` — some block is not `n × n` (`n × 1` for the
 /// right-hand sides), `n` has no static body, the reference kernels are
 /// forced, or `R_jj` fails the effective-rank test of
 /// [`crate::effective_rank_tol`] on a `2n`-row block — the inputs are
@@ -91,7 +92,7 @@ pub fn forward_step(
     evo: (&Matrix, &Matrix, &Matrix),
     rows: (&mut Matrix, &mut Matrix, &mut Matrix),
     next: (&mut Matrix, &mut Matrix),
-    terms: Option<(&mut Matrix, &mut Matrix)>,
+    terms: Option<(&mut Matrix, &mut Matrix, &mut Matrix)>,
 ) -> bool {
     let n = head.0.cols();
     if !(covered(n)
@@ -121,7 +122,13 @@ pub fn forward_step(
         rhs: rows.2.resize_for_overwrite(n, 1),
         next_c: next.0.resize_for_overwrite(n, n),
         next_d: next.1.resize_for_overwrite(n, 1),
-        terms: terms.map(|(x, a)| (x.resize_for_overwrite(n, n), a.resize_for_overwrite(n, n))),
+        terms: terms.map(|(x, a, b)| {
+            (
+                x.resize_for_overwrite(n, n),
+                a.resize_for_overwrite(n, n),
+                b.resize_for_overwrite(n, 1),
+            )
+        }),
     };
     match n {
         4 => simd::forward_step::<4, 8>(&input, &mut output),
@@ -161,7 +168,8 @@ pub fn absorb_step(
 
 /// One step of the window's back substitution: `mean ← R_jj⁻¹ (rhs −
 /// R_{j,j+1}·next)` with every operand loaded once and the column kept in
-/// registers.  `false` (`mean` then holds nothing meaningful) when the
+/// registers — the downward sweep of a window that keeps its rows (no
+/// covariances).  `false` (`mean` then holds nothing meaningful) when the
 /// blocks are not the static shape, the reference kernels are forced or
 /// `R_jj` has a zero pivot.
 pub fn back_substitute(
@@ -186,6 +194,24 @@ pub fn back_substitute(
         4 => simd::back_substitute::<4>(r, o, b, next, mean),
         _ => simd::back_substitute::<8>(r, o, b, next, mean),
     }
+}
+
+/// One mean of the downward sweep from the terms [`forward_step`] formed:
+/// `mean ← b − X·next`, one `n × n` mat-vec and no triangular solve.
+/// `false` (nothing written) when the blocks are not the static shape or the
+/// reference kernels are forced.
+pub fn mean_step(x: &Matrix, b: &Matrix, next: &[f64], mean: &mut Vec<f64>) -> bool {
+    let n = x.rows();
+    if !(covered(n) && is_square(x, n) && is_column(b, n) && next.len() == n) {
+        return false;
+    }
+    mean.resize(n, 0.0);
+    let (x, b) = (x.as_slice(), b.as_slice());
+    match n {
+        4 => simd::mean_step::<4>(x, b, next, mean),
+        _ => simd::mean_step::<8>(x, b, next, mean),
+    }
+    true
 }
 
 /// One step of the bidiagonal SelInv recursion: `s ← sym(A + X·S·Xᵀ)` with
@@ -448,57 +474,74 @@ pub(crate) fn absorb_body<const N: usize, const N2: usize>(
 }
 
 /// `w ← U⁻¹` for an upper triangle with non-zero diagonal (and zeros below
-/// it), column by column: the part of column `j` above the diagonal is
-/// `−U⁻¹[..j, ..j] · U[..j, j] / U[j, j]`, a sum of earlier columns of the
-/// inverse scaled by entries of `U` — full-length lane loops, because those
-/// columns are zero where they must not contribute.
+/// it), right-looking: column `j` of the inverse is
+/// `−U⁻¹[.., ..j] · U[..j, j] / U[j, j]`, and as soon as column `k` is
+/// final its contributions `w[k]·U[k, j]` go into every later column's
+/// accumulator — independent chains where a left-looking sweep has one.
+/// Each entry still sums its products in `k` order from zero, so the
+/// inverse is bitwise the left-looking one.  Full-length lane loops,
+/// because earlier columns are zero where they must not contribute.
 #[inline(always)]
 fn invert_upper<const N: usize>(r: &Sq<N>, w: &mut Sq<N>) {
+    let mut acc = [[0.0f64; N]; N];
     for j in 0..N {
-        let mut col = [0.0f64; N];
-        for k in 0..j {
-            let rkj = r[j][k];
-            for i in 0..N {
-                col[i] += w[k][i] * rkj;
-            }
-        }
         let pivot = 1.0 / r[j][j];
+        let mut col = acc[j];
         for x in col.iter_mut() {
             *x *= -pivot;
         }
         col[j] = pivot;
         w[j] = col;
+        for (k, later) in acc.iter_mut().enumerate().skip(j + 1) {
+            let ujk = r[k][j];
+            for i in 0..N {
+                later[i] += col[i] * ujk;
+            }
+        }
     }
 }
 
-/// `c ← c + a·b`.
+/// `c ← c + a·b`, four columns of `c` at a time: each column of `a` is
+/// loaded once per block and feeds four independent accumulations.  Every
+/// entry sums its products in `k` order, so the result is bitwise that of
+/// a column-at-a-time loop.
 #[inline(always)]
 fn mul_acc<const N: usize>(c: &mut Sq<N>, a: &Sq<N>, b: &Sq<N>) {
-    for j in 0..N {
-        let mut col = c[j];
-        for k in 0..N {
-            let bkj = b[j][k];
-            for i in 0..N {
-                col[i] += a[k][i] * bkj;
+    for j0 in (0..N).step_by(4) {
+        let mut cols = [c[j0], c[j0 + 1], c[j0 + 2], c[j0 + 3]];
+        for (k, ak) in a.iter().enumerate() {
+            for (col, bj) in cols.iter_mut().zip(&b[j0..j0 + 4]) {
+                let bkj = bj[k];
+                for i in 0..N {
+                    col[i] += ak[i] * bkj;
+                }
             }
         }
-        c[j] = col;
+        c[j0..j0 + 4].copy_from_slice(&cols);
     }
 }
 
 /// `c ← c + a·bᵀ`, summing `k` from `k0(j)` — the first `k` at which column
-/// `j` of `bᵀ` can be non-zero.
+/// `j` of `bᵀ` can be non-zero — four columns of `c` at a time, each entry
+/// in `k` order as in [`mul_acc`].
 #[inline(always)]
 fn mul_nt_acc<const N: usize>(c: &mut Sq<N>, a: &Sq<N>, b: &Sq<N>, k0: impl Fn(usize) -> usize) {
-    for j in 0..N {
-        let mut col = c[j];
-        for k in k0(j)..N {
-            let bjk = b[k][j];
-            for i in 0..N {
-                col[i] += a[k][i] * bjk;
+    for j0 in (0..N).step_by(4) {
+        let from = [k0(j0), k0(j0 + 1), k0(j0 + 2), k0(j0 + 3)];
+        let mut cols = [c[j0], c[j0 + 1], c[j0 + 2], c[j0 + 3]];
+        let first = from.iter().copied().min().unwrap_or(N);
+        for k in first..N {
+            for (jj, col) in cols.iter_mut().enumerate() {
+                if k < from[jj] {
+                    continue;
+                }
+                let bjk = b[k][j0 + jj];
+                for i in 0..N {
+                    col[i] += a[k][i] * bjk;
+                }
             }
         }
-        c[j] = col;
+        c[j0..j0 + 4].copy_from_slice(&cols);
     }
 }
 
@@ -552,9 +595,16 @@ pub(crate) fn forward_step_body<const N: usize, const N2: usize>(
     out.rhs[..N].copy_from_slice(&rhs);
     store_sq(&next_c, out.next_c);
     out.next_d[..N].copy_from_slice(&next_d);
-    if let Some((x_out, a_out)) = out.terms.as_mut() {
+    if let Some((x_out, a_out, b_out)) = out.terms.as_mut() {
         let mut w = [[0.0f64; N]; N];
         invert_upper(&r, &mut w);
+        let mut b = [0.0f64; N];
+        for (wk, &rk) in w.iter().zip(&rhs) {
+            for i in 0..N {
+                b[i] += wk[i] * rk;
+            }
+        }
+        b_out[..N].copy_from_slice(&b);
         let mut x = [[0.0f64; N]; N];
         mul_acc(&mut x, &w, &off);
         store_sq(&x, x_out);
@@ -603,6 +653,20 @@ pub(crate) fn back_substitute_body<const N: usize>(
     }
     mean[..N].copy_from_slice(&y);
     true
+}
+
+/// Body of [`mean_step`].
+#[inline(always)]
+pub(crate) fn mean_step_body<const N: usize>(x: &[f64], b: &[f64], next: &[f64], mean: &mut [f64]) {
+    let x = &x[..N * N];
+    let mut y = [0.0f64; N];
+    y.copy_from_slice(&b[..N]);
+    for (c, &mc) in next[..N].iter().enumerate() {
+        for i in 0..N {
+            y[i] -= x[c * N + i] * mc;
+        }
+    }
+    mean[..N].copy_from_slice(&y);
 }
 
 /// Body of [`selinv_step`].
@@ -659,7 +723,16 @@ mod tests {
         b: &Matrix,
         dd: &Matrix,
         r: &Matrix,
-    ) -> (Matrix, Matrix, Matrix, Matrix, Matrix, Matrix, Matrix) {
+    ) -> (
+        Matrix,
+        Matrix,
+        Matrix,
+        Matrix,
+        Matrix,
+        Matrix,
+        Matrix,
+        Matrix,
+    ) {
         let n = c.cols();
         let mut top = Matrix::vstack(&[d, o]);
         let mut diag = QrFactor::new_applying(Matrix::vstack(&[c, g]), &mut [&mut top]).r();
@@ -675,7 +748,9 @@ mod tests {
         let mut x = off.clone();
         tri::solve_upper_in_place(&diag, &mut x).unwrap();
         let a = tri::inv_gram_upper(&diag).unwrap();
-        (diag, off, rhs, next_c, next_d, x, a)
+        let mut b = rhs.clone();
+        tri::solve_upper_in_place(&diag, &mut b).unwrap();
+        (diag, off, rhs, next_c, next_d, x, a, b)
     }
 
     /// `true` under `KALMAN_REF_KERNELS=1`, where every entry declines every
@@ -704,18 +779,20 @@ mod tests {
             let r = sample(n + 2, 1).sub_matrix(2, 0, n, 1);
             let want = general_step(&c, &d, &g, &o, &b, &dd, &r);
 
-            let mut got: [Matrix; 7] = Default::default();
-            let [diag, off, rhs, next_c, next_d, x, a] = &mut got;
+            let mut got: [Matrix; 8] = Default::default();
+            let [diag, off, rhs, next_c, next_d, x, a, sb] = &mut got;
             assert!(forward_step(
                 (&c, &d),
                 (&g, &o),
                 (&b, &dd, &r),
                 (diag, off, rhs),
                 (next_c, next_d),
-                Some((x, a)),
+                Some((x, a, sb)),
             ));
-            let want = [want.0, want.1, want.2, want.3, want.4, want.5, want.6];
-            let names = ["R_jj", "R_j,j+1", "rhs", "next C", "next d", "X", "A"];
+            let want = [
+                want.0, want.1, want.2, want.3, want.4, want.5, want.6, want.7,
+            ];
+            let names = ["R_jj", "R_j,j+1", "rhs", "next C", "next d", "X", "A", "b"];
             for ((got, want), name) in got.iter().zip(&want).zip(names) {
                 let scale = 1.0 + want.max_abs();
                 assert!(
@@ -867,5 +944,180 @@ mod tests {
         }
         let six = sample(6, 6);
         assert!(!selinv_step(&six, &six, &six, &mut Matrix::default()));
+    }
+
+    // -----------------------------------------------------------------------
+    // The loop nests `invert_upper`, `mul_acc` and `mul_nt_acc` had before
+    // they were blocked, kept as oracles: the blocked ones must reproduce
+    // them bit for bit.
+    // -----------------------------------------------------------------------
+
+    fn oracle_invert_upper<const N: usize>(r: &Sq<N>, w: &mut Sq<N>) {
+        for j in 0..N {
+            let mut col = [0.0f64; N];
+            for k in 0..j {
+                let rkj = r[j][k];
+                for i in 0..N {
+                    col[i] += w[k][i] * rkj;
+                }
+            }
+            let pivot = 1.0 / r[j][j];
+            for x in col.iter_mut() {
+                *x *= -pivot;
+            }
+            col[j] = pivot;
+            w[j] = col;
+        }
+    }
+
+    fn oracle_mul_acc<const N: usize>(c: &mut Sq<N>, a: &Sq<N>, b: &Sq<N>) {
+        for j in 0..N {
+            let mut col = c[j];
+            for k in 0..N {
+                let bkj = b[j][k];
+                for i in 0..N {
+                    col[i] += a[k][i] * bkj;
+                }
+            }
+            c[j] = col;
+        }
+    }
+
+    fn oracle_mul_nt_acc<const N: usize>(
+        c: &mut Sq<N>,
+        a: &Sq<N>,
+        b: &Sq<N>,
+        k0: impl Fn(usize) -> usize,
+    ) {
+        for j in 0..N {
+            let mut col = c[j];
+            for k in k0(j)..N {
+                let bjk = b[k][j];
+                for i in 0..N {
+                    col[i] += a[k][i] * bjk;
+                }
+            }
+            c[j] = col;
+        }
+    }
+
+    fn sq<const N: usize>(m: &Matrix) -> Sq<N> {
+        let mut out = [[0.0f64; N]; N];
+        load_sq(&mut out, m.as_slice());
+        out
+    }
+
+    fn sq_bits<const N: usize>(m: &Sq<N>) -> Vec<u64> {
+        m.iter().flatten().map(|v| v.to_bits()).collect()
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `selinv_step` through the oracle loop nests.
+    fn oracle_selinv<const N: usize>(x: &Matrix, a: &Matrix, s_next: &Matrix) -> Vec<u64> {
+        let (xm, next) = (sq::<N>(x), sq::<N>(s_next));
+        let mut xs = [[0.0f64; N]; N];
+        oracle_mul_acc(&mut xs, &xm, &next);
+        let mut out = sq::<N>(a);
+        oracle_mul_nt_acc(&mut out, &xs, &xm, |_| 0);
+        let mut sym = [[0.0f64; N]; N];
+        for j in 0..N {
+            for i in 0..N {
+                sym[j][i] = 0.5 * (out[j][i] + out[i][j]);
+            }
+        }
+        sq_bits(&sym)
+    }
+
+    /// The forward step's `X` and `A` through the oracle loop nests, from the
+    /// `R_jj` and `R_{j,j+1}` the step returned.
+    fn oracle_terms<const N: usize>(diag: &Matrix, off: &Matrix) -> (Vec<u64>, Vec<u64>) {
+        let mut w = [[0.0f64; N]; N];
+        oracle_invert_upper(&sq::<N>(diag), &mut w);
+        let mut x = [[0.0f64; N]; N];
+        oracle_mul_acc(&mut x, &w, &sq::<N>(off));
+        let mut a = [[0.0f64; N]; N];
+        oracle_mul_nt_acc(&mut a, &w, &w, |j| j);
+        (sq_bits(&x), sq_bits(&a))
+    }
+
+    fn check_kernel_bits<const N: usize>() {
+        use rand::SeedableRng;
+        for seed in 0..8u64 {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let mut draw = |rows: usize, cols: usize| crate::random::gaussian(&mut rng, rows, cols);
+            let (c, g, b, dd) = (draw(N, N), draw(N, N), draw(N, N), draw(N, N));
+            let (d, o, r) = (draw(N, 1), draw(N, 1), draw(N, 1));
+            let mut got: [Matrix; 8] = Default::default();
+            let [diag, off, rhs, next_c, next_d, x, a, sb] = &mut got;
+            assert!(forward_step(
+                (&c, &d),
+                (&g, &o),
+                (&b, &dd, &r),
+                (diag, off, rhs),
+                (next_c, next_d),
+                Some((x, a, sb)),
+            ));
+            let (want_x, want_a) = oracle_terms::<N>(diag, off);
+            assert_eq!(bits(x), want_x, "N={N} seed {seed}: X");
+            assert_eq!(bits(a), want_a, "N={N} seed {seed}: A");
+            let mut want_b = rhs.clone();
+            tri::solve_upper_in_place(diag, &mut want_b).unwrap();
+            let scale = 1.0 + want_b.max_abs();
+            assert!(
+                sb.approx_eq(&want_b, 1e-12 * scale),
+                "N={N} seed {seed}: b off by {}",
+                sb.max_abs_diff(&want_b)
+            );
+
+            // A symmetric S_{j+1,j+1}, as the recursion feeds it.
+            let s_next = matmul_nt(&b, &b);
+            let mut s = Matrix::default();
+            assert!(selinv_step(x, a, &s_next, &mut s));
+            assert_eq!(
+                bits(&s),
+                oracle_selinv::<N>(x, a, &s_next),
+                "N={N} seed {seed}: S"
+            );
+            // And an unsymmetric one, which no entry may tell apart either.
+            let mut s = Matrix::default();
+            assert!(selinv_step(x, a, &g, &mut s));
+            assert_eq!(
+                bits(&s),
+                oracle_selinv::<N>(x, a, &g),
+                "N={N} seed {seed}: S(G)"
+            );
+        }
+    }
+
+    #[test]
+    fn blocked_kernels_are_bitwise_the_loop_nests() {
+        if oracle_forced() {
+            return;
+        }
+        check_kernel_bits::<4>();
+        check_kernel_bits::<8>();
+    }
+
+    #[test]
+    fn mean_step_matches_the_mat_vec() {
+        if oracle_forced() {
+            return;
+        }
+        for n in [4usize, 8] {
+            let x = sample(n, n);
+            let b = sample(n + 1, 1).sub_matrix(1, 0, n, 1);
+            let next: Vec<f64> = sample(n + 2, 1).col(0)[2..].to_vec();
+            let mut want = b.clone();
+            x.sub_mul_vec_into(&next, want.col_mut(0));
+            let mut mean = Vec::new();
+            assert!(mean_step(&x, &b, &next, &mut mean));
+            assert_eq!(mean.as_slice(), want.col(0), "n={n}");
+        }
+        let six = sample(6, 6);
+        let mut mean = Vec::new();
+        assert!(!mean_step(&six, &sample(6, 1), &[0.0; 6], &mut mean));
     }
 }

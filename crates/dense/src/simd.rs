@@ -1187,6 +1187,12 @@ fixed_kernel! {
 }
 
 fixed_kernel! {
+    /// [`fixed::mean_step`](crate::fixed::mean_step) at order `N`.
+    mean_step / mean_step_avx2 = fixed::mean_step_body::<N>;
+    <const N>(x: &[f64], b: &[f64], next: &[f64], mean: &mut [f64])
+}
+
+fixed_kernel! {
     /// [`fixed::selinv_step`](crate::fixed::selinv_step) at order `N`.
     selinv_step / selinv_step_avx2 = fixed::selinv_step_body::<N>;
     <const N>(x: &[f64], a: &[f64], s_next: &[f64], s: &mut [f64])
@@ -1482,11 +1488,11 @@ mod tests {
             let (b, dd, r) = (sq(4), sq(6), col(5));
             let run = |avx2: bool| {
                 let mut out = vec![vec![0.0; N * N]; 5];
-                let mut cols = vec![vec![0.0; N]; 3];
+                let mut cols = vec![vec![0.0; N]; 5];
                 let [diag, off, next_c, x, a] = &mut out[..] else {
                     unreachable!()
                 };
-                let [rhs, next_d, mean] = &mut cols[..] else {
+                let [rhs, next_d, sb, mean, swept] = &mut cols[..] else {
                     unreachable!()
                 };
                 let input = fixed::StepIn {
@@ -1504,7 +1510,7 @@ mod tests {
                     rhs,
                     next_c,
                     next_d,
-                    terms: Some((x, a)),
+                    terms: Some((x, a, sb)),
                 };
                 let ok = if avx2 {
                     // SAFETY: `use_avx2()` held above, so AVX2+FMA are
@@ -1522,6 +1528,7 @@ mod tests {
                     unsafe {
                         absorb_avx2::<N, N2>(&c, &d, &g, &o, &mut head_c, &mut head_d);
                         assert!(back_substitute_avx2::<N>(diag, off, rhs, &next, mean));
+                        mean_step_avx2::<N>(x, sb, &next, swept);
                         selinv_step_avx2::<N>(x, a, a, &mut s);
                     }
                 } else {
@@ -1529,6 +1536,7 @@ mod tests {
                     assert!(fixed::back_substitute_body::<N>(
                         diag, off, rhs, &next, mean
                     ));
+                    fixed::mean_step_body::<N>(x, sb, &next, swept);
                     fixed::selinv_step_body::<N>(x, a, a, &mut s);
                 }
                 out.extend(cols);

@@ -14,8 +14,8 @@
 //!   head on the next state and the [`EliminatedRows`] the state leaves in
 //!   the block-bidiagonal `R` factor ([`InfoHead::advance`] is the same step
 //!   for callers that only want the head), and [`InfoHead::step_into`], the
-//!   two chained — with the SelInv terms of the row, if wanted — into
-//!   storage the caller keeps, which is what a streaming flush runs;
+//!   two chained — with the downward sweep's terms of the row, if wanted —
+//!   into storage the caller keeps, which is what a streaming flush runs;
 //! * [`StreamEvent`] and [`events_of`]: a replayable event form of a model,
 //!   used to feed batch problems through streaming ingestion in tests and
 //!   benchmarks.
@@ -215,13 +215,16 @@ impl InfoHead {
 
     /// One whole forward step of the streaming sweep, into storage the
     /// caller keeps: absorb `obs` (when the state is observed), eliminate
-    /// through `evo`, and — when `terms` is given — form the two factors of
-    /// the bidiagonal SelInv recursion that depend on the block row alone,
-    /// `X = R_jj⁻¹ R_{j,j+1}` and `A = R_jj⁻¹ R_jj⁻ᵀ`.  On return `rows` is
-    /// what [`InfoHead::eliminate`] on the posterior returns first, `next`
-    /// what it returns second; `terms` is meaningful exactly when `rows` is
-    /// `Some`.  Matrices already in `rows`, `terms` and `next` donate their
-    /// storage.
+    /// through `evo`, and — when `terms` is given — form what the downward
+    /// sweep of a covariance window reads of the block row, so that the row
+    /// itself need not be kept: `X = R_jj⁻¹ R_{j,j+1}`,
+    /// `A = R_jj⁻¹ R_jj⁻ᵀ` and `b = R_jj⁻¹ rhs`, from which
+    /// `m_j = b − X m_{j+1}` and `S_jj = A + X S_{j+1,j+1} Xᵀ`.  Returns
+    /// whether the data determine the state: on `true`, `rows` is what
+    /// [`InfoHead::eliminate`] on the posterior returns first and `terms`
+    /// are meaningful; on `false` neither is.  `next` is what it returns
+    /// second, either way.  Matrices already in `rows`, `terms` and `next`
+    /// donate their storage.
     ///
     /// Which arithmetic runs is a function of the inputs alone, as in
     /// [`InfoHead::eliminate`].  A full square head that absorbs `n`
@@ -229,7 +232,7 @@ impl InfoHead {
     /// steady state of a stream observed through a square `G` — takes
     /// [`kalman_dense::fixed::forward_step`]: the same Householder
     /// eliminations as the general bodies, with `R_jj` inverted once for
-    /// both terms, on stack-resident columns and in one call.  That body
+    /// all three terms, on stack-resident columns and in one call.  That body
     /// applies the rank test of [`InfoHead::eliminate`] to the same `R_jj`
     /// and declines a factor that fails it; every such step, and every other
     /// shape, runs [`InfoHead::with_observation`]'s compression,
@@ -243,40 +246,50 @@ impl InfoHead {
         &self,
         obs: Option<&WhitenedObs>,
         evo: &WhitenedEvo,
-        rows: &mut Option<EliminatedRows>,
-        mut terms: Option<(&mut Matrix, &mut Matrix)>,
+        rows: &mut EliminatedRows,
+        mut terms: Option<(&mut Matrix, &mut Matrix, &mut Matrix)>,
         next: &mut InfoHead,
-    ) {
+    ) -> bool {
         if let Some(obs) = obs {
             assert_eq!(obs.c.cols(), self.state_dim(), "absorb dimension mismatch");
-            let kept = rows.get_or_insert_with(EliminatedRows::default);
             if fixed::forward_step(
                 (&self.c, &self.d),
                 (&obs.c, &obs.rhs),
                 (&evo.b, &evo.d, &evo.rhs),
-                (&mut kept.diag, &mut kept.off, &mut kept.rhs),
+                (&mut rows.diag, &mut rows.off, &mut rows.rhs),
                 (&mut next.c, &mut next.d),
-                terms.as_mut().map(|(x, a)| (&mut **x, &mut **a)),
+                terms
+                    .as_mut()
+                    .map(|(x, a, b)| (&mut **x, &mut **a, &mut **b)),
             ) {
-                return;
+                return true;
             }
         }
         let posterior = obs.map(|obs| self.with_rows(&obs.c, &obs.rhs));
-        let (mut kept, head) = posterior.as_ref().unwrap_or(self).eliminate(evo);
+        let (kept, head) = posterior.as_ref().unwrap_or(self).eliminate(evo);
         *next = head;
-        if let (Some((x, a)), Some(row)) = (terms, &kept) {
-            // The diagonal has passed the effective-rank test, so neither
-            // inversion meets a zero pivot; if one did, the state would
-            // surface as rank deficient like any state without a row.
-            x.clone_from(&row.off);
-            let inverted = tri::solve_upper_in_place(&row.diag, x)
-                .and_then(|()| tri::inv_gram_upper(&row.diag));
-            match inverted {
-                Ok(gram) => *a = gram,
-                Err(_) => kept = None,
-            }
-        }
+        let Some(kept) = kept else {
+            return false;
+        };
         *rows = kept;
+        let Some((x, a, b)) = terms else {
+            return true;
+        };
+        // The diagonal has passed the effective-rank test, so no solve meets
+        // a zero pivot; if one did, the state would surface as rank
+        // deficient like any state without a row.
+        x.clone_from(&rows.off);
+        b.clone_from(&rows.rhs);
+        let inverted = tri::solve_upper_in_place(&rows.diag, x)
+            .and_then(|()| tri::solve_upper_in_place(&rows.diag, b))
+            .and_then(|()| tri::inv_gram_upper(&rows.diag));
+        match inverted {
+            Ok(gram) => {
+                *a = gram;
+                true
+            }
+            Err(_) => false,
+        }
     }
 
     /// Marginalizes the head's state out through the whitened evolution

@@ -168,12 +168,13 @@ fn step_case(
     }
 }
 
-/// What one forward step leaves: the block row, its SelInv terms, the next
-/// head.
+/// What one forward step leaves: the block row, the downward sweep's terms,
+/// the next head.
 struct StepResult {
     rows: Option<EliminatedRows>,
     x: Matrix,
     a: Matrix,
+    b: Matrix,
     next: InfoHead,
 }
 
@@ -182,13 +183,21 @@ struct StepResult {
 fn general_step(case: &StepCase, evo: &WhitenedEvo) -> StepResult {
     let posterior = case.head.with_observation(&case.obs, 0).unwrap();
     let (rows, next) = posterior.eliminate(evo);
-    let (mut x, mut a) = (Matrix::default(), Matrix::default());
+    let (mut x, mut a, mut b) = (Matrix::default(), Matrix::default(), Matrix::default());
     if let Some(rows) = &rows {
         x = rows.off.clone();
         tri::solve_upper_in_place(&rows.diag, &mut x).unwrap();
         a = tri::inv_gram_upper(&rows.diag).unwrap();
+        b = rows.rhs.clone();
+        tri::solve_upper_in_place(&rows.diag, &mut b).unwrap();
     }
-    StepResult { rows, x, a, next }
+    StepResult {
+        rows,
+        x,
+        a,
+        b,
+        next,
+    }
 }
 
 fn fused_step(case: &StepCase, evo: &WhitenedEvo) -> StepResult {
@@ -198,15 +207,18 @@ fn fused_step(case: &StepCase, evo: &WhitenedEvo) -> StepResult {
         rows: None,
         x: Matrix::default(),
         a: Matrix::default(),
+        b: Matrix::default(),
         next: InfoHead::empty(0),
     };
-    case.head.step_into(
+    let mut rows = EliminatedRows::default();
+    let determined = case.head.step_into(
         Some(&obs),
         evo,
-        &mut out.rows,
-        Some((&mut out.x, &mut out.a)),
+        &mut rows,
+        Some((&mut out.x, &mut out.a, &mut out.b)),
         &mut out.next,
     );
+    out.rows = determined.then_some(rows);
     out
 }
 
@@ -245,6 +257,7 @@ fn blocks(r: &StepResult) -> Vec<(&'static str, &Matrix)> {
             ("rhs", &rows.rhs),
             ("X", &r.x),
             ("A", &r.a),
+            ("b", &r.b),
         ]);
     }
     all

@@ -2,65 +2,89 @@
 //!
 //! A fixed-lag flush is an incremental Paige–Saunders sweep: the forward
 //! step ([`InfoHead::step_into`]) runs once per step, when the step stops
-//! being the newest, and leaves the step's block row of `R` in a [`Ring`]
-//! slot; every flush then back-substitutes through the ring for the means
-//! and runs the bidiagonal SelInv recursion (the paper's Algorithm 1) for
-//! the covariances.  The two factors of that recursion that depend on a
-//! block row alone are computed with the row and kept in its slot, so a
-//! flush inverts nothing it inverted before.  Forgetting a step retires its
-//! slot to a spare list, and the next forward step writes into a spare
-//! slot's matrices: in steady state a flush checks nothing out of the
-//! workspace pool per step.
+//! being the newest, and leaves in a [`Ring`] slot what the downward sweep
+//! reads of the step's block row of `R`; every flush then walks down
+//! through the ring once, from the newest head to the window's base.
+//! Without covariances a slot keeps the row itself and the walk is a back
+//! substitution.  With them it keeps the three factors of the row that the
+//! walk needs — computed with the row, from one `R_jj⁻¹` — and the walk
+//! forms each step's mean and its block of the bidiagonal SelInv recursion
+//! (the paper's Algorithm 1) in the same iteration, so a flush inverts
+//! nothing it inverted before and reads each slot once.  Forgetting a step
+//! retires its slot to a spare list, and the next forward step writes into
+//! a spare slot's matrices: in steady state a flush checks nothing out of
+//! the workspace pool per step.
 
-use kalman_dense::{effective_rank_tol, fixed, tri, KernelKind, Matrix, QrFactor, Trans};
+use kalman_dense::{effective_rank_tol, fixed, tri, GemmFn, KernelKind, Matrix, QrFactor, Trans};
 use kalman_model::{
     EliminatedRows, InfoHead, KalmanError, LinearStep, Result, WhitenedEvo, WhitenedObs,
 };
 use std::collections::VecDeque;
 
-/// One eliminated step of the window.
-///
-/// With covariances a slot holds `5n² + 2n` doubles (the prior's `C`, the
-/// row's `R_jj` and `R_{j,j+1}`, the two SelInv terms, and the two
-/// right-hand sides), `3n² + 2n` without.
+/// One eliminated step of the window: `3n² + 2n` doubles in either kind of
+/// ring — the prior (`n² + n`) and what the downward sweep reads of the
+/// step's block row of `R` (`2n² + n`): the row itself without covariances,
+/// its [`SweepTerms`] with them.
 #[derive(Debug, Clone)]
 struct Slot {
     /// The prior the step was eliminated against: everything older than
     /// the step, without the step's own observations — what the stream's
     /// head is for the window's base.
     prior: InfoHead,
-    /// The step's block row of `R`; `None` when the data cannot determine
-    /// the step (see [`InfoHead::eliminate`]).
-    rows: Option<EliminatedRows>,
-    /// The row's SelInv terms: meaningful exactly when `rows` is `Some` and
-    /// the ring computes covariances.
-    terms: SelinvTerms,
+    /// Whether the data determine the step (see [`InfoHead::eliminate`]);
+    /// a solve that reaches a step they do not reports it rank deficient.
+    /// `rows` and `terms` are meaningful only when it is `true`.
+    determined: bool,
+    /// Rings without covariances: the step's block row `R_jj`,
+    /// `R_{j,j+1}`, `rhs`.  Empty in a covariance ring, whose forward steps
+    /// leave the row in the ring's scratch.
+    rows: EliminatedRows,
+    /// Covariance rings: the row's sweep terms.  Empty otherwise.
+    terms: SweepTerms,
 }
 
 impl Default for Slot {
     fn default() -> Slot {
         Slot {
             prior: InfoHead::empty(0),
-            rows: None,
-            terms: SelinvTerms::default(),
+            determined: false,
+            rows: EliminatedRows::default(),
+            terms: SweepTerms::default(),
         }
     }
 }
 
-/// What the bidiagonal SelInv recursion
-/// `S_jj = R_jj⁻¹R_jj⁻ᵀ + X_j S_{j+1,j+1} X_jᵀ` needs of block row `j`.
-/// Both are functions of the row alone, and the row never changes once its
-/// step is eliminated, so they are computed then — once in the step's life,
-/// where recomputing them in every flush that covers the step did it
-/// `(lag + flush_every) / flush_every` times — and live in the slot: a ring
-/// rebuilt from a snapshot, or re-eliminated after a rollback, recomputes
-/// them bitwise with the rows.
+/// What the downward sweep of a covariance ring reads of block row `j`:
+/// the mean `m_j = b_j − X_j m_{j+1}` and the SelInv recursion
+/// `S_jj = A_j + X_j S_{j+1,j+1} X_jᵀ`.  All three are functions of the row
+/// alone, and the row never changes once its step is eliminated, so they are
+/// computed then — once in the step's life, where recomputing them in every
+/// flush that covers the step did it `(lag + flush_every) / flush_every`
+/// times — and the row itself is not kept.  A ring rebuilt from a snapshot,
+/// or re-eliminated after a rollback, recomputes them bitwise.
 #[derive(Debug, Clone, Default)]
-struct SelinvTerms {
+struct SweepTerms {
     /// `X_j = R_jj⁻¹ R_{j,j+1}`.
     x: Matrix,
     /// `A_j = R_jj⁻¹ R_jj⁻ᵀ`.
     a: Matrix,
+    /// `b_j = R_jj⁻¹ rhs_j`.
+    b: Matrix,
+}
+
+impl SweepTerms {
+    /// `s ← sym(A + X·next·Xᵀ)`: the fixed-size body where the blocks have
+    /// its shape, `gemm` through `xs` otherwise.
+    fn selinv_into(&self, next: &Matrix, s: &mut Matrix, xs: &mut Matrix, gemm: GemmFn) {
+        if fixed::selinv_step(&self.x, &self.a, next, s) {
+            return;
+        }
+        xs.clone_from(&self.x); // shapes the block; β = 0 overwrites it
+        gemm(1.0, &self.x, Trans::No, next, Trans::No, 0.0, xs);
+        s.clone_from(&self.a);
+        gemm(1.0, xs, Trans::No, &self.x, Trans::Yes, 1.0, s);
+        s.symmetrize();
+    }
 }
 
 /// The persistent part of a stream's window factorization: one [`Slot`]
@@ -79,7 +103,7 @@ pub(crate) struct Ring {
     /// of the last [`Ring::smooth`].
     newest: InfoHead,
     /// Whether smooths estimate covariances (a constant of the stream):
-    /// decides at elimination whether a slot gets its [`SelinvTerms`].
+    /// decides what a slot keeps.
     covariances: bool,
     /// Forgotten and rolled-back slots, whose matrices the next forward
     /// steps overwrite.
@@ -88,6 +112,12 @@ pub(crate) struct Ring {
     /// step after step.
     obs: WhitenedObs,
     evo: WhitenedEvo,
+    /// A covariance ring's forward step leaves the block row here, where
+    /// the next step overwrites it: its slot keeps the row's terms.
+    rows: EliminatedRows,
+    /// The two blocks `S_jj` ping-pongs through for the steps whose
+    /// covariances a smooth does not keep.
+    pair: [Matrix; 2],
     /// Longest run of slots the storage has been sized for.
     high_water: usize,
     /// Times `high_water` grew.
@@ -100,11 +130,12 @@ pub(crate) struct Ring {
 pub(crate) struct Estimates {
     /// `means[j]` estimates buffered step `j < len`.
     pub(crate) means: Vec<Vec<f64>>,
-    /// `covs[j]` is `cov(û_j)` for `j < len` (covariance rings only).
+    /// `covs[j]` is `cov(û_j)` for the `j < len` the smooth was asked to
+    /// keep (covariance rings only).
     pub(crate) covs: Vec<Matrix>,
     /// Steps the last smooth covered.
     pub(crate) len: usize,
-    /// The back substitution's working column.
+    /// The downward sweep's working column.
     column: Matrix,
     /// The SelInv recursion's working block `X_j S_{j+1,j+1}`.
     block: Matrix,
@@ -128,6 +159,8 @@ impl Ring {
             spare: Vec::new(),
             obs: WhitenedObs::default(),
             evo: WhitenedEvo::default(),
+            rows: EliminatedRows::default(),
+            pair: Default::default(),
             high_water: 0,
             resizes: 0,
         }
@@ -157,7 +190,8 @@ impl Ring {
     /// Smooths the window `buffer` (whose base has global index
     /// `base_index`): eliminates every step that is no longer the newest
     /// and not eliminated yet, then solves for all buffered steps into
-    /// `out`.
+    /// `out` — every mean, and (in a covariance ring) the covariances of
+    /// the first `keep` steps.
     ///
     /// On error the ring may have eliminated more steps than before, which
     /// changes no estimate: the elimination is an orthogonal change of
@@ -166,6 +200,7 @@ impl Ring {
         &mut self,
         buffer: &[LinearStep],
         base_index: u64,
+        keep: usize,
         out: &mut Estimates,
     ) -> Result<()> {
         self.eliminate_pending(buffer, base_index)?;
@@ -175,7 +210,7 @@ impl Ring {
             Some(obs) => self.running.absorb_into(obs, &mut self.newest),
             None => self.newest.clone_from(&self.running),
         }
-        self.solve_into(base_index, out)
+        self.solve_into(base_index, keep, out)
     }
 
     /// The forward sweep over `buffer[slots.len()..buffer.len() - 1]`: each
@@ -203,19 +238,20 @@ impl Ring {
             self.evo.assign(evolution, next.state_dim, index + 1)?;
             let obs = whitened(&mut self.obs, &buffer[j], index)?;
             let mut slot = self.spare.pop().unwrap_or_default();
-            let terms = &mut slot.terms;
+            let (rows, terms) = if self.covariances {
+                let t = &mut slot.terms;
+                (&mut self.rows, Some((&mut t.x, &mut t.a, &mut t.b)))
+            } else {
+                (&mut slot.rows, None)
+            };
             // The next prior lands in the spare slot's head, then trades
             // places with the running one, which is this slot's prior.
-            self.running.step_into(
-                obs,
-                &self.evo,
-                &mut slot.rows,
-                self.covariances.then_some((&mut terms.x, &mut terms.a)),
-                &mut slot.prior,
-            );
+            slot.determined = self
+                .running
+                .step_into(obs, &self.evo, rows, terms, &mut slot.prior);
             std::mem::swap(&mut self.running, &mut slot.prior);
             count(&ELIMINATIONS, "stream.eliminations");
-            if self.covariances && slot.rows.is_some() {
+            if self.covariances && slot.determined {
                 count(&SLOT_INVERSIONS, "stream.slot_inversions");
             }
             self.slots.push_back(slot);
@@ -223,12 +259,15 @@ impl Ring {
         Ok(())
     }
 
-    /// Back substitution from the newest head through the ring, then (in a
-    /// covariance ring) the bidiagonal SelInv recursion.  Both downward
-    /// loops take the fixed-size bodies of [`kalman_dense::fixed`] slot by
-    /// slot where the slot's blocks have their shape, and the general
-    /// kernels otherwise.
-    fn solve_into(&self, base_index: u64, out: &mut Estimates) -> Result<()> {
+    /// The downward sweep from the newest head through the ring, one
+    /// iteration per slot: back substitution in a ring without covariances;
+    /// in a covariance ring each step's mean `m_j = b_j − X_j m_{j+1}` and
+    /// its SelInv block `S_jj = A_j + X_j S_{j+1,j+1} X_jᵀ` together.  Only
+    /// the blocks of steps `j < keep` land in `out.covs`; the rest
+    /// ping-pong through the ring's two scratch blocks.  Each iteration
+    /// takes the fixed-size bodies of [`kalman_dense::fixed`] where the
+    /// slot's blocks have their shape, and the general kernels otherwise.
+    fn solve_into(&mut self, base_index: u64, keep: usize, out: &mut Estimates) -> Result<()> {
         let last = self.slots.len();
         out.len = last + 1;
         if out.means.len() < out.len {
@@ -256,43 +295,67 @@ impl Ring {
             Some(qr.r())
         };
         set_mean(&mut out.means[last], y);
-        for j in (0..last).rev() {
-            let state = base_index + j as u64;
-            let rows = self.slots[j].rows.as_ref().ok_or(rank_deficient(state))?;
-            let (solved, next) = out.means[j..].split_at_mut(1);
-            if fixed::back_substitute(&rows.diag, &rows.off, &rows.rhs, &next[0], &mut solved[0]) {
-                continue;
-            }
-            y.clone_from(&rows.rhs);
-            rows.off.sub_mul_vec_into(&next[0], y.col_mut(0));
-            tri::solve_upper_in_place(&rows.diag, y).map_err(|_| rank_deficient(state))?;
-            set_mean(&mut solved[0], y);
-        }
         if !self.covariances {
+            for j in (0..last).rev() {
+                let state = base_index + j as u64;
+                let slot = &self.slots[j];
+                if !slot.determined {
+                    return Err(rank_deficient(state));
+                }
+                let rows = &slot.rows;
+                let (solved, next) = out.means[j..].split_at_mut(1);
+                if fixed::back_substitute(
+                    &rows.diag,
+                    &rows.off,
+                    &rows.rhs,
+                    &next[0],
+                    &mut solved[0],
+                ) {
+                    continue;
+                }
+                y.clone_from(&rows.rhs);
+                rows.off.sub_mul_vec_into(&next[0], y.col_mut(0));
+                tri::solve_upper_in_place(&rows.diag, y).map_err(|_| rank_deficient(state))?;
+                set_mean(&mut solved[0], y);
+            }
             return Ok(());
         }
-        if out.covs.len() < out.len {
-            out.covs.resize_with(out.len, Matrix::default);
+        let kept = keep.min(out.len);
+        if out.covs.len() < kept {
+            out.covs.resize_with(kept, Matrix::default);
         }
-        // S_kk = R_kk⁻¹ R_kk⁻ᵀ, then for j = k−1 … 0, from the slot's terms
-        // X_j = R_jj⁻¹ R_{j,j+1} and A_j = R_jj⁻¹ R_jj⁻ᵀ:
-        // S_jj = A_j + X_j S_{j+1,j+1} X_jᵀ.  Every slot below has a row (the
-        // loop above checked), so its terms are there.
-        out.covs[last] = tri::inv_gram_upper(triangle.as_ref().unwrap_or(c))
+        // S_kk = R_kk⁻¹ R_kk⁻ᵀ, then downwards from each slot's terms.
+        let newest = tri::inv_gram_upper(triangle.as_ref().unwrap_or(c))
             .map_err(|_| rank_deficient(state))?;
+        let [work, next] = &mut self.pair;
+        if last < kept {
+            out.covs[last] = newest;
+        } else {
+            *next = newest;
+        }
         let gemm = KernelKind::for_dim(c.cols()).gemm();
-        let xs = &mut out.block;
         for j in (0..last).rev() {
-            let terms = &self.slots[j].terms;
-            let (s, next) = out.covs[j..].split_at_mut(1);
-            if fixed::selinv_step(&terms.x, &terms.a, &next[0], &mut s[0]) {
-                continue;
+            let slot = &self.slots[j];
+            if !slot.determined {
+                return Err(rank_deficient(base_index + j as u64));
             }
-            xs.clone_from(&terms.x); // shapes the block; β = 0 overwrites it
-            gemm(1.0, &terms.x, Trans::No, &next[0], Trans::No, 0.0, xs);
-            s[0].clone_from(&terms.a);
-            gemm(1.0, xs, Trans::No, &terms.x, Trans::Yes, 1.0, &mut s[0]);
-            s[0].symmetrize();
+            let terms = &slot.terms;
+            let (solved, later) = out.means[j..].split_at_mut(1);
+            if !fixed::mean_step(&terms.x, &terms.b, &later[0], &mut solved[0]) {
+                y.clone_from(&terms.b);
+                terms.x.sub_mul_vec_into(&later[0], y.col_mut(0));
+                set_mean(&mut solved[0], y);
+            }
+            let xs = &mut out.block;
+            if j >= kept {
+                terms.selinv_into(next, work, xs, gemm);
+                std::mem::swap(work, next);
+            } else if j + 1 == kept {
+                terms.selinv_into(next, &mut out.covs[j], xs, gemm);
+            } else {
+                let (s, later) = out.covs[j..].split_at_mut(1);
+                terms.selinv_into(&later[0], &mut s[0], xs, gemm);
+            }
         }
         Ok(())
     }
@@ -301,6 +364,24 @@ impl Ring {
     /// the next one (or the running prior) becomes the window's head.
     pub(crate) fn forget(&mut self, count: usize) {
         self.spare.extend(self.slots.drain(..count)); // lint: allow(alloc, "moves slots into capacity `eliminate_pending` reserved with the ring's high-water mark")
+    }
+
+    /// Doubles held by each live and spare slot, for the footprint check.
+    #[cfg(test)]
+    pub(crate) fn slot_doubles(&self) -> Vec<usize> {
+        let len = |m: &Matrix| m.as_slice().len();
+        self.slots
+            .iter()
+            .chain(&self.spare)
+            .map(|slot| {
+                let (c, d) = slot.prior.rows_ref();
+                let (r, t) = (&slot.rows, &slot.terms);
+                [c, d, &r.diag, &r.off, &r.rhs, &t.x, &t.a, &t.b]
+                    .into_iter()
+                    .map(len)
+                    .sum()
+            })
+            .collect()
     }
 
     /// Rolls eliminations back until at most `steps` remain, restoring
@@ -338,7 +419,7 @@ fn set_mean(dst: &mut Vec<f64>, y: &Matrix) {
 type CounterCell = std::sync::OnceLock<&'static kalman_obs::Counter>;
 /// `stream.eliminations`: one per forward step.
 static ELIMINATIONS: CounterCell = CounterCell::new();
-/// `stream.slot_inversions`: one per computed [`SelinvTerms`].
+/// `stream.slot_inversions`: one per computed [`SweepTerms`].
 static SLOT_INVERSIONS: CounterCell = CounterCell::new();
 
 /// Bumps the process-wide counter `name` (registered on first use) while

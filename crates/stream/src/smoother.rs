@@ -433,7 +433,12 @@ impl StreamingSmoother {
         // The sweep eliminates in place; a read-only smooth works on a copy.
         let mut ring = self.ring.clone();
         let mut estimates = Estimates::default();
-        ring.smooth(&self.buffer, self.base_index, &mut estimates)?;
+        ring.smooth(
+            &self.buffer,
+            self.base_index,
+            self.buffer.len(),
+            &mut estimates,
+        )?;
         let Estimates {
             mut means,
             mut covs,
@@ -488,7 +493,7 @@ impl StreamingSmoother {
             return Ok(0);
         }
         let _span = kalman_obs::span!("stream.flush");
-        self.smooth_window()?;
+        self.smooth_window(count)?;
         self.adapt_lag();
         let emitted = self.emit_into(count, out);
         self.ring.forget(count);
@@ -508,7 +513,7 @@ impl StreamingSmoother {
     ///
     /// As [`StreamingSmoother::flush`].
     pub fn finish(mut self) -> Result<(Vec<FinalizedStep>, Checkpoint)> {
-        self.smooth_window()?;
+        self.smooth_window(self.buffer.len())?;
         let head = self.ring.newest().clone();
         let mut finalized = Vec::new();
         self.emit_into(self.buffer.len(), &mut finalized);
@@ -522,10 +527,11 @@ impl StreamingSmoother {
     }
 
     /// Smooths the window in place (see `Ring::smooth`), leaving the
-    /// estimates in `self.estimates`.
-    fn smooth_window(&mut self) -> Result<()> {
+    /// estimates in `self.estimates`: every mean, and the covariances of
+    /// the first `keep` buffered steps — the ones about to be emitted.
+    fn smooth_window(&mut self, keep: usize) -> Result<()> {
         self.ring
-            .smooth(&self.buffer, self.base_index, &mut self.estimates)
+            .smooth(&self.buffer, self.base_index, keep, &mut self.estimates)
     }
 
     /// Writes estimates for the first `count` buffered steps into `out`
@@ -683,11 +689,12 @@ fn check_evolution(evo: &Evolution, prev_dim: usize, index: u64) -> Result<()> {
                 h.rows()
             )));
         }
-        if h.cols() == 0 {
-            return Err(KalmanError::InvalidModel(format!(
-                "step {index} has zero state dimension"
-            )));
-        }
+    }
+    // The new state has `H`'s columns, or `F`'s rows when `H = I`.
+    if evo.h.as_ref().map_or(l, |h| h.cols()) == 0 {
+        return Err(KalmanError::InvalidModel(format!(
+            "step {index} has zero state dimension"
+        )));
     }
     if evo.c.len() != l {
         return Err(KalmanError::InvalidModel(format!(
@@ -1162,6 +1169,171 @@ mod tests {
         // Stream is still usable after rejected events.
         stream.observe(identity_obs(2, vec![0.0, 0.0])).unwrap();
         assert_eq!(stream.next_index(), 1);
+    }
+
+    /// An evolution into a zero-dimensional state (`F` with no rows, `H =
+    /// I`) is refused before it reaches the window: accepted, it became the
+    /// window's base and no snapshot of the stream could be restored.
+    #[test]
+    fn zero_dimensional_evolution_is_refused_and_the_stream_goes_on() {
+        let opts = StreamOptions {
+            lag: 2,
+            flush_every: 1,
+            covariances: true,
+            ..StreamOptions::default()
+        };
+        let mut stream =
+            StreamingSmoother::with_prior(vec![0.0; 2], CovarianceSpec::Identity(2), opts).unwrap();
+        stream.observe(identity_obs(2, vec![1.0, 2.0])).unwrap();
+        let empty = Evolution {
+            f: Matrix::zeros(0, 2),
+            h: None,
+            c: Vec::new(),
+            noise: CovarianceSpec::Identity(0),
+        };
+        for _ in 0..2 {
+            assert!(matches!(
+                stream.evolve(empty.clone()),
+                Err(KalmanError::InvalidModel(_))
+            ));
+            assert_eq!((stream.next_index(), stream.buffered_len()), (1, 1));
+            assert_eq!(stream.state_dim(), 2);
+        }
+        let mut finalized = Vec::new();
+        for i in 1..8 {
+            finalized.extend(stream.evolve(Evolution::random_walk(2)).unwrap());
+            stream
+                .observe(identity_obs(2, vec![i as f64, 0.5]))
+                .unwrap();
+            assert!(matches!(
+                stream.evolve(empty.clone()),
+                Err(KalmanError::InvalidModel(_))
+            ));
+        }
+        finalized.extend(stream.flush().unwrap());
+        assert_eq!(finalized.len(), 6, "steps 0..=5 are more than lag behind 7");
+        let mut restored = StreamingSmoother::restore(stream.snapshot().unwrap(), opts).unwrap();
+        let (tail, _) = stream.finish().unwrap();
+        let (again, _) = restored.flush().and_then(|_| restored.finish()).unwrap();
+        assert_eq!(tail.last().unwrap().index, 7);
+        assert_eq!(again.last().map(|f| f.index), Some(7));
+    }
+
+    fn assert_same_step(got: &FinalizedStep, mean: &[f64], cov: &Matrix, what: &str) {
+        assert_eq!(
+            bits(&got.mean),
+            bits(mean),
+            "{what}: state {} mean",
+            got.index
+        );
+        let got_cov = got.covariance.as_ref().expect("covariance stream");
+        assert_eq!(
+            bits(got_cov.as_slice()),
+            bits(cov.as_slice()),
+            "{what}: state {} covariance",
+            got.index
+        );
+    }
+
+    /// Every flush of a covariance stream keeps only the covariances it
+    /// emits and sweeps the rest through two scratch blocks; `smoothed()`
+    /// keeps them all.  Both walks run the same arithmetic, so what a flush
+    /// emits is bit for bit what `smoothed()` read for the same window just
+    /// before — on the fixed-size bodies (n = 4, 8) and the general ones
+    /// (n = 3, 16), after `drop_last` rolled an eliminated step back and on
+    /// a stream restored from a snapshot.
+    #[test]
+    fn flushes_emit_bitwise_what_smoothed_reads() {
+        for n in [3usize, 4, 8, 16] {
+            let mut rng = ChaCha8Rng::seed_from_u64(40 + n as u64);
+            let model = generators::paper_benchmark(&mut rng, n, 60, true);
+            let opts = StreamOptions {
+                lag: 7,
+                flush_every: 3,
+                covariances: true,
+                auto_flush: false,
+                ..StreamOptions::default()
+            };
+            // Flushes (or finishes) `stream`, comparing what it emits with
+            // what `smoothed()` read just before; returns the count.
+            let checked_flush = |stream: StreamingSmoother, finish: bool, what: &str| {
+                let base = stream.next_index() - stream.buffered_len() as u64;
+                let read = stream.smoothed().unwrap();
+                let covs = read.covariances.as_ref().unwrap();
+                let (emitted, stream) = if finish {
+                    (stream.finish().unwrap().0, None)
+                } else {
+                    let mut stream = stream;
+                    (stream.flush().unwrap(), Some(stream))
+                };
+                for f in &emitted {
+                    let j = (f.index - base) as usize;
+                    assert_same_step(f, &read.means[j], &covs[j], what);
+                }
+                (emitted.len(), stream)
+            };
+            let p = model.prior.as_ref().unwrap();
+            let mut stream =
+                StreamingSmoother::with_prior(p.mean.clone(), p.cov.clone(), opts).unwrap();
+            let mut checked = 0;
+            for (i, step) in model.steps.iter().enumerate() {
+                if i > 0 {
+                    stream.evolve(step.evolution.clone().unwrap()).unwrap();
+                }
+                stream.observe(step.observation.clone().unwrap()).unwrap();
+                let what = format!("n={n} step {i}");
+                if i % 11 == 9 {
+                    // A step that arrives, is eliminated through by a flush
+                    // and is taken back: `drop_last` rolls step `i` back.
+                    stream.evolve(Evolution::random_walk(n)).unwrap();
+                    stream.observe(identity_obs(n, vec![3.0; n])).unwrap();
+                    let (count, rest) = checked_flush(stream, false, &what);
+                    (checked, stream) = (checked + count, rest.unwrap());
+                    assert!(count > 0 && stream.eliminated_len() > 0, "{what}");
+                    stream.drop_last().unwrap();
+                }
+                if i % 13 == 7 {
+                    stream = StreamingSmoother::restore(stream.snapshot().unwrap(), opts).unwrap();
+                }
+                if i % 4 == 3 {
+                    let (count, rest) = checked_flush(stream, false, &what);
+                    (checked, stream) = (checked + count, rest.unwrap());
+                }
+            }
+            checked += checked_flush(stream, true, &format!("n={n} finish")).0;
+            assert!(checked > 50, "n={n}: {checked} steps compared");
+        }
+    }
+
+    /// A slot holds `3n² + 2n` doubles in either kind of ring: the prior
+    /// plus the block row without covariances, the prior plus `X`, `A`, `b`
+    /// with them — live slots and spare ones alike.
+    #[test]
+    fn slots_hold_three_blocks_and_two_columns() {
+        for covariances in [false, true] {
+            for n in [3usize, 4, 8] {
+                let mut rng = ChaCha8Rng::seed_from_u64(50 + n as u64);
+                let model = generators::paper_benchmark(&mut rng, n, 40, true);
+                let opts = StreamOptions {
+                    lag: 6,
+                    flush_every: 4,
+                    covariances,
+                    ..StreamOptions::default()
+                };
+                let p = model.prior.as_ref().unwrap();
+                let mut stream =
+                    StreamingSmoother::with_prior(p.mean.clone(), p.cov.clone(), opts).unwrap();
+                for event in events_of(&model) {
+                    stream.ingest(event).unwrap();
+                }
+                stream.flush().unwrap();
+                let doubles = stream.ring.slot_doubles();
+                assert!(doubles.len() > opts.lag, "live and spare slots");
+                for d in doubles {
+                    assert_eq!(d, 3 * n * n + 2 * n, "n={n} covariances={covariances}");
+                }
+            }
+        }
     }
 
     /// Drives an auto-lag stream over a scalar random walk with the given
