@@ -4,7 +4,9 @@
 //! Paper sizes: (n=6, k=5 000 000) and (n=48, k=100 000) on 56/64-core
 //! servers with 128–200 GB of RAM.  Defaults here are scaled to the
 //! container (24 cores, 21 GB): (n=6, k=500 000) and (n=48, k=20 000);
-//! `--paper` requests the full paper sizes.
+//! `--paper` requests the full paper sizes.  After each panel it prints
+//! the §5.4 single-core overhead table (Odd-Even / Paige-Saunders, the NC
+//! pair, Associative / Kalman) from the sweep's one-core row.
 //!
 //! `cargo run --release -p kalman-bench --bin fig2_running_times \
 //!     [--k6 500000] [--k48 20000] [--runs 3] [--paper] [--quick]`
@@ -29,7 +31,7 @@
 //! `vs-main/*` speedups the acceptance gate refers to.
 
 use kalman::prelude::*;
-use kalman_bench::sweep::{panel_model, run_sweep, Algorithm};
+use kalman_bench::sweep::{panel_model, run_sweep, time_of, Algorithm, Record};
 use kalman_bench::{core_sweep, fmt_secs, median_time, print_row, Args, BenchEntry};
 use std::time::Instant;
 
@@ -357,15 +359,37 @@ fn main() {
             let mut row = vec![c.to_string()];
             for alg in Algorithm::ALL {
                 let t = if alg.is_parallel() {
-                    kalman_bench::sweep::time_of(&records, alg, c)
+                    time_of(&records, alg, c)
                 } else {
                     // Sequential algorithms: one flat line, as in the paper.
-                    kalman_bench::sweep::time_of(&records, alg, 1)
+                    time_of(&records, alg, 1)
                 };
                 row.push(t.map(fmt_secs).unwrap_or_else(|| "-".into()));
             }
             print_row(&row);
         }
+        print_overheads(n, k, &records);
     }
     println!("\n(times in seconds; sequential algorithms are flat lines, as in the paper)");
+}
+
+/// The §5.4 single-core overhead table for one panel, read off the sweep's
+/// one-core row: each parallel algorithm over its sequential counterpart.
+/// Ratios above 1 are the price of parallelism (more arithmetic).
+fn print_overheads(n: usize, k: usize, records: &[Record]) {
+    use Algorithm::*;
+    println!("\nSingle-core overhead (paper §5.4), n={n} k={k}:");
+    print_row(&["ratio".into(), "measured".into(), "paper".into()]);
+    for (label, par, seq, paper) in [
+        ("OddEven/PS", OddEven, PaigeSaunders, "1.8-2.5x"),
+        ("OE-NC/PS-NC", OddEvenNc, PaigeSaundersNc, "1.8-2.0x"),
+        ("Assoc/Kalman", Associative, Kalman, "1.8-2.7x"),
+    ] {
+        let ratio = time_of(records, par, 1).zip(time_of(records, seq, 1));
+        print_row(&[
+            label.into(),
+            ratio.map_or_else(|| "-".into(), |(p, s)| format!("{:.2}x", p / s)),
+            paper.into(),
+        ]);
+    }
 }

@@ -17,10 +17,7 @@
 //! (`QrFactor::new_applying`) versus factor-then-apply below the
 //! `QR_FUSED_MAX_COLS` crossover, the level-3 bodies (compact-WY tri-stack,
 //! blocked back substitution, blocked inverse-Gram) versus the unblocked
-//! ones at batch dimensions (with two ungated context rows at the odd-even
-//! smoother's n = 48 shapes: step 2's tri-stack, and one SelInv block row's
-//! terms with and without the inverse-Gram's `R_jj⁻¹`), the monomorphized
-//! SIMD kernels versus the
+//! ones at batch dimensions, the monomorphized SIMD kernels versus the
 //! scalar oracle (GEMM at n ∈ {4, 8}, tri-stack at n ∈ {8, 16}), plus the
 //! serving flush's forward step through the general bodies versus the
 //! fixed-size one; each pair is
@@ -66,13 +63,6 @@ fn push_pair(entries: &mut Vec<BenchEntry>, name: &str, arms: (&str, &str), t_a:
     entries.push(BenchEntry::new(format!("{name}/{}", arms.0), t_a));
     entries.push(BenchEntry::new(format!("{name}/{}", arms.1), t_b));
     entries.push(BenchEntry::new(format!("{name}/speedup"), t_a / t_b));
-}
-
-/// [`push_pair`] without the `/speedup` entry: a row recorded for context,
-/// which `bench_check` never compares.
-fn push_context(entries: &mut Vec<BenchEntry>, name: &str, arms: (&str, &str), t_a: f64, t_b: f64) {
-    push_pair(entries, name, arms, t_a, t_b);
-    entries.pop();
 }
 
 fn smoke(args: &mut Args) {
@@ -245,78 +235,6 @@ fn smoke(args: &mut Args) {
         }
     }
 
-    // Context rows at the odd-even smoother's n = 48 shapes, not gated: the
-    // CI runner may lack the zmm rung, which is where they move.  Step 2's
-    // tri-stack (companions 48 + 48 + 1) by the two bodies, and one SelInv
-    // block row's terms — two `X = R_jj⁻¹B` blocks and the inverse Gram — by
-    // two triangular solves beside `inv_gram_upper`, or as `upper_mul`
-    // products with the inverse `inv_gram_upper_with_inverse` hands back.
-    {
-        let n = 48;
-        let r0 = QrFactor::new(test_matrix(n, n)).r();
-        let d0 = test_matrix(n, n);
-        let (block0, rhs0) = (test_matrix(n, n), test_matrix(n, 1));
-        let reps = 20;
-        type Eliminate = fn(&mut Matrix, &mut Matrix, &mut [(&mut Matrix, &mut Matrix)]);
-        let run = |eliminate: Eliminate| {
-            time_once(|| {
-                for _ in 0..reps {
-                    let (mut r, mut d) = (r0.clone(), d0.clone());
-                    let (mut l_top, mut l_bot) = (block0.clone(), block0.clone());
-                    let (mut x_top, mut x_bot) = (block0.clone(), block0.clone());
-                    let (mut rhs_top, mut rhs_bot) = (rhs0.clone(), rhs0.clone());
-                    let mut pairs = [
-                        (&mut l_top, &mut l_bot),
-                        (&mut x_top, &mut x_bot),
-                        (&mut rhs_top, &mut rhs_bot),
-                    ];
-                    eliminate(&mut r, &mut d, &mut pairs);
-                    std::hint::black_box(&r);
-                }
-            })
-            .0 / reps as f64
-        };
-        let (t_unblocked, t_blocked) = ab_min(
-            rounds,
-            || run(qr_trap_stack_applying),
-            || run(qr_tri_stack_applying),
-        );
-        let arms = ("unblocked", "blocked");
-        push_context(
-            &mut entries,
-            "tri_stack/n48/wide",
-            arms,
-            t_unblocked,
-            t_blocked,
-        );
-
-        let u = r0;
-        let terms = |reuse: bool| {
-            time_once(|| {
-                for _ in 0..reps {
-                    let (a, w) = if reuse {
-                        tri::inv_gram_upper_with_inverse(&u).expect("nonsingular")
-                    } else {
-                        (tri::inv_gram_upper(&u).expect("nonsingular"), None)
-                    };
-                    let x = [(); 2].map(|()| match &w {
-                        Some(w) => tri::upper_mul(w, &block0),
-                        None => {
-                            let mut x = block0.clone();
-                            tri::solve_upper_in_place(&u, &mut x).expect("nonsingular");
-                            x
-                        }
-                    });
-                    std::hint::black_box((a, x));
-                }
-            })
-            .0 / reps as f64
-        };
-        let (t_solves, t_reuse) = ab_min(rounds, || terms(false), || terms(true));
-        let arms = ("solves", "reuse");
-        push_context(&mut entries, "selinv_terms/n48", arms, t_solves, t_reuse);
-    }
-
     // Monomorphized SIMD kernels vs the scalar oracle at the serving
     // dimensions.  GEMM compares the `KernelKind`-bound monomorphic entry
     // (the pointer a uniform-n plan binds at plan time) against the scalar
@@ -457,17 +375,12 @@ fn smoke(args: &mut Args) {
              new_applying vs factor-then-apply at n in [8,16,24], all below the \
              QR_FUSED_MAX_COLS = 32 crossover; tri_stack rows: compact-WY vs unblocked \
              SIMD body, one (n+1)-wide companion pair, panel depth {}; trsm/inv_gram rows: \
-             blocked vs the scalar oracle at n = 48; tri_stack/n48/wide + \
-             selinv_terms/n48 (context, no speedup entry, not gated): step 2's tri-stack, \
-             companions 48 + 48 + 1, compact-WY (panel depth {}) vs unblocked, and two \
-             X = R_jj^-1 B blocks + inv_gram_upper by solves vs by upper_mul with the \
-             inverse inv_gram_upper_with_inverse returns; gemm/nK/simd + qr/nK/mono rows: \
+             blocked vs the scalar oracle at n = 48; gemm/nK/simd + qr/nK/mono rows: \
              monomorphized SIMD kernels vs the scalar oracle at the serving dimensions; \
              fwd_step rows: with_observation + eliminate (+ sweep terms X, A, b at n = 8) vs \
              InfoHead::step_into on fixed-size columns, {FORWARD_CHAIN} chained steps",
             simd_backend(),
             square_depths.join(", "),
-            depth(kalman::dense::tri_stack_panel_depth(48, 48, 97)),
         );
         kalman_bench::write_bench_json(&json, &config, &entries).expect("write json");
         println!("wrote {json}");

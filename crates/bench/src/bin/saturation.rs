@@ -1,33 +1,18 @@
-//! Saturation benchmark: many async producers against a sharded serving
-//! pool under bounded queues.
-//!
-//! Sweeps shard counts for a fixed producer population and reports
-//! end-to-end serving throughput (events and finalized steps per second),
-//! backpressure engagement (producer throttles), and flush-pass latency.
-//! Single-threaded by construction — producers and consumer share one
-//! core through the vendored cooperative executor — so the numbers
-//! isolate the *serving machinery* (queues, gating, batched flushes),
-//! not hardware parallelism; on a multi-core runner the per-shard flush
-//! batches additionally parallelize under `ExecPolicy::par()`.
+//! Saturation benchmark for the cross-process serving layer
+//! (`kalman::cluster`): a round-paced workload of many streams through a
+//! supervisor that re-execs this binary as shard worker processes.  It
+//! sweeps the worker count, kills a worker mid-load and times the
+//! restart+replay recovery, and records everything (plus a
+//! `speedup/cluster_w2` ratio gated by `bench_check`) into a
+//! `BENCH_serve.json` artifact.  The in-process closed loop is the end-to-end
+//! benchmark's `serve_light` / `serve_heavy` workloads (`benchmark/`).
 //!
 //! `cargo run --release -p kalman-bench --bin saturation -- \
-//!     [--producers 64] [--steps 200] [--cap 32] [--smoke]`
-//!
-//! With `--cluster`, the same round-paced workload instead runs through
-//! the cross-process serving layer (`kalman::cluster`): a supervisor
-//! re-execs this binary as shard worker processes, sweeps the worker
-//! count, kills a worker mid-load and times the restart+replay recovery,
-//! and records everything (plus a `speedup/cluster_w2` ratio gated by
-//! `bench_check`) into a `BENCH_serve.json` artifact:
-//!
-//! `cargo run --release -p kalman-bench --bin saturation -- \
-//!     --cluster [--smoke] [--json BENCH_serve.json]`
+//!     [--producers 32] [--steps 300] [--n 8] [--smoke] [--json BENCH_serve.json]`
 
-use futures::executor::LocalPool;
 use kalman::cluster::{ClusterConfig, StreamInit, StreamSpec, Supervisor};
 use kalman::model::StreamEvent;
 use kalman::prelude::*;
-use kalman::serve::{ServeConfig, ShardedPool};
 use kalman_bench::{print_row, write_bench_json, Args, BenchEntry};
 
 fn event_stream(n: usize, steps: usize, salt: usize) -> Vec<StreamEvent> {
@@ -47,85 +32,6 @@ fn event_stream(n: usize, steps: usize, salt: usize) -> Vec<StreamEvent> {
     events
 }
 
-struct RunStats {
-    secs: f64,
-    drains: u64,
-    throttled: u64,
-    flushed_steps: u64,
-    /// p50/p95/p99 whole-drain latency in seconds, from the serving
-    /// layer's drain-latency histogram.
-    drain_quantiles: [f64; 3],
-    /// The final serving-metrics snapshot (printed for the largest sweep
-    /// point via its `Display` table).
-    stats: kalman::serve::Stats,
-}
-
-fn run(producers: usize, shards: usize, steps: usize, cap: usize, n: usize) -> RunStats {
-    let cfg = ServeConfig {
-        shards,
-        queue_capacity: cap,
-        policy: ExecPolicy::Seq,
-    };
-    let (mut pool, ingress) = ShardedPool::new(cfg);
-    let opts = StreamOptions {
-        lag: 12,
-        flush_every: 6,
-        covariances: false,
-        policy: ExecPolicy::Seq,
-        ..StreamOptions::default()
-    };
-    for key in 0..producers as u64 {
-        pool.insert(
-            key,
-            StreamingSmoother::with_prior(vec![0.0; n], CovarianceSpec::Identity(n), opts)
-                .expect("valid options"),
-        )
-        .expect("fresh key");
-    }
-    let mut tasks = LocalPool::new();
-    let spawner = tasks.spawner();
-    for key in 0..producers {
-        let mut tx = ingress.clone();
-        let events = event_stream(n, steps, key);
-        spawner.spawn_local(async move {
-            for event in events {
-                tx.submit(key as u64, event).await.expect("pool alive");
-                futures::future::yield_now().await;
-            }
-        });
-    }
-    drop(ingress);
-
-    let start = std::time::Instant::now();
-    let mut drains = 0u64;
-    loop {
-        tasks.run_until_stalled();
-        let summary = pool.drain();
-        drains += 1;
-        if tasks.is_empty() && summary.ops == 0 {
-            break;
-        }
-    }
-    let secs = start.elapsed().as_secs_f64();
-    let stats = pool.stats();
-    let agg = stats.aggregate();
-    let mut flushed_steps = agg.flushed_steps;
-    let d = &stats.drain_latency;
-    let drain_quantiles = [d.p50() / 1e9, d.p95() / 1e9, d.p99() / 1e9];
-    for key in 0..producers as u64 {
-        flushed_steps += pool.finish(key).expect("solvable").0.len() as u64;
-    }
-    assert_eq!(flushed_steps as usize, producers * steps);
-    RunStats {
-        secs,
-        drains,
-        throttled: agg.throttled,
-        flushed_steps: agg.flushed_steps,
-        drain_quantiles,
-        stats,
-    }
-}
-
 /// One cluster measurement: wall time for the whole load, and — when a
 /// worker was killed mid-load — the kill-to-recovered wall time.
 struct ClusterRun {
@@ -134,7 +40,7 @@ struct ClusterRun {
 }
 
 /// Round-paces `producers` event streams through a supervised worker
-/// cluster.  With `kill_mid_load`, SIGKILLs worker 0 halfway through and
+/// cluster.  With `kill`, SIGKILLs worker 0 halfway through and
 /// times the supervisor's detect → restart → restore → replay cycle.
 fn run_cluster(producers: usize, workers: usize, steps: usize, n: usize, kill: bool) -> ClusterRun {
     let mut sup = Supervisor::new(ClusterConfig {
@@ -214,12 +120,25 @@ fn run_cluster(producers: usize, workers: usize, steps: usize, n: usize, kill: b
     }
 }
 
-/// The `--cluster` mode: worker-count sweep + recovery timing, recorded
-/// as a `BENCH_serve.json` artifact.
-fn cluster_main(producers: usize, steps: usize, n: usize, json: &str) {
+fn main() {
+    // If the supervisor re-exec'd us as a shard worker, this never
+    // returns; in every other invocation it is an instant no-op.
+    kalman::cluster::worker_entry_from_env();
+
+    let mut args = Args::parse();
+    let smoke = args.has("smoke");
+    // n = 8: the gated w1/w2 ratio is only stable when smoothing work, not
+    // socket traffic, dominates the wall time.
+    let producers: usize = args.get("producers", if smoke { 16 } else { 32 });
+    let steps: usize = args.get("steps", if smoke { 150 } else { 300 });
+    let n: usize = args.get("n", 8);
+    let json: String = args.get("json", "BENCH_serve.json".to_string());
+    args.finish();
+
+    // Worker-count sweep + recovery timing.
     let events = producers * (2 * steps - 1);
     println!(
-        "saturation --cluster: {producers} streams x {steps} steps (n = {n}), \
+        "saturation: {producers} streams x {steps} steps (n = {n}), \
          {events} events per run, worker processes re-exec'd from this binary\n"
     );
     print_row(&[
@@ -272,78 +191,6 @@ fn cluster_main(producers: usize, steps: usize, n: usize, json: &str) {
          1-worker over 2-worker wall time (gated by bench_check)."
     );
     let config = format!("cluster producers={producers} steps={steps} n={n}");
-    write_bench_json(json, &config, &entries).expect("write artifact");
+    write_bench_json(&json, &config, &entries).expect("write artifact");
     println!("wrote {json} ({} entries)", entries.len());
-}
-
-fn main() {
-    // If the supervisor re-exec'd us as a shard worker, this never
-    // returns; in every other invocation it is an instant no-op.
-    kalman::cluster::worker_entry_from_env();
-
-    let mut args = Args::parse();
-    let smoke = args.has("smoke");
-    let cluster = args.has("cluster");
-    if cluster {
-        // Heavier per-event compute than the in-process sweep (n = 8):
-        // the gated w1/w2 ratio is only stable when smoothing work, not
-        // socket traffic, dominates the wall time.
-        let producers: usize = args.get("producers", if smoke { 16 } else { 32 });
-        let steps: usize = args.get("steps", if smoke { 150 } else { 300 });
-        let n: usize = args.get("n", 8);
-        let json: String = args.get("json", "BENCH_serve.json".to_string());
-        args.finish();
-        cluster_main(producers, steps, n, &json);
-        return;
-    }
-    let producers: usize = args.get("producers", 64);
-    let steps: usize = args.get("steps", if smoke { 60 } else { 200 });
-    let cap: usize = args.get("cap", 32);
-    let n: usize = args.get("n", 4);
-    args.finish();
-
-    let events = producers * (2 * steps - 1);
-    println!(
-        "saturation: {producers} producers x {steps} steps (n = {n}), \
-         queue capacity {cap}/shard, {events} events per run\n"
-    );
-    print_row(&[
-        "shards".into(),
-        "secs".into(),
-        "events/s".into(),
-        "steps/s".into(),
-        "drains".into(),
-        "throttled".into(),
-        "drain p50".into(),
-        "p95".into(),
-        "p99".into(),
-    ]);
-    let mut last = None;
-    for shards in [1usize, 2, 4, 8] {
-        if shards > producers {
-            continue;
-        }
-        let r = run(producers, shards, steps, cap, n);
-        print_row(&[
-            format!("{shards}"),
-            format!("{:.3}", r.secs),
-            format!("{:.0}", events as f64 / r.secs),
-            format!("{:.0}", r.flushed_steps as f64 / r.secs),
-            format!("{}", r.drains),
-            format!("{}", r.throttled),
-            format!("{:.1}us", r.drain_quantiles[0] * 1e6),
-            format!("{:.1}us", r.drain_quantiles[1] * 1e6),
-            format!("{:.1}us", r.drain_quantiles[2] * 1e6),
-        ]);
-        last = Some(r.stats);
-    }
-    println!(
-        "\nthrottled = producer submissions that found their shard queue full \
-         (each waited for a drain);\ndrain p50/p95/p99 = whole-drain latency \
-         quantiles from the serving layer's histogram."
-    );
-    if let Some(stats) = last {
-        println!("\nper-shard metrics of the last sweep point:");
-        println!("{stats}");
-    }
 }

@@ -220,7 +220,7 @@ fn row(f: &mut fmt::Formatter<'_>, label: &str, m: &ShardStats) -> fmt::Result {
 
 /// The serving-metrics table: one aligned row per shard, an `all`
 /// aggregate row, and a drain-latency quantile line.  Used by
-/// `examples/serving.rs` and the saturation benchmark.
+/// `examples/serving.rs`.
 impl fmt::Display for Stats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(

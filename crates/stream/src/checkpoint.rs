@@ -42,8 +42,10 @@ impl Checkpoint {
     ///
     /// [`kalman_model::KalmanError::Stream`] unless `d` is a single
     /// column with the same row count as `c`, the state dimension (`c`'s
-    /// column count) is positive, `c` has no more rows than columns (the
-    /// head is an upper-trapezoidal R-factor condensation, `r ≤ n`), and
+    /// column count) is positive and at most
+    /// [`MAX_STATE_DIM`](crate::MAX_STATE_DIM), `c` has no more rows than
+    /// columns (the head is an upper-trapezoidal R-factor condensation,
+    /// `r ≤ n`), and
     /// every entry is finite (forgetting is exact, so one NaN/∞ in a head
     /// would stay in the stream's priors forever)
     /// — this is the trust boundary for checkpoints arriving off the
@@ -72,6 +74,7 @@ impl Checkpoint {
                 "checkpoint state dimension must be positive".into(),
             ));
         }
+        crate::smoother::check_state_dim(c.cols())?;
         if c.rows() > c.cols() {
             return Err(kalman_model::KalmanError::Stream(format!(
                 "checkpoint head must be a condensed R-factor (rows <= state \

@@ -81,4 +81,4 @@ pub use checkpoint::{Checkpoint, WindowSnapshot};
 pub use kalman_odd_even::BackendPolicy;
 pub use options::{FinalizedStep, LagPolicy, StreamOptions};
 pub use pool::{PollBatch, PollEntry, SmootherPool, StreamId};
-pub use smoother::StreamingSmoother;
+pub use smoother::{StreamingSmoother, MAX_STATE_DIM};

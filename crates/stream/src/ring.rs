@@ -15,7 +15,7 @@
 //! a spare slot's matrices: in steady state a flush checks nothing out of
 //! the workspace pool per step.
 
-use kalman_dense::{effective_rank_tol, fixed, tri, GemmFn, KernelKind, Matrix, QrFactor, Trans};
+use kalman_dense::{effective_rank_tol, fixed, gemm, tri, Matrix, QrFactor, Trans};
 use kalman_model::{
     EliminatedRows, InfoHead, KalmanError, LinearStep, Result, WhitenedEvo, WhitenedObs,
 };
@@ -75,7 +75,7 @@ struct SweepTerms {
 impl SweepTerms {
     /// `s ← sym(A + X·next·Xᵀ)`: the fixed-size body where the blocks have
     /// its shape, `gemm` through `xs` otherwise.
-    fn selinv_into(&self, next: &Matrix, s: &mut Matrix, xs: &mut Matrix, gemm: GemmFn) {
+    fn selinv_into(&self, next: &Matrix, s: &mut Matrix, xs: &mut Matrix) {
         if fixed::selinv_step(&self.x, &self.a, next, s) {
             return;
         }
@@ -333,7 +333,6 @@ impl Ring {
         } else {
             *next = newest;
         }
-        let gemm = KernelKind::for_dim(c.cols()).gemm();
         for j in (0..last).rev() {
             let slot = &self.slots[j];
             if !slot.determined {
@@ -348,13 +347,13 @@ impl Ring {
             }
             let xs = &mut out.block;
             if j >= kept {
-                terms.selinv_into(next, work, xs, gemm);
+                terms.selinv_into(next, work, xs);
                 std::mem::swap(work, next);
             } else if j + 1 == kept {
-                terms.selinv_into(next, &mut out.covs[j], xs, gemm);
+                terms.selinv_into(next, &mut out.covs[j], xs);
             } else {
                 let (s, later) = out.covs[j..].split_at_mut(1);
-                terms.selinv_into(&later[0], &mut s[0], xs, gemm);
+                terms.selinv_into(&later[0], &mut s[0], xs);
             }
         }
         Ok(())

@@ -66,6 +66,25 @@ pub struct StreamingSmoother {
     prev_base: u64,
 }
 
+/// The largest state dimension a stream accepts.  A dimension can enter a
+/// stream as a bare number with no data behind it — the column count of a
+/// zero-row checkpoint head or of a zero-row `H` — and the first flush then
+/// sizes `n × n` blocks by it, an allocation that aborts the process rather
+/// than failing.  2¹⁶ is far above the paper's largest state (n = 500) and
+/// one such block is already 32 GiB.
+pub const MAX_STATE_DIM: usize = 1 << 16;
+
+/// Refuses a state dimension above [`MAX_STATE_DIM`] with a typed
+/// [`KalmanError::Stream`].
+pub(crate) fn check_state_dim(n: usize) -> Result<()> {
+    if n > MAX_STATE_DIM {
+        return Err(KalmanError::Stream(format!(
+            "state dimension {n} exceeds MAX_STATE_DIM = {MAX_STATE_DIM}"
+        )));
+    }
+    Ok(())
+}
+
 fn check_options(opts: &StreamOptions) -> Result<()> {
     if opts.flush_every == 0 {
         return Err(KalmanError::Stream("flush_every must be at least 1".into()));
@@ -89,7 +108,8 @@ impl StreamingSmoother {
     ///
     /// # Errors
     ///
-    /// [`KalmanError::Stream`] on degenerate options or `n == 0`.
+    /// [`KalmanError::Stream`] on degenerate options, `n == 0` or
+    /// `n > MAX_STATE_DIM`.
     pub fn new(n: usize, opts: StreamOptions) -> Result<Self> {
         check_options(&opts)?;
         if n == 0 {
@@ -97,6 +117,7 @@ impl StreamingSmoother {
                 "state dimension must be positive".into(),
             ));
         }
+        check_state_dim(n)?;
         Ok(StreamingSmoother::with_head(
             InfoHead::empty(n),
             0,
@@ -124,7 +145,8 @@ impl StreamingSmoother {
     ///
     /// # Errors
     ///
-    /// [`KalmanError::Stream`] on degenerate options,
+    /// [`KalmanError::Stream`] on degenerate options or a mean longer than
+    /// [`MAX_STATE_DIM`],
     /// [`KalmanError::InvalidModel`] on a dimension mismatch or a NaN/∞ in
     /// the mean, and [`KalmanError::NotPositiveDefinite`] on a covariance
     /// that is not SPD (NaN/∞ entries included).
@@ -139,6 +161,7 @@ impl StreamingSmoother {
                 "state dimension must be positive".into(),
             ));
         }
+        check_state_dim(mean.len())?;
         if cov.dim() != mean.len() {
             return Err(KalmanError::InvalidModel(
                 "prior covariance dimension does not match prior mean".into(),
@@ -229,7 +252,8 @@ impl StreamingSmoother {
     /// # Errors
     ///
     /// [`KalmanError::Stream`] on degenerate options, an auto lag policy,
-    /// or a zero-dimensional head; [`KalmanError::InvalidModel`] when the
+    /// or a head of dimension zero or above [`MAX_STATE_DIM`];
+    /// [`KalmanError::InvalidModel`] when the
     /// replayed events are inconsistent (possible only for snapshots not
     /// produced by [`StreamingSmoother::snapshot`]).
     pub fn restore(snapshot: WindowSnapshot, opts: StreamOptions) -> Result<Self> {
@@ -244,6 +268,7 @@ impl StreamingSmoother {
                 "snapshot head has zero state dimension".into(),
             ));
         }
+        check_state_dim(snapshot.head.state_dim())?;
         let auto_flush = opts.auto_flush;
         let mut stream = StreamingSmoother::with_head(
             snapshot.head,
@@ -325,8 +350,10 @@ impl StreamingSmoother {
     /// # Errors
     ///
     /// [`KalmanError::InvalidModel`] on dimension mismatches against the
-    /// newest state or a NaN/∞ entry in `F`, `H` or `c` (the stream is left
-    /// unchanged), plus any flush error (see [`StreamingSmoother::flush`]).
+    /// newest state or a NaN/∞ entry in `F`, `H` or `c`, and
+    /// [`KalmanError::Stream`] on a new state dimension above
+    /// [`MAX_STATE_DIM`] (either way the stream is left unchanged), plus any
+    /// flush error (see [`StreamingSmoother::flush`]).
     pub fn evolve(&mut self, evolution: Evolution) -> Result<Vec<FinalizedStep>> {
         let prev_dim = self.state_dim();
         let index = self.next_index();
@@ -691,11 +718,13 @@ fn check_evolution(evo: &Evolution, prev_dim: usize, index: u64) -> Result<()> {
         }
     }
     // The new state has `H`'s columns, or `F`'s rows when `H = I`.
-    if evo.h.as_ref().map_or(l, |h| h.cols()) == 0 {
+    let new_dim = evo.h.as_ref().map_or(l, |h| h.cols());
+    if new_dim == 0 {
         return Err(KalmanError::InvalidModel(format!(
             "step {index} has zero state dimension"
         )));
     }
+    check_state_dim(new_dim)?;
     if evo.c.len() != l {
         return Err(KalmanError::InvalidModel(format!(
             "step {index}: c has length {} but F has {l} rows",

@@ -11,9 +11,9 @@
 //!   rests only on the dense QR kernels;
 //! * the **odd-even QR backend** (`odd_even_smooth`): the paper's
 //!   algorithm;
-//! * the **associative-scan backend** (`associative_smooth`, a `ScanPlan`
-//!   under the hood): the Särkkä & García-Fernández algorithm on the
-//!   plan/execute engine.
+//! * the **associative-scan backend** (`associative_smooth`): the Särkkä &
+//!   García-Fernández algorithm, its elements built straight from the
+//!   model and combined on `kalman-par`'s fixed-tree scan.
 //!
 //! Means and SelInv covariance diagonals must pairwise agree to a
 //! scale-aware tolerance.  The vendored proptest has no shrinking, but

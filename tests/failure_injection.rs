@@ -153,6 +153,101 @@ fn zero_state_dimension_is_invalid() {
     );
 }
 
+/// A state dimension that no data backs — the column count of a zero-row
+/// checkpoint head, or of a zero-row `H` — is refused with a typed
+/// `KalmanError::Stream` where it enters a stream.  Accepted, it passed
+/// every shape check, and the next flush or `smoothed()` sized `n × n`
+/// blocks by it: an allocation failure, which aborts the process instead of
+/// panicking.  Each sequence below is written as a client would drive it,
+/// so a regression aborts this test binary rather than failing one test.
+#[test]
+fn hostile_state_dimension_is_refused_with_a_typed_error() {
+    use kalman::stream::MAX_STATE_DIM;
+    use kalman::wire::{codec, Reader, WireError, Writer};
+
+    let hostile = u32::MAX as usize;
+    let opts = StreamOptions {
+        lag: 8,
+        flush_every: 4,
+        covariances: true,
+        ..StreamOptions::default()
+    };
+    let empty_obs = |n: usize| Observation {
+        g: Matrix::zeros(0, n),
+        o: Vec::new(),
+        noise: CovarianceSpec::Identity(0),
+    };
+    let obs = |v: f64| Observation {
+        g: Matrix::identity(2),
+        o: vec![v; 2],
+        noise: CovarianceSpec::Identity(2),
+    };
+    // A zero-row evolution from a `from`- to a `to`-dimensional state.
+    let empty_evo = |from: usize, to: usize| Evolution {
+        f: Matrix::zeros(0, from),
+        h: Some(Matrix::zeros(0, to)),
+        c: Vec::new(),
+        noise: CovarianceSpec::Identity(0),
+    };
+    let refused = |r: Result<Smoothed, KalmanError>| match r {
+        Err(KalmanError::Stream(msg)) => assert!(msg.contains("MAX_STATE_DIM"), "{msg}"),
+        other => panic!("expected a Stream error, got {:?}", other.err()),
+    };
+    let head = |n: usize| Checkpoint::from_parts(7, Matrix::zeros(0, n), Matrix::zeros(0, 1));
+
+    // 1. A checkpoint head with no rows on a (2³² − 1)-dimensional state.
+    let resumed = head(hostile)
+        .and_then(|ckpt| StreamingSmoother::resume(ckpt, opts))
+        .and_then(|mut stream| {
+            stream.observe(empty_obs(hostile))?;
+            stream.evolve(empty_evo(hostile, hostile))?;
+            stream.smoothed()
+        });
+    refused(resumed);
+    // The same head off the wire: a 24-byte payload.
+    let mut w = Writer::new();
+    w.put_u64(7);
+    codec::encode_matrix(&mut w, &Matrix::zeros(0, hostile));
+    codec::encode_matrix(&mut w, &Matrix::zeros(0, 1));
+    assert_eq!(w.len(), 24);
+    match codec::decode_checkpoint(&mut Reader::new(w.as_slice())) {
+        Err(WireError::Malformed(msg)) => assert!(msg.contains("MAX_STATE_DIM"), "{msg}"),
+        other => panic!("expected Malformed, got {:?}", other.map(|c| c.index)),
+    }
+    // The bound itself is a valid dimension; one above it is not.
+    assert_eq!(head(MAX_STATE_DIM).unwrap().state_dim(), MAX_STATE_DIM);
+    assert!(matches!(
+        head(MAX_STATE_DIM + 1),
+        Err(KalmanError::Stream(_))
+    ));
+    assert!(matches!(
+        StreamingSmoother::new(MAX_STATE_DIM + 1, opts),
+        Err(KalmanError::Stream(_))
+    ));
+
+    // 2. A live stream evolved through a zero-row `F` and `H`.  The event
+    // is refused before the stream is touched, and the stream goes on.
+    let mut stream =
+        StreamingSmoother::with_prior(vec![0.0; 2], CovarianceSpec::Identity(2), opts).unwrap();
+    stream.observe(obs(0.5)).unwrap();
+    let evolved = stream.evolve(empty_evo(2, hostile)).and_then(|_| {
+        stream.observe(empty_obs(hostile))?;
+        stream.evolve(empty_evo(hostile, hostile))?;
+        stream.smoothed()
+    });
+    refused(evolved);
+    assert_eq!(stream.state_dim(), 2);
+    assert_eq!(stream.next_index(), 1);
+    for i in 1..12 {
+        stream.evolve(Evolution::random_walk(2)).unwrap();
+        stream.observe(obs(i as f64)).unwrap();
+    }
+    let flushed = stream.flush().unwrap();
+    let (rest, ckpt) = stream.finish().unwrap();
+    assert_eq!(flushed.len() + rest.len(), 12);
+    assert_eq!(ckpt.state_dim(), 2);
+}
+
 // ---- wire-level failure injection -------------------------------------
 //
 // The framed transport must turn every class of malformed input into its
