@@ -79,8 +79,7 @@ pub enum StreamInit {
 pub struct StreamSpec {
     /// How the stream starts.
     pub init: StreamInit,
-    /// The stream's options (a fixed lag; the supervisor rejects
-    /// [`kalman_stream::LagPolicy::Auto`] before a spec ever ships).
+    /// The stream's options.
     pub opts: StreamOptions,
 }
 

@@ -38,9 +38,7 @@ use crate::worker::SOCKET_ENV;
 use kalman_model::{KalmanError, StreamEvent};
 use kalman_obs::{Counter, Histogram};
 use kalman_serve::{stable_shard, Ingress, ServeConfig, ShardedPool};
-use kalman_stream::{
-    Checkpoint, FinalizedStep, LagPolicy, StreamOptions, StreamingSmoother, WindowSnapshot,
-};
+use kalman_stream::{Checkpoint, FinalizedStep, StreamOptions, StreamingSmoother, WindowSnapshot};
 use kalman_wire::{codec, frame_bytes, FrameReader, FrameWriter, Progress, WireError, Writer};
 use std::collections::{HashMap, VecDeque};
 use std::io::Write as _;
@@ -359,17 +357,8 @@ impl Supervisor {
     ///
     /// # Errors
     ///
-    /// Rejects duplicate keys and — because snapshot-based recovery
-    /// cannot capture adaptive-lag scratch state — any spec using
-    /// [`LagPolicy::Auto`], with [`ClusterError::Kalman`].
+    /// Rejects duplicate keys with [`ClusterError::Kalman`].
     pub fn insert(&mut self, key: u64, spec: StreamSpec) -> Result<()> {
-        if matches!(spec.opts.effective_lag_policy(), LagPolicy::Auto { .. }) {
-            return Err(ClusterError::Kalman(KalmanError::Stream(
-                "cluster streams need a fixed lag: auto-lag state cannot be \
-                 snapshotted for crash recovery"
-                    .into(),
-            )));
-        }
         if self.opts.contains_key(&key) || self.finished.contains_key(&key) {
             return Err(ClusterError::Kalman(KalmanError::Stream(format!(
                 "stream key {key} is already registered"

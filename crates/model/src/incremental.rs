@@ -14,8 +14,11 @@
 //!   head on the next state and the [`EliminatedRows`] the state leaves in
 //!   the block-bidiagonal `R` factor ([`InfoHead::advance`] is the same step
 //!   for callers that only want the head), and [`InfoHead::step_into`], the
-//!   two chained — with the downward sweep's terms of the row, if wanted —
-//!   into storage the caller keeps, which is what a streaming flush runs;
+//!   two chained — with the row's [`crate::SweepTerms`], if wanted — into
+//!   storage the caller keeps: the forward half of the sweep both a
+//!   streaming flush and the batch Paige–Saunders smoother run (the
+//!   downward half, [`InfoHead::solve_newest`] and the per-row steps, sits
+//!   beside it in this crate);
 //! * [`StreamEvent`] and [`events_of`]: a replayable event form of a model,
 //!   used to feed batch problems through streaming ingestion in tests and
 //!   benchmarks.
@@ -215,9 +218,9 @@ impl InfoHead {
 
     /// One whole forward step of the streaming sweep, into storage the
     /// caller keeps: absorb `obs` (when the state is observed), eliminate
-    /// through `evo`, and — when `terms` is given — form what the downward
-    /// sweep of a covariance window reads of the block row, so that the row
-    /// itself need not be kept: `X = R_jj⁻¹ R_{j,j+1}`,
+    /// through `evo`, and — when `terms` is given (see
+    /// [`crate::SweepTerms::parts`]) — form what the downward sweep reads of
+    /// the block row, so that the row itself need not be kept: `X = R_jj⁻¹ R_{j,j+1}`,
     /// `A = R_jj⁻¹ R_jj⁻ᵀ` and `b = R_jj⁻¹ rhs`, from which
     /// `m_j = b − X m_{j+1}` and `S_jj = A + X S_{j+1,j+1} Xᵀ`.  Returns
     /// whether the data determine the state: on `true`, `rows` is what

@@ -53,6 +53,7 @@ mod estimate;
 pub mod generators;
 pub mod incremental;
 mod model;
+mod sweep;
 mod whiten;
 
 pub use assemble::{assemble_dense, solve_dense, DenseSystem};
@@ -61,6 +62,7 @@ pub use error::KalmanError;
 pub use estimate::Smoothed;
 pub use incremental::{events_of, EliminatedRows, InfoHead, StreamEvent};
 pub use model::{Evolution, LinearModel, LinearStep, Observation, Prior};
+pub use sweep::SweepTerms;
 pub use whiten::{whiten_model, WhitenedEvo, WhitenedObs, WhitenedStep};
 
 /// Result type for smoother operations.

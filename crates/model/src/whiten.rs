@@ -70,6 +70,27 @@ impl WhitenedObs {
             .whiten_in_place(&mut [&mut self.c, &mut self.rhs], index)
     }
 
+    /// `step`'s observation, if it has one, whitened into `self`: how a
+    /// sweep that eliminates one step at a time whitens every step through
+    /// one scratch.
+    ///
+    /// # Errors
+    ///
+    /// As [`WhitenedObs::assign`].
+    pub fn assign_step(
+        &mut self,
+        step: &crate::LinearStep,
+        index: usize,
+    ) -> Result<Option<&WhitenedObs>> {
+        match &step.observation {
+            Some(obs) => {
+                self.assign(obs, index)?;
+                Ok(Some(self))
+            }
+            None => Ok(None),
+        }
+    }
+
     /// Stacks already-whitened rows `(c, rhs)` above `below`'s rows — how
     /// prior rows join state 0's observation block.
     pub(crate) fn with_rows_above(c: Matrix, rhs: Matrix, below: Option<WhitenedObs>) -> Self {

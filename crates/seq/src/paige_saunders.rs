@@ -1,15 +1,28 @@
 //! The sequential Paige–Saunders QR smoother.
 //!
-//! A single forward sweep absorbs, state by state, the evolution and
-//! observation rows into a block-bidiagonal triangular factor
-//! ([`BidiagonalR`]); back substitution yields the smoothed means and
-//! sequential SelInv the covariances.  `Θ(kn³)` work, `Θ(k·n log n)`
-//! critical path — the sequential baseline the odd-even algorithm is
-//! measured against (§2.2, §5.4).
+//! One forward sweep eliminates the states in order: each step's
+//! observation and the next step's evolution rows are absorbed into the
+//! running head and the state is marginalized out by
+//! [`InfoHead::step_into`], the square-root information filter step a
+//! streaming window runs.  What the state leaves of the block-bidiagonal
+//! `R` factor is kept only as the [`SweepTerms`] the downward sweep reads —
+//! `X_j = R_jj⁻¹ R_{j,j+1}` and `b_j = R_jj⁻¹ rhs_j`, and with covariances
+//! `A_j = R_jj⁻¹ R_jj⁻ᵀ` — all three from one `R_jj⁻¹`.  The downward
+//! sweep then forms each mean `m_j = b_j − X_j m_{j+1}` and, with
+//! covariances, the sequential block SelInv of the paper's Algorithm 1,
+//! `S_jj = A_j + X_j S_{j+1,j+1} X_jᵀ`, written over the `A_j` it reads.
+//! `Θ(kn³)` work, `Θ(k·n log n)` critical path — the sequential baseline
+//! the odd-even algorithm is measured against (§2.2, §5.4).
+//!
+//! The arithmetic is `kalman-model`'s, shared with a streaming window's
+//! flush: a stream whose lag covers the whole chain, fed the model's events
+//! and finished, returns bitwise this smoother's means and covariances.
 
-use crate::bidiag::BidiagonalR;
-use kalman_dense::{Matrix, QrFactor};
-use kalman_model::{whiten_model, LinearModel, Result, Smoothed, WhitenedStep};
+use kalman_dense::Matrix;
+use kalman_model::{
+    EliminatedRows, InfoHead, KalmanError, LinearModel, Result, Smoothed, SweepTerms, WhitenedEvo,
+    WhitenedObs,
+};
 
 /// Options shared by the QR smoothers.
 #[derive(Debug, Clone, Copy)]
@@ -26,128 +39,81 @@ impl Default for SmootherOptions {
     }
 }
 
-/// Pads `m` (and `rhs`) with zero rows up to `rows` if shorter.
-///
-/// Zero rows are zero equations: they do not change the least-squares
-/// problem, but keep every diagonal block square so rank deficiency is
-/// detected uniformly at solve time instead of mid-factorization.
-fn pad_rows(m: Matrix, rhs: Matrix, rows: usize) -> (Matrix, Matrix) {
-    if m.rows() >= rows {
-        return (m, rhs);
-    }
-    let deficit = rows - m.rows();
-    let zm = Matrix::zeros(deficit, m.cols());
-    let zr = Matrix::zeros(deficit, rhs.cols());
-    (Matrix::vstack(&[&m, &zm]), Matrix::vstack(&[&rhs, &zr]))
-}
-
-/// Runs the Paige–Saunders forward factorization sweep on whitened steps,
-/// producing the block-bidiagonal `R` factor and transformed right-hand side.
-pub fn factor_bidiagonal(steps: &[WhitenedStep]) -> BidiagonalR {
-    let k1 = steps.len();
-    let mut diag: Vec<Matrix> = Vec::with_capacity(k1);
-    let mut offdiag: Vec<Matrix> = Vec::with_capacity(k1.saturating_sub(1));
-    let mut rhs_out: Vec<Matrix> = Vec::with_capacity(k1);
-
-    // Carry: the not-yet-final rows on the current state (r × n_i) + rhs.
-    let mut carry: Option<(Matrix, Matrix)> =
-        steps[0].obs.as_ref().map(|o| (o.c.clone(), o.rhs.clone()));
-
-    for i in 1..k1 {
-        let n_prev = steps[i - 1].state_dim;
-        let n_cur = steps[i].state_dim;
-        let evo = steps[i].evo.as_ref().expect("validated: evolution exists");
-        let _l = evo.b.rows();
-
-        // Stack the carry rows with the evolution rows:
-        //   left column (state i−1): [carry; −B_i], right: [0; D_i].
-        let neg_b = evo.b.scaled(-1.0);
-        let (left, mut stacked_rhs, carry_rows) = match carry.take() {
-            Some((c, crhs)) => {
-                let rows = c.rows();
-                (
-                    Matrix::vstack(&[&c, &neg_b]),
-                    Matrix::vstack(&[&crhs, &evo.rhs]),
-                    rows,
-                )
-            }
-            None => (neg_b, evo.rhs.clone(), 0),
-        };
-        let (left, padded_rhs) = pad_rows(left, stacked_rhs, n_prev);
-        stacked_rhs = padded_rhs;
-        let total_rows = left.rows();
-
-        // Companion block on state i: zeros for carry rows, D_i below, then padding.
-        let mut companion = Matrix::zeros(total_rows, n_cur);
-        companion.set_block(carry_rows, 0, &evo.d);
-
-        // Factor the left column; apply Qᵀ to companion and rhs.
-        let qr = QrFactor::new(left);
-        qr.apply_qt(&mut companion);
-        qr.apply_qt(&mut stacked_rhs);
-
-        diag.push(qr.r());
-        offdiag.push(companion.sub_matrix(0, 0, n_prev, n_cur));
-        rhs_out.push(stacked_rhs.sub_matrix(0, 0, n_prev, 1));
-
-        // Residual rows on state i: D̃ = rows below n_prev, plus observation rows.
-        let resid_rows = total_rows - n_prev;
-        let d_tilde = companion.sub_matrix(n_prev, 0, resid_rows, n_cur);
-        let r_tilde = stacked_rhs.sub_matrix(n_prev, 0, resid_rows, 1);
-        let (new_carry, new_rhs) = match &steps[i].obs {
-            Some(o) => (
-                Matrix::vstack(&[&d_tilde, &o.c]),
-                Matrix::vstack(&[&r_tilde, &o.rhs]),
-            ),
-            None => (d_tilde, r_tilde),
-        };
-        // Compress to at most n_cur rows (restores the invariant that the
-        // carry stays O(n) — the same trick the odd-even recursion uses).
-        let mut rhs_m = new_rhs;
-        let compressed = kalman_dense::compress_rows(&new_carry, &mut rhs_m);
-        let kept = compressed.rows();
-        carry = Some((compressed, rhs_m.sub_matrix(0, 0, kept, 1)));
-    }
-
-    // Finalize the last state: its carry becomes R_kk.
-    let n_last = steps[k1 - 1].state_dim;
-    let (c, crhs) = carry
-        .take()
-        .unwrap_or_else(|| (Matrix::zeros(0, n_last), Matrix::zeros(0, 1)));
-    let (c, crhs) = pad_rows(c, crhs, n_last);
-    if c.rows() == n_last && c.is_upper_triangular() {
-        diag.push(c);
-        rhs_out.push(crhs);
-    } else {
-        let qr = QrFactor::new(c);
-        let mut r = crhs;
-        qr.apply_qt(&mut r);
-        diag.push(qr.r());
-        rhs_out.push(r.sub_matrix(0, 0, n_last, 1));
-    }
-
-    BidiagonalR {
-        diag,
-        offdiag,
-        rhs: rhs_out,
-    }
-}
-
 /// Smooths `model` with the sequential Paige–Saunders algorithm.
+///
+/// Per state it keeps `X_j` and `b_j`, plus — with covariances — `A_j` in
+/// the slot its covariance later overwrites: `2n² + n` doubles a state
+/// beside the means, and nothing whitened beyond the step being eliminated.
+/// The "NC" variant forms each `A_j` into one scratch block and drops it;
+/// its means are bitwise those of the covariance variant.
 ///
 /// # Errors
 ///
 /// Model validation errors, covariance failures, and
-/// [`kalman_model::KalmanError::RankDeficient`] for underdetermined data.
+/// [`KalmanError::RankDeficient`] for underdetermined data, naming the
+/// newest state the data do not determine.
 pub fn paige_saunders_smooth(model: &LinearModel, options: SmootherOptions) -> Result<Smoothed> {
-    let steps = whiten_model(model)?;
-    let r = factor_bidiagonal(&steps);
-    let means = r.solve()?;
-    let covariances = if options.covariances {
-        Some(r.selinv_diag()?)
-    } else {
-        None
+    model.validate()?;
+    let steps = &model.steps;
+    let k = steps.len() - 1;
+    let mut head = match &model.prior {
+        Some(prior) => InfoHead::from_prior(prior)?,
+        None => InfoHead::empty(steps[0].state_dim),
     };
+    let mut next = InfoHead::empty(0);
+    let (mut obs, mut evo) = (WhitenedObs::default(), WhitenedEvo::default());
+    let (mut rows, mut dropped) = (EliminatedRows::default(), Matrix::default());
+    // One entry per state; the newest holds only its covariance.
+    let mut terms: Vec<SweepTerms> = Vec::with_capacity(k + 1);
+    let mut undetermined = None;
+    for (j, pair) in steps.windows(2).enumerate() {
+        let observed = obs.assign_step(&pair[0], j)?;
+        let evolution = pair[1]
+            .evolution
+            .as_ref()
+            .expect("validated: evolution exists");
+        evo.assign(evolution, pair[1].state_dim, j + 1)?;
+        let mut t = SweepTerms::default();
+        let parts = if options.covariances {
+            t.parts()
+        } else {
+            (&mut t.x, &mut dropped, &mut t.b)
+        };
+        if !head.step_into(observed, &evo, &mut rows, Some(parts), &mut next) {
+            undetermined = Some(j);
+        }
+        std::mem::swap(&mut head, &mut next);
+        terms.push(t);
+    }
+    let newest = match obs.assign_step(&steps[k], k)? {
+        Some(obs) => {
+            head.absorb_into(obs, &mut next);
+            &next
+        }
+        None => &head,
+    };
+
+    let mut means = vec![Vec::new(); k + 1];
+    terms.push(SweepTerms::default());
+    let last_cov = options.covariances.then_some(&mut terms[k].a);
+    newest.solve_newest(k, &mut means[k], &mut Matrix::default(), last_cov)?;
+    if let Some(state) = undetermined {
+        return Err(KalmanError::RankDeficient { state });
+    }
+    let (mut s, mut xs) = (Matrix::default(), Matrix::default());
+    for j in (0..k).rev() {
+        let (mean, later_means) = means.split_at_mut(j + 1);
+        let (t, later_terms) = terms.split_at_mut(j + 1);
+        let t = &mut t[j];
+        t.mean_into(&later_means[0], &mut mean[j]);
+        if options.covariances {
+            t.selinv_into(&later_terms[0].a, &mut s, &mut xs);
+            std::mem::swap(&mut t.a, &mut s);
+        }
+    }
+    let covariances = options
+        .covariances
+        .then(|| terms.into_iter().map(|t| t.a).collect());
     Ok(Smoothed { means, covariances })
 }
 

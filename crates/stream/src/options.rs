@@ -4,61 +4,13 @@ use kalman_dense::Matrix;
 use kalman_odd_even::BackendPolicy;
 use kalman_par::ExecPolicy;
 
-/// How a [`crate::StreamingSmoother`] picks its finalization lag.
-///
-/// The right lag depends on how fast information mixes through the model:
-/// the influence of data `d` steps past a state decays like `ρ^d`, where
-/// the per-step decay rate `ρ` is a property of the dynamics and
-/// observation noise (strongly observed, fast-mixing chains forget in a
-/// few steps; weakly observed chains need long hindsight).  `Fixed` pins
-/// the lag by hand; `Auto` *measures* `ρ` while serving — from the
-/// revisions successive window re-smooths apply to overlapping states —
-/// and sizes the lag so the revision a finalized estimate would still
-/// receive stays below a tolerance.
+/// How a [`crate::StreamingSmoother`] picks its finalization lag: by hand.
+/// [`StreamOptions::lag_policy`] stays because `benchmark/src/spec.rs`
+/// pins the field with an exhaustive struct literal.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LagPolicy {
     /// Always exactly this lag (≥ 1).
     Fixed(usize),
-    /// Adapt the lag to the measured information-decay rate.
-    Auto {
-        /// Smallest lag the policy may pick (≥ 1).
-        min: usize,
-        /// Largest lag the policy may pick (also the initial lag, so early
-        /// finalizations are conservative while `ρ` is still unmeasured);
-        /// bounds the window size.
-        max: usize,
-        /// Target bound on the absolute revision a state would still
-        /// receive from data beyond the lag.
-        tol: f64,
-    },
-}
-
-impl LagPolicy {
-    /// A reasonable `Auto` configuration: lags in `[4, 128]`, revisions
-    /// bounded by `1e-9`.
-    pub fn auto() -> LagPolicy {
-        LagPolicy::Auto {
-            min: 4,
-            max: 128,
-            tol: 1e-9,
-        }
-    }
-
-    /// The lag a fresh stream starts from.
-    pub fn initial_lag(&self) -> usize {
-        match *self {
-            LagPolicy::Fixed(lag) => lag,
-            LagPolicy::Auto { max, .. } => max,
-        }
-    }
-
-    /// The largest lag the policy can ever pick (sizes the window bound).
-    pub fn max_lag(&self) -> usize {
-        match *self {
-            LagPolicy::Fixed(lag) => lag,
-            LagPolicy::Auto { max, .. } => max,
-        }
-    }
 }
 
 /// Configuration of a [`crate::StreamingSmoother`].
@@ -70,8 +22,8 @@ pub struct StreamOptions {
     /// at the cost of latency and window size.  Overridden by
     /// [`StreamOptions::lag_policy`] when one is set.
     pub lag: usize,
-    /// Adaptive lag selection; `None` (the default) behaves as
-    /// `LagPolicy::Fixed(self.lag)`.
+    /// A lag that overrides [`StreamOptions::lag`]; `None` (the default)
+    /// keeps it.
     pub lag_policy: Option<LagPolicy>,
     /// Flush hysteresis (≥ 1): how many finalizable steps accumulate before
     /// the window is re-smoothed.  The window holds at most
@@ -128,16 +80,18 @@ impl StreamOptions {
         }
     }
 
-    /// The lag policy in effect ([`StreamOptions::lag_policy`], or
-    /// `Fixed(self.lag)` when none is set).
-    pub fn effective_lag_policy(&self) -> LagPolicy {
-        self.lag_policy.unwrap_or(LagPolicy::Fixed(self.lag))
+    /// The lag in effect: [`StreamOptions::lag_policy`]'s, or
+    /// [`StreamOptions::lag`] when none is set.
+    pub fn effective_lag(&self) -> usize {
+        match self.lag_policy {
+            Some(LagPolicy::Fixed(lag)) => lag,
+            None => self.lag,
+        }
     }
 
-    /// The maximum number of buffered steps: the largest lag the policy
-    /// can pick plus `flush_every`.
+    /// The maximum number of buffered steps: the lag plus `flush_every`.
     pub fn window_capacity(&self) -> usize {
-        self.effective_lag_policy().max_lag() + self.flush_every
+        self.effective_lag() + self.flush_every
     }
 }
 
@@ -163,28 +117,22 @@ mod tests {
         assert!(o.lag >= 1 && o.flush_every >= 1);
         assert_eq!(o.window_capacity(), o.lag + o.flush_every);
         assert!(o.auto_flush);
-        assert_eq!(o.effective_lag_policy(), LagPolicy::Fixed(o.lag));
+        assert_eq!(o.effective_lag(), o.lag);
         let l = StreamOptions::with_lag(5);
         assert_eq!(l.lag, 5);
     }
 
     #[test]
     fn lag_policy_bounds_capacity_and_start() {
-        let auto = LagPolicy::Auto {
-            min: 2,
-            max: 64,
-            tol: 1e-8,
-        };
-        assert_eq!(auto.initial_lag(), 64);
-        assert_eq!(auto.max_lag(), 64);
-        assert_eq!(LagPolicy::Fixed(7).initial_lag(), 7);
         let o = StreamOptions {
             lag: 8,
-            lag_policy: Some(auto),
+            lag_policy: Some(LagPolicy::Fixed(64)),
             flush_every: 4,
             ..StreamOptions::default()
         };
-        assert_eq!(o.effective_lag_policy(), auto);
+        assert_eq!(o.effective_lag(), 64);
         assert_eq!(o.window_capacity(), 64 + 4);
+        let stream = crate::StreamingSmoother::new(1, o).unwrap();
+        assert_eq!(stream.current_lag(), 64);
     }
 }

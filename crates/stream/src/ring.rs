@@ -6,18 +6,25 @@
 //! reads of the step's block row of `R`; every flush then walks down
 //! through the ring once, from the newest head to the window's base.
 //! Without covariances a slot keeps the row itself and the walk is a back
-//! substitution.  With them it keeps the three factors of the row that the
-//! walk needs — computed with the row, from one `R_jj⁻¹` — and the walk
-//! forms each step's mean and its block of the bidiagonal SelInv recursion
-//! (the paper's Algorithm 1) in the same iteration, so a flush inverts
-//! nothing it inverted before and reads each slot once.  Forgetting a step
-//! retires its slot to a spare list, and the next forward step writes into
-//! a spare slot's matrices: in steady state a flush checks nothing out of
-//! the workspace pool per step.
+//! substitution.  With them it keeps the row's [`SweepTerms`] — computed
+//! with the row, from one `R_jj⁻¹` — and the walk forms each step's mean
+//! and its block of the bidiagonal SelInv recursion (the paper's
+//! Algorithm 1) in the same iteration, so a flush inverts nothing it
+//! inverted before and reads each slot once.
+//!
+//! The sweep's steps — the forward step, the solve on the newest head
+//! ([`InfoHead::solve_newest`]) and the per-slot mean and SelInv steps —
+//! are `kalman-model`'s, shared with the batch baseline
+//! `kalman_seq::paige_saunders_smooth`.  What is the ring's own is the
+//! window bookkeeping around them: forgetting, rollback, which
+//! covariances a smooth keeps, and the two blocks the rest ping-pong
+//! through.  Forgetting a step retires its slot to a spare list, and the
+//! next forward step writes into a spare slot's matrices: in steady state
+//! a flush checks nothing out of the workspace pool per step.
 
-use kalman_dense::{effective_rank_tol, fixed, gemm, tri, Matrix, QrFactor, Trans};
+use kalman_dense::{fixed, tri, Matrix};
 use kalman_model::{
-    EliminatedRows, InfoHead, KalmanError, LinearStep, Result, WhitenedEvo, WhitenedObs,
+    EliminatedRows, InfoHead, KalmanError, LinearStep, Result, SweepTerms, WhitenedEvo, WhitenedObs,
 };
 use std::collections::VecDeque;
 
@@ -51,39 +58,6 @@ impl Default for Slot {
             rows: EliminatedRows::default(),
             terms: SweepTerms::default(),
         }
-    }
-}
-
-/// What the downward sweep of a covariance ring reads of block row `j`:
-/// the mean `m_j = b_j − X_j m_{j+1}` and the SelInv recursion
-/// `S_jj = A_j + X_j S_{j+1,j+1} X_jᵀ`.  All three are functions of the row
-/// alone, and the row never changes once its step is eliminated, so they are
-/// computed then — once in the step's life, where recomputing them in every
-/// flush that covers the step did it `(lag + flush_every) / flush_every`
-/// times — and the row itself is not kept.  A ring rebuilt from a snapshot,
-/// or re-eliminated after a rollback, recomputes them bitwise.
-#[derive(Debug, Clone, Default)]
-struct SweepTerms {
-    /// `X_j = R_jj⁻¹ R_{j,j+1}`.
-    x: Matrix,
-    /// `A_j = R_jj⁻¹ R_jj⁻ᵀ`.
-    a: Matrix,
-    /// `b_j = R_jj⁻¹ rhs_j`.
-    b: Matrix,
-}
-
-impl SweepTerms {
-    /// `s ← sym(A + X·next·Xᵀ)`: the fixed-size body where the blocks have
-    /// its shape, `gemm` through `xs` otherwise.
-    fn selinv_into(&self, next: &Matrix, s: &mut Matrix, xs: &mut Matrix) {
-        if fixed::selinv_step(&self.x, &self.a, next, s) {
-            return;
-        }
-        xs.clone_from(&self.x); // shapes the block; β = 0 overwrites it
-        gemm(1.0, &self.x, Trans::No, next, Trans::No, 0.0, xs);
-        s.clone_from(&self.a);
-        gemm(1.0, xs, Trans::No, &self.x, Trans::Yes, 1.0, s);
-        s.symmetrize();
     }
 }
 
@@ -206,7 +180,7 @@ impl Ring {
         self.eliminate_pending(buffer, base_index)?;
         let last = self.slots.len();
         let index = (base_index + last as u64) as usize;
-        match whitened(&mut self.obs, &buffer[last], index)? {
+        match self.obs.assign_step(&buffer[last], index)? {
             Some(obs) => self.running.absorb_into(obs, &mut self.newest),
             None => self.newest.clone_from(&self.running),
         }
@@ -236,11 +210,10 @@ impl Ring {
                 ))
             })?;
             self.evo.assign(evolution, next.state_dim, index + 1)?;
-            let obs = whitened(&mut self.obs, &buffer[j], index)?;
+            let obs = self.obs.assign_step(&buffer[j], index)?;
             let mut slot = self.spare.pop().unwrap_or_default();
             let (rows, terms) = if self.covariances {
-                let t = &mut slot.terms;
-                (&mut self.rows, Some((&mut t.x, &mut t.a, &mut t.b)))
+                (&mut self.rows, Some(slot.terms.parts()))
             } else {
                 (&mut slot.rows, None)
             };
@@ -273,29 +246,25 @@ impl Ring {
         if out.means.len() < out.len {
             out.means.resize_with(out.len, Vec::new);
         }
-        // The newest step has no successor: solve on its head, which is
-        // already a square upper triangle whenever the step is observed.
-        let (c, d) = self.newest.rows_ref();
-        let state = base_index + last as u64;
-        if c.rows() < c.cols() {
-            return Err(rank_deficient(state));
-        }
-        let y = &mut out.column;
-        y.clone_from(d);
-        let triangle = if c.is_square() && c.is_upper_triangular() {
-            let tol = effective_rank_tol(c, c.rows());
-            if (0..c.rows()).any(|j| c[(j, j)].abs() <= tol) {
-                return Err(rank_deficient(state));
-            }
-            tri::solve_upper_in_place(c, y).map_err(|_| rank_deficient(state))?;
-            None
+        let kept = if self.covariances {
+            keep.min(out.len)
         } else {
-            let qr = QrFactor::new_applying(c.clone(), &mut [&mut *y]); // lint: allow(alloc, "pooled matrix of one state's size")
-            qr.solve_r_in_place(y).map_err(|_| rank_deficient(state))?;
-            Some(qr.r())
+            0
         };
-        set_mean(&mut out.means[last], y);
+        if out.covs.len() < kept {
+            out.covs.resize_with(kept, Matrix::default);
+        }
+        let [work, next] = &mut self.pair;
+        let newest = match self.covariances {
+            true if last < kept => Some(&mut out.covs[last]),
+            true => Some(&mut *next),
+            false => None,
+        };
+        let state = (base_index + last as u64) as usize;
+        self.newest
+            .solve_newest(state, &mut out.means[last], &mut out.column, newest)?;
         if !self.covariances {
+            let y = &mut out.column;
             for j in (0..last).rev() {
                 let state = base_index + j as u64;
                 let slot = &self.slots[j];
@@ -320,19 +289,6 @@ impl Ring {
             }
             return Ok(());
         }
-        let kept = keep.min(out.len);
-        if out.covs.len() < kept {
-            out.covs.resize_with(kept, Matrix::default);
-        }
-        // S_kk = R_kk⁻¹ R_kk⁻ᵀ, then downwards from each slot's terms.
-        let newest = tri::inv_gram_upper(triangle.as_ref().unwrap_or(c))
-            .map_err(|_| rank_deficient(state))?;
-        let [work, next] = &mut self.pair;
-        if last < kept {
-            out.covs[last] = newest;
-        } else {
-            *next = newest;
-        }
         for j in (0..last).rev() {
             let slot = &self.slots[j];
             if !slot.determined {
@@ -340,11 +296,7 @@ impl Ring {
             }
             let terms = &slot.terms;
             let (solved, later) = out.means[j..].split_at_mut(1);
-            if !fixed::mean_step(&terms.x, &terms.b, &later[0], &mut solved[0]) {
-                y.clone_from(&terms.b);
-                terms.x.sub_mul_vec_into(&later[0], y.col_mut(0));
-                set_mean(&mut solved[0], y);
-            }
+            terms.mean_into(&later[0], &mut solved[0]);
             let xs = &mut out.block;
             if j >= kept {
                 terms.selinv_into(next, work, xs);
@@ -392,21 +344,6 @@ impl Ring {
                 self.spare.push(slot);
             }
         }
-    }
-}
-
-/// `step`'s observation, whitened into `scratch`.
-fn whitened<'a>(
-    scratch: &'a mut WhitenedObs,
-    step: &LinearStep,
-    index: usize,
-) -> Result<Option<&'a WhitenedObs>> {
-    match &step.observation {
-        Some(obs) => {
-            scratch.assign(obs, index)?;
-            Ok(Some(scratch))
-        }
-        None => Ok(None),
     }
 }
 

@@ -1,7 +1,7 @@
 //! The streaming fixed-lag smoother.
 
 use crate::ring::{Estimates, Ring};
-use crate::{Checkpoint, FinalizedStep, LagPolicy, StreamOptions, WindowSnapshot};
+use crate::{Checkpoint, FinalizedStep, StreamOptions, WindowSnapshot};
 use kalman_model::{
     Evolution, InfoHead, KalmanError, LinearStep, Observation, Prior, Result, Smoothed, StreamEvent,
 };
@@ -41,8 +41,7 @@ use kalman_model::{
 ///   `buffer[0]`, but not `buffer[0]`'s own observations;
 /// * the ring holds at most `buffer.len() - 1` eliminated steps: the newest
 ///   step is never eliminated;
-/// * `buffer.len() ≤ current_lag + flush_every` whenever auto-flush is on
-///   (and `current_lag ≤` the lag policy's maximum).
+/// * `buffer.len() ≤ current_lag + flush_every` whenever auto-flush is on.
 #[derive(Debug, Clone)]
 pub struct StreamingSmoother {
     opts: StreamOptions,
@@ -54,16 +53,8 @@ pub struct StreamingSmoother {
     /// `buffer[0]` was already emitted (it is the anchor state of a resumed
     /// checkpoint) and must not be emitted again.
     base_emitted: bool,
-    /// The lag currently in effect ([`LagPolicy::Auto`] adapts it between
-    /// flushes; fixed policies never change it).
-    cur_lag: usize,
     /// Estimates of the latest window smooth.
     estimates: Estimates,
-    /// Previous flush's means (`LagPolicy::Auto` only): the revisions the
-    /// next re-smooth applies to these measure the information-decay rate.
-    prev_means: Vec<Vec<f64>>,
-    /// Global index of `prev_means[0]`.
-    prev_base: u64,
 }
 
 /// The largest state dimension a stream accepts.  A dimension can enter a
@@ -89,17 +80,10 @@ fn check_options(opts: &StreamOptions) -> Result<()> {
     if opts.flush_every == 0 {
         return Err(KalmanError::Stream("flush_every must be at least 1".into()));
     }
-    match opts.effective_lag_policy() {
-        LagPolicy::Fixed(0) => Err(KalmanError::Stream("lag must be at least 1".into())),
-        LagPolicy::Auto { min, max, tol }
-            if min == 0 || max < min || !(tol.is_finite() && tol > 0.0) =>
-        {
-            Err(KalmanError::Stream(
-                "auto lag policy needs 1 <= min <= max and a positive finite tol".into(),
-            ))
-        }
-        _ => Ok(()),
+    if opts.effective_lag() == 0 {
+        return Err(KalmanError::Stream("lag must be at least 1".into()));
     }
+    Ok(())
 }
 
 impl StreamingSmoother {
@@ -129,15 +113,12 @@ impl StreamingSmoother {
     /// A stream whose window is the single step `index` with prior `head`.
     fn with_head(head: InfoHead, index: u64, base_emitted: bool, opts: StreamOptions) -> Self {
         StreamingSmoother {
-            cur_lag: opts.effective_lag_policy().initial_lag(),
             opts,
             buffer: vec![LinearStep::initial(head.state_dim())],
             ring: Ring::new(head, opts.covariances),
             base_index: index,
             base_emitted,
             estimates: Estimates::default(),
-            prev_means: Vec::new(),
-            prev_base: 0,
         }
     }
 
@@ -200,22 +181,7 @@ impl StreamingSmoother {
     /// [`StreamingSmoother::restore`] yields a smoother whose every
     /// future output is **bitwise identical** to this one's.  This is the
     /// crash-recovery primitive for cross-process serving.
-    ///
-    /// # Errors
-    ///
-    /// [`KalmanError::Stream`] under [`LagPolicy::Auto`]: the adapted lag
-    /// is driven by scratch state (the previous flush's estimates) that a
-    /// snapshot cannot capture, so a restored stream could adapt
-    /// differently and break the bitwise contract.  Use a fixed lag for
-    /// snapshot-based recovery.
     pub fn snapshot(&self) -> Result<WindowSnapshot> {
-        if matches!(self.opts.effective_lag_policy(), LagPolicy::Auto { .. }) {
-            return Err(KalmanError::Stream(
-                "auto-lag streams cannot be snapshotted: the adapted lag depends on \
-                 unsnapshottable scratch state; use a fixed lag"
-                    .into(),
-            ));
-        }
         let mut events = Vec::with_capacity(2 * self.buffer.len());
         if let Some(obs) = &self.buffer[0].observation {
             events.push(StreamEvent::Observe(obs.clone()));
@@ -244,25 +210,18 @@ impl StreamingSmoother {
     /// Rebuilds a stream from a [`WindowSnapshot`], reproducing the
     /// snapshotted stream exactly: every output the restored stream emits
     /// from here on is bitwise identical to what the original would have
-    /// emitted.  `opts` must use a fixed lag (see
-    /// [`StreamingSmoother::snapshot`]) and should equal the original's
-    /// options — differing options change future outputs, though the
-    /// restore itself still succeeds when the window fits.
+    /// emitted.  `opts` should equal the original's options — differing
+    /// options change future outputs, though the restore itself still
+    /// succeeds when the window fits.
     ///
     /// # Errors
     ///
-    /// [`KalmanError::Stream`] on degenerate options, an auto lag policy,
-    /// or a head of dimension zero or above [`MAX_STATE_DIM`];
-    /// [`KalmanError::InvalidModel`] when the
+    /// [`KalmanError::Stream`] on degenerate options or a head of dimension
+    /// zero or above [`MAX_STATE_DIM`]; [`KalmanError::InvalidModel`] when the
     /// replayed events are inconsistent (possible only for snapshots not
     /// produced by [`StreamingSmoother::snapshot`]).
     pub fn restore(snapshot: WindowSnapshot, opts: StreamOptions) -> Result<Self> {
         check_options(&opts)?;
-        if matches!(opts.effective_lag_policy(), LagPolicy::Auto { .. }) {
-            return Err(KalmanError::Stream(
-                "auto-lag streams cannot be restored from a snapshot; use a fixed lag".into(),
-            ));
-        }
         if snapshot.head.state_dim() == 0 {
             return Err(KalmanError::Stream(
                 "snapshot head has zero state dimension".into(),
@@ -324,13 +283,12 @@ impl StreamingSmoother {
     /// `true` when a [`StreamingSmoother::flush`] would finalize a full
     /// batch of `flush_every` steps.
     pub fn ready(&self) -> bool {
-        self.buffer.len() >= self.cur_lag + self.opts.flush_every
+        self.buffer.len() >= self.opts.window_capacity()
     }
 
-    /// The finalization lag currently in effect: the configured lag for
-    /// fixed policies, the adapted one under [`LagPolicy::Auto`].
+    /// The finalization lag in effect ([`StreamOptions::effective_lag`]).
     pub fn current_lag(&self) -> usize {
-        self.cur_lag
+        self.opts.effective_lag()
     }
 
     /// How many times the storage of the window's `R` blocks was (re)sized:
@@ -514,14 +472,13 @@ impl StreamingSmoother {
     /// As [`StreamingSmoother::flush`]; on error `out`'s contents are
     /// unspecified.
     pub fn flush_into(&mut self, out: &mut Vec<FinalizedStep>) -> Result<usize> {
-        let count = self.buffer.len().saturating_sub(self.cur_lag);
+        let count = self.buffer.len().saturating_sub(self.opts.effective_lag());
         if count == 0 {
             out.truncate(0);
             return Ok(0);
         }
         let _span = kalman_obs::span!("stream.flush");
         self.smooth_window(count)?;
-        self.adapt_lag();
         let emitted = self.emit_into(count, out);
         self.ring.forget(count);
         self.buffer.drain(0..count);
@@ -599,91 +556,6 @@ impl StreamingSmoother {
         }
         out.truncate(emitted);
         emitted
-    }
-
-    /// Measures the information-decay rate and re-sizes the lag
-    /// ([`LagPolicy::Auto`] only).  Runs right after a window re-smooth:
-    /// the revisions this smooth applied to states it shares with the
-    /// previous smooth decay geometrically with depth, and fitting that
-    /// decay tells us how far back data newer than the lag can still move
-    /// an estimate by more than the tolerance.
-    fn adapt_lag(&mut self) {
-        let LagPolicy::Auto { min, max, tol } = self.opts.effective_lag_policy() else {
-            return;
-        };
-        let means = &self.estimates.means[..self.estimates.len];
-        let (prev_means, prev_base) = (&mut self.prev_means, self.prev_base);
-        let cur_base = self.base_index;
-        let cur_len = means.len();
-        let prev_len = prev_means.len();
-        'fit: {
-            if prev_len == 0 {
-                break 'fit; // first smooth: nothing to compare against yet
-            }
-            let start = cur_base.max(prev_base);
-            let end = (cur_base + cur_len as u64).min(prev_base + prev_len as u64);
-            if end <= start + 1 {
-                break 'fit;
-            }
-            // Max-abs revision of the state at global index g.
-            let rev = |g: u64| -> f64 {
-                let a = &means[(g - cur_base) as usize];
-                let b = &prev_means[(g - prev_base) as usize];
-                a.iter()
-                    .zip(b)
-                    .map(|(x, y)| (x - y).abs())
-                    .fold(0.0, f64::max)
-            };
-            let newest = cur_base + cur_len as u64 - 1;
-            // The shallowest shared state, and the deepest one that still
-            // moved: back substitution reproduces a state bitwise once its
-            // successor stops changing, so revisions decay geometrically
-            // with depth until they drop below one ulp and read exactly
-            // zero from there down.  Depths are distances from the current
-            // window's newest state (the reference the finalization lag is
-            // measured against).
-            let d_shallow = (newest - (end - 1)) as usize;
-            let shallow = rev(end - 1);
-            let moved = (start..end - 1).find(|&g| rev(g) > 0.0);
-            let target = if shallow <= tol {
-                // Even the freshest shared state no longer moves.  The
-                // measurement proves a lag of `d_shallow` suffices —
-                // shallower depths are unmeasured, so do not shrink past
-                // what the evidence covers.
-                d_shallow.clamp(min, max)
-            } else if let Some(deep_at) = moved {
-                let deep = rev(deep_at);
-                if deep >= shallow {
-                    // No measurable decay across the window — stay maximal.
-                    max
-                } else {
-                    // rev(d) ≈ shallow · ρ^(d − d_shallow) with
-                    // ρ = (deep/shallow)^(1/gap); solve rev(L) = tol for L.
-                    let gap = (end - 1 - deep_at) as f64;
-                    let ln_rho = (deep / shallow).ln() / gap;
-                    let need = d_shallow as f64 + (tol / shallow).ln() / ln_rho;
-                    need.ceil().clamp(min as f64, max as f64) as usize
-                }
-            } else {
-                // Nothing below the freshest shared state moved at all.
-                (d_shallow + 1).clamp(min, max)
-            };
-            // Rate-limit to one halving/doubling per flush so a noisy fit
-            // cannot whipsaw the window size.
-            let floor = (self.cur_lag / 2).max(min);
-            let ceil = (self.cur_lag * 2).min(max);
-            self.cur_lag = target.clamp(floor, ceil);
-        }
-        // Record this smooth as the next comparison baseline.
-        self.prev_base = cur_base;
-        prev_means.truncate(cur_len);
-        while prev_means.len() < cur_len {
-            prev_means.push(Vec::new()); // lint: allow(alloc, "grows the reused lag buffer to window length once; repeat windows reuse the slots")
-        }
-        for (dst, src) in prev_means.iter_mut().zip(means) {
-            dst.clear();
-            dst.extend_from_slice(src);
-        }
     }
 }
 
@@ -1138,22 +1010,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_rejects_auto_lag() {
-        let opts = StreamOptions {
-            lag_policy: Some(LagPolicy::auto()),
-            ..StreamOptions::default()
-        };
-        let stream = StreamingSmoother::new(1, opts).unwrap();
-        assert!(matches!(stream.snapshot(), Err(KalmanError::Stream(_))));
-        let fixed = StreamingSmoother::new(1, StreamOptions::default()).unwrap();
-        let snap = fixed.snapshot().unwrap();
-        assert!(matches!(
-            StreamingSmoother::restore(snap, opts),
-            Err(KalmanError::Stream(_))
-        ));
-    }
-
-    #[test]
     fn no_prior_stream_is_underdetermined_until_observed() {
         let opts = StreamOptions::with_lag(4);
         let mut stream = StreamingSmoother::new(2, opts).unwrap();
@@ -1365,121 +1221,15 @@ mod tests {
         }
     }
 
-    /// Drives an auto-lag stream over a scalar random walk with the given
-    /// observation noise variance and returns the adapted lag.
-    fn adapted_lag(obs_var: f64, steps: usize) -> usize {
-        let opts = StreamOptions {
-            lag: 0, // ignored: the policy overrides it
-            lag_policy: Some(LagPolicy::Auto {
-                min: 2,
-                max: 64,
-                tol: 1e-6,
-            }),
-            flush_every: 4,
-            covariances: false,
-            policy: ExecPolicy::Seq,
-            auto_flush: true,
-            ..StreamOptions::default()
-        };
-        let mut stream =
-            StreamingSmoother::with_prior(vec![0.0], CovarianceSpec::Identity(1), opts).unwrap();
-        assert_eq!(stream.current_lag(), 64);
-        for i in 0..steps {
-            if i > 0 {
-                stream.evolve(Evolution::random_walk(1)).unwrap();
-            }
-            stream
-                .observe(Observation {
-                    g: Matrix::identity(1),
-                    o: vec![(i as f64 * 0.37).sin() * 3.0],
-                    noise: CovarianceSpec::ScaledIdentity(1, obs_var),
-                })
-                .unwrap();
-        }
-        stream.current_lag()
-    }
-
-    /// `LagPolicy::Auto` must size the lag to the measured mixing rate: a
-    /// strongly observed random walk (information decays in a couple of
-    /// steps) gets a short lag, a weakly observed one (correlation length
-    /// ~sqrt(r/q) steps) keeps a long one.
-    #[test]
-    fn auto_lag_tracks_information_decay_rate() {
-        let fast = adapted_lag(0.01, 600);
-        let slow = adapted_lag(400.0, 600);
-        assert!(
-            fast + 4 <= slow,
-            "fast-mixing lag {fast} should be well below slow-mixing lag {slow}"
-        );
-        assert!((2..=64).contains(&fast));
-        assert!((2..=64).contains(&slow));
-        // The strongly observed chain should get close to the floor.
-        assert!(fast <= 8, "fast-mixing lag {fast} stayed large");
-    }
-
-    /// Auto-lag streams still finalize every step exactly once, and agree
-    /// with the batch smoother wherever the adapted lag covers the
-    /// remaining hindsight.
-    #[test]
-    fn auto_lag_stream_finalizes_exactly_once() {
-        let mut rng = ChaCha8Rng::seed_from_u64(77);
-        let model = generators::paper_benchmark(&mut rng, 2, 150, true);
-        let opts = StreamOptions {
-            lag: 0,
-            lag_policy: Some(LagPolicy::Auto {
-                min: 4,
-                max: 32,
-                tol: 1e-9,
-            }),
-            flush_every: 5,
-            covariances: false,
-            policy: ExecPolicy::Seq,
-            auto_flush: true,
-            ..StreamOptions::default()
-        };
-        let (finalized, ckpt) = stream_model(&model, opts);
-        assert_eq!(finalized.len(), 151);
-        for (i, f) in finalized.iter().enumerate() {
-            assert_eq!(f.index, i as u64);
-        }
-        assert_eq!(ckpt.index, 150);
-    }
-
     #[test]
     fn rejects_degenerate_lag_policies() {
+        use crate::LagPolicy;
         let bad = |p: LagPolicy| StreamOptions {
             lag_policy: Some(p),
             ..StreamOptions::default()
         };
         assert!(StreamingSmoother::new(1, bad(LagPolicy::Fixed(0))).is_err());
-        assert!(StreamingSmoother::new(
-            1,
-            bad(LagPolicy::Auto {
-                min: 0,
-                max: 4,
-                tol: 1e-9
-            })
-        )
-        .is_err());
-        assert!(StreamingSmoother::new(
-            1,
-            bad(LagPolicy::Auto {
-                min: 8,
-                max: 4,
-                tol: 1e-9
-            })
-        )
-        .is_err());
-        assert!(StreamingSmoother::new(
-            1,
-            bad(LagPolicy::Auto {
-                min: 2,
-                max: 4,
-                tol: 0.0
-            })
-        )
-        .is_err());
-        assert!(StreamingSmoother::new(1, bad(LagPolicy::auto())).is_ok());
+        assert!(StreamingSmoother::new(1, bad(LagPolicy::Fixed(4))).is_ok());
     }
 
     /// A stream on a steady cadence sizes its ring at the first flush and

@@ -347,8 +347,9 @@ pub fn decode_exec_policy(r: &mut Reader<'_>) -> Result<ExecPolicy> {
 }
 
 const LAG_NONE: u8 = 0;
+/// The only lag-policy tag besides "none"; 2 named the adaptive policy
+/// before it was withdrawn and now decodes as unknown.
 const LAG_FIXED: u8 = 1;
-const LAG_AUTO: u8 = 2;
 
 /// Appends stream options (lag, hysteresis, covariances, policy, …).
 pub fn encode_stream_options(w: &mut Writer, opts: &StreamOptions) {
@@ -358,12 +359,6 @@ pub fn encode_stream_options(w: &mut Writer, opts: &StreamOptions) {
         Some(LagPolicy::Fixed(lag)) => {
             w.put_u8(LAG_FIXED);
             w.put_u32(lag as u32);
-        }
-        Some(LagPolicy::Auto { min, max, tol }) => {
-            w.put_u8(LAG_AUTO);
-            w.put_u32(min as u32);
-            w.put_u32(max as u32);
-            Writer::put_f64(w, tol);
         }
     }
     w.put_u32(opts.flush_every as u32);
@@ -385,11 +380,6 @@ pub fn decode_stream_options(r: &mut Reader<'_>) -> Result<StreamOptions> {
     let lag_policy = match r.get_u8()? {
         LAG_NONE => None,
         LAG_FIXED => Some(LagPolicy::Fixed(r.get_u32()? as usize)),
-        LAG_AUTO => Some(LagPolicy::Auto {
-            min: r.get_u32()? as usize,
-            max: r.get_u32()? as usize,
-            tol: r.get_f64()?,
-        }),
         tag => {
             return Err(WireError::UnknownTag {
                 what: "lag policy",
@@ -694,6 +684,19 @@ mod tests {
                 }
                 other => panic!("tag {tag} decoded as {other:?}"),
             }
+        }
+    }
+
+    /// The adaptive lag policy's tag is rejected, not reinterpreted.
+    #[test]
+    fn retired_lag_policy_tag_is_rejected() {
+        let mut w = Writer::new();
+        encode_stream_options(&mut w, &StreamOptions::default());
+        let mut bytes = w.as_slice().to_vec();
+        bytes[4] = 2; // the tag after the lag
+        match decode_stream_options(&mut Reader::new(&bytes)) {
+            Err(WireError::UnknownTag { what, tag }) => assert_eq!((what, tag), ("lag policy", 2)),
+            other => panic!("the retired tag decoded as {other:?}"),
         }
     }
 

@@ -334,28 +334,11 @@ fn recovery_is_observable() {
 }
 
 /// Supervisor-level error paths are typed: unknown keys, duplicate
-/// keys, adaptive lag (unsnapshotable), and degenerate configs.
+/// keys, and degenerate configs.
 #[test]
 fn supervisor_error_paths_are_typed() {
     let models = test_models(1, 20);
     let mut sup = Supervisor::new(cluster_cfg(1, 1, FaultPlan::none())).unwrap();
-
-    // Adaptive lag cannot be snapshotted for recovery: rejected up front.
-    let auto = StreamSpec {
-        init: StreamInit::Fresh { dim: 2 },
-        opts: StreamOptions {
-            lag_policy: Some(LagPolicy::Auto {
-                min: 2,
-                max: 16,
-                tol: 1e-9,
-            }),
-            ..serve_opts()
-        },
-    };
-    assert!(matches!(
-        sup.insert(7, auto),
-        Err(ClusterError::Kalman(KalmanError::Stream(_)))
-    ));
 
     sup.insert(7, spec_for(&models[0])).unwrap();
     assert!(

@@ -333,7 +333,7 @@ fn twice_observed_case(seed: u64, k: usize) -> (LinearModel, Vec<StreamEvent>) {
 /// smoothers run on exactly the data the step had seen at emission, across
 /// model families (with and without prior, changing dimensions, missing
 /// and stacked observations, ill-conditioned noise), cadences (including
-/// `flush_every = 1` and `flush_every > lag`) and lag policies.  The
+/// `flush_every = 1` and `flush_every > lag`).  The
 /// `n = 4` and `n = 8` cases are the serving dimensions: only there do the
 /// monomorphized kernels the sweep binds (the tri-stack forward step, the
 /// SelInv products) run, and the `KALMAN_REF_KERNELS=1` CI leg takes the
@@ -388,49 +388,39 @@ fn every_finalized_step_matches_both_batch_smoothers_at_its_horizon() {
     };
     for (name, model, events) in &cases {
         for (lag, flush_every) in [(6usize, 1usize), (4, 3), (3, 5)] {
-            for lag_policy in [
-                None,
-                Some(LagPolicy::Auto {
-                    min: 2,
-                    max: lag,
-                    tol: 1e-6,
-                }),
-            ] {
-                let opts = StreamOptions {
-                    lag,
-                    lag_policy,
-                    flush_every,
-                    covariances: true,
-                    ..StreamOptions::default()
-                };
-                let what = format!("{name}, lag {lag}, flush_every {flush_every}, {lag_policy:?}");
-                let finalized = stream_events_with_horizons(model, events.clone(), opts);
-                assert_eq!(finalized.len(), k + 1, "{what}: every step finalized once");
-                // One pair of batch solves per distinct horizon.
-                let mut batches: Option<(usize, [Smoothed; 2])> = None;
-                for (f, horizon) in &finalized {
-                    if batches.as_ref().map(|(h, _)| *h) != Some(*horizon) {
-                        let seen = truncated(model, *horizon);
-                        batches = Some((
-                            *horizon,
-                            [
-                                odd_even_smooth(&seen, OddEvenOptions::default()).unwrap(),
-                                paige_saunders_smooth(&seen, SmootherOptions::default()).unwrap(),
-                            ],
-                        ));
-                    }
-                    let i = f.index as usize;
-                    assert!(i <= *horizon);
-                    for batch in &batches.as_ref().unwrap().1 {
-                        let diff = max_diff(&f.mean, batch.mean(i));
-                        assert!(diff < 1e-8, "{what}: state {i}@{horizon} mean diff {diff}");
-                        let cdiff = f
-                            .covariance
-                            .as_ref()
-                            .unwrap()
-                            .max_abs_diff(batch.covariance(i).unwrap());
-                        assert!(cdiff < 1e-8, "{what}: state {i}@{horizon} cov diff {cdiff}");
-                    }
+            let opts = StreamOptions {
+                lag,
+                flush_every,
+                covariances: true,
+                ..StreamOptions::default()
+            };
+            let what = format!("{name}, lag {lag}, flush_every {flush_every}");
+            let finalized = stream_events_with_horizons(model, events.clone(), opts);
+            assert_eq!(finalized.len(), k + 1, "{what}: every step finalized once");
+            // One pair of batch solves per distinct horizon.
+            let mut batches: Option<(usize, [Smoothed; 2])> = None;
+            for (f, horizon) in &finalized {
+                if batches.as_ref().map(|(h, _)| *h) != Some(*horizon) {
+                    let seen = truncated(model, *horizon);
+                    batches = Some((
+                        *horizon,
+                        [
+                            odd_even_smooth(&seen, OddEvenOptions::default()).unwrap(),
+                            paige_saunders_smooth(&seen, SmootherOptions::default()).unwrap(),
+                        ],
+                    ));
+                }
+                let i = f.index as usize;
+                assert!(i <= *horizon);
+                for batch in &batches.as_ref().unwrap().1 {
+                    let diff = max_diff(&f.mean, batch.mean(i));
+                    assert!(diff < 1e-8, "{what}: state {i}@{horizon} mean diff {diff}");
+                    let cdiff = f
+                        .covariance
+                        .as_ref()
+                        .unwrap()
+                        .max_abs_diff(batch.covariance(i).unwrap());
+                    assert!(cdiff < 1e-8, "{what}: state {i}@{horizon} cov diff {cdiff}");
                 }
             }
         }
