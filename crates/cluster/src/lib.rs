@@ -29,7 +29,9 @@
 //!
 //! A slot that exhausts its [`ClusterConfig::crash_budget`] **degrades**
 //! to an in-process shard rebuilt from the same snapshots and log —
-//! service continues, still without data loss.
+//! service continues, still without data loss.  A worker and a degraded
+//! slot run the same shard host, so both apply each logged entry alike
+//! and report the same outputs, stream errors and finish results.
 //!
 //! Deterministic fault injection ([`FaultPlan`]) scripts worker kills,
 //! frame corruption/truncation, and swallowed acks so tests exercise
@@ -44,6 +46,7 @@
 
 mod error;
 mod fault;
+mod host;
 pub mod proto;
 mod supervisor;
 mod worker;

@@ -3,8 +3,9 @@
 //! Built entirely on [`kalman_wire`] primitives — every payload is a
 //! sequence of wire codec values, and every frame is CRC-framed by
 //! [`kalman_wire::FrameWriter`].  The protocol is strictly
-//! request-driven: workers only speak when spoken to, except that a
-//! processed `Finish` always produces a `Finished` reply.  See
+//! request-driven: workers only speak when spoken to.  A `Finish` is
+//! answered with the outputs its drain banked, then `Finished` or the
+//! finish's own `StreamError`.  See
 //! DESIGN.md §"Cross-process serving" for the full state machine.
 
 use crate::error::{ClusterError, Result};

@@ -26,10 +26,13 @@
 //! After [`ClusterConfig::crash_budget`] consecutive restarts a slot
 //! **degrades**: the supervisor rebuilds the shard in-process from the
 //! same snapshots + log suffix and keeps serving without worker
-//! processes — graceful degradation, still no data loss.
+//! processes — graceful degradation, still no data loss.  A degraded slot
+//! runs the same shard host a worker runs, so it applies every entry
+//! alike and reports the same outputs, stream errors and finish results.
 
 use crate::error::{ClusterError, Result};
 use crate::fault::{FaultPlan, FrameFault};
+use crate::host::ShardHost;
 use crate::proto::{
     decode_incoming, encode_spec, Incoming, StreamSpec, K_CONFIG, K_EVENT, K_FINISH, K_INSERT,
     K_PING, K_POLL, K_RESTORE, K_SHUTDOWN, K_SNAPSHOT_REQ,
@@ -37,8 +40,8 @@ use crate::proto::{
 use crate::worker::SOCKET_ENV;
 use kalman_model::{KalmanError, StreamEvent};
 use kalman_obs::{Counter, Histogram};
-use kalman_serve::{stable_shard, Ingress, ServeConfig, ShardedPool};
-use kalman_stream::{Checkpoint, FinalizedStep, StreamOptions, StreamingSmoother, WindowSnapshot};
+use kalman_serve::stable_shard;
+use kalman_stream::{Checkpoint, FinalizedStep, StreamOptions, WindowSnapshot};
 use kalman_wire::{codec, frame_bytes, FrameReader, FrameWriter, Progress, WireError, Writer};
 use std::collections::{HashMap, VecDeque};
 use std::io::Write as _;
@@ -54,7 +57,7 @@ pub struct ClusterConfig {
     /// Number of shard slots (worker processes), ≥ 1.
     pub workers: usize,
     /// Per-worker ingestion queue bound (the worker's internal
-    /// [`ShardedPool`] queue).
+    /// [`kalman_serve::ShardedPool`] queue).
     pub queue_capacity: usize,
     /// Execution policy of each worker's batched flush.
     pub policy: kalman_par::ExecPolicy,
@@ -198,15 +201,10 @@ impl Drop for Conn {
     }
 }
 
-/// A degraded slot: the shard rebuilt in-process.
-struct LocalShard {
-    pool: ShardedPool,
-    ingress: Ingress,
-}
-
 enum Mode {
     Remote(Conn),
-    Local(LocalShard),
+    /// A degraded slot: the shard host rebuilt in-process.
+    Local(ShardHost),
 }
 
 struct Slot {
@@ -490,23 +488,17 @@ impl Supervisor {
             return Err(ClusterError::UnknownKey(key));
         }
         let slot = self.slot_of(key);
+        let restarts = self.slots[slot].restarts;
         self.log_and_deliver(slot, WalEntry::Finish { key })?;
-        if !self.finished.contains_key(&key) {
-            // Remote mode: the reply may not be in yet (recovery replay
-            // pumps it internally; the direct path pumps here).
-            if matches!(self.slots[slot].mode, Mode::Remote(_)) {
-                let wanted = key;
-                let pumped = self.pump_until(
-                    slot,
-                    self.cfg.reply_timeout,
-                    move |s| matches!(s, Seen::Finished(k) | Seen::StreamError(k) if *k == wanted),
-                );
-                if let Err(e) = pumped {
-                    if is_transport(&e) {
-                        self.recover(slot)?;
-                    } else {
-                        return Err(e);
-                    }
+        // A degraded slot answers inline, and a recovery during delivery
+        // replayed the finish and pumped its reply — success or failure.
+        let answered = self.slots[slot].restarts != restarts;
+        if !answered && matches!(self.slots[slot].mode, Mode::Remote(_)) {
+            if let Err(e) = self.await_finish(slot, key) {
+                if is_transport(&e) {
+                    self.recover(slot)?;
+                } else {
+                    return Err(e);
                 }
             }
         }
@@ -568,8 +560,33 @@ impl Supervisor {
     /// Delivers one entry; a transport failure triggers recovery, whose
     /// replay re-delivers the (already logged) entry.
     fn deliver(&mut self, slot: usize, entry: &WalEntry) -> Result<()> {
-        match &self.slots[slot].mode {
-            Mode::Local(_) => self.apply_local(slot, entry),
+        match &mut self.slots[slot].mode {
+            Mode::Local(host) => {
+                let finished = match entry {
+                    WalEntry::Insert { key, spec } => {
+                        host.insert(*key, spec);
+                        None
+                    }
+                    WalEntry::Event { key, event } => {
+                        host.event(*key, event.clone());
+                        None
+                    }
+                    WalEntry::Finish { key } => {
+                        host.drain();
+                        Some((*key, host.finish(*key)))
+                    }
+                };
+                // The drained outputs go first, as a worker ships them.
+                self.bank_local(slot);
+                match finished {
+                    Some((key, Ok((tail, checkpoint)))) => {
+                        self.accept_finished(key, tail, checkpoint)
+                    }
+                    Some((key, Err(e))) => self.stream_errors.push((key, e.to_string())),
+                    None => {}
+                }
+                Ok(())
+            }
             Mode::Remote(_) => {
                 match self.send_entry(slot, entry) {
                     Ok(()) => {
@@ -646,8 +663,9 @@ impl Supervisor {
         // regenerates and banks pending outputs, so the re-poll after it
         // is ordinary.
         for attempt in 0..2 {
-            if matches!(self.slots[slot].mode, Mode::Local(_)) {
-                self.collect_local(slot);
+            if let Mode::Local(host) = &mut self.slots[slot].mode {
+                host.drain();
+                self.bank_local(slot);
                 return Ok(());
             }
             let result = self.send_frame(slot, K_POLL, &[]).and_then(|()| {
@@ -713,7 +731,7 @@ impl Supervisor {
             Incoming::Pong => Seen::Pong,
             Incoming::Outputs(batch) => {
                 for (key, step) in batch {
-                    self.accept_output(key, step);
+                    accept_output(&mut self.next_emit, &mut self.outputs, key, step);
                 }
                 Seen::Outputs
             }
@@ -726,14 +744,7 @@ impl Supervisor {
                 tail,
                 checkpoint,
             } => {
-                // Replays re-deliver this; the first delivery wins (they
-                // are bitwise identical anyway).
-                if !self.finished.contains_key(&key) {
-                    for step in tail {
-                        self.accept_output(key, step);
-                    }
-                    self.finished.insert(key, checkpoint);
-                }
+                self.accept_finished(key, tail, checkpoint);
                 Seen::Finished(key)
             }
             Incoming::SnapshotAck { seq, snapshots } => {
@@ -762,16 +773,48 @@ impl Supervisor {
         }
     }
 
-    /// Accepts one finalized step through the exactly-once cursor.
-    fn accept_output(&mut self, key: u64, step: FinalizedStep) {
-        let Some(cursor) = self.next_emit.get_mut(&key) else {
-            return; // unknown (already finished and taken): drop
-        };
-        if step.index < *cursor {
-            return; // replayed duplicate
+    /// Accepts a finished stream's tail and checkpoint.  Replays
+    /// re-deliver them; the first delivery wins (they are bitwise
+    /// identical anyway).
+    fn accept_finished(&mut self, key: u64, tail: Vec<FinalizedStep>, checkpoint: Checkpoint) {
+        if !self.finished.contains_key(&key) {
+            for step in tail {
+                accept_output(&mut self.next_emit, &mut self.outputs, key, step);
+            }
+            self.finished.insert(key, checkpoint);
         }
-        *cursor = step.index + 1;
-        self.outputs.entry(key).or_default().push(step);
+    }
+
+    /// Moves a degraded slot's banked outputs and stream errors into the
+    /// supervisor's.
+    fn bank_local(&mut self, slot: usize) {
+        let Supervisor {
+            slots,
+            next_emit,
+            outputs,
+            stream_errors,
+            ..
+        } = self;
+        if let Mode::Local(host) = &mut slots[slot].mode {
+            for (key, step) in host.outputs.drain(..) {
+                accept_output(next_emit, outputs, key, step);
+            }
+            stream_errors.append(&mut host.errors);
+        }
+    }
+
+    /// Pumps the reply to a `Finish`: the worker ships the outputs its
+    /// drain banked (errors included), then `Finished` or the finish's own
+    /// `StreamError`.  Waiting for the outputs first keeps an earlier
+    /// stream error of the same key from passing for the reply.
+    fn await_finish(&mut self, slot: usize, key: u64) -> Result<()> {
+        let timeout = self.cfg.reply_timeout;
+        self.pump_until(slot, timeout, |s| *s == Seen::Outputs)?;
+        self.pump_until(
+            slot,
+            timeout,
+            |s| matches!(s, Seen::Finished(k) | Seen::StreamError(k) if *k == key),
+        )
     }
 
     // ---- recovery -----------------------------------------------------
@@ -840,12 +883,7 @@ impl Supervisor {
                 self.slots[slot].events_delivered += 1;
             }
             if let WalEntry::Finish { key } = entry {
-                let wanted = *key;
-                self.pump_until(
-                    slot,
-                    self.cfg.reply_timeout,
-                    move |s| matches!(s, Seen::Finished(k) | Seen::StreamError(k) if *k == wanted),
-                )?;
+                self.await_finish(slot, *key)?;
             }
         }
         Ok(())
@@ -853,7 +891,8 @@ impl Supervisor {
 
     /// Rebuilds the shard in-process from snapshots + log suffix and
     /// serves it there from now on.  Queued history is fully replayed —
-    /// degradation sheds the process boundary, not data.
+    /// degradation sheds the process boundary, not data.  A snapshot that
+    /// does not restore is a stream error, as on a restarted worker.
     fn degrade(&mut self, slot: usize) -> Result<()> {
         self.metrics.degraded.inc();
         kalman_obs::event(
@@ -861,112 +900,17 @@ impl Supervisor {
             slot as u64,
             self.slots[slot].wal.len() as u64,
         );
-        let (pool, ingress) = ShardedPool::new(ServeConfig {
-            shards: 1,
-            queue_capacity: self.cfg.queue_capacity,
-            policy: self.cfg.policy,
-        });
-        let snapshots = std::mem::take(&mut self.slots[slot].snapshots);
-        let mut local = LocalShard { pool, ingress };
-        for (key, opts, snap) in snapshots {
-            let stream = StreamingSmoother::restore(snap, opts)?;
-            local.pool.insert(key, stream)?;
+        let mut host = ShardHost::new(self.cfg.queue_capacity, self.cfg.policy);
+        for (key, opts, snap) in std::mem::take(&mut self.slots[slot].snapshots) {
+            host.restore(key, opts, snap);
         }
-        self.slots[slot].mode = Mode::Local(local);
+        self.slots[slot].mode = Mode::Local(host);
         let entries: Vec<WalEntry> = self.slots[slot].wal.drain(..).map(|(_, e)| e).collect();
         for entry in &entries {
-            self.apply_local(slot, entry)?;
+            self.deliver(slot, entry)?;
         }
-        self.collect_local(slot);
+        self.bank_local(slot);
         Ok(())
-    }
-
-    /// Applies one entry to a degraded slot's in-process shard.
-    fn apply_local(&mut self, slot: usize, entry: &WalEntry) -> Result<()> {
-        // Split borrows: the shard lives in `slots`, the output cursor
-        // maps on `self` — collect locally, then bank.
-        let mut finished: Option<(u64, Vec<FinalizedStep>, Checkpoint)> = None;
-        {
-            let Mode::Local(local) = &mut self.slots[slot].mode else {
-                return Err(ClusterError::Protocol("slot is not degraded".into()));
-            };
-            match entry {
-                WalEntry::Insert { key, spec } => {
-                    if let Err(e) = spec
-                        .build()
-                        .and_then(|stream| local.pool.insert(*key, stream).map(|_| ()))
-                    {
-                        self.stream_errors.push((*key, e.to_string()));
-                    }
-                }
-                WalEntry::Event { key, event } => {
-                    let submit = local.ingress.try_submit(*key, event.clone());
-                    if let Err(e) = submit {
-                        if e.is_would_block() {
-                            local.pool.drain();
-                            // Bank below; retry after the drain made room.
-                            if local.ingress.try_submit(*key, e.into_event()).is_err() {
-                                self.stream_errors
-                                    .push((*key, "queue full after drain".into()));
-                            }
-                        } else {
-                            self.stream_errors.push((*key, "ingress closed".into()));
-                        }
-                    }
-                }
-                WalEntry::Finish { .. } => {
-                    local.pool.drain();
-                    // Bank the drain's outputs before the tail (ordering).
-                }
-            }
-        }
-        self.collect_local(slot);
-        if let WalEntry::Finish { key } = entry {
-            let result = {
-                let Mode::Local(local) = &mut self.slots[slot].mode else {
-                    return Err(ClusterError::Protocol("slot is not degraded".into()));
-                };
-                local.pool.finish(*key)
-            };
-            match result {
-                Ok((tail, ckpt)) => finished = Some((*key, tail, ckpt)),
-                Err(e) => self.stream_errors.push((*key, e.to_string())),
-            }
-        }
-        if let Some((key, tail, ckpt)) = finished {
-            if !self.finished.contains_key(&key) {
-                for step in tail {
-                    self.accept_output(key, step);
-                }
-                self.finished.insert(key, ckpt);
-            }
-        }
-        Ok(())
-    }
-
-    /// Drains a degraded slot and banks its outputs.
-    fn collect_local(&mut self, slot: usize) {
-        let mut banked: Vec<(u64, FinalizedStep)> = Vec::new();
-        let mut errors: Vec<(u64, String)> = Vec::new();
-        {
-            let Mode::Local(local) = &mut self.slots[slot].mode else {
-                return;
-            };
-            local.pool.drain();
-            for (key, entry) in local.pool.outputs() {
-                match entry.result() {
-                    Ok(steps) => banked.extend(steps.iter().cloned().map(|s| (key, s))),
-                    Err(e) => errors.push((key, e.to_string())),
-                }
-            }
-            for (key, err) in local.pool.last_errors() {
-                errors.push((*key, err.to_string()));
-            }
-        }
-        for (key, step) in banked {
-            self.accept_output(key, step);
-        }
-        self.stream_errors.extend(errors);
     }
 
     // ---- process management -------------------------------------------
@@ -1080,6 +1024,23 @@ fn read_incoming(
     }
 }
 
+/// Accepts one finalized step through the exactly-once cursor.
+fn accept_output(
+    next_emit: &mut HashMap<u64, u64>,
+    outputs: &mut HashMap<u64, Vec<FinalizedStep>>,
+    key: u64,
+    step: FinalizedStep,
+) {
+    let Some(cursor) = next_emit.get_mut(&key) else {
+        return; // unknown (already finished and taken): drop
+    };
+    if step.index < *cursor {
+        return; // replayed duplicate
+    }
+    *cursor = step.index + 1;
+    outputs.entry(key).or_default().push(step);
+}
+
 /// `true` for failures the supervisor handles by recovering the slot.
 fn is_transport(e: &ClusterError) -> bool {
     matches!(
@@ -1136,6 +1097,36 @@ mod tests {
     #[test]
     fn worker_entry() {
         crate::worker_entry_from_env();
+    }
+
+    /// A finish whose own frame is cut off is answered by the recovery
+    /// replay.  When that answer is a failure, the supervisor must not
+    /// wait for a second one (which never comes) and restart a healthy
+    /// worker.
+    #[test]
+    fn failed_finish_answered_by_replay_is_not_awaited_again() {
+        let mut sup = Supervisor::new(ClusterConfig {
+            workers: 1,
+            reply_timeout: Duration::from_secs(2),
+            backoff_base: Duration::from_millis(2),
+            worker_args: vec!["supervisor::tests::worker_entry".into(), "--exact".into()],
+            // Frame 1 is the config, frame 2 the insert, frame 3 the finish.
+            fault_plan: FaultPlan {
+                frame_faults: vec![(0, 3, FrameFault::Truncate)],
+                ..FaultPlan::default()
+            },
+            ..ClusterConfig::default()
+        })
+        .unwrap();
+        let spec = StreamSpec {
+            init: crate::StreamInit::Fresh { dim: 2 },
+            opts: StreamOptions::default(),
+        };
+        sup.insert(7, spec).unwrap();
+        let err = sup.finish(7).unwrap_err().to_string();
+        assert!(err.contains("rank deficient"), "{err}");
+        assert_eq!(sup.stats().restarts, vec![1]);
+        sup.shutdown();
     }
 
     /// Two supervisors alive in one process (parallel tests) must never

@@ -1,5 +1,6 @@
-//! The worker side: a child process wrapping a single-shard
-//! [`ShardedPool`] behind the framed protocol.
+//! The worker side: a child process wrapping one shard host — the
+//! single-shard [`kalman_serve::ShardedPool`] a degraded slot runs
+//! in-process too — behind the framed protocol.
 //!
 //! A worker is spawned by the supervisor as a re-exec of the current
 //! binary with [`SOCKET_ENV`] pointing at the supervisor's listening
@@ -8,8 +9,10 @@
 //! environment variable it is a no-op, with it the process becomes a
 //! worker and never returns.
 //!
+//! Each frame handler decodes its payload, makes one host call and
+//! encodes the reply; what a shard does with an entry lives in the host.
 //! Because the single-shard pool applies events under the same canonical
-//! flush cadence as any in-process [`ShardedPool`], the worker's outputs
+//! flush cadence as any in-process pool, the worker's outputs
 //! are bitwise identical to in-process serving no matter how its drains
 //! interleave with supervisor polls — the property the cluster's
 //! recovery tests pin.
@@ -19,12 +22,11 @@
 //! mismatch — the supervisor sees the nonzero exit as a crash), `3`
 //! internal serving failure.
 
+use crate::host::ShardHost;
 use crate::proto::{
     decode_spec, K_CONFIG, K_EVENT, K_FINISH, K_FINISHED, K_HELLO, K_INSERT, K_OUTPUTS, K_PING,
     K_POLL, K_PONG, K_RESTORE, K_SHUTDOWN, K_SNAPSHOT_ACK, K_SNAPSHOT_REQ, K_STREAM_ERROR,
 };
-use kalman_serve::{ServeConfig, ShardedPool};
-use kalman_stream::{FinalizedStep, StreamingSmoother};
 use kalman_wire::{codec, FrameReader, FrameWriter, Reader, WireError, Writer};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
@@ -72,16 +74,12 @@ impl From<WireError> for WorkerError {
 }
 
 struct Worker {
-    pool: ShardedPool,
-    ingress: kalman_serve::Ingress,
+    /// The shard; its banked outputs and errors ship on the next poll,
+    /// snapshot, or finish.
+    host: ShardHost,
     tx: FrameWriter<UnixStream>,
     /// Reusable payload buffer for every outbound frame.
     payload: Writer,
-    /// Outputs drained but not yet shipped (sent on the next poll,
-    /// snapshot, or finish).
-    pending: Vec<(u64, FinalizedStep)>,
-    /// Stream-level errors drained but not yet shipped.
-    errors: Vec<(u64, String)>,
 }
 
 fn run_worker(path: &Path) -> Result<(), WorkerError> {
@@ -107,18 +105,10 @@ fn run_worker(path: &Path) -> Result<(), WorkerError> {
         }
         None => return Ok(()), // supervisor went away before configuring
     };
-    let (pool, ingress) = ShardedPool::new(ServeConfig {
-        shards: 1,
-        queue_capacity,
-        policy,
-    });
     let mut worker = Worker {
-        pool,
-        ingress,
+        host: ShardHost::new(queue_capacity, policy),
         tx,
         payload: Writer::new(),
-        pending: Vec::new(),
-        errors: Vec::new(),
     };
 
     loop {
@@ -145,99 +135,65 @@ fn run_worker(path: &Path) -> Result<(), WorkerError> {
 }
 
 impl Worker {
-    /// Drains the pool and banks outputs/errors for the next shipment.
-    fn drain_collect(&mut self) {
-        self.pool.drain();
-        for (key, entry) in self.pool.outputs() {
-            match entry.result() {
-                Ok(steps) => self.pending.extend(steps.iter().cloned().map(|s| (key, s))),
-                Err(e) => self.errors.push((key, e.to_string())),
-            }
-        }
-        for (key, err) in self.pool.last_errors() {
-            self.errors.push((*key, err.to_string()));
-        }
-    }
-
-    /// Ships banked stream errors, then banked outputs, as frames.
+    /// Ships the host's banked stream errors, then its banked outputs, as
+    /// frames.
     fn ship_pending(&mut self) -> Result<(), WorkerError> {
-        for (key, message) in std::mem::take(&mut self.errors) {
+        for (key, message) in std::mem::take(&mut self.host.errors) {
             self.payload.clear();
             self.payload.put_u64(key);
             codec::encode_str(&mut self.payload, &message);
             self.tx.send(K_STREAM_ERROR, self.payload.as_slice())?;
         }
         self.payload.clear();
-        self.payload.put_u32(self.pending.len() as u32);
-        for (key, step) in &self.pending {
+        self.payload.put_u32(self.host.outputs.len() as u32);
+        for (key, step) in &self.host.outputs {
             self.payload.put_u64(*key);
             codec::encode_finalized_step(&mut self.payload, step);
         }
-        self.pending.clear();
+        self.host.outputs.clear();
         self.tx.send(K_OUTPUTS, self.payload.as_slice())?;
         Ok(())
     }
 
     fn on_insert(&mut self, payload: &[u8]) -> Result<(), WorkerError> {
         let mut r = Reader::new(payload);
-        let key = r.get_u64().map_err(WorkerError::from)?;
+        let key = r.get_u64()?;
         let spec = decode_spec(&mut r)?;
-        r.finish().map_err(WorkerError::from)?;
-        let result = spec
-            .build()
-            .and_then(|stream| self.pool.insert(key, stream).map(|_| ()));
-        if let Err(e) = result {
-            self.errors.push((key, e.to_string()));
-        }
+        r.finish()?;
+        self.host.insert(key, &spec);
         Ok(())
     }
 
     fn on_event(&mut self, payload: &[u8]) -> Result<(), WorkerError> {
         let mut r = Reader::new(payload);
-        let key = r.get_u64().map_err(WorkerError::from)?;
+        let key = r.get_u64()?;
         let event = codec::decode_event(&mut r)?;
-        r.finish().map_err(WorkerError::from)?;
-        match self.ingress.try_submit(key, event) {
-            Ok(()) => Ok(()),
-            Err(e) if e.is_would_block() => {
-                // Backpressure: apply the queue, then retry once (the
-                // queue is empty after a drain).
-                self.drain_collect();
-                self.ingress
-                    .try_submit(key, e.into_event())
-                    .map_err(|_| WorkerError::Internal("queue full after drain".into()))
-            }
-            Err(_) => Err(WorkerError::Internal("ingress closed".into())),
-        }
+        r.finish()?;
+        self.host.event(key, event);
+        Ok(())
     }
 
     fn on_poll(&mut self) -> Result<(), WorkerError> {
-        self.drain_collect();
+        self.host.drain();
         self.ship_pending()
     }
 
     fn on_snapshot(&mut self, payload: &[u8]) -> Result<(), WorkerError> {
         let mut r = Reader::new(payload);
-        let seq = r.get_u64().map_err(WorkerError::from)?;
-        r.finish().map_err(WorkerError::from)?;
+        let seq = r.get_u64()?;
+        r.finish()?;
         // Apply everything queued first: the supervisor truncates its log
         // up to `seq` on this ack, so the snapshot must cover every event
         // delivered before the request — and every output finalized on
         // the way must reach the supervisor no later than the ack.
-        self.drain_collect();
+        self.host.drain();
         self.ship_pending()?;
-        let keys: Vec<u64> = self.pool.keys().collect();
+        let snapshots = self.host.snapshots();
         self.payload.clear();
         self.payload.put_u64(seq);
-        self.payload.put_u32(keys.len() as u32);
-        for key in keys {
-            let stream = self
-                .pool
-                .stream(key)
-                .ok_or_else(|| WorkerError::Internal(format!("key {key} vanished")))?;
-            let snap = stream
-                .snapshot()
-                .map_err(|e| WorkerError::Internal(e.to_string()))?;
+        self.payload.put_u32(snapshots.len() as u32);
+        for snapshot in snapshots {
+            let (key, snap) = snapshot.map_err(|e| WorkerError::Internal(e.to_string()))?;
             self.payload.put_u64(key);
             codec::encode_window_snapshot(&mut self.payload, &snap);
         }
@@ -247,30 +203,30 @@ impl Worker {
 
     fn on_restore(&mut self, payload: &[u8]) -> Result<(), WorkerError> {
         let mut r = Reader::new(payload);
-        let key = r.get_u64().map_err(WorkerError::from)?;
+        let key = r.get_u64()?;
         let opts = codec::decode_stream_options(&mut r)?;
         let snap = codec::decode_window_snapshot(&mut r)?;
-        r.finish().map_err(WorkerError::from)?;
-        let result = StreamingSmoother::restore(snap, opts)
-            .and_then(|stream| self.pool.insert(key, stream).map(|_| ()));
-        if let Err(e) = result {
-            self.errors.push((key, e.to_string()));
-        }
+        r.finish()?;
+        self.host.restore(key, opts, snap);
         Ok(())
     }
 
+    /// Replies with the drained outputs, then `Finished` or the finish's
+    /// own `StreamError`: the supervisor reads the reply as the frame
+    /// after the outputs.
     fn on_finish(&mut self, payload: &[u8]) -> Result<(), WorkerError> {
         let mut r = Reader::new(payload);
-        let key = r.get_u64().map_err(WorkerError::from)?;
-        r.finish().map_err(WorkerError::from)?;
-        // Apply everything queued (the stream's last events may still be
-        // in the queue), shipping outputs so the tail follows them.
-        self.drain_collect();
+        let key = r.get_u64()?;
+        r.finish()?;
+        // The outputs ship before the closing window is smoothed, so the
+        // supervisor takes them in meanwhile.
+        self.host.drain();
         self.ship_pending()?;
-        match self.pool.finish(key) {
+        let result = self.host.finish(key);
+        self.payload.clear();
+        self.payload.put_u64(key);
+        match result {
             Ok((tail, checkpoint)) => {
-                self.payload.clear();
-                self.payload.put_u64(key);
                 self.payload.put_u32(tail.len() as u32);
                 for step in &tail {
                     codec::encode_finalized_step(&mut self.payload, step);
@@ -279,8 +235,6 @@ impl Worker {
                 self.tx.send(K_FINISHED, self.payload.as_slice())?;
             }
             Err(e) => {
-                self.payload.clear();
-                self.payload.put_u64(key);
                 codec::encode_str(&mut self.payload, &e.to_string());
                 self.tx.send(K_STREAM_ERROR, self.payload.as_slice())?;
             }

@@ -23,7 +23,7 @@ pub enum Analysis {
 }
 
 impl Analysis {
-    /// The name used in pragmas, JSON output, and baseline keys.
+    /// The name used in pragmas, JSON output, and finding keys.
     pub fn name(self) -> &'static str {
         match self {
             Analysis::Alloc => "alloc",
@@ -50,10 +50,9 @@ impl Analysis {
 /// Severity of a reported finding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Level {
-    /// Fails `--ci` (a finding not covered by the baseline).
+    /// Fails the run (exit code 1).
     Error,
-    /// Reported but non-fatal (grandfathered by the baseline, or hygiene
-    /// notes such as unused pragmas).
+    /// Reported but non-fatal (hygiene notes such as unused pragmas).
     Warn,
 }
 
@@ -68,7 +67,7 @@ pub struct Finding {
     pub line: u32,
     /// Human-readable description.
     pub message: String,
-    /// Severity after baseline application.
+    /// Severity.
     pub level: Level,
 }
 
@@ -84,9 +83,9 @@ impl Finding {
         }
     }
 
-    /// Stable baseline key: analysis + file + a hash of the message with
-    /// numbers stripped, so simple line drift does not invalidate
-    /// grandfathered entries.
+    /// Stable key (carried in the JSON output): analysis + file + a hash
+    /// of the message with numbers stripped, so simple line drift does not
+    /// change it.
     pub fn key(&self) -> String {
         let normalized: String = self
             .message

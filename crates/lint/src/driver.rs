@@ -1,24 +1,19 @@
-//! The driver: walk the workspace, run every enabled analysis, apply the
-//! baseline ratchet, and render human / JSON-lines diagnostics.
+//! The driver: walk the workspace, run every enabled analysis, and render
+//! human / JSON-lines diagnostics.
 
 use std::path::{Path, PathBuf};
 
 use crate::analyses;
-use crate::baseline::Baseline;
 use crate::config::Config;
 use crate::diag::{Analysis, FileCtx, Finding, Level};
 
 /// What to run and where — the resolved command line.
 #[derive(Debug, Clone)]
 pub struct Options {
-    /// Workspace root (where `lint.toml` and `lint.baseline` live).
+    /// Workspace root (where `lint.toml` lives).
     pub root: PathBuf,
     /// Config path; `None` means `<root>/lint.toml` (defaults when absent).
     pub config: Option<PathBuf>,
-    /// Baseline path; `None` means `<root>/lint.baseline`.
-    pub baseline: Option<PathBuf>,
-    /// Rewrite the baseline from current findings instead of checking.
-    pub update_baseline: bool,
     /// CI mode: identical checks, terse summary tail.
     pub ci: bool,
     /// Write JSON-lines diagnostics here (in addition to human output).
@@ -26,20 +21,18 @@ pub struct Options {
 }
 
 impl Options {
-    /// Options for linting `root` with its committed config and baseline.
+    /// Options for linting `root` with its committed config.
     pub fn for_root(root: impl Into<PathBuf>) -> Options {
         Options {
             root: root.into(),
             config: None,
-            baseline: None,
-            update_baseline: false,
             ci: false,
             json: None,
         }
     }
 }
 
-/// The findings of one run, before baseline application.
+/// The findings of one run.
 #[derive(Debug)]
 pub struct Report {
     /// All findings, sorted by file and line.
@@ -63,19 +56,18 @@ impl Report {
 /// The complete outcome of [`execute`]: report, renderings, exit code.
 #[derive(Debug)]
 pub struct Outcome {
-    /// Findings after baseline application.
+    /// The run's findings.
     pub report: Report,
-    /// Baseline keys that no longer match any finding.
-    pub stale_keys: Vec<String>,
     /// Human-readable diagnostics plus summary, newline-terminated.
     pub human: String,
     /// JSON-lines rendering of every finding.
     pub json: String,
-    /// Process exit code: 0 clean, 1 on new findings, 2 on usage errors.
+    /// Process exit code: 0 clean, 1 on any error-level finding, 2 on
+    /// usage errors.
     pub exit_code: i32,
 }
 
-/// Lints the tree under `root` with `cfg` (no baseline application).
+/// Lints the tree under `root` with `cfg`.
 pub fn run(root: &Path, cfg: &Config) -> Result<Report, String> {
     let mut paths = Vec::new();
     for inc in &cfg.include {
@@ -129,8 +121,8 @@ pub fn run(root: &Path, cfg: &Config) -> Result<Report, String> {
     })
 }
 
-/// Full pipeline: load config + baseline, [`run`], apply the ratchet,
-/// render.  This is what `main` and the self-check tests call.
+/// Full pipeline: load config, [`run`], render.  This is what `main` and
+/// the self-check tests call.
 pub fn execute(opts: &Options) -> Result<Outcome, String> {
     let config_path = opts
         .config
@@ -141,32 +133,7 @@ pub fn execute(opts: &Options) -> Result<Outcome, String> {
     } else {
         Config::default()
     };
-    let baseline_path = opts
-        .baseline
-        .clone()
-        .unwrap_or_else(|| opts.root.join("lint.baseline"));
-    let mut report = run(&opts.root, &cfg)?;
-
-    if opts.update_baseline {
-        let errors: Vec<Finding> = report.errors().cloned().collect();
-        std::fs::write(&baseline_path, Baseline::render(&errors))
-            .map_err(|e| format!("cannot write {}: {e}", baseline_path.display()))?;
-        let human = format!(
-            "kalman-lint: baseline updated with {} finding(s) at {}\n",
-            errors.len(),
-            baseline_path.display()
-        );
-        return Ok(Outcome {
-            report,
-            stale_keys: Vec::new(),
-            human,
-            json: String::new(),
-            exit_code: 0,
-        });
-    }
-
-    let baseline = Baseline::load(&baseline_path)?;
-    let stale_keys = baseline.apply(&mut report.findings);
+    let report = run(&opts.root, &cfg)?;
 
     let mut human = String::new();
     let mut json = String::new();
@@ -176,26 +143,15 @@ pub fn execute(opts: &Options) -> Result<Outcome, String> {
         json.push_str(&f.render_json());
         json.push('\n');
     }
-    for key in &stale_keys {
-        human.push_str(&format!(
-            "note: stale baseline entry `{key}` — tighten with --update-baseline\n"
-        ));
-    }
     let errors = report.errors().count();
     let warns = report.findings.len() - errors;
     human.push_str(&format!(
-        "kalman-lint: {} file(s), {errors} error(s), {warns} warning(s), baseline {}\n",
-        report.files_scanned,
-        if baseline.is_empty() {
-            "empty".to_string()
-        } else {
-            format!("{} grandfathered", baseline.len())
-        }
+        "kalman-lint: {} file(s), {errors} error(s), {warns} warning(s)\n",
+        report.files_scanned
     ));
     let exit_code = if errors > 0 { 1 } else { 0 };
     Ok(Outcome {
         report,
-        stale_keys,
         human,
         json,
         exit_code,

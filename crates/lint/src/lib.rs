@@ -18,17 +18,15 @@
 //! ([`parse`]), and a small TOML-subset reader ([`config`]).  That keeps
 //! the lint runnable in the same offline environment as the build itself.
 //!
-//! Findings are ratcheted through a committed [`baseline`]: entries listed
-//! in `lint.baseline` are grandfathered to warnings, anything new is an
-//! error.  The workspace's committed baseline is empty — every accepted
-//! exception is an inline `// lint: allow(<analysis>, "<reason>")` pragma
-//! at the site it excuses.  See `docs/LINTS.md` for the full catalog.
+//! Every finding is an error; there is no grandfathered debt.  Every
+//! accepted exception is an inline `// lint: allow(<analysis>, "<reason>")`
+//! pragma at the site it excuses.  See `docs/LINTS.md` for the full
+//! catalog.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analyses;
-pub mod baseline;
 pub mod config;
 pub mod diag;
 pub mod driver;

@@ -2,11 +2,11 @@
 //!
 //! ```text
 //! cargo run --release -p kalman-lint -- [--ci] [--json PATH]
-//!     [--root DIR] [--config PATH] [--baseline PATH] [--update-baseline]
+//!     [--root DIR] [--config PATH]
 //! ```
 //!
-//! Exit codes: `0` clean (warnings allowed), `1` new findings, `2` usage
-//! or I/O error.
+//! Exit codes: `0` clean (warnings allowed), `1` any error-level finding,
+//! `2` usage or I/O error.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,8 +25,6 @@ USAGE:
 OPTIONS:
     --root DIR          workspace root to lint (default: auto-detected)
     --config PATH       lint config (default: <root>/lint.toml)
-    --baseline PATH     ratchet file (default: <root>/lint.baseline)
-    --update-baseline   rewrite the baseline from current findings
     --json PATH         also write JSON-lines diagnostics to PATH
     --ci                CI mode: terse output, same checks and exit codes
     --help              print this help
@@ -44,12 +42,7 @@ fn main() -> ExitCode {
         let res: Result<(), String> = match arg.as_str() {
             "--root" => path_arg(&mut args).map(|p| opts.root = p),
             "--config" => path_arg(&mut args).map(|p| opts.config = Some(p)),
-            "--baseline" => path_arg(&mut args).map(|p| opts.baseline = Some(p)),
             "--json" => path_arg(&mut args).map(|p| opts.json = Some(p)),
-            "--update-baseline" => {
-                opts.update_baseline = true;
-                Ok(())
-            }
             "--ci" => {
                 opts.ci = true;
                 Ok(())
@@ -75,7 +68,7 @@ fn main() -> ExitCode {
             }
             print!("{}", outcome.human);
             if opts.ci && outcome.exit_code != 0 {
-                eprintln!("kalman-lint: new findings — fix them or add a reasoned inline pragma");
+                eprintln!("kalman-lint: findings — fix them or add a reasoned inline pragma");
             }
             ExitCode::from(outcome.exit_code as u8)
         }

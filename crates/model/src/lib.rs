@@ -61,7 +61,7 @@ pub use covariance::CovarianceSpec;
 pub use error::KalmanError;
 pub use estimate::Smoothed;
 pub use incremental::{events_of, EliminatedRows, InfoHead, StreamEvent};
-pub use model::{Evolution, LinearModel, LinearStep, Observation, Prior};
+pub use model::{check_finite, Evolution, LinearModel, LinearStep, Observation, Prior};
 pub use sweep::SweepTerms;
 pub use whiten::{whiten_model, WhitenedEvo, WhitenedObs, WhitenedStep};
 

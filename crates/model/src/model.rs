@@ -1,5 +1,25 @@
 use crate::{CovarianceSpec, KalmanError, Result};
 use kalman_dense::Matrix;
+use std::fmt;
+
+/// Refuses NaN/±∞ in `values` with an error, made by `err`, that names
+/// `what`.  One such entry would make every estimate NaN — and, in a
+/// stream, because forgetting is exact, stay in its head forever.
+///
+/// # Errors
+///
+/// `err` applied to the message when any entry is not finite.
+pub fn check_finite(
+    values: &[f64],
+    what: fmt::Arguments<'_>,
+    err: fn(String) -> KalmanError,
+) -> Result<()> {
+    // No early exit, so the scan vectorizes.
+    if values.iter().fold(true, |ok, v| ok & v.is_finite()) {
+        return Ok(());
+    }
+    Err(err(format!("{what} has a non-finite entry")))
+}
 
 /// An evolution equation `H_i u_i = F_i u_{i-1} + c_i + ε_i`, `cov(ε_i) = K_i`.
 #[derive(Debug, Clone)]
@@ -31,6 +51,59 @@ impl Evolution {
     pub fn row_dim(&self) -> usize {
         self.f.rows()
     }
+
+    /// Checks this evolution as step `index`, evolving from a state of
+    /// dimension `prev_dim`: block shapes, an SPD noise (cheap checks only)
+    /// and finite `F`, `H` and `c`.  Returns the new state's dimension
+    /// (`H`'s columns, or `F`'s rows when `H` is the implicit identity).
+    ///
+    /// # Errors
+    ///
+    /// [`KalmanError::InvalidModel`] naming the step and the block, or
+    /// [`KalmanError::NotPositiveDefinite`].
+    pub fn validate(&self, prev_dim: usize, index: usize) -> Result<usize> {
+        if self.f.cols() != prev_dim {
+            return Err(KalmanError::InvalidModel(format!(
+                "step {index}: F has {} columns but previous state dimension is {prev_dim}",
+                self.f.cols()
+            )));
+        }
+        let l = self.row_dim();
+        if let Some(h) = &self.h {
+            if h.rows() != l {
+                return Err(KalmanError::InvalidModel(format!(
+                    "step {index}: H has {} rows but F has {l}",
+                    h.rows()
+                )));
+            }
+        }
+        let new_dim = self.h.as_ref().map_or(l, |h| h.cols());
+        if new_dim == 0 {
+            return Err(KalmanError::InvalidModel(format!(
+                "step {index} has zero state dimension"
+            )));
+        }
+        if self.c.len() != l {
+            return Err(KalmanError::InvalidModel(format!(
+                "step {index}: c has length {} but F has {l} rows",
+                self.c.len()
+            )));
+        }
+        if self.noise.dim() != l {
+            return Err(KalmanError::InvalidModel(format!(
+                "step {index}: K has dimension {} but F has {l} rows",
+                self.noise.dim()
+            )));
+        }
+        self.noise.validate(index)?;
+        let invalid = KalmanError::InvalidModel;
+        check_finite(self.f.as_slice(), format_args!("step {index}: F"), invalid)?;
+        if let Some(h) = &self.h {
+            check_finite(h.as_slice(), format_args!("step {index}: H"), invalid)?;
+        }
+        check_finite(&self.c, format_args!("step {index}: c"), invalid)?;
+        Ok(new_dim)
+    }
 }
 
 /// An observation equation `o_i = G_i u_i + δ_i`, `cov(δ_i) = L_i`.
@@ -48,6 +121,41 @@ impl Observation {
     /// Number of scalar observations `m_i`.
     pub fn dim(&self) -> usize {
         self.g.rows()
+    }
+
+    /// Checks this observation of state `index` (dimension `state_dim`):
+    /// block shapes, an SPD noise (cheap checks only) and finite `G` and
+    /// `o`.
+    ///
+    /// # Errors
+    ///
+    /// [`KalmanError::InvalidModel`] naming the step and the block, or
+    /// [`KalmanError::NotPositiveDefinite`].
+    pub fn validate(&self, state_dim: usize, index: usize) -> Result<()> {
+        if self.g.cols() != state_dim {
+            return Err(KalmanError::InvalidModel(format!(
+                "step {index}: G has {} columns but state dimension is {state_dim}",
+                self.g.cols()
+            )));
+        }
+        if self.o.len() != self.dim() {
+            return Err(KalmanError::InvalidModel(format!(
+                "step {index}: o has length {} but G has {} rows",
+                self.o.len(),
+                self.dim()
+            )));
+        }
+        if self.noise.dim() != self.dim() {
+            return Err(KalmanError::InvalidModel(format!(
+                "step {index}: L has dimension {} but G has {} rows",
+                self.noise.dim(),
+                self.dim()
+            )));
+        }
+        self.noise.validate(index)?;
+        let invalid = KalmanError::InvalidModel;
+        check_finite(self.g.as_slice(), format_args!("step {index}: G"), invalid)?;
+        check_finite(&self.o, format_args!("step {index}: o"), invalid)
     }
 
     /// Stacks two independent observations of the same state into one
@@ -83,6 +191,29 @@ pub struct Prior {
     pub mean: Vec<f64>,
     /// Prior covariance of `u_0`.
     pub cov: CovarianceSpec,
+}
+
+impl Prior {
+    /// Checks the prior on its own: the covariance matches the mean, the
+    /// mean is finite and the covariance SPD (cheap checks only).
+    ///
+    /// # Errors
+    ///
+    /// [`KalmanError::InvalidModel`] on a dimension mismatch or a NaN/∞ in
+    /// the mean, [`KalmanError::NotPositiveDefinite`] on the covariance.
+    pub fn validate(&self) -> Result<()> {
+        if self.cov.dim() != self.mean.len() {
+            return Err(KalmanError::InvalidModel(
+                "prior covariance dimension does not match prior mean".into(),
+            ));
+        }
+        check_finite(
+            &self.mean,
+            format_args!("step 0: prior mean"),
+            KalmanError::InvalidModel,
+        )?;
+        self.cov.validate(0)
+    }
 }
 
 /// One step of the dynamic system: the state `u_i`, its (optional) evolution
@@ -207,9 +338,15 @@ impl LinearModel {
         })
     }
 
-    /// Structural validation: dimension consistency of every block, SPD
-    /// covariances (cheap checks only — dense SPD-ness is verified on use),
-    /// and global solvability necessary conditions.
+    /// Validation of the whole model: every step passes
+    /// [`Evolution::validate`] / [`Observation::validate`] — the checks a
+    /// stream runs on each event, NaN/∞ entries included — and the prior
+    /// [`Prior::validate`]; then what only a whole model can get wrong:
+    /// step 0 has no evolution, every later step has one whose new
+    /// dimension is the step's `state_dim`, the prior matches state 0, and
+    /// there are at least as many equation rows as unknowns (necessary, not
+    /// sufficient, for a unique solution).  Dense SPD-ness is verified on
+    /// use.
     ///
     /// # Errors
     ///
@@ -236,76 +373,22 @@ impl LinearModel {
                         "step {i} is missing its evolution equation"
                     )));
                 };
-                let prev_n = self.steps[i - 1].state_dim;
-                if evo.f.cols() != prev_n {
-                    return Err(KalmanError::InvalidModel(format!(
-                        "step {i}: F has {} columns but previous state dimension is {prev_n}",
-                        evo.f.cols()
-                    )));
+                let new_dim = evo.validate(self.steps[i - 1].state_dim, i)?;
+                if new_dim != step.state_dim {
+                    return Err(KalmanError::InvalidModel(match &evo.h {
+                        Some(_) => format!(
+                            "step {i}: H has {new_dim} columns but state dimension is {}",
+                            step.state_dim
+                        ),
+                        None => format!(
+                            "step {i}: implicit identity H requires F rows ({new_dim}) == state dim ({})",
+                            step.state_dim
+                        ),
+                    }));
                 }
-                let l = evo.row_dim();
-                match &evo.h {
-                    Some(h) => {
-                        if h.rows() != l {
-                            return Err(KalmanError::InvalidModel(format!(
-                                "step {i}: H has {} rows but F has {l}",
-                                h.rows()
-                            )));
-                        }
-                        if h.cols() != step.state_dim {
-                            return Err(KalmanError::InvalidModel(format!(
-                                "step {i}: H has {} columns but state dimension is {}",
-                                h.cols(),
-                                step.state_dim
-                            )));
-                        }
-                    }
-                    None => {
-                        if l != step.state_dim {
-                            return Err(KalmanError::InvalidModel(format!(
-                                "step {i}: implicit identity H requires F rows ({l}) == state dim ({})",
-                                step.state_dim
-                            )));
-                        }
-                    }
-                }
-                if evo.c.len() != l {
-                    return Err(KalmanError::InvalidModel(format!(
-                        "step {i}: c has length {} but F has {l} rows",
-                        evo.c.len()
-                    )));
-                }
-                if evo.noise.dim() != l {
-                    return Err(KalmanError::InvalidModel(format!(
-                        "step {i}: K has dimension {} but F has {l} rows",
-                        evo.noise.dim()
-                    )));
-                }
-                evo.noise.validate(i)?;
             }
             if let Some(obs) = &step.observation {
-                if obs.g.cols() != step.state_dim {
-                    return Err(KalmanError::InvalidModel(format!(
-                        "step {i}: G has {} columns but state dimension is {}",
-                        obs.g.cols(),
-                        step.state_dim
-                    )));
-                }
-                if obs.o.len() != obs.dim() {
-                    return Err(KalmanError::InvalidModel(format!(
-                        "step {i}: o has length {} but G has {} rows",
-                        obs.o.len(),
-                        obs.dim()
-                    )));
-                }
-                if obs.noise.dim() != obs.dim() {
-                    return Err(KalmanError::InvalidModel(format!(
-                        "step {i}: L has dimension {} but G has {} rows",
-                        obs.noise.dim(),
-                        obs.dim()
-                    )));
-                }
-                obs.noise.validate(i)?;
+                obs.validate(step.state_dim, i)?;
             }
         }
         if let Some(prior) = &self.prior {
@@ -316,12 +399,7 @@ impl LinearModel {
                     self.steps[0].state_dim
                 )));
             }
-            if prior.cov.dim() != prior.mean.len() {
-                return Err(KalmanError::InvalidModel(
-                    "prior covariance dimension does not match prior mean".into(),
-                ));
-            }
-            prior.cov.validate(0)?;
+            prior.validate()?;
         }
         // Necessary (not sufficient) condition for full column rank.
         if self.total_row_dim() < self.total_state_dim() {

@@ -83,15 +83,12 @@ impl Checkpoint {
                 c.cols()
             )));
         }
-        if !c
-            .as_slice()
-            .iter()
-            .chain(d.as_slice())
-            .all(|v| v.is_finite())
-        {
-            return Err(kalman_model::KalmanError::Stream(
-                "checkpoint head has a non-finite entry".into(),
-            ));
+        for block in [&c, &d] {
+            kalman_model::check_finite(
+                block.as_slice(),
+                format_args!("checkpoint head"),
+                kalman_model::KalmanError::Stream,
+            )?;
         }
         Ok(Checkpoint {
             index,

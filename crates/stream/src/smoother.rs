@@ -127,10 +127,11 @@ impl StreamingSmoother {
     /// # Errors
     ///
     /// [`KalmanError::Stream`] on degenerate options or a mean longer than
-    /// [`MAX_STATE_DIM`],
-    /// [`KalmanError::InvalidModel`] on a dimension mismatch or a NaN/∞ in
-    /// the mean, and [`KalmanError::NotPositiveDefinite`] on a covariance
-    /// that is not SPD (NaN/∞ entries included).
+    /// [`MAX_STATE_DIM`]; otherwise [`Prior::validate`]'s errors, the ones
+    /// a batch model's prior gets: [`KalmanError::InvalidModel`] on a
+    /// dimension mismatch or a NaN/∞ in the mean, and
+    /// [`KalmanError::NotPositiveDefinite`] on a covariance that is not SPD
+    /// (NaN/∞ entries included).
     pub fn with_prior(
         mean: Vec<f64>,
         cov: kalman_model::CovarianceSpec,
@@ -143,14 +144,9 @@ impl StreamingSmoother {
             ));
         }
         check_state_dim(mean.len())?;
-        if cov.dim() != mean.len() {
-            return Err(KalmanError::InvalidModel(
-                "prior covariance dimension does not match prior mean".into(),
-            ));
-        }
-        check_finite("prior mean", &mean, 0)?;
-        cov.validate(0)?;
-        let head = InfoHead::from_prior(&Prior { mean, cov })?;
+        let prior = Prior { mean, cov };
+        prior.validate()?;
+        let head = InfoHead::from_prior(&prior)?;
         Ok(StreamingSmoother::with_head(head, 0, false, opts))
     }
 
@@ -307,15 +303,16 @@ impl StreamingSmoother {
     ///
     /// # Errors
     ///
-    /// [`KalmanError::InvalidModel`] on dimension mismatches against the
-    /// newest state or a NaN/∞ entry in `F`, `H` or `c`, and
+    /// [`Evolution::validate`]'s errors, the ones a batch model's step
+    /// gets: [`KalmanError::InvalidModel`] on dimension mismatches against
+    /// the newest state or a NaN/∞ entry in `F`, `H` or `c`, and
+    /// [`KalmanError::NotPositiveDefinite`] on the noise.  Also
     /// [`KalmanError::Stream`] on a new state dimension above
     /// [`MAX_STATE_DIM`] (either way the stream is left unchanged), plus any
     /// flush error (see [`StreamingSmoother::flush`]).
     pub fn evolve(&mut self, evolution: Evolution) -> Result<Vec<FinalizedStep>> {
-        let prev_dim = self.state_dim();
-        let index = self.next_index();
-        check_evolution(&evolution, prev_dim, index)?;
+        let index = self.next_index() as usize;
+        check_state_dim(evolution.validate(self.state_dim(), index)?)?;
         let finalized = if self.opts.auto_flush && self.ready() {
             self.flush()?
         } else {
@@ -330,36 +327,15 @@ impl StreamingSmoother {
     ///
     /// # Errors
     ///
-    /// [`KalmanError::InvalidModel`] on dimension mismatches or a NaN/∞
-    /// entry in `G` or `o`; the stream is left unchanged.
+    /// [`Observation::validate`]'s errors, the ones a batch model's step
+    /// gets: [`KalmanError::InvalidModel`] on dimension mismatches or a
+    /// NaN/∞ entry in `G` or `o`, and [`KalmanError::NotPositiveDefinite`]
+    /// on the noise; the stream is left unchanged.
     pub fn observe(&mut self, observation: Observation) -> Result<()> {
-        let index = self.base_index + (self.buffer.len() - 1) as u64;
+        let index = (self.base_index + (self.buffer.len() - 1) as u64) as usize;
         // lint: allow(panic, "infallible: the constructor seeds one step and flush never drains below one")
         let step = self.buffer.last_mut().expect("buffer is never empty");
-        if observation.g.cols() != step.state_dim {
-            return Err(KalmanError::InvalidModel(format!(
-                "step {index}: G has {} columns but state dimension is {}",
-                observation.g.cols(),
-                step.state_dim
-            )));
-        }
-        if observation.o.len() != observation.dim() {
-            return Err(KalmanError::InvalidModel(format!(
-                "step {index}: o has length {} but G has {} rows",
-                observation.o.len(),
-                observation.dim()
-            )));
-        }
-        if observation.noise.dim() != observation.dim() {
-            return Err(KalmanError::InvalidModel(format!(
-                "step {index}: L has dimension {} but G has {} rows",
-                observation.noise.dim(),
-                observation.dim()
-            )));
-        }
-        observation.noise.validate(index as usize)?;
-        check_finite("G", observation.g.as_slice(), index)?;
-        check_finite("o", &observation.o, index)?;
+        observation.validate(step.state_dim, index)?;
         step.observation = Some(match step.observation.take() {
             None => observation,
             Some(existing) => Observation::stacked(&existing, &observation),
@@ -557,64 +533,6 @@ impl StreamingSmoother {
         out.truncate(emitted);
         emitted
     }
-}
-
-/// Rejects NaN/±∞ in an incoming block before it reaches the window: one
-/// such entry would make the next flush emit NaN means and — because
-/// forgetting is exact — stay in the stream's head forever.
-fn check_finite(what: &str, values: &[f64], index: u64) -> Result<()> {
-    if values.iter().all(|v| v.is_finite()) {
-        return Ok(());
-    }
-    Err(KalmanError::InvalidModel(format!(
-        "step {index}: {what} has a non-finite entry"
-    )))
-}
-
-/// Validation of an incoming evolution against the newest state: shapes,
-/// noise, finite entries.
-fn check_evolution(evo: &Evolution, prev_dim: usize, index: u64) -> Result<()> {
-    if evo.f.cols() != prev_dim {
-        return Err(KalmanError::InvalidModel(format!(
-            "step {index}: F has {} columns but previous state dimension is {prev_dim}",
-            evo.f.cols()
-        )));
-    }
-    let l = evo.row_dim();
-    if let Some(h) = &evo.h {
-        if h.rows() != l {
-            return Err(KalmanError::InvalidModel(format!(
-                "step {index}: H has {} rows but F has {l}",
-                h.rows()
-            )));
-        }
-    }
-    // The new state has `H`'s columns, or `F`'s rows when `H = I`.
-    let new_dim = evo.h.as_ref().map_or(l, |h| h.cols());
-    if new_dim == 0 {
-        return Err(KalmanError::InvalidModel(format!(
-            "step {index} has zero state dimension"
-        )));
-    }
-    check_state_dim(new_dim)?;
-    if evo.c.len() != l {
-        return Err(KalmanError::InvalidModel(format!(
-            "step {index}: c has length {} but F has {l} rows",
-            evo.c.len()
-        )));
-    }
-    if evo.noise.dim() != l {
-        return Err(KalmanError::InvalidModel(format!(
-            "step {index}: K has dimension {} but F has {l} rows",
-            evo.noise.dim()
-        )));
-    }
-    evo.noise.validate(index as usize)?;
-    check_finite("F", evo.f.as_slice(), index)?;
-    if let Some(h) = &evo.h {
-        check_finite("H", h.as_slice(), index)?;
-    }
-    check_finite("c", &evo.c, index)
 }
 
 #[cfg(test)]

@@ -394,3 +394,93 @@ fn heartbeat_detects_silent_death() {
     }
     sup.shutdown();
 }
+
+/// A degraded slot runs the same shard host as a worker, so it reports
+/// what a worker reports.  One script — healthy streams, a spec that does
+/// not build, events for that key, and a finish that fails — runs on a
+/// healthy 1-worker cluster and again with a slot that degrades before
+/// its first poll: the outputs are bitwise equal, and so are the stream
+/// errors (as a multiset) and every `finish` result.
+#[test]
+fn degraded_slot_reports_what_a_worker_reports() {
+    const BROKEN: u64 = 100;
+    const UNDETERMINED: u64 = 101;
+    let models = test_models(3, 30);
+    let run = |plan: FaultPlan, crash_budget: u32| {
+        let mut cfg = cluster_cfg(1, models.len() + 2, plan);
+        cfg.crash_budget = crash_budget;
+        let mut sup = Supervisor::new(cfg).unwrap();
+        for (k, model) in models.iter().enumerate() {
+            sup.insert(k as u64, spec_for(model)).unwrap();
+        }
+        let fresh = |dim| StreamSpec {
+            init: StreamInit::Fresh { dim },
+            opts: serve_opts(),
+        };
+        // A zero-dimensional state does not build; the host reports it.
+        sup.insert(BROKEN, fresh(0)).unwrap();
+        // No prior and no observations: never determined, so its finish
+        // fails (and its window never fills, so no flush fails first).
+        sup.insert(UNDETERMINED, fresh(2)).unwrap();
+        let mut outputs: Vec<Vec<FinalizedStep>> = vec![Vec::new(); models.len()];
+        for si in 0..models[0].num_states() {
+            for (k, model) in models.iter().enumerate() {
+                let step = &model.steps[si];
+                if si > 0 {
+                    sup.evolve(k as u64, step.evolution.clone().unwrap())
+                        .unwrap();
+                }
+                if let Some(obs) = &step.observation {
+                    sup.observe(k as u64, obs.clone()).unwrap();
+                }
+            }
+            if si % 7 == 3 {
+                sup.evolve(BROKEN, Evolution::random_walk(2)).unwrap();
+            }
+            if (1..4).contains(&si) {
+                sup.evolve(UNDETERMINED, Evolution::random_walk(2)).unwrap();
+            }
+            sup.poll().unwrap();
+            for (key, steps) in sup.take_outputs() {
+                outputs[key as usize].extend(steps);
+            }
+        }
+        let mut finishes = Vec::new();
+        for key in [0, 1, 2, UNDETERMINED, BROKEN] {
+            if key == BROKEN {
+                // Still queued when this finish drains: the event's error
+                // reaches the supervisor just ahead of the finish's own.
+                sup.evolve(BROKEN, Evolution::random_walk(2)).unwrap();
+            }
+            let result = sup.finish(key).map(|(tail, ckpt)| {
+                let tail: Vec<_> = tail.into_iter().map(|s| (s.index, s.mean)).collect();
+                (tail, ckpt.index)
+            });
+            finishes.push(result.map_err(|e| e.to_string()));
+        }
+        let mut errors = sup.take_stream_errors();
+        errors.sort();
+        let stats = sup.stats();
+        sup.shutdown();
+        (outputs, errors, finishes, stats)
+    };
+
+    let (want, want_errors, want_finishes, stats) = run(FaultPlan::none(), 3);
+    assert!(!stats.degraded[0] && stats.restarts[0] == 0);
+    let plan = FaultPlan {
+        kill_after_events: vec![(0, 2)],
+        ..FaultPlan::default()
+    };
+    let (got, errors, finishes, stats) = run(plan, 0);
+    assert!(stats.degraded[0], "the slot must have degraded");
+
+    assert_bitwise_equal(&got, &want, "degraded slot");
+    assert!(
+        want_errors.iter().filter(|(k, _)| *k == BROKEN).count() >= 4,
+        "the broken spec and each of its events are reported: {want_errors:?}"
+    );
+    assert_eq!(errors, want_errors, "stream errors");
+    assert_eq!(finishes, want_finishes, "finish results");
+    assert!(finishes[..3].iter().all(Result::is_ok));
+    assert!(finishes[3..].iter().all(Result::is_err));
+}

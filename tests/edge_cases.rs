@@ -388,6 +388,80 @@ fn streaming_refuses_non_finite_input_and_stays_exact() {
     }
 }
 
+/// Every batch engine refuses a NaN/±∞ entry with the very error the
+/// stream refuses it with: one set of step checks serves both ways a model
+/// arrives.  Each poisoned block sits at a middle step; the prior mean is
+/// compared with `with_prior`'s refusal.
+#[test]
+fn batch_engines_refuse_what_the_stream_refuses() {
+    const MID: usize = 4;
+    let clean = generators::paper_benchmark(&mut rng(602), 3, 9, true);
+    let opts = StreamOptions {
+        auto_flush: false,
+        ..StreamOptions::default()
+    };
+    let oe = OddEvenOptions::default();
+    for block in ["F", "H", "c", "G", "o", "prior mean"] {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut model = clean.clone();
+            let step = &mut model.steps[MID];
+            let (evo, obs) = (
+                step.evolution.as_mut().unwrap(),
+                step.observation.as_mut().unwrap(),
+            );
+            match block {
+                "F" => evo.f[(1, 2)] = bad,
+                // Poisoned where the model states its `H = I` explicitly.
+                "H" => evo.h.insert(Matrix::identity(3))[(2, 0)] = bad,
+                "c" => evo.c[1] = bad,
+                "G" => obs.g[(0, 1)] = bad,
+                "o" => obs.o[2] = bad,
+                _ => model.prior.as_mut().unwrap().mean[0] = bad,
+            }
+            let prior = model.prior.as_ref().unwrap();
+            let stream_err =
+                match StreamingSmoother::with_prior(prior.mean.clone(), prior.cov.clone(), opts) {
+                    Err(e) => e,
+                    Ok(mut stream) => events_of(&model)
+                        .into_iter()
+                        .find_map(|event| stream.ingest(event).err())
+                        .expect("the stream refuses the poisoned event"),
+                };
+            let at = if block == "prior mean" { 0 } else { MID };
+            let want = format!("step {at}: {block} has a non-finite entry");
+            assert!(
+                matches!(&stream_err, KalmanError::InvalidModel(m) if *m == want),
+                "{stream_err:?}"
+            );
+            let results = [
+                ("odd-even", odd_even_smooth(&model, oe).map(drop)),
+                ("plan", SmoothPlan::for_model(&model, oe).map(drop)),
+                (
+                    "PS",
+                    paige_saunders_smooth(&model, SmootherOptions::default()).map(drop),
+                ),
+                ("RTS", rts_smooth(&model).map(drop)),
+                (
+                    "assoc",
+                    associative_smooth(&model, AssociativeOptions::default()).map(drop),
+                ),
+                (
+                    "normal",
+                    normal_equations_smooth(&model, TridiagMethod::Cholesky, ExecPolicy::Seq)
+                        .map(drop),
+                ),
+                ("dense", solve_dense(&model).map(drop)),
+            ];
+            for (engine, result) in results {
+                assert!(
+                    matches!(&result, Err(KalmanError::InvalidModel(m)) if *m == want),
+                    "{engine}, {block} = {bad}: {result:?}, want {want:?}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn diagonal_and_dense_covariances_mix() {
     let mut model = generators::paper_benchmark(&mut rng(502), 3, 12, true);
