@@ -1,16 +1,17 @@
 //! The shard host: what one shard slot does with each logged entry.
 //!
 //! A worker process and a degraded slot run the same [`ShardHost`], so
-//! they apply inserts, restores, events and finishes alike and report
-//! the same outputs and the same stream errors.  The host only banks
-//! what it produced; a worker ships the banks over the wire, a degraded
-//! slot hands them straight to the supervisor.
+//! they apply inserts, events and finishes alike and report the same
+//! outputs and the same stream errors.  A stream restored after a crash
+//! is an ordinary insert, of a [`crate::StreamInit::Resume`] spec.  The
+//! host only banks what it produced; a worker ships the banks over the
+//! wire, a degraded slot hands them straight to the supervisor.
 
 use crate::proto::StreamSpec;
 use kalman_model::{KalmanError, StreamEvent};
 use kalman_par::ExecPolicy;
 use kalman_serve::{Ingress, ServeConfig, ShardedPool};
-use kalman_stream::{Checkpoint, FinalizedStep, StreamOptions, StreamingSmoother, WindowSnapshot};
+use kalman_stream::{FinalizedStep, WindowSnapshot};
 
 /// One shard: a single-shard [`ShardedPool`], its [`Ingress`], and the
 /// outputs and stream errors not yet handed on.
@@ -45,15 +46,9 @@ impl ShardHost {
         let result = spec
             .build()
             .and_then(|stream| self.pool.insert(key, stream));
-        self.bank_error(key, result);
-    }
-
-    /// Registers a stream restored from its snapshot; a snapshot that
-    /// does not restore becomes a stream error.
-    pub(crate) fn restore(&mut self, key: u64, opts: StreamOptions, snap: WindowSnapshot) {
-        let result =
-            StreamingSmoother::restore(snap, opts).and_then(|stream| self.pool.insert(key, stream));
-        self.bank_error(key, result);
+        if let Err(e) = result {
+            self.errors.push((key, e.to_string()));
+        }
     }
 
     /// Queues one event.  On backpressure the queue is drained and the
@@ -92,7 +87,7 @@ impl ShardHost {
     pub(crate) fn finish(
         &mut self,
         key: u64,
-    ) -> kalman_model::Result<(Vec<FinalizedStep>, Checkpoint)> {
+    ) -> kalman_model::Result<(Vec<FinalizedStep>, WindowSnapshot)> {
         self.pool.finish(key)
     }
 
@@ -109,11 +104,5 @@ impl ShardHost {
                 .ok_or_else(|| KalmanError::Stream(format!("key {key} vanished")))?;
             Ok((key, stream.snapshot()?))
         })
-    }
-
-    fn bank_error<T>(&mut self, key: u64, result: kalman_model::Result<T>) {
-        if let Err(e) = result {
-            self.errors.push((key, e.to_string()));
-        }
     }
 }

@@ -22,13 +22,18 @@
 //!    log prefix.
 //! 3. **Restart + replay.** A dead worker (kill -9, hang-up, corrupt
 //!    frame, heartbeat miss) is restarted with bounded exponential
-//!    backoff, restored from the last acked snapshots, and fed the
-//!    logged suffix.  Replayed outputs regenerate bitwise-identically
-//!    (the flush cadence is canonical), and a per-key output cursor
-//!    drops what the caller already saw.
+//!    backoff and fed each stream of the last acked snapshot as an
+//!    ordinary insert (a [`StreamInit::Resume`] spec), then the logged
+//!    suffix.  Replayed outputs regenerate bitwise-identically (the
+//!    flush cadence is canonical), and a per-key output cursor drops
+//!    what the caller already saw.
+//!
+//! A finished stream is a snapshot with nothing buffered:
+//! [`Supervisor::finish`] returns it, and a [`StreamInit::Resume`] spec
+//! continues it.  Its key is free again once no log entry mentions it.
 //!
 //! A slot that exhausts its [`ClusterConfig::crash_budget`] **degrades**
-//! to an in-process shard rebuilt from the same snapshots and log —
+//! to an in-process shard rebuilt from the same inserts and log —
 //! service continues, still without data loss.  A worker and a degraded
 //! slot run the same shard host, so both apply each logged entry alike
 //! and report the same outputs, stream errors and finish results.

@@ -10,7 +10,7 @@
 
 use crate::error::{ClusterError, Result};
 use kalman_model::CovarianceSpec;
-use kalman_stream::{Checkpoint, FinalizedStep, StreamOptions, StreamingSmoother, WindowSnapshot};
+use kalman_stream::{FinalizedStep, StreamOptions, StreamingSmoother, WindowSnapshot};
 use kalman_wire::{codec, Reader, WireError, Writer};
 
 /// Supervisor → worker: serving configuration (must precede anything
@@ -25,9 +25,6 @@ pub const K_POLL: u8 = 4;
 /// Supervisor → worker: drain, then snapshot every resident stream
 /// (`seq` echoes back in the ack).
 pub const K_SNAPSHOT_REQ: u8 = 5;
-/// Supervisor → worker: restore one stream from a snapshot (`key`,
-/// options, snapshot) — the recovery path on a fresh worker.
-pub const K_RESTORE: u8 = 6;
 /// Supervisor → worker: finish a stream (`key`).
 pub const K_FINISH: u8 = 7;
 /// Supervisor → worker: liveness probe.
@@ -41,7 +38,8 @@ pub const K_HELLO: u8 = 16;
 pub const K_OUTPUTS: u8 = 17;
 /// Worker → supervisor: snapshot of every resident stream.
 pub const K_SNAPSHOT_ACK: u8 = 18;
-/// Worker → supervisor: a stream finished (`key`, tail, checkpoint).
+/// Worker → supervisor: a stream finished (`key`, tail, the finished
+/// stream's snapshot).
 pub const K_FINISHED: u8 = 19;
 /// Worker → supervisor: liveness reply.
 pub const K_PONG: u8 = 20;
@@ -67,10 +65,12 @@ pub enum StreamInit {
         /// Prior covariance.
         cov: CovarianceSpec,
     },
-    /// Continue from a finished stream's checkpoint.
+    /// Continue a stream from its snapshot: a finished stream's, or a
+    /// live one's (how a slot re-inserts the streams of its last acked
+    /// snapshot after a crash).
     Resume {
-        /// The condensed prior stream.
-        checkpoint: Checkpoint,
+        /// The stream's state.
+        snapshot: WindowSnapshot,
     },
 }
 
@@ -89,7 +89,7 @@ impl StreamSpec {
     /// dedup accounting).
     pub fn first_index(&self) -> u64 {
         match &self.init {
-            StreamInit::Resume { checkpoint } => checkpoint.index + 1,
+            StreamInit::Resume { snapshot } => snapshot.index + snapshot.base_emitted as u64,
             _ => 0,
         }
     }
@@ -98,16 +98,17 @@ impl StreamSpec {
     ///
     /// # Errors
     ///
-    /// As the [`StreamingSmoother`] constructors (degenerate options or
-    /// dimensions).
+    /// As the [`StreamingSmoother`] constructors and
+    /// [`StreamingSmoother::restore`] (degenerate options, dimensions or
+    /// heads).
     pub fn build(&self) -> kalman_model::Result<StreamingSmoother> {
         match &self.init {
             StreamInit::Fresh { dim } => StreamingSmoother::new(*dim, self.opts),
             StreamInit::WithPrior { mean, cov } => {
                 StreamingSmoother::with_prior(mean.clone(), cov.clone(), self.opts)
             }
-            StreamInit::Resume { checkpoint } => {
-                StreamingSmoother::resume(checkpoint.clone(), self.opts)
+            StreamInit::Resume { snapshot } => {
+                StreamingSmoother::restore(snapshot.clone(), self.opts)
             }
         }
     }
@@ -125,9 +126,9 @@ pub fn encode_spec(w: &mut Writer, spec: &StreamSpec) {
             codec::encode_vec_f64(w, mean);
             codec::encode_cov(w, cov);
         }
-        StreamInit::Resume { checkpoint } => {
+        StreamInit::Resume { snapshot } => {
             w.put_u8(INIT_RESUME);
-            codec::encode_checkpoint(w, checkpoint);
+            codec::encode_window_snapshot(w, snapshot);
         }
     }
     codec::encode_stream_options(w, &spec.opts);
@@ -144,7 +145,7 @@ pub fn decode_spec(r: &mut Reader<'_>) -> kalman_wire::Result<StreamSpec> {
             cov: codec::decode_cov(r)?,
         },
         INIT_RESUME => StreamInit::Resume {
-            checkpoint: codec::decode_checkpoint(r)?,
+            snapshot: codec::decode_window_snapshot(r)?,
         },
         tag => {
             return Err(WireError::UnknownTag {
@@ -155,6 +156,22 @@ pub fn decode_spec(r: &mut Reader<'_>) -> kalman_wire::Result<StreamSpec> {
     };
     let opts = codec::decode_stream_options(r)?;
     Ok(StreamSpec { init, opts })
+}
+
+/// Appends a `K_FINISHED` payload: the key, the closing window's
+/// finalized steps, and the finished stream's snapshot.
+pub fn encode_finished(
+    w: &mut Writer,
+    key: u64,
+    tail: &[FinalizedStep],
+    snapshot: &WindowSnapshot,
+) {
+    w.put_u64(key);
+    w.put_u32(tail.len() as u32);
+    for step in tail {
+        codec::encode_finalized_step(w, step);
+    }
+    codec::encode_window_snapshot(w, snapshot);
 }
 
 /// A decoded worker → supervisor message.
@@ -177,8 +194,8 @@ pub enum Incoming {
         key: u64,
         /// Remaining finalized steps (the closing window).
         tail: Vec<FinalizedStep>,
-        /// The resumable condensation of the whole stream.
-        checkpoint: Checkpoint,
+        /// The finished stream: its final state, nothing buffered.
+        snapshot: WindowSnapshot,
     },
     /// Liveness reply.
     Pong,
@@ -231,11 +248,11 @@ pub fn decode_incoming(kind: u8, payload: &[u8]) -> Result<Incoming> {
             for _ in 0..count {
                 tail.push(codec::decode_finalized_step(&mut r)?);
             }
-            let checkpoint = codec::decode_checkpoint(&mut r)?;
+            let snapshot = codec::decode_window_snapshot(&mut r)?;
             Incoming::Finished {
                 key,
                 tail,
-                checkpoint,
+                snapshot,
             }
         }
         K_STREAM_ERROR => {
@@ -251,4 +268,90 @@ pub fn decode_incoming(kind: u8, payload: &[u8]) -> Result<Incoming> {
     };
     r.finish()?;
     Ok(msg)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use kalman_dense::Matrix;
+    use kalman_model::InfoHead;
+
+    /// A finished 2-state stream (index 3, `C = [2 0.5; 0 1.5]`,
+    /// `d = [1; -1]`, nothing buffered) and its wire version 3 bytes:
+    /// index, `C` and `d` as `rows cols` + column-major data, the
+    /// base-emitted flag, the event count.
+    const FINISHED: &str = "0300000000000000 0200000002000000 \
+        0000000000000040 0000000000000000 000000000000e03f 000000000000f83f \
+        0200000001000000 000000000000f03f 000000000000f0bf 01 00000000";
+
+    fn finished() -> WindowSnapshot {
+        WindowSnapshot {
+            index: 3,
+            head: InfoHead::from_rows(
+                Matrix::from_rows(&[&[2.0, 0.5], &[0.0, 1.5]]),
+                Matrix::col_from_slice(&[1.0, -1.0]),
+            ),
+            base_emitted: true,
+            events: Vec::new(),
+        }
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn unspaced(golden: &str) -> String {
+        golden.split_whitespace().collect()
+    }
+
+    /// A `K_FINISHED` payload: the key, the tail (one step: index, mean,
+    /// no covariance), then the finished stream's snapshot.
+    #[test]
+    fn finished_payload_layout_is_pinned() {
+        let tail = [FinalizedStep {
+            index: 3,
+            mean: vec![0.25, -0.5],
+            covariance: None,
+        }];
+        let mut w = Writer::new();
+        encode_finished(&mut w, 9, &tail, &finished());
+        let golden = "0900000000000000 01000000 \
+            0300000000000000 02000000 000000000000d03f 000000000000e0bf 00";
+        assert_eq!(hex(w.as_slice()), unspaced(golden) + &unspaced(FINISHED));
+        match decode_incoming(K_FINISHED, w.as_slice()).unwrap() {
+            Incoming::Finished {
+                key,
+                tail,
+                snapshot,
+            } => {
+                assert_eq!((key, tail[0].index, snapshot.index), (9, 3, 3));
+                assert!(snapshot.base_emitted && snapshot.events.is_empty());
+            }
+            other => panic!("decoded as {other:?}"),
+        }
+    }
+
+    /// An `INIT_RESUME` spec: the tag, the snapshot, then the options
+    /// (here the defaults, whose bytes did not move since version 2).
+    #[test]
+    fn resume_spec_layout_is_pinned() {
+        let spec = StreamSpec {
+            init: StreamInit::Resume {
+                snapshot: finished(),
+            },
+            opts: StreamOptions::default(),
+        };
+        let mut w = Writer::new();
+        encode_spec(&mut w, &spec);
+        let opts = "20000000 00 20000000 00 01 0a000000 01 00";
+        let golden = unspaced(&format!("02 {FINISHED} {opts}"));
+        assert_eq!(hex(w.as_slice()), golden);
+        let back = decode_spec(&mut Reader::new(w.as_slice())).unwrap();
+        assert_eq!(
+            back.first_index(),
+            4,
+            "the finished state is not emitted again"
+        );
+        assert!(back.build().is_ok());
+    }
 }

@@ -15,8 +15,9 @@
 //! not an early finalization — and on the ack truncates the log prefix
 //! the snapshot covers.  A worker death (heartbeat miss, hang-up,
 //! nonzero exit, corrupt frame) therefore never loses data: the slot is
-//! restarted with bounded exponential backoff, restored from the last
-//! acked snapshots, and the logged suffix is replayed.  Replay
+//! restarted with bounded exponential backoff, each stream of the last
+//! acked snapshot is inserted again as a [`StreamInit::Resume`] spec, and
+//! the logged suffix is replayed.  Replay
 //! regenerates exactly the outputs the dead worker would have produced
 //! (snapshots are bitwise-transparent and the flush cadence is
 //! canonical), and a per-key output cursor drops the prefix the
@@ -25,23 +26,30 @@
 //!
 //! After [`ClusterConfig::crash_budget`] consecutive restarts a slot
 //! **degrades**: the supervisor rebuilds the shard in-process from the
-//! same snapshots + log suffix and keeps serving without worker
+//! same snapshot inserts + log suffix and keeps serving without worker
 //! processes — graceful degradation, still no data loss.  A degraded slot
 //! runs the same shard host a worker runs, so it applies every entry
 //! alike and reports the same outputs, stream errors and finish results.
+//!
+//! `finish` drops a key's output cursor with its closing snapshot, so a
+//! replay of the finished stream's entries credits nothing.  The key is
+//! free again once no log entry mentions it — on a degraded slot, which
+//! keeps no log, at once; otherwise when a snapshot ack truncates its
+//! `Finish`.  Until then a crash replay would run the old stream against
+//! a new one's cursor, so [`Supervisor::insert`] refuses the key.
 
 use crate::error::{ClusterError, Result};
 use crate::fault::{FaultPlan, FrameFault};
 use crate::host::ShardHost;
 use crate::proto::{
-    decode_incoming, encode_spec, Incoming, StreamSpec, K_CONFIG, K_EVENT, K_FINISH, K_INSERT,
-    K_PING, K_POLL, K_RESTORE, K_SHUTDOWN, K_SNAPSHOT_REQ,
+    decode_incoming, encode_spec, Incoming, StreamInit, StreamSpec, K_CONFIG, K_EVENT, K_FINISH,
+    K_INSERT, K_PING, K_POLL, K_SHUTDOWN, K_SNAPSHOT_REQ,
 };
 use crate::worker::SOCKET_ENV;
 use kalman_model::{KalmanError, StreamEvent};
 use kalman_obs::{Counter, Histogram};
 use kalman_serve::stable_shard;
-use kalman_stream::{Checkpoint, FinalizedStep, StreamOptions, WindowSnapshot};
+use kalman_stream::{FinalizedStep, StreamOptions, WindowSnapshot};
 use kalman_wire::{codec, frame_bytes, FrameReader, FrameWriter, Progress, WireError, Writer};
 use std::collections::{HashMap, VecDeque};
 use std::io::Write as _;
@@ -213,11 +221,9 @@ struct Slot {
     wal: VecDeque<(u64, WalEntry)>,
     /// Next log sequence number.
     next_seq: u64,
-    /// Highest sequence number covered by `snapshots`.
-    acked_seq: u64,
-    /// Every resident stream's state at `acked_seq` (with the options
-    /// needed to restore it).
-    snapshots: Vec<(u64, StreamOptions, WindowSnapshot)>,
+    /// Every resident stream's state at the last acked snapshot, as the
+    /// insert (of a [`StreamInit::Resume`] spec) that brings it back.
+    snapshots: Vec<WalEntry>,
     /// Lifetime event frames delivered (kill-fault rules index this).
     events_delivered: u64,
     /// Events since the last snapshot request.
@@ -262,8 +268,8 @@ pub struct Supervisor {
     next_emit: HashMap<u64, u64>,
     /// Accepted outputs not yet taken by the caller.
     outputs: HashMap<u64, Vec<FinalizedStep>>,
-    /// Closing checkpoints of finished streams.
-    finished: HashMap<u64, Checkpoint>,
+    /// Closing snapshots of streams whose `finish` is in progress.
+    finished: HashMap<u64, WindowSnapshot>,
     /// Stream-level errors reported by workers (mirrors the in-process
     /// pool's `last_errors`).
     stream_errors: Vec<(u64, String)>,
@@ -311,7 +317,6 @@ impl Supervisor {
                 mode: Mode::Remote(conn),
                 wal: VecDeque::new(),
                 next_seq: 0,
-                acked_seq: 0,
                 snapshots: Vec::new(),
                 events_delivered: 0,
                 events_since_ckpt: 0,
@@ -355,14 +360,20 @@ impl Supervisor {
     ///
     /// # Errors
     ///
-    /// Rejects duplicate keys with [`ClusterError::Kalman`].
+    /// [`ClusterError::Kalman`] for a live key, and for a finished key
+    /// that its slot's write-ahead log still mentions (it is free again
+    /// once a snapshot ack truncates its `Finish`).
     pub fn insert(&mut self, key: u64, spec: StreamSpec) -> Result<()> {
-        if self.opts.contains_key(&key) || self.finished.contains_key(&key) {
+        let slot = self.slot_of(key);
+        // The log is truncated by prefix, so a key that is not live is in
+        // it exactly when its `Finish` is.
+        let logged = (self.slots[slot].wal.iter())
+            .any(|(_, e)| matches!(e, WalEntry::Finish { key: k } if *k == key));
+        if self.opts.contains_key(&key) || logged {
             return Err(ClusterError::Kalman(KalmanError::Stream(format!(
-                "stream key {key} is already registered"
+                "stream key {key} is already registered, or its finished stream is still logged"
             ))));
         }
-        let slot = self.slot_of(key);
         self.opts.insert(key, spec.opts);
         self.next_emit.insert(key, spec.first_index());
         self.log_and_deliver(slot, WalEntry::Insert { key, spec })
@@ -477,13 +488,14 @@ impl Supervisor {
 
     /// Finishes a stream: applies everything queued for it, returns every
     /// not-yet-taken finalized step (ending with the closing window) and
-    /// the resumable checkpoint.
+    /// the finished stream's snapshot (nothing buffered; a
+    /// [`StreamInit::Resume`] spec continues it).
     ///
     /// # Errors
     ///
     /// [`ClusterError::UnknownKey`] for unregistered keys;
     /// [`ClusterError::Kalman`] when the stream's closing flush failed.
-    pub fn finish(&mut self, key: u64) -> Result<(Vec<FinalizedStep>, Checkpoint)> {
+    pub fn finish(&mut self, key: u64) -> Result<(Vec<FinalizedStep>, WindowSnapshot)> {
         if !self.opts.contains_key(&key) {
             return Err(ClusterError::UnknownKey(key));
         }
@@ -503,7 +515,8 @@ impl Supervisor {
             }
         }
         self.opts.remove(&key);
-        let Some(checkpoint) = self.finished.get(&key).cloned() else {
+        self.next_emit.remove(&key);
+        let Some(snapshot) = self.finished.remove(&key) else {
             let msg = self
                 .stream_errors
                 .iter()
@@ -516,7 +529,7 @@ impl Supervisor {
             ))));
         };
         let steps = self.outputs.remove(&key).unwrap_or_default();
-        Ok((steps, checkpoint))
+        Ok((steps, snapshot))
     }
 
     /// Stops every worker (clean shutdown frame, then force-kill after a
@@ -579,9 +592,7 @@ impl Supervisor {
                 // The drained outputs go first, as a worker ships them.
                 self.bank_local(slot);
                 match finished {
-                    Some((key, Ok((tail, checkpoint)))) => {
-                        self.accept_finished(key, tail, checkpoint)
-                    }
+                    Some((key, Ok((tail, snapshot)))) => self.accept_finished(key, tail, snapshot),
                     Some((key, Err(e))) => self.stream_errors.push((key, e.to_string())),
                     None => {}
                 }
@@ -742,9 +753,9 @@ impl Supervisor {
             Incoming::Finished {
                 key,
                 tail,
-                checkpoint,
+                snapshot,
             } => {
-                self.accept_finished(key, tail, checkpoint);
+                self.accept_finished(key, tail, snapshot);
                 Seen::Finished(key)
             }
             Incoming::SnapshotAck { seq, snapshots } => {
@@ -756,11 +767,12 @@ impl Supervisor {
                     return Seen::Ack;
                 }
                 let s = &mut self.slots[slot];
-                s.acked_seq = seq;
                 s.snapshots.clear();
-                for (key, snap) in snapshots {
+                for (key, snapshot) in snapshots {
                     if let Some(opts) = self.opts.get(&key) {
-                        s.snapshots.push((key, *opts, snap));
+                        let init = StreamInit::Resume { snapshot };
+                        let spec = StreamSpec { init, opts: *opts };
+                        s.snapshots.push(WalEntry::Insert { key, spec });
                     }
                 }
                 while s.wal.front().is_some_and(|(q, _)| *q <= seq) {
@@ -773,16 +785,27 @@ impl Supervisor {
         }
     }
 
-    /// Accepts a finished stream's tail and checkpoint.  Replays
-    /// re-deliver them; the first delivery wins (they are bitwise
-    /// identical anyway).
-    fn accept_finished(&mut self, key: u64, tail: Vec<FinalizedStep>, checkpoint: Checkpoint) {
-        if !self.finished.contains_key(&key) {
+    /// Accepts the tail and snapshot of a stream whose `finish` is in
+    /// progress.  A replay of a stream `finish` already returned finds no
+    /// cursor and credits nothing.
+    fn accept_finished(&mut self, key: u64, tail: Vec<FinalizedStep>, snapshot: WindowSnapshot) {
+        if self.next_emit.contains_key(&key) {
             for step in tail {
                 accept_output(&mut self.next_emit, &mut self.outputs, key, step);
             }
-            self.finished.insert(key, checkpoint);
+            self.finished.insert(key, snapshot);
         }
+    }
+
+    /// The slot's recovery script: an insert of every stream of the last
+    /// acked snapshot, then the logged suffix.
+    fn replay_entries(&self, slot: usize) -> Vec<WalEntry> {
+        let s = &self.slots[slot];
+        s.snapshots
+            .iter()
+            .chain(s.wal.iter().map(|(_, e)| e))
+            .cloned()
+            .collect()
     }
 
     /// Moves a degraded slot's banked outputs and stream errors into the
@@ -844,8 +867,8 @@ impl Supervisor {
         }
     }
 
-    /// One restart attempt: fresh worker, restore snapshots, replay the
-    /// logged suffix.
+    /// One restart attempt: fresh worker, then the slot's recovery script
+    /// (snapshot inserts and the logged suffix).
     fn respawn_and_replay(&mut self, slot: usize) -> Result<()> {
         let conn = self.spawn_conn(slot)?;
         self.slots[slot].mode = Mode::Remote(conn);
@@ -858,26 +881,10 @@ impl Supervisor {
             self.slots[slot].wal.len() as u64,
         );
 
-        // Restore every stream from the last acked snapshot.
-        let snapshots = self.slots[slot].snapshots.clone();
-        let mut payload = Writer::new();
-        for (key, opts, snap) in &snapshots {
-            payload.clear();
-            payload.put_u64(*key);
-            codec::encode_stream_options(&mut payload, opts);
-            codec::encode_window_snapshot(&mut payload, snap);
-            self.send_frame_wire(slot, K_RESTORE, payload.as_slice())?;
-        }
-
-        // Replay the suffix.  Finish entries prompt a reply; pump it so
-        // socket buffers never back up, and so `finished` is repopulated
-        // before the caller looks.
-        let entries: Vec<WalEntry> = self.slots[slot]
-            .wal
-            .iter()
-            .map(|(_, e)| e.clone())
-            .collect();
-        for entry in &entries {
+        // Finish entries prompt a reply; pump it so socket buffers never
+        // back up, and so `finished` is repopulated before the caller
+        // looks.
+        for entry in &self.replay_entries(slot) {
             self.send_entry(slot, entry)?;
             if let WalEntry::Event { .. } = entry {
                 self.slots[slot].events_delivered += 1;
@@ -889,8 +896,8 @@ impl Supervisor {
         Ok(())
     }
 
-    /// Rebuilds the shard in-process from snapshots + log suffix and
-    /// serves it there from now on.  Queued history is fully replayed —
+    /// Rebuilds the shard in-process from the recovery script and serves
+    /// it there from now on.  Queued history is fully replayed —
     /// degradation sheds the process boundary, not data.  A snapshot that
     /// does not restore is a stream error, as on a restarted worker.
     fn degrade(&mut self, slot: usize) -> Result<()> {
@@ -900,16 +907,14 @@ impl Supervisor {
             slot as u64,
             self.slots[slot].wal.len() as u64,
         );
-        let mut host = ShardHost::new(self.cfg.queue_capacity, self.cfg.policy);
-        for (key, opts, snap) in std::mem::take(&mut self.slots[slot].snapshots) {
-            host.restore(key, opts, snap);
-        }
-        self.slots[slot].mode = Mode::Local(host);
-        let entries: Vec<WalEntry> = self.slots[slot].wal.drain(..).map(|(_, e)| e).collect();
+        let entries = self.replay_entries(slot);
+        let s = &mut self.slots[slot];
+        s.snapshots.clear();
+        s.wal.clear();
+        s.mode = Mode::Local(ShardHost::new(self.cfg.queue_capacity, self.cfg.policy));
         for entry in &entries {
             self.deliver(slot, entry)?;
         }
-        self.bank_local(slot);
         Ok(())
     }
 
@@ -1127,6 +1132,45 @@ mod tests {
         assert!(err.contains("rank deficient"), "{err}");
         assert_eq!(sup.stats().restarts, vec![1]);
         sup.shutdown();
+    }
+
+    /// `finish` takes a key's closing snapshot and output cursor with it,
+    /// on a remote slot (where the ack that truncates the `Finish` must
+    /// not bring them back) and on a degraded one.
+    #[test]
+    fn finished_keys_are_released_with_their_log() {
+        for crash_budget in [3, 0] {
+            let mut sup = Supervisor::new(ClusterConfig {
+                workers: 1,
+                crash_budget,
+                backoff_base: Duration::from_millis(2),
+                worker_args: vec!["supervisor::tests::worker_entry".into(), "--exact".into()],
+                ..ClusterConfig::default()
+            })
+            .unwrap();
+            if crash_budget == 0 {
+                sup.kill_worker(0);
+                sup.poll().unwrap();
+                assert_eq!(sup.stats().degraded, vec![true]);
+            }
+            let spec = StreamSpec {
+                init: crate::StreamInit::WithPrior {
+                    mean: vec![0.0; 2],
+                    cov: kalman_model::CovarianceSpec::Identity(2),
+                },
+                opts: StreamOptions::default(),
+            };
+            sup.insert(7, spec).unwrap();
+            let (tail, finished) = sup.finish(7).unwrap();
+            assert_eq!((tail.len(), finished.index), (1, 0));
+            if crash_budget > 0 {
+                sup.checkpoint_slot(0).unwrap();
+                assert_eq!(sup.stats().wal_depth, vec![0]);
+            }
+            assert!(sup.finished.is_empty(), "budget {crash_budget}");
+            assert!(sup.next_emit.is_empty(), "budget {crash_budget}");
+            sup.shutdown();
+        }
     }
 
     /// Two supervisors alive in one process (parallel tests) must never

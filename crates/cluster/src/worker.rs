@@ -24,8 +24,8 @@
 
 use crate::host::ShardHost;
 use crate::proto::{
-    decode_spec, K_CONFIG, K_EVENT, K_FINISH, K_FINISHED, K_HELLO, K_INSERT, K_OUTPUTS, K_PING,
-    K_POLL, K_PONG, K_RESTORE, K_SHUTDOWN, K_SNAPSHOT_ACK, K_SNAPSHOT_REQ, K_STREAM_ERROR,
+    decode_spec, encode_finished, K_CONFIG, K_EVENT, K_FINISH, K_FINISHED, K_HELLO, K_INSERT,
+    K_OUTPUTS, K_PING, K_POLL, K_PONG, K_SHUTDOWN, K_SNAPSHOT_ACK, K_SNAPSHOT_REQ, K_STREAM_ERROR,
 };
 use kalman_wire::{codec, FrameReader, FrameWriter, Reader, WireError, Writer};
 use std::os::unix::net::UnixStream;
@@ -121,7 +121,6 @@ fn run_worker(path: &Path) -> Result<(), WorkerError> {
             K_EVENT => worker.on_event(payload)?,
             K_POLL => worker.on_poll()?,
             K_SNAPSHOT_REQ => worker.on_snapshot(payload)?,
-            K_RESTORE => worker.on_restore(payload)?,
             K_FINISH => worker.on_finish(payload)?,
             K_PING => worker.tx.send(K_PONG, &[])?,
             K_SHUTDOWN => return Ok(()),
@@ -201,16 +200,6 @@ impl Worker {
         Ok(())
     }
 
-    fn on_restore(&mut self, payload: &[u8]) -> Result<(), WorkerError> {
-        let mut r = Reader::new(payload);
-        let key = r.get_u64()?;
-        let opts = codec::decode_stream_options(&mut r)?;
-        let snap = codec::decode_window_snapshot(&mut r)?;
-        r.finish()?;
-        self.host.restore(key, opts, snap);
-        Ok(())
-    }
-
     /// Replies with the drained outputs, then `Finished` or the finish's
     /// own `StreamError`: the supervisor reads the reply as the frame
     /// after the outputs.
@@ -224,17 +213,13 @@ impl Worker {
         self.ship_pending()?;
         let result = self.host.finish(key);
         self.payload.clear();
-        self.payload.put_u64(key);
         match result {
-            Ok((tail, checkpoint)) => {
-                self.payload.put_u32(tail.len() as u32);
-                for step in &tail {
-                    codec::encode_finalized_step(&mut self.payload, step);
-                }
-                codec::encode_checkpoint(&mut self.payload, &checkpoint);
+            Ok((tail, snapshot)) => {
+                encode_finished(&mut self.payload, key, &tail, &snapshot);
                 self.tx.send(K_FINISHED, self.payload.as_slice())?;
             }
             Err(e) => {
+                self.payload.put_u64(key);
                 codec::encode_str(&mut self.payload, &e.to_string());
                 self.tx.send(K_STREAM_ERROR, self.payload.as_slice())?;
             }

@@ -24,10 +24,6 @@
 //!   that execute a batch-scale working set repeatedly (a `SmoothPlan`)
 //!   lift the per-class budgets for the duration with [`arena_scope`], so
 //!   the pool sizes itself to the plan's recursion instead of the budgets.
-//! * **Checkpoint/reset**: [`Workspace::checkpoint`] snapshots the pooled
-//!   byte count and [`Workspace::reset`] trims the pool back to it —
-//!   long-lived servers (e.g. a `SmootherPool`) use this to release warmup
-//!   growth after a burst of unusually large windows.
 //! * **Disableable**: [`set_pooling`] turns recycling off globally, which
 //!   the benchmark harness uses to measure the allocator's contribution.
 
@@ -114,9 +110,8 @@ impl Drop for ArenaScope {
 /// recursion releases is retained (sizing the pool exactly to the plan's
 /// working set), so steady-state re-executions perform zero heap
 /// allocations.  The scope is per-thread (matching the pool it lifts) and
-/// nestable; buffers retained under a scope stay pooled after it ends
-/// ([`Workspace::checkpoint`] / [`Workspace::reset`] trim them when a
-/// server wants the memory back).
+/// nestable; buffers retained under a scope stay pooled after it ends, for
+/// the thread's lifetime.
 pub fn arena_scope() -> ArenaScope {
     ARENA_SCOPES.with(|c| c.set(c.get() + 1));
     ArenaScope(std::marker::PhantomData)
@@ -222,12 +217,6 @@ pub fn register_workspace_gauges() {
             Workspace::with(|w| w.stats().rejected_full as f64)
         });
     });
-}
-
-/// A snapshot of pool occupancy, returned by [`Workspace::checkpoint`].
-#[derive(Debug, Clone, Copy)]
-pub struct WorkspaceMark {
-    pooled_elems: usize,
 }
 
 /// The per-thread scratch arena: size-classed free lists of `Vec<f64>` and
@@ -392,39 +381,6 @@ impl Workspace {
             rejected_full: self.rejected_full,
         }
     }
-
-    /// Snapshots the pool occupancy for a later [`Workspace::reset`].
-    pub fn checkpoint(&self) -> WorkspaceMark {
-        WorkspaceMark {
-            pooled_elems: self.pooled_elems,
-        }
-    }
-
-    /// Trims pooled `f64` buffers (largest classes first) until occupancy is
-    /// back at the checkpoint — releases growth from an unusually large
-    /// transient working set without touching the warmed-up steady state.
-    /// The (tiny, uncounted) `usize` pivot-buffer pool is drained entirely.
-    pub fn reset(&mut self, mark: WorkspaceMark) {
-        let mut class = self.f64_pool.len();
-        while self.pooled_elems > mark.pooled_elems && class > 0 {
-            class -= 1;
-            let bucket = &mut self.f64_pool[class];
-            while self.pooled_elems > mark.pooled_elems {
-                match bucket.pop() {
-                    Some(buf) => self.pooled_elems -= buf.capacity(),
-                    None => break,
-                }
-            }
-        }
-        self.usize_pool.clear();
-    }
-
-    /// Drops every pooled buffer.
-    pub fn clear(&mut self) {
-        self.f64_pool.clear();
-        self.usize_pool.clear();
-        self.pooled_elems = 0;
-    }
 }
 
 thread_local! {
@@ -563,20 +519,6 @@ mod tests {
         // Back to normal: the over-budget bucket rejects further puts.
         ws.put_f64(Vec::with_capacity(64));
         assert_eq!(ws.stats().rejected_full, 1);
-    }
-
-    #[test]
-    fn checkpoint_reset_trims_back() {
-        let mut ws = Workspace::default();
-        ws.put_f64(Vec::with_capacity(64));
-        let mark = ws.checkpoint();
-        ws.put_f64(Vec::with_capacity(4096));
-        ws.put_f64(Vec::with_capacity(1024));
-        assert!(ws.stats().pooled_elems > 64);
-        ws.reset(mark);
-        assert_eq!(ws.stats().pooled_elems, 64);
-        ws.clear();
-        assert_eq!(ws.stats().pooled_elems, 0);
     }
 
     #[test]

@@ -66,7 +66,7 @@
 //!     }).unwrap();
 //!     assert!(stream.buffered_len() <= opts.window_capacity());
 //! }
-//! let (tail, _checkpoint) = stream.finish().unwrap();
+//! let (tail, _finished) = stream.finish().unwrap();
 //! finalized.extend(tail);
 //! assert_eq!(finalized.len(), 100);
 //! ```
@@ -149,8 +149,8 @@ pub mod prelude {
     pub use kalman_seq::{paige_saunders_smooth, rts_smooth, SmootherOptions};
     pub use kalman_serve::{Ingress, ServeConfig, ShardedPool, SubmitError, TrySubmitError};
     pub use kalman_stream::{
-        Checkpoint, FinalizedStep, LagPolicy, PollBatch, SmootherPool, StreamId, StreamOptions,
-        StreamingSmoother,
+        FinalizedStep, LagPolicy, PollBatch, SmootherPool, StreamId, StreamOptions,
+        StreamingSmoother, WindowSnapshot,
     };
     pub use kalman_tridiag::{normal_equations_smooth, TridiagMethod};
 }

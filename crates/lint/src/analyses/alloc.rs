@@ -185,21 +185,46 @@ struct Seeds {
     exceptions: BTreeSet<String>,
 }
 
+/// Known-allocating constructs (kept in sync with `docs/LINTS.md`):
+/// `name!` (macro), `Type::name` (path call), or `name` (method call
+/// `.name(…)` / any-path `…::name(…)`).
+const SEEDS: &[&str] = &[
+    "Vec::new",
+    "Vec::with_capacity",
+    "with_capacity",
+    "push",
+    "to_vec",
+    "format!",
+    "vec!",
+    "Box::new",
+    "String::new",
+    "String::from",
+    "to_string",
+    "to_owned",
+    "collect",
+    "clone",
+    "extend",
+    "reserve",
+];
+
+/// Qualified calls that look like a seed but do not allocate.
+const SEED_EXCEPTIONS: &[&str] = &["Arc::clone", "Rc::clone"];
+
 impl Seeds {
-    fn compile(cfg: &AllocConfig) -> Seeds {
+    fn compile() -> Seeds {
         let mut s = Seeds {
             macros: BTreeSet::new(),
             paths: BTreeSet::new(),
             methods: BTreeSet::new(),
-            exceptions: cfg.seed_exceptions.iter().cloned().collect(),
+            exceptions: SEED_EXCEPTIONS.iter().map(|e| e.to_string()).collect(),
         };
-        for seed in &cfg.seeds {
+        for seed in SEEDS {
             if let Some(m) = seed.strip_suffix('!') {
                 s.macros.insert(m.to_string());
             } else if seed.contains("::") {
-                s.paths.insert(seed.clone());
+                s.paths.insert(seed.to_string());
             } else {
-                s.methods.insert(seed.clone());
+                s.methods.insert(seed.to_string());
             }
         }
         s
@@ -210,10 +235,7 @@ impl Seeds {
 /// the configured hot paths.
 pub fn run(files: &[FileCtx], cfg: &AllocConfig, deps: &CrateDeps) -> Vec<Finding> {
     let mut findings = Vec::new();
-    if !cfg.enabled {
-        return findings;
-    }
-    let seeds = Seeds::compile(cfg);
+    let seeds = Seeds::compile();
     let mut nodes: Vec<Node> = Vec::new();
     for (fi, ctx) in files.iter().enumerate() {
         if !in_scope(&ctx.file.path, &cfg.graph_roots)
@@ -266,7 +288,7 @@ pub fn run(files: &[FileCtx], cfg: &AllocConfig, deps: &CrateDeps) -> Vec<Findin
         }
     };
 
-    // Hot-path roots from explicit names and hot modules.
+    // Hot-path roots.
     let mut roots: Vec<usize> = Vec::new();
     for spec in &cfg.hot_paths {
         let ids = match spec.split_once("::") {
@@ -292,11 +314,6 @@ pub fn run(files: &[FileCtx], cfg: &AllocConfig, deps: &CrateDeps) -> Vec<Findin
             ));
         }
         roots.extend(ids);
-    }
-    for (i, n) in nodes.iter().enumerate() {
-        if in_scope(&files[n.file].file.path, &cfg.hot_modules) {
-            roots.push(i);
-        }
     }
     roots.sort_unstable();
     roots.dedup();

@@ -29,9 +29,6 @@ const JUSTIFICATION_WORDS: &[&str] = &[
 /// Runs the analysis over every file.
 pub fn run(files: &[FileCtx], cfg: &AtomicsConfig) -> Vec<Finding> {
     let mut findings = Vec::new();
-    if !cfg.enabled {
-        return findings;
-    }
     for ctx in files {
         let relaxed_zone = in_scope(&ctx.file.path, &cfg.relaxed_only);
         let f = &ctx.file;

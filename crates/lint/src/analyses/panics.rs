@@ -20,9 +20,6 @@ const PANIC_METHODS: &[&str] = &["unwrap", "expect"];
 /// Runs the analysis over every in-scope file.
 pub fn run(files: &[FileCtx], cfg: &PanicConfig) -> Vec<Finding> {
     let mut findings = Vec::new();
-    if !cfg.enabled {
-        return findings;
-    }
     for ctx in files {
         if !in_scope(&ctx.file.path, &cfg.paths) {
             continue;

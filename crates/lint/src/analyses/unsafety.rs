@@ -15,9 +15,6 @@ use super::under;
 /// Runs the audit over every file, plus the forbid cross-check.
 pub fn run(files: &[FileCtx], cfg: &UnsafeConfig) -> Vec<Finding> {
     let mut findings = Vec::new();
-    if !cfg.enabled {
-        return findings;
-    }
     for ctx in files {
         let f = &ctx.file;
         for i in 0..f.code_len() {

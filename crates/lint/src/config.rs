@@ -1,9 +1,9 @@
-//! `lint.toml` — which files each analysis covers, the hot-path roots and
-//! allocation seeds, and the crates pinned to `Relaxed`-only atomics.
+//! `lint.toml` — which files each analysis covers, the hot-path roots, and
+//! the crates pinned to `Relaxed`-only atomics.
 //!
 //! The environment has no registry access, so this is a hand-rolled reader
 //! for the TOML subset the config actually uses: `[tables]`, `key = value`
-//! with string / bool / string-array values (arrays may span lines), and
+//! with string / string-array values (arrays may span lines), and
 //! `#` comments.  Unknown tables or keys are an error — a typo in a lint
 //! config silently disabling an analysis is exactly the failure mode a
 //! ratchet tool cannot afford.
@@ -32,29 +32,17 @@ pub struct Config {
 /// Settings for the alloc-freedom analysis.
 #[derive(Debug, Clone)]
 pub struct AllocConfig {
-    /// Master switch.
-    pub enabled: bool,
     /// Path prefixes whose functions join the call graph.
     pub graph_roots: Vec<String>,
     /// Path prefixes excluded from the call graph (benches, the linter).
     pub graph_exclude: Vec<String>,
     /// Hot-path roots: `name` or `Type::name` function references.
     pub hot_paths: Vec<String>,
-    /// Path prefixes whose every (non-test) function is a hot-path root.
-    pub hot_modules: Vec<String>,
-    /// Known-allocating constructs: `name!` (macro), `Type::name` (path
-    /// call), or `name` (method call `.name(…)` / any-path `…::name(…)`).
-    pub seeds: Vec<String>,
-    /// Qualified calls that look like a seed but are known non-allocating
-    /// (e.g. `Arc::clone`).
-    pub seed_exceptions: Vec<String>,
 }
 
 /// Settings for the unsafe audit.
 #[derive(Debug, Clone)]
 pub struct UnsafeConfig {
-    /// Master switch.
-    pub enabled: bool,
     /// Crate source roots whose `src/lib.rs` must carry
     /// `#![forbid(unsafe_code)]` (each entry is scanned for
     /// `<entry>/*/src/lib.rs`).
@@ -67,8 +55,6 @@ pub struct UnsafeConfig {
 /// Settings for the panic-freedom analysis.
 #[derive(Debug, Clone)]
 pub struct PanicConfig {
-    /// Master switch.
-    pub enabled: bool,
     /// Path prefixes covered by the no-panic rule (non-test code only).
     pub paths: Vec<String>,
 }
@@ -76,8 +62,6 @@ pub struct PanicConfig {
 /// Settings for the atomic-ordering analysis.
 #[derive(Debug, Clone)]
 pub struct AtomicsConfig {
-    /// Master switch.
-    pub enabled: bool,
     /// Path prefixes where every `Ordering::` use must be `Relaxed`.
     pub relaxed_only: Vec<String>,
 }
@@ -88,61 +72,26 @@ impl Default for Config {
             include: vec!["crates".into(), "vendor".into()],
             exclude: Vec::new(),
             alloc: AllocConfig {
-                enabled: true,
                 graph_roots: vec!["crates".into()],
                 graph_exclude: Vec::new(),
                 hot_paths: Vec::new(),
-                hot_modules: Vec::new(),
-                seeds: default_seeds(),
-                seed_exceptions: vec!["Arc::clone".into(), "Rc::clone".into()],
             },
             unsafety: UnsafeConfig {
-                enabled: true,
                 forbid_crate_dirs: vec!["crates".into()],
                 forbid_exempt: Vec::new(),
             },
-            panic: PanicConfig {
-                enabled: true,
-                paths: Vec::new(),
-            },
+            panic: PanicConfig { paths: Vec::new() },
             atomics: AtomicsConfig {
-                enabled: true,
                 relaxed_only: Vec::new(),
             },
         }
     }
 }
 
-/// The built-in allocation seeds (kept in sync with `docs/LINTS.md`).
-pub fn default_seeds() -> Vec<String> {
-    [
-        "Vec::new",
-        "Vec::with_capacity",
-        "with_capacity",
-        "push",
-        "to_vec",
-        "format!",
-        "vec!",
-        "Box::new",
-        "String::new",
-        "String::from",
-        "to_string",
-        "to_owned",
-        "collect",
-        "clone",
-        "extend",
-        "reserve",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect()
-}
-
 /// A TOML-subset value.
 #[derive(Debug, Clone, PartialEq)]
 enum Value {
     Str(String),
-    Bool(bool),
     Array(Vec<String>),
 }
 
@@ -173,29 +122,15 @@ fn apply(cfg: &mut Config, table: &str, key: &str, value: &Value) -> Result<(), 
             _ => Err("expected a string array".into()),
         }
     };
-    let flag = |v: &Value| -> Result<bool, String> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            _ => Err("expected a bool".into()),
-        }
-    };
     match (table, key) {
         ("files", "include") => cfg.include = arr(value)?,
         ("files", "exclude") => cfg.exclude = arr(value)?,
-        ("alloc", "enabled") => cfg.alloc.enabled = flag(value)?,
         ("alloc", "graph_roots") => cfg.alloc.graph_roots = arr(value)?,
         ("alloc", "graph_exclude") => cfg.alloc.graph_exclude = arr(value)?,
         ("alloc", "hot_paths") => cfg.alloc.hot_paths = arr(value)?,
-        ("alloc", "hot_modules") => cfg.alloc.hot_modules = arr(value)?,
-        ("alloc", "seeds") => cfg.alloc.seeds = arr(value)?,
-        ("alloc", "extra_seeds") => cfg.alloc.seeds.extend(arr(value)?),
-        ("alloc", "seed_exceptions") => cfg.alloc.seed_exceptions = arr(value)?,
-        ("unsafe", "enabled") => cfg.unsafety.enabled = flag(value)?,
         ("unsafe", "forbid_crate_dirs") => cfg.unsafety.forbid_crate_dirs = arr(value)?,
         ("unsafe", "forbid_exempt") => cfg.unsafety.forbid_exempt = arr(value)?,
-        ("panic", "enabled") => cfg.panic.enabled = flag(value)?,
         ("panic", "paths") => cfg.panic.paths = arr(value)?,
-        ("atomics", "enabled") => cfg.atomics.enabled = flag(value)?,
         ("atomics", "relaxed_only") => cfg.atomics.relaxed_only = arr(value)?,
         _ => return Err("unknown setting".into()),
     }
@@ -270,12 +205,6 @@ fn brackets_balanced(s: &str) -> bool {
 
 fn parse_value(s: &str) -> Result<Value, String> {
     let s = s.trim();
-    if s == "true" {
-        return Ok(Value::Bool(true));
-    }
-    if s == "false" {
-        return Ok(Value::Bool(false));
-    }
     if let Some(body) = s.strip_prefix('[').and_then(|s| s.strip_suffix(']')) {
         let mut items = Vec::new();
         for part in split_array(body) {
@@ -293,9 +222,7 @@ fn parse_value(s: &str) -> Result<Value, String> {
     if let Some(body) = s.strip_prefix('"').and_then(|s| s.strip_suffix('"')) {
         return Ok(Value::Str(body.to_string()));
     }
-    Err(format!(
-        "unsupported value `{s}` (string, bool, or [array])"
-    ))
+    Err(format!("unsupported value `{s}` (string or [array])"))
 }
 
 /// Splits an array body on commas outside quotes.
@@ -336,7 +263,6 @@ exclude = [
 ]
 
 [alloc]
-enabled = true
 hot_paths = ["flush_into", "SmootherPool::poll_into_where"]
 
 [panic]
@@ -352,8 +278,9 @@ relaxed_only = ["crates/obs"]
         assert_eq!(cfg.alloc.hot_paths.len(), 2);
         assert_eq!(cfg.panic.paths, vec!["crates/serve"]);
         assert_eq!(cfg.atomics.relaxed_only, vec!["crates/obs"]);
-        assert!(
-            !cfg.alloc.seeds.is_empty(),
+        assert_eq!(
+            cfg.alloc.graph_roots,
+            vec!["crates"],
             "defaults survive partial configs"
         );
     }

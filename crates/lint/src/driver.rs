@@ -1,4 +1,4 @@
-//! The driver: walk the workspace, run every enabled analysis, and render
+//! The driver: walk the workspace, run every analysis, and render
 //! human / JSON-lines diagnostics.
 
 use std::path::{Path, PathBuf};

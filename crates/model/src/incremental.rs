@@ -97,15 +97,11 @@ impl InfoHead {
         Ok(InfoHead { c, d })
     }
 
-    /// A head from raw whitened rows (used when restoring a checkpoint).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c` and `d` disagree on the row count or `d` is not a
-    /// column.
+    /// A head from raw whitened rows `C u ≈ d`, taken as given: the
+    /// stream layer checks a head's shape and entries where it enters a
+    /// stream (`kalman_stream::WindowSnapshot::validate`), so a malformed
+    /// head is refused with a typed error there rather than a panic here.
     pub fn from_rows(c: Matrix, d: Matrix) -> Self {
-        assert_eq!(c.rows(), d.rows(), "head row mismatch");
-        assert_eq!(d.cols(), 1, "head rhs must be a column");
         InfoHead { c, d }
     }
 

@@ -12,7 +12,9 @@
 //!   are placed by a **stable hash** of their key ([`stable_shard`]), so
 //!   any number of producers agree on routing with no coordination, and
 //!   [`ShardedPool::rebalance`] migrates a stream between shards through
-//!   the exact [`kalman_stream::Checkpoint`] suspend/resume path.
+//!   the exact finish → [`kalman_stream::StreamingSmoother::restore`]
+//!   path: a finished stream is a [`kalman_stream::WindowSnapshot`] with
+//!   nothing buffered.
 //! * [`Ingress`] — the cloneable producer handle.  Each shard's queue is
 //!   **bounded**: [`Ingress::try_submit`] fails fast with
 //!   [`SubmitError::WouldBlock`] when the queue is full, and the async

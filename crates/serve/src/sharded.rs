@@ -8,7 +8,7 @@ use kalman_model::{KalmanError, Result, StreamEvent};
 use kalman_obs::Histogram;
 use kalman_par::ExecPolicy;
 use kalman_stream::{
-    Checkpoint, FinalizedStep, PollBatch, PollEntry, SmootherPool, StreamId, StreamingSmoother,
+    FinalizedStep, PollBatch, PollEntry, SmootherPool, StreamId, StreamingSmoother, WindowSnapshot,
 };
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -328,11 +328,16 @@ impl ShardedPool {
             )));
         }
         let shard = self.home_shard(key);
+        self.place(shard, key, stream);
+        Ok(shard)
+    }
+
+    /// Registers `stream` under `key` on `shard`.
+    fn place(&mut self, shard: usize, key: u64, stream: StreamingSmoother) {
         self.invalidate_outputs(shard);
         let id = self.shards[shard].pool.insert(stream);
         self.shards[shard].keys.insert(id, key);
         self.route.insert(key, Location { shard, id });
-        Ok(shard)
     }
 
     /// Read access to one stream.
@@ -584,13 +589,13 @@ impl ShardedPool {
         self.shards.iter().flat_map(|shard| shard.errors.iter())
     }
 
-    /// Moves a stream to another shard through the exact
-    /// [`Checkpoint`] suspend/resume path: the source pool finalizes the
-    /// stream's whole window (`finish`), the condensed head resumes on the
-    /// target shard, and the finalized tail is returned to the caller —
-    /// these steps left the lag window early, so they were finalized with
-    /// whatever hindsight the stream had at migration time (the same
-    /// contract as any checkpoint).  Because producers route by the
+    /// Moves a stream to another shard through the exact finish → restore
+    /// path: the source pool finalizes the stream's whole window
+    /// (`finish`), the finished stream's [`WindowSnapshot`] is restored on
+    /// the target shard, and the finalized tail is returned to the caller
+    /// — these steps left the lag window early, so they were finalized
+    /// with whatever hindsight the stream had at migration time (the same
+    /// contract as any finish).  Because producers route by the
     /// *stable* hash, their ops keep arriving on the home shard's queue
     /// and are forwarded during drains; only the flush work moves.
     ///
@@ -600,7 +605,7 @@ impl ShardedPool {
     /// # Errors
     ///
     /// Unknown key or shard; or the final window smooth failed, in which
-    /// case the stream could not be checkpointed and **is dropped** (the
+    /// case the stream could not be finished and **is dropped** (the
     /// same contract as [`SmootherPool::finish`] — the caller sees the
     /// error and the key becomes free).
     pub fn rebalance(&mut self, key: u64, to: usize) -> Result<Vec<FinalizedStep>> {
@@ -610,39 +615,27 @@ impl ShardedPool {
                 self.shards.len()
             )));
         }
-        let loc = *self
-            .route
-            .get(&key)
-            .ok_or_else(|| KalmanError::Stream(format!("no stream registered for key {key}")))?;
-        if loc.shard == to {
+        if self.shard_of(key) == Some(to) {
             return Ok(Vec::new());
         }
-        let opts = *self.shards[loc.shard]
-            .pool
-            .stream(loc.id)
-            .ok_or_else(|| KalmanError::Stream(format!("stream for key {key} vanished")))?
+        let opts = *self
+            .stream(key)
+            .ok_or_else(|| KalmanError::Stream(format!("no stream registered for key {key}")))?
             .options();
-        self.invalidate_outputs(loc.shard);
-        self.invalidate_outputs(to);
-        self.shards[loc.shard].keys.remove(&loc.id);
-        self.route.remove(&key);
         kalman_obs::event("serve.rebalance", key, to as u64);
-        let (tail, checkpoint) = self.shards[loc.shard].pool.finish(loc.id)?;
-        let resumed = StreamingSmoother::resume(checkpoint, opts)?;
-        let id = self.shards[to].pool.insert(resumed);
-        self.shards[to].keys.insert(id, key);
-        self.route.insert(key, Location { shard: to, id });
+        let (tail, finished) = self.finish(key)?;
+        self.place(to, key, StreamingSmoother::restore(finished, opts)?);
         Ok(tail)
     }
 
     /// Ends one stream: removes it, finalizes its whole window, and
-    /// returns the tail with the resumable [`Checkpoint`].
+    /// returns the tail with the finished stream's [`WindowSnapshot`].
     ///
     /// # Errors
     ///
     /// Unknown key, or the final smoothing error (the stream is removed
     /// either way).
-    pub fn finish(&mut self, key: u64) -> Result<(Vec<FinalizedStep>, Checkpoint)> {
+    pub fn finish(&mut self, key: u64) -> Result<(Vec<FinalizedStep>, WindowSnapshot)> {
         let loc = self
             .route
             .remove(&key)

@@ -26,9 +26,12 @@
 //! * **forgetting** — a finalized step's row is dropped and the prior it
 //!   was eliminated against (the R-factor head,
 //!   [`kalman_model::InfoHead`]) becomes the window's head, so memory stays
-//!   `O(L·n²)` no matter how long the stream runs, and [`Checkpoint`]s make
-//!   streams suspendable and resumable ([`StreamingSmoother::finish`] /
-//!   [`StreamingSmoother::resume`]);
+//!   `O(L·n²)` no matter how long the stream runs;
+//! * one persistent form, [`WindowSnapshot`]: the head plus the buffered
+//!   window as replay events.  [`StreamingSmoother::snapshot`] captures a
+//!   live stream transparently, [`StreamingSmoother::finish`] returns a
+//!   finished stream as a snapshot with nothing buffered, and
+//!   [`StreamingSmoother::restore`] continues either;
 //! * [`SmootherPool`] — multiplexes many independent streams over the
 //!   workspace scheduler, batching every ready window per
 //!   [`SmootherPool::poll`] — the serving story for many concurrent users.
@@ -60,25 +63,26 @@
 //!         noise: CovarianceSpec::Identity(1),
 //!     }).unwrap();
 //! }
-//! let (tail, checkpoint) = stream.finish().unwrap();
+//! let (tail, finished) = stream.finish().unwrap();
 //! finalized.extend(tail);
 //! assert_eq!(finalized.len(), 40);
-//! assert_eq!(checkpoint.index, 39);
+//! assert_eq!(finished.index, 39);
+//! assert!(finished.events.is_empty());
 //! assert!(finalized[20].covariance.is_some());
 //! ```
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod checkpoint;
 mod options;
 mod pool;
 mod ring;
 mod smoother;
+mod snapshot;
 
-pub use checkpoint::{Checkpoint, WindowSnapshot};
 // Re-exported because it is the type of a public `StreamOptions` field.
 pub use kalman_odd_even::BackendPolicy;
 pub use options::{FinalizedStep, LagPolicy, StreamOptions};
 pub use pool::{PollBatch, PollEntry, SmootherPool, StreamId};
 pub use smoother::{StreamingSmoother, MAX_STATE_DIM};
+pub use snapshot::WindowSnapshot;

@@ -1,6 +1,6 @@
 //! A serving pool multiplexing many independent streams.
 
-use crate::{Checkpoint, FinalizedStep, StreamingSmoother};
+use crate::{FinalizedStep, StreamingSmoother, WindowSnapshot};
 use kalman_model::{Evolution, KalmanError, Observation, Result, StreamEvent};
 use kalman_par::{for_each_mut, ExecPolicy};
 
@@ -311,14 +311,14 @@ impl SmootherPool {
     }
 
     /// Ends one stream: removes it from the pool, finalizes its whole
-    /// window, and returns the tail estimates with the resumable
-    /// [`Checkpoint`].
+    /// window, and returns the tail estimates with the finished stream's
+    /// [`WindowSnapshot`] (see [`StreamingSmoother::finish`]).
     ///
     /// # Errors
     ///
     /// Unknown id, or the stream's final smoothing error (the stream is
     /// removed either way).
-    pub fn finish(&mut self, id: StreamId) -> Result<(Vec<FinalizedStep>, Checkpoint)> {
+    pub fn finish(&mut self, id: StreamId) -> Result<(Vec<FinalizedStep>, WindowSnapshot)> {
         let stream = self
             .entries
             .get_mut(id.0)

@@ -1,7 +1,7 @@
 //! The streaming fixed-lag smoother.
 
 use crate::ring::{Estimates, Ring};
-use crate::{Checkpoint, FinalizedStep, StreamOptions, WindowSnapshot};
+use crate::{FinalizedStep, StreamOptions, WindowSnapshot};
 use kalman_model::{
     Evolution, InfoHead, KalmanError, LinearStep, Observation, Prior, Result, Smoothed, StreamEvent,
 };
@@ -50,8 +50,8 @@ pub struct StreamingSmoother {
     buffer: Vec<LinearStep>,
     /// Global index of `buffer[0]`.
     base_index: u64,
-    /// `buffer[0]` was already emitted (it is the anchor state of a resumed
-    /// checkpoint) and must not be emitted again.
+    /// `buffer[0]` was already emitted (it is the final state of a finished
+    /// stream this one continues) and must not be emitted again.
     base_emitted: bool,
     /// Estimates of the latest window smooth.
     estimates: Estimates,
@@ -59,7 +59,7 @@ pub struct StreamingSmoother {
 
 /// The largest state dimension a stream accepts.  A dimension can enter a
 /// stream as a bare number with no data behind it — the column count of a
-/// zero-row checkpoint head or of a zero-row `H` — and the first flush then
+/// zero-row snapshot head or of a zero-row `H` — and the first flush then
 /// sizes `n × n` blocks by it, an allocation that aborts the process rather
 /// than failing.  2¹⁶ is far above the paper's largest state (n = 500) and
 /// one such block is already 32 GiB.
@@ -87,7 +87,8 @@ fn check_options(opts: &StreamOptions) -> Result<()> {
 }
 
 impl StreamingSmoother {
-    /// A fresh stream with no prior on its initial state (dimension `n`).
+    /// A fresh stream with no prior on its initial state (dimension `n`):
+    /// the snapshot at index 0 with an empty head and nothing buffered.
     /// Estimates become available once observations determine the chain.
     ///
     /// # Errors
@@ -95,31 +96,13 @@ impl StreamingSmoother {
     /// [`KalmanError::Stream`] on degenerate options, `n == 0` or
     /// `n > MAX_STATE_DIM`.
     pub fn new(n: usize, opts: StreamOptions) -> Result<Self> {
-        check_options(&opts)?;
-        if n == 0 {
-            return Err(KalmanError::Stream(
-                "state dimension must be positive".into(),
-            ));
-        }
-        check_state_dim(n)?;
-        Ok(StreamingSmoother::with_head(
-            InfoHead::empty(n),
-            0,
-            false,
-            opts,
-        ))
-    }
-
-    /// A stream whose window is the single step `index` with prior `head`.
-    fn with_head(head: InfoHead, index: u64, base_emitted: bool, opts: StreamOptions) -> Self {
-        StreamingSmoother {
-            opts,
-            buffer: vec![LinearStep::initial(head.state_dim())],
-            ring: Ring::new(head, opts.covariances),
-            base_index: index,
-            base_emitted,
-            estimates: Estimates::default(),
-        }
+        let fresh = WindowSnapshot {
+            index: 0,
+            head: InfoHead::empty(n),
+            base_emitted: false,
+            events: Vec::new(),
+        };
+        StreamingSmoother::restore(fresh, opts)
     }
 
     /// A fresh stream whose initial state has a Gaussian prior.
@@ -146,33 +129,20 @@ impl StreamingSmoother {
         check_state_dim(mean.len())?;
         let prior = Prior { mean, cov };
         prior.validate()?;
-        let head = InfoHead::from_prior(&prior)?;
-        Ok(StreamingSmoother::with_head(head, 0, false, opts))
-    }
-
-    /// Continues a stream from a [`Checkpoint`] produced by
-    /// [`StreamingSmoother::finish`].  The checkpointed state itself is not
-    /// re-emitted; the first [`StreamingSmoother::evolve`] appends state
-    /// `checkpoint.index + 1`.
-    ///
-    /// # Errors
-    ///
-    /// [`KalmanError::Stream`] on degenerate options.
-    pub fn resume(checkpoint: Checkpoint, opts: StreamOptions) -> Result<Self> {
-        check_options(&opts)?;
-        Ok(StreamingSmoother::with_head(
-            checkpoint.head,
-            checkpoint.index,
-            true,
-            opts,
-        ))
+        let fresh = WindowSnapshot {
+            index: 0,
+            head: InfoHead::from_prior(&prior)?,
+            base_emitted: false,
+            events: Vec::new(),
+        };
+        StreamingSmoother::restore(fresh, opts)
     }
 
     /// Captures the stream's complete live state *without* disturbing it:
     /// the condensed head plus the buffered window as replayable events.
     ///
     /// Unlike [`StreamingSmoother::finish`] — which finalizes the window
-    /// early, so a resumed stream condensed those steps with less
+    /// early, so a continued stream condensed those steps with less
     /// hindsight than an uninterrupted one — a snapshot is transparent:
     /// [`StreamingSmoother::restore`] yields a smoother whose every
     /// future output is **bitwise identical** to this one's.  This is the
@@ -208,38 +178,37 @@ impl StreamingSmoother {
     /// from here on is bitwise identical to what the original would have
     /// emitted.  `opts` should equal the original's options — differing
     /// options change future outputs, though the restore itself still
-    /// succeeds when the window fits.
+    /// succeeds when the window fits.  A snapshot from
+    /// [`StreamingSmoother::finish`] continues the finished stream: its
+    /// final state is not re-emitted, and the first
+    /// [`StreamingSmoother::evolve`] appends state `snapshot.index + 1`.
     ///
     /// # Errors
     ///
-    /// [`KalmanError::Stream`] on degenerate options or a head of dimension
-    /// zero or above [`MAX_STATE_DIM`]; [`KalmanError::InvalidModel`] when the
+    /// [`KalmanError::Stream`] on degenerate options or a head that fails
+    /// [`WindowSnapshot::validate`]; [`KalmanError::InvalidModel`] when the
     /// replayed events are inconsistent (possible only for snapshots not
     /// produced by [`StreamingSmoother::snapshot`]).
     pub fn restore(snapshot: WindowSnapshot, opts: StreamOptions) -> Result<Self> {
         check_options(&opts)?;
-        if snapshot.head.state_dim() == 0 {
-            return Err(KalmanError::Stream(
-                "snapshot head has zero state dimension".into(),
-            ));
-        }
-        check_state_dim(snapshot.head.state_dim())?;
-        let auto_flush = opts.auto_flush;
-        let mut stream = StreamingSmoother::with_head(
-            snapshot.head,
-            snapshot.index,
-            snapshot.base_emitted,
-            StreamOptions {
+        snapshot.validate()?;
+        // Replay with auto-flush off: the window must be rebuilt as-is,
+        // not re-finalized (the original already emitted its prefix).
+        let mut stream = StreamingSmoother {
+            opts: StreamOptions {
                 auto_flush: false,
                 ..opts
             },
-        );
-        // Replay with auto-flush off: the window must be rebuilt as-is,
-        // not re-finalized (the original already emitted its prefix).
+            buffer: vec![LinearStep::initial(snapshot.state_dim())],
+            ring: Ring::new(snapshot.head, opts.covariances),
+            base_index: snapshot.index,
+            base_emitted: snapshot.base_emitted,
+            estimates: Estimates::default(),
+        };
         for event in snapshot.events {
             stream.ingest(event)?;
         }
-        stream.opts.auto_flush = auto_flush;
+        stream.opts.auto_flush = opts.auto_flush;
         Ok(stream)
     }
 
@@ -466,22 +435,26 @@ impl StreamingSmoother {
 
     /// Ends the stream: smooths the window once more, finalizes **all**
     /// buffered steps (the lag does not apply to a closing stream), and
-    /// condenses the stream into a resumable [`Checkpoint`]: the head on
-    /// the final state, its own observations included.
+    /// condenses the stream into a [`WindowSnapshot`] with nothing
+    /// buffered: the head on the final state, its own observations
+    /// included, already emitted.  [`StreamingSmoother::restore`]
+    /// continues it.
     ///
     /// # Errors
     ///
     /// As [`StreamingSmoother::flush`].
-    pub fn finish(mut self) -> Result<(Vec<FinalizedStep>, Checkpoint)> {
+    pub fn finish(mut self) -> Result<(Vec<FinalizedStep>, WindowSnapshot)> {
         self.smooth_window(self.buffer.len())?;
         let head = self.ring.newest().clone();
         let mut finalized = Vec::new();
         self.emit_into(self.buffer.len(), &mut finalized);
         Ok((
             finalized,
-            Checkpoint {
+            WindowSnapshot {
                 index: self.base_index + (self.buffer.len() - 1) as u64,
                 head,
+                base_emitted: true,
+                events: Vec::new(),
             },
         ))
     }
@@ -496,7 +469,7 @@ impl StreamingSmoother {
 
     /// Writes estimates for the first `count` buffered steps into `out`
     /// (reusing its slots; truncated to the emitted count), skipping a
-    /// resumed base step that was already emitted.  Reads the estimates
+    /// base step that was already emitted.  Reads the estimates
     /// `smooth_window` left behind.
     fn emit_into(&self, count: usize, out: &mut Vec<FinalizedStep>) -> usize {
         let mut emitted = 0;
@@ -558,7 +531,7 @@ mod tests {
     fn stream_model(
         model: &kalman_model::LinearModel,
         opts: StreamOptions,
-    ) -> (Vec<FinalizedStep>, Checkpoint) {
+    ) -> (Vec<FinalizedStep>, WindowSnapshot) {
         let n0 = model.steps[0].state_dim;
         let mut stream = match &model.prior {
             Some(p) => StreamingSmoother::with_prior(p.mean.clone(), p.cov.clone(), opts).unwrap(),
@@ -729,7 +702,7 @@ mod tests {
         // Uninterrupted reference.
         let (reference, _) = stream_model(&model, opts);
 
-        // Interrupted at step 30: finish, then resume and replay the rest.
+        // Interrupted at step 30: finish, then restore and replay the rest.
         let p = model.prior.as_ref().unwrap();
         let mut first = StreamingSmoother::with_prior(p.mean.clone(), p.cov.clone(), opts).unwrap();
         for (i, step) in model.steps.iter().enumerate().take(31) {
@@ -742,8 +715,9 @@ mod tests {
         }
         let (_, ckpt) = first.finish().unwrap();
         assert_eq!(ckpt.index, 30);
+        assert!(ckpt.base_emitted && ckpt.events.is_empty());
 
-        let mut second = StreamingSmoother::resume(ckpt, opts).unwrap();
+        let mut second = StreamingSmoother::restore(ckpt, opts).unwrap();
         let mut resumed = Vec::new();
         for step in model.steps.iter().skip(31) {
             resumed.extend(second.evolve(step.evolution.clone().unwrap()).unwrap());

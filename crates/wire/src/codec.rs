@@ -3,8 +3,8 @@
 //! consumes from a [`Reader`] and validates as it goes — dimension
 //! products are bounds-checked against the remaining input *before* any
 //! storage is sized from them, so a corrupt length field cannot provoke a
-//! huge allocation, and semantic validation (e.g. checkpoint part shapes)
-//! runs through the same fallible constructors the in-process API uses.
+//! huge allocation, and semantic validation (e.g. a snapshot head's
+//! shape) runs through the same checks the in-process API runs.
 //!
 //! Layout conventions: integers little-endian; `f64` as exact IEEE-754
 //! bit patterns (round trips are bitwise); matrices as
@@ -14,11 +14,9 @@
 use crate::buf::{Reader, Writer};
 use crate::error::{Result, WireError};
 use kalman_dense::Matrix;
-use kalman_model::{CovarianceSpec, Evolution, Observation, StreamEvent};
+use kalman_model::{CovarianceSpec, Evolution, InfoHead, Observation, StreamEvent};
 use kalman_par::ExecPolicy;
-use kalman_stream::{
-    BackendPolicy, Checkpoint, FinalizedStep, LagPolicy, StreamOptions, WindowSnapshot,
-};
+use kalman_stream::{BackendPolicy, FinalizedStep, LagPolicy, StreamOptions, WindowSnapshot};
 
 /// Appends a matrix (`rows`, `cols`, column-major data).
 pub fn encode_matrix(w: &mut Writer, m: &Matrix) {
@@ -217,28 +215,9 @@ pub fn decode_event(r: &mut Reader<'_>) -> Result<StreamEvent> {
     }
 }
 
-/// Appends a checkpoint in its transportable `(index, C, d)` form (the
-/// exact whitened R-factor condensation; see [`Checkpoint::into_parts`]).
-pub fn encode_checkpoint(w: &mut Writer, ckpt: &Checkpoint) {
-    w.put_u64(ckpt.index);
-    let (c, d) = ckpt.head.rows_ref();
-    encode_matrix(w, c);
-    encode_matrix(w, d);
-}
-
-/// Decodes a checkpoint, reassembling through the fallible
-/// [`Checkpoint::from_parts`] — the trust boundary for condensed stream
-/// state arriving off the wire.  Shape inconsistencies between the parts
-/// and non-finite entries surface as [`WireError::Malformed`].
-pub fn decode_checkpoint(r: &mut Reader<'_>) -> Result<Checkpoint> {
-    let index = r.get_u64()?;
-    let c = decode_matrix(r)?;
-    let d = decode_matrix(r)?;
-    Checkpoint::from_parts(index, c, d).map_err(|e| WireError::Malformed(e.to_string()))
-}
-
-/// Appends a live-window snapshot: the head in checkpoint `(index, C, d)`
-/// form, the base-emitted flag, and the buffered window as replay events.
+/// Appends a stream snapshot (a live window, or a finished stream's with
+/// nothing buffered): the index, the head's whitened rows `C` and `d`, the
+/// base-emitted flag, and the buffered window as replay events.
 pub fn encode_window_snapshot(w: &mut Writer, snap: &WindowSnapshot) {
     w.put_u64(snap.index);
     let (c, d) = snap.head.rows_ref();
@@ -251,18 +230,25 @@ pub fn encode_window_snapshot(w: &mut Writer, snap: &WindowSnapshot) {
     }
 }
 
-/// Decodes a live-window snapshot.  The head passes through the same
-/// [`Checkpoint::from_parts`] trust boundary as a checkpoint; events are
-/// validated structurally here and semantically when
-/// `StreamingSmoother::restore` replays them.
+/// Decodes a stream snapshot.  The head passes [`WindowSnapshot::validate`]
+/// — the trust boundary for condensed stream state, the one
+/// `StreamingSmoother::restore` runs — as soon as it is read, so a bad
+/// shape or a non-finite entry surfaces as [`WireError::Malformed`].
+/// Events are validated structurally here and semantically when `restore`
+/// replays them.
 pub fn decode_window_snapshot(r: &mut Reader<'_>) -> Result<WindowSnapshot> {
     let index = r.get_u64()?;
     let c = decode_matrix(r)?;
     let d = decode_matrix(r)?;
-    let head = Checkpoint::from_parts(index, c, d)
-        .map_err(|e| WireError::Malformed(e.to_string()))?
-        .head;
-    let base_emitted = decode_bool(r, "base-emitted flag")?;
+    let mut snap = WindowSnapshot {
+        index,
+        head: InfoHead::from_rows(c, d),
+        base_emitted: false,
+        events: Vec::new(),
+    };
+    snap.validate()
+        .map_err(|e| WireError::Malformed(e.to_string()))?;
+    snap.base_emitted = decode_bool(r, "base-emitted flag")?;
     let count = r.get_u32()? as usize;
     // Each event costs at least its tag byte; bound the reservation by the
     // input actually present so a corrupt count cannot size storage.
@@ -272,16 +258,11 @@ pub fn decode_window_snapshot(r: &mut Reader<'_>) -> Result<WindowSnapshot> {
             have: r.remaining(),
         });
     }
-    let mut events = Vec::with_capacity(count);
+    snap.events.reserve_exact(count);
     for _ in 0..count {
-        events.push(decode_event(r)?);
+        snap.events.push(decode_event(r)?);
     }
-    Ok(WindowSnapshot {
-        index,
-        head,
-        base_emitted,
-        events,
-    })
+    Ok(snap)
 }
 
 /// Appends a finalized step (`index`, mean, optional covariance).
@@ -423,7 +404,6 @@ pub fn decode_bool(r: &mut Reader<'_>, what: &'static str) -> Result<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kalman_model::InfoHead;
 
     fn bits_eq(a: &Matrix, b: &Matrix) -> bool {
         a.rows() == b.rows()
@@ -504,20 +484,25 @@ mod tests {
         }
     }
 
+    /// A finished stream's snapshot (nothing buffered) round-trips, and a
+    /// bad head is refused as soon as it is read.
     #[test]
     fn checkpoint_round_trip_and_trust_boundary() {
         let c = Matrix::from_fn(2, 2, |i, j| 1.0 / (1.0 + i as f64 + j as f64));
         let d = Matrix::col_from_slice(&[1.5, -2.5]);
-        let ckpt = Checkpoint {
+        let finished = WindowSnapshot {
             index: 41,
             head: InfoHead::from_rows(c.clone(), d.clone()),
+            base_emitted: true,
+            events: Vec::new(),
         };
         let mut w = Writer::new();
-        encode_checkpoint(&mut w, &ckpt);
+        encode_window_snapshot(&mut w, &finished);
         let mut r = Reader::new(w.as_slice());
-        let back = decode_checkpoint(&mut r).unwrap();
+        let back = decode_window_snapshot(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(back.index, 41);
+        assert!(back.base_emitted && back.events.is_empty());
         let (bc, bd) = back.head.rows_ref();
         assert!(bits_eq(&c, bc) && bits_eq(&d, bd));
 
@@ -527,7 +512,7 @@ mod tests {
         encode_matrix(&mut w, &Matrix::zeros(2, 2));
         encode_matrix(&mut w, &Matrix::zeros(3, 1)); // row mismatch
         assert!(matches!(
-            decode_checkpoint(&mut Reader::new(w.as_slice())),
+            decode_window_snapshot(&mut Reader::new(w.as_slice())),
             Err(WireError::Malformed(_))
         ));
     }
@@ -581,8 +566,8 @@ mod tests {
     }
 
     /// Forgetting is exact, so a NaN/∞ in a head arriving off the wire would
-    /// stay in the restored stream's priors forever: both head-carrying
-    /// decoders refuse it with a typed error.
+    /// stay in the restored stream's priors forever: the decoder refuses it
+    /// with a typed error, whole snapshot or bare head alike.
     #[test]
     fn non_finite_head_is_malformed() {
         for (c10, d1) in [(f64::NAN, -7.5), (0.0, f64::INFINITY)] {
@@ -605,7 +590,7 @@ mod tests {
             encode_matrix(&mut w, &c);
             encode_matrix(&mut w, &d);
             assert!(matches!(
-                decode_checkpoint(&mut Reader::new(w.as_slice())),
+                decode_window_snapshot(&mut Reader::new(w.as_slice())),
                 Err(WireError::Malformed(_))
             ));
         }
@@ -656,12 +641,13 @@ mod tests {
     }
 
     /// The options layout did not move when the scan, RTS and auto backends
-    /// were withdrawn: default options encode to the bytes protocol
-    /// version 2 always produced, and the three retired tags are rejected
-    /// instead of being reinterpreted.
+    /// were withdrawn, nor when version 3 folded the checkpoint into the
+    /// snapshot: default options encode to the bytes protocol version 2
+    /// always produced, and the three retired tags are rejected instead of
+    /// being reinterpreted.
     #[test]
     fn retired_backend_tags_are_rejected_and_layout_is_unchanged() {
-        assert_eq!(crate::VERSION, 2);
+        assert_eq!(crate::VERSION, 3);
         let mut w = Writer::new();
         encode_stream_options(&mut w, &StreamOptions::default());
         let mut expected = Vec::new();
@@ -684,6 +670,21 @@ mod tests {
                 }
                 other => panic!("tag {tag} decoded as {other:?}"),
             }
+        }
+    }
+
+    /// A version 2 peer sends finished streams as bare checkpoints, which
+    /// version 3 no longer decodes: its frames are refused at the header.
+    #[test]
+    fn version_2_frames_are_refused() {
+        let mut header = [0u8; crate::HEADER_LEN];
+        crate::encode_header(&mut header, 19, &[]);
+        header[4..6].copy_from_slice(&2u16.to_le_bytes());
+        match crate::decode_header(&header) {
+            Err(WireError::VersionMismatch { got, supported }) => {
+                assert_eq!((got, supported), (2, 3));
+            }
+            other => panic!("a version 2 header decoded as {other:?}"),
         }
     }
 

@@ -54,7 +54,7 @@ pub enum WireError {
         tag: u8,
     },
     /// The bytes decoded structurally but the decoded value is invalid
-    /// (e.g. checkpoint parts with inconsistent shapes).
+    /// (e.g. a snapshot head with inconsistent shapes).
     Malformed(String),
     /// The underlying transport failed.
     Io(std::io::Error),

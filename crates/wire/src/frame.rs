@@ -25,8 +25,10 @@ use crate::error::{Result, WireError};
 pub const MAGIC: [u8; 4] = *b"KLMW";
 
 /// Protocol version this build encodes and accepts.  Version 2 added the
-/// backend-policy byte to the stream-options payload.
-pub const VERSION: u16 = 2;
+/// backend-policy byte to the stream-options payload; version 3 carries a
+/// finished stream as a snapshot with nothing buffered, where version 2
+/// carried a bare checkpoint.
+pub const VERSION: u16 = 3;
 
 /// Size of the fixed frame header.
 pub const HEADER_LEN: usize = 16;

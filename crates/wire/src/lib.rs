@@ -1,5 +1,5 @@
 //! Versioned, self-describing binary wire format for Kalman serving
-//! state: checkpoints, stream events, finalized steps, and the framed
+//! state: stream snapshots, events, finalized steps, and the framed
 //! protocol that carries them between processes.
 //!
 //! # Design
@@ -25,7 +25,7 @@
 //!
 //! | layer | types | spans |
 //! |---|---|---|
-//! | values | [`codec`] functions over [`Writer`]/[`Reader`] | matrices, events, checkpoints, options |
+//! | values | [`codec`] functions over [`Writer`]/[`Reader`] | matrices, events, snapshots, options |
 //! | frames | [`FrameWriter`], [`FrameReader`] | magic, version, kind, length, CRC-32 |
 //!
 //! The cluster layer (`kalman-cluster`) assigns meaning to frame kinds;

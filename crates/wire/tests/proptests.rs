@@ -1,12 +1,12 @@
-//! Property tests for the transportable checkpoint form and the wire
-//! codecs: round trips over randomized dimensions, lags, and head shapes
-//! must be bitwise lossless, and inconsistent parts must be rejected at
-//! the trust boundary with a stream-layer error.
+//! Property tests for the stream snapshot and the wire codecs: round trips
+//! over randomized dimensions, lags, and head shapes must be bitwise
+//! lossless, and inconsistent heads must be rejected at the trust boundary
+//! with a stream-layer error (a wire error off the wire).
 
 use kalman_dense::Matrix;
-use kalman_model::{generators, CovarianceSpec, KalmanError, StreamEvent};
-use kalman_stream::{Checkpoint, StreamOptions, StreamingSmoother};
-use kalman_wire::{codec, Reader, Writer};
+use kalman_model::{generators, CovarianceSpec, InfoHead, KalmanError, StreamEvent};
+use kalman_stream::{StreamOptions, StreamingSmoother, WindowSnapshot};
+use kalman_wire::{codec, Reader, WireError, Writer};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -16,9 +16,9 @@ fn bits(m: &Matrix) -> Vec<u64> {
 }
 
 /// Drives a random model through a streaming smoother and returns the
-/// closing checkpoint — a *real* head (condensed R-factor, `r ≤ n`), not
-/// a synthetic matrix pair.
-fn real_checkpoint(seed: u64, dim: usize, steps: usize, lag: usize) -> Checkpoint {
+/// finished stream's snapshot — a *real* head (condensed R-factor,
+/// `r ≤ n`), not a synthetic matrix pair.
+fn finished_snapshot(seed: u64, dim: usize, steps: usize, lag: usize) -> WindowSnapshot {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let model = generators::paper_benchmark(&mut rng, dim, steps, true);
     let opts = StreamOptions {
@@ -44,9 +44,9 @@ fn real_checkpoint(seed: u64, dim: usize, steps: usize, lag: usize) -> Checkpoin
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `from_parts(into_parts(ckpt))` reproduces a real checkpoint bit for
-    /// bit, across state dimensions, stream lengths, and lags — and so
-    /// does a trip through the wire codec.
+    /// Reassembling a finished stream's snapshot from its head's rows
+    /// reproduces it bit for bit, across state dimensions, stream lengths,
+    /// and lags — and so does a trip through the wire codec.
     #[test]
     fn checkpoint_parts_round_trip_bitwise(
         seed in 0u64..10_000,
@@ -54,18 +54,24 @@ proptest! {
         steps in 1usize..30,
         lag in 1usize..12,
     ) {
-        let ckpt = real_checkpoint(seed, dim, steps, lag);
+        let ckpt = finished_snapshot(seed, dim, steps, lag);
         let index = ckpt.index;
         let (c, d) = ckpt.head.rows_ref();
         let (c, d) = (c.clone(), d.clone());
         prop_assert!(c.rows() <= c.cols(), "head is a condensation: r <= n");
 
-        let (i2, c2, d2) = ckpt.clone().into_parts();
-        prop_assert_eq!(i2, index);
+        prop_assert!(ckpt.base_emitted && ckpt.events.is_empty());
+        let (c2, d2) = ckpt.head.clone().into_rows();
         prop_assert_eq!(bits(&c2), bits(&c));
         prop_assert_eq!(bits(&d2), bits(&d));
 
-        let rebuilt = Checkpoint::from_parts(i2, c2, d2).unwrap();
+        let rebuilt = WindowSnapshot {
+            index,
+            head: InfoHead::from_rows(c2, d2),
+            base_emitted: true,
+            events: Vec::new(),
+        };
+        rebuilt.validate().unwrap();
         let (rc, rd) = rebuilt.head.rows_ref();
         prop_assert_eq!(rebuilt.index, index);
         prop_assert_eq!(bits(rc), bits(&c));
@@ -73,9 +79,9 @@ proptest! {
 
         // Through the byte-level codec as well.
         let mut w = Writer::new();
-        codec::encode_checkpoint(&mut w, &rebuilt);
+        codec::encode_window_snapshot(&mut w, &rebuilt);
         let mut r = Reader::new(w.as_slice());
-        let decoded = codec::decode_checkpoint(&mut r).unwrap();
+        let decoded = codec::decode_window_snapshot(&mut r).unwrap();
         r.finish().unwrap();
         let (dc, dd) = decoded.head.rows_ref();
         prop_assert_eq!(decoded.index, index);
@@ -83,42 +89,53 @@ proptest! {
         prop_assert_eq!(bits(dd), bits(&d));
     }
 
-    /// Every class of inconsistent parts is rejected with
-    /// `KalmanError::Stream` — the wire trust boundary must never let a
-    /// malformed head panic downstream or masquerade as a model error.
+    /// Every class of inconsistent head is rejected with
+    /// `KalmanError::Stream` by `validate` and `restore`, and with
+    /// `WireError::Malformed` off the wire — the trust boundary must never
+    /// let a malformed head panic downstream or masquerade as a model
+    /// error.
     #[test]
-    fn from_parts_rejects_inconsistent_shapes(
+    fn validate_rejects_inconsistent_shapes(
         rows in 0usize..5,
         cols in 0usize..5,
         extra in 1usize..4,
     ) {
-        let stream_err = |r: kalman_model::Result<Checkpoint>| {
-            matches!(r, Err(KalmanError::Stream(_)))
+        let refused = |c: Matrix, d: Matrix| {
+            let snap = WindowSnapshot {
+                index: 0,
+                head: InfoHead::from_rows(c, d),
+                base_emitted: true,
+                events: Vec::new(),
+            };
+            let mut w = Writer::new();
+            codec::encode_window_snapshot(&mut w, &snap);
+            matches!(snap.validate(), Err(KalmanError::Stream(_)))
+                && matches!(
+                    codec::decode_window_snapshot(&mut Reader::new(w.as_slice())),
+                    Err(WireError::Malformed(_))
+                )
+                && matches!(
+                    StreamingSmoother::restore(snap, StreamOptions::default()),
+                    Err(KalmanError::Stream(_))
+                )
         };
         // Row-count mismatch between C and d.
-        prop_assert!(stream_err(Checkpoint::from_parts(
-            0,
+        prop_assert!(refused(
             Matrix::zeros(rows, cols.max(1)),
             Matrix::zeros(rows + extra, 1),
-        )));
+        ));
         // d wider than one column.
-        prop_assert!(stream_err(Checkpoint::from_parts(
-            0,
+        prop_assert!(refused(
             Matrix::zeros(rows, cols.max(1)),
             Matrix::zeros(rows, 1 + extra),
-        )));
+        ));
         // Zero state dimension.
-        prop_assert!(stream_err(Checkpoint::from_parts(
-            0,
-            Matrix::zeros(rows, 0),
-            Matrix::zeros(rows, 1),
-        )));
+        prop_assert!(refused(Matrix::zeros(rows, 0), Matrix::zeros(rows, 1)));
         // More rows than the state dimension (not a condensed R-factor).
-        prop_assert!(stream_err(Checkpoint::from_parts(
-            0,
+        prop_assert!(refused(
             Matrix::zeros(cols.max(1) + extra, cols.max(1)),
             Matrix::zeros(cols.max(1) + extra, 1),
-        )));
+        ));
     }
 
     /// Snapshot round trips through the wire codec are bitwise lossless,

@@ -76,7 +76,7 @@ fn main() {
             finalized[key as usize] += entry.result().expect("solvable windows").len();
         }
         // Live operations: move user 0 to another shard through the exact
-        // checkpoint suspend/resume path.  Producers keep routing by the
+        // finish → restore path.  Producers keep routing by the
         // stable hash; the drain forwards their events to the new home.
         if !migrated && finalized[0] >= migrate_after {
             let from = pool.shard_of(0).expect("registered");
@@ -117,9 +117,9 @@ fn main() {
 
     // --- Wind-down --------------------------------------------------------
     for key in 0..users as u64 {
-        let (tail, checkpoint) = pool.finish(key).expect("final window solvable");
+        let (tail, finished) = pool.finish(key).expect("final window solvable");
         finalized[key as usize] += tail.len();
-        assert_eq!(checkpoint.index as usize, steps);
+        assert_eq!(finished.index as usize, steps);
     }
     assert!(finalized.iter().all(|&c| c == steps + 1));
     println!(

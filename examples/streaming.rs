@@ -38,7 +38,7 @@ fn main() {
         "single stream: window storage sized {} time(s) across {flushes} steady flushes",
         stream.plan_builds()
     );
-    let (tail, checkpoint) = stream.finish().expect("final window solvable");
+    let (tail, finished) = stream.finish().expect("final window solvable");
     finalized.extend(tail);
 
     println!(
@@ -46,8 +46,8 @@ fn main() {
         finalized.len()
     );
     println!(
-        "checkpoint anchors state {} in O(n²) bytes\n",
-        checkpoint.index
+        "the finished stream's snapshot anchors state {} in O(n²) bytes\n",
+        finished.index
     );
 
     println!(" step    true x    true y    smoothed x ± sd    smoothed y ± sd");

@@ -484,3 +484,57 @@ fn degraded_slot_reports_what_a_worker_reports() {
     assert!(finishes[..3].iter().all(Result::is_ok));
     assert!(finishes[3..].iter().all(Result::is_err));
 }
+
+/// A finished key is free again once no log entry mentions it.  Right
+/// after `finish` its `Insert`, events and `Finish` are still in the
+/// write-ahead log, where a crash replay would credit the old stream's
+/// outputs to a new one: the re-insert is refused.  The next snapshot ack
+/// truncates the log, and the key is accepted; its outputs — across a
+/// kill and replay — equal a fresh stream's bit for bit.
+#[test]
+fn finished_key_is_refused_until_the_log_forgets_it() {
+    const REUSED: u64 = 5;
+    let models = test_models(3, 30);
+    let reference = run_inprocess(&models[1..2]);
+    let mut sup = Supervisor::new(cluster_cfg(1, 2, FaultPlan::none())).unwrap();
+    // Feeds `model` to `key`, polling after every step (and killing the
+    // worker after step `kill_at`), then finishes it; returns its outputs.
+    let feed = |sup: &mut Supervisor, key: u64, model: &LinearModel, kill_at: usize| {
+        let mut got = Vec::new();
+        for (si, step) in model.steps.iter().enumerate() {
+            if si > 0 {
+                sup.evolve(key, step.evolution.clone().unwrap()).unwrap();
+            }
+            if let Some(obs) = &step.observation {
+                sup.observe(key, obs.clone()).unwrap();
+            }
+            if si == kill_at {
+                sup.kill_worker(0);
+            }
+            sup.poll().unwrap();
+            let outputs = sup.take_outputs().into_iter();
+            got.extend(outputs.filter(|(k, _)| *k == key).flat_map(|(_, s)| s));
+        }
+        got.extend(sup.finish(key).unwrap().0);
+        got
+    };
+
+    sup.insert(REUSED, spec_for(&models[0])).unwrap();
+    feed(&mut sup, REUSED, &models[0], usize::MAX);
+    assert!(
+        matches!(
+            sup.insert(REUSED, spec_for(&models[1])),
+            Err(ClusterError::Kalman(_))
+        ),
+        "the log still holds the finished stream"
+    );
+    // Events of another stream on the same slot trigger a snapshot, whose
+    // ack truncates the log past the finish.
+    sup.insert(6, spec_for(&models[2])).unwrap();
+    feed(&mut sup, 6, &models[2], usize::MAX);
+    sup.insert(REUSED, spec_for(&models[1])).unwrap();
+    let got = feed(&mut sup, REUSED, &models[1], 12);
+    assert_eq!(sup.stats().restarts[0], 1);
+    assert_bitwise_equal(&[got], &reference, "reused key");
+    sup.shutdown();
+}

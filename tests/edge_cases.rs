@@ -2,7 +2,7 @@
 //! observations, partial observations, extreme weightings, and degenerate
 //! streaming configurations.
 
-use kalman::model::{events_of, generators, solve_dense};
+use kalman::model::{events_of, generators, solve_dense, InfoHead};
 use kalman::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -288,7 +288,7 @@ fn streaming_rank_deficiency_is_detected_and_recoverable() {
 /// Non-finite input is refused where it enters, before any state is
 /// touched: a NaN observation, an ∞ in `F`, a dense noise block with NaN
 /// or ∞ on or below its diagonal (on `observe` and on `evolve`), an ∞ prior
-/// mean, a NaN prior covariance and a NaN in `Checkpoint::from_parts` each
+/// mean, a NaN prior covariance and a NaN in a restored snapshot's head each
 /// return the layer's typed error, and every step the stream finalizes
 /// afterwards is bitwise equal to a twin that never saw them (forgetting is
 /// exact, so one NaN in the window would otherwise stay in the stream's
@@ -314,12 +314,16 @@ fn streaming_refuses_non_finite_input_and_stays_exact() {
         matches!(err, KalmanError::NotPositiveDefinite { .. }),
         "{err:?}"
     );
-    let err = Checkpoint::from_parts(
-        4,
-        Matrix::from_rows(&[&[1.0, f64::NAN], &[0.0, 1.0]]),
-        Matrix::col_from_slice(&[0.0, 0.0]),
-    )
-    .unwrap_err();
+    let poisoned = WindowSnapshot {
+        index: 4,
+        head: InfoHead::from_rows(
+            Matrix::from_rows(&[&[1.0, f64::NAN], &[0.0, 1.0]]),
+            Matrix::col_from_slice(&[0.0, 0.0]),
+        ),
+        base_emitted: true,
+        events: Vec::new(),
+    };
+    let err = StreamingSmoother::restore(poisoned, opts).unwrap_err();
     assert!(matches!(err, KalmanError::Stream(_)), "{err:?}");
 
     let new_stream =
@@ -386,6 +390,87 @@ fn streaming_refuses_non_finite_input_and_stays_exact() {
         );
         assert_eq!(ca.max_abs_diff(cb), 0.0, "step {}", a.index);
     }
+}
+
+/// `restore` refuses every head the wire decoder refuses — one check
+/// serves both entries: a NaN, a +∞, 3 rows on 2 columns, a 2-column `d`,
+/// a `d` with the wrong row count, 0 columns and `MAX_STATE_DIM + 1`
+/// columns each return `KalmanError::Stream` from `restore` and
+/// `WireError::Malformed` off the wire, and the clean snapshot they were
+/// cut from still continues its stream bitwise.
+#[test]
+fn restore_refuses_what_the_wire_refuses() {
+    use kalman::stream::{FinalizedStep, MAX_STATE_DIM};
+    use kalman::wire::{codec, Reader, WireError, Writer};
+
+    let model = generators::paper_benchmark(&mut rng(603), 2, 40, true);
+    let prior = model.prior.as_ref().unwrap();
+    let opts = StreamOptions {
+        lag: 4,
+        flush_every: 2,
+        covariances: true,
+        ..StreamOptions::default()
+    };
+    let events = events_of(&model);
+    let mut original =
+        StreamingSmoother::with_prior(prior.mean.clone(), prior.cov.clone(), opts).unwrap();
+    for event in &events[..21] {
+        original.ingest(event.clone()).unwrap();
+    }
+    let snap = original.snapshot().unwrap();
+    let (c, d) = snap.head.rows_ref();
+    let poisoned = |m: &Matrix, at: (usize, usize), v: f64| {
+        let mut m = m.clone();
+        m[at] = v;
+        m
+    };
+    let eye32 = Matrix::from_fn(3, 2, |i, j| (i == j) as u8 as f64);
+    let hostile = [
+        ("a NaN", poisoned(c, (0, 1), f64::NAN), d.clone()),
+        ("a +inf", c.clone(), poisoned(d, (1, 0), f64::INFINITY)),
+        ("3 rows on 2 columns", eye32, Matrix::zeros(3, 1)),
+        ("a 2-column d", c.clone(), Matrix::zeros(2, 2)),
+        (
+            "a d with the wrong row count",
+            c.clone(),
+            Matrix::zeros(3, 1),
+        ),
+        ("0 columns", Matrix::zeros(0, 0), Matrix::zeros(0, 1)),
+        (
+            "too many columns",
+            Matrix::zeros(0, MAX_STATE_DIM + 1),
+            Matrix::zeros(0, 1),
+        ),
+    ];
+    for (what, c, d) in hostile {
+        let bad = WindowSnapshot {
+            head: InfoHead::from_rows(c, d),
+            ..snap.clone()
+        };
+        let mut w = Writer::new();
+        codec::encode_window_snapshot(&mut w, &bad);
+        let decoded = codec::decode_window_snapshot(&mut Reader::new(w.as_slice()));
+        assert!(matches!(decoded, Err(WireError::Malformed(_))), "{what}");
+        let restored = StreamingSmoother::restore(bad, opts);
+        assert!(matches!(restored, Err(KalmanError::Stream(_))), "{what}");
+    }
+
+    let mut twin = StreamingSmoother::restore(snap, opts).unwrap();
+    let (mut want, mut got) = (Vec::new(), Vec::new());
+    for event in &events[21..] {
+        want.extend(original.ingest(event.clone()).unwrap());
+        got.extend(twin.ingest(event.clone()).unwrap());
+    }
+    want.extend(original.finish().unwrap().0);
+    got.extend(twin.finish().unwrap().0);
+    let bits = |f: &FinalizedStep| -> Vec<u64> {
+        let cov = f.covariance.as_ref().unwrap().as_slice();
+        let all = f.mean.iter().chain(cov).map(|x| x.to_bits());
+        std::iter::once(f.index).chain(all).collect()
+    };
+    assert_eq!(got.last().unwrap().index, 40);
+    let bits_of = |v: &[FinalizedStep]| v.iter().map(bits).collect::<Vec<_>>();
+    assert_eq!(bits_of(&got), bits_of(&want));
 }
 
 /// Every batch engine refuses a NaN/±∞ entry with the very error the

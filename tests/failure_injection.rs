@@ -2,7 +2,7 @@
 //! `KalmanError`, never panics or silent garbage — and malformed wire
 //! input must produce the right `WireError`, same rules.
 
-use kalman::model::generators;
+use kalman::model::{generators, InfoHead};
 use kalman::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -154,7 +154,7 @@ fn zero_state_dimension_is_invalid() {
 }
 
 /// A state dimension that no data backs — the column count of a zero-row
-/// checkpoint head, or of a zero-row `H` — is refused with a typed
+/// snapshot head, or of a zero-row `H` — is refused with a typed
 /// `KalmanError::Stream` where it enters a stream.  Accepted, it passed
 /// every shape check, and the next flush or `smoothed()` sized `n × n`
 /// blocks by it: an allocation failure, which aborts the process instead of
@@ -193,16 +193,20 @@ fn hostile_state_dimension_is_refused_with_a_typed_error() {
         Err(KalmanError::Stream(msg)) => assert!(msg.contains("MAX_STATE_DIM"), "{msg}"),
         other => panic!("expected a Stream error, got {:?}", other.err()),
     };
-    let head = |n: usize| Checkpoint::from_parts(7, Matrix::zeros(0, n), Matrix::zeros(0, 1));
+    let head = |n: usize| WindowSnapshot {
+        index: 7,
+        head: InfoHead::from_rows(Matrix::zeros(0, n), Matrix::zeros(0, 1)),
+        base_emitted: true,
+        events: Vec::new(),
+    };
 
-    // 1. A checkpoint head with no rows on a (2³² − 1)-dimensional state.
-    let resumed = head(hostile)
-        .and_then(|ckpt| StreamingSmoother::resume(ckpt, opts))
-        .and_then(|mut stream| {
-            stream.observe(empty_obs(hostile))?;
-            stream.evolve(empty_evo(hostile, hostile))?;
-            stream.smoothed()
-        });
+    // 1. A finished stream's head with no rows on a (2³² − 1)-dimensional
+    // state.
+    let resumed = StreamingSmoother::restore(head(hostile), opts).and_then(|mut stream| {
+        stream.observe(empty_obs(hostile))?;
+        stream.evolve(empty_evo(hostile, hostile))?;
+        stream.smoothed()
+    });
     refused(resumed);
     // The same head off the wire: a 24-byte payload.
     let mut w = Writer::new();
@@ -210,14 +214,14 @@ fn hostile_state_dimension_is_refused_with_a_typed_error() {
     codec::encode_matrix(&mut w, &Matrix::zeros(0, hostile));
     codec::encode_matrix(&mut w, &Matrix::zeros(0, 1));
     assert_eq!(w.len(), 24);
-    match codec::decode_checkpoint(&mut Reader::new(w.as_slice())) {
+    match codec::decode_window_snapshot(&mut Reader::new(w.as_slice())) {
         Err(WireError::Malformed(msg)) => assert!(msg.contains("MAX_STATE_DIM"), "{msg}"),
         other => panic!("expected Malformed, got {:?}", other.map(|c| c.index)),
     }
     // The bound itself is a valid dimension; one above it is not.
-    assert_eq!(head(MAX_STATE_DIM).unwrap().state_dim(), MAX_STATE_DIM);
+    head(MAX_STATE_DIM).validate().unwrap();
     assert!(matches!(
-        head(MAX_STATE_DIM + 1),
+        head(MAX_STATE_DIM + 1).validate(),
         Err(KalmanError::Stream(_))
     ));
     assert!(matches!(

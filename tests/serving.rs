@@ -1,9 +1,9 @@
 //! Integration tests of the sharded serving front-end (`kalman-serve`):
-//! sharding transparency (bitwise), checkpoint migration, and
+//! sharding transparency (bitwise), finish → restore migration, and
 //! bounded-queue backpressure.
 
 use kalman::dense::Matrix;
-use kalman::model::{events_of, generators, LinearModel, StreamEvent};
+use kalman::model::{events_of, generators, InfoHead, LinearModel, StreamEvent};
 use kalman::prelude::*;
 use kalman::serve::{ServeConfig, ShardedPool};
 use kalman::stream::FinalizedStep;
@@ -147,10 +147,10 @@ fn sharded_results_are_bitwise_equal_to_unsharded_pool() {
     }
 }
 
-/// Checkpoint migration: a stream rebalanced between shards mid-serve
-/// finalizes every step exactly once, keeps matching the unmigrated
-/// reference after migration (up to the geometric hindsight tail the
-/// checkpoint contract allows), and keeps receiving events through its
+/// Finish → restore migration: a stream rebalanced between shards
+/// mid-serve finalizes every step exactly once, keeps matching the
+/// unmigrated reference after migration (up to the geometric hindsight
+/// tail the finish contract allows), and keeps receiving events through its
 /// home-shard queue afterwards.
 #[test]
 fn rebalanced_stream_continues_equivalently() {
@@ -190,7 +190,7 @@ fn rebalanced_stream_continues_equivalently() {
             let target = (home + 1) % 4;
             // Steps already flushed had identical windows in both runs.
             pre_migration = collected.len();
-            // The migration tail is finalized early (checkpoint contract).
+            // The migration tail is finalized early (finish contract).
             let tail = pool.rebalance(0, target).unwrap();
             assert!(!tail.is_empty(), "migration finalizes the open window");
             collected.extend(tail);
@@ -210,7 +210,7 @@ fn rebalanced_stream_continues_equivalently() {
     // Steps flushed before the migration had identical windows — bitwise
     // equal.  The migration tail and later steps were condensed with
     // different hindsight; the difference decays geometrically through the
-    // ≥ lag-step gap (same bound as the checkpoint/resume pin).
+    // ≥ lag-step gap (same bound as the finish/restore pin).
     for (i, (f, r)) in collected.iter().zip(reference).enumerate() {
         assert_eq!(f.index, r.index);
         let diff = f
@@ -222,11 +222,11 @@ fn rebalanced_stream_continues_equivalently() {
         if i < pre_migration {
             assert_eq!(f.mean, r.mean, "pre-migration state {}", f.index);
         } else if (f.index as usize) > migrate_at {
-            // States finalized after the resume carry the full lag of
+            // States finalized after the restore carry the full lag of
             // hindsight again; they differ from the uninterrupted run only
             // through the head's shorter condensation horizon, which
             // contracts ≈ 0.38/step across the ≥ 8-step lag gap
-            // (0.38^8 ≈ 4e-4) — same bound family as the checkpoint pin.
+            // (0.38^8 ≈ 4e-4) — same bound family as the finish pin.
             assert!(diff < 2e-3, "state {}: diff {diff}", f.index);
         }
         // The migration tail itself (pre_migration ≤ i ≤ migrate_at) was
@@ -237,7 +237,8 @@ fn rebalanced_stream_continues_equivalently() {
     }
 }
 
-/// A transportable checkpoint round-trips through its matrix parts.
+/// A finished stream's snapshot round-trips through its head's matrix
+/// parts.
 #[test]
 fn checkpoint_parts_round_trip() {
     let model = &test_models(1, 30)[0];
@@ -249,18 +250,28 @@ fn checkpoint_parts_round_trip() {
     }
     let (_, ckpt) = stream.finish().unwrap();
     let state_dim = ckpt.state_dim();
-    let (index, c, d) = ckpt.clone().into_parts();
-    let rebuilt = Checkpoint::from_parts(index, c, d).unwrap();
+    let finished = |index, c, d| WindowSnapshot {
+        index,
+        head: InfoHead::from_rows(c, d),
+        base_emitted: true,
+        events: Vec::new(),
+    };
+    let (c, d) = ckpt.head.clone().into_rows();
+    let rebuilt = finished(ckpt.index, c, d);
     assert_eq!(rebuilt.index, ckpt.index);
     assert_eq!(rebuilt.state_dim(), state_dim);
 
     // Malformed transport input errors instead of panicking.
-    assert!(Checkpoint::from_parts(0, Matrix::identity(3), Matrix::identity(2)).is_err());
-    assert!(Checkpoint::from_parts(0, Matrix::zeros(2, 0), Matrix::zeros(2, 1)).is_err());
+    for (c, d) in [
+        (Matrix::identity(3), Matrix::identity(2)),
+        (Matrix::zeros(2, 0), Matrix::zeros(2, 1)),
+    ] {
+        assert!(StreamingSmoother::restore(finished(0, c, d), serve_opts()).is_err());
+    }
 
-    // Resuming from the rebuilt checkpoint behaves identically.
-    let mut a = StreamingSmoother::resume(ckpt, serve_opts()).unwrap();
-    let mut b = StreamingSmoother::resume(rebuilt, serve_opts()).unwrap();
+    // Restoring the rebuilt snapshot behaves identically.
+    let mut a = StreamingSmoother::restore(ckpt, serve_opts()).unwrap();
+    let mut b = StreamingSmoother::restore(rebuilt, serve_opts()).unwrap();
     for i in 0..20u64 {
         a.evolve(Evolution::random_walk(2)).unwrap();
         b.evolve(Evolution::random_walk(2)).unwrap();

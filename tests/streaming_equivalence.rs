@@ -427,8 +427,9 @@ fn every_finalized_step_matches_both_batch_smoothers_at_its_horizon() {
     }
 }
 
-/// Checkpointing mid-stream and resuming reproduces the uninterrupted
-/// stream's finalized estimates for all post-resume steps.
+/// Finishing mid-stream and restoring the finished stream's snapshot
+/// reproduces the uninterrupted stream's finalized estimates for all
+/// later steps.
 #[test]
 fn checkpoint_resume_is_transparent() {
     let model = generators::paper_benchmark(&mut rng(920), 3, 240, true);
@@ -453,7 +454,7 @@ fn checkpoint_resume_is_transparent() {
     let (_, checkpoint) = first.finish().unwrap();
     assert_eq!(checkpoint.index as usize, cut);
 
-    let mut resumed_stream = StreamingSmoother::resume(checkpoint, opts).unwrap();
+    let mut resumed_stream = StreamingSmoother::restore(checkpoint, opts).unwrap();
     let mut resumed = Vec::new();
     for step in model.steps.iter().skip(cut + 1) {
         resumed.extend(
