@@ -248,9 +248,10 @@ impl Drop for SmoothPlan {
 /// thread-local workspace budgets into the allocator — the plan's steady
 /// state holds roughly one diagonal block, up to two off-diagonal blocks,
 /// and one right-hand-side segment per state in its `R` factor alone, so
-/// once ~3·k buffers of the diagonal's size class exceed that class's
-/// budget, only lifting the budgets (the plan-owned arena) keeps
-/// re-executes allocation-free.
+/// once ~3·k buffers of the diagonal's size class exceed what the
+/// workspace retains of that class (`budget_for_len`: its doubling's
+/// element budget over the class size), only lifting the budgets (the
+/// plan-owned arena) keeps re-executes allocation-free.
 fn arena_pays_off(schedule: &PlanSchedule) -> bool {
     let k = schedule.num_states();
     let n_max = schedule.dims().iter().copied().max().unwrap_or(0);
@@ -445,6 +446,19 @@ mod tests {
         let ch = s.nodes()[i].children.expect("inner node");
         let at = |c: usize| s.nodes()[c];
         (at(ch.left), at(ch.right), ch.lone.map(at))
+    }
+
+    /// The arena decision at the shapes the test suite and the benchmark
+    /// run: n = 4 tips over at k = 683 (3·k past 2048 buffers of 16), the
+    /// n = 48 batch always holds the arena, and an n = 8 window never does.
+    #[test]
+    fn arena_pays_off_at_the_suite_and_harness_shapes() {
+        let pays = |n: usize, k: usize| arena_pays_off(&PlanSchedule::build(&vec![n; k]));
+        assert!(!pays(4, 682));
+        assert!(pays(4, 683));
+        assert!(pays(48, 60));
+        assert!(pays(48, 2000));
+        assert!(!pays(8, 40));
     }
 
     #[test]

@@ -748,6 +748,17 @@ mod tests {
         }
     }
 
+    /// A block's storage is less than a quarter longer than the block: the
+    /// paper's 6 × 6 and 48 × 48 panels, and a 96 × 49 stack of the latter.
+    #[test]
+    fn block_storage_is_within_a_quarter_of_its_length() {
+        for (rows, cols) in [(6, 6), (48, 48), (96, 49)] {
+            let m = Matrix::zeros(rows, cols);
+            let (len, cap) = (rows * cols, m.data.capacity());
+            assert!(cap >= len && 4 * cap <= 5 * len, "{rows} × {cols}: {cap}");
+        }
+    }
+
     #[test]
     fn norms() {
         let m = Matrix::from_rows(&[&[3.0, 0.0], &[0.0, -4.0]]);

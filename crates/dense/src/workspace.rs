@@ -3,7 +3,7 @@
 //!
 //! Every [`Matrix`](crate::Matrix) allocation in this crate is routed
 //! through a thread-local [`Workspace`]: buffers are handed out from
-//! power-of-two size-class free lists and returned when the matrix is
+//! quarter-octave size-class free lists and returned when the matrix is
 //! dropped (see `Drop for Matrix`), so a loop that repeatedly builds and
 //! discards temporaries — the odd-even elimination tasks, SelInv rows,
 //! `InfoHead::eliminate`, a streaming smoother's per-flush sweep — performs
@@ -13,43 +13,93 @@
 //!
 //! Design rules (documented in DESIGN.md §"Dense kernels"):
 //!
+//! * **Quarter-octave classes**: every doubling of the buffer length is
+//!   split into four classes, `2^k · {5/4, 6/4, 7/4, 2}` elements (the
+//!   spacing jemalloc uses), so a buffer is less than 1.25× the length it
+//!   was taken for — a 6 × 6 block gets 40 elements, a 48 × 48 one 2560.
+//!   A buffer handed out again at a longer length of its class makes its
+//!   tail resident, so the slack is resident memory.  A power of two keeps
+//!   a class of exactly its size.
 //! * **Per-worker**: the workspace is a `thread_local`, so parallel batches
 //!   need no synchronization and recycling stays deterministic.  A buffer
 //!   freed on a different thread than it was taken from simply warms that
 //!   thread's pool instead (ownership of buffers is never shared).
-//! * **Bounded**: each size class keeps at most `max(1, 2^15 >> class)`
-//!   buffers and only lengths between 2^[`MIN_CLASS`] and 2^[`MAX_CLASS`]
-//!   elements are pooled; everything beyond falls through to the global
-//!   allocator, so the pool retains at most ≈ 7 MiB per thread.  Callers
-//!   that execute a batch-scale working set repeatedly (a `SmoothPlan`)
-//!   lift the per-class budgets for the duration with [`arena_scope`], so
-//!   the pool sizes itself to the plan's recursion instead of the budgets.
+//! * **Bounded**: the four classes of the doubling that ends at `2^o`
+//!   elements share one element budget of `max(2^15, 2^o)`, and only
+//!   lengths between 2^4 and 2^18 elements are pooled; everything beyond
+//!   falls through to the global allocator, so the pool retains at most
+//!   ≈ 6.5 MiB per thread.  Callers that execute a batch-scale working set
+//!   repeatedly (a `SmoothPlan`) lift the budgets for the duration with
+//!   [`arena_scope`], so the pool sizes itself to the plan's recursion
+//!   instead of the budgets.
 //! * **Disableable**: [`set_pooling`] turns recycling off globally, which
 //!   the benchmark harness uses to measure the allocator's contribution.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Element budget per size class (per thread): class `c` keeps at most
-/// `max(1, MAX_CLASS_ELEMS >> c)` buffers, so tiny-block-heavy workloads
-/// (state dimension 4 smoothers juggle hundreds of 16-element buffers at
-/// once) stay pooled while each class is bounded to ~256 KiB (one buffer
-/// for the largest classes).
+/// Size classes per doubling of the buffer length, as a shift: four.
+const SPACING_BITS: usize = 2;
+/// Element budget of one doubling (per thread): the classes of the doubling
+/// that ends at `2^o` elements park at most `max(MAX_CLASS_ELEMS, 2^o)`
+/// elements between them, so tiny-block-heavy workloads (state dimension 4
+/// smoothers juggle hundreds of 16-element buffers at once) stay pooled
+/// while each doubling is bounded to ~256 KiB (one largest buffer for the
+/// doublings above 2^15).
 pub const MAX_CLASS_ELEMS: usize = 1 << 15;
-/// Largest pooled size class: buffers of up to `2^MAX_CLASS` elements
-/// (256 Ki elements = 2 MiB of f64).  Bigger buffers go straight to the
-/// global allocator — at that size the allocation cost is amortized by the
-/// work done on the buffer, and pooling them would blow the retention
-/// bound.  Worst-case retention across all classes is ≈ 7 MiB per thread.
-pub const MAX_CLASS: usize = 18;
-/// Smallest pooled size class (16 elements); tinier buffers are dropped —
-/// `take` never requests below this, so they could never be served.
-pub const MIN_CLASS: usize = 4;
+/// Largest pooled size class, the one of `2^18` elements (256 Ki elements
+/// = 2 MiB of f64).  Class indices are quarter-octave logarithms: the class
+/// of a power of two `2^t` is `4t`, and the three classes between two
+/// powers of two are the indices in between.  Bigger buffers go straight
+/// to the global allocator — at that size the allocation cost is amortized
+/// by the work done on the buffer, and pooling them would blow the
+/// retention bound.  Worst-case retention across all classes is ≈ 6.5 MiB
+/// per thread.
+pub const MAX_CLASS: usize = 18 << SPACING_BITS;
+/// Smallest pooled size class, the one of 16 elements; shorter requests
+/// round up to it, and shorter buffers are dropped — `take` never requests
+/// below it, so they could never be served.
+pub const MIN_CLASS: usize = 4 << SPACING_BITS;
 
-/// Maximum pooled buffers for size class `class`.
+/// Elements in a buffer of size class `class`: `2^t · (4 + r) / 4` for
+/// `class = 4t + r`.  Shifts only, as is [`class_of`].
 #[inline]
+const fn class_size(class: usize) -> usize {
+    let fine = (1 << SPACING_BITS) + (class & ((1 << SPACING_BITS) - 1));
+    fine << ((class >> SPACING_BITS) - SPACING_BITS)
+}
+
+/// The smallest size class holding `len` elements, or `None` above
+/// [`MAX_CLASS`].  Lengths up to 16 share [`MIN_CLASS`].
+#[inline]
+fn class_of(len: usize) -> Option<usize> {
+    let len = len.max(class_size(MIN_CLASS));
+    if len > class_size(MAX_CLASS) {
+        return None;
+    }
+    // `len - 1` lies in [2^t, 2^(t+1)); its top three bits pick the quarter.
+    let t = (usize::BITS - 1 - (len - 1).leading_zeros()) as usize;
+    let top = (len - 1) >> (t - SPACING_BITS);
+    Some((t << SPACING_BITS) + top + 1 - (1 << SPACING_BITS))
+}
+
+/// The doubling `class` belongs to, as the exponent of its largest class:
+/// class `4t` and the three below it form doubling `t`.
+#[inline]
+const fn doubling_of(class: usize) -> usize {
+    (class + (1 << SPACING_BITS) - 1) >> SPACING_BITS
+}
+
+/// Elements the classes of `doubling` may park between them.
+#[inline]
+fn doubling_budget(doubling: usize) -> usize {
+    MAX_CLASS_ELEMS.max(1 << doubling)
+}
+
+/// Maximum pooled buffers for size class `class` — as many as its
+/// doubling's budget holds when the class has the doubling to itself.
 fn class_capacity(class: usize) -> usize {
-    (MAX_CLASS_ELEMS >> class).max(1)
+    doubling_budget(doubling_of(class)) / class_size(class)
 }
 
 /// Global pooling switch (see [`set_pooling`]).
@@ -96,10 +146,10 @@ impl Drop for ArenaScope {
     }
 }
 
-/// Lifts the workspace's per-class retention budgets for the lifetime of the
+/// Lifts the workspace's retention budgets for the lifetime of the
 /// returned guard — the "plan-owned arena" mode of the pool.
 ///
-/// The default budgets (`max(1, 2^15 >> class)` buffers per class) bound a
+/// The default budgets (`max(2^15, 2^o)` elements per doubling) bound a
 /// long-running server's idle retention, but they are far smaller than the
 /// working set of a batch-scale solve: an odd-even factorization of
 /// `k = 20 000` steps keeps ~3 `n×n` blocks per step alive in its `R`
@@ -124,7 +174,8 @@ pub fn arena_active() -> bool {
 }
 
 /// The per-thread retention budget (in buffers) for pooled buffers of
-/// `len` elements — what [`arena_scope`] lifts.  Callers sizing a reusable
+/// `len` elements, while the other classes of their doubling park nothing
+/// — what [`arena_scope`] lifts.  Callers sizing a reusable
 /// working set (a `SmoothPlan` deciding whether it needs an arena at all)
 /// compare their buffer counts against this.  Returns 0 for lengths the
 /// pool never retains.
@@ -219,6 +270,65 @@ pub fn register_workspace_gauges() {
     });
 }
 
+/// Why a buffer was not parked.
+enum Rejected {
+    /// Its capacity is not a pooled class size.
+    Shape,
+    /// Its doubling's budget is spent.
+    Full,
+}
+
+/// One element type's free lists.
+#[derive(Debug, Default)]
+struct Pool<T> {
+    /// `buckets[c]` holds buffers of capacity exactly `class_size(c)`.
+    buckets: Vec<Vec<Vec<T>>>,
+    /// Elements parked in each doubling's classes, charged against
+    /// [`doubling_budget`].
+    parked: [usize; doubling_of(MAX_CLASS) + 1],
+}
+
+impl<T> Pool<T> {
+    /// An empty buffer with room for `class_size(class)` elements: the most
+    /// recently parked one of its class (`true`), or a fresh one (`false`).
+    fn checkout(&mut self, class: usize) -> (Vec<T>, bool) {
+        match self.buckets.get_mut(class).and_then(Vec::pop) {
+            Some(mut buf) => {
+                self.parked[doubling_of(class)] -= buf.capacity();
+                buf.clear();
+                (buf, true)
+            }
+            None => (Vec::with_capacity(class_size(class)), false),
+        }
+    }
+
+    /// Parks `buf` for the next checkout of its class, unless its capacity
+    /// is not a class size or (outside an [`arena_scope`]) its doubling's
+    /// budget is spent; a refused buffer is dropped.
+    fn park(&mut self, buf: Vec<T>) -> Result<(), Rejected> {
+        let cap = buf.capacity();
+        let class = class_of(cap)
+            .filter(|&c| class_size(c) == cap)
+            .ok_or(Rejected::Shape)?;
+        let doubling = doubling_of(class);
+        if self.parked[doubling] + cap > doubling_budget(doubling) && !arena_active() {
+            return Err(Rejected::Full);
+        }
+        if self.buckets.len() <= class {
+            self.buckets.resize_with(class + 1, Vec::new);
+        }
+        let bucket = &mut self.buckets[class];
+        if bucket.capacity() == 0 {
+            // One-time reservation so bucket growth never reallocates in
+            // the steady state the pool exists to keep allocation-free.
+            bucket.reserve_exact(class_capacity(class));
+        }
+        self.parked[doubling] += cap;
+        bucket.push(buf);
+        Ok(())
+    }
+}
+
 /// The per-thread scratch arena: size-classed free lists of `Vec<f64>` and
 /// `Vec<usize>` buffers.
 ///
@@ -228,24 +338,14 @@ pub fn register_workspace_gauges() {
 /// buffers out and back in explicitly via [`Workspace::with`].
 #[derive(Debug, Default)]
 pub struct Workspace {
-    /// `f64` buffers; class `c` holds buffers of capacity exactly `2^c`.
-    f64_pool: Vec<Vec<Vec<f64>>>,
-    /// `usize` buffers, same classing.
-    usize_pool: Vec<Vec<Vec<usize>>>,
+    /// `f64` buffers; each has the capacity of exactly one size class.
+    f64_pool: Pool<f64>,
+    /// `usize` buffers, same classing and budgets.
+    usize_pool: Pool<usize>,
     hits: u64,
     misses: u64,
-    pooled_elems: usize,
     rejected_shape: u64,
     rejected_full: u64,
-}
-
-fn class_of(len: usize) -> Option<usize> {
-    if len == 0 {
-        return None;
-    }
-    let class = usize::BITS as usize - (len - 1).leading_zeros() as usize;
-    let class = class.max(MIN_CLASS); // round tiny buffers up to 16 elements
-    (class <= MAX_CLASS).then_some(class)
 }
 
 impl Workspace {
@@ -281,93 +381,53 @@ impl Workspace {
             self.misses += 1;
             return Vec::with_capacity(len);
         };
-        if let Some(mut buf) = self.f64_pool.get_mut(class).and_then(Vec::pop) {
-            self.hits += 1;
-            self.pooled_elems -= buf.capacity();
-            buf.clear();
-            return buf;
-        }
-        self.misses += 1;
-        Vec::with_capacity(1usize << class)
+        let (buf, hit) = self.f64_pool.checkout(class);
+        self.count_take(hit);
+        buf
     }
 
     /// Returns an `f64` buffer to the pool (drops it if the pool is full,
     /// pooling is disabled, or the capacity is not one this pool manages).
     pub fn put_f64(&mut self, buf: Vec<f64>) {
-        if !pooling_enabled() {
-            return;
-        }
-        let cap = buf.capacity();
-        if cap == 0 || !cap.is_power_of_two() {
-            self.rejected_shape += 1;
-            return;
-        }
-        let class = cap.trailing_zeros() as usize;
-        if !(MIN_CLASS..=MAX_CLASS).contains(&class) {
-            // Below MIN_CLASS no take ever asks for this capacity (requests
-            // round up), so pooling it would only strand the buffer.
-            self.rejected_shape += 1;
-            return;
-        }
-        if self.f64_pool.len() <= class {
-            self.f64_pool.resize_with(class + 1, Vec::new);
-        }
-        let bucket = &mut self.f64_pool[class];
-        if bucket.capacity() == 0 {
-            // One-time reservation so bucket growth never reallocates in
-            // the steady state the pool exists to keep allocation-free.
-            bucket.reserve_exact(class_capacity(class));
-        }
-        if bucket.len() < class_capacity(class) || arena_active() {
-            self.pooled_elems += cap;
-            bucket.push(buf);
-        } else {
-            self.rejected_full += 1;
+        if pooling_enabled() {
+            let parked = self.f64_pool.park(buf);
+            self.count_put(parked);
         }
     }
 
     /// Checks out a `usize` buffer of length `len`, zero-filled.
     pub fn take_usize(&mut self, len: usize) -> Vec<usize> {
-        if pooling_enabled() {
-            if let Some(class) = class_of(len) {
-                if let Some(mut buf) = self.usize_pool.get_mut(class).and_then(Vec::pop) {
-                    self.hits += 1;
-                    buf.clear();
-                    buf.resize(len, 0);
-                    return buf;
-                }
-                self.misses += 1;
-                let mut buf = Vec::with_capacity(1usize << class);
-                buf.resize(len, 0);
-                return buf;
-            }
-        }
-        self.misses += 1;
-        vec![0; len]
+        let Some(class) = class_of(len).filter(|_| pooling_enabled()) else {
+            self.misses += 1;
+            return vec![0; len];
+        };
+        let (mut buf, hit) = self.usize_pool.checkout(class);
+        self.count_take(hit);
+        buf.resize(len, 0);
+        buf
     }
 
     /// Returns a `usize` buffer to the pool.
     pub fn put_usize(&mut self, buf: Vec<usize>) {
-        if !pooling_enabled() {
-            return;
+        if pooling_enabled() {
+            let parked = self.usize_pool.park(buf);
+            self.count_put(parked);
         }
-        let cap = buf.capacity();
-        if cap == 0 || !cap.is_power_of_two() {
-            return;
+    }
+
+    fn count_take(&mut self, hit: bool) {
+        if hit {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
         }
-        let class = cap.trailing_zeros() as usize;
-        if !(MIN_CLASS..=MAX_CLASS).contains(&class) {
-            return;
-        }
-        if self.usize_pool.len() <= class {
-            self.usize_pool.resize_with(class + 1, Vec::new);
-        }
-        let bucket = &mut self.usize_pool[class];
-        if bucket.capacity() == 0 {
-            bucket.reserve_exact(class_capacity(class));
-        }
-        if bucket.len() < class_capacity(class) || arena_active() {
-            bucket.push(buf);
+    }
+
+    fn count_put(&mut self, parked: Result<(), Rejected>) {
+        match parked {
+            Ok(()) => {}
+            Err(Rejected::Shape) => self.rejected_shape += 1,
+            Err(Rejected::Full) => self.rejected_full += 1,
         }
     }
 
@@ -376,7 +436,7 @@ impl Workspace {
         WorkspaceStats {
             hits: self.hits,
             misses: self.misses,
-            pooled_elems: self.pooled_elems,
+            pooled_elems: self.f64_pool.parked.iter().sum(),
             rejected_shape: self.rejected_shape,
             rejected_full: self.rejected_full,
         }
@@ -466,24 +526,76 @@ mod tests {
         let a = ws.take_f64(100);
         assert_eq!(a.len(), 100);
         assert!(a.iter().all(|&x| x == 0.0));
-        let cap = a.capacity();
-        assert!(cap >= 100 && cap.is_power_of_two());
+        assert_eq!(a.capacity(), 112); // 2^6 · 7/4
         ws.put_f64(a);
-        assert_eq!(ws.stats().pooled_elems, cap);
-        let b = ws.take_f64(70); // same class (128)
-        assert_eq!(b.capacity(), cap);
+        assert_eq!(ws.stats().pooled_elems, 112);
+        let b = ws.take_f64(110); // same class
+        assert_eq!(b.capacity(), 112);
         assert_eq!(ws.stats().hits, 1);
         assert!(b.iter().all(|&x| x == 0.0));
+        ws.put_f64(b);
+        let c = ws.take_f64(70); // class 80: the parked 112 stays parked
+        assert_eq!(c.capacity(), 80);
+        assert_eq!((ws.stats().hits, ws.stats().pooled_elems), (1, 112));
     }
 
+    /// Every class size maps back to its own class; lengths up to 16 share
+    /// the smallest class, and nothing past 2^18 elements is pooled.
     #[test]
     fn classes_round_up_and_cap() {
-        assert_eq!(class_of(0), None);
-        assert_eq!(class_of(1), Some(4));
-        assert_eq!(class_of(16), Some(4));
-        assert_eq!(class_of(17), Some(5));
-        assert_eq!(class_of(1 << MAX_CLASS), Some(MAX_CLASS));
-        assert_eq!(class_of((1 << MAX_CLASS) + 1), None);
+        for class in MIN_CLASS..=MAX_CLASS {
+            assert_eq!(class_of(class_size(class)), Some(class), "class {class}");
+        }
+        assert_eq!(class_size(MIN_CLASS), 16);
+        assert_eq!(class_size(MAX_CLASS), 1 << 18);
+        assert_eq!(class_of(0), Some(MIN_CLASS));
+        assert_eq!(class_of(1), Some(MIN_CLASS));
+        assert_eq!(class_of((1 << 18) + 1), None);
+    }
+
+    /// Every pooled length gets the smallest class that holds it, and that
+    /// class is less than a quarter longer than the length.
+    #[test]
+    fn slack_stays_below_the_spacing() {
+        for len in 16..=(1usize << 18) {
+            let class = class_of(len).unwrap();
+            let size = class_size(class);
+            assert!(size >= len && 4 * size < 5 * len, "len {len} → {size}");
+            assert!(
+                class == MIN_CLASS || class_size(class - 1) < len,
+                "len {len}"
+            );
+        }
+        // The paper's two panels: 6 × 6 and 48 × 48 blocks.
+        assert_eq!(class_size(class_of(36).unwrap()), 40);
+        assert_eq!(class_size(class_of(48 * 48).unwrap()), 2560);
+    }
+
+    /// Power-of-two lengths (every block at n ∈ {4, 8, 16}) get a class of
+    /// exactly their size, with the budget the power-of-two classes had.
+    #[test]
+    fn powers_of_two_get_an_exact_class() {
+        for t in 4..=18 {
+            let class = class_of(1 << t).unwrap();
+            assert_eq!((class, class_size(class)), (4 * t, 1 << t));
+            assert_eq!(budget_for_len(1 << t), (MAX_CLASS_ELEMS >> t).max(1));
+        }
+    }
+
+    /// The classes of one doubling share its budget, and the budgets add up
+    /// to the documented ≈ 6.5 MiB of `f64` per pool.
+    #[test]
+    fn budgets_stay_within_the_retention_bound() {
+        let mut total = 0;
+        for doubling in doubling_of(MIN_CLASS)..=doubling_of(MAX_CLASS) {
+            total += doubling_budget(doubling);
+        }
+        assert!(total * 8 <= 13 << 19, "{total} elements");
+        for class in MIN_CLASS..=MAX_CLASS {
+            let budget = doubling_budget(doubling_of(class));
+            assert!(class_capacity(class) >= 1);
+            assert!(class_capacity(class) * class_size(class) <= budget);
+        }
     }
 
     /// The arena flag is process-global, so the two budget tests must not
@@ -494,19 +606,27 @@ mod tests {
     fn bucket_is_bounded() {
         let _lock = BUDGET_TESTS.lock().unwrap_or_else(|p| p.into_inner());
         let mut ws = Workspace::default();
-        let cap = class_capacity(6); // buffers of 64 elements
+        let cap = budget_for_len(64);
         for _ in 0..(cap + 10) {
             ws.put_f64(Vec::with_capacity(64));
         }
         assert_eq!(ws.stats().pooled_elems, cap * 64);
         assert_eq!(ws.stats().rejected_full, 10);
+        // 48 shares the spent doubling (32, 64]; 80 opens the next one.
+        ws.put_f64(Vec::with_capacity(48));
+        assert_eq!(ws.stats().rejected_full, 11);
+        ws.put_f64(Vec::with_capacity(80));
+        assert_eq!(ws.stats().pooled_elems, cap * 64 + 80);
+        // A capacity between classes is not pooled.
+        ws.put_f64(Vec::with_capacity(100));
+        assert_eq!(ws.stats().rejected_shape, 1);
     }
 
     #[test]
     fn arena_scope_lifts_class_budgets() {
         let _lock = BUDGET_TESTS.lock().unwrap_or_else(|p| p.into_inner());
         let mut ws = Workspace::default();
-        let cap = class_capacity(6); // buffers of 64 elements
+        let cap = budget_for_len(64);
         let guard = arena_scope();
         assert!(arena_active());
         for _ in 0..(cap + 10) {
