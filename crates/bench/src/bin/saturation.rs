@@ -7,12 +7,19 @@
 //! `BENCH_serve.json` artifact.  The in-process closed loop is the end-to-end
 //! benchmark's `serve_light` / `serve_heavy` workloads (`benchmark/`).
 //!
+//! Two ungated rows split the two-slot figure: the same load through a
+//! simulated supervisor (`Supervisor::in_memory`: encode, log, CRC,
+//! decode and the worker's frame handler, no sockets or processes;
+//! `cluster/w2/mem/events_per_s`) and through an in-process two-shard
+//! `ShardedPool` (`cluster/w2/inproc/events_per_s`).
+//!
 //! `cargo run --release -p kalman-bench --bin saturation -- \
 //!     [--producers 32] [--steps 300] [--n 8] [--smoke] [--json BENCH_serve.json]`
 
 use kalman::cluster::{ClusterConfig, StreamInit, StreamSpec, Supervisor};
 use kalman::model::StreamEvent;
 use kalman::prelude::*;
+use kalman::serve::{ServeConfig, ShardedPool};
 use kalman_bench::{print_row, write_bench_json, Args, BenchEntry};
 
 fn event_stream(n: usize, steps: usize, salt: usize) -> Vec<StreamEvent> {
@@ -39,11 +46,34 @@ struct ClusterRun {
     recovery_secs: Option<f64>,
 }
 
-/// Round-paces `producers` event streams through a supervised worker
-/// cluster.  With `kill`, SIGKILLs worker 0 halfway through and
-/// times the supervisor's detect → restart → restore → replay cycle.
-fn run_cluster(producers: usize, workers: usize, steps: usize, n: usize, kill: bool) -> ClusterRun {
-    let mut sup = Supervisor::new(ClusterConfig {
+/// Every stream's options.
+fn stream_options() -> StreamOptions {
+    StreamOptions {
+        lag: 12,
+        flush_every: 6,
+        covariances: false,
+        policy: ExecPolicy::Seq,
+        auto_flush: false,
+        ..StreamOptions::default()
+    }
+}
+
+/// How a supervisor is built: [`Supervisor::new`] (worker processes) or
+/// [`Supervisor::in_memory`].
+type Start = fn(ClusterConfig) -> kalman::cluster::Result<Supervisor>;
+
+/// Round-paces `producers` event streams through a supervised cluster.
+/// With `kill`, kills worker 0 halfway through and times the
+/// supervisor's detect → restart → restore → replay cycle.
+fn run_cluster(
+    start: Start,
+    producers: usize,
+    workers: usize,
+    steps: usize,
+    n: usize,
+    kill: bool,
+) -> ClusterRun {
+    let mut sup = start(ClusterConfig {
         workers,
         queue_capacity: 4 * producers.max(1),
         // Re-exec this binary with no arguments: the socket environment
@@ -52,14 +82,7 @@ fn run_cluster(producers: usize, workers: usize, steps: usize, n: usize, kill: b
         ..ClusterConfig::default()
     })
     .expect("valid cluster config");
-    let opts = StreamOptions {
-        lag: 12,
-        flush_every: 6,
-        covariances: false,
-        policy: ExecPolicy::Seq,
-        auto_flush: false,
-        ..StreamOptions::default()
-    };
+    let opts = stream_options();
     for key in 0..producers as u64 {
         sup.insert(
             key,
@@ -120,6 +143,58 @@ fn run_cluster(producers: usize, workers: usize, steps: usize, n: usize, kill: b
     }
 }
 
+/// The same round-paced load through an in-process `ShardedPool` of
+/// `shards` shards (a submit per event, a drain where the cluster
+/// polls); wall seconds.
+fn run_pool(producers: usize, shards: usize, steps: usize, n: usize) -> f64 {
+    let (mut pool, mut ingress) = ShardedPool::new(ServeConfig {
+        shards,
+        queue_capacity: 4 * producers.max(1),
+        policy: ExecPolicy::Seq,
+    });
+    for key in 0..producers as u64 {
+        let smoother = StreamingSmoother::with_prior(
+            vec![0.0; n],
+            CovarianceSpec::Identity(n),
+            stream_options(),
+        )
+        .expect("valid stream");
+        pool.insert(key, smoother).expect("fresh key");
+    }
+    let streams: Vec<Vec<StreamEvent>> = (0..producers)
+        .map(|salt| event_stream(n, steps, salt))
+        .collect();
+    let start = std::time::Instant::now();
+    let mut finalized = 0usize;
+    let drain = |pool: &mut ShardedPool| {
+        pool.drain();
+        pool.outputs()
+            .map(|(_, entry)| entry.result().expect("healthy load").len())
+            .sum::<usize>()
+    };
+    for si in 0..2 * steps - 1 {
+        for (key, events) in streams.iter().enumerate() {
+            if let Err(e) = ingress.try_submit(key as u64, events[si].clone()) {
+                finalized += drain(&mut pool);
+                let event = e.into_event();
+                ingress
+                    .try_submit(key as u64, event)
+                    .expect("drained queue");
+            }
+        }
+        if si % 4 == 3 {
+            finalized += drain(&mut pool);
+        }
+    }
+    finalized += drain(&mut pool);
+    for key in 0..producers as u64 {
+        finalized += pool.finish(key).expect("solvable").0.len();
+    }
+    let secs = start.elapsed().as_secs_f64();
+    assert_eq!(finalized, producers * steps, "every step exactly once");
+    secs
+}
+
 fn main() {
     // If the supervisor re-exec'd us as a shard worker, this never
     // returns; in every other invocation it is an instant no-op.
@@ -151,7 +226,7 @@ fn main() {
     let mut secs_w1 = 0.0;
     let mut secs_w2 = 0.0;
     for workers in [1usize, 2, 4] {
-        let r = run_cluster(producers, workers, steps, n, false);
+        let r = run_cluster(Supervisor::new, producers, workers, steps, n, false);
         print_row(&[
             format!("{workers}"),
             format!("{:.3}", r.secs),
@@ -169,7 +244,23 @@ fn main() {
             _ => {}
         }
     }
-    let rk = run_cluster(producers, 2, steps, n, true);
+    // The two-slot split: the same load with no sockets or processes, and
+    // with no protocol either.
+    let mem = run_cluster(Supervisor::in_memory, producers, 2, steps, n, false).secs;
+    let inproc = run_pool(producers, 2, steps, n);
+    for (label, name, secs) in [("2 (mem)", "mem", mem), ("2 (pool)", "inproc", inproc)] {
+        print_row(&[
+            label.into(),
+            format!("{secs:.3}"),
+            format!("{:.0}", events as f64 / secs),
+            "-".into(),
+        ]);
+        entries.push(BenchEntry::new(
+            format!("cluster/w2/{name}/events_per_s"),
+            events as f64 / secs,
+        ));
+    }
+    let rk = run_cluster(Supervisor::new, producers, 2, steps, n, true);
     let recovery = rk.recovery_secs.expect("kill was injected");
     print_row(&[
         "2+kill".into(),
@@ -188,7 +279,9 @@ fn main() {
     println!(
         "\nrecovery = SIGKILL of worker 0 mid-load to heartbeat-detected, \
          restarted, snapshot-restored, log-replayed;\nspeedup/cluster_w2 = \
-         1-worker over 2-worker wall time (gated by bench_check)."
+         1-worker over 2-worker wall time (gated by bench_check);\n2 (mem) = \
+         in-memory links (protocol without sockets or processes), 2 (pool) = \
+         in-process ShardedPool (ungated)."
     );
     let config = format!("cluster producers={producers} steps={steps} n={n}");
     write_bench_json(&json, &config, &entries).expect("write artifact");

@@ -1,11 +1,12 @@
 //! Deterministic fault injection for the supervisor's transport layer.
 //!
 //! A [`FaultPlan`] is a scripted set of failures the supervisor applies
-//! to its *own* side of each worker connection — kill a child after N
-//! events, corrupt or truncate a specific outbound frame, swallow
-//! snapshot acks.  Because every rule triggers at a deterministic point
-//! in the event sequence, recovery tests can pin exact outcomes (which
-//! steps replay, when the budget exhausts) instead of sampling luck.
+//! to its *own* side of each slot's link — kill the host after N events,
+//! corrupt or truncate the bytes of a specific outbound frame, swallow
+//! snapshot acks — alike on a worker process and on an in-memory host.
+//! Because every rule triggers at a deterministic point in the event
+//! sequence, recovery tests can pin exact outcomes (which steps replay,
+//! when the budget exhausts) instead of sampling luck.
 //! An empty plan (the default) injects nothing and costs two integer
 //! compares per frame.
 
@@ -20,15 +21,31 @@ pub enum FrameFault {
     Truncate,
 }
 
+impl FrameFault {
+    /// The bytes of one frame as this fault leaves them.
+    pub(crate) fn mangle(self, kind: u8, payload: &[u8]) -> Vec<u8> {
+        let mut bytes = kalman_wire::frame_bytes(kind, payload);
+        match self {
+            FrameFault::Corrupt => {
+                let last = bytes.len() - 1;
+                bytes[last] ^= 0x01;
+            }
+            FrameFault::Truncate => bytes.truncate((bytes.len() / 2).max(1)),
+        }
+        bytes
+    }
+}
+
 /// A scripted set of deterministic transport failures.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
-    /// `(slot, events)`: SIGKILL slot's worker right after the
+    /// `(slot, events)`: kill the slot's host right after the
     /// `events`-th event frame (1-based, counted per slot over the
-    /// slot's lifetime) is delivered.
+    /// slot's lifetime, replays included) is delivered.
     pub kill_after_events: Vec<(usize, u64)>,
     /// `(slot, frame, fault)`: apply `fault` to the `frame`-th frame
-    /// (1-based, counted per connection) sent to the slot.
+    /// (1-based, counted per connection; the configuration frame is the
+    /// first) sent to the slot.
     pub frame_faults: Vec<(usize, u64, FrameFault)>,
     /// `(slot, count)`: swallow the slot's next `count` snapshot acks —
     /// the supervisor behaves as if the worker never acked, so its log

@@ -1,11 +1,12 @@
 //! The shard host: what one shard slot does with each logged entry.
 //!
-//! A worker process and a degraded slot run the same [`ShardHost`], so
-//! they apply inserts, events and finishes alike and report the same
-//! outputs and the same stream errors.  A stream restored after a crash
-//! is an ordinary insert, of a [`crate::StreamInit::Resume`] spec.  The
-//! host only banks what it produced; a worker ships the banks over the
-//! wire, a degraded slot hands them straight to the supervisor.
+//! The worker's frame handler ([`crate::worker`]) runs one [`ShardHost`],
+//! in a worker process and behind an in-memory link (a degraded slot, or
+//! a simulated supervisor's slot) alike, so every slot applies inserts,
+//! events and finishes the same way and reports the same outputs and the
+//! same stream errors.  A stream restored after a crash is an ordinary
+//! insert, of a [`crate::StreamInit::Resume`] spec.  The host only banks
+//! what it produced; the handler ships the banks as frames.
 
 use crate::proto::StreamSpec;
 use kalman_model::{KalmanError, StreamEvent};

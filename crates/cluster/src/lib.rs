@@ -32,15 +32,24 @@
 //! [`Supervisor::finish`] returns it, and a [`StreamInit::Resume`] spec
 //! continues it.  Its key is free again once no log entry mentions it.
 //!
+//! The supervisor reaches a slot only through its *link*: send a frame,
+//! receive frames until a deadline, kill, respawn, and whether the host
+//! can die.  A worker process sits behind a socket link; an in-memory
+//! link runs the worker's own frame handler (decode → shard host →
+//! encode) in the supervisor's process, over the same CRC-checked frames.
 //! A slot that exhausts its [`ClusterConfig::crash_budget`] **degrades**
-//! to an in-process shard rebuilt from the same inserts and log —
-//! service continues, still without data loss.  A worker and a degraded
-//! slot run the same shard host, so both apply each logged entry alike
-//! and report the same outputs, stream errors and finish results.
+//! to an in-memory link that cannot die, rebuilt from the same inserts
+//! and log — service continues, still without data loss, and the slot
+//! reports the same outputs, stream errors and finish results a worker
+//! does.  Whether the host can die is what decides whether a slot keeps
+//! a log, so a degraded slot keeps none.
 //!
-//! Deterministic fault injection ([`FaultPlan`]) scripts worker kills,
+//! Deterministic fault injection ([`FaultPlan`]) scripts host kills,
 //! frame corruption/truncation, and swallowed acks so tests exercise
-//! every recovery path reproducibly.
+//! every recovery path reproducibly — on worker processes, or on a
+//! simulated supervisor ([`Supervisor::in_memory`]) whose in-memory links
+//! die under the same scripts without spawning a process or waiting on a
+//! timeout.
 //!
 //! See `DESIGN.md` §"Cross-process serving" for the frame layout and
 //! recovery state machine, and `docs/GUIDE.md` for a walkthrough from
@@ -52,6 +61,7 @@
 mod error;
 mod fault;
 mod host;
+mod link;
 pub mod proto;
 mod supervisor;
 mod worker;

@@ -1,35 +1,40 @@
 //! The supervisor: cross-process sharded serving with crash recovery.
 //!
-//! A [`Supervisor`] owns `workers` shard slots.  Each slot normally runs
-//! a child process (a re-exec of the current binary gated by
-//! [`crate::SOCKET_ENV`]) speaking the framed protocol over a Unix
-//! socket.  Keys route to slots by the same [`stable_shard`] hash the
+//! A [`Supervisor`] owns `workers` shard slots and reaches each one only
+//! through its link ([`crate::link`]): send a frame, receive frames until
+//! a deadline, kill, respawn, and whether the host can die.  A slot
+//! normally runs a child process (a re-exec of the current binary gated
+//! by [`crate::SOCKET_ENV`]) speaking the framed protocol over a Unix
+//! socket; [`Supervisor::in_memory`] runs every host in this process
+//! instead.  Keys route to slots by the same [`stable_shard`] hash the
 //! in-process [`ShardedPool`] uses.
 //!
 //! # Durability model
 //!
-//! Every mutation (insert, event, finish) is appended to the slot's
-//! in-memory **write-ahead log before it is sent**.  Periodically (every
-//! [`ClusterConfig::checkpoint_every`] events) the supervisor asks the
-//! worker for a **snapshot** of every resident stream — the live window,
-//! not an early finalization — and on the ack truncates the log prefix
-//! the snapshot covers.  A worker death (heartbeat miss, hang-up,
-//! nonzero exit, corrupt frame) therefore never loses data: the slot is
-//! restarted with bounded exponential backoff, each stream of the last
-//! acked snapshot is inserted again as a [`StreamInit::Resume`] spec, and
-//! the logged suffix is replayed.  Replay
-//! regenerates exactly the outputs the dead worker would have produced
-//! (snapshots are bitwise-transparent and the flush cadence is
+//! On a slot whose host can die, every mutation (insert, event, finish)
+//! is appended to the slot's in-memory **write-ahead log before it is
+//! sent**.  Periodically (every [`ClusterConfig::checkpoint_every`]
+//! events) the supervisor asks the host for a **snapshot** of every
+//! resident stream — the live window, not an early finalization — and on
+//! the ack truncates the log prefix the snapshot covers.  A host death
+//! (heartbeat miss, hang-up, nonzero exit, corrupt frame) therefore never
+//! loses data: the slot is restarted with bounded exponential backoff,
+//! each stream of the last acked snapshot is inserted again as a
+//! [`StreamInit::Resume`] spec, and the logged suffix is replayed.
+//! Replay regenerates exactly the outputs the dead host would have
+//! produced (snapshots are bitwise-transparent and the flush cadence is
 //! canonical), and a per-key output cursor drops the prefix the
 //! supervisor already delivered — every finalized step is delivered
 //! **exactly once**, bitwise equal to in-process serving.
 //!
 //! After [`ClusterConfig::crash_budget`] consecutive restarts a slot
-//! **degrades**: the supervisor rebuilds the shard in-process from the
-//! same snapshot inserts + log suffix and keeps serving without worker
-//! processes — graceful degradation, still no data loss.  A degraded slot
-//! runs the same shard host a worker runs, so it applies every entry
-//! alike and reports the same outputs, stream errors and finish results.
+//! **degrades**: its link becomes an in-memory one that cannot die, and
+//! the same snapshot inserts + log suffix are replayed into it —
+//! graceful degradation, still no data loss.  Its entries still go
+//! through encode, CRC, decode and the worker's own frame handler, so it
+//! reports the same outputs, stream errors and finish results a worker
+//! does.  A host that cannot die needs no log, so a degraded slot keeps
+//! none and takes no checkpoints.
 //!
 //! `finish` drops a key's output cursor with its closing snapshot, so a
 //! replay of the finished stream's entries credits nothing.  The key is
@@ -39,24 +44,18 @@
 //! a new one's cursor, so [`Supervisor::insert`] refuses the key.
 
 use crate::error::{ClusterError, Result};
-use crate::fault::{FaultPlan, FrameFault};
-use crate::host::ShardHost;
+use crate::fault::FaultPlan;
+use crate::link::{Link, MemoryLink, ProcessLink};
 use crate::proto::{
-    decode_incoming, encode_spec, Incoming, StreamInit, StreamSpec, K_CONFIG, K_EVENT, K_FINISH,
-    K_INSERT, K_PING, K_POLL, K_SHUTDOWN, K_SNAPSHOT_REQ,
+    encode_spec, Incoming, StreamInit, StreamSpec, K_CONFIG, K_EVENT, K_FINISH, K_INSERT, K_PING,
+    K_POLL, K_SHUTDOWN, K_SNAPSHOT_REQ,
 };
-use crate::worker::SOCKET_ENV;
 use kalman_model::{KalmanError, StreamEvent};
 use kalman_obs::{Counter, Histogram};
 use kalman_serve::stable_shard;
 use kalman_stream::{FinalizedStep, StreamOptions, WindowSnapshot};
-use kalman_wire::{codec, frame_bytes, FrameReader, FrameWriter, Progress, WireError, Writer};
+use kalman_wire::{codec, Writer};
 use std::collections::{HashMap, VecDeque};
-use std::io::Write as _;
-use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Cluster deployment and recovery policy.
@@ -147,76 +146,11 @@ impl Metrics {
     }
 }
 
-/// A live connection to a worker process.
-struct Conn {
-    child: Child,
-    tx: FrameWriter<UnixStream>,
-    rx: FrameReader<UnixStream>,
-    socket_path: PathBuf,
-    /// Frames sent on this connection (fault rules index into this).
-    frames_sent: u64,
-}
-
-impl Conn {
-    /// Sends one frame, applying any scripted fault.  A `Truncate` fault
-    /// severs the connection and reports the severance as an I/O error
-    /// so the caller enters recovery immediately.
-    fn send(
-        &mut self,
-        metrics: &Metrics,
-        fault: &mut FaultPlan,
-        slot: usize,
-        kind: u8,
-        payload: &[u8],
-    ) -> kalman_wire::Result<()> {
-        self.frames_sent += 1;
-        metrics.frames_sent.inc();
-        match fault.take_frame_fault(slot, self.frames_sent) {
-            None => self.tx.send(kind, payload),
-            Some(FrameFault::Corrupt) => {
-                let mut bytes = frame_bytes(kind, payload);
-                // Flip a bit after the CRC was computed; the worker must
-                // detect BadCrc and die (its exit is the next failure the
-                // supervisor observes).
-                let last = bytes.len() - 1;
-                bytes[last] ^= 0x01;
-                let sock = self.tx.get_mut();
-                sock.write_all(&bytes)?;
-                sock.flush()?;
-                Ok(())
-            }
-            Some(FrameFault::Truncate) => {
-                let bytes = frame_bytes(kind, payload);
-                let cut = (bytes.len() / 2).max(1);
-                let sock = self.tx.get_mut();
-                sock.write_all(&bytes[..cut])?;
-                sock.flush()?;
-                let _ = sock.shutdown(std::net::Shutdown::Both);
-                Err(WireError::Io(std::io::Error::new(
-                    std::io::ErrorKind::BrokenPipe,
-                    "fault injection: connection severed mid-frame",
-                )))
-            }
-        }
-    }
-}
-
-impl Drop for Conn {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-        let _ = std::fs::remove_file(&self.socket_path);
-    }
-}
-
-enum Mode {
-    Remote(Conn),
-    /// A degraded slot: the shard host rebuilt in-process.
-    Local(ShardHost),
-}
-
 struct Slot {
-    mode: Mode,
+    /// The slot's shard host, behind a process or an in-memory link.
+    link: Box<dyn Link>,
+    /// Frames sent on the current link (fault rules index into this).
+    frames_sent: u64,
     /// Entries not yet covered by an acked snapshot, oldest first.
     wal: VecDeque<(u64, WalEntry)>,
     /// Next log sequence number.
@@ -275,12 +209,6 @@ pub struct Supervisor {
     stream_errors: Vec<(u64, String)>,
 }
 
-/// Per-spawn nonce making socket paths unique.  Process-wide, not
-/// per-supervisor: the path also carries only the pid and slot, so two
-/// supervisors in one process counting from 0 would bind (and on drop
-/// unlink) each other's sockets.
-static SPAWN_NONCE: AtomicU64 = AtomicU64::new(0);
-
 impl Supervisor {
     /// Spawns every worker and waits for all of them to connect.
     ///
@@ -289,6 +217,31 @@ impl Supervisor {
     /// [`ClusterError::Config`] on a degenerate configuration;
     /// [`ClusterError::Spawn`] when a worker cannot be started.
     pub fn new(cfg: ClusterConfig) -> Result<Supervisor> {
+        Supervisor::with_links(cfg, |cfg, slot| {
+            Ok(Box::new(ProcessLink::spawn(cfg, slot)?))
+        })
+    }
+
+    /// A simulated supervisor: every slot's shard host runs in this
+    /// process, behind an in-memory link that can die.  Frames still go
+    /// through encode, CRC and decode; scripted kills, corrupt and
+    /// truncated frames and withheld acks act as on a worker process, and
+    /// a restart builds a fresh host — without spawning a process, backing
+    /// off or waiting on a reply timeout.  The process-only settings
+    /// (`worker_args`, the timeouts) go unused.
+    ///
+    /// # Errors
+    ///
+    /// [`ClusterError::Config`] on a degenerate configuration.
+    pub fn in_memory(cfg: ClusterConfig) -> Result<Supervisor> {
+        Supervisor::with_links(cfg, |_, _| Ok(Box::new(MemoryLink::new(true))))
+    }
+
+    /// Validates `cfg`, then opens and greets one link per slot.
+    fn with_links(
+        cfg: ClusterConfig,
+        open: impl Fn(&ClusterConfig, usize) -> Result<Box<dyn Link>>,
+    ) -> Result<Supervisor> {
         if cfg.workers == 0 {
             return Err(ClusterError::Config("need at least one worker".into()));
         }
@@ -298,11 +251,9 @@ impl Supervisor {
         if cfg.queue_capacity == 0 {
             return Err(ClusterError::Config("queue_capacity must be ≥ 1".into()));
         }
-        let metrics = Metrics::new();
-        let fault = cfg.fault_plan.clone();
         let mut sup = Supervisor {
-            fault,
-            metrics,
+            fault: cfg.fault_plan.clone(),
+            metrics: Metrics::new(),
             slots: Vec::with_capacity(cfg.workers),
             opts: HashMap::new(),
             next_emit: HashMap::new(),
@@ -311,10 +262,10 @@ impl Supervisor {
             stream_errors: Vec::new(),
             cfg,
         };
-        for idx in 0..sup.cfg.workers {
-            let conn = sup.spawn_conn(idx)?;
+        for slot in 0..sup.cfg.workers {
             sup.slots.push(Slot {
-                mode: Mode::Remote(conn),
+                link: open(&sup.cfg, slot)?,
+                frames_sent: 0,
                 wal: VecDeque::new(),
                 next_seq: 0,
                 snapshots: Vec::new(),
@@ -322,6 +273,7 @@ impl Supervisor {
                 events_since_ckpt: 0,
                 restarts: 0,
             });
+            sup.handshake(slot)?;
         }
         Ok(sup)
     }
@@ -341,11 +293,7 @@ impl Supervisor {
     pub fn stats(&self) -> ClusterStats {
         ClusterStats {
             restarts: self.slots.iter().map(|s| s.restarts).collect(),
-            degraded: self
-                .slots
-                .iter()
-                .map(|s| matches!(s.mode, Mode::Local(_)))
-                .collect(),
+            degraded: self.slots.iter().map(|s| !s.link.can_die()).collect(),
             wal_depth: self.slots.iter().map(|s| s.wal.len()).collect(),
         }
     }
@@ -418,17 +366,13 @@ impl Supervisor {
         self.send(key, StreamEvent::Observe(observation))
     }
 
-    /// Forcibly kills a slot's worker process **without** recovering it:
-    /// the next poll or heartbeat notices the death and runs the normal
-    /// recovery path.  An operational hook (rolling a worker onto a new
-    /// binary, or exercising recovery in tests); degraded slots ignore
-    /// it.
+    /// Forcibly kills a slot's host **without** recovering it: the next
+    /// poll or heartbeat notices the death and runs the normal recovery
+    /// path.  An operational hook (rolling a worker onto a new binary, or
+    /// exercising recovery in tests); degraded slots ignore it.
     pub fn kill_worker(&mut self, slot: usize) {
         if let Some(s) = self.slots.get_mut(slot) {
-            if let Mode::Remote(conn) = &mut s.mode {
-                let _ = conn.child.kill();
-                let _ = conn.child.wait();
-            }
+            s.link.kill(Duration::ZERO);
         }
     }
 
@@ -460,27 +404,20 @@ impl Supervisor {
         out
     }
 
-    /// Pings every remote worker; a slot that stays silent past the
-    /// heartbeat timeout is declared dead and recovered.
+    /// Pings every slot's host; one that stays silent past the heartbeat
+    /// timeout is declared dead and recovered.
     ///
     /// # Errors
     ///
     /// Only unrecoverable failures.
     pub fn heartbeat(&mut self) -> Result<()> {
         for slot in 0..self.slots.len() {
-            if matches!(self.slots[slot].mode, Mode::Local(_)) {
-                continue;
-            }
-            let sent = self.send_frame(slot, K_PING, &[]);
-            let alive = match sent {
-                Ok(()) => self
-                    .pump_until(slot, self.cfg.heartbeat_timeout, |s| *s == Seen::Pong)
-                    .is_ok(),
-                Err(_) => false,
-            };
-            if !alive {
+            let timeout = self.cfg.heartbeat_timeout;
+            let pinged = (self.send_frame(slot, K_PING, &[]))
+                .and_then(|()| self.pump_until(slot, timeout, |s| *s == Seen::Pong));
+            if let Err(e) = pinged {
                 kalman_obs::event("cluster.heartbeat_miss", slot as u64, 0);
-                self.recover(slot)?;
+                self.recover_from(slot, e)?;
             }
         }
         Ok(())
@@ -502,16 +439,11 @@ impl Supervisor {
         let slot = self.slot_of(key);
         let restarts = self.slots[slot].restarts;
         self.log_and_deliver(slot, WalEntry::Finish { key })?;
-        // A degraded slot answers inline, and a recovery during delivery
-        // replayed the finish and pumped its reply — success or failure.
-        let answered = self.slots[slot].restarts != restarts;
-        if !answered && matches!(self.slots[slot].mode, Mode::Remote(_)) {
+        // A recovery during delivery replayed the finish and pumped its
+        // reply — success or failure.
+        if self.slots[slot].restarts == restarts {
             if let Err(e) = self.await_finish(slot, key) {
-                if is_transport(&e) {
-                    self.recover(slot)?;
-                } else {
-                    return Err(e);
-                }
+                self.recover_from(slot, e)?;
             }
         }
         self.opts.remove(&key);
@@ -532,97 +464,34 @@ impl Supervisor {
         Ok((steps, snapshot))
     }
 
-    /// Stops every worker (clean shutdown frame, then force-kill after a
+    /// Stops every host (clean shutdown frame, then force-kill after a
     /// grace period).  Dropping the supervisor kills workers too; this
     /// is the polite version.
     pub fn shutdown(mut self) {
         for slot in 0..self.slots.len() {
             let _ = self.send_frame(slot, K_SHUTDOWN, &[]);
-            if let Mode::Remote(conn) = &mut self.slots[slot].mode {
-                let deadline = Instant::now() + Duration::from_secs(2);
-                loop {
-                    match conn.child.try_wait() {
-                        Ok(Some(_)) => break,
-                        Ok(None) if Instant::now() < deadline => {
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
-                        _ => {
-                            let _ = conn.child.kill();
-                            let _ = conn.child.wait();
-                            break;
-                        }
-                    }
-                }
-            }
+            self.slots[slot].link.kill(Duration::from_secs(2));
         }
     }
 
     // ---- internals ----------------------------------------------------
 
-    /// Appends to the slot's log, then delivers (local slots apply
-    /// directly; the log is only kept for remote slots).
+    /// Appends to the slot's log (kept only where the host can die), then
+    /// delivers; a transport failure triggers recovery, whose replay
+    /// re-delivers the logged entry.
     fn log_and_deliver(&mut self, slot: usize, entry: WalEntry) -> Result<()> {
-        if matches!(self.slots[slot].mode, Mode::Remote(_)) {
-            let seq = self.slots[slot].next_seq;
-            self.slots[slot].next_seq += 1;
-            self.slots[slot].wal.push_back((seq, entry.clone()));
+        let s = &mut self.slots[slot];
+        if s.link.can_die() {
+            s.wal.push_back((s.next_seq, entry.clone()));
+            s.next_seq += 1;
         }
-        self.deliver(slot, &entry)
+        (self.send_entry(slot, &entry)).or_else(|e| self.recover_from(slot, e))
     }
 
-    /// Delivers one entry; a transport failure triggers recovery, whose
-    /// replay re-delivers the (already logged) entry.
-    fn deliver(&mut self, slot: usize, entry: &WalEntry) -> Result<()> {
-        match &mut self.slots[slot].mode {
-            Mode::Local(host) => {
-                let finished = match entry {
-                    WalEntry::Insert { key, spec } => {
-                        host.insert(*key, spec);
-                        None
-                    }
-                    WalEntry::Event { key, event } => {
-                        host.event(*key, event.clone());
-                        None
-                    }
-                    WalEntry::Finish { key } => {
-                        host.drain();
-                        Some((*key, host.finish(*key)))
-                    }
-                };
-                // The drained outputs go first, as a worker ships them.
-                self.bank_local(slot);
-                match finished {
-                    Some((key, Ok((tail, snapshot)))) => self.accept_finished(key, tail, snapshot),
-                    Some((key, Err(e))) => self.stream_errors.push((key, e.to_string())),
-                    None => {}
-                }
-                Ok(())
-            }
-            Mode::Remote(_) => {
-                match self.send_entry(slot, entry) {
-                    Ok(()) => {
-                        if let WalEntry::Event { .. } = entry {
-                            self.slots[slot].events_delivered += 1;
-                            let n = self.slots[slot].events_delivered;
-                            if self.fault.take_kill(slot, n) {
-                                // Scripted kill -9: die now, be discovered
-                                // by whatever interaction comes next.
-                                if let Mode::Remote(conn) = &mut self.slots[slot].mode {
-                                    let _ = conn.child.kill();
-                                    let _ = conn.child.wait();
-                                }
-                            }
-                        }
-                        Ok(())
-                    }
-                    Err(_) => self.recover(slot),
-                }
-            }
-        }
-    }
-
-    /// Encodes and sends one log entry as its protocol frame.
-    fn send_entry(&mut self, slot: usize, entry: &WalEntry) -> kalman_wire::Result<()> {
+    /// Encodes and sends one log entry as its protocol frame.  A scripted
+    /// kill fires right after its event is sent, in delivery and in replay
+    /// alike.
+    fn send_entry(&mut self, slot: usize, entry: &WalEntry) -> Result<()> {
         let mut payload = Writer::new();
         let kind = match entry {
             WalEntry::Insert { key, spec } => {
@@ -640,79 +509,76 @@ impl Supervisor {
                 K_FINISH
             }
         };
-        self.send_frame_wire(slot, kind, payload.as_slice())
-    }
-
-    /// Sends a raw frame to a remote slot (wire-level error).
-    fn send_frame_wire(
-        &mut self,
-        slot: usize,
-        kind: u8,
-        payload: &[u8],
-    ) -> kalman_wire::Result<()> {
-        let Supervisor {
-            slots,
-            fault,
-            metrics,
-            ..
-        } = self;
-        match &mut slots[slot].mode {
-            Mode::Remote(conn) => conn.send(metrics, fault, slot, kind, payload),
-            Mode::Local(_) => Ok(()),
-        }
-    }
-
-    /// Sends a raw frame, converting the error.
-    fn send_frame(&mut self, slot: usize, kind: u8, payload: &[u8]) -> Result<()> {
-        self.send_frame_wire(slot, kind, payload)
-            .map_err(Into::into)
-    }
-
-    /// Polls one slot (drain + collect outputs), recovering it if dead.
-    fn poll_slot(&mut self, slot: usize) -> Result<()> {
-        // At most one recovery attempt per poll: recovery replay already
-        // regenerates and banks pending outputs, so the re-poll after it
-        // is ordinary.
-        for attempt in 0..2 {
-            if let Mode::Local(host) = &mut self.slots[slot].mode {
-                host.drain();
-                self.bank_local(slot);
-                return Ok(());
-            }
-            let result = self.send_frame(slot, K_POLL, &[]).and_then(|()| {
-                self.pump_until(slot, self.cfg.reply_timeout, |s| *s == Seen::Outputs)
-            });
-            match result {
-                Ok(()) => return Ok(()),
-                Err(e) if is_transport(&e) && attempt == 0 => self.recover(slot)?,
-                Err(e) => return Err(e),
+        self.send_frame(slot, kind, payload.as_slice())?;
+        if let WalEntry::Event { .. } = entry {
+            let s = &mut self.slots[slot];
+            s.events_delivered += 1;
+            if self.fault.take_kill(slot, s.events_delivered) {
+                // Scripted kill -9: die now, be discovered by whatever
+                // interaction comes next.
+                s.link.kill(Duration::ZERO);
             }
         }
         Ok(())
     }
 
+    /// Sends one frame on the slot's link.  A link that can die takes the
+    /// frame's scripted fault, if any.
+    fn send_frame(&mut self, slot: usize, kind: u8, payload: &[u8]) -> Result<()> {
+        let s = &mut self.slots[slot];
+        s.frames_sent += 1;
+        self.metrics.frames_sent.inc();
+        let fault = (s.link.can_die())
+            .then(|| self.fault.take_frame_fault(slot, s.frames_sent))
+            .flatten();
+        Ok(s.link.send(kind, payload, fault)?)
+    }
+
+    /// Greets a fresh host: its `Hello` in, the serving configuration out
+    /// (the link's first frame).
+    fn handshake(&mut self, slot: usize) -> Result<()> {
+        self.slots[slot].frames_sent = 0;
+        self.pump_until(slot, self.cfg.spawn_timeout, |s| *s == Seen::Hello)?;
+        let mut payload = Writer::new();
+        payload.put_u32(self.cfg.queue_capacity as u32);
+        codec::encode_exec_policy(&mut payload, self.cfg.policy);
+        self.send_frame(slot, K_CONFIG, payload.as_slice())
+    }
+
+    /// Polls one slot (drain + collect outputs), recovering it until the
+    /// poll succeeds: the crash budget bounds the restarts, and the
+    /// degraded link they end on cannot fail.
+    fn poll_slot(&mut self, slot: usize) -> Result<()> {
+        loop {
+            let timeout = self.cfg.reply_timeout;
+            let polled = (self.send_frame(slot, K_POLL, &[]))
+                .and_then(|()| self.pump_until(slot, timeout, |s| *s == Seen::Outputs));
+            match polled {
+                Ok(()) => return Ok(()),
+                Err(e) => self.recover_from(slot, e)?,
+            }
+        }
+    }
+
     /// Requests a snapshot of every stream on the slot and, on ack,
-    /// truncates the covered log prefix.
+    /// truncates the covered log prefix.  A slot whose host cannot die
+    /// keeps no log and takes no checkpoints.
     fn checkpoint_slot(&mut self, slot: usize) -> Result<()> {
-        if matches!(self.slots[slot].mode, Mode::Local(_)) {
+        if !self.slots[slot].link.can_die() {
             return Ok(());
         }
         self.slots[slot].events_since_ckpt = 0;
         let seq = self.slots[slot].next_seq.saturating_sub(1);
         let mut payload = Writer::new();
         payload.put_u64(seq);
-        let result = self
-            .send_frame(slot, K_SNAPSHOT_REQ, payload.as_slice())
-            .and_then(|()| self.pump_until(slot, self.cfg.reply_timeout, |s| *s == Seen::Ack));
-        match result {
-            Ok(()) => Ok(()),
-            Err(e) if is_transport(&e) => self.recover(slot),
-            Err(e) => Err(e),
-        }
+        let timeout = self.cfg.reply_timeout;
+        let acked = (self.send_frame(slot, K_SNAPSHOT_REQ, payload.as_slice()))
+            .and_then(|()| self.pump_until(slot, timeout, |s| *s == Seen::Ack));
+        acked.or_else(|e| self.recover_from(slot, e))
     }
 
-    /// Reads and applies worker frames until `want` is satisfied or the
-    /// deadline passes.
+    /// Reads and applies the host's frames until `want` is satisfied or
+    /// the deadline passes.
     fn pump_until(
         &mut self,
         slot: usize,
@@ -721,15 +587,9 @@ impl Supervisor {
     ) -> Result<()> {
         let deadline = Instant::now() + timeout;
         loop {
-            let incoming = {
-                let Supervisor { slots, metrics, .. } = &mut *self;
-                let Mode::Remote(conn) = &mut slots[slot].mode else {
-                    return Err(ClusterError::Protocol("pumping a degraded slot".into()));
-                };
-                read_incoming(conn, metrics, deadline, slot)?
-            };
-            let seen = self.apply_incoming(slot, incoming);
-            if want(&seen) {
+            let incoming = self.slots[slot].link.recv(deadline, slot)?;
+            self.metrics.frames_recv.inc();
+            if want(&self.apply_incoming(slot, incoming)) {
                 return Ok(());
             }
         }
@@ -808,24 +668,6 @@ impl Supervisor {
             .collect()
     }
 
-    /// Moves a degraded slot's banked outputs and stream errors into the
-    /// supervisor's.
-    fn bank_local(&mut self, slot: usize) {
-        let Supervisor {
-            slots,
-            next_emit,
-            outputs,
-            stream_errors,
-            ..
-        } = self;
-        if let Mode::Local(host) = &mut slots[slot].mode {
-            for (key, step) in host.outputs.drain(..) {
-                accept_output(next_emit, outputs, key, step);
-            }
-            stream_errors.append(&mut host.errors);
-        }
-    }
-
     /// Pumps the reply to a `Finish`: the worker ships the outputs its
     /// drain banked (errors included), then `Finished` or the finish's own
     /// `StreamError`.  Waiting for the outputs first keeps an earlier
@@ -842,190 +684,70 @@ impl Supervisor {
 
     // ---- recovery -----------------------------------------------------
 
-    /// Brings a dead slot back: restart + restore + replay, with bounded
-    /// exponential backoff; past the crash budget, degrade in-process.
+    /// Recovers the slot from the transport failure `e`.  Any other
+    /// failure, and any failure of a link that cannot die, is the caller's.
+    fn recover_from(&mut self, slot: usize, e: ClusterError) -> Result<()> {
+        if is_transport(&e) && self.slots[slot].link.can_die() {
+            self.recover(slot)
+        } else {
+            Err(e)
+        }
+    }
+
+    /// Brings a dead slot back: restart + replay, with bounded exponential
+    /// backoff; past the crash budget the slot degrades to an in-memory
+    /// link that cannot die, rebuilt from the same script.
     fn recover(&mut self, slot: usize) -> Result<()> {
         loop {
-            if let Mode::Remote(conn) = &mut self.slots[slot].mode {
-                let _ = conn.child.kill();
-                let _ = conn.child.wait();
-            }
-            self.slots[slot].restarts += 1;
+            let s = &mut self.slots[slot];
+            s.link.kill(Duration::ZERO);
+            s.restarts += 1;
             self.metrics.restarts.inc();
-            let restarts = self.slots[slot].restarts;
+            let restarts = s.restarts;
             kalman_obs::event("cluster.worker_dead", slot as u64, restarts as u64);
-            if restarts > self.cfg.crash_budget {
-                return self.degrade(slot);
-            }
-            let backoff = backoff_for(&self.cfg, restarts);
-            kalman_obs::event("cluster.restart", slot as u64, backoff.as_millis() as u64);
-            std::thread::sleep(backoff);
-            match self.respawn_and_replay(slot) {
+            let backoff = if restarts > self.cfg.crash_budget {
+                self.metrics.degraded.inc();
+                kalman_obs::event("cluster.degraded", slot as u64, s.wal.len() as u64);
+                s.link = Box::new(MemoryLink::new(false));
+                Duration::ZERO
+            } else {
+                let backoff = backoff_for(&self.cfg, restarts);
+                kalman_obs::event("cluster.restart", slot as u64, backoff.as_millis() as u64);
+                backoff
+            };
+            match self.respawn_and_replay(slot, backoff) {
                 Ok(()) => return Ok(()),
+                Err(e) if !self.slots[slot].link.can_die() => return Err(e),
                 Err(_) => continue, // counts as another restart
             }
         }
     }
 
-    /// One restart attempt: fresh worker, then the slot's recovery script
-    /// (snapshot inserts and the logged suffix).
-    fn respawn_and_replay(&mut self, slot: usize) -> Result<()> {
-        let conn = self.spawn_conn(slot)?;
-        self.slots[slot].mode = Mode::Remote(conn);
-        self.metrics
-            .replay_len
-            .record(self.slots[slot].wal.len() as u64);
-        kalman_obs::event(
-            "cluster.replay",
-            slot as u64,
-            self.slots[slot].wal.len() as u64,
-        );
-
+    /// One restart attempt: a fresh host on the slot's link, then the
+    /// slot's recovery script (snapshot inserts and the logged suffix).  A
+    /// host that cannot die keeps no log, so its script is its last.
+    fn respawn_and_replay(&mut self, slot: usize, backoff: Duration) -> Result<()> {
+        self.slots[slot].link.respawn(&self.cfg, slot, backoff)?;
+        self.handshake(slot)?;
+        let depth = self.slots[slot].wal.len() as u64;
+        self.metrics.replay_len.record(depth);
+        kalman_obs::event("cluster.replay", slot as u64, depth);
+        let entries = self.replay_entries(slot);
+        let s = &mut self.slots[slot];
+        if !s.link.can_die() {
+            s.snapshots.clear();
+            s.wal.clear();
+        }
         // Finish entries prompt a reply; pump it so socket buffers never
         // back up, and so `finished` is repopulated before the caller
         // looks.
-        for entry in &self.replay_entries(slot) {
+        for entry in &entries {
             self.send_entry(slot, entry)?;
-            if let WalEntry::Event { .. } = entry {
-                self.slots[slot].events_delivered += 1;
-            }
             if let WalEntry::Finish { key } = entry {
                 self.await_finish(slot, *key)?;
             }
         }
         Ok(())
-    }
-
-    /// Rebuilds the shard in-process from the recovery script and serves
-    /// it there from now on.  Queued history is fully replayed —
-    /// degradation sheds the process boundary, not data.  A snapshot that
-    /// does not restore is a stream error, as on a restarted worker.
-    fn degrade(&mut self, slot: usize) -> Result<()> {
-        self.metrics.degraded.inc();
-        kalman_obs::event(
-            "cluster.degraded",
-            slot as u64,
-            self.slots[slot].wal.len() as u64,
-        );
-        let entries = self.replay_entries(slot);
-        let s = &mut self.slots[slot];
-        s.snapshots.clear();
-        s.wal.clear();
-        s.mode = Mode::Local(ShardHost::new(self.cfg.queue_capacity, self.cfg.policy));
-        for entry in &entries {
-            self.deliver(slot, entry)?;
-        }
-        Ok(())
-    }
-
-    // ---- process management -------------------------------------------
-
-    /// Spawns one worker process and completes the handshake (listen,
-    /// exec, accept, `Hello`, config).
-    fn spawn_conn(&mut self, slot: usize) -> Result<Conn> {
-        // Relaxed: only the uniqueness of the fetched value matters; no
-        // other memory is published under the counter.
-        let nonce = SPAWN_NONCE.fetch_add(1, Ordering::Relaxed);
-        let path = std::env::temp_dir().join(format!(
-            "kalman-cluster-{}-{slot}-{nonce}.sock",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        let listener = UnixListener::bind(&path)
-            .map_err(|e| ClusterError::Spawn(format!("bind {}: {e}", path.display())))?;
-        listener.set_nonblocking(true)?;
-        let exe = std::env::current_exe()
-            .map_err(|e| ClusterError::Spawn(format!("current_exe: {e}")))?;
-        let mut child = Command::new(exe)
-            .args(&self.cfg.worker_args)
-            .env(SOCKET_ENV, &path)
-            .stdin(Stdio::null())
-            .stdout(Stdio::null())
-            .stderr(Stdio::null())
-            .spawn()
-            .map_err(|e| ClusterError::Spawn(format!("exec worker: {e}")))?;
-        kalman_obs::event("cluster.worker_spawn", slot as u64, child.id() as u64);
-
-        let deadline = Instant::now() + self.cfg.spawn_timeout;
-        let stream = loop {
-            match listener.accept() {
-                Ok((stream, _)) => break stream,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if Instant::now() > deadline {
-                        let _ = child.kill();
-                        let _ = child.wait();
-                        let _ = std::fs::remove_file(&path);
-                        return Err(ClusterError::Spawn(format!(
-                            "worker {slot} did not connect within {:?}",
-                            self.cfg.spawn_timeout
-                        )));
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) => return Err(e.into()),
-            }
-        };
-        stream.set_nonblocking(false)?;
-        stream.set_read_timeout(Some(self.cfg.heartbeat_timeout))?;
-        let tx = FrameWriter::new(stream.try_clone()?);
-        let rx = FrameReader::new(stream);
-        let mut conn = Conn {
-            child,
-            tx,
-            rx,
-            socket_path: path,
-            frames_sent: 0,
-        };
-
-        // Handshake: Hello in, config out.
-        let deadline = Instant::now() + self.cfg.spawn_timeout;
-        match read_incoming(&mut conn, &self.metrics, deadline, slot)? {
-            Incoming::Hello => {}
-            other => {
-                return Err(ClusterError::Protocol(format!(
-                    "expected Hello, got {other:?}"
-                )))
-            }
-        }
-        let mut payload = Writer::new();
-        payload.put_u32(self.cfg.queue_capacity as u32);
-        codec::encode_exec_policy(&mut payload, self.cfg.policy);
-        conn.send(
-            &self.metrics,
-            &mut self.fault,
-            slot,
-            K_CONFIG,
-            payload.as_slice(),
-        )?;
-        Ok(conn)
-    }
-}
-
-/// Reads one worker frame, honoring the deadline across partial reads.
-fn read_incoming(
-    conn: &mut Conn,
-    metrics: &Metrics,
-    deadline: Instant,
-    slot: usize,
-) -> Result<Incoming> {
-    loop {
-        match conn.rx.poll() {
-            Ok(Progress::Frame { kind, payload }) => {
-                metrics.frames_recv.inc();
-                return decode_incoming(kind, payload);
-            }
-            Ok(Progress::Pending) => {
-                if Instant::now() > deadline {
-                    return Err(ClusterError::ReplyTimeout { slot });
-                }
-            }
-            Ok(Progress::Closed) => {
-                return Err(ClusterError::Protocol(format!(
-                    "worker {slot} hung up between frames"
-                )))
-            }
-            Err(e) => return Err(e.into()),
-        }
     }
 }
 
@@ -1067,6 +789,9 @@ fn backoff_for(cfg: &ClusterConfig, restarts: u32) -> Duration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FrameFault;
+    use std::any::Any;
+    use std::path::PathBuf;
 
     #[test]
     fn backoff_is_bounded_and_exponential() {
@@ -1134,6 +859,35 @@ mod tests {
         sup.shutdown();
     }
 
+    /// A poll whose frame is cut off twice — on the first connection and
+    /// again on the restarted one — recovers twice: a transport failure
+    /// inside `poll` is never the caller's while the slot can restart.
+    #[test]
+    fn poll_recovers_from_a_second_failure_on_the_restarted_worker() {
+        let mut sup = Supervisor::new(ClusterConfig {
+            workers: 1,
+            backoff_base: Duration::from_millis(2),
+            worker_args: vec!["supervisor::tests::worker_entry".into(), "--exact".into()],
+            // Frame 1 is the config, frame 2 the insert, frame 3 the poll,
+            // on the first connection and again after the replay.
+            fault_plan: FaultPlan {
+                frame_faults: vec![(0, 3, FrameFault::Truncate), (0, 3, FrameFault::Truncate)],
+                ..FaultPlan::default()
+            },
+            ..ClusterConfig::default()
+        })
+        .unwrap();
+        let spec = StreamSpec {
+            init: crate::StreamInit::Fresh { dim: 2 },
+            opts: StreamOptions::default(),
+        };
+        sup.insert(7, spec).unwrap();
+        sup.poll().unwrap();
+        assert_eq!(sup.stats().restarts, vec![2]);
+        assert_eq!(sup.stats().degraded, vec![false]);
+        sup.shutdown();
+    }
+
     /// `finish` takes a key's closing snapshot and output cursor with it,
     /// on a remote slot (where the ack that truncates the `Finish` must
     /// not bring them back) and on a degraded one.
@@ -1186,9 +940,12 @@ mod tests {
         let paths = |sup: &Supervisor| -> Vec<PathBuf> {
             sup.slots
                 .iter()
-                .map(|slot| match &slot.mode {
-                    Mode::Remote(conn) => conn.socket_path.clone(),
-                    _ => panic!("fresh supervisor has a non-remote slot"),
+                .map(|slot| {
+                    let link: &dyn Any = &*slot.link;
+                    let link = link.downcast_ref::<ProcessLink>();
+                    link.expect("fresh supervisor has a non-process slot")
+                        .socket_path
+                        .clone()
                 })
                 .collect()
         };

@@ -1,6 +1,12 @@
-//! The worker side: a child process wrapping one shard host — the
-//! single-shard [`kalman_serve::ShardedPool`] a degraded slot runs
-//! in-process too — behind the framed protocol.
+//! The worker side: the frame handler every shard host runs, and the
+//! socket loop of a worker process around it.
+//!
+//! [`Handler`] serves one supervisor frame at a time: it decodes the
+//! payload, makes one [`ShardHost`] call and encodes the replies.  A
+//! worker process runs it behind its Unix socket, and an in-memory link
+//! (a degraded slot, or a slot of a simulated supervisor) runs it behind
+//! a byte pipe, so both apply each logged entry alike and report the same
+//! outputs, stream errors and finish results.
 //!
 //! A worker is spawned by the supervisor as a re-exec of the current
 //! binary with [`SOCKET_ENV`] pointing at the supervisor's listening
@@ -9,13 +15,10 @@
 //! environment variable it is a no-op, with it the process becomes a
 //! worker and never returns.
 //!
-//! Each frame handler decodes its payload, makes one host call and
-//! encodes the reply; what a shard does with an entry lives in the host.
 //! Because the single-shard pool applies events under the same canonical
-//! flush cadence as any in-process pool, the worker's outputs
-//! are bitwise identical to in-process serving no matter how its drains
-//! interleave with supervisor polls — the property the cluster's
-//! recovery tests pin.
+//! flush cadence as any in-process pool, a host's outputs are bitwise
+//! identical to in-process serving no matter how its drains interleave
+//! with supervisor polls — the property the cluster's recovery tests pin.
 //!
 //! Exit codes: `0` clean shutdown (or supervisor hang-up between
 //! frames), `2` wire-protocol failure (truncation, corruption, version
@@ -28,6 +31,7 @@ use crate::proto::{
     K_OUTPUTS, K_PING, K_POLL, K_PONG, K_SHUTDOWN, K_SNAPSHOT_ACK, K_SNAPSHOT_REQ, K_STREAM_ERROR,
 };
 use kalman_wire::{codec, FrameReader, FrameWriter, Reader, WireError, Writer};
+use std::io::Write;
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 
@@ -58,9 +62,9 @@ pub fn worker_entry_from_env() -> bool {
     std::process::exit(code);
 }
 
-/// Why a worker run ended abnormally.
+/// Why a host stopped serving abnormally.
 #[derive(Debug)]
-enum WorkerError {
+pub(crate) enum WorkerError {
     /// The byte stream itself failed (corruption, truncation, transport).
     Wire(WireError),
     /// The serving layer failed in a way the protocol cannot express.
@@ -73,157 +77,143 @@ impl From<WireError> for WorkerError {
     }
 }
 
-struct Worker {
-    /// The shard; its banked outputs and errors ship on the next poll,
-    /// snapshot, or finish.
-    host: ShardHost,
-    tx: FrameWriter<UnixStream>,
+/// The socket loop: `Hello`, then every frame through one [`Handler`].
+fn run_worker(path: &Path) -> Result<(), WorkerError> {
+    let sock = UnixStream::connect(path).map_err(WireError::Io)?;
+    let mut tx = FrameWriter::new(sock.try_clone().map_err(WireError::Io)?);
+    let mut rx = FrameReader::new(sock);
+    tx.send(K_HELLO, &[])?;
+    let mut handler = Handler::default();
+    // A clean hang-up between frames means the supervisor is gone.
+    while let Some((kind, payload)) = rx.next_frame()? {
+        if !handler.handle(kind, payload, &mut tx)? {
+            break;
+        }
+    }
+    Ok(())
+}
+
+/// One shard host behind the framed protocol: `decode → ShardHost →
+/// encode`.
+#[derive(Default)]
+pub(crate) struct Handler {
+    /// The shard, built by the configuration frame; its banked outputs
+    /// and errors ship on the next poll, snapshot, or finish.
+    host: Option<ShardHost>,
     /// Reusable payload buffer for every outbound frame.
     payload: Writer,
 }
 
-fn run_worker(path: &Path) -> Result<(), WorkerError> {
-    let sock = UnixStream::connect(path).map_err(WireError::Io)?;
-    let tx_sock = sock.try_clone().map_err(WireError::Io)?;
-    let mut rx = FrameReader::new(sock);
-    let mut tx = FrameWriter::new(tx_sock);
-    tx.send(K_HELLO, &[])?;
-
-    // The first frame must be the serving configuration.
-    let (queue_capacity, policy) = match rx.next_frame()? {
-        Some((K_CONFIG, payload)) => {
-            let mut r = Reader::new(payload);
+impl Handler {
+    /// Serves one supervisor frame, sending its replies through `tx`.
+    /// Returns `false` once the supervisor asks the host to exit.
+    pub(crate) fn handle<W: Write>(
+        &mut self,
+        kind: u8,
+        payload: &[u8],
+        tx: &mut FrameWriter<W>,
+    ) -> Result<bool, WorkerError> {
+        let mut r = Reader::new(payload);
+        let out = &mut self.payload;
+        if kind == K_CONFIG {
             let cap = r.get_u32()? as usize;
             let policy = codec::decode_exec_policy(&mut r)?;
             r.finish()?;
-            (cap, policy)
+            self.host = Some(ShardHost::new(cap, policy));
+            return Ok(true);
         }
-        Some((kind, _)) => {
+        let Some(host) = self.host.as_mut() else {
             return Err(WorkerError::Internal(format!(
                 "expected config frame first, got kind {kind:#04x}"
-            )))
-        }
-        None => return Ok(()), // supervisor went away before configuring
-    };
-    let mut worker = Worker {
-        host: ShardHost::new(queue_capacity, policy),
-        tx,
-        payload: Writer::new(),
-    };
-
-    loop {
-        let Some((kind, payload)) = rx.next_frame()? else {
-            // Clean hang-up between frames: the supervisor is gone.
-            return Ok(());
+            )));
         };
         match kind {
-            K_INSERT => worker.on_insert(payload)?,
-            K_EVENT => worker.on_event(payload)?,
-            K_POLL => worker.on_poll()?,
-            K_SNAPSHOT_REQ => worker.on_snapshot(payload)?,
-            K_FINISH => worker.on_finish(payload)?,
-            K_PING => worker.tx.send(K_PONG, &[])?,
-            K_SHUTDOWN => return Ok(()),
+            K_INSERT => {
+                let key = r.get_u64()?;
+                let spec = decode_spec(&mut r)?;
+                r.finish()?;
+                host.insert(key, &spec);
+            }
+            K_EVENT => {
+                let key = r.get_u64()?;
+                let event = codec::decode_event(&mut r)?;
+                r.finish()?;
+                host.event(key, event);
+            }
+            K_POLL => ship_pending(host, out, tx)?,
+            K_SNAPSHOT_REQ => {
+                let seq = r.get_u64()?;
+                r.finish()?;
+                // The supervisor truncates its log up to `seq` on this
+                // ack, so the snapshot must cover every event delivered
+                // before the request — and every output finalized on the
+                // way must reach the supervisor no later than the ack.
+                ship_pending(host, out, tx)?;
+                let snapshots = host.snapshots();
+                out.clear();
+                out.put_u64(seq);
+                out.put_u32(snapshots.len() as u32);
+                for snapshot in snapshots {
+                    let (key, snap) = snapshot.map_err(|e| WorkerError::Internal(e.to_string()))?;
+                    out.put_u64(key);
+                    codec::encode_window_snapshot(out, &snap);
+                }
+                tx.send(K_SNAPSHOT_ACK, out.as_slice())?;
+            }
+            K_FINISH => {
+                let key = r.get_u64()?;
+                r.finish()?;
+                // The drained outputs ship before the closing window is
+                // smoothed, then `Finished` or the finish's own
+                // `StreamError`: the supervisor reads the reply as the
+                // frame after the outputs.
+                ship_pending(host, out, tx)?;
+                out.clear();
+                match host.finish(key) {
+                    Ok((tail, snapshot)) => {
+                        encode_finished(out, key, &tail, &snapshot);
+                        tx.send(K_FINISHED, out.as_slice())?;
+                    }
+                    Err(e) => {
+                        out.put_u64(key);
+                        codec::encode_str(out, &e.to_string());
+                        tx.send(K_STREAM_ERROR, out.as_slice())?;
+                    }
+                }
+            }
+            K_PING => tx.send(K_PONG, &[])?,
+            K_SHUTDOWN => return Ok(false),
             other => {
                 return Err(WorkerError::Internal(format!(
                     "unexpected frame kind {other:#04x} from supervisor"
                 )))
             }
         }
+        Ok(true)
     }
 }
 
-impl Worker {
-    /// Ships the host's banked stream errors, then its banked outputs, as
-    /// frames.
-    fn ship_pending(&mut self) -> Result<(), WorkerError> {
-        for (key, message) in std::mem::take(&mut self.host.errors) {
-            self.payload.clear();
-            self.payload.put_u64(key);
-            codec::encode_str(&mut self.payload, &message);
-            self.tx.send(K_STREAM_ERROR, self.payload.as_slice())?;
-        }
-        self.payload.clear();
-        self.payload.put_u32(self.host.outputs.len() as u32);
-        for (key, step) in &self.host.outputs {
-            self.payload.put_u64(*key);
-            codec::encode_finalized_step(&mut self.payload, step);
-        }
-        self.host.outputs.clear();
-        self.tx.send(K_OUTPUTS, self.payload.as_slice())?;
-        Ok(())
+/// Applies everything queued, then ships the host's banked stream errors
+/// and its banked outputs as frames.
+fn ship_pending<W: Write>(
+    host: &mut ShardHost,
+    out: &mut Writer,
+    tx: &mut FrameWriter<W>,
+) -> Result<(), WorkerError> {
+    host.drain();
+    for (key, message) in std::mem::take(&mut host.errors) {
+        out.clear();
+        out.put_u64(key);
+        codec::encode_str(out, &message);
+        tx.send(K_STREAM_ERROR, out.as_slice())?;
     }
-
-    fn on_insert(&mut self, payload: &[u8]) -> Result<(), WorkerError> {
-        let mut r = Reader::new(payload);
-        let key = r.get_u64()?;
-        let spec = decode_spec(&mut r)?;
-        r.finish()?;
-        self.host.insert(key, &spec);
-        Ok(())
+    out.clear();
+    out.put_u32(host.outputs.len() as u32);
+    for (key, step) in &host.outputs {
+        out.put_u64(*key);
+        codec::encode_finalized_step(out, step);
     }
-
-    fn on_event(&mut self, payload: &[u8]) -> Result<(), WorkerError> {
-        let mut r = Reader::new(payload);
-        let key = r.get_u64()?;
-        let event = codec::decode_event(&mut r)?;
-        r.finish()?;
-        self.host.event(key, event);
-        Ok(())
-    }
-
-    fn on_poll(&mut self) -> Result<(), WorkerError> {
-        self.host.drain();
-        self.ship_pending()
-    }
-
-    fn on_snapshot(&mut self, payload: &[u8]) -> Result<(), WorkerError> {
-        let mut r = Reader::new(payload);
-        let seq = r.get_u64()?;
-        r.finish()?;
-        // Apply everything queued first: the supervisor truncates its log
-        // up to `seq` on this ack, so the snapshot must cover every event
-        // delivered before the request — and every output finalized on
-        // the way must reach the supervisor no later than the ack.
-        self.host.drain();
-        self.ship_pending()?;
-        let snapshots = self.host.snapshots();
-        self.payload.clear();
-        self.payload.put_u64(seq);
-        self.payload.put_u32(snapshots.len() as u32);
-        for snapshot in snapshots {
-            let (key, snap) = snapshot.map_err(|e| WorkerError::Internal(e.to_string()))?;
-            self.payload.put_u64(key);
-            codec::encode_window_snapshot(&mut self.payload, &snap);
-        }
-        self.tx.send(K_SNAPSHOT_ACK, self.payload.as_slice())?;
-        Ok(())
-    }
-
-    /// Replies with the drained outputs, then `Finished` or the finish's
-    /// own `StreamError`: the supervisor reads the reply as the frame
-    /// after the outputs.
-    fn on_finish(&mut self, payload: &[u8]) -> Result<(), WorkerError> {
-        let mut r = Reader::new(payload);
-        let key = r.get_u64()?;
-        r.finish()?;
-        // The outputs ship before the closing window is smoothed, so the
-        // supervisor takes them in meanwhile.
-        self.host.drain();
-        self.ship_pending()?;
-        let result = self.host.finish(key);
-        self.payload.clear();
-        match result {
-            Ok((tail, snapshot)) => {
-                encode_finished(&mut self.payload, key, &tail, &snapshot);
-                self.tx.send(K_FINISHED, self.payload.as_slice())?;
-            }
-            Err(e) => {
-                self.payload.put_u64(key);
-                codec::encode_str(&mut self.payload, &e.to_string());
-                self.tx.send(K_STREAM_ERROR, self.payload.as_slice())?;
-            }
-        }
-        Ok(())
-    }
+    host.outputs.clear();
+    tx.send(K_OUTPUTS, out.as_slice())?;
+    Ok(())
 }

@@ -6,7 +6,9 @@
 //!
 //! The deterministic [`FaultPlan`] scripts each failure at an exact
 //! point in the event sequence, so these tests pin exact recovery
-//! behavior instead of sampling luck.
+//! behavior instead of sampling luck.  The fault scripts run on worker
+//! processes and again, as `*_in_memory`, on the simulated supervisor's
+//! in-memory links, with the same assertions.
 
 use kalman::cluster::{
     ClusterConfig, ClusterError, FaultPlan, FrameFault, StreamInit, StreamSpec, Supervisor,
@@ -73,6 +75,24 @@ fn cluster_cfg(workers: usize, models: usize, plan: FaultPlan) -> ClusterConfig 
     }
 }
 
+/// Where a cluster's shard hosts run: worker processes behind Unix
+/// sockets ([`Supervisor::new`]), or the simulated supervisor's in-memory
+/// links, which die under the same fault scripts
+/// ([`Supervisor::in_memory`]).
+#[derive(Debug, Clone, Copy)]
+enum Link {
+    Process,
+    InMemory,
+}
+
+fn start(link: Link, cfg: ClusterConfig) -> Supervisor {
+    match link {
+        Link::Process => Supervisor::new(cfg),
+        Link::InMemory => Supervisor::in_memory(cfg),
+    }
+    .unwrap()
+}
+
 /// The reference: the same round-paced workload through the in-process
 /// `ShardedPool` (whose own shard-count transparency is pinned by
 /// `tests/serving.rs`).
@@ -118,17 +138,18 @@ fn run_inprocess(models: &[LinearModel]) -> Vec<Vec<FinalizedStep>> {
     collected
 }
 
-/// The same workload through a supervised worker cluster, with faults.
+/// The same workload through a supervised cluster on `link`, with faults.
 /// Returns per-stream outputs and the final health stats.
 fn run_cluster(
     models: &[LinearModel],
     workers: usize,
     plan: FaultPlan,
+    link: Link,
     tweak: impl FnOnce(&mut ClusterConfig),
 ) -> (Vec<Vec<FinalizedStep>>, kalman::cluster::ClusterStats) {
     let mut cfg = cluster_cfg(workers, models.len(), plan);
     tweak(&mut cfg);
-    let mut sup = Supervisor::new(cfg).unwrap();
+    let mut sup = start(link, cfg);
     for (k, model) in models.iter().enumerate() {
         sup.insert(k as u64, spec_for(model)).unwrap();
     }
@@ -192,7 +213,7 @@ fn cluster_results_are_bitwise_equal_to_in_process() {
     let models = test_models(6, 60);
     let reference = run_inprocess(&models);
     for workers in [1usize, 2, 8] {
-        let (got, stats) = run_cluster(&models, workers, FaultPlan::none(), |_| {});
+        let (got, stats) = run_cluster(&models, workers, FaultPlan::none(), Link::Process, |_| {});
         assert_bitwise_equal(&got, &reference, &format!("{workers} workers"));
         assert!(
             stats.restarts.iter().all(|&r| r == 0),
@@ -202,11 +223,20 @@ fn cluster_results_are_bitwise_equal_to_in_process() {
     }
 }
 
+#[test]
+fn killed_worker_recovers_bitwise_exactly_once() {
+    killed_worker_recovers(Link::Process);
+}
+
+#[test]
+fn killed_worker_recovers_bitwise_exactly_once_in_memory() {
+    killed_worker_recovers(Link::InMemory);
+}
+
 /// kill -9 mid-load: the dead worker restarts from its last acked
 /// snapshot, replays the logged suffix, and every finalized step is
 /// delivered exactly once — bitwise equal to the undisturbed run.
-#[test]
-fn killed_worker_recovers_bitwise_exactly_once() {
+fn killed_worker_recovers(link: Link) {
     let models = test_models(6, 60);
     let reference = run_inprocess(&models);
     for workers in [1usize, 2] {
@@ -216,7 +246,7 @@ fn killed_worker_recovers_bitwise_exactly_once() {
             kill_after_events: vec![(0, 9), (0, 150)],
             ..FaultPlan::default()
         };
-        let (got, stats) = run_cluster(&models, workers, plan, |_| {});
+        let (got, stats) = run_cluster(&models, workers, plan, link, |_| {});
         assert_bitwise_equal(&got, &reference, &format!("{workers} workers, killed"));
         assert_eq!(stats.restarts[0], 2, "both scripted kills were recovered");
         assert!(!stats.degraded[0], "budget not exhausted");
@@ -226,11 +256,20 @@ fn killed_worker_recovers_bitwise_exactly_once() {
     }
 }
 
+#[test]
+fn corrupt_frame_recovers_and_other_shards_keep_serving() {
+    corrupt_frame_recovers(Link::Process);
+}
+
+#[test]
+fn corrupt_frame_recovers_and_other_shards_keep_serving_in_memory() {
+    corrupt_frame_recovers(Link::InMemory);
+}
+
 /// A corrupted outbound frame kills the worker (it must detect BadCrc
 /// and exit, never process garbage); the supervisor recovers that slot
 /// and the other slot keeps serving undisturbed throughout.
-#[test]
-fn corrupt_frame_recovers_and_other_shards_keep_serving() {
+fn corrupt_frame_recovers(link: Link) {
     let models = test_models(6, 60);
     let reference = run_inprocess(&models);
     let plan = FaultPlan {
@@ -238,33 +277,51 @@ fn corrupt_frame_recovers_and_other_shards_keep_serving() {
         frame_faults: vec![(0, 40, FrameFault::Corrupt)],
         ..FaultPlan::default()
     };
-    let (got, stats) = run_cluster(&models, 2, plan, |_| {});
+    let (got, stats) = run_cluster(&models, 2, plan, link, |_| {});
     assert_bitwise_equal(&got, &reference, "corrupt frame");
     assert!(stats.restarts[0] >= 1, "corruption forced a restart");
     assert_eq!(stats.restarts[1], 0, "healthy shard never restarted");
     assert!(!stats.degraded.iter().any(|&d| d));
 }
 
-/// A connection severed mid-frame (truncated write) is detected on the
-/// spot and recovered by replay — nothing lost, nothing duplicated.
 #[test]
 fn truncated_frame_mid_connection_recovers() {
+    truncated_frame_recovers(Link::Process);
+}
+
+#[test]
+fn truncated_frame_mid_connection_recovers_in_memory() {
+    truncated_frame_recovers(Link::InMemory);
+}
+
+/// A connection severed mid-frame (truncated write) is detected on the
+/// spot and recovered by replay — nothing lost, nothing duplicated.
+fn truncated_frame_recovers(link: Link) {
     let models = test_models(6, 60);
     let reference = run_inprocess(&models);
     let plan = FaultPlan {
         frame_faults: vec![(0, 25, FrameFault::Truncate)],
         ..FaultPlan::default()
     };
-    let (got, stats) = run_cluster(&models, 2, plan, |_| {});
+    let (got, stats) = run_cluster(&models, 2, plan, link, |_| {});
     assert_bitwise_equal(&got, &reference, "truncated frame");
     assert!(stats.restarts[0] >= 1);
     assert_eq!(stats.restarts[1], 0);
 }
 
-/// Withheld snapshot acks leave the write-ahead log untruncated, so a
-/// later crash replays the entire history — still bitwise exact.
 #[test]
 fn delayed_acks_force_full_replay_still_exact() {
+    delayed_acks_force_full_replay(Link::Process);
+}
+
+#[test]
+fn delayed_acks_force_full_replay_still_exact_in_memory() {
+    delayed_acks_force_full_replay(Link::InMemory);
+}
+
+/// Withheld snapshot acks leave the write-ahead log untruncated, so a
+/// later crash replays the entire history — still bitwise exact.
+fn delayed_acks_force_full_replay(link: Link) {
     let models = test_models(4, 50);
     let reference = run_inprocess(&models);
     let plan = FaultPlan {
@@ -272,23 +329,60 @@ fn delayed_acks_force_full_replay_still_exact() {
         kill_after_events: vec![(0, 120)],
         ..FaultPlan::default()
     };
-    let (got, stats) = run_cluster(&models, 1, plan, |_| {});
+    let (got, stats) = run_cluster(&models, 1, plan, link, |_| {});
     assert_bitwise_equal(&got, &reference, "delayed acks");
     assert_eq!(stats.restarts[0], 1);
+}
+
+#[test]
+fn kill_rule_inside_a_replay_fires_there() {
+    kill_inside_a_replay(Link::Process);
+}
+
+#[test]
+fn kill_rule_inside_a_replay_fires_there_in_memory() {
+    kill_inside_a_replay(Link::InMemory);
+}
+
+/// A kill rule whose count falls inside a replay fires during the replay.
+/// The kill after event 3 is found by event 4's send; the replay resends
+/// events 1–4 (counted 4–7), so the second rule's event 5 is the replay's
+/// second event.  That kill cuts the replay short, and a second restart
+/// replays everything again — still bitwise exact.
+fn kill_inside_a_replay(link: Link) {
+    let models = test_models(4, 50);
+    let reference = run_inprocess(&models);
+    let plan = FaultPlan {
+        kill_after_events: vec![(0, 3), (0, 5)],
+        ..FaultPlan::default()
+    };
+    let (got, stats) = run_cluster(&models, 1, plan, link, |_| {});
+    assert_bitwise_equal(&got, &reference, "kill inside a replay");
+    assert_eq!(stats.restarts, vec![2], "both kills fired");
+    assert!(!stats.degraded[0]);
+}
+
+#[test]
+fn budget_exhaustion_degrades_without_data_loss() {
+    budget_exhaustion_degrades(Link::Process);
+}
+
+#[test]
+fn budget_exhaustion_degrades_without_data_loss_in_memory() {
+    budget_exhaustion_degrades(Link::InMemory);
 }
 
 /// Crash budget exhaustion: the slot degrades to an in-process shard
 /// rebuilt from snapshots + log — service continues, queued events are
 /// not dropped, and the outputs stay bitwise exact.
-#[test]
-fn budget_exhaustion_degrades_without_data_loss() {
+fn budget_exhaustion_degrades(link: Link) {
     let models = test_models(4, 50);
     let reference = run_inprocess(&models);
     let plan = FaultPlan {
         kill_after_events: vec![(0, 60)],
         ..FaultPlan::default()
     };
-    let (got, stats) = run_cluster(&models, 1, plan, |cfg| {
+    let (got, stats) = run_cluster(&models, 1, plan, link, |cfg| {
         cfg.crash_budget = 0; // first crash exhausts the budget
     });
     assert_bitwise_equal(&got, &reference, "degraded slot");
@@ -306,7 +400,7 @@ fn recovery_is_observable() {
         kill_after_events: vec![(0, 30)],
         ..FaultPlan::default()
     };
-    let (_, stats) = run_cluster(&models, 1, plan, |_| {});
+    let (_, stats) = run_cluster(&models, 1, plan, Link::Process, |_| {});
     assert_eq!(stats.restarts[0], 1);
     assert!(
         kalman::obs::counter("cluster.restarts").get() > restarts_before,
@@ -395,21 +489,30 @@ fn heartbeat_detects_silent_death() {
     sup.shutdown();
 }
 
+#[test]
+fn degraded_slot_reports_what_a_worker_reports() {
+    degraded_slot_reports(Link::Process);
+}
+
+#[test]
+fn degraded_slot_reports_what_a_worker_reports_in_memory() {
+    degraded_slot_reports(Link::InMemory);
+}
+
 /// A degraded slot runs the same shard host as a worker, so it reports
 /// what a worker reports.  One script — healthy streams, a spec that does
 /// not build, events for that key, and a finish that fails — runs on a
 /// healthy 1-worker cluster and again with a slot that degrades before
 /// its first poll: the outputs are bitwise equal, and so are the stream
 /// errors (as a multiset) and every `finish` result.
-#[test]
-fn degraded_slot_reports_what_a_worker_reports() {
+fn degraded_slot_reports(link: Link) {
     const BROKEN: u64 = 100;
     const UNDETERMINED: u64 = 101;
     let models = test_models(3, 30);
     let run = |plan: FaultPlan, crash_budget: u32| {
         let mut cfg = cluster_cfg(1, models.len() + 2, plan);
         cfg.crash_budget = crash_budget;
-        let mut sup = Supervisor::new(cfg).unwrap();
+        let mut sup = start(link, cfg);
         for (k, model) in models.iter().enumerate() {
             sup.insert(k as u64, spec_for(model)).unwrap();
         }
