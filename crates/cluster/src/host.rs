@@ -5,10 +5,11 @@
 //! a simulated supervisor's slot) alike, so every slot applies inserts,
 //! events and finishes the same way and reports the same outputs and the
 //! same stream errors.  A stream restored after a crash is an ordinary
-//! insert, of a [`crate::StreamInit::Resume`] spec.  The host only banks
-//! what it produced; the handler ships the banks as frames.
+//! insert, of the [`crate::StreamInit::Resume`] spec the host itself built
+//! for the last acked snapshot.  The host only banks what it produced;
+//! the handler ships the banks as frames.
 
-use crate::proto::StreamSpec;
+use crate::proto::{StreamInit, StreamSpec};
 use kalman_model::{KalmanError, StreamEvent};
 use kalman_par::ExecPolicy;
 use kalman_serve::{Ingress, ServeConfig, ShardedPool};
@@ -92,18 +93,21 @@ impl ShardHost {
         self.pool.finish(key)
     }
 
-    /// Every resident stream's snapshot, one at a time.  Call it after
+    /// Every resident stream as the spec that restores it (its snapshot
+    /// under its own options), one at a time.  Call it after
     /// [`ShardHost::drain`], so the snapshots cover every queued event.
-    pub(crate) fn snapshots(
+    pub(crate) fn resume_specs(
         &self,
-    ) -> impl ExactSizeIterator<Item = kalman_model::Result<(u64, WindowSnapshot)>> + '_ {
+    ) -> impl ExactSizeIterator<Item = kalman_model::Result<(u64, StreamSpec)>> + '_ {
         let keys: Vec<u64> = self.pool.keys().collect();
         keys.into_iter().map(|key| {
-            let stream = self
-                .pool
-                .stream(key)
+            let stream = (self.pool.stream(key))
                 .ok_or_else(|| KalmanError::Stream(format!("key {key} vanished")))?;
-            Ok((key, stream.snapshot()?))
+            let init = StreamInit::Resume {
+                snapshot: stream.snapshot()?,
+            };
+            let opts = *stream.options();
+            Ok((key, StreamSpec { init, opts }))
         })
     }
 }

@@ -13,19 +13,19 @@
 //! Three mechanisms combine into exactly-once, bitwise-reproducible
 //! serving (the integration tests pin all of it):
 //!
-//! 1. **Write-ahead log.** Every insert/event/finish is logged by the
-//!    supervisor before it is sent.
+//! 1. **Write-ahead log.** Every insert/event/finish is encoded once by
+//!    the supervisor, and its frame is logged before any reply is read.
 //! 2. **Snapshot checkpoints.** Periodically each worker ships a
 //!    bitwise-transparent [`kalman_stream::WindowSnapshot`] of every
 //!    resident stream (having first shipped all pending outputs, so the
-//!    ack never outruns data); the supervisor then truncates the covered
-//!    log prefix.
+//!    ack never outruns data), each as the ordinary insert payload that
+//!    restores it (a [`StreamInit::Resume`] spec); the supervisor keeps
+//!    those bytes undecoded and truncates the covered log prefix.
 //! 3. **Restart + replay.** A dead worker (kill -9, hang-up, corrupt
 //!    frame, heartbeat miss) is restarted with bounded exponential
-//!    backoff and fed each stream of the last acked snapshot as an
-//!    ordinary insert (a [`StreamInit::Resume`] spec), then the logged
-//!    suffix.  Replayed outputs regenerate bitwise-identically (the
-//!    flush cadence is canonical), and a per-key output cursor drops
+//!    backoff and sent the last ack's inserts, then the logged frames,
+//!    byte for byte.  Replayed outputs regenerate bitwise-identically
+//!    (the flush cadence is canonical), and a per-key output cursor drops
 //!    what the caller already saw.
 //!
 //! A finished stream is a snapshot with nothing buffered:

@@ -5,7 +5,9 @@
 //! [`kalman_wire::FrameWriter`].  The protocol is strictly
 //! request-driven: workers only speak when spoken to.  A `Finish` is
 //! answered with the outputs its drain banked, then `Finished` or the
-//! finish's own `StreamError`.  See
+//! finish's own `StreamError`.  A snapshot ack carries, per resident
+//! stream, the complete `K_INSERT` payload that restores it, which the
+//! supervisor keeps and resends without decoding.  See
 //! DESIGN.md §"Cross-process serving" for the full state machine.
 
 use crate::error::{ClusterError, Result};
@@ -36,7 +38,8 @@ pub const K_SHUTDOWN: u8 = 9;
 pub const K_HELLO: u8 = 16;
 /// Worker → supervisor: a batch of finalized outputs.
 pub const K_OUTPUTS: u8 = 17;
-/// Worker → supervisor: snapshot of every resident stream.
+/// Worker → supervisor: snapshot of every resident stream, as the
+/// `K_INSERT` payloads that restore them.
 pub const K_SNAPSHOT_ACK: u8 = 18;
 /// Worker → supervisor: a stream finished (`key`, tail, the finished
 /// stream's snapshot).
@@ -66,8 +69,8 @@ pub enum StreamInit {
         cov: CovarianceSpec,
     },
     /// Continue a stream from its snapshot: a finished stream's, or a
-    /// live one's (how a slot re-inserts the streams of its last acked
-    /// snapshot after a crash).
+    /// live one's (how a snapshot ack carries each resident stream, and so
+    /// how a crash replay inserts it again).
     Resume {
         /// The stream's state.
         snapshot: WindowSnapshot,
@@ -158,6 +161,34 @@ pub fn decode_spec(r: &mut Reader<'_>) -> kalman_wire::Result<StreamSpec> {
     Ok(StreamSpec { init, opts })
 }
 
+/// Appends a `K_SNAPSHOT_ACK` payload: `seq`, the stream count, then per
+/// resident stream its key and the length-prefixed `K_INSERT` payload
+/// that restores it (the key again, then its [`StreamInit::Resume`]
+/// spec).  Each stream is encoded as it arrives.
+///
+/// # Errors
+///
+/// The first stream that could not be snapshotted.
+pub fn encode_snapshot_ack(
+    w: &mut Writer,
+    seq: u64,
+    streams: impl ExactSizeIterator<Item = kalman_model::Result<(u64, StreamSpec)>>,
+) -> kalman_model::Result<()> {
+    w.put_u64(seq);
+    w.put_u32(streams.len() as u32);
+    let mut insert = Writer::new();
+    for stream in streams {
+        let (key, spec) = stream?;
+        insert.clear();
+        insert.put_u64(key);
+        encode_spec(&mut insert, &spec);
+        w.put_u64(key);
+        w.put_u32(insert.len() as u32);
+        w.put_bytes(insert.as_slice());
+    }
+    Ok(())
+}
+
 /// Appends a `K_FINISHED` payload: the key, the closing window's
 /// finalized steps, and the finished stream's snapshot.
 pub fn encode_finished(
@@ -185,8 +216,9 @@ pub enum Incoming {
     SnapshotAck {
         /// Echo of the requested sequence number.
         seq: u64,
-        /// Every resident stream's live window.
-        snapshots: Vec<(u64, WindowSnapshot)>,
+        /// Every resident stream's key and the `K_INSERT` payload that
+        /// restores it, as the worker encoded it.
+        inserts: Vec<(u64, Vec<u8>)>,
     },
     /// One stream finished.
     Finished {
@@ -233,13 +265,13 @@ pub fn decode_incoming(kind: u8, payload: &[u8]) -> Result<Incoming> {
         K_SNAPSHOT_ACK => {
             let seq = r.get_u64()?;
             let count = r.get_u32()? as usize;
-            let mut snapshots = Vec::with_capacity(count.min(r.remaining()));
+            let mut inserts = Vec::with_capacity(count.min(r.remaining()));
             for _ in 0..count {
                 let key = r.get_u64()?;
-                let snap = codec::decode_window_snapshot(&mut r)?;
-                snapshots.push((key, snap));
+                let len = r.get_u32()? as usize;
+                inserts.push((key, r.get_bytes(len)?.to_vec()));
             }
-            Incoming::SnapshotAck { seq, snapshots }
+            Incoming::SnapshotAck { seq, inserts }
         }
         K_FINISHED => {
             let key = r.get_u64()?;
@@ -277,9 +309,9 @@ mod tests {
     use kalman_model::InfoHead;
 
     /// A finished 2-state stream (index 3, `C = [2 0.5; 0 1.5]`,
-    /// `d = [1; -1]`, nothing buffered) and its wire version 3 bytes:
-    /// index, `C` and `d` as `rows cols` + column-major data, the
-    /// base-emitted flag, the event count.
+    /// `d = [1; -1]`, nothing buffered) and its bytes, unchanged since
+    /// wire version 3: index, `C` and `d` as `rows cols` + column-major
+    /// data, the base-emitted flag, the event count.
     const FINISHED: &str = "0300000000000000 0200000002000000 \
         0000000000000040 0000000000000000 000000000000e03f 000000000000f83f \
         0200000001000000 000000000000f03f 000000000000f0bf 01 00000000";
@@ -353,5 +385,42 @@ mod tests {
             "the finished state is not emitted again"
         );
         assert!(back.build().is_ok());
+    }
+
+    /// A `K_SNAPSHOT_ACK` payload (wire version 4): the sequence number,
+    /// the stream count, then per stream its key, the length of its
+    /// `K_INSERT` payload and that payload — the key again and an
+    /// `INIT_RESUME` spec.  The supervisor keeps those bytes as they came.
+    #[test]
+    fn snapshot_ack_payload_layout_is_pinned() {
+        let spec = StreamSpec {
+            init: StreamInit::Resume {
+                snapshot: finished(),
+            },
+            opts: StreamOptions::default(),
+        };
+        let mut w = Writer::new();
+        encode_snapshot_ack(&mut w, 5, [Ok((9, spec))].into_iter()).unwrap();
+        let opts = "20000000 00 20000000 00 01 0a000000 01 00";
+        // 8 (key) + 1 (tag) + 77 (snapshot) + 17 (options) = 103 bytes.
+        let insert = unspaced(&format!("0900000000000000 02 {FINISHED} {opts}"));
+        let golden = unspaced("0500000000000000 01000000 0900000000000000 67000000") + &insert;
+        assert_eq!(hex(w.as_slice()), golden);
+        match decode_incoming(K_SNAPSHOT_ACK, w.as_slice()).unwrap() {
+            Incoming::SnapshotAck { seq, inserts } => {
+                assert_eq!((seq, inserts.len(), inserts[0].0), (5, 1, 9));
+                assert_eq!(
+                    hex(&inserts[0].1),
+                    insert,
+                    "the insert bytes pass unchanged"
+                );
+                let mut r = Reader::new(&inserts[0].1);
+                assert_eq!(r.get_u64().unwrap(), 9);
+                let back = decode_spec(&mut r).unwrap();
+                r.finish().unwrap();
+                assert_eq!(back.first_index(), 4);
+            }
+            other => panic!("decoded as {other:?}"),
+        }
     }
 }

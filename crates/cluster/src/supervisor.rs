@@ -12,18 +12,21 @@
 //! # Durability model
 //!
 //! On a slot whose host can die, every mutation (insert, event, finish)
-//! is appended to the slot's in-memory **write-ahead log before it is
-//! sent**.  Periodically (every [`ClusterConfig::checkpoint_every`]
-//! events) the supervisor asks the host for a **snapshot** of every
-//! resident stream — the live window, not an early finalization — and on
-//! the ack truncates the log prefix the snapshot covers.  A host death
+//! is encoded once, and its frame goes to the slot's in-memory
+//! **write-ahead log** as it is sent, before any reply is read.
+//! Periodically (every [`ClusterConfig::checkpoint_every`] events) the
+//! supervisor asks the host for a **snapshot** of every resident stream —
+//! the live window, not an early finalization — and on the ack truncates
+//! the log prefix the snapshot covers.  The ack carries each stream as the
+//! `K_INSERT` payload that restores it (a
+//! [`StreamInit::Resume`](crate::StreamInit::Resume) spec); the
+//! supervisor keeps those bytes without decoding them.  A host death
 //! (heartbeat miss, hang-up, nonzero exit, corrupt frame) therefore never
 //! loses data: the slot is restarted with bounded exponential backoff,
-//! each stream of the last acked snapshot is inserted again as a
-//! [`StreamInit::Resume`] spec, and the logged suffix is replayed.
-//! Replay regenerates exactly the outputs the dead host would have
-//! produced (snapshots are bitwise-transparent and the flush cadence is
-//! canonical), and a per-key output cursor drops the prefix the
+//! and the acked inserts and the logged frames are sent again, byte for
+//! byte.  Replay regenerates exactly the outputs the dead host would
+//! have produced (snapshots are bitwise-transparent and the flush cadence
+//! is canonical), and a per-key output cursor drops the prefix the
 //! supervisor already delivered — every finalized step is delivered
 //! **exactly once**, bitwise equal to in-process serving.
 //!
@@ -47,13 +50,15 @@ use crate::error::{ClusterError, Result};
 use crate::fault::FaultPlan;
 use crate::link::{Link, MemoryLink, ProcessLink};
 use crate::proto::{
-    encode_spec, Incoming, StreamInit, StreamSpec, K_CONFIG, K_EVENT, K_FINISH, K_INSERT, K_PING,
-    K_POLL, K_SHUTDOWN, K_SNAPSHOT_REQ,
+    encode_spec, Incoming, StreamSpec, K_CONFIG, K_EVENT, K_FINISH, K_INSERT, K_PING, K_POLL,
+    K_SHUTDOWN, K_SNAPSHOT_REQ,
 };
 use kalman_model::{KalmanError, StreamEvent};
 use kalman_obs::{Counter, Histogram};
 use kalman_serve::stable_shard;
-use kalman_stream::{FinalizedStep, StreamOptions, WindowSnapshot};
+#[cfg(test)]
+use kalman_stream::StreamOptions;
+use kalman_stream::{FinalizedStep, WindowSnapshot};
 use kalman_wire::{codec, Writer};
 use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
@@ -113,12 +118,24 @@ impl Default for ClusterConfig {
     }
 }
 
-/// One durable mutation, logged before it is sent.
-#[derive(Debug, Clone)]
-enum WalEntry {
-    Insert { key: u64, spec: StreamSpec },
-    Event { key: u64, event: StreamEvent },
-    Finish { key: u64 },
+/// One durable mutation as the frame that carries it: encoded once, and
+/// sent again verbatim by a replay.
+struct Entry {
+    kind: u8,
+    key: u64,
+    payload: Vec<u8>,
+}
+
+impl Entry {
+    /// The frame of `kind` whose payload is `key`, then what `body`
+    /// appends, built in the reusable buffer `w`.
+    fn encode(w: &mut Writer, kind: u8, key: u64, body: impl FnOnce(&mut Writer)) -> Entry {
+        w.clear();
+        w.put_u64(key);
+        body(w);
+        let payload = w.as_slice().to_vec();
+        Entry { kind, key, payload }
+    }
 }
 
 /// Cached `kalman-obs` registry handles (lookups once, not per frame).
@@ -152,12 +169,12 @@ struct Slot {
     /// Frames sent on the current link (fault rules index into this).
     frames_sent: u64,
     /// Entries not yet covered by an acked snapshot, oldest first.
-    wal: VecDeque<(u64, WalEntry)>,
+    wal: VecDeque<(u64, Entry)>,
     /// Next log sequence number.
     next_seq: u64,
-    /// Every resident stream's state at the last acked snapshot, as the
-    /// insert (of a [`StreamInit::Resume`] spec) that brings it back.
-    snapshots: Vec<WalEntry>,
+    /// Every live stream's state at the last acked snapshot: its key and
+    /// the `K_INSERT` payload the host encoded to bring it back.
+    snapshots: Vec<(u64, Vec<u8>)>,
     /// Lifetime event frames delivered (kill-fault rules index this).
     events_delivered: u64,
     /// Events since the last snapshot request.
@@ -195,10 +212,9 @@ pub struct Supervisor {
     fault: FaultPlan,
     metrics: Metrics,
     slots: Vec<Slot>,
-    /// Options of every live (not yet finished) stream.
-    opts: HashMap<u64, StreamOptions>,
-    /// Next output index each key owes the caller — the exactly-once
-    /// cursor (replayed duplicates fall below it and are dropped).
+    /// Next output index each live (not yet finished) key owes the
+    /// caller — the exactly-once cursor (replayed duplicates fall below it
+    /// and are dropped).
     next_emit: HashMap<u64, u64>,
     /// Accepted outputs not yet taken by the caller.
     outputs: HashMap<u64, Vec<FinalizedStep>>,
@@ -207,6 +223,8 @@ pub struct Supervisor {
     /// Stream-level errors reported by workers (mirrors the in-process
     /// pool's `last_errors`).
     stream_errors: Vec<(u64, String)>,
+    /// Reusable buffer every entry is encoded in.
+    encoder: Writer,
 }
 
 impl Supervisor {
@@ -255,11 +273,11 @@ impl Supervisor {
             fault: cfg.fault_plan.clone(),
             metrics: Metrics::new(),
             slots: Vec::with_capacity(cfg.workers),
-            opts: HashMap::new(),
             next_emit: HashMap::new(),
             outputs: HashMap::new(),
             finished: HashMap::new(),
             stream_errors: Vec::new(),
+            encoder: Writer::new(),
             cfg,
         };
         for slot in 0..sup.cfg.workers {
@@ -315,16 +333,15 @@ impl Supervisor {
         let slot = self.slot_of(key);
         // The log is truncated by prefix, so a key that is not live is in
         // it exactly when its `Finish` is.
-        let logged = (self.slots[slot].wal.iter())
-            .any(|(_, e)| matches!(e, WalEntry::Finish { key: k } if *k == key));
-        if self.opts.contains_key(&key) || logged {
+        let logged = (self.slots[slot].wal.iter()).any(|(_, e)| e.kind == K_FINISH && e.key == key);
+        if self.next_emit.contains_key(&key) || logged {
             return Err(ClusterError::Kalman(KalmanError::Stream(format!(
                 "stream key {key} is already registered, or its finished stream is still logged"
             ))));
         }
-        self.opts.insert(key, spec.opts);
         self.next_emit.insert(key, spec.first_index());
-        self.log_and_deliver(slot, WalEntry::Insert { key, spec })
+        let entry = Entry::encode(&mut self.encoder, K_INSERT, key, |w| encode_spec(w, &spec));
+        self.log_and_deliver(slot, entry)
     }
 
     /// Routes one event to its stream.
@@ -335,12 +352,15 @@ impl Supervisor {
     /// failures are handled internally (recovery); what surfaces is
     /// recovery itself failing beyond repair.
     pub fn send(&mut self, key: u64, event: StreamEvent) -> Result<()> {
-        if !self.opts.contains_key(&key) {
+        if !self.next_emit.contains_key(&key) {
             return Err(ClusterError::UnknownKey(key));
         }
         let slot = self.slot_of(key);
         self.metrics.events.inc();
-        self.log_and_deliver(slot, WalEntry::Event { key, event })?;
+        let entry = Entry::encode(&mut self.encoder, K_EVENT, key, |w| {
+            codec::encode_event(w, &event)
+        });
+        self.log_and_deliver(slot, entry)?;
         self.slots[slot].events_since_ckpt += 1;
         if self.slots[slot].events_since_ckpt >= self.cfg.checkpoint_every {
             self.checkpoint_slot(slot)?;
@@ -426,19 +446,21 @@ impl Supervisor {
     /// Finishes a stream: applies everything queued for it, returns every
     /// not-yet-taken finalized step (ending with the closing window) and
     /// the finished stream's snapshot (nothing buffered; a
-    /// [`StreamInit::Resume`] spec continues it).
+    /// [`StreamInit::Resume`](crate::StreamInit::Resume) spec continues
+    /// it).
     ///
     /// # Errors
     ///
     /// [`ClusterError::UnknownKey`] for unregistered keys;
     /// [`ClusterError::Kalman`] when the stream's closing flush failed.
     pub fn finish(&mut self, key: u64) -> Result<(Vec<FinalizedStep>, WindowSnapshot)> {
-        if !self.opts.contains_key(&key) {
+        if !self.next_emit.contains_key(&key) {
             return Err(ClusterError::UnknownKey(key));
         }
         let slot = self.slot_of(key);
         let restarts = self.slots[slot].restarts;
-        self.log_and_deliver(slot, WalEntry::Finish { key })?;
+        let entry = Entry::encode(&mut self.encoder, K_FINISH, key, |_| {});
+        self.log_and_deliver(slot, entry)?;
         // A recovery during delivery replayed the finish and pumped its
         // reply — success or failure.
         if self.slots[slot].restarts == restarts {
@@ -446,7 +468,6 @@ impl Supervisor {
                 self.recover_from(slot, e)?;
             }
         }
-        self.opts.remove(&key);
         self.next_emit.remove(&key);
         let Some(snapshot) = self.finished.remove(&key) else {
             let msg = self
@@ -476,41 +497,25 @@ impl Supervisor {
 
     // ---- internals ----------------------------------------------------
 
-    /// Appends to the slot's log (kept only where the host can die), then
-    /// delivers; a transport failure triggers recovery, whose replay
-    /// re-delivers the logged entry.
-    fn log_and_deliver(&mut self, slot: usize, entry: WalEntry) -> Result<()> {
+    /// Delivers the entry and appends it to the slot's log (kept only
+    /// where the host can die) before any reply is read; a transport
+    /// failure triggers recovery, whose replay re-delivers the logged
+    /// entry.
+    fn log_and_deliver(&mut self, slot: usize, entry: Entry) -> Result<()> {
+        let sent = self.send_entry(slot, entry.kind, &entry.payload);
         let s = &mut self.slots[slot];
         if s.link.can_die() {
-            s.wal.push_back((s.next_seq, entry.clone()));
+            s.wal.push_back((s.next_seq, entry));
             s.next_seq += 1;
         }
-        (self.send_entry(slot, &entry)).or_else(|e| self.recover_from(slot, e))
+        sent.or_else(|e| self.recover_from(slot, e))
     }
 
-    /// Encodes and sends one log entry as its protocol frame.  A scripted
-    /// kill fires right after its event is sent, in delivery and in replay
-    /// alike.
-    fn send_entry(&mut self, slot: usize, entry: &WalEntry) -> Result<()> {
-        let mut payload = Writer::new();
-        let kind = match entry {
-            WalEntry::Insert { key, spec } => {
-                payload.put_u64(*key);
-                encode_spec(&mut payload, spec);
-                K_INSERT
-            }
-            WalEntry::Event { key, event } => {
-                payload.put_u64(*key);
-                codec::encode_event(&mut payload, event);
-                K_EVENT
-            }
-            WalEntry::Finish { key } => {
-                payload.put_u64(*key);
-                K_FINISH
-            }
-        };
-        self.send_frame(slot, kind, payload.as_slice())?;
-        if let WalEntry::Event { .. } = entry {
+    /// Sends one log entry's frame.  A scripted kill fires right after its
+    /// event is sent, in delivery and in replay alike.
+    fn send_entry(&mut self, slot: usize, kind: u8, payload: &[u8]) -> Result<()> {
+        self.send_frame(slot, kind, payload)?;
+        if kind == K_EVENT {
             let s = &mut self.slots[slot];
             s.events_delivered += 1;
             if self.fault.take_kill(slot, s.events_delivered) {
@@ -569,10 +574,8 @@ impl Supervisor {
         }
         self.slots[slot].events_since_ckpt = 0;
         let seq = self.slots[slot].next_seq.saturating_sub(1);
-        let mut payload = Writer::new();
-        payload.put_u64(seq);
         let timeout = self.cfg.reply_timeout;
-        let acked = (self.send_frame(slot, K_SNAPSHOT_REQ, payload.as_slice()))
+        let acked = (self.send_frame(slot, K_SNAPSHOT_REQ, &seq.to_le_bytes()))
             .and_then(|()| self.pump_until(slot, timeout, |s| *s == Seen::Ack));
         acked.or_else(|e| self.recover_from(slot, e))
     }
@@ -618,7 +621,7 @@ impl Supervisor {
                 self.accept_finished(key, tail, snapshot);
                 Seen::Finished(key)
             }
-            Incoming::SnapshotAck { seq, snapshots } => {
+            Incoming::SnapshotAck { seq, inserts } => {
                 if self.fault.take_ack_delay(slot) {
                     // Scripted ack loss: behave as if it never arrived —
                     // the log keeps growing and the next crash replays a
@@ -627,14 +630,8 @@ impl Supervisor {
                     return Seen::Ack;
                 }
                 let s = &mut self.slots[slot];
-                s.snapshots.clear();
-                for (key, snapshot) in snapshots {
-                    if let Some(opts) = self.opts.get(&key) {
-                        let init = StreamInit::Resume { snapshot };
-                        let spec = StreamSpec { init, opts: *opts };
-                        s.snapshots.push(WalEntry::Insert { key, spec });
-                    }
-                }
+                s.snapshots = inserts;
+                (s.snapshots).retain(|(key, _)| self.next_emit.contains_key(key));
                 while s.wal.front().is_some_and(|(q, _)| *q <= seq) {
                     s.wal.pop_front();
                 }
@@ -655,17 +652,6 @@ impl Supervisor {
             }
             self.finished.insert(key, snapshot);
         }
-    }
-
-    /// The slot's recovery script: an insert of every stream of the last
-    /// acked snapshot, then the logged suffix.
-    fn replay_entries(&self, slot: usize) -> Vec<WalEntry> {
-        let s = &self.slots[slot];
-        s.snapshots
-            .iter()
-            .chain(s.wal.iter().map(|(_, e)| e))
-            .cloned()
-            .collect()
     }
 
     /// Pumps the reply to a `Finish`: the worker ships the outputs its
@@ -724,30 +710,34 @@ impl Supervisor {
     }
 
     /// One restart attempt: a fresh host on the slot's link, then the
-    /// slot's recovery script (snapshot inserts and the logged suffix).  A
-    /// host that cannot die keeps no log, so its script is its last.
+    /// slot's recovery script — the acked snapshot's inserts and the
+    /// logged suffix, sent as they were encoded.  A host that cannot die
+    /// keeps no log, so its script is its last.
     fn respawn_and_replay(&mut self, slot: usize, backoff: Duration) -> Result<()> {
         self.slots[slot].link.respawn(&self.cfg, slot, backoff)?;
         self.handshake(slot)?;
-        let depth = self.slots[slot].wal.len() as u64;
+        let s = &mut self.slots[slot];
+        let depth = s.wal.len() as u64;
         self.metrics.replay_len.record(depth);
         kalman_obs::event("cluster.replay", slot as u64, depth);
-        let entries = self.replay_entries(slot);
-        let s = &mut self.slots[slot];
-        if !s.link.can_die() {
-            s.snapshots.clear();
-            s.wal.clear();
-        }
+        let (inserts, wal) = (std::mem::take(&mut s.snapshots), std::mem::take(&mut s.wal));
         // Finish entries prompt a reply; pump it so socket buffers never
         // back up, and so `finished` is repopulated before the caller
         // looks.
-        for entry in &entries {
-            self.send_entry(slot, entry)?;
-            if let WalEntry::Finish { key } = entry {
-                self.await_finish(slot, *key)?;
+        let acked = inserts.iter().map(|(key, bytes)| (K_INSERT, *key, bytes));
+        let logged = wal.iter().map(|(_, e)| (e.kind, e.key, &e.payload));
+        let replayed = acked.chain(logged).try_for_each(|(kind, key, payload)| {
+            self.send_entry(slot, kind, payload)?;
+            if kind == K_FINISH {
+                self.await_finish(slot, key)?;
             }
+            Ok(())
+        });
+        let s = &mut self.slots[slot];
+        if s.link.can_die() {
+            (s.snapshots, s.wal) = (inserts, wal);
         }
-        Ok(())
+        replayed
     }
 }
 

@@ -2,7 +2,10 @@
 //! socket loop of a worker process around it.
 //!
 //! [`Handler`] serves one supervisor frame at a time: it decodes the
-//! payload, makes one [`ShardHost`] call and encodes the replies.  A
+//! payload, makes one [`ShardHost`] call and encodes the replies.  Its
+//! snapshot ack carries every resident stream as the insert payload that
+//! restores it, so a replay decodes (and validates) a snapshot only here,
+//! where the stream is rebuilt.  A
 //! worker process runs it behind its Unix socket, and an in-memory link
 //! (a degraded slot, or a slot of a simulated supervisor) runs it behind
 //! a byte pipe, so both apply each logged entry alike and report the same
@@ -27,8 +30,9 @@
 
 use crate::host::ShardHost;
 use crate::proto::{
-    decode_spec, encode_finished, K_CONFIG, K_EVENT, K_FINISH, K_FINISHED, K_HELLO, K_INSERT,
-    K_OUTPUTS, K_PING, K_POLL, K_PONG, K_SHUTDOWN, K_SNAPSHOT_ACK, K_SNAPSHOT_REQ, K_STREAM_ERROR,
+    decode_spec, encode_finished, encode_snapshot_ack, K_CONFIG, K_EVENT, K_FINISH, K_FINISHED,
+    K_HELLO, K_INSERT, K_OUTPUTS, K_PING, K_POLL, K_PONG, K_SHUTDOWN, K_SNAPSHOT_ACK,
+    K_SNAPSHOT_REQ, K_STREAM_ERROR,
 };
 use kalman_wire::{codec, FrameReader, FrameWriter, Reader, WireError, Writer};
 use std::io::Write;
@@ -149,15 +153,9 @@ impl Handler {
                 // before the request — and every output finalized on the
                 // way must reach the supervisor no later than the ack.
                 ship_pending(host, out, tx)?;
-                let snapshots = host.snapshots();
                 out.clear();
-                out.put_u64(seq);
-                out.put_u32(snapshots.len() as u32);
-                for snapshot in snapshots {
-                    let (key, snap) = snapshot.map_err(|e| WorkerError::Internal(e.to_string()))?;
-                    out.put_u64(key);
-                    codec::encode_window_snapshot(out, &snap);
-                }
+                (encode_snapshot_ack(out, seq, host.resume_specs()))
+                    .map_err(|e| WorkerError::Internal(e.to_string()))?;
                 tx.send(K_SNAPSHOT_ACK, out.as_slice())?;
             }
             K_FINISH => {

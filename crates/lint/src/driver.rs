@@ -46,11 +46,6 @@ impl Report {
     pub fn errors(&self) -> impl Iterator<Item = &Finding> {
         self.findings.iter().filter(|f| f.level == Level::Error)
     }
-
-    /// True when any error-level finding remains.
-    pub fn has_errors(&self) -> bool {
-        self.errors().next().is_some()
-    }
 }
 
 /// The complete outcome of [`execute`]: report, renderings, exit code.

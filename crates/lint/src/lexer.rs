@@ -76,14 +76,6 @@ impl Token {
     pub fn is_punct(&self, c: char) -> bool {
         matches!(self.kind, Tok::Punct(p) if p == c)
     }
-
-    /// True for either comment token kind.
-    pub fn is_comment(&self) -> bool {
-        matches!(
-            self.kind,
-            Tok::LineComment { .. } | Tok::BlockComment { .. }
-        )
-    }
 }
 
 /// A lexed file: full token stream, the comment-free index view, and

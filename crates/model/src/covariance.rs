@@ -203,16 +203,6 @@ impl CovarianceSpec {
             CovarianceSpec::Dense(_) => None,
         }
     }
-
-    /// The Cholesky factorization of the dense covariance (for sampling and
-    /// for the conventional filter).
-    ///
-    /// # Errors
-    ///
-    /// [`KalmanError::NotPositiveDefinite`] if the covariance is not SPD.
-    pub fn cholesky(&self, step: usize) -> Result<Cholesky> {
-        Cholesky::new(&self.to_dense()).map_err(|_| KalmanError::NotPositiveDefinite { step })
-    }
 }
 
 #[cfg(test)]

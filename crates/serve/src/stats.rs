@@ -191,17 +191,6 @@ impl Stats {
         }
         total
     }
-
-    /// The deepest queue as a fraction of its capacity — the backpressure
-    /// headroom indicator (1.0 = some shard's producers are being
-    /// throttled).
-    pub fn max_queue_fill(&self) -> f64 {
-        self.shards
-            .iter()
-            .filter(|s| s.queue_capacity > 0)
-            .map(|s| s.queue_depth as f64 / s.queue_capacity as f64)
-            .fold(0.0, f64::max)
-    }
 }
 
 fn row(f: &mut fmt::Formatter<'_>, label: &str, m: &ShardStats) -> fmt::Result {

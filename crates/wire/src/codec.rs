@@ -641,13 +641,13 @@ mod tests {
     }
 
     /// The options layout did not move when the scan, RTS and auto backends
-    /// were withdrawn, nor when version 3 folded the checkpoint into the
-    /// snapshot: default options encode to the bytes protocol version 2
+    /// were withdrawn, nor when versions 3 and 4 reshaped the snapshot
+    /// payloads: default options encode to the bytes protocol version 2
     /// always produced, and the three retired tags are rejected instead of
     /// being reinterpreted.
     #[test]
     fn retired_backend_tags_are_rejected_and_layout_is_unchanged() {
-        assert_eq!(crate::VERSION, 3);
+        assert_eq!(crate::VERSION, 4);
         let mut w = Writer::new();
         encode_stream_options(&mut w, &StreamOptions::default());
         let mut expected = Vec::new();
@@ -674,7 +674,7 @@ mod tests {
     }
 
     /// A version 2 peer sends finished streams as bare checkpoints, which
-    /// version 3 no longer decodes: its frames are refused at the header.
+    /// no later version decodes: its frames are refused at the header.
     #[test]
     fn version_2_frames_are_refused() {
         let mut header = [0u8; crate::HEADER_LEN];
@@ -682,7 +682,7 @@ mod tests {
         header[4..6].copy_from_slice(&2u16.to_le_bytes());
         match crate::decode_header(&header) {
             Err(WireError::VersionMismatch { got, supported }) => {
-                assert_eq!((got, supported), (2, 3));
+                assert_eq!((got, supported), (2, 4));
             }
             other => panic!("a version 2 header decoded as {other:?}"),
         }

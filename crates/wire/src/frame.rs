@@ -27,8 +27,10 @@ pub const MAGIC: [u8; 4] = *b"KLMW";
 /// Protocol version this build encodes and accepts.  Version 2 added the
 /// backend-policy byte to the stream-options payload; version 3 carries a
 /// finished stream as a snapshot with nothing buffered, where version 2
-/// carried a bare checkpoint.
-pub const VERSION: u16 = 3;
+/// carried a bare checkpoint; version 4's snapshot ack carries each
+/// stream as the length-prefixed insert payload that restores it, where
+/// version 3 carried a bare snapshot.
+pub const VERSION: u16 = 4;
 
 /// Size of the fixed frame header.
 pub const HEADER_LEN: usize = 16;

@@ -335,6 +335,41 @@ fn delayed_acks_force_full_replay(link: Link) {
 }
 
 #[test]
+fn checkpoint_cut_short_replays_the_previous_ack() {
+    checkpoint_cut_short(Link::Process);
+}
+
+#[test]
+fn checkpoint_cut_short_replays_the_previous_ack_in_memory() {
+    checkpoint_cut_short(Link::InMemory);
+}
+
+/// A snapshot request severed mid-frame: the host dies mid-checkpoint and
+/// its ack never comes.  Recovery sends the previous ack's insert bytes
+/// again, then the log it did not truncate — still bitwise exact.
+///
+/// One slot, four streams, every step observed, `checkpoint_every` = 16.
+/// Frame 1 is the config, frames 2–5 the inserts.  Round 0 sends 4 events
+/// (frames 6–9) and a poll (10); every later round 8 events and a poll.
+/// Round 1 is frames 11–19 (events 5–12); round 2 sends events 13–16 as
+/// frames 20–23, the first request as 24, events 17–20 as 25–28 and its
+/// poll as 29; round 3 is frames 30–38 (events 21–28).  Round 4's events
+/// 29–32 are frames 39–42, so the second request, after event 32, is
+/// frame 43.
+fn checkpoint_cut_short(link: Link) {
+    let models = test_models(4, 50);
+    let reference = run_inprocess(&models);
+    let plan = FaultPlan {
+        frame_faults: vec![(0, 43, FrameFault::Truncate)],
+        ..FaultPlan::default()
+    };
+    let (got, stats) = run_cluster(&models, 1, plan, link, |_| {});
+    assert_bitwise_equal(&got, &reference, "checkpoint cut short");
+    assert_eq!(stats.restarts[0], 1);
+    assert!(!stats.degraded[0]);
+}
+
+#[test]
 fn kill_rule_inside_a_replay_fires_there() {
     kill_inside_a_replay(Link::Process);
 }
