@@ -27,8 +27,8 @@
 //! SIMD backend they ran on.
 
 use kalman::dense::{
-    gemm, gemm_ref, qr_trap_stack_applying, qr_tri_stack_applying, qr_tri_stack_applying_with,
-    simd_backend, tri, KernelKind, Matrix, QrFactor, Trans,
+    gemm, gemm_ref, qr_trap_stack_applying, qr_tri_stack_applying, simd_backend, tri, Matrix,
+    QrFactor, Trans,
 };
 use kalman::par::{for_each_mut, run_with_threads, ExecPolicy};
 use kalman_bench::{core_sweep, median_time, print_row, time_once, Args, BenchEntry};
@@ -236,12 +236,12 @@ fn smoke(args: &mut Args) {
     }
 
     // Monomorphized SIMD kernels vs the scalar oracle at the serving
-    // dimensions.  GEMM compares the `KernelKind`-bound monomorphic entry
-    // (the pointer a uniform-n plan binds at plan time) against the scalar
-    // reference loop nest (at n = 16 that pointer is the tile `gemm`, which
-    // the `gemm/n16` row above already times); QR compares the monomorphized
-    // triangular-stack elimination against the same routine with the runtime
-    // kernel switch forced to the scalar reference path.
+    // dimensions, each through its public entry, which runs the
+    // monomorphized body on these square shapes.  GEMM compares `gemm` on
+    // n×n operands against the scalar reference loop nest (from n = 16 up
+    // `gemm` runs the tile, which the `gemm/n16` row above already times);
+    // QR compares the triangular-stack elimination against the same routine
+    // with the runtime kernel switch forced to the scalar reference path.
     println!("monomorphized SIMD kernels vs scalar oracle:");
     print_row(&[
         "kernel".into(),
@@ -250,8 +250,6 @@ fn smoke(args: &mut Args) {
         "speedup".into(),
     ]);
     for n in [4usize, 8] {
-        let kind = KernelKind::for_dim(n);
-        let mono = kind.gemm();
         let a = test_matrix(n, n);
         let b = test_matrix(n, n);
         let mut c_ref = Matrix::zeros(n, n);
@@ -270,7 +268,7 @@ fn smoke(args: &mut Args) {
             || {
                 time_once(|| {
                     for _ in 0..reps {
-                        mono(1.0, &a, Trans::No, &b, Trans::No, 0.0, &mut c_simd);
+                        gemm(1.0, &a, Trans::No, &b, Trans::No, 0.0, &mut c_simd);
                     }
                 })
                 .0 / reps as f64
@@ -284,10 +282,8 @@ fn smoke(args: &mut Args) {
             t_simd,
         );
     }
-    // (No n = 4 row: `qr_tri_stack_applying_with` has no specialized body
-    // there — the hint falls through to the dynamic one.)
+    // (No n = 4 row: `qr_tri_stack_applying` has no specialized body there.)
     for n in [8usize, 16] {
-        let kind = KernelKind::for_dim(n);
         let r0 = QrFactor::new(test_matrix(n, n)).r();
         let d0 = test_matrix(n, n);
         let top0 = test_matrix(n, n + 1);
@@ -314,12 +310,7 @@ fn smoke(args: &mut Args) {
                     for _ in 0..reps {
                         let (mut r, mut d) = (r0.clone(), d0.clone());
                         let (mut top, mut bot) = (top0.clone(), bot0.clone());
-                        qr_tri_stack_applying_with(
-                            kind,
-                            &mut r,
-                            &mut d,
-                            &mut [(&mut top, &mut bot)],
-                        );
+                        qr_tri_stack_applying(&mut r, &mut d, &mut [(&mut top, &mut bot)]);
                         std::hint::black_box(&r);
                     }
                 })

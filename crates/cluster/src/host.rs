@@ -44,7 +44,7 @@ impl ShardHost {
 
     /// Registers the stream `spec` describes; a spec that does not build
     /// (or a duplicate key) becomes a stream error.
-    pub(crate) fn insert(&mut self, key: u64, spec: &StreamSpec) {
+    pub(crate) fn insert(&mut self, key: u64, spec: StreamSpec) {
         let result = spec
             .build()
             .and_then(|stream| self.pool.insert(key, stream));

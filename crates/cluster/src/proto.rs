@@ -97,22 +97,21 @@ impl StreamSpec {
         }
     }
 
-    /// Constructs the smoother this spec describes.
+    /// Constructs the smoother this spec describes, moving its prior or
+    /// snapshot into it.
     ///
     /// # Errors
     ///
     /// As the [`StreamingSmoother`] constructors and
     /// [`StreamingSmoother::restore`] (degenerate options, dimensions or
     /// heads).
-    pub fn build(&self) -> kalman_model::Result<StreamingSmoother> {
-        match &self.init {
-            StreamInit::Fresh { dim } => StreamingSmoother::new(*dim, self.opts),
+    pub fn build(self) -> kalman_model::Result<StreamingSmoother> {
+        match self.init {
+            StreamInit::Fresh { dim } => StreamingSmoother::new(dim, self.opts),
             StreamInit::WithPrior { mean, cov } => {
-                StreamingSmoother::with_prior(mean.clone(), cov.clone(), self.opts)
+                StreamingSmoother::with_prior(mean, cov, self.opts)
             }
-            StreamInit::Resume { snapshot } => {
-                StreamingSmoother::restore(snapshot.clone(), self.opts)
-            }
+            StreamInit::Resume { snapshot } => StreamingSmoother::restore(snapshot, self.opts),
         }
     }
 }

@@ -136,7 +136,7 @@ impl Handler {
                 let key = r.get_u64()?;
                 let spec = decode_spec(&mut r)?;
                 r.finish()?;
-                host.insert(key, &spec);
+                host.insert(key, spec);
             }
             K_EVENT => {
                 let key = r.get_u64()?;

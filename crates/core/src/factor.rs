@@ -29,14 +29,16 @@
 //! states.
 //!
 //! The QRs fuse factorization with the companion transforms
-//! (`QrFactor::new_applying`) and every matrix cycles through the
-//! `kalman-dense` workspace, so a steady-state caller (a `SmoothPlan`
-//! re-executed on same-shaped problems) performs zero heap allocations
-//! after warmup.
+//! (`QrFactor::new_applying`, `qr_tri_stack_applying`), each of which
+//! picks its body from the blocks' shapes, so a block takes the same body
+//! in a dimension-changing chain as in a uniform one.  Every matrix cycles
+//! through the `kalman-dense` workspace, so a steady-state caller (a
+//! `SmoothPlan` re-executed on same-shaped problems) performs zero heap
+//! allocations after warmup.
 
 use crate::plan::PlanSchedule;
 use crate::rfactor::{OddEvenR, RRow};
-use kalman_dense::{KernelKind, Matrix, QrFactor};
+use kalman_dense::{Matrix, QrFactor};
 use kalman_model::{KalmanError, LinearModel, Result, WhitenedStep};
 use kalman_par::{join, map_collect, ExecPolicy};
 
@@ -119,7 +121,6 @@ fn eliminate_even(
     next_evo: Option<EvoRows>,
     left: Option<(usize, usize)>,
     right: Option<usize>,
-    kind: KernelKind,
 ) -> EvenOut {
     let ChainCol {
         obs,
@@ -147,8 +148,7 @@ fn eliminate_even(
                 let mut x_top = Matrix::zeros(n, ne.right.cols());
                 let mut x_bot = ne.right;
                 let mut rhs_bot = ne.rhs;
-                kalman_dense::qr_tri_stack_applying_with(
-                    kind,
+                kalman_dense::qr_tri_stack_applying(
                     &mut r,
                     &mut d,
                     &mut [(&mut x_top, &mut x_bot), (&mut rho, &mut rhs_bot)],
@@ -290,8 +290,7 @@ fn eliminate_even(
             match x_fill {
                 Some(mut x_top) => {
                     let mut cr_bot = Matrix::zeros(l, x_top.cols());
-                    kalman_dense::qr_tri_stack_applying_with(
-                        kind,
+                    kalman_dense::qr_tri_stack_applying(
                         &mut diag,
                         &mut d,
                         &mut [
@@ -320,8 +319,7 @@ fn eliminate_even(
                     }
                 }
                 None => {
-                    kalman_dense::qr_tri_stack_applying_with(
-                        kind,
+                    kalman_dense::qr_tri_stack_applying(
                         &mut diag,
                         &mut d,
                         &mut [(&mut cl_top, &mut cl_bot), (&mut rhs_top, &mut rhs_bot)],
@@ -365,7 +363,6 @@ fn compress(
     dim: usize,
     mut parts: [Option<(Matrix, Matrix)>; 3],
     obs_tri: bool,
-    kind: KernelKind,
 ) -> (Option<(Matrix, Matrix)>, bool) {
     if parts.iter().all(Option::is_none) {
         return (None, false);
@@ -387,8 +384,7 @@ fn compress(
             (None, None) => None,
         };
         if let Some((mut dstack, mut drhs)) = dstack {
-            kalman_dense::qr_tri_stack_applying_with(
-                kind,
+            kalman_dense::qr_tri_stack_applying(
                 &mut r,
                 &mut dstack,
                 &mut [(&mut rhs_top, &mut drhs)],
@@ -425,7 +421,7 @@ fn compress(
 /// structured [`kalman_dense::qr_trap_stack_applying`] rather than a
 /// zero-padded full-height QR (skipped in reference mode, which keeps the
 /// padded general path as the oracle).
-fn leaf_col(ws: WhitenedStep, reference: bool) -> ChainCol {
+fn leaf_col(ws: WhitenedStep) -> ChainCol {
     let dim = ws.state_dim;
     let mut col = ChainCol {
         obs: None,
@@ -448,7 +444,7 @@ fn leaf_col(ws: WhitenedStep, reference: bool) -> ChainCol {
             col.obs = Some((qr.r(), rhs.sub_matrix(0, 0, dim, 1)));
             col.obs_tri = true;
         } else {
-            if !reference && c.rows() > 0 && c.rows() < dim {
+            if !kalman_dense::reference_kernels() && c.rows() > 0 && c.rows() < dim {
                 kalman_dense::trapezoidalize_applying(&mut c, &mut [&mut rhs]);
                 col.obs_trap = true;
             }
@@ -496,11 +492,6 @@ impl<'a> Leaves<'a> {
 struct Walk<'a> {
     schedule: &'a PlanSchedule,
     policy: ExecPolicy,
-    /// Plan-time kernel selection, resolved once per walk (demoted to
-    /// `Auto` under `KALMAN_REF_KERNELS`): every tri-stack binds the
-    /// monomorphized body without per-call dispatch.
-    kind: KernelKind,
-    reference: bool,
 }
 
 impl Walk<'_> {
@@ -511,7 +502,7 @@ impl Walk<'_> {
         let nodes = self.schedule.nodes();
         let node = nodes[idx];
         let Some(ch) = node.children else {
-            return Ok(leaf_col(leaves.step(node.col)?, self.reference));
+            return Ok(leaf_col(leaves.step(node.col)?));
         };
         let (l, r) = (nodes[ch.left], nodes[ch.right]);
         let (left, mut right, lone) = {
@@ -548,7 +539,6 @@ impl Walk<'_> {
             right.evo.take(),
             left_nbr,
             Some(node.col),
-            self.kind,
         );
         let mut parts = [out.dtilde.take(), right.obs.take(), None];
         let obs_tri = right.obs_tri && parts[1].is_some();
@@ -558,11 +548,11 @@ impl Walk<'_> {
             // this node's survivor, which absorbs its residual.
             let t = nodes[t].col;
             let own = Some((node.col, dims[node.col]));
-            let mut out = eliminate_even(dims[t], col, None, own, None, self.kind);
+            let mut out = eliminate_even(dims[t], col, None, own, None);
             parts[2] = out.resid_left_only.take();
             emit_row(&mut rows[t - node.lo], &mut out, node.level - 1);
         }
-        let (obs, obs_tri) = compress(dims[node.col], parts, obs_tri, self.kind);
+        let (obs, obs_tri) = compress(dims[node.col], parts, obs_tri);
         Ok(ChainCol {
             obs,
             obs_tri,
@@ -626,12 +616,7 @@ pub(crate) fn factor_tree(
         dst.extend_from_slice(src);
     }
 
-    let walk = Walk {
-        schedule,
-        policy,
-        kind: schedule.kernels().active(),
-        reference: kalman_dense::reference_kernels(),
-    };
+    let walk = Walk { schedule, policy };
     let root = schedule.root();
     let top = walk.column(schedule.nodes().len() - 1, leaves, &mut out.rows)?;
     debug_assert!(

@@ -33,7 +33,7 @@ use crate::factor::{factor_tree, Leaves};
 use crate::rfactor::OddEvenR;
 use crate::selinv::top_down;
 use crate::smoother::OddEvenOptions;
-use kalman_dense::{KernelKind, Matrix};
+use kalman_dense::Matrix;
 use kalman_model::{KalmanError, LinearModel, Result, Smoothed, WhitenedStep};
 
 /// The children of an inner [`TreeNode`], as indices into
@@ -71,14 +71,12 @@ pub(crate) struct TreeNode {
 /// The symbolic phase of the odd-even factorization: everything about the
 /// elimination that depends only on the problem *shape*.
 ///
-/// A schedule carries no numeric state; its one holder is the
-/// [`SmoothPlan`] executing it.
+/// A schedule carries no numeric state and no kernel choice — the dense
+/// entry points the walks call pick their bodies from each block's shape —
+/// and its one holder is the [`SmoothPlan`] executing it.
 #[derive(Debug, Clone)]
 pub struct PlanSchedule {
     dims: Vec<usize>,
-    /// Plan-time kernel selection: the monomorphized small-`n` kernel family
-    /// when every block dimension is one supported size, `Auto` otherwise.
-    kernels: KernelKind,
     /// The pair tree in post-order (children before their parent, a
     /// subtree contiguous); the last node is the root.
     nodes: Vec<TreeNode>,
@@ -121,7 +119,6 @@ impl PlanSchedule {
         elim_levels[root_level].push(root);
         PlanSchedule {
             dims: dims.to_vec(),
-            kernels: KernelKind::for_dims(dims.iter().copied()),
             nodes,
             elim_levels,
         }
@@ -130,15 +127,6 @@ impl PlanSchedule {
     /// The per-step state dimensions this schedule plans for.
     pub(crate) fn dims(&self) -> &[usize] {
         &self.dims
-    }
-
-    /// The plan-time kernel selection for this shape: a const-generic
-    /// monomorphized kernel family ([`KernelKind::Mono4`]/`Mono8`/`Mono16`)
-    /// when every block is that dimension, [`KernelKind::Auto`] (runtime
-    /// dispatch) otherwise.  Executors resolve it once per walk via
-    /// [`KernelKind::active`], which demotes to `Auto` in reference mode.
-    pub fn kernels(&self) -> KernelKind {
-        self.kernels
     }
 
     /// Number of states (block columns) in the planned problem.

@@ -24,11 +24,14 @@
 //! longer than its node's children, and no table of them exists.  `|I| ≤ 2`
 //! makes each step a constant number of small triangular solves and
 //! multiplications, so the arithmetic stays `Θ(kn³)` and, forked above
-//! `grain` leaves, the critical path `Θ(log k · n log n)`.
+//! `grain` leaves, the critical path `Θ(log k · n log n)`.  The
+//! multiplications are plain [`gemm`] calls, which pick their body from
+//! the blocks' shapes (a 4×4 or 8×8 product runs the register-resident
+//! kernel whatever the rest of the chain's dimensions are).
 
 use crate::plan::PlanSchedule;
 use crate::rfactor::{OddEvenR, RRow};
-use kalman_dense::{tri, GemmFn, Matrix, Trans};
+use kalman_dense::{gemm, tri, Matrix, Trans};
 use kalman_model::{KalmanError, Result};
 use kalman_par::{join, ExecPolicy};
 
@@ -140,8 +143,6 @@ struct Walk<'a> {
     schedule: &'a PlanSchedule,
     rows: &'a [RRow],
     policy: ExecPolicy,
-    /// The plan's kernel selection binds the GEMM entry once for the walk.
-    gemm: GemmFn,
     means: bool,
     covs: bool,
 }
@@ -212,13 +213,13 @@ impl Walk<'_> {
                 let mut acc = Matrix::zeros(row.diag.cols(), na);
                 for (xb, b) in xs.iter().flatten().zip(nbrs()) {
                     let (s_ba, trans) = s_block(b, a).ok_or_else(|| malformed(j))?;
-                    (self.gemm)(-1.0, xb, Trans::No, s_ba, trans, 1.0, &mut acc);
+                    gemm(-1.0, xb, Trans::No, s_ba, trans, 1.0, &mut acc);
                 }
                 *slot = Some((a.col, acc));
             }
             // S_jj = R_jj⁻¹R_jj⁻ᵀ − Σ_a S_{j,a} X_aᵀ.
             for ((_, s_ja), xa) in cross.iter().flatten().zip(xs.iter().flatten()) {
-                (self.gemm)(-1.0, s_ja, Trans::No, xa, Trans::Yes, 1.0, &mut diag);
+                gemm(-1.0, s_ja, Trans::No, xa, Trans::Yes, 1.0, &mut diag);
             }
             diag.symmetrize();
             cov = Some(diag);
@@ -329,7 +330,6 @@ pub(crate) fn top_down(
         schedule,
         rows: &r.rows,
         policy,
-        gemm: schedule.kernels().gemm(),
         means: means.is_some(),
         covs: covs.is_some(),
     };

@@ -89,11 +89,6 @@ impl Cholesky {
     pub fn inverse_factor(&self) -> Matrix {
         tri::invert_lower(&self.l).expect("positive diagonal")
     }
-
-    /// Log-determinant of `A` (useful for likelihood evaluation).
-    pub fn log_det(&self) -> f64 {
-        (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
-    }
 }
 
 /// Reconstructs `L Lᵀ` (test helper and covariance round-tripping).
@@ -183,13 +178,6 @@ mod tests {
                 other => panic!("{what}: expected not-SPD, got {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn log_det_matches_known_value() {
-        let a = Matrix::from_diag(&[2.0, 3.0, 4.0]);
-        let ch = Cholesky::new(&a).unwrap();
-        assert!((ch.log_det() - (24.0_f64).ln()).abs() < 1e-12);
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! General matrix multiply: the register-tile path ([`simd::gemm_tile`])
-//! plus the original loop-nest kernel, retained as `gemm_ref` — the
+//! General matrix multiply: the register-tile path ([`simd::gemm_tile`]),
+//! the register-resident `N×N` kernel [`simd::gemm_mono`] at `N ∈ {4, 8}`,
+//! and the original loop-nest kernel, retained as `gemm_ref` — the
 //! reference oracle the property tests compare against, and what tiny
-//! products still run — and const-generic monomorphized whole-GEMM kernels
-//! for `n ∈ {4, 8}` bound at plan time through [`KernelKind::gemm`].
+//! products still run.  [`gemm`] picks among them from the operands'
+//! shapes alone.
 
 use crate::simd::{self, KernelKind};
 use crate::{workspace, Matrix};
@@ -53,23 +54,44 @@ fn scale_c(beta: f64, c: &mut Matrix) {
 
 /// General matrix multiply: `c = alpha * op(a) * op(b) + beta * c`.
 ///
-/// `op(x)` is `x` or `xᵀ` according to the [`Trans`] flags.  All but tiny
-/// products run on the register tile ([`simd::gemm_tile`]): `A` is read in
-/// place, `op(B)` through a stride pair, so only `op(A) = Aᵀ` copies
-/// anything (one transpose into a pooled buffer).  Tiny products use
-/// [`gemm_ref`].  Both paths are deterministic: results are bitwise
-/// identical run-to-run and across `ExecPolicy` choices.
+/// `op(x)` is `x` or `xᵀ` according to the [`Trans`] flags.  The body is
+/// chosen from the operands' shapes alone, so the same block takes the same
+/// body wherever it shows up: `N×N` products with `N ∈ {4, 8}` and
+/// `op(A) = A` run the register-resident [`simd::gemm_mono`], every other
+/// product but the tiny ones runs the register tile ([`simd::gemm_tile`]):
+/// `A` is read in place, `op(B)` through a stride pair, so only
+/// `op(A) = Aᵀ` copies anything (one transpose into a pooled buffer).  Tiny
+/// products, and everything under the reference kernels, use [`gemm_ref`].
+/// Every path is deterministic: results are bitwise identical run-to-run
+/// and across `ExecPolicy` choices.
 ///
 /// # Panics
 ///
 /// Panics on dimension mismatch.
 pub fn gemm(alpha: f64, a: &Matrix, ta: Trans, b: &Matrix, tb: Trans, beta: f64, c: &mut Matrix) {
     let (am, ak, bn) = check_dims(a, ta, b, tb, c);
+    let reference = workspace::reference_kernels();
+    // Tested before `scale_c`: the kernel folds β into its register-resident
+    // columns itself.
+    if !reference
+        && alpha != 0.0
+        && ta == Trans::No
+        && matches!((am, ak, bn), (4, 4, 4) | (8, 8, 8))
+    {
+        simd::note_mono();
+        let (a, b, b_trans) = (a.as_slice(), b.as_slice(), tb == Trans::Yes);
+        if am == 4 {
+            simd::gemm_mono::<4>(alpha, a, b, b_trans, beta, c.as_mut_slice());
+        } else {
+            simd::gemm_mono::<8>(alpha, a, b, b_trans, beta, c.as_mut_slice());
+        }
+        return;
+    }
     scale_c(beta, c);
     if alpha == 0.0 || am == 0 || bn == 0 || ak == 0 {
         return;
     }
-    if workspace::reference_kernels() || am * ak * bn < BLOCK_MIN_VOLUME {
+    if reference || am * ak * bn < BLOCK_MIN_VOLUME {
         simd::note_scalar();
         accumulate_ref(alpha, a, ta, b, tb, c);
     } else {
@@ -78,61 +100,13 @@ pub fn gemm(alpha: f64, a: &Matrix, ta: Trans, b: &Matrix, tb: Trans, beta: f64,
     }
 }
 
-/// Signature shared by [`gemm`] and the monomorphized entries returned by
-/// [`KernelKind::gemm`] — what a plan binds once per solve.
-pub type GemmFn = fn(f64, &Matrix, Trans, &Matrix, Trans, f64, &mut Matrix);
-
-/// The monomorphized `N×N` entry behind [`KernelKind::gemm`]: runs the
-/// register-resident [`simd::gemm_mono`] kernel when the operands match the
-/// specialized square shape (and `op(A) = A`, the only case the smoother's
-/// plan-bound call sites produce), and falls through to the general
-/// [`gemm`] ladder for anything else — rectangular right-hand-side blocks
-/// keep working through the same fn-pointer.
-fn gemm_mono_entry<const N: usize>(
-    alpha: f64,
-    a: &Matrix,
-    ta: Trans,
-    b: &Matrix,
-    tb: Trans,
-    beta: f64,
-    c: &mut Matrix,
-) {
-    if alpha != 0.0
-        && ta == Trans::No
-        && a.rows() == N
-        && a.cols() == N
-        && b.rows() == N
-        && b.cols() == N
-        && c.rows() == N
-        && c.cols() == N
-    {
-        simd::note_mono();
-        simd::gemm_mono::<N>(
-            alpha,
-            a.as_slice(),
-            b.as_slice(),
-            tb == Trans::Yes,
-            beta,
-            c.as_mut_slice(),
-        );
-        return;
-    }
-    gemm(alpha, a, ta, b, tb, beta, c);
-}
-
 impl KernelKind {
-    /// Binds the GEMM entry for this plan-time selection: the monomorphized
-    /// `N×N` kernel for `Mono4/8`, the runtime-dispatched [`gemm`] for
-    /// `Mono16` (the register tile beats a monomorphized kernel there) and
-    /// `Auto`.  Resolved against the process-wide switches once, at bind
-    /// time ([`KernelKind::active`]) — execution then calls one fn pointer
-    /// with no further dispatch.
-    pub fn gemm(self) -> GemmFn {
-        match self.active() {
-            KernelKind::Auto | KernelKind::Mono16 => gemm,
-            KernelKind::Mono4 => gemm_mono_entry::<4>,
-            KernelKind::Mono8 => gemm_mono_entry::<8>,
-        }
+    /// [`gemm`] itself, whatever the kind: the body follows the operands'
+    /// shapes.  Kept only because the end-to-end benchmark's `dense` probe
+    /// (`benchmark/src/probes.rs`) binds its product through it; it goes
+    /// with the next revision of that harness (ROADMAP A(2)).
+    pub fn gemm(self) -> fn(f64, &Matrix, Trans, &Matrix, Trans, f64, &mut Matrix) {
+        gemm
     }
 }
 
@@ -313,13 +287,6 @@ pub fn matmul_nt(a: &Matrix, b: &Matrix) -> Matrix {
     c
 }
 
-/// `aᵀ * bᵀ` as a new matrix.
-pub fn matmul_tt(a: &Matrix, b: &Matrix) -> Matrix {
-    let mut c = Matrix::zeros(a.cols(), b.rows());
-    gemm(1.0, a, Trans::Yes, b, Trans::Yes, 0.0, &mut c);
-    c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,13 +321,6 @@ mod tests {
     fn matmul_nt_matches_explicit_transpose() {
         let c = matmul_nt(&a(), &a());
         let expect = matmul(&a(), &a().transpose());
-        assert!(c.approx_eq(&expect, 1e-12));
-    }
-
-    #[test]
-    fn matmul_tt_matches_explicit_transpose() {
-        let c = matmul_tt(&a(), &b());
-        let expect = matmul(&a().transpose(), &b().transpose());
         assert!(c.approx_eq(&expect, 1e-12));
     }
 
@@ -410,20 +370,19 @@ mod tests {
         assert_eq!(c2.max_abs(), 0.0);
     }
 
-    /// The plan-bound monomorphized entries must agree with the reference
-    /// loops on their specialized shapes (both `op(B)` cases, accumulate and
-    /// overwrite), and fall through to the general ladder on mismatched
-    /// shapes instead of misbehaving.
+    /// `gemm` on `N×N` operands with `N ∈ {4, 8}` must agree with the
+    /// reference loops (both `op(B)` cases, accumulate and overwrite), and
+    /// a mismatched shape must take the general ladder and stay correct.
     #[test]
     fn mono_entries_match_reference() {
-        fn check(n: usize, f: GemmFn) {
+        for n in [4, 8] {
             let x = Matrix::from_fn(n, n, |i, j| ((i * 13 + j * 5) as f64).sin());
             let y = Matrix::from_fn(n, n, |i, j| ((i * 3 + j * 11) as f64).cos());
             for tb in [Trans::No, Trans::Yes] {
                 for beta in [0.0, 1.0, 0.5] {
                     let mut c_mono = Matrix::from_fn(n, n, |i, j| (i * n + j) as f64);
                     let mut c_ref = c_mono.clone();
-                    f(1.5, &x, Trans::No, &y, tb, beta, &mut c_mono);
+                    gemm(1.5, &x, Trans::No, &y, tb, beta, &mut c_mono);
                     gemm_ref(1.5, &x, Trans::No, &y, tb, beta, &mut c_ref);
                     assert!(
                         c_mono.approx_eq(&c_ref, 1e-12 * (1.0 + c_ref.max_abs())),
@@ -432,20 +391,48 @@ mod tests {
                     );
                 }
             }
-            // Mismatched shape: the entry must route through the general
-            // ladder and still be correct.
             let tall = Matrix::from_fn(2 * n, n, |i, j| (i + 2 * j) as f64);
             let mut c_mono = Matrix::zeros(2 * n, n);
             let mut c_ref = Matrix::zeros(2 * n, n);
-            f(1.0, &tall, Trans::No, &y, Trans::No, 0.0, &mut c_mono);
+            gemm(1.0, &tall, Trans::No, &y, Trans::No, 0.0, &mut c_mono);
             gemm_ref(1.0, &tall, Trans::No, &y, Trans::No, 0.0, &mut c_ref);
             assert!(c_mono.approx_eq(&c_ref, 1e-11 * (1.0 + c_ref.max_abs())));
         }
-        // Bind the entries directly (not through `KernelKind::active`) so
-        // the test exercises the mono kernels regardless of process-global
-        // switch state.
-        check(4, gemm_mono_entry::<4>);
-        check(8, gemm_mono_entry::<8>);
+    }
+
+    /// One `N×N` block, one body: `gemm` on `N×N` operands (`N ∈ {4, 8}`,
+    /// `op(A) = A`) returns bitwise what [`simd::gemm_mono`] returns on the
+    /// same slices, whoever calls it — no caller binds the kernel.
+    #[test]
+    fn square_products_take_the_mono_body_bitwise() {
+        if workspace::reference_kernels() {
+            println!("skipped: the reference kernels are forced, so gemm runs its loop nests");
+            return;
+        }
+        for n in [4, 8] {
+            let x = Matrix::from_fn(n, n, |i, j| ((i * 7 + j * 3) as f64).sin());
+            let y = Matrix::from_fn(n, n, |i, j| ((i * 5 + j * 13) as f64).cos());
+            for tb in [Trans::No, Trans::Yes] {
+                for beta in [0.0, 1.0, 0.5] {
+                    let c0 = Matrix::from_fn(n, n, |i, j| ((i + 3 * j) as f64).sin());
+                    let mut got = c0.clone();
+                    gemm(-1.25, &x, Trans::No, &y, tb, beta, &mut got);
+                    let mut want = c0.into_vec();
+                    let (xs, ys, bt) = (x.as_slice(), y.as_slice(), tb == Trans::Yes);
+                    if n == 4 {
+                        simd::gemm_mono::<4>(-1.25, xs, ys, bt, beta, &mut want);
+                    } else {
+                        simd::gemm_mono::<8>(-1.25, xs, ys, bt, beta, &mut want);
+                    }
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(got.as_slice()),
+                        bits(&want),
+                        "n={n} tb={tb:?} beta={beta}"
+                    );
+                }
+            }
+        }
     }
 
     /// The tile path must agree with the reference loops on every

@@ -22,7 +22,7 @@
 //! that regime, from both ends: at serving dimensions, four-column
 //! Householder applications, a triangular-pentagonal stack elimination
 //! ([`qr_tri_stack_applying`]) and const-generic monomorphized `n ∈ {4, 8,
-//! 16}` kernels selected at plan time via [`KernelKind`]; at batch
+//! 16}` kernels that run on exactly those square blocks; at batch
 //! dimensions, level-3 bodies on one register-tile GEMM
 //! ([`simd::gemm_tile`]: 8×6 on AVX2/FMA, 16×8 where AVX-512F is present,
 //! the same bits either way) — the product itself, a compact-WY body for the
@@ -69,9 +69,7 @@ pub mod workspace;
 
 pub use chol::{llt, Cholesky};
 pub use error::DenseError;
-pub use gemm::{
-    gemm, gemm_blocked, gemm_ref, matmul, matmul_nt, matmul_tn, matmul_tt, GemmFn, Trans,
-};
+pub use gemm::{gemm, gemm_blocked, gemm_ref, matmul, matmul_nt, matmul_tn, Trans};
 pub use lu::{solve, LuFactor};
 pub use matrix::Matrix;
 pub use qr::{

@@ -609,7 +609,10 @@ impl ColPivQr {
 /// (`TRI_BLOCKED_MIN_N`, `TRI_BLOCKED_MIN_COLS`).  The panel is 8 pivots
 /// deep, or 16 on the zmm rung for wide shapes ([`tri_stack_panel_depth`]).
 /// The bodies and depths agree to rounding, not bitwise; each is a pure
-/// function of its operands and the CPU verdict.
+/// function of its operands and the CPU verdict.  Where the unblocked body
+/// runs on a square stack — `R` and `D` both `n × n`, `n ∈ {8, 16}` — it
+/// runs monomorphized, its trip counts compile-time constants; that
+/// instantiation computes the dynamic one's bits.
 ///
 /// # Panics
 ///
@@ -625,11 +628,24 @@ pub fn qr_tri_stack_applying(
         tri_stack_body::<0>(r, d, companions);
         return;
     }
-    simd::note_simd();
     let width: usize = companions.iter().map(|(top, _)| top.cols()).sum();
-    match tri_stack_panel_depth(r.rows(), d.rows(), width) {
-        Some(depth) => tri_stack_blocked(r, d, companions, depth),
-        None => tri_stack_body::<0>(r, d, companions),
+    if let Some(depth) = tri_stack_panel_depth(r.rows(), d.rows(), width) {
+        simd::note_simd();
+        return tri_stack_blocked(r, d, companions, depth);
+    }
+    match (r.rows(), d.rows()) {
+        (8, 8) => {
+            simd::note_mono();
+            tri_stack_body::<8>(r, d, companions);
+        }
+        (16, 16) => {
+            simd::note_mono();
+            tri_stack_body::<16>(r, d, companions);
+        }
+        _ => {
+            simd::note_simd();
+            tri_stack_body::<0>(r, d, companions);
+        }
     }
 }
 
@@ -841,35 +857,16 @@ impl<'a> Wy<'a> {
     }
 }
 
-/// [`qr_tri_stack_applying`] with plan-time kernel selection: when `kind`
-/// names a monomorphized dimension matching the actual blocks
-/// (`n = l = 8 or 16` — square evolution stacks of a uniform batch plan),
-/// the elimination runs the const-generic body, whose fixed trip counts the
-/// compiler unrolls and bounds-check-eliminates.  Anything else (including
-/// `KernelKind::Auto`, mismatched shapes, reference mode, and `n = 4`,
-/// where the specialized body never measured faster than the dynamic one)
-/// falls through to the runtime-dispatched path — the call is always
-/// correct, the kind is only a specialization hint bound once at plan time.
-/// The two bodies run the identical arithmetic sequence, so which one ran
-/// never shows in the result.
+/// [`qr_tri_stack_applying`], whatever `kind` says: the body follows the
+/// blocks' shapes.  Kept only because the end-to-end benchmark's `dense`
+/// probe (`benchmark/src/probes.rs`) calls it; it goes with the next
+/// revision of that harness (ROADMAP A(2)).
 pub fn qr_tri_stack_applying_with(
-    kind: KernelKind,
+    _kind: KernelKind,
     r: &mut Matrix,
     d: &mut Matrix,
     companions: &mut [(&mut Matrix, &mut Matrix)],
 ) {
-    let n = r.rows();
-    let body = match n {
-        8 => tri_stack_body::<8>,
-        16 => tri_stack_body::<16>,
-        _ => return qr_tri_stack_applying(r, d, companions),
-    };
-    if kind.active().dim() == Some(n) && d.rows() == n {
-        tri_stack_check(r, d, companions);
-        simd::note_mono();
-        body(r, d, companions);
-        return;
-    }
     qr_tri_stack_applying(r, d, companions);
 }
 
@@ -892,7 +889,7 @@ fn tri_stack_check(r: &Matrix, d: &Matrix, companions: &[(&mut Matrix, &mut Matr
 
 /// The tri-stack elimination body.  `N == 0` is the dynamic shape; `N > 0`
 /// monomorphizes the pivot count, column count and `D` row count to `N`
-/// (the wrappers guarantee `r` is `N×N` and `d` is `N×N` in that case), so
+/// (the caller guarantees `r` is `N×N` and `d` is `N×N` in that case), so
 /// every trip count below is a compile-time constant.
 ///
 /// The dynamic shape also accepts an upper-*trapezoidal* `r` (`m ≤ n` with
@@ -1620,7 +1617,6 @@ mod tests {
 
     #[test]
     fn mono_tri_stack_matches_dynamic_bitwise() {
-        use crate::simd::KernelKind;
         for n in [4usize, 8, 16] {
             let r0 = wide_sample(n, n).upper_triangular_part();
             let d0 = wide_sample(n, n);
@@ -1629,33 +1625,23 @@ mod tests {
 
             let (mut r_a, mut d_a) = (r0.clone(), d0.clone());
             let (mut top_a, mut bot_a) = (top0.clone(), bot0.clone());
-            qr_tri_stack_applying(&mut r_a, &mut d_a, &mut [(&mut top_a, &mut bot_a)]);
+            tri_stack_body::<0>(&mut r_a, &mut d_a, &mut [(&mut top_a, &mut bot_a)]);
 
+            // The entry runs the monomorphized body on this square stack at
+            // n ∈ {8, 16} (the dynamic one at n = 4); either way it runs the
+            // identical arithmetic sequence, so the match is bitwise,
+            // whatever the SIMD layer is doing.
+            let mono_before = simd::kernel_dispatch_counts().2;
             let (mut r_b, mut d_b) = (r0.clone(), d0.clone());
             let (mut top_b, mut bot_b) = (top0.clone(), bot0.clone());
-            let kind = KernelKind::for_dim(n);
-            assert_eq!(kind.dim(), Some(n));
-            qr_tri_stack_applying_with(kind, &mut r_b, &mut d_b, &mut [(&mut top_b, &mut bot_b)]);
-
-            // The monomorphized body runs the identical arithmetic sequence,
-            // so the match is bitwise, whatever the SIMD layer is doing.
+            qr_tri_stack_applying(&mut r_b, &mut d_b, &mut [(&mut top_b, &mut bot_b)]);
+            if n != 4 && simd::simd_active() {
+                assert!(simd::kernel_dispatch_counts().2 > mono_before, "mono n={n}");
+            }
             assert!(r_a.approx_eq(&r_b, 0.0), "mono R n={n}");
             assert!(d_a.approx_eq(&d_b, 0.0), "mono D n={n}");
             assert!(top_a.approx_eq(&top_b, 0.0), "mono top n={n}");
             assert!(bot_a.approx_eq(&bot_b, 0.0), "mono bot n={n}");
-
-            // A mismatched hint must fall back, not mis-specialize.
-            let (mut r_c, mut d_c) = (r0.clone(), d0.clone());
-            let wrong = if n == 4 {
-                KernelKind::Mono8
-            } else {
-                KernelKind::Mono4
-            };
-            qr_tri_stack_applying_with(wrong, &mut r_c, &mut d_c, &mut []);
-            let (mut r_d, mut d_d) = (r0.clone(), d0.clone());
-            qr_tri_stack_applying(&mut r_d, &mut d_d, &mut []);
-            assert!(r_c.approx_eq(&r_d, 0.0), "fallback R n={n}");
-            assert!(d_c.approx_eq(&d_d, 0.0), "fallback D n={n}");
         }
     }
 

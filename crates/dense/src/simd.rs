@@ -1,4 +1,4 @@
-//! Explicit-width SIMD microkernels and plan-time kernel selection.
+//! Explicit-width SIMD microkernels.
 //!
 //! This module is the crate's one island of `unsafe`: f64×4 tiles written
 //! against `core::arch` x86_64 AVX2/FMA intrinsics (and one f64×8 GEMM tile
@@ -21,14 +21,17 @@
 //!   built on it (compact-WY tri-stack in `qr.rs`, blocked back substitution
 //!   and inverse-Gram in `tri.rs`) — whenever reference mode is off,
 //! * **monomorphized** — const-generic kernels ([`gemm_mono`] at
-//!   `n ∈ {4, 8}`, the tri-stack bodies in `qr.rs` at `n ∈ {8, 16}`),
-//!   selected at plan time through [`KernelKind`] so a `SmoothPlan` binds
-//!   the exact kernel once instead of re-dispatching per call.
+//!   `n ∈ {4, 8}`, the tri-stack bodies in `qr.rs` at `n ∈ {8, 16}`), which
+//!   `gemm` and `qr_tri_stack_applying` run whenever their operands are
+//!   exactly that square shape.
 //!
-//! Beside the ladder sit the **fixed-size** kernels of [`crate::fixed`] — a
-//! stream's whole forward step and the two steps of its back half at
-//! `n ∈ {4, 8}`, on stack-resident columns.  They are chosen by operand
-//! shape, not by a plan, and written without intrinsics: this module only
+//! Every rung is chosen from the operands' shapes (and the reference
+//! switch) at the entry point, never by a plan or an option, so the same
+//! block takes the same body wherever it shows up.  Beside the ladder sit
+//! the **fixed-size** kernels of [`crate::fixed`] — a stream's whole
+//! forward step and the two steps of its back half at `n ∈ {4, 8}`, on
+//! stack-resident columns.  They are chosen the same way, and written
+//! without intrinsics: this module only
 //! instantiates each body under `avx2,fma` and portably and dispatches
 //! between the two, which compute the same bits.
 //!
@@ -188,75 +191,34 @@ pub fn kernel_dispatch_counts() -> (u64, u64, u64) {
 }
 
 // ---------------------------------------------------------------------------
-// Plan-time kernel selection
+// Kept for the end-to-end benchmark harness
 // ---------------------------------------------------------------------------
 
-/// Plan-time kernel selection for the monomorphized small-`n` kernels.
-///
-/// A `PlanSchedule` covers one shape, which fixes every block dimension
-/// of the smoothing recursion, so the plan can pick the kernel family
-/// **once**: uniform state dimension `n ∈ {4, 8, 16}` selects the
-/// const-generic monomorphized kernels that exist at that size (GEMM at 4
-/// and 8, tri-stack at 8 and 16), anything else runs the
-/// runtime-dispatched ladder.  Execution then binds the monomorphic kernel
-/// without per-call dispatch.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// A specialization hint that no kernel reads any more: [`crate::gemm`] and
+/// [`crate::qr_tri_stack_applying`] pick their bodies from the operands'
+/// shapes.  Kept only because the end-to-end benchmark's `dense` probe
+/// (`benchmark/src/probes.rs`) names it; it goes with the next revision of
+/// that harness (ROADMAP A(2)).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelKind {
-    /// Runtime-dispatched kernels for arbitrary dimensions.
-    #[default]
+    /// Any dimension.
     Auto,
-    /// Monomorphized kernels for state dimension 4.
+    /// State dimension 4.
     Mono4,
-    /// Monomorphized kernels for state dimension 8.
+    /// State dimension 8.
     Mono8,
-    /// Monomorphized kernels for state dimension 16.
+    /// State dimension 16.
     Mono16,
 }
 
 impl KernelKind {
-    /// Selection for a single uniform block dimension.
+    /// The hint for a single uniform block dimension.
     pub fn for_dim(n: usize) -> Self {
         match n {
             4 => KernelKind::Mono4,
             8 => KernelKind::Mono8,
             16 => KernelKind::Mono16,
             _ => KernelKind::Auto,
-        }
-    }
-
-    /// Selection for a sequence of block dimensions: monomorphized only when
-    /// every block shares one of the specialized sizes.
-    pub fn for_dims<I: IntoIterator<Item = usize>>(dims: I) -> Self {
-        let mut it = dims.into_iter();
-        let Some(first) = it.next() else {
-            return KernelKind::Auto;
-        };
-        if it.all(|d| d == first) {
-            KernelKind::for_dim(first)
-        } else {
-            KernelKind::Auto
-        }
-    }
-
-    /// The specialized dimension, or `None` for [`KernelKind::Auto`].
-    pub fn dim(self) -> Option<usize> {
-        match self {
-            KernelKind::Auto => None,
-            KernelKind::Mono4 => Some(4),
-            KernelKind::Mono8 => Some(8),
-            KernelKind::Mono16 => Some(16),
-        }
-    }
-
-    /// Resolves the plan-time selection against the process-wide kernel
-    /// switches: the scalar reference oracle (`KALMAN_REF_KERNELS`) demotes
-    /// every selection to [`KernelKind::Auto`].  Executors call this once
-    /// per solve, then bind the returned kind for the whole execution.
-    pub fn active(self) -> Self {
-        if workspace::reference_kernels() {
-            KernelKind::Auto
-        } else {
-            self
         }
     }
 }
@@ -1212,10 +1174,6 @@ mod tests {
         assert_eq!(KernelKind::for_dim(8), KernelKind::Mono8);
         assert_eq!(KernelKind::for_dim(16), KernelKind::Mono16);
         assert_eq!(KernelKind::for_dim(6), KernelKind::Auto);
-        assert_eq!(KernelKind::for_dims([8, 8, 8]), KernelKind::Mono8);
-        assert_eq!(KernelKind::for_dims([8, 4, 8]), KernelKind::Auto);
-        assert_eq!(KernelKind::for_dims(std::iter::empty()), KernelKind::Auto);
-        assert_eq!(KernelKind::Mono16.dim(), Some(16));
     }
 
     #[test]

@@ -6,8 +6,7 @@
 
 use kalman_dense::{
     gemm, gemm_blocked, gemm_ref, matmul, matmul_nt, matmul_tn, qr_tri_stack_applying, random,
-    set_reference_kernels, simd, tri, Cholesky, DenseError, KernelKind, LuFactor, Matrix, QrFactor,
-    Trans,
+    set_reference_kernels, simd, tri, Cholesky, DenseError, LuFactor, Matrix, QrFactor, Trans,
 };
 use proptest::prelude::*;
 
@@ -476,18 +475,16 @@ proptest! {
             "mono n={n} b_trans={b_trans} beta={beta}: {}", got.max_abs_diff(&want));
     }
 
-    /// The plan-bound `KernelKind::gemm` entry matches the reference for
-    /// every transpose combination and for shapes that do NOT fit the
-    /// monomorphic guard (Aᵀ cases and off-size operands fall back to the
-    /// general dispatcher — the strided-transpose escape hatch).
+    /// `gemm` matches the reference at the monomorphized square shapes
+    /// and around them, for every transpose combination: `N×N` operands
+    /// with `op(A) = A` take the register-resident body at N ∈ {4, 8}, and
+    /// the `Aᵀ` cases and other sizes take the general ladder.
     #[test]
-    fn kernel_kind_gemm_matches_reference(
-        ki in 0usize..4,
+    fn gemm_matches_reference_at_mono_shapes(
         mi in 0usize..5,
         ta_flag: bool, tb_flag: bool,
         seed in 0u64..1000,
     ) {
-        let kind = [KernelKind::Auto, KernelKind::Mono4, KernelKind::Mono8, KernelKind::Mono16][ki];
         let n = [3usize, 4, 5, 8, 16][mi];
         let mut rng: rand_chacha::ChaCha8Rng = rand::SeedableRng::seed_from_u64(seed);
         let ta = if ta_flag { Trans::Yes } else { Trans::No };
@@ -499,9 +496,9 @@ proptest! {
         let mut want = c0.clone();
         gemm_ref(1.3, &a, ta, &b, tb, 0.7, &mut want);
         let mut got = c0.clone();
-        (kind.gemm())(1.3, &a, ta, &b, tb, 0.7, &mut got);
+        gemm(1.3, &a, ta, &b, tb, 0.7, &mut got);
         prop_assert!(got.approx_eq(&want, 1e-12 * (1.0 + want.max_abs())),
-            "{kind:?} n={n} {ta:?}/{tb:?}: {}", got.max_abs_diff(&want));
+            "n={n} {ta:?}/{tb:?}: {}", got.max_abs_diff(&want));
     }
 }
 

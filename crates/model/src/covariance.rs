@@ -150,20 +150,7 @@ impl CovarianceSpec {
     ///
     /// [`KalmanError::NotPositiveDefinite`] if the covariance is not SPD.
     pub fn whiten_vec(&self, x: &[f64], step: usize) -> Result<Vec<f64>> {
-        Ok(self.whiten_col(x, step)?.into_vec())
-    }
-
-    /// Applies the inverse factor to a vector, returning it as a column
-    /// matrix: `W·x` as `n × 1`.  Hot paths prefer this over
-    /// [`CovarianceSpec::whiten_vec`] — the column stays inside the
-    /// workspace-pooled [`Matrix`] storage instead of escaping as a raw
-    /// `Vec`.
-    ///
-    /// # Errors
-    ///
-    /// [`KalmanError::NotPositiveDefinite`] if the covariance is not SPD.
-    pub fn whiten_col(&self, x: &[f64], step: usize) -> Result<Matrix> {
-        self.whiten(&Matrix::col_from_slice(x), step)
+        Ok(self.whiten(&Matrix::col_from_slice(x), step)?.into_vec())
     }
 
     /// The block-diagonal combination `diag(a, b)` of two covariances,

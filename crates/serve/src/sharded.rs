@@ -354,14 +354,7 @@ impl ShardedPool {
     }
 
     /// Applies one event to a resident stream, recording failures.
-    fn apply(
-        shard: &mut Shard,
-        id: StreamId,
-        key: u64,
-        event: StreamEvent,
-        tap: &mut impl FnMut(u64, &StreamEvent),
-    ) {
-        tap(key, &event);
+    fn apply(shard: &mut Shard, id: StreamId, key: u64, event: StreamEvent) {
         if let Err(e) = shard.pool.ingest(id, event) {
             shard.metrics.ingest_errors.inc();
             shard.errors.push((key, e));
@@ -373,13 +366,7 @@ impl ShardedPool {
     /// triggers, and every later event of that stream queues up behind it
     /// (per-stream order is sacred).  Returns whether the event was
     /// applied.
-    fn gate_or_apply(
-        &mut self,
-        loc: Location,
-        key: u64,
-        event: StreamEvent,
-        tap: &mut impl FnMut(u64, &StreamEvent),
-    ) {
+    fn gate_or_apply(&mut self, loc: Location, key: u64, event: StreamEvent) {
         // A stream whose flush already failed this drain stops gating (its
         // window grows until solvable; see the `drain` docs), so its
         // deferred backlog can never wedge or re-run the failing flush.
@@ -393,7 +380,7 @@ impl ShardedPool {
             shard.blocked.insert(loc.id);
             self.deferred.push_back((loc, key, event));
         } else {
-            Self::apply(shard, loc.id, key, event, tap);
+            Self::apply(shard, loc.id, key, event);
         }
     }
 
@@ -471,15 +458,6 @@ impl ShardedPool {
     /// until the next drain); ingestion failures through
     /// [`ShardedPool::last_errors`].
     pub fn drain(&mut self) -> DrainSummary {
-        self.drain_tapped(|_, _| {})
-    }
-
-    /// [`ShardedPool::drain`] with an observer called for every applied
-    /// event *before* it enters its stream, in application order — the
-    /// audit hook (event logging, replay capture, per-key accounting).
-    /// The tap must not allocate if the drain's zero-allocation property
-    /// matters to the caller.
-    pub fn drain_tapped(&mut self, mut tap: impl FnMut(u64, &StreamEvent)) -> DrainSummary {
         let drain_start = Instant::now();
         let mut summary = DrainSummary::default();
         for s in 0..self.shards.len() {
@@ -516,7 +494,7 @@ impl ShardedPool {
                 }
                 match self.route.get(&key).copied() {
                     Some(loc) => {
-                        self.gate_or_apply(loc, key, event, &mut tap);
+                        self.gate_or_apply(loc, key, event);
                     }
                     None => {
                         let shard = &mut self.shards[s];
@@ -544,7 +522,7 @@ impl ShardedPool {
             }
             std::mem::swap(&mut self.deferred, &mut self.redeferred);
             while let Some((loc, key, event)) = self.redeferred.pop_front() {
-                self.gate_or_apply(loc, key, event, &mut tap);
+                self.gate_or_apply(loc, key, event);
             }
         }
         for shard in &mut self.shards {

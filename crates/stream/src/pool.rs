@@ -211,19 +211,6 @@ impl SmootherPool {
         self.policy
     }
 
-    /// Ids of streams whose windows are full (what [`SmootherPool::poll`]
-    /// would flush).
-    pub fn ready_streams(&self) -> Vec<StreamId> {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| match e {
-                Some(s) if s.ready() => Some(StreamId(i)),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Flushes every ready stream in one parallel batch, returning each
     /// stream's outcome individually (streams with nothing to finalize are
     /// absent).  Results are per-stream because a successful flush is
@@ -493,11 +480,12 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(pool.ready_streams(), vec![a]);
+        assert_eq!(pool.ready_len(), 1);
         let results = pool.poll();
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].0, a);
         assert_eq!(results[0].1.as_ref().unwrap().len(), 14 - 8); // len - lag
+        assert_eq!(pool.ready_len(), 0);
         assert!(pool.poll().is_empty());
         let _ = b;
     }

@@ -218,7 +218,6 @@ fn large_block_plan_reuse_is_allocation_free_after_warmup() {
         compress_odd: true,
     };
     let mut plan = SmoothPlan::for_model(&model, opts).unwrap();
-    assert_eq!(plan.schedule().kernels(), kalman::dense::KernelKind::Auto);
     let mut out = Smoothed {
         means: Vec::new(),
         covariances: None,

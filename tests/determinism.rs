@@ -108,20 +108,15 @@ fn every_tree_shape_is_bitwise_equal_to_sequential() {
 }
 
 /// The level-3 dense kernels must not disturb the bitwise Seq-vs-Par
-/// contract.  Both sizes plan `KernelKind::Auto` (n = 16 would bind
-/// `Mono16` and never reach them): at n = 24 every SelInv product runs on
-/// the register-tile GEMM and the inverse-Gram and multi-column solves are
-/// blocked; at n = 48 the eliminations additionally run the compact-WY
-/// tri-stack.  Each kernel is a pure function of its operands, so the
-/// arithmetic is identical regardless of scheduling.
+/// contract.  Neither size has a monomorphized body: at n = 24 every
+/// SelInv product runs on the register-tile GEMM and the inverse-Gram and
+/// multi-column solves are blocked; at n = 48 the eliminations
+/// additionally run the compact-WY tri-stack.  Each kernel is a pure
+/// function of its operands, so the arithmetic is identical regardless of
+/// scheduling.
 #[test]
 fn blocked_kernels_stay_bitwise_equal_across_policies() {
     for (n, k, seed) in [(24usize, 60usize, 4101u64), (48, 40, 4102)] {
-        assert_eq!(
-            PlanSchedule::build(&vec![n; k + 1]).kernels(),
-            kalman::dense::KernelKind::Auto,
-            "n={n} must run the runtime-dispatched ladder"
-        );
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let model = generators::paper_benchmark(&mut rng, n, k, true);
         let seq = odd_even_smooth(
@@ -159,23 +154,15 @@ fn blocked_kernels_stay_bitwise_equal_across_policies() {
 /// The SIMD-width-aware and const-generic monomorphized kernels are pure
 /// functions of their inputs — lane width changes *which* arithmetic runs,
 /// never the order it runs in across tasks — so with SIMD active and the
-/// plan selecting `Mono4`/`Mono8`/`Mono16`, `ExecPolicy::par()` must stay
-/// bitwise identical to `ExecPolicy::Seq` at every monomorphized width.
+/// dense entry points taking their monomorphized bodies on these square
+/// blocks, `ExecPolicy::par()` must stay bitwise identical to
+/// `ExecPolicy::Seq` at every monomorphized width.
 #[test]
 fn simd_and_mono_kernels_stay_bitwise_equal_across_policies() {
     for (n, k, seed) in [(4usize, 90usize, 4400u64), (8, 70, 4401), (16, 50, 4402)] {
-        // The plan must actually be selecting the monomorphic kernel here,
-        // otherwise this pin silently degrades to the blocked-kernel test.
-        let dims = vec![n; k + 1];
-        let schedule = PlanSchedule::build(&dims);
-        assert_eq!(
-            schedule.kernels(),
-            kalman::dense::KernelKind::for_dim(n),
-            "uniform n={n} plan should monomorphize"
-        );
-
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let model = generators::paper_benchmark(&mut rng, n, k, true);
+        let mono_before = kalman::dense::kernel_dispatch_counts().2;
         let seq = odd_even_smooth(
             &model,
             OddEvenOptions {
@@ -185,6 +172,16 @@ fn simd_and_mono_kernels_stay_bitwise_equal_across_policies() {
             },
         )
         .unwrap();
+        // The smooth must actually reach a monomorphized body, otherwise
+        // this pin silently degrades to the blocked-kernel test.  The
+        // counter is process-wide and monotone, so a concurrent test can
+        // only add to it.
+        if !kalman::dense::reference_kernels() {
+            assert!(
+                kalman::dense::kernel_dispatch_counts().2 > mono_before,
+                "n={n}: no monomorphized body ran"
+            );
+        }
         for threads in [2usize, 8] {
             for grain in [1usize, 10] {
                 let par = run_with_threads(threads, || {

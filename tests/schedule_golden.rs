@@ -17,7 +17,10 @@
 //!
 //! [`REFERENCE`] and the six n ≤ 8 rows of [`AVX2`] were captured on commit
 //! 133c1a7 (the level-major executor); the two n = 48 default rows
-//! after the 16-deep panels and SelInv's product with `R_jj⁻¹` moved them.
+//! after the 16-deep panels and SelInv's product with `R_jj⁻¹` moved them;
+//! the `dimension_change` default row once `gemm` chose the 4×4 body by
+//! operand shape (that model's 4×4 products used to run the register tile,
+//! because its plan mixes dimensions).
 //!
 //! **Re-capture protocol**, for a change that is *meant* to move bits (a
 //! kernel's summation order, a generator):
@@ -376,14 +379,14 @@ const AVX2: Table = [
         0x1d38e498f13f416b,
         0x2e5c610579323d1a,
         0x80a2c4ac092b6037,
-        0x13cfd61452bd2977,
-        0x7b45f383899f951c,
-        0x12c0d6565e920f9c,
-        0xd7f605d96ed2e11d,
-        0x2c1085d0a06b2c2a,
-        0x7430c2b84eb69061,
-        0x0cd2ee6697649aaa,
-        0xe0cd4f7c77d9681a,
+        0x630f26d645aab6cd,
+        0x67dd2b83e0530c1f,
+        0x128d25a187f7aa4a,
+        0x6b013c24a0bae1ee,
+        0xce7b9caea64dff54,
+        0xdcf611a4a3c57329,
+        0x0f768f9eefa94ac2,
+        0x9620870929cce998,
     ],
     // sparse_observations
     [
