@@ -5,15 +5,15 @@
 //! a simulated supervisor's slot) alike, so every slot applies inserts,
 //! events and finishes the same way and reports the same outputs and the
 //! same stream errors.  A stream restored after a crash is an ordinary
-//! insert, of the [`crate::StreamInit::Resume`] spec the host itself built
-//! for the last acked snapshot.  The host only banks what it produced;
-//! the handler ships the banks as frames.
+//! insert, of the [`crate::StreamInit::Resume`] spec the handler encoded
+//! from the host's stream for the last acked snapshot.  The host only
+//! banks what it produced; the handler ships the banks as frames.
 
-use crate::proto::{StreamInit, StreamSpec};
-use kalman_model::{KalmanError, StreamEvent};
+use crate::proto::StreamSpec;
+use kalman_model::StreamEvent;
 use kalman_par::ExecPolicy;
 use kalman_serve::{Ingress, ServeConfig, ShardedPool};
-use kalman_stream::{FinalizedStep, WindowSnapshot};
+use kalman_stream::{FinalizedStep, StreamingSmoother, WindowSnapshot};
 
 /// One shard: a single-shard [`ShardedPool`], its [`Ingress`], and the
 /// outputs and stream errors not yet handed on.
@@ -93,21 +93,9 @@ impl ShardHost {
         self.pool.finish(key)
     }
 
-    /// Every resident stream as the spec that restores it (its snapshot
-    /// under its own options), one at a time.  Call it after
-    /// [`ShardHost::drain`], so the snapshots cover every queued event.
-    pub(crate) fn resume_specs(
-        &self,
-    ) -> impl ExactSizeIterator<Item = kalman_model::Result<(u64, StreamSpec)>> + '_ {
-        let keys: Vec<u64> = self.pool.keys().collect();
-        keys.into_iter().map(|key| {
-            let stream = (self.pool.stream(key))
-                .ok_or_else(|| KalmanError::Stream(format!("key {key} vanished")))?;
-            let init = StreamInit::Resume {
-                snapshot: stream.snapshot()?,
-            };
-            let opts = *stream.options();
-            Ok((key, StreamSpec { init, opts }))
-        })
+    /// Every resident stream, one at a time.  Call it after
+    /// [`ShardHost::drain`], so the streams hold every queued event.
+    pub(crate) fn streams(&self) -> impl Iterator<Item = (u64, &StreamingSmoother)> + '_ {
+        self.pool.streams()
     }
 }

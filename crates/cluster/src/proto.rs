@@ -163,28 +163,37 @@ pub fn decode_spec(r: &mut Reader<'_>) -> kalman_wire::Result<StreamSpec> {
 /// Appends a `K_SNAPSHOT_ACK` payload: `seq`, the stream count, then per
 /// resident stream its key and the length-prefixed `K_INSERT` payload
 /// that restores it (the key again, then its [`StreamInit::Resume`]
-/// spec).  Each stream is encoded as it arrives.
+/// spec).  Each stream is encoded straight from its buffer into the
+/// frame; the count and each length are patched in behind what they
+/// count.
 ///
 /// # Errors
 ///
-/// The first stream that could not be snapshotted.
-pub fn encode_snapshot_ack(
+/// The first stream whose window could not be read
+/// ([`StreamingSmoother::window`]).
+pub fn encode_snapshot_ack<'a>(
     w: &mut Writer,
     seq: u64,
-    streams: impl ExactSizeIterator<Item = kalman_model::Result<(u64, StreamSpec)>>,
+    streams: impl IntoIterator<Item = (u64, &'a StreamingSmoother)>,
 ) -> kalman_model::Result<()> {
     w.put_u64(seq);
-    w.put_u32(streams.len() as u32);
-    let mut insert = Writer::new();
-    for stream in streams {
-        let (key, spec) = stream?;
-        insert.clear();
-        insert.put_u64(key);
-        encode_spec(&mut insert, &spec);
+    let count_at = w.len();
+    w.put_u32(0);
+    let mut count = 0;
+    for (key, stream) in streams {
+        let window = stream.window()?;
         w.put_u64(key);
-        w.put_u32(insert.len() as u32);
-        w.put_bytes(insert.as_slice());
+        let len_at = w.len();
+        w.put_u32(0);
+        w.put_u64(key);
+        w.put_u8(INIT_RESUME);
+        let events = window.events();
+        codec::encode_window(w, window.index, window.head, window.base_emitted, events);
+        codec::encode_stream_options(w, stream.options());
+        w.patch_u32(len_at, (w.len() - len_at - 4) as u32);
+        count += 1;
     }
+    w.patch_u32(count_at, count);
     Ok(())
 }
 
@@ -392,14 +401,9 @@ mod tests {
     /// `INIT_RESUME` spec.  The supervisor keeps those bytes as they came.
     #[test]
     fn snapshot_ack_payload_layout_is_pinned() {
-        let spec = StreamSpec {
-            init: StreamInit::Resume {
-                snapshot: finished(),
-            },
-            opts: StreamOptions::default(),
-        };
+        let stream = StreamingSmoother::restore(finished(), StreamOptions::default()).unwrap();
         let mut w = Writer::new();
-        encode_snapshot_ack(&mut w, 5, [Ok((9, spec))].into_iter()).unwrap();
+        encode_snapshot_ack(&mut w, 5, [(9, &stream)]).unwrap();
         let opts = "20000000 00 20000000 00 01 0a000000 01 00";
         // 8 (key) + 1 (tag) + 77 (snapshot) + 17 (options) = 103 bytes.
         let insert = unspaced(&format!("0900000000000000 02 {FINISHED} {opts}"));

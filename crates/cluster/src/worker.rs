@@ -154,7 +154,7 @@ impl Handler {
                 // way must reach the supervisor no later than the ack.
                 ship_pending(host, out, tx)?;
                 out.clear();
-                (encode_snapshot_ack(out, seq, host.resume_specs()))
+                (encode_snapshot_ack(out, seq, host.streams()))
                     .map_err(|e| WorkerError::Internal(e.to_string()))?;
                 tx.send(K_SNAPSHOT_ACK, out.as_slice())?;
             }

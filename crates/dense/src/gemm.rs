@@ -69,24 +69,35 @@ fn scale_c(beta: f64, c: &mut Matrix) {
 ///
 /// Panics on dimension mismatch.
 pub fn gemm(alpha: f64, a: &Matrix, ta: Trans, b: &Matrix, tb: Trans, beta: f64, c: &mut Matrix) {
-    let (am, ak, bn) = check_dims(a, ta, b, tb, c);
-    let reference = workspace::reference_kernels();
-    // Tested before `scale_c`: the kernel folds β into its register-resident
-    // columns itself.
-    if !reference
-        && alpha != 0.0
+    // `A`, `B` and `C` all N×N with `op(A) = A` agree whatever `tb` is, so
+    // the square test stands in for `check_dims`.  Tested before `scale_c`:
+    // the kernel folds β into its register-resident columns itself.
+    let n = c.rows();
+    let square = |m: &Matrix| m.rows() == n && m.cols() == n;
+    if matches!(n, 4 | 8)
+        && square(a)
+        && square(b)
+        && c.cols() == n
         && ta == Trans::No
-        && matches!((am, ak, bn), (4, 4, 4) | (8, 8, 8))
+        && alpha != 0.0
+        && !workspace::reference_kernels()
     {
         simd::note_mono();
         let (a, b, b_trans) = (a.as_slice(), b.as_slice(), tb == Trans::Yes);
-        if am == 4 {
-            simd::gemm_mono::<4>(alpha, a, b, b_trans, beta, c.as_mut_slice());
-        } else {
-            simd::gemm_mono::<8>(alpha, a, b, b_trans, beta, c.as_mut_slice());
+        #[allow(unsafe_code)]
+        // SAFETY: a matrix holds exactly `rows · cols` elements, so the three
+        // N×N operands are N·N-element slices, N ∈ {4, 8}.
+        unsafe {
+            if n == 4 {
+                simd::gemm_mono_unchecked::<4>(alpha, a, b, b_trans, beta, c.as_mut_slice());
+            } else {
+                simd::gemm_mono_unchecked::<8>(alpha, a, b, b_trans, beta, c.as_mut_slice());
+            }
         }
         return;
     }
+    let (am, ak, bn) = check_dims(a, ta, b, tb, c);
+    let reference = workspace::reference_kernels();
     scale_c(beta, c);
     if alpha == 0.0 || am == 0 || bn == 0 || ak == 0 {
         return;

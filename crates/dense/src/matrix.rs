@@ -17,6 +17,8 @@ use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 /// is the empty `0 × 0` one (a placeholder for `clone_from` to fill).
 #[derive(PartialEq, Default)]
 pub struct Matrix {
+    /// Exactly `rows · cols` elements: `gemm`'s unchecked `N×N` entry
+    /// indexes by the shape alone.
     data: Vec<f64>,
     rows: usize,
     cols: usize,

@@ -1080,11 +1080,32 @@ pub fn gemm_mono<const N: usize>(
     assert_eq!(a.len(), N * N, "gemm_mono: A must be N×N");
     assert_eq!(b.len(), N * N, "gemm_mono: B must be N×N");
     assert_eq!(c.len(), N * N, "gemm_mono: C must be N×N");
+    // SAFETY: the assertions above pin the N·N slice lengths, N ∈ {4, 8}.
+    unsafe { gemm_mono_unchecked::<N>(alpha, a, b, b_trans, beta, c) }
+}
+
+/// [`gemm_mono`] without its length asserts, for [`crate::gemm`], which
+/// has matched the operands' shapes already.
+///
+/// # Safety
+///
+/// `N ∈ {4, 8}`, and `a`, `b` and `c` hold `N·N` elements each.
+#[inline]
+pub(crate) unsafe fn gemm_mono_unchecked<const N: usize>(
+    alpha: f64,
+    a: &[f64],
+    b: &[f64],
+    b_trans: bool,
+    beta: f64,
+    c: &mut [f64],
+) {
+    debug_assert!(N.is_multiple_of(4) && N <= 8);
+    debug_assert!(a.len() == N * N && b.len() == N * N && c.len() == N * N);
     #[cfg(target_arch = "x86_64")]
     if use_avx2() {
         // SAFETY: `use_avx2()` is true only after `is_x86_feature_detected!`
-        // confirmed AVX2+FMA on this CPU; the shape assertions above pin the
-        // N·N slice lengths the implementation indexes.
+        // confirmed AVX2+FMA on this CPU; the caller guarantees the N·N
+        // slice lengths the implementation indexes.
         return unsafe { gemm_mono_avx2::<N>(alpha, a, b, b_trans, beta, c) };
     }
     gemm_mono_portable::<N>(alpha, a, b, b_trans, beta, c)

@@ -3,7 +3,7 @@
 //!
 //! Every [`Matrix`](crate::Matrix) allocation in this crate is routed
 //! through a thread-local [`Workspace`]: buffers are handed out from
-//! quarter-octave size-class free lists and returned when the matrix is
+//! eighth-octave size-class free lists and returned when the matrix is
 //! dropped (see `Drop for Matrix`), so a loop that repeatedly builds and
 //! discards temporaries — the odd-even elimination tasks, SelInv rows,
 //! `InfoHead::eliminate`, a streaming smoother's per-flush sweep — performs
@@ -13,18 +13,19 @@
 //!
 //! Design rules (documented in DESIGN.md §"Dense kernels"):
 //!
-//! * **Quarter-octave classes**: every doubling of the buffer length is
-//!   split into four classes, `2^k · {5/4, 6/4, 7/4, 2}` elements (the
-//!   spacing jemalloc uses), so a buffer is less than 1.25× the length it
-//!   was taken for — a 6 × 6 block gets 40 elements, a 48 × 48 one 2560.
-//!   A buffer handed out again at a longer length of its class makes its
-//!   tail resident, so the slack is resident memory.  A power of two keeps
-//!   a class of exactly its size.
+//! * **Eighth-octave classes**: every doubling of the buffer length is
+//!   split into eight classes, `2^k · {9/8, 10/8, …, 15/8, 2}` elements, so
+//!   a buffer is less than 1.125× the length it was taken for.  The paper's
+//!   blocks fit exactly: a 6 × 6 block gets 36 elements, a 48 × 48 one
+//!   2304, and their two-block stacks 72 and 4608.  A buffer handed out
+//!   again at a longer length of its class makes its tail resident, so the
+//!   slack is resident memory.  A power of two keeps a class of exactly its
+//!   size.
 //! * **Per-worker**: the workspace is a `thread_local`, so parallel batches
 //!   need no synchronization and recycling stays deterministic.  A buffer
 //!   freed on a different thread than it was taken from simply warms that
 //!   thread's pool instead (ownership of buffers is never shared).
-//! * **Bounded**: the four classes of the doubling that ends at `2^o`
+//! * **Bounded**: the eight classes of the doubling that ends at `2^o`
 //!   elements share one element budget of `max(2^15, 2^o)`, and only
 //!   lengths between 2^4 and 2^18 elements are pooled; everything beyond
 //!   falls through to the global allocator, so the pool retains at most
@@ -38,8 +39,8 @@
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Size classes per doubling of the buffer length, as a shift: four.
-const SPACING_BITS: usize = 2;
+/// Size classes per doubling of the buffer length, as a shift: eight.
+const SPACING_BITS: usize = 3;
 /// Element budget of one doubling (per thread): the classes of the doubling
 /// that ends at `2^o` elements park at most `max(MAX_CLASS_ELEMS, 2^o)`
 /// elements between them, so tiny-block-heavy workloads (state dimension 4
@@ -48,8 +49,8 @@ const SPACING_BITS: usize = 2;
 /// doublings above 2^15).
 pub const MAX_CLASS_ELEMS: usize = 1 << 15;
 /// Largest pooled size class, the one of `2^18` elements (256 Ki elements
-/// = 2 MiB of f64).  Class indices are quarter-octave logarithms: the class
-/// of a power of two `2^t` is `4t`, and the three classes between two
+/// = 2 MiB of f64).  Class indices are eighth-octave logarithms: the class
+/// of a power of two `2^t` is `8t`, and the seven classes between two
 /// powers of two are the indices in between.  Bigger buffers go straight
 /// to the global allocator — at that size the allocation cost is amortized
 /// by the work done on the buffer, and pooling them would blow the
@@ -61,8 +62,8 @@ pub const MAX_CLASS: usize = 18 << SPACING_BITS;
 /// below it, so they could never be served.
 pub const MIN_CLASS: usize = 4 << SPACING_BITS;
 
-/// Elements in a buffer of size class `class`: `2^t · (4 + r) / 4` for
-/// `class = 4t + r`.  Shifts only, as is [`class_of`].
+/// Elements in a buffer of size class `class`: `2^t · (8 + r) / 8` for
+/// `class = 8t + r`.  Shifts only, as is [`class_of`].
 #[inline]
 const fn class_size(class: usize) -> usize {
     let fine = (1 << SPACING_BITS) + (class & ((1 << SPACING_BITS) - 1));
@@ -77,14 +78,14 @@ fn class_of(len: usize) -> Option<usize> {
     if len > class_size(MAX_CLASS) {
         return None;
     }
-    // `len - 1` lies in [2^t, 2^(t+1)); its top three bits pick the quarter.
+    // `len - 1` lies in [2^t, 2^(t+1)); its top four bits pick the eighth.
     let t = (usize::BITS - 1 - (len - 1).leading_zeros()) as usize;
     let top = (len - 1) >> (t - SPACING_BITS);
     Some((t << SPACING_BITS) + top + 1 - (1 << SPACING_BITS))
 }
 
 /// The doubling `class` belongs to, as the exponent of its largest class:
-/// class `4t` and the three below it form doubling `t`.
+/// class `8t` and the seven below it form doubling `t`.
 #[inline]
 const fn doubling_of(class: usize) -> usize {
     (class + (1 << SPACING_BITS) - 1) >> SPACING_BITS
@@ -526,17 +527,17 @@ mod tests {
         let a = ws.take_f64(100);
         assert_eq!(a.len(), 100);
         assert!(a.iter().all(|&x| x == 0.0));
-        assert_eq!(a.capacity(), 112); // 2^6 · 7/4
+        assert_eq!(a.capacity(), 104); // 2^6 · 13/8
         ws.put_f64(a);
-        assert_eq!(ws.stats().pooled_elems, 112);
-        let b = ws.take_f64(110); // same class
-        assert_eq!(b.capacity(), 112);
+        assert_eq!(ws.stats().pooled_elems, 104);
+        let b = ws.take_f64(97); // same class
+        assert_eq!(b.capacity(), 104);
         assert_eq!(ws.stats().hits, 1);
         assert!(b.iter().all(|&x| x == 0.0));
         ws.put_f64(b);
-        let c = ws.take_f64(70); // class 80: the parked 112 stays parked
-        assert_eq!(c.capacity(), 80);
-        assert_eq!((ws.stats().hits, ws.stats().pooled_elems), (1, 112));
+        let c = ws.take_f64(70); // class 72: the parked 104 stays parked
+        assert_eq!(c.capacity(), 72);
+        assert_eq!((ws.stats().hits, ws.stats().pooled_elems), (1, 104));
     }
 
     /// Every class size maps back to its own class; lengths up to 16 share
@@ -554,21 +555,23 @@ mod tests {
     }
 
     /// Every pooled length gets the smallest class that holds it, and that
-    /// class is less than a quarter longer than the length.
+    /// class is less than an eighth longer than the length.
     #[test]
     fn slack_stays_below_the_spacing() {
         for len in 16..=(1usize << 18) {
             let class = class_of(len).unwrap();
             let size = class_size(class);
-            assert!(size >= len && 4 * size < 5 * len, "len {len} → {size}");
+            assert!(size >= len && 8 * size < 9 * len, "len {len} → {size}");
             assert!(
                 class == MIN_CLASS || class_size(class - 1) < len,
                 "len {len}"
             );
         }
-        // The paper's two panels: 6 × 6 and 48 × 48 blocks.
-        assert_eq!(class_size(class_of(36).unwrap()), 40);
-        assert_eq!(class_size(class_of(48 * 48).unwrap()), 2560);
+        // The paper's two panels: 6 × 6 and 48 × 48 blocks and their
+        // two-block stacks.
+        for len in [36, 72, 48 * 48, 2 * 48 * 48] {
+            assert_eq!(class_size(class_of(len).unwrap()), len);
+        }
     }
 
     /// Power-of-two lengths (every block at n ∈ {4, 8, 16}) get a class of
@@ -577,7 +580,7 @@ mod tests {
     fn powers_of_two_get_an_exact_class() {
         for t in 4..=18 {
             let class = class_of(1 << t).unwrap();
-            assert_eq!((class, class_size(class)), (4 * t, 1 << t));
+            assert_eq!((class, class_size(class)), (8 * t, 1 << t));
             assert_eq!(budget_for_len(1 << t), (MAX_CLASS_ELEMS >> t).max(1));
         }
     }

@@ -438,6 +438,35 @@ pub enum StreamEvent {
     Observe(Observation),
 }
 
+/// A [`StreamEvent`] borrowed: how a live stream's buffered window is read
+/// (to encode it, say) without copying its matrices.
+#[derive(Debug, Clone, Copy)]
+pub enum StreamEventRef<'a> {
+    /// A borrowed [`StreamEvent::Evolve`].
+    Evolve(&'a crate::Evolution),
+    /// A borrowed [`StreamEvent::Observe`].
+    Observe(&'a Observation),
+}
+
+impl StreamEventRef<'_> {
+    /// The owned event.
+    pub fn to_event(self) -> StreamEvent {
+        match self {
+            StreamEventRef::Evolve(evo) => StreamEvent::Evolve(evo.clone()),
+            StreamEventRef::Observe(obs) => StreamEvent::Observe(obs.clone()),
+        }
+    }
+}
+
+impl<'a> From<&'a StreamEvent> for StreamEventRef<'a> {
+    fn from(event: &'a StreamEvent) -> Self {
+        match event {
+            StreamEvent::Evolve(evo) => StreamEventRef::Evolve(evo),
+            StreamEvent::Observe(obs) => StreamEventRef::Observe(obs),
+        }
+    }
+}
+
 /// Serializes a batch model into the event stream that rebuilds it through
 /// streaming ingestion (the test/benchmark bridge between the batch and
 /// streaming worlds).  The initial state's dimension and prior travel

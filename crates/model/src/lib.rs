@@ -60,7 +60,7 @@ pub use assemble::{assemble_dense, solve_dense, DenseSystem};
 pub use covariance::CovarianceSpec;
 pub use error::KalmanError;
 pub use estimate::Smoothed;
-pub use incremental::{events_of, EliminatedRows, InfoHead, StreamEvent};
+pub use incremental::{events_of, EliminatedRows, InfoHead, StreamEvent, StreamEventRef};
 pub use model::{check_finite, Evolution, LinearModel, LinearStep, Observation, Prior};
 pub use sweep::SweepTerms;
 pub use whiten::{whiten_model, WhitenedEvo, WhitenedObs, WhitenedStep};

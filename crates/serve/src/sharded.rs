@@ -346,11 +346,12 @@ impl ShardedPool {
         self.shards[loc.shard].pool.stream(loc.id)
     }
 
-    /// The keys of every registered stream, in unspecified order — the
+    /// Every registered stream with its key, in unspecified order — the
     /// iteration surface for whole-pool maintenance (a cluster worker
     /// snapshots all of its residents through this).
-    pub fn keys(&self) -> impl Iterator<Item = u64> + '_ {
-        self.route.keys().copied()
+    pub fn streams(&self) -> impl Iterator<Item = (u64, &StreamingSmoother)> + '_ {
+        (self.route.iter())
+            .filter_map(|(&key, loc)| Some((key, self.shards[loc.shard].pool.stream(loc.id)?)))
     }
 
     /// Applies one event to a resident stream, recording failures.

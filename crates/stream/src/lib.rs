@@ -85,4 +85,4 @@ pub use kalman_odd_even::BackendPolicy;
 pub use options::{FinalizedStep, LagPolicy, StreamOptions};
 pub use pool::{PollBatch, PollEntry, SmootherPool, StreamId};
 pub use smoother::{StreamingSmoother, MAX_STATE_DIM};
-pub use snapshot::WindowSnapshot;
+pub use snapshot::{WindowSnapshot, WindowView};

@@ -1,9 +1,10 @@
 //! The streaming fixed-lag smoother.
 
 use crate::ring::{Estimates, Ring};
-use crate::{FinalizedStep, StreamOptions, WindowSnapshot};
+use crate::{FinalizedStep, StreamOptions, WindowSnapshot, WindowView};
 use kalman_model::{
-    Evolution, InfoHead, KalmanError, LinearStep, Observation, Prior, Result, Smoothed, StreamEvent,
+    Evolution, InfoHead, KalmanError, LinearStep, Observation, Prior, Result, Smoothed,
+    StreamEvent, StreamEventRef,
 };
 
 /// An online smoother over one stream of steps.
@@ -148,28 +149,35 @@ impl StreamingSmoother {
     /// future output is **bitwise identical** to this one's.  This is the
     /// crash-recovery primitive for cross-process serving.
     pub fn snapshot(&self) -> Result<WindowSnapshot> {
-        let mut events = Vec::with_capacity(2 * self.buffer.len());
-        if let Some(obs) = &self.buffer[0].observation {
-            events.push(StreamEvent::Observe(obs.clone()));
-        }
-        for (j, step) in self.buffer.iter().enumerate().skip(1) {
-            let evo = step.evolution.clone().ok_or_else(|| {
-                // lint: allow(alloc, "error path: a non-base step without an evolution violates a maintained invariant")
-                KalmanError::Stream(format!(
-                    "buffered step {} is missing its evolution",
-                    self.base_index + j as u64
-                ))
-            })?;
-            events.push(StreamEvent::Evolve(evo));
-            if let Some(obs) = &step.observation {
-                events.push(StreamEvent::Observe(obs.clone()));
-            }
-        }
+        let window = self.window()?;
         Ok(WindowSnapshot {
+            index: window.index,
+            head: window.head.clone(),
+            base_emitted: window.base_emitted,
+            events: window.events().map(StreamEventRef::to_event).collect(),
+        })
+    }
+
+    /// The stream's state, borrowed: what [`StreamingSmoother::snapshot`]
+    /// copies, with the buffered window read in place as
+    /// [`WindowView::events`].
+    ///
+    /// # Errors
+    ///
+    /// [`KalmanError::Stream`] if a buffered step after the base lacks its
+    /// evolution (a broken invariant; `snapshot` refuses the same window).
+    pub fn window(&self) -> Result<WindowView<'_>> {
+        if let Some(j) = (self.buffer.iter().skip(1)).position(|step| step.evolution.is_none()) {
+            return Err(KalmanError::Stream(format!(
+                "buffered step {} is missing its evolution",
+                self.base_index + 1 + j as u64
+            )));
+        }
+        Ok(WindowView {
             index: self.base_index,
-            head: self.ring.head().clone(),
+            head: self.ring.head(),
             base_emitted: self.base_emitted,
-            events,
+            steps: &self.buffer,
         })
     }
 

@@ -1,6 +1,6 @@
 //! The persistent state of a stream.
 
-use kalman_model::{InfoHead, KalmanError};
+use kalman_model::{InfoHead, KalmanError, LinearStep, StreamEventRef};
 
 /// The complete state of a stream: the condensed head plus the buffered
 /// (not yet finalized) steps as replayable events.
@@ -67,5 +67,35 @@ impl WindowSnapshot {
             )?;
         }
         Ok(())
+    }
+}
+
+/// A live stream's state, borrowed from it by
+/// [`crate::StreamingSmoother::window`]: what
+/// [`crate::StreamingSmoother::snapshot`] copies into a [`WindowSnapshot`],
+/// for callers that only read it (an encoder, say).
+#[derive(Debug, Clone, Copy)]
+pub struct WindowView<'a> {
+    /// Global index of the window's base step.
+    pub index: u64,
+    /// The condensed head, as in [`WindowSnapshot::head`].
+    pub head: &'a InfoHead,
+    /// The base step was already emitted.
+    pub base_emitted: bool,
+    /// The buffered steps, `steps[0]` the base.
+    pub(crate) steps: &'a [LinearStep],
+}
+
+impl<'a> WindowView<'a> {
+    /// The buffered window as replay events, in [`WindowSnapshot::events`]
+    /// order: each step's evolution followed by its observation.  The base
+    /// step carries no evolution (the head holds it), so the window opens
+    /// with the base step's observation, if any.
+    pub fn events(&self) -> impl Iterator<Item = StreamEventRef<'a>> + 'a {
+        self.steps.iter().flat_map(|step| {
+            let evolve = step.evolution.as_ref().map(StreamEventRef::Evolve);
+            let observe = step.observation.as_ref().map(StreamEventRef::Observe);
+            evolve.into_iter().chain(observe)
+        })
     }
 }

@@ -70,6 +70,16 @@ impl Writer {
         // across frames; steady-state encodes stop growing after warm-up.
         self.buf.extend_from_slice(bytes);
     }
+
+    /// Overwrites the little-endian `u32` at byte offset `at`, a placeholder
+    /// appended earlier (a count or a length known only once what follows
+    /// it is written).
+    pub fn patch_u32(&mut self, at: usize, v: u32) {
+        debug_assert!(at + 4 <= self.buf.len(), "patch past the end");
+        if let Some(dst) = self.buf.get_mut(at..at + 4) {
+            dst.copy_from_slice(&v.to_le_bytes());
+        }
+    }
 }
 
 /// A bounds-checked cursor over a payload slice.  Every accessor returns

@@ -14,7 +14,7 @@
 use crate::buf::{Reader, Writer};
 use crate::error::{Result, WireError};
 use kalman_dense::Matrix;
-use kalman_model::{CovarianceSpec, Evolution, InfoHead, Observation, StreamEvent};
+use kalman_model::{CovarianceSpec, Evolution, InfoHead, Observation, StreamEvent, StreamEventRef};
 use kalman_par::ExecPolicy;
 use kalman_stream::{BackendPolicy, FinalizedStep, LagPolicy, StreamOptions, WindowSnapshot};
 
@@ -189,14 +189,14 @@ pub fn decode_observation(r: &mut Reader<'_>) -> Result<Observation> {
 const EVENT_EVOLVE: u8 = 0;
 const EVENT_OBSERVE: u8 = 1;
 
-/// Appends a stream event (tagged evolve/observe).
-pub fn encode_event(w: &mut Writer, event: &StreamEvent) {
-    match event {
-        StreamEvent::Evolve(evo) => {
+/// Appends a stream event (tagged evolve/observe), owned or borrowed.
+pub fn encode_event<'a>(w: &mut Writer, event: impl Into<StreamEventRef<'a>>) {
+    match event.into() {
+        StreamEventRef::Evolve(evo) => {
             w.put_u8(EVENT_EVOLVE);
             encode_evolution(w, evo);
         }
-        StreamEvent::Observe(obs) => {
+        StreamEventRef::Observe(obs) => {
             w.put_u8(EVENT_OBSERVE);
             encode_observation(w, obs);
         }
@@ -215,19 +215,37 @@ pub fn decode_event(r: &mut Reader<'_>) -> Result<StreamEvent> {
     }
 }
 
-/// Appends a stream snapshot (a live window, or a finished stream's with
+/// Appends a stream's state (a live window, or a finished stream's with
 /// nothing buffered): the index, the head's whitened rows `C` and `d`, the
-/// base-emitted flag, and the buffered window as replay events.
-pub fn encode_window_snapshot(w: &mut Writer, snap: &WindowSnapshot) {
-    w.put_u64(snap.index);
-    let (c, d) = snap.head.rows_ref();
+/// base-emitted flag, and the buffered window as replay events (their
+/// count, then each event).  The events are borrowed, so a live stream
+/// encodes straight from its buffer (`StreamingSmoother::window`).
+pub fn encode_window<'a>(
+    w: &mut Writer,
+    index: u64,
+    head: &InfoHead,
+    base_emitted: bool,
+    events: impl IntoIterator<Item = StreamEventRef<'a>>,
+) {
+    w.put_u64(index);
+    let (c, d) = head.rows_ref();
     encode_matrix(w, c);
     encode_matrix(w, d);
-    w.put_u8(snap.base_emitted as u8);
-    w.put_u32(snap.events.len() as u32);
-    for event in &snap.events {
+    w.put_u8(base_emitted as u8);
+    let count_at = w.len();
+    w.put_u32(0);
+    let mut count = 0;
+    for event in events {
         encode_event(w, event);
+        count += 1;
     }
+    w.patch_u32(count_at, count);
+}
+
+/// Appends a [`WindowSnapshot`], as [`encode_window`] lays it out.
+pub fn encode_window_snapshot(w: &mut Writer, snap: &WindowSnapshot) {
+    let events = snap.events.iter().map(StreamEventRef::from);
+    encode_window(w, snap.index, &snap.head, snap.base_emitted, events);
 }
 
 /// Decodes a stream snapshot.  The head passes [`WindowSnapshot::validate`]
