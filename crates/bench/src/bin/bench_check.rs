@@ -2,20 +2,16 @@
 //!
 //! Compares the speedup entries of a freshly measured artifact against the
 //! checked-in baseline and fails (exit 1) when any speedup regressed more
-//! than `--tol` (default 0.20, the ">20%" gate).  Speedups — blocked
-//! kernels + workspace pooling versus the in-process reference
-//! configuration — are compared rather than absolute seconds because CI
-//! runners differ in clock speed run to run; a ratio measured within one
-//! process is the hardware-normalized signal.
+//! than `--tol` (default 0.20, the ">20%" gate) or is missing from the
+//! current artifact.  Speedups — blocked kernels + workspace pooling versus
+//! the in-process reference configuration — are compared rather than
+//! absolute seconds because CI runners differ in clock speed run to run; a
+//! ratio measured within one process is the hardware-normalized signal.
 //!
 //! `cargo run --release -p kalman-bench --bin bench_check -- \
 //!     --baseline BENCH_smoother.json --current BENCH_smoother.new.json`
 
-use kalman_bench::{read_bench_json, Args};
-
-fn is_speedup(name: &str) -> bool {
-    name.starts_with("speedup/") || name.ends_with("/speedup")
-}
+use kalman_bench::{gate_speedups, read_bench_json, Args};
 
 fn main() {
     let mut args = Args::parse();
@@ -31,35 +27,35 @@ fn main() {
     let baseline = read_bench_json(&baseline_path).expect("read baseline");
     let current = read_bench_json(&current_path).expect("read current");
 
-    let mut compared = 0;
+    let rows = gate_speedups(&baseline, &current, tol);
+    assert!(
+        !rows.is_empty(),
+        "no speedup entries in the baseline {baseline_path}"
+    );
     let mut failures = Vec::new();
-    for b in baseline.iter().filter(|e| is_speedup(&e.name)) {
-        let Some(c) = current.iter().find(|e| e.name == b.name) else {
-            println!(
-                "  {:<28} baseline {:>7.2}x  (absent in current; skipped)",
-                b.name, b.value
-            );
-            continue;
-        };
-        compared += 1;
-        let floor = b.value * (1.0 - tol);
-        let status = if c.value >= floor { "ok" } else { "REGRESSED" };
-        println!(
-            "  {:<28} baseline {:>7.2}x  current {:>7.2}x  floor {:>7.2}x  {status}",
-            b.name, b.value, c.value, floor
-        );
-        if c.value < floor {
-            failures.push(b.name.clone());
+    for row in &rows {
+        match row.current {
+            Some(c) => println!(
+                "  {:<28} baseline {:>7.2}x  current {:>7.2}x  floor {:>7.2}x  {}",
+                row.name,
+                row.baseline,
+                c,
+                row.floor,
+                if row.passes() { "ok" } else { "REGRESSED" }
+            ),
+            None => println!(
+                "  {:<28} baseline {:>7.2}x  MISSING in current",
+                row.name, row.baseline
+            ),
+        }
+        if !row.passes() {
+            failures.push(row.name.as_str());
         }
     }
 
-    assert!(
-        compared > 0,
-        "no comparable speedup entries between {baseline_path} and {current_path}"
-    );
     if !failures.is_empty() {
         eprintln!(
-            "bench_check: {} speedup(s) regressed more than {:.0}%: {}",
+            "bench_check: {} speedup(s) regressed more than {:.0}% or missing: {}",
             failures.len(),
             tol * 100.0,
             failures.join(", ")
@@ -67,7 +63,8 @@ fn main() {
         std::process::exit(1);
     }
     println!(
-        "bench_check: {compared} speedups within {:.0}% of baseline",
+        "bench_check: {} speedups within {:.0}% of baseline",
+        rows.len(),
         tol * 100.0
     );
 }

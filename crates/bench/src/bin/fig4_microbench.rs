@@ -13,21 +13,19 @@
 //!     [--n 48] [--k 20000] [--runs 3]`
 //!
 //! `--smoke` runs the CI-sized kernel microbenchmark instead: blocked GEMM
-//! versus the reference loop nest across block sizes, the fused QR
-//! (`QrFactor::new_applying`) versus factor-then-apply below the
-//! `QR_FUSED_MAX_COLS` crossover, the level-3 bodies (compact-WY tri-stack,
-//! blocked back substitution, blocked inverse-Gram) versus the unblocked
-//! ones at batch dimensions, the monomorphized SIMD kernels versus the
-//! scalar oracle (GEMM at n ∈ {4, 8}, tri-stack at n ∈ {8, 16}), plus the
-//! serving flush's forward step through the general bodies versus the
-//! fixed-size one; each pair is
-//! measured as interleaved A/B rounds with per-arm minima (the noise-robust
-//! methodology of docs/BENCHMARKS.md), single-threaded; `--json PATH`
-//! records the timings and speedups (`BENCH_kernels.json` in CI) with the
-//! SIMD backend they ran on.
+//! versus the reference loop nest across block sizes, the level-3 bodies
+//! (compact-WY tri-stack, blocked back substitution, blocked inverse-Gram)
+//! versus the unblocked ones at batch dimensions, the monomorphized SIMD
+//! kernels versus the scalar oracle (GEMM at n ∈ {4, 8}, tri-stack at
+//! n ∈ {8, 16}), plus the serving flush's forward step through the general
+//! bodies versus the fixed-size one; each pair is measured as interleaved
+//! A/B rounds with per-arm minima (the noise-robust methodology of
+//! docs/BENCHMARKS.md), single-threaded; `--json PATH` records the timings
+//! and speedups (`BENCH_kernels.json` in CI) with the SIMD backend they ran
+//! on.
 
 use kalman::dense::{
-    gemm, gemm_ref, qr_trap_stack_applying, qr_tri_stack_applying, simd_backend, tri, Matrix,
+    gemm, gemm_ref, qr_tri_stack_applying, qr_tri_stack_unblocked, simd_backend, tri, Matrix,
     QrFactor, Trans,
 };
 use kalman::par::{for_each_mut, run_with_threads, ExecPolicy};
@@ -118,53 +116,10 @@ fn smoke(args: &mut Args) {
         );
     }
 
-    // QR: factor a 2n×n stack and apply Qᵀ to a 2n×(n+1) companion — the
-    // odd-even elimination's primitive — with the companion update fused
-    // into the factorization vs factor + separate sweep.  Only sizes below
-    // QR_FUSED_MAX_COLS are measured: from there up `new_applying` *is*
-    // factor-then-apply, and both arms would run the same code.
-    for n in [8usize, 16, 24] {
-        let a = test_matrix(2 * n, n);
-        let b = test_matrix(2 * n, n + 1);
-        let reps = (2_000_000 / (n * n * n)).max(1);
-        let (t_ref, t_fused) = ab_min(
-            rounds,
-            || {
-                time_once(|| {
-                    for _ in 0..reps {
-                        let qr = QrFactor::new(a.clone());
-                        let mut rhs = b.clone();
-                        qr.apply_qt(&mut rhs);
-                        std::hint::black_box(&rhs);
-                    }
-                })
-                .0 / reps as f64
-            },
-            || {
-                time_once(|| {
-                    for _ in 0..reps {
-                        let mut rhs = b.clone();
-                        let qr = QrFactor::new_applying(a.clone(), &mut [&mut rhs]);
-                        std::hint::black_box(&qr);
-                    }
-                })
-                .0 / reps as f64
-            },
-        );
-        push_pair(
-            &mut entries,
-            &format!("qr/n{n}"),
-            ("reference", "fused"),
-            t_ref,
-            t_fused,
-        );
-    }
-
     // Level-3 bodies vs the unblocked ones at batch dimensions.  Tri-stack:
     // the triangle-on-square elimination with one (n+1)-wide companion
-    // pair; the unblocked arm is `qr_trap_stack_applying` on the same
-    // square stack, which runs the unblocked SIMD body at every size (its
-    // staircase phase has nothing to do when the "trapezoid" is square).
+    // pair; the unblocked arm is `qr_tri_stack_unblocked` on the same
+    // stack, the unblocked SIMD body at every size.
     for n in [32usize, 48, 96] {
         let r0 = QrFactor::new(test_matrix(n, n)).r();
         let d0 = test_matrix(n, n);
@@ -184,7 +139,7 @@ fn smoke(args: &mut Args) {
         };
         let (t_unblocked, t_blocked) = ab_min(
             rounds,
-            || run(qr_trap_stack_applying),
+            || run(qr_tri_stack_unblocked),
             || run(qr_tri_stack_applying),
         );
         push_pair(
@@ -362,10 +317,9 @@ fn smoke(args: &mut Args) {
         });
         let config = format!(
             "fig4 --smoke: dense kernels, 1 thread, simd backend {}, interleaved A/B mins of \
-             {rounds} rounds per pair; gemm rows: register-tile GEMM vs reference loop nest; qr rows: fused \
-             new_applying vs factor-then-apply at n in [8,16,24], all below the \
-             QR_FUSED_MAX_COLS = 32 crossover; tri_stack rows: compact-WY vs unblocked \
-             SIMD body, one (n+1)-wide companion pair, panel depth {}; trsm/inv_gram rows: \
+             {rounds} rounds per pair; gemm rows: register-tile GEMM vs reference loop nest; \
+             tri_stack rows: compact-WY vs unblocked SIMD body, one (n+1)-wide companion \
+             pair, panel depth {}; trsm/inv_gram rows: \
              blocked vs the scalar oracle at n = 48; gemm/nK/simd + qr/nK/mono rows: \
              monomorphized SIMD kernels vs the scalar oracle at the serving dimensions; \
              fwd_step rows: with_observation + eliminate (+ sweep terms X, A, b at n = 8) vs \

@@ -175,6 +175,50 @@ pub fn read_bench_json(path: &str) -> std::io::Result<Vec<BenchEntry>> {
     Ok(out)
 }
 
+/// Whether `bench_check` gates an entry: the `speedup/*` and `*/speedup`
+/// ratios, measured within one process and so comparable across runners.
+pub fn is_speedup(name: &str) -> bool {
+    name.starts_with("speedup/") || name.ends_with("/speedup")
+}
+
+/// One gated entry of a baseline, set beside the current artifact.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GateRow {
+    /// The entry's name.
+    pub name: String,
+    /// The baseline's value.
+    pub baseline: f64,
+    /// The current artifact's value, `None` where it has no such entry.
+    pub current: Option<f64>,
+    /// The lowest value that passes: `baseline × (1 − tol)`.
+    pub floor: f64,
+}
+
+impl GateRow {
+    /// The entry is present in the current artifact and at or above its
+    /// floor.  An absent entry fails: a row that vanishes from a binary
+    /// would otherwise take its gate with it.
+    pub fn passes(&self) -> bool {
+        self.current.is_some_and(|c| c >= self.floor)
+    }
+}
+
+/// Every gated ([`is_speedup`]) entry of `baseline`, in its order, against
+/// the entry of the same name in `current`, with the floor a regression of
+/// more than `tol` falls below.
+pub fn gate_speedups(baseline: &[BenchEntry], current: &[BenchEntry], tol: f64) -> Vec<GateRow> {
+    baseline
+        .iter()
+        .filter(|b| is_speedup(&b.name))
+        .map(|b| GateRow {
+            name: b.name.clone(),
+            baseline: b.value,
+            current: current.iter().find(|c| c.name == b.name).map(|c| c.value),
+            floor: b.value * (1.0 - tol),
+        })
+        .collect()
+}
+
 /// Prints a row of right-aligned cells under 14-character columns.
 pub fn print_row(cells: &[String]) {
     let line: Vec<String> = cells.iter().map(|c| format!("{c:>14}")).collect();
@@ -207,6 +251,34 @@ mod tests {
     #[test]
     fn fmt_helpers() {
         assert_eq!(fmt_secs(1.23456), "1.2346");
+    }
+
+    /// A gated entry passes at or above its floor and fails below it, and
+    /// one the current artifact lacks fails too; ungated entries are not
+    /// rows at all.
+    #[test]
+    fn gate_fails_a_regressed_or_missing_entry() {
+        let baseline = [
+            BenchEntry::new("speedup/n4", 1.0),
+            BenchEntry::new("gemm/n8/speedup", 2.0),
+            BenchEntry::new("qr/n8/speedup", 1.0),
+            BenchEntry::new("gemm/n8/blocked", 1e-6),
+        ];
+        let current = [
+            BenchEntry::new("speedup/n4", 0.8),
+            BenchEntry::new("gemm/n8/speedup", 1.5),
+        ];
+        let rows = gate_speedups(&baseline, &current, 0.20);
+        let verdicts: Vec<(&str, bool)> = rows.iter().map(|r| (&*r.name, r.passes())).collect();
+        assert_eq!(
+            verdicts,
+            [
+                ("speedup/n4", true),
+                ("gemm/n8/speedup", false),
+                ("qr/n8/speedup", false),
+            ]
+        );
+        assert_eq!(rows[2].current, None);
     }
 
     #[test]

@@ -28,8 +28,8 @@
 //! children with `join`; each arm writes only the `R` rows of its own
 //! states.
 //!
-//! The QRs fuse factorization with the companion transforms
-//! (`QrFactor::new_applying`, `qr_tri_stack_applying`), each of which
+//! Each QR carries its transform onto the companion blocks in the same
+//! call (`QrFactor::new_applying`, `qr_tri_stack_applying`), and each
 //! picks its body from the blocks' shapes, so a block takes the same body
 //! in a dimension-changing chain as in a uniform one.  Every matrix cycles
 //! through the `kalman-dense` workspace, so a steady-state caller (a
@@ -64,10 +64,6 @@ struct ChainCol {
     /// pre-triangularization or a compression); enables the
     /// triangular-pentagonal fast path.
     obs_tri: bool,
-    /// `obs` is a *short* (`m < n`) block the leaf reduced to
-    /// upper-trapezoidal form (enables the trapezoidal-pentagonal step-1
-    /// fast path).  Mutually exclusive with `obs_tri`.
-    obs_trap: bool,
     /// Evolution-like rows coupling to the previous chain column.
     evo: Option<EvoRows>,
 }
@@ -122,12 +118,7 @@ fn eliminate_even(
     left: Option<(usize, usize)>,
     right: Option<usize>,
 ) -> EvenOut {
-    let ChainCol {
-        obs,
-        obs_tri,
-        obs_trap,
-        evo,
-    } = col;
+    let ChainCol { obs, obs_tri, evo } = col;
 
     // ---- Step 1: eliminate column t from [C_t; E_{t+1}]; carry the
     // transform onto [0; D_{t+1}] and the right-hand sides.  Outputs: the
@@ -157,65 +148,9 @@ fn eliminate_even(
                 (r, rho, Some(x_top), dtilde)
             }
         }
-    } else if obs_trap {
-        // Short observation block already reduced to an `m × n` upper
-        // trapezoid (m < n) by the level-0 pre-pass: eliminate the
-        // trapezoidal-pentagonal stack [C_trap; E] without padding C back
-        // up to `n` rows, then scatter the staircase rows into the padded
-        // `n × n` outputs the rest of the pipeline expects.
-        let (mut t, mut rho_top) = obs.expect("obs_trap implies obs");
-        let m = t.rows();
-        debug_assert!(m < n, "obs_trap implies a short block");
-        match next_evo {
-            None => {
-                let mut rhat = Matrix::zeros(n, n);
-                rhat.set_block(0, 0, &t);
-                let mut rho = Matrix::zeros(n, 1);
-                rho.set_block(0, 0, &rho_top);
-                (rhat, rho, None, None)
-            }
-            Some(ne) => {
-                let l2 = ne.left.rows();
-                let w = ne.right.cols();
-                let mut d = ne.left;
-                let mut x_top = Matrix::zeros(m, w);
-                let mut x_bot = ne.right;
-                let mut rhs_bot = ne.rhs;
-                kalman_dense::qr_trap_stack_applying(
-                    &mut t,
-                    &mut d,
-                    &mut [(&mut x_top, &mut x_bot), (&mut rho_top, &mut rhs_bot)],
-                );
-                // Staircase rows `m + i` of the result live in `D` row `i`
-                // (columns ≥ m + i; below that are spent reflector tails).
-                let steps = l2.min(n - m);
-                let mut rhat = Matrix::zeros(n, n);
-                let mut rho = Matrix::zeros(n, 1);
-                let mut x = Matrix::zeros(n, w);
-                rhat.set_block(0, 0, &t);
-                rho.set_block(0, 0, &rho_top);
-                x.set_block(0, 0, &x_top);
-                for i in 0..steps {
-                    for j in (m + i)..n {
-                        rhat[(m + i, j)] = d[(i, j)];
-                    }
-                    rho[(m + i, 0)] = rhs_bot[(i, 0)];
-                    for c in 0..w {
-                        x[(m + i, c)] = x_bot[(i, c)];
-                    }
-                }
-                let dtilde = (l2 > steps).then(|| {
-                    (
-                        x_bot.sub_matrix(steps, 0, l2 - steps, w),
-                        rhs_bot.sub_matrix(steps, 0, l2 - steps, 1),
-                    )
-                });
-                (rhat, rho, Some(x), dtilde)
-            }
-        }
     } else {
-        // General shape (short observation blocks): dense QR of the
-        // zero-padded stack, fused with the companion transforms.
+        // General shape (short or absent observation blocks): dense QR of
+        // the zero-padded stack, its `Qᵀ` applied to the companions.
         let obs_rows = obs.as_ref().map(|(c, _)| c.rows()).unwrap_or(0);
         let (stacked, mut rhs1) = stack_parts(
             [
@@ -416,17 +351,14 @@ fn compress(
 /// pre-triangularized.  A QR of `C` alone costs a fraction of the stacked
 /// QR it replaces, and afterwards *every* elimination step — not just
 /// those behind a compression — runs the triangular-pentagonal fast path
-/// with short reflectors and no stack/extract copies.  Short blocks
-/// (`m < n`) get the trapezoidal reduction instead, so step 1 runs the
-/// structured [`kalman_dense::qr_trap_stack_applying`] rather than a
-/// zero-padded full-height QR (skipped in reference mode, which keeps the
-/// padded general path as the oracle).
+/// with short reflectors and no stack/extract copies.  A short block
+/// (`m < n`) stays as it is, and step 1 stacks it, zero-padded, on the
+/// evolution rows for one general QR.
 fn leaf_col(ws: WhitenedStep) -> ChainCol {
     let dim = ws.state_dim;
     let mut col = ChainCol {
         obs: None,
         obs_tri: false,
-        obs_trap: false,
         evo: ws.evo.map(|e| {
             let mut left = e.b;
             left.scale(-1.0);
@@ -438,16 +370,12 @@ fn leaf_col(ws: WhitenedStep) -> ChainCol {
         }),
     };
     if let Some(obs) = ws.obs {
-        let (mut c, mut rhs) = (obs.c, obs.rhs);
+        let (c, mut rhs) = (obs.c, obs.rhs);
         if c.rows() >= dim && dim > 0 {
             let qr = QrFactor::new_applying(c, &mut [&mut rhs]);
             col.obs = Some((qr.r(), rhs.sub_matrix(0, 0, dim, 1)));
             col.obs_tri = true;
         } else {
-            if !kalman_dense::reference_kernels() && c.rows() > 0 && c.rows() < dim {
-                kalman_dense::trapezoidalize_applying(&mut c, &mut [&mut rhs]);
-                col.obs_trap = true;
-            }
             col.obs = Some((c, rhs));
         }
     }
@@ -556,7 +484,6 @@ impl Walk<'_> {
         Ok(ChainCol {
             obs,
             obs_tri,
-            obs_trap: false,
             evo: out.resid.take(),
         })
     }
@@ -808,10 +735,9 @@ mod tests {
         }
     }
 
-    /// Short (`m < n`) observation blocks take the trapezoidal step-1 path;
-    /// it is an orthogonal transformation like the padded general path, so
-    /// the Gram matrix is preserved — and the result must agree with the
-    /// reference (padded, scalar) path at solve level.
+    /// Short (`m < n`) observation blocks take step 1's general path: a QR
+    /// of the zero-padded stack, an orthogonal transformation, so the Gram
+    /// matrix is preserved.
     #[test]
     fn short_observations_trap_path_preserves_gram() {
         for (n, m, k, seed) in [
@@ -835,9 +761,9 @@ mod tests {
         }
     }
 
-    /// The structured trapezoidal path end-to-end against the independent
-    /// dense oracle (under `KALMAN_REF_KERNELS=1` the same test pins the
-    /// padded reference path instead — the CI matrix runs both).
+    /// Short observation blocks end to end against the independent dense
+    /// oracle, on the default kernels and (under `KALMAN_REF_KERNELS=1`, a
+    /// leg of the CI matrix) on the reference ones.
     #[test]
     fn short_observations_match_dense_oracle() {
         let model = generators::short_observations(&mut rng(43), 5, 16, 2);

@@ -73,9 +73,8 @@ pub use gemm::{gemm, gemm_blocked, gemm_ref, matmul, matmul_nt, matmul_tn, Trans
 pub use lu::{solve, LuFactor};
 pub use matrix::Matrix;
 pub use qr::{
-    compress_rows, compress_rows_owned, effective_rank_tol, qr_trap_stack_applying,
-    qr_tri_stack_applying, qr_tri_stack_applying_with, trapezoidalize_applying,
-    tri_stack_panel_depth, ColPivQr, QrFactor,
+    compress_rows_owned, effective_rank_tol, qr_tri_stack_applying, qr_tri_stack_applying_with,
+    qr_tri_stack_unblocked, tri_stack_panel_depth, ColPivQr, QrFactor,
 };
 pub use simd::{kernel_dispatch_counts, simd_backend, KernelKind};
 pub use workspace::{

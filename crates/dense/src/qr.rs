@@ -33,21 +33,6 @@ impl Drop for QrFactor {
     }
 }
 
-/// Column count from which [`QrFactor::new_applying`] stops applying each
-/// reflector to the companions *during* the factorization and instead
-/// factors first, then sweeps each companion once with
-/// [`QrFactor::apply_qt`].  The two orders are bitwise identical (same
-/// reflectors, same per-column application order — pinned by
-/// `new_applying_is_bitwise_factor_then_apply`); the choice is purely a
-/// locality trade.  Below ~n = 32 the factor's working set and the
-/// companions fit in cache together, so the fused update is free (the
-/// `qr/n8`..`qr/n24` rows of `fig4 --smoke` gate that it stays at least
-/// on par); from n = 48 up, interleaving companion columns into the
-/// factorization loop evicts the trailing-matrix working set and the
-/// fused path was measured up to 10% slower — there, factor-then-apply
-/// streams each companion in one cache-friendly pass.
-pub const QR_FUSED_MAX_COLS: usize = 32;
-
 /// LAPACK's safe minimum `MIN_POSITIVE / ε` (2⁻⁹⁷⁰, a power of two): its
 /// reciprocal does not overflow, and a sum of squares below it has lost
 /// bits to underflow.
@@ -294,12 +279,8 @@ impl QrFactor {
         Self::new_applying(a, &mut [])
     }
 
-    /// Factorizes `a` and applies `Qᵀ` to each companion block as part of
-    /// the same call.  The result is bitwise identical to `QrFactor::new`
-    /// followed by `apply_qt` on each companion; whether the companions are
-    /// updated reflector by reflector during the factorization or swept
-    /// afterwards is a locality choice made by size (see
-    /// `QR_FUSED_MAX_COLS`).
+    /// Factorizes `a`, then applies `Qᵀ` to each companion block with
+    /// [`QrFactor::apply_qt`], each companion swept once.
     ///
     /// This is the primitive of the odd-even elimination: factor a stacked
     /// block column, carry the transformation onto the neighbouring block
@@ -315,26 +296,13 @@ impl QrFactor {
         for c in companions.iter() {
             assert_eq!(c.rows(), m, "companion row mismatch");
         }
-        // Fuse the companion updates into the factorization for small
-        // factors, factor-then-apply from `QR_FUSED_MAX_COLS` up.  The
-        // reference oracle keeps the original fused order.
-        let fused =
-            companions.is_empty() || n < QR_FUSED_MAX_COLS || workspace::reference_kernels();
         let mut tau = workspace::take_f64(n);
         for (j, tj) in tau.iter_mut().enumerate() {
             *tj = eliminate_column(&mut a, j);
-            if fused && *tj != 0.0 {
-                let vtail = &a.col(j)[j + 1..];
-                for comp in companions.iter_mut() {
-                    apply_householder_panel(vtail, *tj, comp, j);
-                }
-            }
         }
         let factor = QrFactor { packed: a, tau };
-        if !fused {
-            for comp in companions.iter_mut() {
-                factor.apply_qt(comp);
-            }
+        for comp in companions.iter_mut() {
+            factor.apply_qt(comp);
         }
         factor
     }
@@ -857,6 +825,29 @@ impl<'a> Wy<'a> {
     }
 }
 
+/// [`qr_tri_stack_applying`] through the unblocked reflector-by-reflector
+/// body whatever the shape: no compact-WY panels and no monomorphized
+/// instantiation.  It computes the bits the entry computes wherever that
+/// runs the unblocked body; it is public so that `fig4 --smoke` can time the
+/// compact-WY body against it on the same stack.
+///
+/// # Panics
+///
+/// Panics on block dimension mismatches.
+pub fn qr_tri_stack_unblocked(
+    r: &mut Matrix,
+    d: &mut Matrix,
+    companions: &mut [(&mut Matrix, &mut Matrix)],
+) {
+    tri_stack_check(r, d, companions);
+    if simd::simd_active() {
+        simd::note_simd();
+    } else {
+        simd::note_scalar();
+    }
+    tri_stack_body::<0>(r, d, companions);
+}
+
 /// [`qr_tri_stack_applying`], whatever `kind` says: the body follows the
 /// blocks' shapes.  Kept only because the end-to-end benchmark's `dense`
 /// probe (`benchmark/src/probes.rs`) calls it; it goes with the next
@@ -891,21 +882,15 @@ fn tri_stack_check(r: &Matrix, d: &Matrix, companions: &[(&mut Matrix, &mut Matr
 /// monomorphizes the pivot count, column count and `D` row count to `N`
 /// (the caller guarantees `r` is `N×N` and `d` is `N×N` in that case), so
 /// every trip count below is a compile-time constant.
-///
-/// The dynamic shape also accepts an upper-*trapezoidal* `r` (`m ≤ n` with
-/// rows below the diagonal zero): the pivot loop runs over the `m` rows and
-/// the trailing updates span all `n` columns, which is exactly phase A of
-/// [`qr_trap_stack_applying`].
 fn tri_stack_body<const N: usize>(
     r: &mut Matrix,
     d: &mut Matrix,
     companions: &mut [(&mut Matrix, &mut Matrix)],
 ) {
-    let m = if N == 0 { r.rows() } else { N };
-    let n = if N == 0 { r.cols() } else { N };
+    let n = if N == 0 { r.rows() } else { N };
     // One SIMD-layer check per elimination, not per reflector.
     let use_simd = simd::simd_active();
-    for j in 0..m {
+    for j in 0..n {
         tri_stack_pivot::<N>(r, d, companions, j, n, use_simd, false);
     }
 }
@@ -1103,126 +1088,15 @@ fn tri_stack_pivot<const N: usize>(
     tau
 }
 
-/// Reduces a general `m × n` block to upper-trapezoidal form in place,
-/// carrying the same orthogonal transformation onto each companion block
-/// (all with `m` rows).
+/// Computes a (possibly rectangular) "R compression" of `a`, taking
+/// ownership of it (no defensive copy — the hot odd-even compression hands
+/// over its freshly stacked block): the upper-triangular `min(m, n) × n`
+/// factor of a QR factorization of `a`, used to restore the row-count
+/// invariant of the odd-even recursion.
 ///
-/// This is the structured step-1 entry for *short* observation blocks
-/// (`m < n`): a full [`QrFactor::new_applying`] would insist on `m ≥ n`
-/// (and pad), while the level-0 pre-triangularization only needs the
-/// `min(m, n) × n` trapezoid `R̂` and `Qᵀ·rhs`.  On exit the sub-diagonal
-/// of `a` is zeroed (the reflector tails are consumed, not returned), so
-/// `a` holds the clean trapezoid directly.
-pub fn trapezoidalize_applying(a: &mut Matrix, companions: &mut [&mut Matrix]) {
-    let (m, n) = (a.rows(), a.cols());
-    for comp in companions.iter() {
-        assert_eq!(comp.rows(), m, "trapezoidalize: companion row mismatch");
-    }
-    let steps = m.min(n);
-    for j in 0..steps {
-        let tau = eliminate_column(a, j);
-        if tau == 0.0 {
-            continue;
-        }
-        let acol = a.col(j);
-        let vtail = &acol[j + 1..];
-        for comp in companions.iter_mut() {
-            apply_householder_panel(vtail, tau, comp, j);
-        }
-    }
-    for j in 0..steps {
-        for v in &mut a.col_mut(j)[j + 1..] {
-            *v = 0.0;
-        }
-    }
-}
-
-/// QR-eliminates the structured stack `[T; D]` where `T` is `m × n` upper
-/// *trapezoidal* (`m ≤ n`) and `D` is a dense `l × n` block, transforming
-/// companion pairs `(top: m × w, bottom: l × w)` by the same `Qᵀ`.
-///
-/// This is the step-1 elimination for short observation blocks: after
-/// [`trapezoidalize_applying`] compresses an `m < n` observation block to a
-/// trapezoid, the odd-even step 1 stacks it on the evolution block without
-/// padding `T` back up to `n` rows.  Phase A mirrors
-/// [`qr_tri_stack_applying`] — each of the `m` pivots pairs `T[j,j]` with
-/// the full `D` column `j` (the trapezoid keeps `T`'s sub-diagonal zero, so
-/// those rows never enter a reflector).  Phase B finishes columns
-/// `m..min(m+l, n)` *inside* `D` with ordinary Householder steps.
-///
-/// On exit the triangular factor of the stack is split across the inputs:
-/// rows `0..m` of `R̂` are in `T`, and row `m + i` lives in `D` row `i`
-/// (columns `≥ m + i` only — entries of `D` below that staircase are spent
-/// reflector tails the caller must mask when extracting).  Companion rows
-/// follow the same split.
-pub fn qr_trap_stack_applying(
-    t: &mut Matrix,
-    d: &mut Matrix,
-    companions: &mut [(&mut Matrix, &mut Matrix)],
-) {
-    let (m, n) = (t.rows(), t.cols());
-    assert!(
-        m <= n,
-        "qr_trap_stack: T must be upper trapezoidal (m <= n)"
-    );
-    assert_eq!(d.cols(), n, "qr_trap_stack: D column mismatch");
-    let l = d.rows();
-    for (top, bottom) in companions.iter() {
-        assert_eq!(top.rows(), m, "qr_trap_stack: companion top row mismatch");
-        assert_eq!(bottom.rows(), l, "qr_trap_stack: companion bottom rows");
-        assert_eq!(
-            top.cols(),
-            bottom.cols(),
-            "qr_trap_stack: companion column mismatch"
-        );
-    }
-    if simd::simd_active() {
-        simd::note_simd();
-    } else {
-        simd::note_scalar();
-    }
-
-    // Phase A: one tri-stack pivot per T row.
-    tri_stack_body::<0>(t, d, companions);
-
-    // Phase B: eliminate the remaining staircase inside D.  Reflector for
-    // column m + jj starts at D row jj; T and the companion tops have no
-    // rows at that depth, so only D and the companion bottoms update.
-    for jj in 0..l.min(n.saturating_sub(m)) {
-        let j = m + jj;
-        let tau = {
-            let col = &mut d.col_mut(j)[jj..];
-            make_householder(col)
-        };
-        if tau == 0.0 {
-            continue;
-        }
-        {
-            let (dleft, dright) = d.split_at_col_mut(j + 1);
-            let vtail = &dleft[j * l + jj + 1..(j + 1) * l];
-            apply_reflector_raw(vtail, tau, dright, l, jj);
-        }
-        let dcol = d.col(j);
-        let vtail = &dcol[jj + 1..];
-        for (_, bottom) in companions.iter_mut() {
-            apply_householder_panel(vtail, tau, bottom, jj);
-        }
-    }
-}
-
-/// Computes a (possibly rectangular) "R compression" of `a`: the
-/// upper-triangular `min(m, n) × n` factor of a QR factorization of `a`,
-/// used to restore the row-count invariant of the odd-even recursion.
-///
-/// Unlike [`QrFactor::new`], this accepts wide matrices (`m < n`); in that
-/// case the result is `m × n` upper trapezoidal.  The same transformation is
-/// applied to `rhs` (in place), whose top `min(m, n)` rows are kept.
-pub fn compress_rows(a: &Matrix, rhs: &mut Matrix) -> Matrix {
-    compress_rows_owned(a.clone(), rhs)
-}
-
-/// [`compress_rows`] taking ownership of `a` (no defensive copy — the hot
-/// odd-even compression batch hands over its freshly stacked block).
+/// Unlike [`QrFactor::new`], this accepts wide matrices (`m < n`), which it
+/// returns as they are.  The same transformation is applied to `rhs` (in
+/// place), whose top `min(m, n)` rows are kept.
 pub fn compress_rows_owned(a: Matrix, rhs: &mut Matrix) -> Matrix {
     let (m, n) = (a.rows(), a.cols());
     assert_eq!(rhs.rows(), m, "compress_rows rhs row mismatch");
@@ -1476,7 +1350,7 @@ mod tests {
         let a = sample(); // 5x3
         let mut rhs = Matrix::from_fn(5, 1, |i, _| i as f64 + 1.0);
         let orig_rhs = rhs.clone();
-        let r = compress_rows(&a, &mut rhs);
+        let r = compress_rows_owned(a.clone(), &mut rhs);
         assert_eq!(r.rows(), 3);
         assert_eq!(r.cols(), 3);
         // RᵀR == AᵀA (the compression preserves the Gram matrix).
@@ -1491,13 +1365,13 @@ mod tests {
     fn compress_rows_wide_is_identity() {
         let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0]]);
         let mut rhs = Matrix::col_from_slice(&[5.0]);
-        let r = compress_rows(&a, &mut rhs);
+        let r = compress_rows_owned(a.clone(), &mut rhs);
         assert!(r.approx_eq(&a, 0.0));
         assert_eq!(rhs[(0, 0)], 5.0);
     }
 
-    /// `new_applying` must equal factor-then-apply bitwise on both sides of
-    /// `QR_FUSED_MAX_COLS`.
+    /// `new_applying` must equal factor-then-apply bitwise, narrow factors
+    /// and wide ones alike.
     #[test]
     fn new_applying_is_bitwise_factor_then_apply() {
         for (m, n) in [(7, 3), (40, 20), (70, 40)] {
@@ -1642,113 +1516,6 @@ mod tests {
             assert!(d_a.approx_eq(&d_b, 0.0), "mono D n={n}");
             assert!(top_a.approx_eq(&top_b, 0.0), "mono top n={n}");
             assert!(bot_a.approx_eq(&bot_b, 0.0), "mono bot n={n}");
-        }
-    }
-
-    #[test]
-    fn trapezoidalize_preserves_gram_and_shape() {
-        use crate::gemm::matmul_tn;
-        for (m, n, w) in [(3usize, 5usize, 2usize), (4, 4, 3), (6, 3, 1), (1, 4, 2)] {
-            let a0 = wide_sample(m, n);
-            let rhs0 = wide_sample(m, w);
-            let mut a = a0.clone();
-            let mut rhs = rhs0.clone();
-            trapezoidalize_applying(&mut a, &mut [&mut rhs]);
-
-            for j in 0..m.min(n) {
-                for i in (j + 1)..m {
-                    assert_eq!(a[(i, j)], 0.0, "({i},{j}) not cleared m={m} n={n}");
-                }
-            }
-            let scale = 1.0 + a0.max_abs() + rhs0.max_abs();
-            // Orthogonal invariants: RᵀR == AᵀA, Rᵀ(Qᵀrhs) == Aᵀrhs,
-            // and Qᵀ preserves companion norms.
-            let lhs = matmul_tn(&a, &a);
-            let rhs_g = matmul_tn(&a0, &a0);
-            assert!(lhs.approx_eq(&rhs_g, 1e-11 * scale), "trap gram {m}x{n}");
-            let lhs = matmul_tn(&a, &rhs);
-            let rhs_g = matmul_tn(&a0, &rhs0);
-            assert!(lhs.approx_eq(&rhs_g, 1e-11 * scale), "trap cross {m}x{n}");
-            let lhs = matmul_tn(&rhs, &rhs);
-            let rhs_g = matmul_tn(&rhs0, &rhs0);
-            assert!(lhs.approx_eq(&rhs_g, 1e-11 * scale), "trap comp {m}x{n}");
-        }
-    }
-
-    #[test]
-    fn trap_stack_preserves_augmented_gram() {
-        use crate::gemm::matmul_tn;
-        for (m, l, w, n) in [
-            (2usize, 4usize, 3usize, 5usize),
-            (3, 2, 2, 6),
-            (0, 4, 2, 3),
-            (2, 0, 1, 4),
-            (4, 4, 2, 4),
-        ] {
-            let t0 = {
-                let mut t = wide_sample(m.max(1), n).sub_matrix(0, 0, m, n);
-                for j in 0..m.min(n) {
-                    for i in (j + 1)..m {
-                        t[(i, j)] = 0.0;
-                    }
-                }
-                t
-            };
-            let d0 = wide_sample(l.max(1), n).sub_matrix(0, 0, l, n);
-            let top0 = wide_sample(m.max(1), w).sub_matrix(0, 0, m, w);
-            let bot0 = wide_sample(l.max(1), w).sub_matrix(0, 0, l, w);
-
-            let mut t = t0.clone();
-            let mut d = d0.clone();
-            let mut top = top0.clone();
-            let mut bot = bot0.clone();
-            qr_trap_stack_applying(&mut t, &mut d, &mut [(&mut top, &mut bot)]);
-
-            // Assemble the k×n triangular factor: T rows, then the D
-            // staircase rows (masked below their diagonal), and the matching
-            // k×w companion rows.
-            let steps = l.min(n.saturating_sub(m));
-            let k = m + steps;
-            let mut rhat = Matrix::zeros(k, n);
-            let mut chat = Matrix::zeros(k, w);
-            for j in 0..n {
-                for i in 0..m.min(j + 1) {
-                    rhat[(i, j)] = t[(i, j)];
-                }
-                if j >= m {
-                    for i in 0..steps.min(j - m + 1) {
-                        rhat[(m + i, j)] = d[(i, j)];
-                    }
-                }
-            }
-            for c in 0..w {
-                for i in 0..m {
-                    chat[(i, c)] = top[(i, c)];
-                }
-                for i in 0..steps {
-                    chat[(m + i, c)] = bot[(i, c)];
-                }
-            }
-
-            let scale = 1.0 + t0.max_abs() + d0.max_abs() + top0.max_abs() + bot0.max_abs();
-            let lhs = matmul_tn(&rhat, &rhat);
-            let rhs = &matmul_tn(&t0, &t0) + &matmul_tn(&d0, &d0);
-            assert!(
-                lhs.approx_eq(&rhs, 1e-11 * scale),
-                "trapstack gram m={m} l={l} n={n}"
-            );
-            let lhs = matmul_tn(&rhat, &chat);
-            let rhs = &matmul_tn(&t0, &top0) + &matmul_tn(&d0, &bot0);
-            assert!(
-                lhs.approx_eq(&rhs, 1e-11 * scale),
-                "trapstack cross m={m} l={l} n={n}"
-            );
-            let lhs = &matmul_tn(&top, &top) + &matmul_tn(&bot, &bot);
-            let rhs = &matmul_tn(&top0, &top0) + &matmul_tn(&bot0, &bot0);
-            assert!(
-                lhs.approx_eq(&rhs, 1e-11 * scale),
-                "trapstack comp m={m} l={l} n={n}"
-            );
         }
     }
 }

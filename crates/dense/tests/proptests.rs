@@ -246,7 +246,7 @@ proptest! {
         let a = random::gaussian(&mut rng, m, n);
         let rhs0 = random::gaussian(&mut rng, m, 1);
         let mut rhs = rhs0.clone();
-        let r = kalman_dense::compress_rows(&a, &mut rhs);
+        let r = kalman_dense::compress_rows_owned(a.clone(), &mut rhs);
         let gram_a = matmul_tn(&a, &a);
         let gram_r = matmul_tn(&r, &r);
         prop_assert!(gram_a.approx_eq(&gram_r, 1e-8 * (1.0 + gram_a.max_abs())));

@@ -309,8 +309,8 @@ pub fn sparse_observations<R: Rng + ?Sized>(
 /// The paper benchmark with *short* observation blocks: every state is
 /// observed through the first `m < n` rows of a random orthonormal matrix
 /// (partial observations), plus a standard Gaussian prior so the problem
-/// stays full rank.  Exercises the trapezoidal (`m_i < n_i`) step-1
-/// elimination path of the odd-even smoothers.
+/// stays full rank.  Exercises the odd-even smoothers' step 1 on
+/// observation blocks that cannot be triangularized (`m_i < n_i`).
 pub fn short_observations<R: Rng + ?Sized>(
     rng: &mut R,
     n: usize,

@@ -7,7 +7,8 @@
 //! block of the `R` factor of the forgotten prefix.  This module provides:
 //!
 //! * [`InfoHead`]: the condensed prior and the orthogonal-transformation
-//!   updates that maintain it — [`InfoHead::absorb`] for observation rows
+//!   updates that maintain it — [`InfoHead::with_observation`] and
+//!   [`InfoHead::absorb_into`] for observation rows
 //!   and [`InfoHead::eliminate`], one forward step of the sequential
 //!   Paige–Saunders sweep (a square-root information filter step), which
 //!   marginalizes a state out through its evolution and hands back both the
@@ -33,7 +34,7 @@ use kalman_dense::{
 /// single state: the "R-factor head" summarizing everything a stream has
 /// forgotten.
 ///
-/// `C` has at most `state_dim` rows ([`InfoHead::absorb`] re-triangularizes
+/// `C` has at most `state_dim` rows ([`InfoHead::absorb_into`] re-triangularizes
 /// with a QR compression), so a head costs `O(n²)` memory regardless of how
 /// much history it summarizes.  A head may have *fewer* rows than columns —
 /// a stream with no prior starts from the 0-row head and stays
@@ -130,24 +131,6 @@ impl InfoHead {
         (self.c, self.d)
     }
 
-    /// Stacks additional whitened rows `c·u ≈ d` under the head and
-    /// re-triangularizes so at most `state_dim` rows remain.  The discarded
-    /// rows are pure least-squares residual (zero coefficients), so the
-    /// normal equations `CᵀC`, `Cᵀd` — hence every downstream estimate —
-    /// are preserved exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the column counts disagree.
-    pub fn absorb(&mut self, c: &Matrix, d: &Matrix) {
-        assert_eq!(c.cols(), self.state_dim(), "absorb dimension mismatch");
-        assert_eq!(c.rows(), d.rows(), "absorb row mismatch");
-        if c.rows() == 0 {
-            return;
-        }
-        *self = self.with_rows(c, d);
-    }
-
     /// The head on `self`'s rows with `c·u ≈ d` stacked under them.
     fn with_rows(&self, c: &Matrix, d: &Matrix) -> InfoHead {
         InfoHead::condensed(Matrix::vstack(&[&self.c, c]), Matrix::vstack(&[&self.d, d]))
@@ -167,24 +150,18 @@ impl InfoHead {
         }
     }
 
-    /// Absorbs a (raw) observation of the head's state.
+    /// Absorbs a (raw) observation of the head's state into a new head:
+    /// `self` stays the prior, the result is the posterior, and no copy of
+    /// the prior is made on the way (the streaming sweep keeps both).  The
+    /// stacked rows are re-triangularized so at most `state_dim` remain; the
+    /// discarded rows are pure least-squares residual (zero coefficients),
+    /// so the normal equations `CᵀC`, `Cᵀd` — hence every downstream
+    /// estimate — are preserved exactly.
     ///
     /// # Errors
     ///
     /// [`crate::KalmanError::NotPositiveDefinite`] if the observation noise is not
     /// SPD (`step` names the step for the error message).
-    pub fn absorb_observation(&mut self, obs: &Observation, step: usize) -> Result<()> {
-        *self = self.with_observation(obs, step)?;
-        Ok(())
-    }
-
-    /// [`InfoHead::absorb_observation`] into a new head: `self` stays the
-    /// prior, the result is the posterior, and no copy of the prior is made
-    /// on the way (the streaming sweep keeps both).
-    ///
-    /// # Errors
-    ///
-    /// As [`InfoHead::absorb_observation`].
     ///
     /// # Panics
     ///
@@ -321,7 +298,7 @@ impl InfoHead {
     /// Which arithmetic runs is read off the head's own entries, so it is a
     /// function of the inputs alone (a head restored from a snapshot takes
     /// the path the original took).  When `C` is a square upper triangle —
-    /// what [`InfoHead::absorb`] leaves on every observed step — and the
+    /// what [`InfoHead::absorb_into`] leaves on every observed step — and the
     /// evolution has rows, the stack `[C; -B]` has the triangular-pentagonal
     /// shape and is eliminated in place by [`qr_tri_stack_applying`]:
     /// reflectors of length `1 + ℓ` instead of `n + ℓ − j`, nothing stacked
@@ -520,16 +497,21 @@ mod tests {
     /// Absorbing rows must preserve the normal equations CᵀC and Cᵀd.
     #[test]
     fn absorb_preserves_normal_equations() {
-        let mut h = head_with(&[&[2.0, 1.0], &[0.0, 3.0]], &[1.0, 2.0]);
+        let head = head_with(&[&[2.0, 1.0], &[0.0, 3.0]], &[1.0, 2.0]);
         let extra_c = Matrix::from_rows(&[&[1.0, -1.0], &[4.0, 0.5], &[0.0, 2.0]]);
         let extra_d = Matrix::col_from_slice(&[0.5, -1.0, 3.0]);
 
-        let full_c = Matrix::vstack(&[&h.c, &extra_c]);
-        let full_d = Matrix::vstack(&[&h.d, &extra_d]);
+        let full_c = Matrix::vstack(&[&head.c, &extra_c]);
+        let full_d = Matrix::vstack(&[&head.d, &extra_d]);
         let gram = matmul_tn(&full_c, &full_c);
         let moment = matmul_tn(&full_c, &full_d);
 
-        h.absorb(&extra_c, &extra_d);
+        let obs = WhitenedObs {
+            c: extra_c,
+            rhs: extra_d,
+        };
+        let mut h = InfoHead::empty(2);
+        head.absorb_into(&obs, &mut h);
         assert_eq!(h.rows(), 2, "compressed back to state_dim rows");
         assert!(matmul_tn(&h.c, &h.c).approx_eq(&gram, 1e-10));
         assert!(matmul_tn(&h.c, &h.d).approx_eq(&moment, 1e-10));
@@ -659,7 +641,7 @@ mod tests {
         let mut head = InfoHead::from_prior(model.prior.as_ref().unwrap()).unwrap();
         for (j, step) in model.steps.iter().enumerate() {
             if let Some(obs) = &step.observation {
-                head.absorb_observation(obs, j).unwrap();
+                head = head.with_observation(obs, j).unwrap();
             }
             let Some(next) = model.steps.get(j + 1) else {
                 break;

@@ -35,7 +35,7 @@ mod pfor;
 mod policy;
 mod scan;
 
-pub use pfor::{for_each_index, for_each_mut, join, map_collect};
+pub use pfor::{for_each_mut, join, map_collect};
 pub use policy::{
     available_parallelism, current_pool_threads, run_with_threads, ExecPolicy, DEFAULT_GRAIN,
 };

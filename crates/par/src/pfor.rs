@@ -3,31 +3,6 @@
 use crate::ExecPolicy;
 use rayon::prelude::*;
 
-/// Applies `f` to every index in `0..n`, mirroring `tbb::parallel_for` over a
-/// `blocked_range` with the policy's block size.
-pub fn for_each_index<F>(policy: ExecPolicy, n: usize, f: F)
-where
-    F: Fn(usize) + Sync + Send,
-{
-    match policy {
-        ExecPolicy::Seq => {
-            for i in 0..n {
-                f(i);
-            }
-        }
-        ExecPolicy::Par { grain } => {
-            let grain = grain.max(1);
-            // Chunked indices: each task runs `grain` consecutive iterations
-            // sequentially, like TBB's simple_partitioner with a block size.
-            (0..n)
-                .into_par_iter()
-                .with_min_len(grain)
-                .with_max_len(grain)
-                .for_each(&f);
-        }
-    }
-}
-
 /// Runs `a` and `b` and returns both results: forked on the current pool
 /// (`rayon::join`, so either closure may be stolen) under a parallel
 /// policy, one after the other under [`ExecPolicy::Seq`].  This is the
@@ -95,22 +70,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn for_each_index_visits_every_index_once() {
-        for policy in [
-            ExecPolicy::Seq,
-            ExecPolicy::par(),
-            ExecPolicy::par_with_grain(1),
-        ] {
-            let hits: Vec<AtomicUsize> = (0..97).map(|_| AtomicUsize::new(0)).collect();
-            for_each_index(policy, 97, |i| {
-                hits[i].fetch_add(1, Ordering::Relaxed); // Relaxed: pure count; the parallel region's join orders it before the assert.
-            });
-            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1)); // Relaxed: read after the join's happens-before edge.
-        }
-    }
 
     #[test]
     fn for_each_mut_matches_sequential() {
@@ -141,7 +100,6 @@ mod tests {
 
     #[test]
     fn empty_ranges_are_fine() {
-        for_each_index(ExecPolicy::par(), 0, |_| panic!("must not run"));
         let v: Vec<u8> = map_collect(ExecPolicy::par(), 0, |_| 0u8);
         assert!(v.is_empty());
         let mut empty: [u8; 0] = [];

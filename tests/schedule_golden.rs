@@ -20,7 +20,10 @@
 //! after the 16-deep panels and SelInv's product with `R_jj⁻¹` moved them;
 //! the `dimension_change` default row once `gemm` chose the 4×4 body by
 //! operand shape (that model's 4×4 products used to run the register tile,
-//! because its plan mixes dimensions).
+//! because its plan mixes dimensions); the `short_observations` default row
+//! once its short (`m < n`) observation blocks took step 1's general QR,
+//! as they always did under the reference kernels (a structured
+//! trapezoidal step 1 used to run there).
 //!
 //! **Re-capture protocol**, for a change that is *meant* to move bits (a
 //! kernel's summation order, a generator):
@@ -405,16 +408,16 @@ const AVX2: Table = [
     // short_observations
     [
         0xff0b1ef86eec745a,
-        0x2598f1716f60d1d3,
-        0xb01ecfa0b8d63239,
-        0xe3b747fa75a18251,
-        0x00e7230903639248,
-        0x4c721096f02e61ce,
-        0x51935e80f433c650,
-        0x9ede98c582a8c336,
-        0xd90dda8aa2fe15e2,
-        0xf177ca677e837d87,
-        0xf3b7e7bde0f23d53,
+        0x7f7db00c2d9e990b,
+        0xc49a3b53366d373a,
+        0x868089567be4b24d,
+        0x9cb4a7d4dd1e2a5f,
+        0xa74e9281fff59f3d,
+        0x54129354c860992f,
+        0xd4d2dc880dd30a47,
+        0xbe20101a2dfa7702,
+        0x276f247e624f8240,
+        0x63056c6a9950e4b9,
     ],
     // tracking_2d
     [
