@@ -4,11 +4,14 @@
 //! Each figure/table has a dedicated binary under `src/bin/` (see DESIGN.md
 //! for the per-experiment index).  This library provides the pieces they
 //! share: median-of-N timing (the paper reports medians of 5 runs), a tiny
-//! command-line flag parser, and aligned table output.
+//! command-line flag parser, and aligned table output.  [`ab`] holds the
+//! arithmetic of `harness_ab`, which compares two builds of the end-to-end
+//! benchmark in interleaved pairs.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod ab;
 pub mod sweep;
 
 use std::time::Instant;

@@ -22,8 +22,10 @@
 //!   room.  Overload slows producers down; it never grows server memory.
 //! * [`ShardedPool::drain`] — the serving tick: empty every queue into its
 //!   streams, then batch-flush every full window through the pool's
-//!   allocation-free `poll_into` path.  A steady-state drain performs
-//!   **zero heap allocations** end to end.
+//!   allocation-free `poll_into` path, and before returning run the
+//!   forward steps of every stream it evolved, so later flushes are only
+//!   the downward sweep.  A steady-state drain performs **zero heap
+//!   allocations** end to end.
 //! * [`Stats`] — a per-shard/aggregate metrics snapshot (queue depth and
 //!   throttling, flush latency, flushed steps).
 //!

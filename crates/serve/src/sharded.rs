@@ -71,7 +71,7 @@ struct Location {
 #[derive(Default)]
 struct StreamFlags {
     flags: Vec<bool>,
-    set: Vec<usize>,
+    set: Vec<StreamId>,
 }
 
 impl StreamFlags {
@@ -86,7 +86,7 @@ impl StreamFlags {
         }
         if !self.flags[slot] {
             self.flags[slot] = true;
-            self.set.push(slot);
+            self.set.push(id);
         }
     }
 
@@ -95,8 +95,8 @@ impl StreamFlags {
     }
 
     fn clear(&mut self) {
-        for slot in self.set.drain(..) {
-            self.flags[slot] = false;
+        for id in self.set.drain(..) {
+            self.flags[id.index()] = false;
         }
     }
 }
@@ -112,6 +112,9 @@ struct Shard {
     /// failure is counted exactly once.  Cleared at the end of each
     /// drain, so recovered streams rejoin the canonical cadence.
     failed: StreamFlags,
+    /// Streams the current drain applied an `Evolve` to: the ones with
+    /// forward steps pending when its pass loop ends.
+    evolved: StreamFlags,
     rx: mpsc::Receiver<Op>,
     /// Output batches of the current drain, one per flush pass (reused
     /// across drains at their high-water mark).
@@ -242,6 +245,7 @@ impl ShardedPool {
                 pool: SmootherPool::new(cfg.policy),
                 blocked: StreamFlags::default(),
                 failed: StreamFlags::default(),
+                evolved: StreamFlags::default(),
                 rx,
                 batches: Vec::new(),
                 passes_used: 0,
@@ -354,11 +358,17 @@ impl ShardedPool {
             .filter_map(|(&key, loc)| Some((key, self.shards[loc.shard].pool.stream(loc.id)?)))
     }
 
-    /// Applies one event to a resident stream, recording failures.
+    /// Applies one event to a resident stream, recording failures and the
+    /// streams that evolved.
     fn apply(shard: &mut Shard, id: StreamId, key: u64, event: StreamEvent) {
-        if let Err(e) = shard.pool.ingest(id, event) {
-            shard.metrics.ingest_errors.inc();
-            shard.errors.push((key, e));
+        let evolve = matches!(event, StreamEvent::Evolve(_));
+        match shard.pool.ingest(id, event) {
+            Ok(()) if evolve => shard.evolved.insert(id),
+            Ok(()) => {}
+            Err(e) => {
+                shard.metrics.ingest_errors.inc();
+                shard.errors.push((key, e));
+            }
         }
     }
 
@@ -438,6 +448,19 @@ impl ShardedPool {
     /// merely *became* full stays buffered until its next evolve (next
     /// drain), again matching the standalone cadence.
     ///
+    /// Before the drain returns, every stream it applied an `Evolve` to
+    /// runs its pending forward steps, in one
+    /// [`SmootherPool::eliminate_pending`] batch per shard (span
+    /// `serve.eliminate`).  The steps are eliminated while their events
+    /// are still warm, at the end of the drain that delivered them, so a
+    /// later flush is only the downward sweep and the emit: the flush an
+    /// evolve triggers runs no forward step, and the step that evolve
+    /// retires is eliminated at the end of the same drain.  That moves
+    /// work, not bits: each forward step runs on the same operands as it
+    /// would inside the flush.  A step that cannot be eliminated stays
+    /// pending, and the stream's next flush reports the error, as it would
+    /// have.
+    ///
     /// Two properties follow.  **Timing-independence:** every window a
     /// stream ever flushes has the same canonical shape and content no
     /// matter how drains, shards, queue bounds, or backpressure sliced
@@ -448,7 +471,7 @@ impl ShardedPool {
     /// window shape per stream means every flush reuses the storage the
     /// first one sized, so a steady-state drain — queue pops, event application, batched
     /// flushes, producer wake-ups — performs **zero heap allocations**
-    /// end to end.
+    /// end to end — eliminations included.
     ///
     /// The one exception to gating: a stream whose flush *fails* (e.g.
     /// still rank-deficient) stops gating its ingestion — its window
@@ -469,10 +492,9 @@ impl ShardedPool {
         }
         debug_assert!(
             self.deferred.is_empty()
-                && self
-                    .shards
-                    .iter()
-                    .all(|shard| shard.blocked.is_empty() && shard.failed.is_empty())
+                && self.shards.iter().all(|shard| shard.blocked.is_empty()
+                    && shard.failed.is_empty()
+                    && shard.evolved.is_empty())
         );
         // One clock read dates every op of this drain: an op's queue wait
         // runs to the moment the drain that pops it began.
@@ -526,7 +548,14 @@ impl ShardedPool {
                 self.gate_or_apply(loc, key, event);
             }
         }
+        // The forward steps of this drain's evolves, one batch per shard.
         for shard in &mut self.shards {
+            if !shard.evolved.is_empty() {
+                let _span = kalman_obs::span!("serve.eliminate");
+                let evolved = shard.evolved.set.iter().copied();
+                shard.pool.eliminate_pending(evolved);
+                shard.evolved.clear();
+            }
             shard.blocked.clear();
             shard.failed.clear();
         }

@@ -108,12 +108,18 @@ impl PollBatch {
 /// every stream with a full window and re-smooths *all of them in one
 /// parallel batch* under the pool's [`ExecPolicy`] — cross-stream
 /// parallelism, which scales with the number of ready streams and needs no
-/// coordination (a stream's own flush is a sequential sweep).  Pooled
-/// streams are switched to manual flushing.
+/// coordination (a stream's own flush is a sequential sweep).
+/// [`SmootherPool::eliminate_pending`] batches the streams' forward
+/// eliminations the same way, so a caller can run them between polls,
+/// while the new steps are warm, and leave a poll only the downward
+/// sweeps.  Pooled streams are switched to manual flushing.
 pub struct SmootherPool {
     entries: Vec<Option<StreamingSmoother>>,
     policy: ExecPolicy,
     live: usize,
+    /// Staging slots of [`SmootherPool::eliminate_pending`] batches, kept
+    /// at their high-water mark.
+    staging: Vec<PollEntry>,
 }
 
 impl SmootherPool {
@@ -123,6 +129,7 @@ impl SmootherPool {
             entries: Vec::new(),
             policy,
             live: 0,
+            staging: Vec::new(),
         }
     }
 
@@ -260,41 +267,91 @@ impl SmootherPool {
     /// Ready streams the predicate rejects stay buffered and untouched.
     pub fn poll_into_where(&mut self, out: &mut PollBatch, mut pred: impl FnMut(StreamId) -> bool) {
         let _span = kalman_obs::span!("stream.pool.poll");
-        let policy = self.policy;
-        // Stage: move each ready stream into an output slot.
-        let mut count = 0;
-        for (i, slot) in self.entries.iter_mut().enumerate() {
-            let ready = matches!(slot, Some(s) if s.ready());
-            if !ready || !pred(StreamId(i)) {
-                continue;
-            }
-            // lint: allow(panic, "infallible: `ready` above matched Some, and nothing takes the slot in between")
-            let stream = slot.take().expect("readiness checked above");
-            if out.entries.len() == count {
-                out.entries.push(PollEntry::empty()); // lint: allow(alloc, "grows the reused poll batch to high-water mark once; later polls reuse parked slots")
-            }
-            let entry = &mut out.entries[count];
-            entry.id = StreamId(i);
-            entry.stream = Some(stream);
-            entry.outcome = Ok(());
-            count += 1;
-        }
+        let slots = 0..self.entries.len();
         // Surplus slots from a larger previous poll stay parked (capacity
         // retained); only `used` marks this poll's extent.
-        out.used = count;
-        // One parallel batch: each task owns its stream and output slot.
-        for_each_mut(policy, &mut out.entries[..count], |_, entry| {
-            // lint: allow(panic, "infallible: the staging loop above set `stream` to Some for every entry in ..count")
-            let stream = entry.stream.as_mut().expect("staged above");
-            entry.outcome = stream.flush_into(&mut entry.steps).map(|_| ());
-            if entry.outcome.is_err() {
-                entry.steps.clear();
+        out.used = self.run_batch(
+            &mut out.entries,
+            slots,
+            |id, stream| stream.ready() && pred(id),
+            |stream, outcome, steps| {
+                *outcome = stream.flush_into(steps).map(|_| ());
+                if outcome.is_err() {
+                    steps.clear();
+                }
+            },
+        );
+    }
+
+    /// Runs [`StreamingSmoother::eliminate_pending`] on every live stream
+    /// among `ids` that has a forward step pending, in one batch under the
+    /// pool's [`ExecPolicy`] — the forward half of the streams' next
+    /// flushes, moved ahead of them.  It changes no estimate, and reports
+    /// no error: a step that cannot be eliminated stays pending, and the
+    /// stream's next flush reports it (see
+    /// [`StreamingSmoother::eliminate_pending`]).
+    ///
+    /// Unknown ids and repeated ids are skipped, and only the streams named
+    /// are visited, so the cost grows with `ids`, not with the pool.  The
+    /// staging storage persists at its high-water mark: a steady-state call
+    /// performs zero heap allocations.
+    pub fn eliminate_pending(&mut self, ids: impl IntoIterator<Item = StreamId>) {
+        let mut staging = std::mem::take(&mut self.staging);
+        self.run_batch(
+            &mut staging,
+            ids.into_iter().map(StreamId::index),
+            |_, stream| stream.has_pending(),
+            |stream, _, _| stream.eliminate_pending(),
+        );
+        self.staging = staging;
+    }
+
+    /// The batch mechanism of [`SmootherPool::poll_into_where`] and
+    /// [`SmootherPool::eliminate_pending`]: moves each live stream among
+    /// the pool `slots` that `select` accepts into the next entry of
+    /// `entries` (which grows to its high-water mark once), runs `work` on
+    /// every staged stream with its entry's outcome and step storage in one
+    /// parallel batch under the pool's [`ExecPolicy`], and moves the
+    /// streams back.  Returns the number of entries staged.
+    fn run_batch(
+        &mut self,
+        entries: &mut Vec<PollEntry>,
+        slots: impl IntoIterator<Item = usize>,
+        mut select: impl FnMut(StreamId, &StreamingSmoother) -> bool,
+        work: impl Fn(&mut StreamingSmoother, &mut Result<()>, &mut Vec<FinalizedStep>) + Sync + Send,
+    ) -> usize {
+        let mut count = 0;
+        for i in slots {
+            let Some(slot) = self.entries.get_mut(i) else {
+                continue;
+            };
+            let Some(stream) = slot.take_if(|s| select(StreamId(i), s)) else {
+                continue;
+            };
+            if entries.len() == count {
+                entries.push(PollEntry::empty()); // lint: allow(alloc, "grows the reused staging slots to their high-water mark once; later batches reuse parked slots")
             }
+            let entry = &mut entries[count];
+            entry.id = StreamId(i);
+            entry.stream = Some(stream);
+            count += 1;
+        }
+        // One parallel batch: each task owns its stream and output slot.
+        for_each_mut(self.policy, &mut entries[..count], |_, entry| {
+            let PollEntry {
+                stream,
+                outcome,
+                steps,
+                ..
+            } = entry;
+            // lint: allow(panic, "infallible: the staging loop above set `stream` to Some for every entry in ..count")
+            work(stream.as_mut().expect("staged above"), outcome, steps);
         });
         // Return the streams to their pool slots.
-        for entry in out.entries[..count].iter_mut() {
+        for entry in entries[..count].iter_mut() {
             self.entries[entry.id.0] = entry.stream.take();
         }
+        count
     }
 
     /// Ends one stream: removes it from the pool, finalizes its whole

@@ -1,10 +1,15 @@
 //! The window's block-bidiagonal `R` factor, kept between flushes.
 //!
 //! A fixed-lag flush is an incremental Paige–Saunders sweep: the forward
-//! step ([`InfoHead::step_into`]) runs once per step, when the step stops
+//! step ([`InfoHead::step_into`]) runs once per step, after the step stops
 //! being the newest, and leaves in a [`Ring`] slot what the downward sweep
 //! reads of the step's block row of `R`; every flush then walks down
 //! through the ring once, from the newest head to the window's base.
+//! [`Ring::eliminate_pending`] is the one routine that runs forward steps.
+//! A flush calls it first, for whatever is still pending; a stream's owner
+//! may call it earlier, between flushes
+//! (`StreamingSmoother::eliminate_pending`, which a serving drain runs on
+//! every stream it evolved), so the flush finds the work done.
 //! Without covariances a slot keeps the row itself and the walk is a back
 //! substitution.  With them it keeps the row's [`SweepTerms`] — computed
 //! with the row, from one `R_jj⁻¹` — and the walk forms each step's mean
@@ -187,18 +192,30 @@ impl Ring {
         self.solve_into(base_index, keep, out)
     }
 
+    /// Sizes the slot storage for `slots` eliminated steps, unless it is
+    /// sized for as many already; each growth counts in
+    /// [`Ring::resizes`].
+    pub(crate) fn reserve(&mut self, slots: usize) {
+        if slots > self.high_water {
+            self.slots.reserve_exact(slots - self.slots.len());
+            self.spare
+                .reserve_exact(slots.saturating_sub(self.spare.len()));
+            self.high_water = slots;
+            self.resizes += 1;
+        }
+    }
+
     /// The forward sweep over `buffer[slots.len()..buffer.len() - 1]`: each
     /// step is whitened, eliminated and (for covariances) inverted exactly
     /// once in its life, into a spare slot's storage when there is one.
-    fn eliminate_pending(&mut self, buffer: &[LinearStep], base_index: u64) -> Result<()> {
+    /// A step that fails stays pending, with every step after it.
+    pub(crate) fn eliminate_pending(
+        &mut self,
+        buffer: &[LinearStep],
+        base_index: u64,
+    ) -> Result<()> {
         let target = buffer.len() - 1;
-        if target > self.high_water {
-            self.slots.reserve_exact(target - self.slots.len());
-            self.spare
-                .reserve_exact(target.saturating_sub(self.spare.len()));
-            self.high_water = target;
-            self.resizes += 1;
-        }
+        self.reserve(target); // lint: allow(alloc, "grows the slot storage only past its high-water mark: once on a steady cadence")
         for j in self.slots.len()..target {
             let index = (base_index + j as u64) as usize;
             let next = &buffer[j + 1];

@@ -12,19 +12,22 @@ use kalman_model::{
 /// The smoother holds a bounded buffer of recent steps plus an
 /// [`InfoHead`] condensing everything older, and keeps the window's
 /// block-bidiagonal `R` factor between flushes.  Ingestion is cheap
-/// (validation and buffering only); the work runs when the window fills
+/// (validation and buffering only).  The forward elimination of a step
+/// that is no longer the newest runs at the first of two moments: a call
+/// to [`StreamingSmoother::eliminate_pending`] (a serving drain makes one
+/// for every stream it evolved), or the next flush — when the window fills
 /// ([`StreamOptions::auto_flush`]) or when [`StreamingSmoother::flush`] is
 /// called (e.g. by a [`crate::SmootherPool`]).  A flush is an incremental
 /// Paige–Saunders sweep: the forward elimination runs only over the steps
-/// that arrived since the last flush (all but the newest, which can still
-/// be observed), so every step is whitened and eliminated exactly once in
-/// its life; back substitution through the kept `R` blocks gives the means,
-/// the bidiagonal SelInv recursion the covariances (from terms of each
-/// block that are computed once, with it, and kept beside it), and
-/// forgetting a finalized step drops its block — there is no second
-/// factorization.  The sweep is sequential; [`StreamOptions::policy`] is
-/// not consulted, and parallelism lives *across* streams in
-/// [`crate::SmootherPool`].
+/// still pending (all but the newest, which can still be observed, and
+/// none that an earlier call eliminated), so every step is whitened and
+/// eliminated exactly once in its life; back substitution through the
+/// kept `R` blocks gives the means, the bidiagonal SelInv recursion the
+/// covariances (from terms of each block that are computed once, with it,
+/// and kept beside it), and forgetting a finalized step drops its block —
+/// there is no second factorization.  The sweep is sequential;
+/// [`StreamOptions::policy`] is not consulted, and parallelism lives
+/// *across* streams in [`crate::SmootherPool`].
 ///
 /// In steady state — auto-flush cadence or a fixed manual cadence — a
 /// flush performs **zero heap allocations**: every container keeps its
@@ -266,9 +269,11 @@ impl StreamingSmoother {
 
     /// How many times the storage of the window's `R` blocks was (re)sized:
     /// a flush counts when its window is longer than any this stream
-    /// flushed before.  A stream on a steady cadence reports `1` after its
-    /// first flush no matter how many flushes ran; a growing count means
-    /// ever longer windows keep appearing.  (The name dates from when each
+    /// flushed before, and the first [`StreamingSmoother::eliminate_pending`]
+    /// call (a serving drain's) counts once, sizing the storage for a full
+    /// window.  A stream on a steady cadence reports `1` no matter how many
+    /// flushes ran; a growing count means ever longer windows keep
+    /// appearing.  (The name dates from when each
     /// window shape had an odd-even plan built for it.)
     pub fn plan_builds(&self) -> u64 {
         self.ring.resizes()
@@ -357,6 +362,38 @@ impl StreamingSmoother {
         Ok(dropped)
     }
 
+    /// Runs the forward elimination of every buffered step that is no
+    /// longer the newest and not eliminated yet — the work the next flush
+    /// would otherwise start with — and nothing else.  It changes no
+    /// estimate: each step runs the same forward step on the same operands
+    /// as it would inside the flush, so every later output is bitwise what
+    /// it would have been.  Called between flushes, it moves that work out
+    /// of the flush, to a moment when the steps' data are still warm in
+    /// cache; a serving drain calls it (through
+    /// [`crate::SmootherPool::eliminate_pending`]) for every stream it
+    /// evolved.
+    ///
+    /// It reports no error.  A step it cannot whiten stays pending, with
+    /// every step after it, and the next flush, which reruns it, reports
+    /// the same typed error at the same index as it would have without this
+    /// call.  A step the data do not determine yet is eliminated as it
+    /// would be in a flush, and the flush reports it rank deficient.
+    pub fn eliminate_pending(&mut self) {
+        // Called step by step while the first window fills, the sweep would
+        // grow the slot storage one slot at a time: size it for the full
+        // window, as that window's first flush would.
+        // lint: allow(alloc, "sizes the slot storage once, for a full window; later calls find it sized")
+        self.ring.reserve(self.opts.window_capacity() - 1);
+        // An error leaves the failing step pending for the flush to report.
+        let _ = self.ring.eliminate_pending(&self.buffer, self.base_index);
+    }
+
+    /// `true` while a buffered step other than the newest awaits its
+    /// forward elimination.
+    pub(crate) fn has_pending(&self) -> bool {
+        self.ring.len() + 1 < self.buffer.len()
+    }
+
     /// Smooths the current window *without* finalizing anything: estimates
     /// for every buffered step, newest included (a real-time read of the
     /// stream's present).  Index `i` of the result is global step
@@ -394,7 +431,10 @@ impl StreamingSmoother {
     /// Smooths the window and finalizes every step more than `lag` behind
     /// the newest, forgetting their `R` blocks: the prior stored with the
     /// oldest remaining step becomes the head.  No-op (empty result) when
-    /// nothing is finalizable.
+    /// nothing is finalizable.  The smooth first runs the forward steps
+    /// still pending (all of them, unless
+    /// [`StreamingSmoother::eliminate_pending`] ran since the window last
+    /// grew), then the downward sweep.
     ///
     /// # Errors
     ///

@@ -571,6 +571,89 @@ fn saturated_sharded_serving_is_allocation_free_and_matches_unsharded() {
     }
 }
 
+/// Open-loop sharded serving, one event per drain: after warm-up every
+/// whole drain — the queue pop, the event, the flush an evolve triggers,
+/// the touched-stream set and the batch that eliminates the drain's new
+/// forward steps — allocates nothing.
+#[test]
+fn open_loop_sharded_drains_are_allocation_free() {
+    use kalman::model::StreamEvent;
+    use kalman::serve::{ServeConfig, ShardedPool};
+
+    let _guard = EXCLUSIVE.lock().unwrap_or_else(|p| p.into_inner());
+    const STREAMS: usize = 8;
+    const STEPS: usize = 90;
+    let n = 8;
+    let opts = StreamOptions {
+        lag: 8,
+        flush_every: 4,
+        covariances: true,
+        policy: ExecPolicy::Seq,
+        auto_flush: false,
+        ..StreamOptions::default()
+    };
+    let (mut pool, mut ingress) = ShardedPool::new(ServeConfig {
+        shards: 2,
+        queue_capacity: 4,
+        policy: ExecPolicy::Seq,
+    });
+    let mut events: Vec<std::vec::IntoIter<StreamEvent>> = Vec::new();
+    for key in 0..STREAMS {
+        pool.insert(
+            key as u64,
+            StreamingSmoother::with_prior(vec![0.0; n], CovarianceSpec::Identity(n), opts).unwrap(),
+        )
+        .unwrap();
+        let list: Vec<StreamEvent> = build_events(n, STEPS, 1)
+            .into_iter()
+            .enumerate()
+            .flat_map(|(i, (evo, obs))| {
+                let evolve = (i > 0).then_some(StreamEvent::Evolve(evo));
+                evolve.into_iter().chain([StreamEvent::Observe(obs)])
+            })
+            .collect();
+        events.push(list.into_iter());
+    }
+    // Round robin, one event per drain; stream `k` starts `k` rounds late,
+    // so flushes fall in different drains.
+    let mut alloc_log = Vec::new();
+    let (mut flushed, mut eliminated) = (0, 0);
+    for round in 0..2 * STEPS + STREAMS {
+        for (key, list) in events.iter_mut().enumerate() {
+            if round < key {
+                continue;
+            }
+            let Some(event) = list.next() else { continue };
+            let evolve = matches!(event, StreamEvent::Evolve(_));
+            ingress.try_submit(key as u64, event).unwrap();
+            let before = thread_alloc_count();
+            let summary = pool.drain();
+            alloc_log.push(thread_alloc_count() - before);
+            assert_eq!(summary.errors, 0);
+            flushed += summary.flushed_steps;
+            let stream = pool.stream(key as u64).unwrap();
+            assert_eq!(stream.eliminated_len(), stream.buffered_len() - 1);
+            eliminated += usize::from(evolve);
+        }
+    }
+    assert!(flushed >= STREAMS * (STEPS - 2 * (opts.lag + opts.flush_every)));
+    assert_eq!(eliminated, STREAMS * (STEPS - 1));
+    // Warm-up: every stream's first windows fill and flush three times
+    // (window storage, spare slots, output slots, the staging slot and the
+    // touched set reach their high-water marks).
+    let warmup = STREAMS * 2 * (opts.lag + 3 * opts.flush_every);
+    let measured = &alloc_log[warmup..];
+    assert!(measured.len() >= 400, "{} drains measured", measured.len());
+    for (i, &allocs) in measured.iter().enumerate() {
+        assert_eq!(
+            allocs,
+            0,
+            "drain {}: {allocs} heap allocations in a steady-state open-loop drain",
+            warmup + i
+        );
+    }
+}
+
 /// Workspace checkouts (`hits + misses` of the calling thread's pool) of
 /// one steady flush of an n = 8 covariance stream that finalizes
 /// `flush_every` steps per flush.

@@ -486,3 +486,174 @@ fn serving_error_paths_and_stable_hash() {
         .unwrap_err();
     assert!(err.is_closed());
 }
+
+/// One stream's flush outcome in one drain: the drain's number and the
+/// finalized steps, or the flush's error.
+type Flushed = (usize, std::result::Result<Vec<FinalizedStep>, KalmanError>);
+
+fn assert_same_flushes(got: &[Flushed], want: &[Flushed], label: &str) {
+    assert_eq!(got.len(), want.len(), "{label}: flush count");
+    for ((dg, g), (dw, w)) in got.iter().zip(want) {
+        assert_eq!(dg, dw, "{label}: flush drains");
+        match (g, w) {
+            (Ok(g), Ok(w)) => {
+                assert_eq!(g.len(), w.len(), "{label}: drain {dg}");
+                for (a, b) in g.iter().zip(w) {
+                    let same = a.index == b.index
+                        && a.mean
+                            .iter()
+                            .map(|x| x.to_bits())
+                            .eq(b.mean.iter().map(|x| x.to_bits()))
+                        && match (&a.covariance, &b.covariance) {
+                            (None, None) => true,
+                            (Some(x), Some(y)) => (x.as_slice().iter().map(|v| v.to_bits()))
+                                .eq(y.as_slice().iter().map(|v| v.to_bits())),
+                            _ => false,
+                        };
+                    assert!(
+                        same,
+                        "{label}: drain {dg} state {} not bitwise equal",
+                        a.index
+                    );
+                }
+            }
+            (Err(g), Err(w)) => assert_eq!(g, w, "{label}: drain {dg}"),
+            _ => panic!("{label}: drain {dg}: {g:?} against {w:?}"),
+        }
+    }
+}
+
+/// Open-loop serving, one event per drain: every drain leaves each stream
+/// with all but its newest step eliminated — the forward steps of an
+/// evolve run before the drain that applied it returns — and that moves
+/// no bit.  Every flush outcome, and every closing window, is bitwise what
+/// one unsharded `SmootherPool` (which eliminates inside its flushes)
+/// emits at the same cadence.  An underdetermined stream in the same pool
+/// reports `RankDeficient` in the same drains, at the same index, as a
+/// standalone stream fed the same events.
+#[test]
+fn open_loop_drains_leave_no_forward_step_pending() {
+    for (n, covariances) in [(4, false), (8, true)] {
+        let opts = StreamOptions {
+            covariances,
+            ..serve_opts()
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(4242);
+        let mut models: Vec<LinearModel> = (0..5)
+            .map(|_| generators::paper_benchmark(&mut rng, n, 50, true))
+            .collect();
+        // No prior and its first 14 steps unobserved: the flushes of its
+        // first windows cannot be solved.
+        let mut starved = generators::paper_benchmark(&mut rng, n, 50, false);
+        for step in &mut starved.steps[..14] {
+            step.observation = None;
+        }
+        models.push(starved);
+        let new_stream = |model: &LinearModel| {
+            match &model.prior {
+                Some(p) => StreamingSmoother::with_prior(p.mean.clone(), p.cov.clone(), opts),
+                None => StreamingSmoother::new(n, opts),
+            }
+            .unwrap()
+        };
+        // Stream `s` starts `s` ticks late, so the streams' flushes fall in
+        // different drains.
+        let events: Vec<Vec<StreamEvent>> = models.iter().map(events_of).collect();
+        let ticks = events[0].len() + models.len();
+        let schedule: Vec<(usize, usize)> = (0..ticks)
+            .flat_map(|t| (0..models.len()).map(move |s| (s, t.wrapping_sub(s))))
+            .filter(|&(s, e)| e < events[s].len())
+            .collect();
+
+        // The reference: one unsharded pool, flushing a stream when an
+        // evolve arrives on its full window, and a standalone stream for
+        // the starved one, flushed at the same moments.
+        let mut reference = SmootherPool::new(ExecPolicy::Seq);
+        let ids: Vec<StreamId> = models
+            .iter()
+            .map(|m| reference.insert(new_stream(m)))
+            .collect();
+        let mut alone = new_stream(&models[5]);
+        let mut want: Vec<Vec<Flushed>> = vec![Vec::new(); models.len()];
+        let mut alone_flushes: Vec<Flushed> = Vec::new();
+        let mut batch = PollBatch::new();
+        for (drain, &(s, e)) in schedule.iter().enumerate() {
+            let event = events[s][e].clone();
+            let evolve = matches!(event, StreamEvent::Evolve(_));
+            if evolve && reference.stream(ids[s]).unwrap().ready() {
+                reference.poll_into_where(&mut batch, |id| id == ids[s]);
+                for entry in batch.entries() {
+                    let result = entry.result().map(<[FinalizedStep]>::to_vec);
+                    want[s].push((drain, result));
+                }
+            }
+            if s == 5 {
+                if evolve && alone.ready() {
+                    alone_flushes.push((drain, alone.flush()));
+                }
+                assert!(alone.ingest(event.clone()).unwrap().is_empty());
+            }
+            reference.ingest(ids[s], event).unwrap();
+        }
+        let starved_errors = alone_flushes.iter().filter(|(_, r)| r.is_err()).count();
+        assert!(
+            starved_errors > 0,
+            "n = {n}: the starved stream must fail its first flushes"
+        );
+        assert!(
+            matches!(alone_flushes[0].1, Err(KalmanError::RankDeficient { .. })),
+            "n = {n}: {:?}",
+            alone_flushes[0].1
+        );
+        assert_same_flushes(&want[5], &alone_flushes, &format!("n = {n} standalone"));
+        let want_tails: Vec<Vec<FinalizedStep>> = ids
+            .iter()
+            .map(|id| reference.finish(*id).unwrap().0)
+            .collect();
+
+        for shards in [1, 2] {
+            for policy in [ExecPolicy::Seq, ExecPolicy::par_with_grain(1)] {
+                let label = format!("n = {n}, {shards} shard(s), {policy:?}");
+                let cfg = ServeConfig {
+                    shards,
+                    queue_capacity: 4,
+                    policy,
+                };
+                let (mut pool, mut ingress) = ShardedPool::new(cfg);
+                for (k, model) in models.iter().enumerate() {
+                    pool.insert(k as u64, new_stream(model)).unwrap();
+                }
+                let mut got: Vec<Vec<Flushed>> = vec![Vec::new(); models.len()];
+                for (drain, &(s, e)) in schedule.iter().enumerate() {
+                    ingress.try_submit(s as u64, events[s][e].clone()).unwrap();
+                    pool.drain();
+                    for (key, entry) in pool.outputs() {
+                        let result = entry.result().map(<[FinalizedStep]>::to_vec);
+                        got[key as usize].push((drain, result));
+                    }
+                    for k in 0..models.len() as u64 {
+                        let stream = pool.stream(k).unwrap();
+                        assert_eq!(
+                            stream.eliminated_len(),
+                            stream.buffered_len() - 1,
+                            "{label}: stream {k} after drain {drain}"
+                        );
+                    }
+                }
+                for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_same_flushes(g, w, &format!("{label}: stream {k}"));
+                }
+                // The drains' eliminations sized each healthy window once,
+                // for its full length, not one slot at a time.
+                for k in 0..5 {
+                    let builds = pool.stream(k).unwrap().plan_builds();
+                    assert_eq!(builds, 1, "{label}: stream {k}");
+                }
+                let tails: Vec<Vec<FinalizedStep>> = (0..models.len() as u64)
+                    .map(|k| pool.finish(k).unwrap().0)
+                    .collect();
+                assert_bitwise_equal(&tails, &want_tails, &label);
+            }
+        }
+    }
+}
