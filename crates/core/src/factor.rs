@@ -529,6 +529,7 @@ pub(crate) fn factor_tree(
     // copy the elimination-order level lists straight from the plan.
     let k1 = schedule.num_states();
     out.rows.truncate(k1);
+    // lint: allow(alloc, "sizes the reused output to the plan's state count; a re-run of the same plan finds it sized")
     out.rows.resize_with(k1, || RRow {
         diag: Matrix::zeros(0, 0),
         off: Vec::new(),
@@ -537,9 +538,11 @@ pub(crate) fn factor_tree(
     });
     let elim = schedule.elim_levels();
     out.levels.truncate(elim.len());
+    // lint: allow(alloc, "sizes the reused level lists to the plan's level count; a re-run of the same plan finds them sized")
     out.levels.resize_with(elim.len(), Vec::new);
     for (dst, src) in out.levels.iter_mut().zip(elim) {
         dst.clear();
+        // lint: allow(alloc, "refills a cleared level list that kept its capacity from the last run of the plan")
         dst.extend_from_slice(src);
     }
 

@@ -108,6 +108,7 @@ impl Slots<'_> {
     fn store(&mut self, solved: Solved) {
         let at = solved.col - self.lo;
         if let (Some(means), Some(mean)) = (self.means.as_deref_mut(), &solved.mean) {
+            // lint: allow(alloc, "refills a mean that `top_down` cleared, keeping its capacity from the last run")
             means[at].extend_from_slice(mean.col(0));
         }
         if let (Some(covs), Some(cov)) = (self.covs.as_deref_mut(), solved.cov) {
@@ -319,11 +320,13 @@ pub(crate) fn top_down(
     let k1 = r.num_states();
     if let Some(means) = means.as_deref_mut() {
         means.truncate(k1);
+        // lint: allow(alloc, "sizes the caller's reused means to the chain; a re-run on the same chain finds them sized")
         means.resize_with(k1, Vec::new);
         means.iter_mut().for_each(Vec::clear);
     }
     if let Some(covs) = covs.as_deref_mut() {
         covs.truncate(k1);
+        // lint: allow(alloc, "sizes the caller's reused covariances to the chain; a re-run on the same chain finds them sized")
         covs.resize_with(k1, || Matrix::zeros(0, 0));
     }
     let walk = Walk {

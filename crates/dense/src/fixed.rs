@@ -1,4 +1,5 @@
-//! The serving flush on fixed-size, stack-resident columns.
+//! Every fixed-shape kernel of the crate, on stack-resident columns: the
+//! `N × N` product `gemm` runs at `N ∈ {4, 8}`, and the serving flush.
 //!
 //! A stream of state dimension `n ∈ {4, 8}` whose every step is observed
 //! through `n` rows runs one shape over and over: absorb the observation
@@ -10,7 +11,10 @@
 //! The kernels here do the same Householder eliminations on `[[f64; R]; C]`
 //! columns held on the stack: operands are loaded once, everything in
 //! between lives in registers and stack slots with compile-time trip counts,
-//! and the results are stored once.
+//! and the results are stored once.  The product alone reads its operands
+//! where they lie and updates `c` in place — a round trip of `c` through
+//! the stack only added traffic — and has no entry here: [`crate::gemm`]
+//! tests the shape and calls it.
 //!
 //! Each kernel is **one body in plain Rust** — no intrinsics, no `mul_add`,
 //! every reduction spelled out over four explicit lanes so the summation
@@ -21,7 +25,7 @@
 //! and which one runs depends on the CPU alone while what it computes does
 //! not.
 //!
-//! The entries below are shape-dispatched: they return `false`, having
+//! The step entries below are shape-dispatched: they return `false`, having
 //! touched nothing but the shape of their outputs, when the operands are not
 //! the static shape, when the reference kernels are forced, or when the
 //! eliminated triangle fails the effective-rank test — the caller then runs
@@ -188,6 +192,7 @@ pub fn back_substitute(
     {
         return false;
     }
+    // lint: allow(alloc, "sizes the caller's reused mean to the state once; a mean already of that size stays put")
     mean.resize(n, 0.0);
     let (r, o, b) = (diag.as_slice(), off.as_slice(), rhs.as_slice());
     match n {
@@ -507,11 +512,22 @@ fn invert_upper<const N: usize>(r: &Sq<N>, w: &mut Sq<N>) {
 /// a column-at-a-time loop.
 #[inline(always)]
 fn mul_acc<const N: usize>(c: &mut Sq<N>, a: &Sq<N>, b: &Sq<N>) {
+    mul_acc_by(c, a, |k, j| b[j][k]);
+}
+
+/// [`mul_acc`] on the first `N` columns of `c` and `a`, wherever they are
+/// held, with `b[k, j] = coeff(k, j)`.
+#[inline(always)]
+fn mul_acc_by<const N: usize>(
+    c: &mut [[f64; N]],
+    a: &[[f64; N]],
+    coeff: impl Fn(usize, usize) -> f64,
+) {
     for j0 in (0..N).step_by(4) {
         let mut cols = [c[j0], c[j0 + 1], c[j0 + 2], c[j0 + 3]];
-        for (k, ak) in a.iter().enumerate() {
-            for (col, bj) in cols.iter_mut().zip(&b[j0..j0 + 4]) {
-                let bkj = bj[k];
+        for (k, ak) in a[..N].iter().enumerate() {
+            for (jj, col) in cols.iter_mut().enumerate() {
+                let bkj = coeff(k, j0 + jj);
                 for i in 0..N {
                     col[i] += ak[i] * bkj;
                 }
@@ -616,6 +632,37 @@ pub(crate) fn forward_step_body<const N: usize, const N2: usize>(
         store_sq(&a, a_out);
     }
     true
+}
+
+/// Body of the `N × N` product [`crate::gemm`] runs on square operands (and
+/// [`simd::gemm_mono`]): `c ← β·c + α·a·op(b)`, `op(b) = bᵀ` when
+/// `b_trans`.  `c` is scaled in place first — zeroed when `β = 0`, so
+/// whatever it held does not reach the result — and then each entry adds
+/// its products `a[i,k]·(α·op(b)[k,j])` in `k` order, through [`mul_acc`]'s
+/// loop straight on `c`'s columns.
+#[inline(always)]
+pub(crate) fn product_body<const N: usize>(
+    alpha: f64,
+    a: &[f64],
+    b: &[f64],
+    b_trans: bool,
+    beta: f64,
+    c: &mut [f64],
+) {
+    let (a, b, c) = (&a[..N * N], &b[..N * N], &mut c[..N * N]);
+    if beta == 0.0 {
+        c.fill(0.0);
+    } else if beta != 1.0 {
+        for x in c.iter_mut() {
+            *x *= beta;
+        }
+    }
+    let (a, c) = (a.as_chunks::<N>().0, c.as_chunks_mut::<N>().0);
+    if b_trans {
+        mul_acc_by(c, a, |k, j| alpha * b[k * N + j]);
+    } else {
+        mul_acc_by(c, a, |k, j| alpha * b[j * N + k]);
+    }
 }
 
 /// Body of [`back_substitute`].

@@ -1,9 +1,10 @@
 //! General matrix multiply: the register-tile path ([`simd::gemm_tile`]),
-//! the register-resident `N×N` kernel [`simd::gemm_mono`] at `N ∈ {4, 8}`,
-//! and the original loop-nest kernel, retained as `gemm_ref` — the
-//! reference oracle the property tests compare against, and what tiny
-//! products still run.  [`gemm`] picks among them from the operands'
-//! shapes alone.
+//! the fixed-size `N×N` product of [`crate::fixed`] at `N ∈ {4, 8}`, and
+//! the original loop-nest kernel, retained as `gemm_ref` — the reference
+//! oracle the property tests compare against, and what tiny products still
+//! run.  [`gemm`] picks among them from the operands' shapes alone.  Every
+//! path is safe code here; the tile's intrinsics and the product's
+//! target-feature wrapper live in [`simd`].
 
 use crate::simd::{self, KernelKind};
 use crate::{workspace, Matrix};
@@ -57,7 +58,9 @@ fn scale_c(beta: f64, c: &mut Matrix) {
 /// `op(x)` is `x` or `xᵀ` according to the [`Trans`] flags.  The body is
 /// chosen from the operands' shapes alone, so the same block takes the same
 /// body wherever it shows up: `N×N` products with `N ∈ {4, 8}` and
-/// `op(A) = A` run the register-resident [`simd::gemm_mono`], every other
+/// `op(A) = A` run the fixed-size product body (the one
+/// [`simd::gemm_mono`] checks and calls; plain Rust, unfused, the same bits
+/// on every host), every other
 /// product but the tiny ones runs the register tile ([`simd::gemm_tile`]):
 /// `A` is read in place, `op(B)` through a stride pair, so only
 /// `op(A) = Aᵀ` copies anything (one transpose into a pooled buffer).  Tiny
@@ -71,7 +74,7 @@ fn scale_c(beta: f64, c: &mut Matrix) {
 pub fn gemm(alpha: f64, a: &Matrix, ta: Trans, b: &Matrix, tb: Trans, beta: f64, c: &mut Matrix) {
     // `A`, `B` and `C` all N×N with `op(A) = A` agree whatever `tb` is, so
     // the square test stands in for `check_dims`.  Tested before `scale_c`:
-    // the kernel folds β into its register-resident columns itself.
+    // the body applies β to `C` itself.
     let n = c.rows();
     let square = |m: &Matrix| m.rows() == n && m.cols() == n;
     if matches!(n, 4 | 8)
@@ -84,15 +87,10 @@ pub fn gemm(alpha: f64, a: &Matrix, ta: Trans, b: &Matrix, tb: Trans, beta: f64,
     {
         simd::note_mono();
         let (a, b, b_trans) = (a.as_slice(), b.as_slice(), tb == Trans::Yes);
-        #[allow(unsafe_code)]
-        // SAFETY: a matrix holds exactly `rows · cols` elements, so the three
-        // N×N operands are N·N-element slices, N ∈ {4, 8}.
-        unsafe {
-            if n == 4 {
-                simd::gemm_mono_unchecked::<4>(alpha, a, b, b_trans, beta, c.as_mut_slice());
-            } else {
-                simd::gemm_mono_unchecked::<8>(alpha, a, b, b_trans, beta, c.as_mut_slice());
-            }
+        if n == 4 {
+            simd::product::<4>(alpha, a, b, b_trans, beta, c.as_mut_slice());
+        } else {
+            simd::product::<8>(alpha, a, b, b_trans, beta, c.as_mut_slice());
         }
         return;
     }

@@ -21,8 +21,8 @@
 //! blocks (the paper uses n = 6, 48 and 500).  The kernels are tuned for
 //! that regime, from both ends: at serving dimensions, four-column
 //! Householder applications, a triangular-pentagonal stack elimination
-//! ([`qr_tri_stack_applying`]) and const-generic monomorphized `n ∈ {4, 8,
-//! 16}` kernels that run on exactly those square blocks; at batch
+//! ([`qr_tri_stack_applying`], monomorphized for the `n ∈ {8, 16}` square
+//! stacks) and a fixed-size `n ∈ {4, 8}` product under [`gemm`]; at batch
 //! dimensions, level-3 bodies on one register-tile GEMM
 //! ([`simd::gemm_tile`]: 8×6 on AVX2/FMA, 16×8 where AVX-512F is present,
 //! the same bits either way) — the product itself, a compact-WY body for the
@@ -52,7 +52,9 @@
 // `deny`, not `forbid`: the `simd` module is the crate's single audited
 // exemption (`#[allow(unsafe_code)]` + kalman-lint `forbid_exempt`, see
 // docs/LINTS.md §Unsafe) — it holds the `core::arch` AVX2/FMA intrinsic
-// tiles.  Every other module still rejects `unsafe` at compile time.
+// tiles and the target-feature wrappers of the `fixed` bodies.  Every other
+// module still rejects `unsafe` at compile time, and CI fails on the
+// attribute anywhere else.
 #![deny(unsafe_code)]
 
 mod chol;

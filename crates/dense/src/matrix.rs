@@ -17,8 +17,7 @@ use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 /// is the empty `0 × 0` one (a placeholder for `clone_from` to fill).
 #[derive(PartialEq, Default)]
 pub struct Matrix {
-    /// Exactly `rows · cols` elements: `gemm`'s unchecked `N×N` entry
-    /// indexes by the shape alone.
+    /// Exactly `rows · cols` elements.
     data: Vec<f64>,
     rows: usize,
     cols: usize,
@@ -35,6 +34,7 @@ impl Clone for Matrix {
 
     fn clone_from(&mut self, source: &Self) {
         self.data.clear();
+        // lint: allow(alloc, "refills the destination's own storage, which grows only while it is smaller than the source: once per reused matrix")
         self.data.extend_from_slice(&source.data);
         self.rows = source.rows;
         self.cols = source.cols;
@@ -129,6 +129,7 @@ impl Matrix {
     /// in-place [`Matrix::col_from_slice`]).
     pub fn assign_col(&mut self, v: &[f64]) {
         self.data.clear();
+        // lint: allow(alloc, "refills the column's own storage, which grows only past its high-water length")
         self.data.extend_from_slice(v);
         self.rows = v.len();
         self.cols = 1;
@@ -137,6 +138,7 @@ impl Matrix {
     /// Makes `self` the `n × n` identity, reusing its storage.
     pub fn assign_identity(&mut self, n: usize) {
         self.data.clear();
+        // lint: allow(alloc, "refills the matrix's own storage, which grows only past its high-water length")
         self.data.resize(n * n, 0.0);
         self.rows = n;
         self.cols = n;
@@ -156,6 +158,7 @@ impl Matrix {
             let old = std::mem::replace(&mut self.data, crate::workspace::take_f64(len));
             crate::workspace::put_f64(old);
         } else {
+            // lint: allow(alloc, "within the capacity checked above: never reallocates")
             self.data.resize(len, 0.0);
         }
         self.rows = rows;
@@ -279,6 +282,7 @@ impl Matrix {
         );
         let mut data = crate::workspace::take_f64_empty(nrows * ncols);
         for j in 0..ncols {
+            // lint: allow(alloc, "appends into a pooled buffer checked out with room for every element: never reallocates")
             data.extend_from_slice(&self.col(c0 + j)[r0..r0 + nrows]);
         }
         Matrix {
@@ -323,6 +327,7 @@ impl Matrix {
         let mut data = crate::workspace::take_f64_empty(rows * cols);
         for j in 0..cols {
             for b in blocks {
+                // lint: allow(alloc, "appends into a pooled buffer checked out with room for every element: never reallocates")
                 data.extend_from_slice(b.col(j));
             }
         }

@@ -1,11 +1,13 @@
-//! Explicit-width SIMD microkernels.
+//! Explicit-width SIMD microkernels, and the instantiations of the
+//! fixed-size bodies.
 //!
 //! This module is the crate's one island of `unsafe`: f64×4 tiles written
 //! against `core::arch` x86_64 AVX2/FMA intrinsics (and one f64×8 GEMM tile
-//! on AVX-512F), with a portable fallback in plain Rust for every kernel.
-//! The backend is runtime-dispatched once (the first caller runs
-//! `is_x86_feature_detected!` and the verdict is cached), so steady-state
-//! calls pay a single relaxed atomic load.
+//! on AVX-512F), with a portable fallback in plain Rust for every kernel,
+//! and the `avx2,fma` `#[target_feature]` wrappers of the plain-Rust bodies
+//! in [`crate::fixed`].  The backend is runtime-dispatched once (the first
+//! caller runs `is_x86_feature_detected!` and the verdict is cached), so
+//! steady-state calls pay a single relaxed atomic load.
 //!
 //! Three layers of kernels coexist, and the scalar layer is the oracle:
 //!
@@ -20,20 +22,20 @@
 //!   under every product `gemm` dispatches and under the batch-scale bodies
 //!   built on it (compact-WY tri-stack in `qr.rs`, blocked back substitution
 //!   and inverse-Gram in `tri.rs`) — whenever reference mode is off,
-//! * **monomorphized** — const-generic kernels ([`gemm_mono`] at
-//!   `n ∈ {4, 8}`, the tri-stack bodies in `qr.rs` at `n ∈ {8, 16}`), which
-//!   `gemm` and `qr_tri_stack_applying` run whenever their operands are
-//!   exactly that square shape.
+//! * **monomorphized** — the tri-stack bodies in `qr.rs` at `n ∈ {8, 16}`,
+//!   which `qr_tri_stack_applying` runs whenever its operands are exactly
+//!   that square shape.
 //!
 //! Every rung is chosen from the operands' shapes (and the reference
 //! switch) at the entry point, never by a plan or an option, so the same
 //! block takes the same body wherever it shows up.  Beside the ladder sit
-//! the **fixed-size** kernels of [`crate::fixed`] — a stream's whole
-//! forward step and the two steps of its back half at `n ∈ {4, 8}`, on
+//! the **fixed-size** kernels of [`crate::fixed`] — `gemm`'s `N×N` product
+//! ([`gemm_mono`] is its checked public entry), a stream's whole forward
+//! step and the two steps of its back half at `n ∈ {4, 8}`, on
 //! stack-resident columns.  They are chosen the same way, and written
-//! without intrinsics: this module only
-//! instantiates each body under `avx2,fma` and portably and dispatches
-//! between the two, which compute the same bits.
+//! without intrinsics: this module only instantiates each body under
+//! `avx2,fma` and portably and dispatches between the two, which compute
+//! the same bits.
 //!
 //! **Accuracy contract**: the FMA tiles fuse multiply and add into a single
 //! rounding, so SIMD results are *not* bitwise-equal to the scalar oracle —
@@ -988,131 +990,7 @@ pub fn reflector_one(v: &[f64], tau: f64, w: &mut f64, col: &mut [f64]) {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel: const-generic monomorphized GEMM (n ∈ {4, 8})
-// ---------------------------------------------------------------------------
-
-/// # Safety
-///
-/// Caller must ensure AVX2 and FMA are available on the executing CPU, and
-/// that `a`, `b`, `c` each hold exactly `N·N` elements with `N % 4 == 0`,
-/// `N ≤ 8`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn gemm_mono_avx2<const N: usize>(
-    alpha: f64,
-    a: &[f64],
-    b: &[f64],
-    b_trans: bool,
-    beta: f64,
-    c: &mut [f64],
-) {
-    use core::arch::x86_64::*;
-    let nq = N / 4;
-    let pa = a.as_ptr();
-    for j in 0..N {
-        let cj = c.as_mut_ptr().add(j * N);
-        // N ≤ 8 so at most two 4-lane accumulators per column — the whole
-        // C column stays in registers across the k loop.
-        let mut acc = [_mm256_setzero_pd(); 2];
-        if beta != 0.0 {
-            let bv = _mm256_set1_pd(beta);
-            for (q, lane) in acc.iter_mut().enumerate().take(nq) {
-                *lane = _mm256_mul_pd(_mm256_loadu_pd(cj.add(4 * q)), bv);
-            }
-        }
-        for k in 0..N {
-            let bkj = if b_trans { b[j + k * N] } else { b[k + j * N] };
-            let coeff = _mm256_set1_pd(alpha * bkj);
-            let ak = pa.add(k * N);
-            for (q, lane) in acc.iter_mut().enumerate().take(nq) {
-                *lane = _mm256_fmadd_pd(coeff, _mm256_loadu_pd(ak.add(4 * q)), *lane);
-            }
-        }
-        for (q, lane) in acc.iter().enumerate().take(nq) {
-            _mm256_storeu_pd(cj.add(4 * q), *lane);
-        }
-    }
-}
-
-fn gemm_mono_portable<const N: usize>(
-    alpha: f64,
-    a: &[f64],
-    b: &[f64],
-    b_trans: bool,
-    beta: f64,
-    c: &mut [f64],
-) {
-    for j in 0..N {
-        let cj = &mut c[j * N..(j + 1) * N];
-        if beta == 0.0 {
-            cj.fill(0.0);
-        } else if beta != 1.0 {
-            for x in cj.iter_mut() {
-                *x *= beta;
-            }
-        }
-        for k in 0..N {
-            let coeff = alpha * if b_trans { b[j + k * N] } else { b[k + j * N] };
-            for (ci, &ai) in cj.iter_mut().zip(&a[k * N..(k + 1) * N]) {
-                *ci += coeff * ai;
-            }
-        }
-    }
-}
-
-/// Monomorphized `C ← β·C + α·A·op(B)` for `N×N` column-major blocks,
-/// `N ∈ {4, 8}`.  From `N = 16` up [`gemm_tile`] is faster.  `b_trans`
-/// selects `op(B) = Bᵀ`; `A` is never transposed (the smoother's SelInv and
-/// combination formulas only need the `Trans::No × {No, Yes}` cases at
-/// these sizes).  The whole operation is register-resident on AVX2.
-pub fn gemm_mono<const N: usize>(
-    alpha: f64,
-    a: &[f64],
-    b: &[f64],
-    b_trans: bool,
-    beta: f64,
-    c: &mut [f64],
-) {
-    assert!(
-        N.is_multiple_of(4) && N <= 8,
-        "gemm_mono: unsupported width"
-    );
-    assert_eq!(a.len(), N * N, "gemm_mono: A must be N×N");
-    assert_eq!(b.len(), N * N, "gemm_mono: B must be N×N");
-    assert_eq!(c.len(), N * N, "gemm_mono: C must be N×N");
-    // SAFETY: the assertions above pin the N·N slice lengths, N ∈ {4, 8}.
-    unsafe { gemm_mono_unchecked::<N>(alpha, a, b, b_trans, beta, c) }
-}
-
-/// [`gemm_mono`] without its length asserts, for [`crate::gemm`], which
-/// has matched the operands' shapes already.
-///
-/// # Safety
-///
-/// `N ∈ {4, 8}`, and `a`, `b` and `c` hold `N·N` elements each.
-#[inline]
-pub(crate) unsafe fn gemm_mono_unchecked<const N: usize>(
-    alpha: f64,
-    a: &[f64],
-    b: &[f64],
-    b_trans: bool,
-    beta: f64,
-    c: &mut [f64],
-) {
-    debug_assert!(N.is_multiple_of(4) && N <= 8);
-    debug_assert!(a.len() == N * N && b.len() == N * N && c.len() == N * N);
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2() {
-        // SAFETY: `use_avx2()` is true only after `is_x86_feature_detected!`
-        // confirmed AVX2+FMA on this CPU; the caller guarantees the N·N
-        // slice lengths the implementation indexes.
-        return unsafe { gemm_mono_avx2::<N>(alpha, a, b, b_trans, beta, c) };
-    }
-    gemm_mono_portable::<N>(alpha, a, b, b_trans, beta, c)
-}
-
-// ---------------------------------------------------------------------------
-// Kernels: the fixed-size serving flush (bodies in `fixed.rs`)
+// Kernels: the fixed-size bodies of `fixed.rs`
 // ---------------------------------------------------------------------------
 
 /// Instantiates one plain-Rust body of [`crate::fixed`] twice — inside an
@@ -1147,6 +1025,38 @@ macro_rules! fixed_kernel {
             $body($($arg),*)
         }
     };
+}
+
+fixed_kernel! {
+    /// The `N × N` product `c ← β·c + α·a·op(b)` at `N ∈ {4, 8}`, which
+    /// [`crate::gemm`] runs on square operands.
+    product / product_avx2 = fixed::product_body::<N>;
+    <const N>(alpha: f64, a: &[f64], b: &[f64], b_trans: bool, beta: f64, c: &mut [f64])
+}
+
+/// `C ← β·C + α·A·op(B)` for `N×N` column-major blocks, `N ∈ {4, 8}`: the
+/// body [`crate::gemm`] runs on those square operands, behind checked
+/// slice lengths.  `b_trans` selects `op(B) = Bᵀ`; `A` is never transposed.
+/// Each entry sums its products in `k` order from `β·C` (from zero when
+/// `β = 0`), unfused, so every host computes the same bits.  From `N = 16`
+/// up [`gemm_tile`] is faster.
+///
+/// # Panics
+///
+/// Panics unless `N ∈ {4, 8}` and each slice holds `N·N` elements.
+pub fn gemm_mono<const N: usize>(
+    alpha: f64,
+    a: &[f64],
+    b: &[f64],
+    b_trans: bool,
+    beta: f64,
+    c: &mut [f64],
+) {
+    assert!(matches!(N, 4 | 8), "gemm_mono: unsupported width");
+    assert_eq!(a.len(), N * N, "gemm_mono: A must be N×N");
+    assert_eq!(b.len(), N * N, "gemm_mono: B must be N×N");
+    assert_eq!(c.len(), N * N, "gemm_mono: C must be N×N");
+    product::<N>(alpha, a, b, b_trans, beta, c)
 }
 
 fixed_kernel! {
@@ -1429,110 +1339,158 @@ mod tests {
         }
     }
 
-    fn check_portable_mono<const N: usize>() {
+    /// `c ← β·c + α·a·op(b)` in the product's order: `β·c` (zero when
+    /// `β = 0`), then `+= a[i,k]·(α·op(b)[k,j])` in `k` order.
+    fn product_loop_nest<const N: usize>(
+        alpha: f64,
+        a: &[f64],
+        b: &[f64],
+        b_trans: bool,
+        beta: f64,
+        c: &[f64],
+    ) -> Vec<f64> {
+        let mut out = vec![0.0; N * N];
+        for j in 0..N {
+            for i in 0..N {
+                let mut sum = if beta == 0.0 {
+                    0.0
+                } else {
+                    beta * c[i + j * N]
+                };
+                for k in 0..N {
+                    let bkj = if b_trans { b[j + k * N] } else { b[k + j * N] };
+                    sum += a[i + k * N] * (alpha * bkj);
+                }
+                out[i + j * N] = sum;
+            }
+        }
+        out
+    }
+
+    /// The product's portable instantiation against its loop nest, to the
+    /// bit, and its AVX2 one too when `avx2` is set and the host has it; at
+    /// `β = 0` a `c` of NaNs must not reach the result.
+    fn check_product<const N: usize>(avx2: bool) {
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = avx2;
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
         let (a, b) = (wave(N * N, 0.37), wave(N * N, 0.11));
-        for (b_trans, alpha, beta) in [(false, 1.0, 0.0), (true, -0.5, 1.0), (false, 2.0, 0.75)] {
-            let c0 = wave(N * N, 0.71);
-            let mut c = c0.clone();
-            gemm_mono_portable::<N>(alpha, &a, &b, b_trans, beta, &mut c);
-            for j in 0..N {
-                for i in 0..N {
-                    let mut sum = 0.0;
-                    for k in 0..N {
-                        let bkj = if b_trans { b[j + k * N] } else { b[k + j * N] };
-                        sum += a[i + k * N] * bkj;
-                    }
-                    let want = beta * c0[i + j * N] + alpha * sum;
-                    assert!(close(c[i + j * N], want), "N={N} trans={b_trans} ({i},{j})");
+        for b_trans in [false, true] {
+            for (alpha, beta) in [(-1.25, 0.0), (0.5, 1.0), (3.0, 0.75)] {
+                let c0 = if beta == 0.0 {
+                    vec![f64::NAN; N * N]
+                } else {
+                    wave(N * N, 0.71)
+                };
+                let want = bits(&product_loop_nest::<N>(alpha, &a, &b, b_trans, beta, &c0));
+                let at = format!("N={N} trans={b_trans} alpha={alpha} beta={beta}");
+                let mut c = c0.clone();
+                fixed::product_body::<N>(alpha, &a, &b, b_trans, beta, &mut c);
+                assert_eq!(bits(&c), want, "{at}: portable");
+                #[cfg(target_arch = "x86_64")]
+                if avx2 && use_avx2() {
+                    let mut c = c0.clone();
+                    // SAFETY: `use_avx2()` holds, so AVX2+FMA are available
+                    // on this CPU.
+                    unsafe { product_avx2::<N>(alpha, &a, &b, b_trans, beta, &mut c) };
+                    assert_eq!(bits(&c), want, "{at}: avx2");
                 }
             }
         }
     }
 
-    /// Both instantiations of every fixed-size body, by direct call, on the
-    /// same operands: the outputs must agree to the bit.  (On a host
-    /// without AVX2 there is only one instantiation to run.)
-    #[test]
-    #[cfg(target_arch = "x86_64")]
-    fn fixed_bodies_are_bitwise_equal_across_instantiations() {
-        if !use_avx2() {
-            return;
-        }
-        fn check<const N: usize, const N2: usize>() {
-            // Distinct full-rank blocks: row windows of one tall sample.
-            let tall = crate::random::deterministic_well_conditioned(N + 8, N);
-            let sq = |at: usize| tall.sub_matrix(at, 0, N, N).into_vec();
-            let col = |at: usize| tall.col(at % N)[at / N..][..N].to_vec();
-            let (c, d, g, o) = (sq(0), col(1), sq(2), col(3));
-            let (b, dd, r) = (sq(4), sq(6), col(5));
-            let run = |avx2: bool| {
-                let mut out = vec![vec![0.0; N * N]; 5];
-                let mut cols = vec![vec![0.0; N]; 5];
-                let [diag, off, next_c, x, a] = &mut out[..] else {
-                    unreachable!()
-                };
-                let [rhs, next_d, sb, mean, swept] = &mut cols[..] else {
-                    unreachable!()
-                };
-                let input = fixed::StepIn {
-                    head_c: &c,
-                    head_d: &d,
-                    obs_c: &g,
-                    obs_rhs: &o,
-                    evo_b: &b,
-                    evo_d: &dd,
-                    evo_rhs: &r,
-                };
-                let mut output = fixed::StepOut {
-                    diag,
-                    off,
-                    rhs,
-                    next_c,
-                    next_d,
-                    terms: Some((x, a, sb)),
-                };
-                let ok = if avx2 {
-                    // SAFETY: `use_avx2()` held above, so AVX2+FMA are
-                    // available on this CPU.
-                    unsafe { forward_step_avx2::<N, N2>(&input, &mut output) }
-                } else {
-                    fixed::forward_step_body::<N, N2>(&input, &mut output)
-                };
-                assert!(ok, "well-conditioned stack");
-                let (mut head_c, mut head_d) = (vec![0.0; N * N], vec![0.0; N]);
-                let mut s = vec![0.0; N * N];
-                let next = col(7);
-                if avx2 {
-                    // SAFETY: as above.
-                    unsafe {
-                        absorb_avx2::<N, N2>(&c, &d, &g, &o, &mut head_c, &mut head_d);
-                        assert!(back_substitute_avx2::<N>(diag, off, rhs, &next, mean));
-                        mean_step_avx2::<N>(x, sb, &next, swept);
-                        selinv_step_avx2::<N>(x, a, a, &mut s);
-                    }
-                } else {
-                    fixed::absorb_body::<N, N2>(&c, &d, &g, &o, &mut head_c, &mut head_d);
-                    assert!(fixed::back_substitute_body::<N>(
-                        diag, off, rhs, &next, mean
-                    ));
-                    fixed::mean_step_body::<N>(x, sb, &next, swept);
-                    fixed::selinv_step_body::<N>(x, a, a, &mut s);
-                }
-                out.extend(cols);
-                out.extend([head_c, head_d, s]);
-                out.iter()
-                    .map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>())
-                    .collect::<Vec<_>>()
-            };
-            assert_eq!(run(true), run(false), "N = {N}");
-        }
-        check::<4, 8>();
-        check::<8, 16>();
-    }
-
+    /// The plain-Rust product, which every host without AVX2 runs, against
+    /// the scalar triple loop.
     #[test]
     fn portable_gemm_mono_matches_scalar_triple_loop() {
-        check_portable_mono::<4>();
-        check_portable_mono::<8>();
+        check_product::<4>(false);
+        check_product::<8>(false);
+    }
+
+    /// The step bodies' two instantiations on the same operands; called only
+    /// where `use_avx2()` holds.
+    #[cfg(target_arch = "x86_64")]
+    fn check_steps<const N: usize, const N2: usize>() {
+        // Distinct full-rank blocks: row windows of one tall sample.
+        let tall = crate::random::deterministic_well_conditioned(N + 8, N);
+        let sq = |at: usize| tall.sub_matrix(at, 0, N, N).into_vec();
+        let col = |at: usize| tall.col(at % N)[at / N..][..N].to_vec();
+        let (c, d, g, o) = (sq(0), col(1), sq(2), col(3));
+        let (b, dd, r) = (sq(4), sq(6), col(5));
+        let run = |avx2: bool| {
+            let mut out = vec![vec![0.0; N * N]; 5];
+            let mut cols = vec![vec![0.0; N]; 5];
+            let [diag, off, next_c, x, a] = &mut out[..] else {
+                unreachable!()
+            };
+            let [rhs, next_d, sb, mean, swept] = &mut cols[..] else {
+                unreachable!()
+            };
+            let input = fixed::StepIn {
+                head_c: &c,
+                head_d: &d,
+                obs_c: &g,
+                obs_rhs: &o,
+                evo_b: &b,
+                evo_d: &dd,
+                evo_rhs: &r,
+            };
+            let mut output = fixed::StepOut {
+                diag,
+                off,
+                rhs,
+                next_c,
+                next_d,
+                terms: Some((x, a, sb)),
+            };
+            let ok = if avx2 {
+                // SAFETY: `check_steps` runs only where `use_avx2()` holds,
+                // so AVX2+FMA are available on this CPU.
+                unsafe { forward_step_avx2::<N, N2>(&input, &mut output) }
+            } else {
+                fixed::forward_step_body::<N, N2>(&input, &mut output)
+            };
+            assert!(ok, "well-conditioned stack");
+            let (mut head_c, mut head_d) = (vec![0.0; N * N], vec![0.0; N]);
+            let mut s = vec![0.0; N * N];
+            let next = col(7);
+            if avx2 {
+                // SAFETY: as above.
+                unsafe {
+                    absorb_avx2::<N, N2>(&c, &d, &g, &o, &mut head_c, &mut head_d);
+                    assert!(back_substitute_avx2::<N>(diag, off, rhs, &next, mean));
+                    mean_step_avx2::<N>(x, sb, &next, swept);
+                    selinv_step_avx2::<N>(x, a, a, &mut s);
+                }
+            } else {
+                fixed::absorb_body::<N, N2>(&c, &d, &g, &o, &mut head_c, &mut head_d);
+                assert!(fixed::back_substitute_body::<N>(
+                    diag, off, rhs, &next, mean
+                ));
+                fixed::mean_step_body::<N>(x, sb, &next, swept);
+                fixed::selinv_step_body::<N>(x, a, a, &mut s);
+            }
+            out.extend(cols);
+            out.extend([head_c, head_d, s]);
+            out.iter()
+                .map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(run(true), run(false), "N = {N}");
+    }
+
+    /// Both instantiations of every fixed-size body, by direct call, on the
+    /// same operands: the outputs must agree to the bit.  (On a host
+    /// without AVX2 there is only one instantiation to run, and only the
+    /// product's loop nest to compare it with.)
+    #[test]
+    fn fixed_bodies_are_bitwise_equal_across_instantiations() {
+        check_product::<4>(true);
+        check_product::<8>(true);
+        #[cfg(target_arch = "x86_64")]
+        if use_avx2() {
+            check_steps::<4, 8>();
+            check_steps::<8, 16>();
+        }
     }
 }

@@ -204,7 +204,11 @@ const SEEDS: &[&str] = &[
     "collect",
     "clone",
     "extend",
+    "extend_from_slice",
     "reserve",
+    "reserve_exact",
+    "resize",
+    "resize_with",
 ];
 
 /// Qualified calls that look like a seed but do not allocate.

@@ -44,6 +44,7 @@ impl SweepTerms {
             return;
         }
         mean.clear();
+        // lint: allow(alloc, "refills the caller's reused mean, which grows only past its high-water length")
         mean.extend_from_slice(self.b.col(0));
         self.x.sub_mul_vec_into(next, mean);
     }
@@ -101,6 +102,7 @@ impl InfoHead {
             Some(qr.r())
         };
         mean.clear();
+        // lint: allow(alloc, "refills the caller's reused mean, which grows only past its high-water length")
         mean.extend_from_slice(y.col(0));
         if let Some(cov) = cov {
             *cov = tri::inv_gram_upper(triangle.as_ref().unwrap_or(c)).map_err(deficient)?;

@@ -261,6 +261,7 @@ impl Ring {
         let last = self.slots.len();
         out.len = last + 1;
         if out.means.len() < out.len {
+            // lint: allow(alloc, "grows the reused estimates to the window's high-water length once; later flushes find them sized")
             out.means.resize_with(out.len, Vec::new);
         }
         let kept = if self.covariances {
@@ -269,6 +270,7 @@ impl Ring {
             0
         };
         if out.covs.len() < kept {
+            // lint: allow(alloc, "grows the reused covariances to the window's high-water length once; later flushes find them sized")
             out.covs.resize_with(kept, Matrix::default);
         }
         let [work, next] = &mut self.pair;
@@ -366,6 +368,7 @@ impl Ring {
 
 fn set_mean(dst: &mut Vec<f64>, y: &Matrix) {
     dst.clear();
+    // lint: allow(alloc, "refills a reused mean, which grows only past its high-water length")
     dst.extend_from_slice(y.col(0));
 }
 

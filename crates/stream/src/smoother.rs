@@ -535,6 +535,7 @@ impl StreamingSmoother {
             if let Some(slot) = out.get_mut(emitted) {
                 slot.index = index;
                 slot.mean.clear();
+                // lint: allow(alloc, "refills a reused output slot's mean, which grows only past its high-water length")
                 slot.mean.extend_from_slice(mean);
                 match (&mut slot.covariance, cov) {
                     (Some(dst), Some(src)) => dst.clone_from(src),
