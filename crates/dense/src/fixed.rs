@@ -210,6 +210,7 @@ pub fn mean_step(x: &Matrix, b: &Matrix, next: &[f64], mean: &mut Vec<f64>) -> b
     if !(covered(n) && is_square(x, n) && is_column(b, n) && next.len() == n) {
         return false;
     }
+    // lint: allow(alloc, "sizes the caller's reused mean to the state once; a mean already of that size stays put")
     mean.resize(n, 0.0);
     let (x, b) = (x.as_slice(), b.as_slice());
     match n {

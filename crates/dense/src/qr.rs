@@ -1,4 +1,4 @@
-use crate::simd::{self, KernelKind};
+use crate::simd::{self, KernelKind, Kernels};
 use crate::{workspace, DenseError, Matrix, Result};
 
 /// Householder QR factorization `A = Q R` of an `m × n` matrix with `m >= n`
@@ -13,7 +13,7 @@ use crate::{workspace, DenseError, Matrix, Result};
 ///
 /// There is one factorization and one representation: reflectors are applied
 /// one at a time, four right-hand-side columns per pass through the SIMD
-/// tiles of [`crate::simd`] (plain scalar loops under
+/// tiles of [`crate::simd`] (their serial scalar arms under
 /// [`crate::set_reference_kernels`], the oracle the tiles are tested against).
 ///
 /// The factorization itself never fails; rank deficiency surfaces as a zero
@@ -120,107 +120,45 @@ fn make_householder(x: &mut [f64]) -> f64 {
     tau
 }
 
-/// Applies `H = I - tau·v·vᵀ` (with `v[0] = 1` implicit, tail `vtail`) to the
-/// vector segment `c` of the same length as `v`.
-#[inline]
-fn apply_householder(vtail: &[f64], tau: f64, c: &mut [f64]) {
-    if tau == 0.0 {
-        return;
-    }
-    // w = tau * (vᵀ c)
-    let mut w = c[0];
-    for (vi, ci) in vtail.iter().zip(&c[1..]) {
-        w += vi * ci;
-    }
-    w *= tau;
-    c[0] -= w;
-    for (vi, ci) in vtail.iter().zip(&mut c[1..]) {
-        *ci -= w * vi;
-    }
-}
-
 /// Applies one reflector to a contiguous column-major block of columns
 /// (`b.len()` is a multiple of `brows`), touching rows `row0..brows` of
-/// each, four columns per pass: the reflector tail is loaded once per quad
-/// and the four accumulators are independent, so the dot products vectorize
-/// across columns instead of forming one serial chain each.
+/// each: four columns per [`Kernels::reflector_quad`] — the reflector tail
+/// is loaded once per quad and the four accumulators are independent, so
+/// the dot products vectorize across columns instead of forming one serial
+/// chain each — and the rest through [`Kernels::reflector_one`].  A
+/// column's pivot and tail share its slice, so this is not
+/// [`reflect_run`]'s strided-pivot shape.
 fn apply_reflector_raw(vtail: &[f64], tau: f64, b: &mut [f64], brows: usize, row0: usize) {
     if tau == 0.0 || b.is_empty() {
         return;
     }
     debug_assert_eq!(b.len() % brows, 0);
     debug_assert_eq!(vtail.len(), brows - row0 - 1);
-    let tail = vtail.len();
-    // One SIMD-layer check per reflector application, not per quad.
-    let use_simd = simd::simd_active();
+    // One reference-switch read per reflector application, not per quad.
+    let kernels = Kernels::active();
     let mut quads = b.chunks_exact_mut(4 * brows);
     for quad in quads.by_ref() {
         let (c0, rest) = quad.split_at_mut(brows);
         let (c1, rest) = rest.split_at_mut(brows);
         let (c2, c3) = rest.split_at_mut(brows);
-        let c0 = &mut c0[row0..];
-        let c1 = &mut c1[row0..];
-        let c2 = &mut c2[row0..];
-        let c3 = &mut c3[row0..];
-        if use_simd {
-            // Explicit-width tile: pivots travel in `w`, the tails are the
-            // four column slices past the pivot row.
-            let mut w = [c0[0], c1[0], c2[0], c3[0]];
-            let (p0, t0) = c0.split_at_mut(1);
-            let (p1, t1) = c1.split_at_mut(1);
-            let (p2, t2) = c2.split_at_mut(1);
-            let (p3, t3) = c3.split_at_mut(1);
-            simd::reflector_quad(vtail, tau, &mut w, [t0, t1, t2, t3]);
-            p0[0] -= w[0];
-            p1[0] -= w[1];
-            p2[0] -= w[2];
-            p3[0] -= w[3];
-            continue;
-        }
-        let (mut w0, mut w1, mut w2, mut w3) = (c0[0], c1[0], c2[0], c3[0]);
-        {
-            let t0 = &c0[1..1 + tail];
-            let t1 = &c1[1..1 + tail];
-            let t2 = &c2[1..1 + tail];
-            let t3 = &c3[1..1 + tail];
-            for i in 0..tail {
-                let vi = vtail[i];
-                w0 += vi * t0[i];
-                w1 += vi * t1[i];
-                w2 += vi * t2[i];
-                w3 += vi * t3[i];
-            }
-        }
-        w0 *= tau;
-        w1 *= tau;
-        w2 *= tau;
-        w3 *= tau;
-        c0[0] -= w0;
-        c1[0] -= w1;
-        c2[0] -= w2;
-        c3[0] -= w3;
-        let t0 = &mut c0[1..1 + tail];
-        let t1 = &mut c1[1..1 + tail];
-        let t2 = &mut c2[1..1 + tail];
-        let t3 = &mut c3[1..1 + tail];
-        for i in 0..tail {
-            let vi = vtail[i];
-            t0[i] -= w0 * vi;
-            t1[i] -= w1 * vi;
-            t2[i] -= w2 * vi;
-            t3[i] -= w3 * vi;
-        }
+        // Pivots travel in `w`, the tails are the four column slices past
+        // the pivot row.
+        let (p0, t0) = c0[row0..].split_at_mut(1);
+        let (p1, t1) = c1[row0..].split_at_mut(1);
+        let (p2, t2) = c2[row0..].split_at_mut(1);
+        let (p3, t3) = c3[row0..].split_at_mut(1);
+        let mut w = [p0[0], p1[0], p2[0], p3[0]];
+        kernels.reflector_quad(vtail, tau, &mut w, [t0, t1, t2, t3]);
+        p0[0] -= w[0];
+        p1[0] -= w[1];
+        p2[0] -= w[2];
+        p3[0] -= w[3];
     }
     for col in quads.into_remainder().chunks_exact_mut(brows) {
-        let c = &mut col[row0..];
-        if use_simd {
-            let (piv, t) = c.split_at_mut(1);
-            let mut w = piv[0];
-            simd::reflector_one(vtail, tau, &mut w, t);
-            piv[0] -= w;
-        } else {
-            apply_householder(vtail, tau, c);
-        }
+        let (piv, t) = col[row0..].split_at_mut(1);
+        let mut w = piv[0];
+        kernels.reflector_one(vtail, tau, &mut w, t);
+        piv[0] -= w;
     }
 }
 
@@ -731,7 +669,7 @@ fn tri_stack_blocked(
                 wy.apply(top, n, &mut d_sub[..(s1 - s0) * l], s1 - s0, &mut w);
             }
             for j in s0..s1 {
-                let tau = tri_stack_pivot::<0>(r, d, &mut [], j, s1, true, dot_norms);
+                let tau = tri_stack_pivot::<0>(r, d, &mut [], j, s1, Kernels::SIMD, dot_norms);
                 // Column i of T: T[i,i] = τ_i, T[..i,i] = −τ_i·T[..i,..i]·z
                 // with z = V_D[:,..i]ᵀ d_i.  Column q of `tt` is row q of T.
                 let i = j - j0;
@@ -888,10 +826,10 @@ fn tri_stack_body<const N: usize>(
     companions: &mut [(&mut Matrix, &mut Matrix)],
 ) {
     let n = if N == 0 { r.rows() } else { N };
-    // One SIMD-layer check per elimination, not per reflector.
-    let use_simd = simd::simd_active();
+    // One reference-switch read per elimination, not per reflector.
+    let kernels = Kernels::active();
     for j in 0..n {
-        tri_stack_pivot::<N>(r, d, companions, j, n, use_simd, false);
+        tri_stack_pivot::<N>(r, d, companions, j, n, kernels, false);
     }
 }
 
@@ -909,9 +847,10 @@ fn tri_stack_pivot<const N: usize>(
     companions: &mut [(&mut Matrix, &mut Matrix)],
     j: usize,
     kend: usize,
-    use_simd: bool,
+    kernels: Kernels,
     dot_norm: bool,
 ) -> f64 {
+    let n = if N == 0 { r.rows() } else { N };
     let kend = if N == 0 { kend } else { N };
     let l = if N == 0 { d.rows() } else { N };
     // Reflector from the virtual column [R[j,j]; D[:,j]] (length 1+l).
@@ -928,8 +867,6 @@ fn tri_stack_pivot<const N: usize>(
     };
     r[(j, j)] = beta;
 
-    // Trailing columns of [R; D]: w = R[j,k] + vᵀD[:,k], quads of four
-    // columns per pass (independent accumulators, shared v loads).
     if l == 0 {
         // Empty D: the reflector is the scalar flip H = −1.
         for k in (j + 1)..kend {
@@ -944,148 +881,72 @@ fn tri_stack_pivot<const N: usize>(
         }
         return tau;
     }
-    {
-        let (dleft, dright) = d.split_at_col_mut(j + 1);
-        let vtail = &dleft[j * l..(j + 1) * l];
-        let mut quads = dright[..(kend - j - 1) * l].chunks_exact_mut(4 * l);
-        let mut k = j + 1;
-        for quad in quads.by_ref() {
-            let (c0, rest) = quad.split_at_mut(l);
-            let (c1, rest) = rest.split_at_mut(l);
-            let (c2, c3) = rest.split_at_mut(l);
-            if use_simd {
-                let mut w = [r[(j, k)], r[(j, k + 1)], r[(j, k + 2)], r[(j, k + 3)]];
-                simd::reflector_quad(vtail, tau, &mut w, [c0, c1, c2, c3]);
-                r[(j, k)] -= w[0];
-                r[(j, k + 1)] -= w[1];
-                r[(j, k + 2)] -= w[2];
-                r[(j, k + 3)] -= w[3];
-                k += 4;
-                continue;
-            }
-            let (mut w0, mut w1, mut w2, mut w3) =
-                (r[(j, k)], r[(j, k + 1)], r[(j, k + 2)], r[(j, k + 3)]);
-            for i in 0..l {
-                let vi = vtail[i];
-                w0 += vi * c0[i];
-                w1 += vi * c1[i];
-                w2 += vi * c2[i];
-                w3 += vi * c3[i];
-            }
-            w0 *= tau;
-            w1 *= tau;
-            w2 *= tau;
-            w3 *= tau;
-            r[(j, k)] -= w0;
-            r[(j, k + 1)] -= w1;
-            r[(j, k + 2)] -= w2;
-            r[(j, k + 3)] -= w3;
-            for i in 0..l {
-                let vi = vtail[i];
-                c0[i] -= w0 * vi;
-                c1[i] -= w1 * vi;
-                c2[i] -= w2 * vi;
-                c3[i] -= w3 * vi;
-            }
-            k += 4;
-        }
-        for ck in quads.into_remainder().chunks_exact_mut(l) {
-            if use_simd {
-                let mut w = r[(j, k)];
-                simd::reflector_one(vtail, tau, &mut w, ck);
-                r[(j, k)] -= w;
-                k += 1;
-                continue;
-            }
-            let mut w = 0.0;
-            for (vi, xi) in vtail.iter().zip(ck.iter()) {
-                w += vi * xi;
-            }
-            w = (w + r[(j, k)]) * tau;
-            r[(j, k)] -= w;
-            for (vi, xi) in vtail.iter().zip(ck.iter_mut()) {
-                *xi -= w * vi;
-            }
-            k += 1;
-        }
-    }
-
-    // Companions: same update on (top row j, bottom block), quaded.
+    // Trailing columns of [R; D], then every companion: pivots in row j of
+    // `R` / the top block, tails in `D` / the bottom block.
+    let (dleft, dright) = d.split_at_col_mut(j + 1);
+    let vtail = &dleft[j * l..];
+    let trailing = &mut dright[..(kend - j - 1) * l];
+    reflect_run::<N>(
+        kernels,
+        vtail,
+        tau,
+        r.as_mut_slice(),
+        j + (j + 1) * n,
+        n,
+        trailing,
+    );
     for (top, bottom) in companions.iter_mut() {
-        let vtail = d.col(j);
-        let bot = bottom.as_mut_slice();
-        let mut quads = bot.chunks_exact_mut(4 * l);
-        let mut c = 0;
-        for quad in quads.by_ref() {
-            let (c0, rest) = quad.split_at_mut(l);
-            let (c1, rest) = rest.split_at_mut(l);
-            let (c2, c3) = rest.split_at_mut(l);
-            if use_simd {
-                let mut w = [
-                    top[(j, c)],
-                    top[(j, c + 1)],
-                    top[(j, c + 2)],
-                    top[(j, c + 3)],
-                ];
-                simd::reflector_quad(vtail, tau, &mut w, [c0, c1, c2, c3]);
-                top[(j, c)] -= w[0];
-                top[(j, c + 1)] -= w[1];
-                top[(j, c + 2)] -= w[2];
-                top[(j, c + 3)] -= w[3];
-                c += 4;
-                continue;
-            }
-            let (mut w0, mut w1, mut w2, mut w3) = (
-                top[(j, c)],
-                top[(j, c + 1)],
-                top[(j, c + 2)],
-                top[(j, c + 3)],
-            );
-            for i in 0..l {
-                let vi = vtail[i];
-                w0 += vi * c0[i];
-                w1 += vi * c1[i];
-                w2 += vi * c2[i];
-                w3 += vi * c3[i];
-            }
-            w0 *= tau;
-            w1 *= tau;
-            w2 *= tau;
-            w3 *= tau;
-            top[(j, c)] -= w0;
-            top[(j, c + 1)] -= w1;
-            top[(j, c + 2)] -= w2;
-            top[(j, c + 3)] -= w3;
-            for i in 0..l {
-                let vi = vtail[i];
-                c0[i] -= w0 * vi;
-                c1[i] -= w1 * vi;
-                c2[i] -= w2 * vi;
-                c3[i] -= w3 * vi;
-            }
-            c += 4;
-        }
-        for bc in quads.into_remainder().chunks_exact_mut(l) {
-            if use_simd {
-                let mut w = top[(j, c)];
-                simd::reflector_one(vtail, tau, &mut w, bc);
-                top[(j, c)] -= w;
-                c += 1;
-                continue;
-            }
-            let mut w = 0.0;
-            for (vi, xi) in vtail.iter().zip(bc.iter()) {
-                w += vi * xi;
-            }
-            w = (w + top[(j, c)]) * tau;
-            top[(j, c)] -= w;
-            for (vi, xi) in vtail.iter().zip(bc.iter_mut()) {
-                *xi -= w * vi;
-            }
-            c += 1;
-        }
+        reflect_run::<N>(
+            kernels,
+            vtail,
+            tau,
+            top.as_mut_slice(),
+            j,
+            n,
+            bottom.as_mut_slice(),
+        );
     }
     tau
+}
+
+/// Applies the reflector `(v, τ)` (unit leading entry implicit) to a run of
+/// columns whose pivot entries lie in one matrix row — `piv[at]`,
+/// `piv[at + ld]`, … — and whose tails are the consecutive `v.len()`-entry
+/// columns of `tails`: four columns per [`Kernels::reflector_quad`], the
+/// rest one at a time through [`Kernels::reflector_one`].  `N > 0` fixes
+/// the tail length to `N` at compile time, as in [`tri_stack_body`].
+#[inline(always)]
+fn reflect_run<const N: usize>(
+    kernels: Kernels,
+    v: &[f64],
+    tau: f64,
+    piv: &mut [f64],
+    at: usize,
+    ld: usize,
+    tails: &mut [f64],
+) {
+    let l = if N == 0 { v.len() } else { N };
+    let v = &v[..l];
+    let mut p = at;
+    let mut quads = tails.chunks_exact_mut(4 * l);
+    for quad in quads.by_ref() {
+        let (c0, rest) = quad.split_at_mut(l);
+        let (c1, rest) = rest.split_at_mut(l);
+        let (c2, c3) = rest.split_at_mut(l);
+        let mut w = [piv[p], piv[p + ld], piv[p + 2 * ld], piv[p + 3 * ld]];
+        kernels.reflector_quad(v, tau, &mut w, [c0, c1, c2, c3]);
+        piv[p] -= w[0];
+        piv[p + ld] -= w[1];
+        piv[p + 2 * ld] -= w[2];
+        piv[p + 3 * ld] -= w[3];
+        p += 4 * ld;
+    }
+    for c in quads.into_remainder().chunks_exact_mut(l) {
+        let mut w = piv[p];
+        kernels.reflector_one(v, tau, &mut w, c);
+        piv[p] -= w;
+        p += ld;
+    }
 }
 
 /// Computes a (possibly rectangular) "R compression" of `a`, taking

@@ -11,9 +11,14 @@
 //!
 //! Three layers of kernels coexist, and the scalar layer is the oracle:
 //!
-//! * **scalar** — the original loop nests in `gemm.rs` / `qr.rs` / `tri.rs`,
-//!   always reachable via `KALMAN_REF_KERNELS` / `set_reference_kernels`;
-//!   they also serve the shapes too small for a tile to pay,
+//! * **scalar** — the reference loop nest `gemm_ref` in `gemm.rs`, and the
+//!   scalar arms of this module's `Kernels` selector, which `qr.rs` and
+//!   `tri.rs` run for every level-1/2 kernel ([`dot`], [`axpy`],
+//!   [`reflector_quad`], [`reflector_one`]): serial loops in index order, a
+//!   reflector's columns each summed from its pivot.  Always reachable via
+//!   `KALMAN_REF_KERNELS` / `set_reference_kernels`, which `Kernels` reads
+//!   once per application; they also serve the shapes too small for a tile
+//!   to pay,
 //! * **SIMD** — the width-aware kernels in this module: the level-1/2 ones
 //!   ([`dot`], [`axpy`], the one- and four-column Householder applications)
 //!   under the unblocked eliminations and solves of small blocks, and one
@@ -987,6 +992,119 @@ pub fn reflector_one(v: &[f64], tau: f64, w: &mut f64, col: &mut [f64]) {
     debug_assert!(col.len() >= v.len());
     *w = tau * (*w + dot(v, &col[..v.len()]));
     axpy(-*w, v, &mut col[..v.len()]);
+}
+
+// ---------------------------------------------------------------------------
+// The level-1/2 kernels behind the reference switch
+// ---------------------------------------------------------------------------
+
+/// The level-1/2 kernels as the reference switch chose them: [`dot`] (as
+/// `acc − x·y`), [`axpy`], [`reflector_quad`] and [`reflector_one`], or — under
+/// [`crate::set_reference_kernels`] — their scalar oracles, serial loops in
+/// index order.  The reflector oracles sum each column from its pivot,
+/// `τ·((pivot + v₀c₀) + v₁c₁ + …)`, so a column's update does not depend
+/// on whether it rode in a quad.  A caller reads the switch once per
+/// application ([`Kernels::active`]) and hands the copy down, so no kernel
+/// call loads it again.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Kernels {
+    simd: bool,
+}
+
+impl Kernels {
+    /// The kernels the reference switch selects now.
+    #[inline]
+    pub(crate) fn active() -> Self {
+        Kernels {
+            simd: simd_active(),
+        }
+    }
+
+    /// The SIMD layer, whatever the switch says: for the bodies that exist
+    /// only on it (the compact-WY tri-stack's in-panel pivots).
+    pub(crate) const SIMD: Kernels = Kernels { simd: true };
+
+    /// `true` on the SIMD layer, `false` on the scalar oracle.  Only the
+    /// level-3 dispatch asks (a blocked solve runs on the SIMD layer
+    /// alone); the level-1/2 kernels pick their own arm.
+    #[inline]
+    pub(crate) fn is_simd(self) -> bool {
+        self.simd
+    }
+
+    /// `acc − x·y`: `acc` less one [`dot`], or — the oracle — each
+    /// product `xᵢyᵢ` subtracted from `acc` in turn.
+    #[inline(always)]
+    pub(crate) fn sub_dot(self, acc: f64, x: &[f64], y: &[f64]) -> f64 {
+        if self.simd {
+            acc - dot(x, y)
+        } else {
+            sub_dot_serial(acc, x, y)
+        }
+    }
+
+    /// [`axpy`], or `yᵢ += α·xᵢ` one entry at a time, unfused.
+    #[inline(always)]
+    pub(crate) fn axpy(self, alpha: f64, x: &[f64], y: &mut [f64]) {
+        if self.simd {
+            axpy(alpha, x, y)
+        } else {
+            assert_eq!(x.len(), y.len(), "axpy: length mismatch");
+            axpy_portable(alpha, x, y)
+        }
+    }
+
+    /// [`reflector_quad`], or the one-column oracle on each column in turn.
+    #[inline(always)]
+    pub(crate) fn reflector_quad(
+        self,
+        v: &[f64],
+        tau: f64,
+        w: &mut [f64; 4],
+        cols: [&mut [f64]; 4],
+    ) {
+        if self.simd {
+            reflector_quad(v, tau, w, cols)
+        } else {
+            for (wq, col) in w.iter_mut().zip(cols) {
+                reflect_serial(v, tau, wq, col);
+            }
+        }
+    }
+
+    /// [`reflector_one`], or its oracle: `*w ← τ·((*w + v₀c₀) + v₁c₁ + …)`,
+    /// summed serially from the pivot, then `c ← c − *w·v` entry by entry.
+    #[inline(always)]
+    pub(crate) fn reflector_one(self, v: &[f64], tau: f64, w: &mut f64, col: &mut [f64]) {
+        if self.simd {
+            reflector_one(v, tau, w, col)
+        } else {
+            reflect_serial(v, tau, w, col)
+        }
+    }
+}
+
+/// [`Kernels::sub_dot`]'s oracle.
+fn sub_dot_serial(mut acc: f64, x: &[f64], y: &[f64]) -> f64 {
+    assert_eq!(x.len(), y.len(), "dot: length mismatch");
+    for (xi, yi) in x.iter().zip(y) {
+        acc -= xi * yi;
+    }
+    acc
+}
+
+/// [`Kernels::reflector_one`]'s oracle, which [`Kernels::reflector_quad`]
+/// runs on each of its columns.
+fn reflect_serial(v: &[f64], tau: f64, w: &mut f64, col: &mut [f64]) {
+    let col = &mut col[..v.len()];
+    let mut acc = *w;
+    for (vi, ci) in v.iter().zip(col.iter()) {
+        acc += vi * ci;
+    }
+    *w = acc * tau;
+    for (vi, ci) in v.iter().zip(col) {
+        *ci -= *w * vi;
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@
 //! back-substitution phases of the QR smoothers.  All of them check for zero
 //! diagonal entries and report [`DenseError::Singular`].
 
-use crate::{simd, workspace, DenseError, Matrix, Result};
+use crate::simd::{self, Kernels};
+use crate::{workspace, DenseError, Matrix, Result};
 
 /// Diagonal-block height of the blocked back substitution: one register
 /// tile of [`simd::gemm_tile`].
@@ -39,8 +40,8 @@ pub fn solve_upper_in_place(u: &Matrix, b: &mut Matrix) -> Result<()> {
     check_diag(u)?;
     let n = u.rows();
     assert_eq!(b.rows(), n, "solve_upper rhs row mismatch");
-    let use_simd = simd::simd_active();
-    if use_simd && n >= BLOCKED_SOLVE_MIN_N && b.cols() >= BLOCKED_SOLVE_MIN_RHS {
+    let kernels = Kernels::active();
+    if kernels.is_simd() && n >= BLOCKED_SOLVE_MIN_N && b.cols() >= BLOCKED_SOLVE_MIN_RHS {
         solve_upper_blocked(u, b, false);
         return Ok(());
     }
@@ -51,13 +52,7 @@ pub fn solve_upper_in_place(u: &Matrix, b: &mut Matrix) -> Result<()> {
             let xj = bk[j] / uj[j];
             bk[j] = xj;
             if xj != 0.0 {
-                if use_simd {
-                    simd::axpy(-xj, &uj[..j], &mut bk[..j]);
-                } else {
-                    for (bi, &uij) in bk[..j].iter_mut().zip(uj) {
-                        *bi -= uij * xj;
-                    }
-                }
+                kernels.axpy(-xj, &uj[..j], &mut bk[..j]);
             }
         }
     }
@@ -141,21 +136,13 @@ pub fn solve_upper_transpose_in_place(u: &Matrix, b: &mut Matrix) -> Result<()> 
     check_diag(u)?;
     let n = u.rows();
     assert_eq!(b.rows(), n, "solve_upper_transpose rhs row mismatch");
-    let use_simd = simd::simd_active();
+    let kernels = Kernels::active();
     for k in 0..b.cols() {
         let bk = b.col_mut(k);
         for i in 0..n {
             let ui = u.col(i);
-            let mut acc = bk[i];
             // (Uᵀ)[i][j] = U[j][i] for j < i — a contiguous column prefix.
-            if use_simd {
-                acc -= simd::dot(&ui[..i], &bk[..i]);
-            } else {
-                for (&uji, &bj) in ui[..i].iter().zip(bk.iter()) {
-                    acc -= uji * bj;
-                }
-            }
-            bk[i] = acc / ui[i];
+            bk[i] = kernels.sub_dot(bk[i], &ui[..i], &bk[..i]) / ui[i];
         }
     }
     Ok(())
@@ -173,7 +160,7 @@ pub fn solve_lower_in_place(l: &Matrix, b: &mut Matrix) -> Result<()> {
     check_diag(l)?;
     let n = l.rows();
     assert_eq!(b.rows(), n, "solve_lower rhs row mismatch");
-    let use_simd = simd::simd_active();
+    let kernels = Kernels::active();
     for k in 0..b.cols() {
         let bk = b.col_mut(k);
         for j in 0..n {
@@ -181,13 +168,7 @@ pub fn solve_lower_in_place(l: &Matrix, b: &mut Matrix) -> Result<()> {
             let xj = bk[j] / lj[j];
             bk[j] = xj;
             if xj != 0.0 {
-                if use_simd {
-                    simd::axpy(-xj, &lj[j + 1..], &mut bk[j + 1..]);
-                } else {
-                    for (bi, &lij) in bk[j + 1..].iter_mut().zip(&lj[j + 1..]) {
-                        *bi -= lij * xj;
-                    }
-                }
+                kernels.axpy(-xj, &lj[j + 1..], &mut bk[j + 1..]);
             }
         }
     }
@@ -204,21 +185,13 @@ pub fn solve_lower_transpose_in_place(l: &Matrix, b: &mut Matrix) -> Result<()> 
     check_diag(l)?;
     let n = l.rows();
     assert_eq!(b.rows(), n, "solve_lower_transpose rhs row mismatch");
-    let use_simd = simd::simd_active();
+    let kernels = Kernels::active();
     for k in 0..b.cols() {
         let bk = b.col_mut(k);
         for i in (0..n).rev() {
             let li = l.col(i);
-            let mut acc = bk[i];
             // (Lᵀ)[i][j] = L[j][i] for j > i — a contiguous column suffix.
-            if use_simd {
-                acc -= simd::dot(&li[i + 1..], &bk[i + 1..]);
-            } else {
-                for (&lji, &bj) in li[i + 1..].iter().zip(bk[i + 1..].iter()) {
-                    acc -= lji * bj;
-                }
-            }
-            bk[i] = acc / li[i];
+            bk[i] = kernels.sub_dot(bk[i], &li[i + 1..], &bk[i + 1..]) / li[i];
         }
     }
     Ok(())
@@ -303,8 +276,8 @@ pub fn inv_gram_upper_with_inverse(u: &Matrix) -> Result<(Matrix, Option<Matrix>
     let n = u.rows();
     // W = U⁻¹ (upper triangular): column j solves U x = e_j over rows 0..=j
     // by column-oriented back substitution (contiguous axpy updates).
-    let use_simd = simd::simd_active();
-    if use_simd && n >= BLOCKED_SOLVE_MIN_N {
+    let kernels = Kernels::active();
+    if kernels.is_simd() && n >= BLOCKED_SOLVE_MIN_N {
         let (s, w) = inv_gram_blocked(u);
         return Ok((s, Some(w)));
     }
@@ -317,13 +290,7 @@ pub fn inv_gram_upper_with_inverse(u: &Matrix) -> Result<(Matrix, Option<Matrix>
             let xk = wj[k] / uk[k];
             wj[k] = xk;
             if xk != 0.0 {
-                if use_simd {
-                    simd::axpy(-xk, &uk[..k], &mut wj[..k]);
-                } else {
-                    for (wi, &uik) in wj[..k].iter_mut().zip(uk) {
-                        *wi -= uik * xk;
-                    }
-                }
+                kernels.axpy(-xk, &uk[..k], &mut wj[..k]);
             }
         }
     }
@@ -335,14 +302,7 @@ pub fn inv_gram_upper_with_inverse(u: &Matrix) -> Result<(Matrix, Option<Matrix>
         for j in 0..=k {
             let wjk = wk[j];
             if wjk != 0.0 {
-                let sj = s.col_mut(j);
-                if use_simd {
-                    simd::axpy(wjk, &wk[..=j], &mut sj[..=j]);
-                } else {
-                    for (si, &wik) in sj[..=j].iter_mut().zip(&wk[..=j]) {
-                        *si += wik * wjk;
-                    }
-                }
+                kernels.axpy(wjk, &wk[..=j], &mut s.col_mut(j)[..=j]);
             }
         }
     }

@@ -299,6 +299,7 @@ impl<T> Pool<T> {
                 buf.clear();
                 (buf, true)
             }
+            // lint: allow(alloc, "a pool miss: the class's first checkout on this thread allocates its buffer, which every later checkout reuses")
             None => (Vec::with_capacity(class_size(class)), false),
         }
     }
@@ -316,15 +317,18 @@ impl<T> Pool<T> {
             return Err(Rejected::Full);
         }
         if self.buckets.len() <= class {
+            // lint: allow(alloc, "the class table grows once, the first time a buffer of a larger class is parked")
             self.buckets.resize_with(class + 1, Vec::new);
         }
         let bucket = &mut self.buckets[class];
         if bucket.capacity() == 0 {
             // One-time reservation so bucket growth never reallocates in
             // the steady state the pool exists to keep allocation-free.
+            // lint: allow(alloc, "one reservation per class, the first time one of its buffers is parked")
             bucket.reserve_exact(class_capacity(class));
         }
         self.parked[doubling] += cap;
+        // lint: allow(alloc, "within the reservation above: the doubling budget caps a bucket at class_capacity buffers outside an arena scope, and an arena scope grows it only to its high-water mark")
         bucket.push(buf);
         Ok(())
     }
@@ -367,9 +371,11 @@ impl Workspace {
         if !pooling_enabled() || class_of(len).is_none() {
             // Straight from the allocator, which hands out zeroed pages.
             self.misses += 1;
+            // lint: allow(alloc, "a pool miss by design: pooling is off or the length is past every class")
             return vec![0.0; len];
         }
         let mut buf = self.take_f64_empty(len);
+        // lint: allow(alloc, "fills a checked-out buffer whose class holds at least len elements, so it never reallocates")
         buf.resize(len, 0.0);
         buf
     }
@@ -380,6 +386,7 @@ impl Workspace {
     pub(crate) fn take_f64_empty(&mut self, len: usize) -> Vec<f64> {
         let Some(class) = class_of(len).filter(|_| pooling_enabled()) else {
             self.misses += 1;
+            // lint: allow(alloc, "a pool miss by design: pooling is off or the length is past every class")
             return Vec::with_capacity(len);
         };
         let (buf, hit) = self.f64_pool.checkout(class);
@@ -400,10 +407,12 @@ impl Workspace {
     pub fn take_usize(&mut self, len: usize) -> Vec<usize> {
         let Some(class) = class_of(len).filter(|_| pooling_enabled()) else {
             self.misses += 1;
+            // lint: allow(alloc, "a pool miss by design: pooling is off or the length is past every class")
             return vec![0; len];
         };
         let (mut buf, hit) = self.usize_pool.checkout(class);
         self.count_take(hit);
+        // lint: allow(alloc, "fills a checked-out buffer whose class holds at least len elements, so it never reallocates")
         buf.resize(len, 0);
         buf
     }
@@ -457,8 +466,10 @@ pub(crate) fn take_f64(len: usize) -> Vec<f64> {
     WORKSPACE
         .try_with(|cell| match cell.try_borrow_mut() {
             Ok(mut ws) => ws.take_f64(len),
+            // lint: allow(alloc, "fallback for re-entrant use inside Workspace::with, which the crate's kernels never make")
             Err(_) => vec![0.0; len],
         })
+        // lint: allow(alloc, "fallback once the thread's workspace is torn down, during thread exit")
         .unwrap_or_else(|_| vec![0.0; len])
 }
 
@@ -469,8 +480,10 @@ pub(crate) fn take_f64_empty(len: usize) -> Vec<f64> {
     WORKSPACE
         .try_with(|cell| match cell.try_borrow_mut() {
             Ok(mut ws) => ws.take_f64_empty(len),
+            // lint: allow(alloc, "fallback for re-entrant use inside Workspace::with, which the crate's kernels never make")
             Err(_) => Vec::with_capacity(len),
         })
+        // lint: allow(alloc, "fallback once the thread's workspace is torn down, during thread exit")
         .unwrap_or_else(|_| Vec::with_capacity(len))
 }
 
@@ -500,8 +513,10 @@ pub(crate) fn take_usize(len: usize) -> Vec<usize> {
     WORKSPACE
         .try_with(|cell| match cell.try_borrow_mut() {
             Ok(mut ws) => ws.take_usize(len),
+            // lint: allow(alloc, "fallback for re-entrant use inside Workspace::with, which the crate's kernels never make")
             Err(_) => vec![0; len],
         })
+        // lint: allow(alloc, "fallback once the thread's workspace is torn down, during thread exit")
         .unwrap_or_else(|_| vec![0; len])
 }
 

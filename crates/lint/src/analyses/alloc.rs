@@ -4,11 +4,12 @@
 //!
 //! 1. Every non-test function in the graph scope becomes a node, keyed by
 //!    bare name and by `ImplType::name`.
-//! 2. Call sites are resolved *by name*: `Type::f(…)` prefers functions of
-//!    a matching impl, `.m(…)` and `f(…)` link to every workspace function
-//!    with that name.  Calls that resolve to nothing (std, vendor) add no
-//!    edge — the allocating subset of std is covered by the seed list
-//!    instead.
+//! 2. Call sites are resolved *by name*: `Type::f(…)` links to functions of
+//!    a matching impl, `module::f(…)` (no impl of that name) to the free
+//!    functions `f` of a file `module.rs` or `module/mod.rs`, and `.m(…)`
+//!    and `f(…)` to every workspace function with that name.  Calls that
+//!    resolve to nothing (std, vendor) add no edge — the allocating subset
+//!    of std is covered by the seed list instead.
 //! 3. Known-allocating constructs (`Vec::new`, `.push(…)`, `format!`, …)
 //!    are matched syntactically inside bodies ("seeds").
 //! 4. From each hot-path root, a traversal reports every reachable seed
@@ -266,30 +267,43 @@ pub fn run(files: &[FileCtx], cfg: &AllocConfig, deps: &CrateDeps) -> Vec<Findin
         }
     }
 
-    // Name → node indices (bare and qualified).
+    // Name → node indices (bare, impl-qualified, and free functions by the
+    // stem of the module file that holds them).
     let mut by_name: HashMap<&str, Vec<usize>> = HashMap::new();
     let mut by_qual: HashMap<(&str, &str), Vec<usize>> = HashMap::new();
+    let mut by_module: HashMap<(&str, &str), Vec<usize>> = HashMap::new();
     for (i, n) in nodes.iter().enumerate() {
         by_name.entry(n.name.as_str()).or_default().push(i);
-        if let Some(q) = &n.qual {
-            by_qual
+        match &n.qual {
+            Some(q) => by_qual
                 .entry((q.as_str(), n.name.as_str()))
                 .or_default()
-                .push(i);
+                .push(i),
+            None => {
+                if let Some(m) = module_of(&files[n.file].file.path) {
+                    by_module.entry((m, n.name.as_str())).or_default().push(i);
+                }
+            }
         }
     }
-    // A qualified call resolves only against matching impls: when
-    // `Type::method` names no workspace function the callee is external
-    // (std or vendored) and the *seed list* is what models its allocation
-    // behavior.  Falling back to every `method` by bare name would wire
-    // e.g. `Vec::drain` to unrelated workspace `drain` fns and connect the
-    // whole graph.  Unqualified method calls still resolve by name — that
-    // is the deliberate over-approximation for receiver dispatch.
+    // A qualified call `q::name(…)` resolves against the impls of a type
+    // `q`, and failing that against the free functions `name` of a module
+    // file `q.rs` / `q/mod.rs` (`fixed::mean_step(…)`).  When it names
+    // neither, the callee is external (std or vendored) and the *seed
+    // list* is what models its allocation behavior.  Falling back to every
+    // `name` by bare name would wire e.g. `Vec::drain` to unrelated
+    // workspace `drain` fns and connect the whole graph.  Unqualified
+    // method calls still resolve by name — that is the deliberate
+    // over-approximation for receiver dispatch.
     let resolve = |name: &str, qual: Option<&str>| -> Vec<usize> {
-        match qual {
-            Some(q) => by_qual.get(&(q, name)).cloned().unwrap_or_default(),
-            None => by_name.get(name).cloned().unwrap_or_default(),
-        }
+        let Some(q) = qual else {
+            return by_name.get(name).cloned().unwrap_or_default();
+        };
+        by_qual
+            .get(&(q, name))
+            .or_else(|| by_module.get(&(q, name)))
+            .cloned()
+            .unwrap_or_default()
     };
 
     // Hot-path roots.
@@ -375,6 +389,16 @@ pub fn run(files: &[FileCtx], cfg: &AllocConfig, deps: &CrateDeps) -> Vec<Findin
     }
     findings.sort_by_key(|f| (f.file.clone(), f.line));
     findings
+}
+
+/// The module a source file defines, as a qualified call names it: the
+/// file stem (`src/fixed.rs` → `fixed`), or the directory of a `mod.rs`.
+fn module_of(path: &Path) -> Option<&str> {
+    let stem = path.file_stem()?.to_str()?;
+    if stem == "mod" {
+        return path.parent()?.file_name()?.to_str();
+    }
+    Some(stem)
 }
 
 fn display_name(n: &Node) -> String {

@@ -40,23 +40,27 @@ fn alloc_fixture_fails_with_a_call_chain() {
     let errs = errors_of(&out, Analysis::Alloc);
     assert_eq!(
         errs.len(),
-        5,
+        7,
         "exactly the seeded push and growth calls:\n{}",
         out.human
     );
-    assert!(errs.iter().all(|(file, _, _)| file == "src/hot.rs"));
     let seeded = [
-        ("`.push(…)`", "hot_loop → helper"),
-        ("`.reserve_exact(…)`", "hot_loop → grow"),
-        ("`.resize(…)`", "hot_loop → grow"),
-        ("`.resize_with(…)`", "hot_loop → grow"),
-        ("`.extend_from_slice(…)`", "hot_loop → grow"),
+        ("src/hot.rs", "`.push(…)`", "hot_loop → helper"),
+        ("src/hot.rs", "`.reserve_exact(…)`", "hot_loop → grow"),
+        ("src/hot.rs", "`.resize(…)`", "hot_loop → grow"),
+        ("src/hot.rs", "`.resize_with(…)`", "hot_loop → grow"),
+        ("src/hot.rs", "`.extend_from_slice(…)`", "hot_loop → grow"),
+        // Module-qualified calls: `pool::refill` and `arena::grow_arena`
+        // name the free functions of `src/pool.rs` and `src/arena/mod.rs`,
+        // and not `src/cold.rs`'s `refill`.
+        ("src/pool.rs", "`.extend(…)`", "hot_loop → refill"),
+        ("src/arena/mod.rs", "`.push(…)`", "hot_loop → grow_arena"),
     ];
-    for (construct, chain) in seeded {
+    for (file, construct, chain) in seeded {
         assert!(
             errs.iter()
-                .any(|(_, _, msg)| msg.contains(construct) && msg.contains(chain)),
-            "names {construct} with the call chain {chain}:\n{}",
+                .any(|(f, _, msg)| f == file && msg.contains(construct) && msg.contains(chain)),
+            "names {construct} in {file} with the call chain {chain}:\n{}",
             out.human
         );
     }

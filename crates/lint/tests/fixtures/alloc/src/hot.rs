@@ -1,9 +1,13 @@
 //! Seeded violations: an allocation two call-graph hops from a hot path,
-//! and one growth call per line of a second helper.
+//! one growth call per line of a second helper, and one allocation behind
+//! each form of module-qualified call (`pool::refill` in `src/pool.rs`,
+//! `arena::grow_arena` in `src/arena/mod.rs`).
 
 pub fn hot_loop(out: &mut Vec<u64>) {
     helper(out);
     grow(out);
+    pool::refill(out);
+    arena::grow_arena(out);
 }
 
 fn helper(out: &mut Vec<u64>) {
